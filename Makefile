@@ -9,7 +9,7 @@ export PYTHONPATH := src
 	bench-sharded bench-sharded-smoke bench-columnar bench-columnar-smoke \
 	bench-service bench-service-smoke bench-obs bench-obs-smoke \
 	bench-planner bench-planner-smoke \
-	bench-persistence bench-persistence-smoke \
+	bench-persistence bench-persistence-smoke bench-e2e bench-e2e-smoke \
 	bench-all bench-all-smoke check-regression update-baselines-dry lint \
 	typecheck docs clean
 
@@ -75,6 +75,15 @@ bench-persistence-smoke:
 bench-persistence:
 	$(PYTHON) benchmarks/bench_persistence.py --json BENCH_persistence.json
 
+# The end-to-end benchmark of BENCHMARK.json (benchmarks/e2e/README.md): four
+# workloads through the whole stack, every answer checked against an oracle.
+# It puts src/ on its own path and writes under .e2e_work/.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+
 # The unified runner: one schema-versioned BENCH_<name>.json per bench.
 bench-all:
 	$(PYTHON) benchmarks/run_all.py
@@ -97,7 +106,7 @@ docs:
 
 clean:
 	rm -rf .pytest_cache .ruff_cache .hypothesis .benchmarks htmlcov docs/api \
-		.coverage BENCH_*.json example-data/
+		.coverage BENCH_*.json example-data/ .e2e_work/
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +
 	find . -name "*.wal" -not -path "./.git/*" -delete
 	find . -type d -name snapshots -not -path "./.git/*" -prune -exec rm -rf {} +

@@ -29,6 +29,7 @@ import numpy as np
 from ..core.queries import QueryContext
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NOOP_SPAN as _NO_SPAN, trace_span
+from ..trajectories.difference import scalar_fallback_count
 from ..trajectories.mod import MovingObjectsDatabase
 from .answers import Answer, answer_of
 from .cache import CacheInfo, ContextCache
@@ -200,6 +201,10 @@ class QueryEngine:
         self._m_kernel = self.registry.histogram(
             "repro_engine_kernel_seconds",
             help="Band-interval kernel (envelope construction) stage time",
+        )
+        self._m_difference_fallbacks = self.registry.counter(
+            "repro_engine_difference_fallback_candidates_total",
+            "Candidates whose difference function took the scalar fallback",
         )
         self._m_refreshes = self.registry.counter(
             "repro_engine_refresh_total", "Derived-state refreshes after MOD changes"
@@ -716,11 +721,12 @@ class QueryEngine:
         else:
             corridor = None
         kernel_started = time.perf_counter()
+        fallbacks_before = scalar_fallback_count()
         with trace_span(
             "engine.kernel",
             query=query_id,
             candidates=len(candidate_ids) if candidate_ids is not None else -1,
-        ) if traced else _NO_SPAN:
+        ) if traced else _NO_SPAN as span:
             context = QueryContext.from_mod(
                 self.mod,
                 query_id,
@@ -730,7 +736,11 @@ class QueryEngine:
                 candidate_ids=candidate_ids,
                 kernel=self._envelope_kernel,
             )
+            scalar_fallbacks = scalar_fallback_count() - fallbacks_before
+            span.set("scalar_fallbacks", scalar_fallbacks)
         self._m_kernel.observe(time.perf_counter() - kernel_started)
+        if scalar_fallbacks:
+            self._m_difference_fallbacks.inc(scalar_fallbacks)
         return PreparedQuery(
             query_id=query_id,
             context=context,

@@ -98,9 +98,15 @@ def decode_pdf(spec: PdfSpec, radius: float) -> RadialPDF:
 
 
 def encode_trajectory(trajectory: UncertainTrajectory) -> TrajectoryPayload:
-    """The plain-data payload of one trajectory (samples, radius, pdf)."""
+    """The plain-data payload of one trajectory (samples, radius, pdf).
+
+    Sample fields are coerced to plain ``float``: a NumPy scalar pickles as
+    a global lookup, which the restricted unpickler refuses on restore.
+    """
     return {
-        "samples": [(s.x, s.y, s.t) for s in trajectory.samples],
+        "samples": [
+            (float(s.x), float(s.y), float(s.t)) for s in trajectory.samples
+        ],
         "radius": float(trajectory.radius),
         "pdf": encode_pdf(trajectory.pdf),
     }

@@ -193,7 +193,16 @@ def scan_wal(path: PathLike, *, strict: bool = False) -> WalScan:
         try:
             frame = _decode_payload(payload)
         except Exception as error:
+            # The checksum held, so these are the bytes that were appended:
+            # an encoder/decoder mismatch, not a torn write.
             reason = f"payload decode failure: {error}"
+            _log.error(
+                "%s: frame at offset %d passed its checksum but does not "
+                "decode (%s); it and every later frame are unreadable",
+                path,
+                offset,
+                error,
+            )
             break
         if frames and frame.record.revision <= frames[-1].record.revision:
             raise WalCorruption(

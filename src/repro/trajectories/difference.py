@@ -11,19 +11,24 @@ two objects' sample times.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import threading
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola, HyperbolaPiece
+from .columnar import _extract_columns
 from .trajectory import Trajectory
 
 from ..core.tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
 
-#: Interior piece marks closer than this to the window ends make the scalar
-#: segment-lookup tolerance observable; the bulk constructor refuses and the
-#: scalar path handles every candidate instead.
+#: Distinct piece marks closer than this to each other or to the window ends
+#: make the scalar mark deduplication order dependent; the bulk constructor
+#: refuses such a candidate and the scalar path handles it instead.
 _EDGE_MARGIN = 8.0 * _TIME_TOLERANCE
+
+#: Per-thread running total behind :func:`scalar_fallback_count`.
+_TALLY = threading.local()
 
 
 def difference_distance_function(
@@ -136,19 +141,24 @@ def difference_distance_functions_bulk(
 ) -> List[DistanceFunction]:
     """Batched distance-function construction over packed columnar arrays.
 
-    The hyperbola coefficients of every candidate whose samples never fall
-    strictly inside the window are computed in one NumPy pass over the
-    columnar pack: such a candidate moves along a single constant-velocity
-    leg across the whole open window, so the per-piece positions and
-    velocities reduce to broadcast interpolation against the query's shared
-    piece grid.  Query-side positions/velocities are computed once (instead
-    of once per candidate), with the same scalar calls as the reference.
+    One ragged NumPy pass over the columnar pack builds the hyperbola
+    coefficients of every candidate, however many of its samples fall inside
+    the window.  Per candidate the aligned marks are the union of its own
+    and the query's interior sample times (bitwise-equal times collapse, as
+    they do on a fleet reporting on one shared cadence); every (candidate,
+    piece) pair then takes its reference position and midpoint velocity on
+    both sides from the leg :meth:`Trajectory.segment_at` would return — the
+    first leg of positive duration whose tolerance-widened span contains the
+    time — with the scalar builder's exact float expressions.  A candidate
+    without interior samples is the zero-marks case of the same pass.
 
-    Candidates the bulk path cannot provably replicate — interior samples,
-    window not covered, stale columns, or piece marks inside the tolerance
-    margin of the window ends — fall back to
+    Candidates the pass cannot provably replicate fall back to
     :func:`difference_distance_function` individually, so the output is
-    always bit-identical to :func:`difference_distance_functions`.
+    always bit-identical to :func:`difference_distance_functions`: stale
+    columns, a window it does not cover, *distinct* marks closer than
+    ``_EDGE_MARGIN`` to each other or to the window ends (where the scalar
+    deduplication is order dependent), or a time no positive-duration leg
+    contains.  :func:`scalar_fallback_count` tallies them.
 
     Args:
         store: a :class:`~repro.trajectories.columnar.ColumnarStore` (or any
@@ -160,184 +170,219 @@ def difference_distance_functions_bulk(
         for trajectory in trajectories
         if not (skip_query and trajectory.object_id == query.object_id)
     ]
-    shared = _shared_query_pieces(query, t_lo, t_hi) if store is not None else None
-    if shared is None or not candidates:
+    if store is None or not candidates:
         return [
             difference_distance_function(candidate, query, t_lo, t_hi)
             for candidate in candidates
         ]
-    piece_bounds, refs, mids, q_px, q_py, q_vx, q_vy = shared
-
-    pack = store.pack()
-    ts = pack.ts
-    if ts.size < 2:
-        return [
-            difference_distance_function(candidate, query, t_lo, t_hi)
-            for candidate in candidates
-        ]
-    # Leg arrays over the whole pack: leg i joins samples i and i+1 of the
-    # same object; zero-duration legs are skipped exactly like ``segments()``.
-    leg_same_object = np.ones(ts.size - 1, dtype=bool)
-    leg_same_object[pack.starts[1:] - 1] = False
-    leg_usable = leg_same_object & ((ts[1:] - ts[:-1]) > _TIME_TOLERANCE)
-    leg_contains_lo = ts[:-1] - _TIME_TOLERANCE
-    leg_contains_hi = ts[1:] + _TIME_TOLERANCE
-
-    def _first_leg_per_slot(t: float) -> np.ndarray:
-        """First usable leg containing ``t``, per pack slot (-1 when none)."""
-        containing = leg_usable & (leg_contains_lo <= t) & (t <= leg_contains_hi)
-        hits = np.flatnonzero(containing)
-        if hits.size == 0:
-            return np.full(len(pack.ids), -1, dtype=np.int64)
-        position = np.searchsorted(hits, pack.starts)
-        found = position < hits.size
-        candidate_leg = hits[np.minimum(position, hits.size - 1)]
-        last_leg = pack.starts + pack.lengths - 1
-        return np.where(found & (candidate_leg < last_leg), candidate_leg, -1)
-
-    first_t = ts[pack.starts]
-    last_t = ts[pack.starts + pack.lengths - 1]
-    covers = ((first_t - _TIME_TOLERANCE) <= t_lo) & (
-        t_hi <= (last_t + _TIME_TOLERANCE)
-    )
-    inside_window = (ts > t_lo + _TIME_TOLERANCE) & (ts < t_hi - _TIME_TOLERANCE)
-    interior_samples = np.add.reduceat(inside_window.astype(np.int64), pack.starts)
-    leg_at_lo = _first_leg_per_slot(t_lo)
-    leg_interior = _first_leg_per_slot(float(mids[0]))
-    slot_qualifies = (
-        covers & (interior_samples == 0) & (leg_at_lo >= 0) & (leg_interior >= 0)
-    )
-
-    bulk_positions: List[int] = []
-    bulk_slots: List[int] = []
-    for position, candidate in enumerate(candidates):
-        if store.columns_for(candidate) is None:
-            continue
-        slot = store.slot_of(candidate.object_id)
-        if slot_qualifies[slot]:
-            bulk_positions.append(position)
-            bulk_slots.append(slot)
-
     results: List[Optional[DistanceFunction]] = [None] * len(candidates)
-    if bulk_slots:
-        slots = np.array(bulk_slots, dtype=np.int64)
-        # Position at the first reference (t_lo) on its containing leg.
-        i0 = leg_at_lo[slots]
-        j0 = i0 + 1
-        duration0 = ts[j0] - ts[i0]
-        fraction0 = np.minimum(
-            1.0, np.maximum(0.0, (t_lo - ts[i0]) / duration0)
-        )
-        position_x = np.empty((slots.size, refs.size))
-        position_y = np.empty((slots.size, refs.size))
-        position_x[:, 0] = pack.xs[i0] + fraction0 * (pack.xs[j0] - pack.xs[i0])
-        position_y[:, 0] = pack.ys[i0] + fraction0 * (pack.ys[j0] - pack.ys[i0])
-        # Interior references and every midpoint share one leg per candidate.
-        ii = leg_interior[slots]
-        jj = ii + 1
-        duration = ts[jj] - ts[ii]
-        velocity_x = (pack.xs[jj] - pack.xs[ii]) / duration
-        velocity_y = (pack.ys[jj] - pack.ys[ii]) / duration
-        if refs.size > 1:
-            fraction = np.minimum(
-                1.0,
-                np.maximum(
-                    0.0, (refs[None, 1:] - ts[ii][:, None]) / duration[:, None]
-                ),
-            )
-            position_x[:, 1:] = (
-                pack.xs[ii][:, None]
-                + fraction * (pack.xs[jj] - pack.xs[ii])[:, None]
-            )
-            position_y[:, 1:] = (
-                pack.ys[ii][:, None]
-                + fraction * (pack.ys[jj] - pack.ys[ii])[:, None]
-            )
-
-        rel_x = position_x - q_px[None, :]
-        rel_y = position_y - q_py[None, :]
-        rel_vx = velocity_x[:, None] - q_vx[None, :]
-        rel_vy = velocity_y[:, None] - q_vy[None, :]
-        # Elementwise replica of ``Hyperbola.from_relative_motion``.
-        a = rel_vx * rel_vx + rel_vy * rel_vy
-        b_local = 2.0 * (rel_x * rel_vx + rel_y * rel_vy)
-        c_local = rel_x * rel_x + rel_y * rel_y
-        b = b_local - 2.0 * a * refs[None, :]
-        c = c_local - b_local * refs[None, :] + a * refs[None, :] * refs[None, :]
-
-        for row, position in enumerate(bulk_positions):
-            pieces = [
-                HyperbolaPiece(
-                    piece_start,
-                    piece_end,
-                    Hyperbola(a[row, k], b[row, k], c[row, k]),
-                )
-                for k, (piece_start, piece_end) in enumerate(piece_bounds)
-            ]
-            results[position] = DistanceFunction(
-                candidates[position].object_id, pieces
-            )
-
+    if t_hi - t_lo > 2.0 * _EDGE_MARGIN and query.covers_interval(t_lo, t_hi):
+        _build_from_columns(results, candidates, query, t_lo, t_hi, store)
+    fallbacks = 0
     for position, candidate in enumerate(candidates):
         if results[position] is None:
             results[position] = difference_distance_function(
                 candidate, query, t_lo, t_hi
             )
+            fallbacks += 1
+    if fallbacks:
+        _TALLY.count = scalar_fallback_count() + fallbacks
     return results  # type: ignore[return-value]
 
 
-def _shared_query_pieces(
-    query: Trajectory, t_lo: float, t_hi: float
-) -> Optional[Tuple]:
-    """The query-determined piece grid shared by every breakpoint-free candidate.
+def scalar_fallback_count() -> int:
+    """Candidates the calling thread's bulk calls handed to the scalar builder.
 
-    For a candidate without samples strictly inside the window, the aligned
-    breakpoints of :func:`difference_distance_function` are exactly the
-    query's — so the piece boundaries, reference times, and the query-side
-    positions/velocities can be computed once.  Returns ``None`` when the
-    bulk path's margin preconditions fail (short window, query not covering,
-    marks within ``_EDGE_MARGIN`` of the window ends), in which case every
-    candidate takes the scalar path.
+    Monotone per thread; a caller brackets a call with two reads to learn
+    how many of its candidates missed the columnar pass.
     """
-    if t_hi - t_lo <= 2.0 * _EDGE_MARGIN:
-        return None
-    if not query.covers_interval(t_lo, t_hi):
-        return None
-    # Exact replica of ``_aligned_breakpoints`` with an empty candidate side.
-    times = [t_lo, t_hi]
-    times.extend(query.breakpoints_in(t_lo, t_hi))
-    times.sort()
-    marks: List[float] = []
-    for t in times:
-        if not marks or t - marks[-1] > _TIME_TOLERANCE:
-            marks.append(t)
-    if marks[-1] < t_hi - _TIME_TOLERANCE:
-        marks.append(t_hi)
-    marks[0] = t_lo
-    marks[-1] = t_hi
-    if any(not (t_lo + _EDGE_MARGIN < m < t_hi - _EDGE_MARGIN) for m in marks[1:-1]):
-        return None
-    piece_bounds: List[Tuple[float, float]] = []
-    for piece_start, piece_end in zip(marks, marks[1:]):
-        if piece_end - piece_start <= _TIME_TOLERANCE and len(marks) > 2:
-            continue
-        piece_bounds.append((piece_start, piece_end))
-    if not piece_bounds:
-        return None
-    refs = np.array([piece_start for piece_start, _ in piece_bounds])
-    ends = np.array([piece_end for _, piece_end in piece_bounds])
-    mids = (refs + ends) / 2.0
-    query_positions = [query.position_at(piece_start) for piece_start, _ in piece_bounds]
-    query_velocities = [query.velocity_at(float(mid)) for mid in mids]
-    return (
-        piece_bounds,
-        refs,
-        mids,
-        np.array([p.x for p in query_positions]),
-        np.array([p.y for p in query_positions]),
-        np.array([v.dx for v in query_velocities]),
-        np.array([v.dy for v in query_velocities]),
+    return getattr(_TALLY, "count", 0)
+
+
+def _build_from_columns(
+    results: List[Optional[DistanceFunction]],
+    candidates: Sequence[Trajectory],
+    query: Trajectory,
+    t_lo: float,
+    t_hi: float,
+    store,
+) -> None:
+    """Fill ``results`` for every candidate the columnar pass can replicate."""
+    pack = store.pack()
+    positions = [
+        position
+        for position, candidate in enumerate(candidates)
+        if store.columns_for(candidate) is not None
+    ]
+    if not positions:
+        return
+    ts, xs, ys = pack.ts, pack.xs, pack.ys
+    slots = np.array(
+        [store.slot_of(candidates[position].object_id) for position in positions],
+        dtype=np.int64,
     )
+    count = slots.size
+    first = pack.starts[slots]
+    last = first + pack.lengths[slots] - 1
+    # ``covers_interval`` of the scalar path (the window is non-empty here).
+    ok = (ts[first] - _TIME_TOLERANCE <= t_lo) & (t_hi <= ts[last] + _TIME_TOLERANCE)
+
+    # Each candidate's own samples strictly inside the window, as
+    # ``breakpoints_in`` selects them: ``t_lo + tol < t < t_hi - tol``.
+    inner_first, inner_stop = _ragged_bisect(
+        ts,
+        first,
+        last + 1,
+        np.array(
+            [
+                [np.nextafter(t_lo + _TIME_TOLERANCE, np.inf)],
+                [t_hi - _TIME_TOLERANCE],
+            ]
+        ),
+    )
+    inner_count = np.maximum(inner_stop - inner_first, 0)
+    query_marks = np.array(query.breakpoints_in(t_lo, t_hi), dtype=float)
+
+    # Sorted union per candidate row; equal times collapse to one mark.
+    own_total = int(inner_count.sum())
+    own_index = np.arange(own_total) + np.repeat(
+        inner_first - (np.cumsum(inner_count) - inner_count), inner_count
+    )
+    rows = np.arange(count)
+    times = np.concatenate((ts[own_index], np.tile(query_marks, count)))
+    time_rows = np.concatenate(
+        (np.repeat(rows, inner_count), np.repeat(rows, query_marks.size))
+    )
+    order = np.lexsort((times, time_rows))
+    times, time_rows = times[order], time_rows[order]
+    gap = times[1:] - times[:-1]
+    same_row = time_rows[1:] == time_rows[:-1]
+    ok[time_rows[1:][same_row & (gap != 0.0) & (gap < _EDGE_MARGIN)]] = False
+    ok[
+        time_rows[
+            ~((t_lo + _EDGE_MARGIN < times) & (times < t_hi - _EDGE_MARGIN))
+        ]
+    ] = False
+    keep = np.ones(times.size, dtype=bool)
+    keep[1:] = ~(same_row & (gap == 0.0))
+    marks, mark_rows = times[keep], time_rows[keep]
+
+    # Flat pieces: row r owns ``marks_in_r + 1`` consecutive entries, so mark
+    # number u of the flat mark list starts piece ``u + r + 1`` and ends
+    # piece ``u + r``.
+    piece_counts = np.bincount(mark_rows, minlength=count) + 1
+    piece_rows = np.repeat(rows, piece_counts)
+    refs = np.full(piece_rows.size, float(t_lo))
+    ends = np.full(piece_rows.size, float(t_hi))
+    mark_piece = np.arange(marks.size) + mark_rows
+    refs[mark_piece + 1] = marks
+    ends[mark_piece] = marks
+    mids = (refs + ends) / 2.0
+    # The scalar builder drops sliver pieces; the margins above leave none.
+    ok[piece_rows[ends - refs <= _TIME_TOLERANCE]] = False
+
+    query_columns = store.columns_for(query) or _extract_columns(query)
+    times = np.stack((refs, mids))
+    sides = []
+    for columns, leg_first, leg_last in (
+        ((ts, xs, ys), first[piece_rows], last[piece_rows]),
+        (query_columns, 0, query_columns[0].size - 1),
+    ):
+        ref_legs, mid_legs = _first_containing_leg(
+            columns[0], leg_first, leg_last, times
+        )
+        missing = (ref_legs < 0) | (mid_legs < 0)
+        ok[piece_rows[missing]] = False
+        # Placeholder legs keep the arithmetic in bounds; the row is dropped.
+        ref_legs[missing] = mid_legs[missing] = 0
+        sides.append(_position_and_velocity(*columns, ref_legs, refs, mid_legs))
+    (x_i, y_i, vx_i, vy_i), (x_q, y_q, vx_q, vy_q) = sides
+
+    rel_x = x_i - x_q
+    rel_y = y_i - y_q
+    rel_vx = vx_i - vx_q
+    rel_vy = vy_i - vy_q
+    # Elementwise replica of ``Hyperbola.from_relative_motion``.
+    a = rel_vx * rel_vx + rel_vy * rel_vy
+    b_local = 2.0 * (rel_x * rel_vx + rel_y * rel_vy)
+    c_local = rel_x * rel_x + rel_y * rel_y
+    b = b_local - 2.0 * a * refs
+    c = c_local - b_local * refs + a * refs * refs
+
+    # Candidates share most piece bounds (the window ends, the query's
+    # marks, a fleet's cadence): one float object per distinct time, not one
+    # per piece, keeps the retained functions as small as the scalar path's.
+    starts, stops = refs.tolist(), ends.tolist()
+    shared = {t: t for t in starts + stops}
+    pieces = [
+        HyperbolaPiece(shared[start], shared[stop], Hyperbola(a_k, b_k, c_k))
+        for start, stop, a_k, b_k, c_k in zip(
+            starts, stops, a.tolist(), b.tolist(), c.tolist()
+        )
+    ]
+    piece_stops = np.cumsum(piece_counts)
+    piece_starts = (piece_stops - piece_counts).tolist()
+    piece_stops = piece_stops.tolist()
+    for row in np.flatnonzero(ok).tolist():
+        position = positions[row]
+        results[position] = DistanceFunction(
+            candidates[position].object_id,
+            pieces[piece_starts[row] : piece_stops[row]],
+        )
+
+
+def _ragged_bisect(ts: np.ndarray, lo, hi, targets, shift: float = 0.0) -> np.ndarray:
+    """Per row, the first index ``i`` in ``[lo, hi)`` with ``ts[i] + shift >= target``.
+
+    ``hi`` where there is none; ``lo``, ``hi`` and ``targets`` broadcast.
+    ``ts`` must be non-decreasing on every row's range — each is one
+    object's slice of a packed time column — which makes ``ts + shift``
+    non-decreasing there too; the comparison is evaluated on exactly that
+    float expression, as the scalar lookup does.
+    """
+    found = np.broadcast_to(lo, np.broadcast(lo, hi, targets).shape).copy()
+    step = 1 << int(np.max(hi - lo, initial=0)).bit_length()
+    while step > 1:
+        step >>= 1
+        probe = found + step
+        fits = probe <= hi
+        below = ts[np.where(fits, probe, hi) - 1] + shift < targets
+        found = np.where(fits & below, probe, found)
+    return found
+
+
+def _first_containing_leg(ts: np.ndarray, first, last, times: np.ndarray) -> np.ndarray:
+    """Per row, the leg ``Trajectory.segment_at`` finds by its containment rule.
+
+    Leg ``k`` joins samples ``k`` and ``k + 1`` of ``ts``; a row's legs are
+    ``first .. last - 1``.  Returns the first leg of positive duration whose
+    span widened by the time tolerance contains the row's time, or ``-1``
+    when no leg does (the scalar lookup then falls back to the last leg).
+    """
+    leg = _ragged_bisect(ts, first + 1, last, times, _TIME_TOLERANCE) - 1
+    while True:
+        contains = (leg < last) & (ts[leg] - _TIME_TOLERANCE <= times)
+        degenerate = contains & ~(
+            ts[np.minimum(leg + 1, last)] - ts[leg] > _TIME_TOLERANCE
+        )
+        if not degenerate.any():
+            return np.where(contains, leg, -1)
+        leg = leg + degenerate
+
+
+def _position_and_velocity(ts, xs, ys, ref_legs, refs, mid_legs):
+    """Elementwise ``SpaceTimeSegment.position_at(ref)`` and ``.velocity``."""
+    start, stop = ref_legs, ref_legs + 1
+    # A placeholder leg may have no duration; its row is discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = np.minimum(
+            1.0, np.maximum(0.0, (refs - ts[start]) / (ts[stop] - ts[start]))
+        )
+        x = xs[start] + fraction * (xs[stop] - xs[start])
+        y = ys[start] + fraction * (ys[stop] - ys[start])
+        start, stop = mid_legs, mid_legs + 1
+        duration = ts[stop] - ts[start]
+        return x, y, (xs[stop] - xs[start]) / duration, (ys[stop] - ys[start]) / duration
 
 
 def expected_distance_at(trajectory: Trajectory, query: Trajectory, t: float) -> float:

@@ -8,7 +8,9 @@ location pdf inside the uncertainty disk.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..geometry.disk import Disk
@@ -18,6 +20,8 @@ from ..uncertainty.pdf import RadialPDF
 from ..uncertainty.uniform import UniformDiskPDF
 
 from ..core.tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
+
+_sample_time = attrgetter("t")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,32 +110,65 @@ class Trajectory:
 
         Zero-duration legs (repeated timestamps) are skipped.
         """
-        legs = []
-        for previous, current in zip(self.samples, self.samples[1:]):
-            if current.t - previous.t <= _TIME_TOLERANCE:
-                continue
-            legs.append(
-                SpaceTimeSegment(
-                    Point2D(previous.x, previous.y),
-                    Point2D(current.x, current.y),
-                    previous.t,
-                    current.t,
-                )
-            )
+        samples = self.samples
+        legs = [
+            self._leg(index)
+            for index in range(len(samples) - 1)
+            if samples[index + 1].t - samples[index].t > _TIME_TOLERANCE
+        ]
         if not legs:
             raise ValueError("trajectory has no segment with positive duration")
         return legs
 
     def segment_at(self, t: float) -> SpaceTimeSegment:
-        """The segment covering time ``t``."""
+        """The segment covering time ``t``.
+
+        The first leg of positive duration whose span widened by the time
+        tolerance contains ``t``, else the last such leg; zero-duration legs
+        are skipped exactly as :meth:`segments` skips them.  The leg is
+        found by bisection over the sample times and only that one segment
+        is built.
+        """
         if not self.covers_time(t):
             raise ValueError(
                 f"time {t} outside trajectory span [{self.start_time}, {self.end_time}]"
             )
-        for segment in self.segments():
-            if segment.contains_time(t):
-                return segment
-        return self.segments()[-1]
+        samples = self.samples
+        last = len(samples) - 1
+        # Leg k joins samples k and k+1.  ``t <= samples[k+1].t + tol`` is
+        # monotone in k, so bisection lands on the first leg satisfying it;
+        # ``samples[k].t - tol <= t`` then holds on a prefix of the legs, and
+        # only zero-duration legs can stand between the two.
+        leg = (
+            bisect_left(
+                samples, t, 1, last, key=lambda sample: sample.t + _TIME_TOLERANCE
+            )
+            - 1
+        )
+        while leg < last and samples[leg].t - _TIME_TOLERANCE <= t:
+            if samples[leg + 1].t - samples[leg].t > _TIME_TOLERANCE:
+                return self._leg(leg)
+            leg += 1
+        for leg in range(last - 1, -1, -1):
+            if samples[leg + 1].t - samples[leg].t > _TIME_TOLERANCE:
+                return self._leg(leg)
+        raise ValueError("trajectory has no segment with positive duration")
+
+    def _leg(self, index: int) -> SpaceTimeSegment:
+        previous, current = self.samples[index], self.samples[index + 1]
+        return SpaceTimeSegment(
+            Point2D(previous.x, previous.y),
+            Point2D(current.x, current.y),
+            previous.t,
+            current.t,
+        )
+
+    def _interior(self, t_lo: float, t_hi: float) -> Tuple[TrajectorySample, ...]:
+        """The samples with times strictly inside ``(t_lo, t_hi)``, by bisection."""
+        samples = self.samples
+        first = bisect_right(samples, t_lo + _TIME_TOLERANCE, key=_sample_time)
+        stop = bisect_left(samples, t_hi - _TIME_TOLERANCE, key=_sample_time)
+        return samples[first:stop]
 
     def position_at(self, t: float) -> Point2D:
         """Expected location at time ``t`` (linear interpolation, Eq. 1)."""
@@ -147,11 +184,7 @@ class Trajectory:
 
     def breakpoints_in(self, t_lo: float, t_hi: float) -> List[float]:
         """Sample times strictly inside ``(t_lo, t_hi)``."""
-        return [
-            sample.t
-            for sample in self.samples
-            if t_lo + _TIME_TOLERANCE < sample.t < t_hi - _TIME_TOLERANCE
-        ]
+        return [sample.t for sample in self._interior(t_lo, t_hi)]
 
     def clipped(self, t_lo: float, t_hi: float) -> "Trajectory":
         """A new trajectory restricted to ``[t_lo, t_hi]``.
@@ -166,16 +199,11 @@ class Trajectory:
             )
         start = self.position_at(t_lo)
         end = self.position_at(t_hi)
-        inner = [
-            TrajectorySample(sample.x, sample.y, sample.t)
-            for sample in self.samples
-            if t_lo + _TIME_TOLERANCE < sample.t < t_hi - _TIME_TOLERANCE
+        clipped_samples = [
+            TrajectorySample(start.x, start.y, t_lo),
+            *self._interior(t_lo, t_hi),
+            TrajectorySample(end.x, end.y, t_hi),
         ]
-        clipped_samples = (
-            [TrajectorySample(start.x, start.y, t_lo)]
-            + inner
-            + [TrajectorySample(end.x, end.y, t_hi)]
-        )
         return Trajectory(self.object_id, clipped_samples)
 
     def spatial_bounds(self) -> Tuple[float, float, float, float]:

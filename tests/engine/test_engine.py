@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.queries import QueryContext
 from repro.engine import QueryEngine
+from repro.obs.tracing import capture
 from repro.trajectories.mod import MovingObjectsDatabase
+from repro.trajectories.trajectory import UncertainTrajectory
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 
 
@@ -271,3 +273,35 @@ class TestModMutation:
             assert after.total_candidates == len(small_mod) - 1
         finally:
             small_mod.add(removed)
+
+
+class TestDifferenceFallbackObservability:
+    """Scalar-fallback candidates show in the engine's metrics and kernel span."""
+
+    @staticmethod
+    def fleet(off_cadence: float) -> MovingObjectsDatabase:
+        # Four vehicles reporting each minute; the third's report at minute 5
+        # is ``off_cadence`` late.
+        def samples(index):
+            late = off_cadence if index == 2 else 0.0
+            return [
+                (index + 0.1 * t, 0.5 * index, t + (late if t == 5.0 else 0.0))
+                for t in (float(minute) for minute in range(11))
+            ]
+
+        return MovingObjectsDatabase(
+            UncertainTrajectory(f"v{index}", samples(index), 0.3) for index in range(4)
+        )
+
+    @pytest.mark.parametrize("off_cadence, expected", [(0.0, 0), (3e-10, 1)])
+    def test_counter_and_span_attribute(self, off_cadence, expected):
+        engine = QueryEngine(self.fleet(off_cadence), index=None)
+        with capture() as recorder:
+            engine.prepare("v0", 2.5, 8.5)
+        kernel = recorder.latest().find("engine.kernel")
+        assert kernel.attrs["scalar_fallbacks"] == expected
+        snapshot = engine.registry.snapshot()
+        assert (
+            snapshot["repro_engine_difference_fallback_candidates_total"]["value"]
+            == expected
+        )

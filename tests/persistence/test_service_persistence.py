@@ -1,6 +1,7 @@
 """QueryService durable-tier wiring: warm restart, checkpoints, lifecycle."""
 
 import asyncio
+import shutil
 
 import pytest
 
@@ -40,6 +41,43 @@ class TestWarmRestart:
         before = run(first_life())
         after = run(second_life())
         assert before == after
+
+    def test_numpy_scalar_samples_survive_a_crash(self, tmp_path):
+        # The through traffic of the city fleet carries NumPy scalars in its
+        # samples.  Logged as they were, such a frame passed its checksum
+        # and then failed the restricted unpickler on restart, which dropped
+        # it and every later frame as a torn tail.
+        mod, _ = multi_query_fleet(num_vehicles=24, num_queries=3)
+        numpy_backed = next(
+            trajectory
+            for trajectory in mod
+            if any(type(sample.x) is not float for sample in trajectory.samples)
+        )
+        plain = next(trajectory for trajectory in mod if trajectory is not numpy_backed)
+        live, crashed = tmp_path / "live", tmp_path / "crashed"
+
+        async def first_life():
+            async with QueryService(mod, data_dir=live) as service:
+                service.mod.upsert(numpy_backed)
+                service.mod.upsert(plain)
+                service.persistence.flush()
+                # What a crash leaves behind: the log, no closing checkpoint.
+                shutil.copytree(live, crashed)
+
+        async def second_life():
+            async with QueryService(data_dir=crashed) as service:
+                assert service.restore_result.replayed_frames == 2
+                restored = service.mod
+                assert restored.revision == mod.revision
+                for trajectory in (numpy_backed, plain):
+                    object_id = trajectory.object_id
+                    assert restored.object_revision(object_id) == mod.object_revision(
+                        object_id
+                    )
+                    assert restored.get(object_id).samples == trajectory.samples
+
+        run(first_life())
+        run(second_life())
 
     def test_stop_checkpoints_so_restart_replays_nothing(self, tmp_path, fleet):
         mod, _ = fleet

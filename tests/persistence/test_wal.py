@@ -1,5 +1,6 @@
 """Write-ahead log tests: framing, torn tails, repair, truncation."""
 
+import logging
 import os
 
 import pytest
@@ -272,3 +273,36 @@ class TestTrustBoundary:
         assert scan.dropped_bytes > 0
         with pytest.raises(WalCorruption, match="decode failure"):
             scan_wal(path, strict=True)
+
+    def test_undecodable_frame_is_an_error_and_a_torn_tail_is_not(self, tmp_path):
+        import pickle
+        import struct
+        import zlib
+
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("repro.persistence.wal")
+        logger.addHandler(handler)
+        try:
+            path = tmp_path / "log.wal"
+            with WriteAheadLog(path) as wal:
+                append_mutations(wal)
+            with open(path, "ab") as handle:
+                handle.write(b"\x07\x00")  # a torn frame header
+            scan_wal(path)
+            assert [r.levelno for r in records] == [logging.WARNING]
+
+            records.clear()
+            with WriteAheadLog(path):  # repairs the torn tail
+                pass
+            records.clear()
+            payload = pickle.dumps({"record": "not a record tuple"})
+            with open(path, "ab") as handle:
+                handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+                handle.write(payload)
+            scan_wal(path)
+            assert logging.ERROR in [r.levelno for r in records]
+            assert "passed its checksum" in records[0].getMessage()
+        finally:
+            logger.removeHandler(handler)

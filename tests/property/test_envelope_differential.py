@@ -40,11 +40,13 @@ from repro.geometry.envelope.klevel import (
     k_level_envelopes,
     k_level_envelopes_scalar,
 )
+from repro.streaming import ContinuousMonitor
 from repro.trajectories import difference
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
 from repro.uncertainty.uniform import UniformDiskPDF
 from repro.query_language import QueryExecutor, execute_query_naive
+from repro.workloads.scenarios import streaming_fleet
 
 T_LO, T_HI = 0.0, 10.0
 
@@ -361,26 +363,168 @@ class TestBulkDifferenceConstruction:
             assert_identical_functions(left, right)
 
     def test_bulk_path_engages(self, small_mod, monkeypatch):
-        # Single-leg candidates over the full window must be built from
-        # the packed columns; a fall back to the per-candidate scalar
-        # builder would erase the batching entirely.
+        # Candidates over the full window must be built from the packed
+        # columns; a fall back to the per-candidate scalar builder would
+        # erase the batching entirely.
         query_id = next(iter(small_mod.object_ids))
         t_lo, t_hi = small_mod.common_time_span()
         scalar = small_mod.distance_functions(query_id, t_lo, t_hi, kernel="scalar")
-        calls = []
-        original = difference.difference_distance_function
-        monkeypatch.setattr(
-            difference,
-            "difference_distance_function",
-            lambda *args, **kwargs: calls.append(args)
-            or original(*args, **kwargs),
-        )
+        calls = _spy_on_scalar_builder(monkeypatch)
         vectorized = small_mod.distance_functions(
             query_id, t_lo, t_hi, kernel="vector"
         )
         for left, right in zip(vectorized, scalar):
             assert_identical_functions(left, right)
         assert not calls, "bulk construction fell back to the scalar builder"
+
+
+def _spy_on_scalar_builder(monkeypatch):
+    """Record every call of the per-candidate scalar builder."""
+    calls = []
+    original = difference.difference_distance_function
+    monkeypatch.setattr(
+        difference,
+        "difference_distance_function",
+        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs),
+    )
+    return calls
+
+
+# Multi-segment histories: every vehicle reports on the cadence 0, 1, ..., 12.
+CADENCE = tuple(float(minute) for minute in range(13))
+#: Offsets of a report from its cadence time: none, within the time
+#: tolerance, inside ``_EDGE_MARGIN`` and beyond it.
+JITTER = (0.0, 0.0, 3e-10, -9e-10, 2e-9, -5e-9, 2e-8, 0.25)
+EDGE = difference._EDGE_MARGIN / 2.0
+MULTI_SEGMENT_WINDOWS = [
+    (0.0, 12.0),  # the whole history: the window ends on the last sample
+    (2.5, 9.25),  # between reports
+    (3.0, 9.0),  # on reports
+    (3.0 - EDGE, 9.0 + EDGE),  # reports inside _EDGE_MARGIN of both ends
+    (3.0 + 3e-10, 12.0),  # a report within tolerance of the window start
+    (7.0, 12.0),  # a sliding window ending on the last sample
+]
+
+
+@st.composite
+def multi_segment_fleets(draw, min_size=3, max_size=6):
+    """Fleets of long histories, one family of sample times per vehicle.
+
+    * ``shared`` — the cadence itself: marks bitwise equal to the query's.
+    * ``jitter`` — reports within tolerance of, inside ``_EDGE_MARGIN`` of,
+      and well off the cadence: near-coincident marks on both sides.
+    * ``dup`` — repeated timestamps: zero-length legs inside the window.
+    * ``sparse`` — a subset of the cadence: legs spanning several marks.
+    """
+    count = draw(st.integers(min_value=min_size, max_value=max_size))
+    radius = 0.3
+    pdf = UniformDiskPDF(radius)
+    trajectories = []
+    for index in range(count):
+        family = draw(st.sampled_from(["shared", "shared", "jitter", "dup", "sparse"]))
+        if family == "jitter":
+            inner = [t + draw(st.sampled_from(JITTER)) for t in CADENCE[1:-1]]
+            times = (CADENCE[0], *inner, CADENCE[-1])
+        elif family == "dup":
+            repeated = draw(st.sets(st.sampled_from(CADENCE), min_size=1, max_size=4))
+            times = tuple(sorted(CADENCE + tuple(repeated)))
+        elif family == "sparse":
+            kept = draw(st.sets(st.sampled_from(CADENCE[1:-1]), max_size=6))
+            times = (CADENCE[0], *sorted(kept), CADENCE[-1])
+        else:
+            times = CADENCE
+        samples = [(draw(coordinate), draw(coordinate), t) for t in times]
+        trajectories.append(UncertainTrajectory(f"o{index}", samples, radius, pdf))
+    return MovingObjectsDatabase(trajectories)
+
+
+def _cadence_fleet(*families):
+    """A deterministic fleet, one vehicle per named sample-time tuple."""
+    pdf = UniformDiskPDF(0.3)
+    return MovingObjectsDatabase(
+        UncertainTrajectory(
+            f"o{index}",
+            [(1.5 * index + 0.25 * t, 7.0 - index - 0.125 * t * t, t) for t in times],
+            0.3,
+            pdf,
+        )
+        for index, times in enumerate(families)
+    )
+
+
+class TestRaggedDifferenceConstruction:
+    @given(
+        mod=multi_segment_fleets(),
+        window=st.sampled_from(MULTI_SEGMENT_WINDOWS),
+        query=st.integers(min_value=0, max_value=2),
+    )
+    def test_multi_segment_coefficients_bit_identical(self, mod, window, query):
+        t_lo, t_hi = window
+        query_id = f"o{query}"
+        vectorized = mod.distance_functions(query_id, t_lo, t_hi, kernel="vector")
+        scalar = mod.distance_functions(query_id, t_lo, t_hi, kernel="scalar")
+        assert len(vectorized) == len(scalar)
+        for left, right in zip(vectorized, scalar):
+            assert_identical_functions(left, right)
+
+    @pytest.mark.parametrize("window", MULTI_SEGMENT_WINDOWS[:3] + [(7.0, 12.0)])
+    def test_shared_cadence_and_zero_length_legs_take_the_bulk_path(
+        self, window, monkeypatch
+    ):
+        doubled = tuple(sorted(CADENCE + (4.0, 8.0, 8.0)))
+        mod = _cadence_fleet(CADENCE, CADENCE, doubled, CADENCE[::3], (0.0, 12.0))
+        scalar = mod.distance_functions("o0", *window, kernel="scalar")
+        calls = _spy_on_scalar_builder(monkeypatch)
+        vectorized = mod.distance_functions("o0", *window, kernel="vector")
+        for left, right in zip(vectorized, scalar):
+            assert_identical_functions(left, right)
+        assert max(len(function.pieces) for function in vectorized) > 1
+        assert not calls, "multi-segment candidates fell back to the scalar builder"
+
+    def test_only_near_coincident_marks_fall_back(self):
+        within_tolerance = tuple(t + 3e-10 if t == 5.0 else t for t in CADENCE)
+        inside_margin = tuple(t - 5e-9 if t == 6.0 else t for t in CADENCE)
+        mod = _cadence_fleet(CADENCE, within_tolerance, CADENCE, inside_margin)
+        scalar = mod.distance_functions("o0", 2.5, 9.25, kernel="scalar")
+        before = difference.scalar_fallback_count()
+        vectorized = mod.distance_functions("o0", 2.5, 9.25, kernel="vector")
+        assert difference.scalar_fallback_count() - before == 2
+        for left, right in zip(vectorized, scalar):
+            assert_identical_functions(left, right)
+
+    def test_bulk_path_serves_the_whole_streaming_fleet(self, monkeypatch):
+        # Every vehicle of the streaming fleet reports on one cadence, and a
+        # sliding window trails the newest report: the shape the monitor's
+        # standing queries evaluate on every tick.
+        scenario = streaming_fleet(num_vehicles=20, num_queries=3, num_batches=3)
+        mod = scenario.mod
+        monitor = ContinuousMonitor(mod)
+        for object_id in mod.object_ids:
+            monitor.track(
+                object_id,
+                max_speed=scenario.max_speed,
+                minimum_radius=scenario.uncertainty_radius,
+            )
+        calls = _spy_on_scalar_builder(monkeypatch)
+        served = 0
+        for batch in scenario.batches:
+            for object_id, reports in batch.items():
+                monitor.ingest(object_id, reports)
+            monitor.apply()
+            t_hi = mod.common_time_span()[1]
+            for query_id in scenario.query_ids:
+                vectorized = mod.distance_functions(
+                    query_id, t_hi - 5.0, t_hi, kernel="vector"
+                )
+                assert not calls, "the streaming fleet left the bulk path"
+                served += len(vectorized)
+                scalar = difference.difference_distance_functions(
+                    list(mod), mod.get(query_id), t_hi - 5.0, t_hi
+                )
+                calls.clear()
+                for left, right in zip(vectorized, scalar):
+                    assert_identical_functions(left, right)
+        assert served == 3 * 3 * 19
 
 
 # ---------------------------------------------------------------------------

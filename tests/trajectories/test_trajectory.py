@@ -1,10 +1,16 @@
 """Tests for the trajectory and uncertain-trajectory model."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core.tolerances import TIME_TOLERANCE
 from repro.trajectories.trajectory import Trajectory, TrajectorySample, UncertainTrajectory
 from repro.uncertainty.gaussian import TruncatedGaussianPDF
 from repro.uncertainty.uniform import UniformDiskPDF
+
+from . import linear_scan
 
 
 @pytest.fixture
@@ -106,6 +112,94 @@ class TestTrajectoryGeometry:
     def test_spatial_bounds_and_length(self, l_shaped):
         assert l_shaped.spatial_bounds() == (0.0, 0.0, 10.0, 10.0)
         assert l_shaped.total_length() == pytest.approx(20.0)
+
+
+# Steps between consecutive sample times: repeated timestamps, steps below,
+# at and just above the time tolerance, and ordinary legs.
+_time_steps = st.sampled_from(
+    [0.0, 0.0, 3e-10, 9e-10, TIME_TOLERANCE, 1.5e-9, 2e-9, 0.5, 1.0, 2.25]
+)
+_coordinates = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
+# Offsets of a probe time from a sample time: on it, and within and just
+# beyond the tolerance on both sides.
+_OFFSETS = (0.0, 4e-10, TIME_TOLERANCE, 1.1e-9, 2e-9, 2.5e-9)
+
+
+@st.composite
+def histories(draw):
+    """Trajectories of 2..9 samples over adversarial time steps."""
+    steps = draw(st.lists(_time_steps, min_size=1, max_size=8))
+    t = draw(st.sampled_from([0.0, -3.0, 100.0]))
+    samples = [(draw(_coordinates), draw(_coordinates), t)]
+    for step in steps:
+        t += step
+        samples.append((draw(_coordinates), draw(_coordinates), t))
+    return Trajectory("h", samples)
+
+
+def _probe_times(trajectory):
+    times = trajectory.sample_times()
+    probes = []
+    for t in times:
+        for offset in _OFFSETS:
+            probes.extend(
+                (t - offset, t + offset, math.nextafter(t - offset, -math.inf),
+                 math.nextafter(t + offset, math.inf))
+            )
+    probes.extend((a + b) / 2.0 for a, b in zip(times, times[1:]))
+    return probes
+
+
+def _outcome(function, *args):
+    """The call's value, or the type and text of the error it raises."""
+    try:
+        return function(*args)
+    except ValueError as error:
+        return (type(error), str(error))
+
+
+class TestLookupMatchesLinearScan:
+    """The bisection lookup is pinned bit for bit to the linear-scan oracle."""
+
+    @given(trajectory=histories())
+    def test_segment_position_velocity(self, trajectory):
+        for t in _probe_times(trajectory):
+            assert _outcome(trajectory.segment_at, t) == _outcome(
+                linear_scan.segment_at, trajectory, t
+            ), t
+            assert _outcome(trajectory.position_at, t) == _outcome(
+                linear_scan.position_at, trajectory, t
+            ), t
+            assert _outcome(trajectory.velocity_at, t) == _outcome(
+                linear_scan.velocity_at, trajectory, t
+            ), t
+
+    @given(trajectory=histories(), data=st.data())
+    def test_breakpoints_in(self, trajectory, data):
+        probes = st.sampled_from(_probe_times(trajectory))
+        for _ in range(8):
+            t_lo, t_hi = data.draw(probes), data.draw(probes)
+            assert trajectory.breakpoints_in(t_lo, t_hi) == linear_scan.breakpoints_in(
+                trajectory, t_lo, t_hi
+            ), (t_lo, t_hi)
+
+    def test_no_positive_duration_leg_raises_like_the_scan(self):
+        trajectory = Trajectory("x", [(0.0, 0.0, 1.0), (1.0, 1.0, 1.0)])
+        assert _outcome(trajectory.segment_at, 1.0) == _outcome(
+            linear_scan.segment_at, trajectory, 1.0
+        )
+        assert _outcome(trajectory.segment_at, 1.0)[0] is ValueError
+
+    def test_time_between_sub_tolerance_steps_takes_the_last_leg(self):
+        # No positive-duration leg contains t: both lookups return the last.
+        trajectory = Trajectory(
+            "x",
+            [(0, 0, 0.0), (5, 0, 5.0), (5, 1, 5.0 + 9e-10), (5, 2, 5.0 + 1.8e-9),
+             (5, 3, 5.0 + 2.7e-9), (9, 9, 10.0)],
+        )
+        t = 5.0 + 1.35e-9
+        assert trajectory.segment_at(t) == linear_scan.segment_at(trajectory, t)
+        assert trajectory.segment_at(t).t_end == 10.0
 
 
 class TestTrajectoryClipping:
