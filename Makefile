@@ -113,7 +113,7 @@ clean:
 
 lint:
 	$(PYTHON) -m compileall -q src benchmarks examples
-	$(PYTHON) -c "import repro; import repro.engine; import repro.streaming; import repro.parallel; import repro.service; print('import ok:', repro.__version__)"
+	$(PYTHON) -c "import repro; import repro.engine; import repro.streaming; import repro.parallel; import repro.service; import repro.reference; print('import ok:', repro.__version__)"
 	@if $(PYTHON) -c "import ruff" >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src benchmarks examples tests; \
 	else \

@@ -1,29 +1,30 @@
-"""Benchmark: columnar bulk kernels vs the scalar filtering/box/band paths.
+"""Benchmark: columnar bulk kernels vs the reference filtering/box/band paths.
 
-Measures the three bulk kernels the columnar store enables against the
-retained scalar paths they replace, per database size:
+Measures the production bulk kernels against the :mod:`repro.reference`
+implementations they replaced, per database size:
 
 * ``corridor`` — :func:`repro.engine.filtering.corridor_probe_bulk` over a
-  query batch vs the scalar per-query loop (fresh
-  ``TrajectoryArrays(use_columnar=False)``, i.e. the pre-columnar filtering
-  path every engine construction used to pay, including its per-sample
-  extraction);
+  query batch vs the per-query
+  :func:`repro.reference.corridor.conservative_corridor_radius` loop (fresh
+  ``TrajectoryArrays``, i.e. the pre-columnar filtering path every engine
+  construction used to pay, including its per-sample extraction);
 * ``boxes`` — :func:`repro.trajectories.columnar.segment_boxes_bulk` +
   entry materialization vs the per-trajectory
   :func:`repro.index.boxes.segment_boxes` loop (the index bulk-load input);
-* ``band`` — :func:`repro.core.pruning.band_intervals_batch` with
-  ``kernel="vector"`` (batched rows + shared base classification) vs the
-  pinned scalar oracle (``kernel="scalar"``, the original per-candidate
+* ``band`` — :func:`repro.core.pruning.band_intervals_batch` (batched rows
+  + shared base classification) vs
+  :func:`repro.reference.band.band_intervals_batch` (the original per-candidate
   row builder) over a prepared context's candidates;
 * ``klevel`` — :func:`repro.geometry.envelope.klevel.k_level_envelopes`
-  with ``kernel="vector"`` (the kinetic arrangement sweep) vs the pinned
-  ``k_level_envelopes_scalar`` exclusion cascade.
+  (the kinetic arrangement sweep) vs the
+  :func:`~repro.geometry.envelope.klevel.exclusion_cascade` it falls back to.
 
 Every comparison asserts result equality (bit-identical pieces and
 intervals) before reporting, so a speedup can never come from a divergent
 answer; in addition, one sharded fleet is answered across the serial,
-thread, and process backends under both kernels before any timing starts,
-asserting byte-identical answers end to end.  Run with::
+thread, and process backends before any timing starts, asserting answers
+byte-identical to one computed in this process from the reference kernels.
+Run with::
 
     PYTHONPATH=src python benchmarks/bench_columnar.py
     PYTHONPATH=src python benchmarks/bench_columnar.py --sizes 500 --queries 8
@@ -42,17 +43,14 @@ import numpy as np
 
 from repro.core.pruning import band_intervals, band_intervals_batch
 from repro.engine import QueryEngine
-from repro.geometry.envelope.klevel import (
-    k_level_envelopes,
-    k_level_envelopes_scalar,
-)
-from repro.engine.filtering import (
-    TrajectoryArrays,
-    conservative_corridor_radius,
-    corridor_probe_bulk,
-)
+from repro.engine.filtering import corridor_probe_bulk
+from repro.geometry.envelope.divide_conquer import lower_envelope
+from repro.geometry.envelope.klevel import exclusion_cascade, k_level_envelopes
 from repro.index.boxes import segment_boxes
+from repro.reference import band as reference
+from repro.reference.corridor import TrajectoryArrays, conservative_corridor_radius
 from repro.trajectories.columnar import segment_boxes_bulk
+from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 
@@ -76,7 +74,7 @@ def bench_corridor(
     store = mod.columnar()
 
     started = time.perf_counter()
-    scalar_arrays = TrajectoryArrays(use_columnar=False)
+    scalar_arrays = TrajectoryArrays()
     scalar = np.array(
         [
             conservative_corridor_radius(mod, query_id, lo, hi, width, scalar_arrays)
@@ -130,21 +128,21 @@ def bench_band(mod: MovingObjectsDatabase) -> Dict[str, float]:
     functions = list(context.functions.values())
 
     started = time.perf_counter()
-    scalar = band_intervals_batch(
-        functions, context.envelope, context.band_width, lo, hi, kernel="scalar"
+    scalar = reference.band_intervals_batch(
+        functions, context.envelope, context.band_width, lo, hi
     )
     scalar_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     batched = band_intervals_batch(
-        functions, context.envelope, context.band_width, lo, hi, kernel="vector"
+        functions, context.envelope, context.band_width, lo, hi
     )
     batch_seconds = time.perf_counter() - started
 
     if scalar != batched:
-        raise AssertionError("vector band kernel diverged from the scalar oracle")
+        raise AssertionError("batched band kernel diverged from the reference")
     single = band_intervals(
-        functions[0], context.envelope, context.band_width, lo, hi, kernel="scalar"
+        functions[0], context.envelope, context.band_width, lo, hi
     )
     if single != scalar[0]:
         raise AssertionError("single-candidate call diverged from the batch row")
@@ -182,13 +180,11 @@ def bench_klevel(mod: MovingObjectsDatabase, max_levels: int = 3) -> Dict[str, f
     functions = context.survivors() or list(context.functions.values())
 
     started = time.perf_counter()
-    scalar = k_level_envelopes_scalar(functions, lo, hi, max_levels=max_levels)
+    scalar = exclusion_cascade(functions, lo, hi, max_levels=max_levels)
     scalar_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    vectorized = k_level_envelopes(
-        functions, lo, hi, max_levels=max_levels, kernel="vector"
-    )
+    vectorized = k_level_envelopes(functions, lo, hi, max_levels=max_levels)
     vector_seconds = time.perf_counter() - started
 
     if not _identical_levels(vectorized, scalar):
@@ -201,18 +197,40 @@ def bench_klevel(mod: MovingObjectsDatabase, max_levels: int = 3) -> Dict[str, f
     }
 
 
+def reference_answers(
+    mod: MovingObjectsDatabase, query_id: object, lo: float, hi: float, rank: int
+) -> List[List[object]]:
+    """UQ31 and UQ41(``rank``) ids computed from the reference kernels alone."""
+    functions = difference_distance_functions(list(mod), mod.get(query_id), lo, hi)
+    intervals = reference.band_intervals_batch(
+        functions,
+        lower_envelope(functions, lo, hi),
+        mod.default_band_width(query_id),
+        lo,
+        hi,
+    )
+    survivors = [
+        function for function, inside in zip(functions, intervals) if inside
+    ]
+    levels = exclusion_cascade(survivors, lo, hi, max_levels=rank)
+    ranked = {
+        object_id for level in levels.levels for object_id in level.distinct_owner_ids
+    }
+    return [
+        sorted((function.object_id for function in survivors), key=str),
+        sorted(ranked, key=str),
+    ]
+
+
 def assert_backend_identity(num_objects: int = 96, seed: int = 23) -> None:
-    """Byte-identity of sharded answers across backends and kernels.
+    """Byte-identity of sharded answers across backends and to the reference.
 
     Runs one UQ3x and one UQ4x statement over a small fleet through the
-    serial, thread, and process sharded backends with the envelope kernel
-    flipped between ``vector`` and ``scalar`` via ``REPRO_ENVELOPE_KERNEL``
-    (inherited by spawned shard workers), and asserts every combination
-    returns exactly the same ids.  Raises before any timing happens, so a
-    reported speedup can never ride on a backend-dependent answer.
+    serial, thread, and process sharded backends and asserts each returns
+    exactly the ids :func:`reference_answers` computes in this process.
+    Raises before any timing happens, so a reported speedup can never ride
+    on a backend-dependent answer.
     """
-    import os
-
     from repro.parallel import ShardedEngine
     from repro.query_language import CostModel, QueryExecutor
 
@@ -226,37 +244,19 @@ def assert_backend_identity(num_objects: int = 96, seed: int = 23) -> None:
         f"SELECT T FROM MOD WHERE EXISTS {window} "
         f"AND RANK_NN(T, '{query_id}', TIME) <= 3",
     ]
-
-    previous = os.environ.get("REPRO_ENVELOPE_KERNEL")
-    answers = {}
-    try:
-        for kernel in ("vector", "scalar"):
-            os.environ["REPRO_ENVELOPE_KERNEL"] = kernel
-            for backend in ("serial", "thread", "process"):
-                with ShardedEngine(
-                    mod, num_shards=2, backend=backend
-                ) as sharded:
-                    executor = QueryExecutor(
-                        mod,
-                        sharded=sharded,
-                        cost_model=CostModel(sharded_min_group=2),
-                    )
-                    answers[(kernel, backend)] = [
-                        result.object_ids
-                        for result in executor.execute_many(texts)
-                    ]
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_ENVELOPE_KERNEL", None)
-        else:
-            os.environ["REPRO_ENVELOPE_KERNEL"] = previous
-
-    reference = answers[("scalar", "serial")]
-    for key, value in answers.items():
-        if value != reference:
+    expected = reference_answers(mod, query_id, lo, hi, rank=3)
+    for backend in ("serial", "thread", "process"):
+        with ShardedEngine(mod, num_shards=2, backend=backend) as sharded:
+            executor = QueryExecutor(
+                mod,
+                sharded=sharded,
+                cost_model=CostModel(sharded_min_group=2),
+            )
+            answers = [result.object_ids for result in executor.execute_many(texts)]
+        if answers != expected:
             raise AssertionError(
-                f"sharded answers diverged for kernel/backend {key}: "
-                f"{value} != {reference}"
+                f"sharded answers diverged from the reference on backend "
+                f"{backend}: {answers} != {expected}"
             )
 
 
@@ -275,7 +275,7 @@ def run_bench(
     queries = queries or (8 if quick else 16)
     config = {"sizes": sizes, "queries": queries, "quick": quick}
     metrics: Dict[str, float] = {}
-    print("  backend/kernel byte-identity check (serial/thread/process) ...")
+    print("  backend byte-identity check (serial/thread/process vs reference) ...")
     assert_backend_identity()
     for num_objects in sizes:
         mod = build_mod(num_objects)

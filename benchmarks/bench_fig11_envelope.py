@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.geometry.envelope.divide_conquer import lower_envelope
-from repro.geometry.envelope.naive import naive_lower_envelope
+from repro.reference.naive import naive_lower_envelope
 
 from .conftest import build_functions
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.queries import QueryContext, naive_uq11_sometime, naive_uq13_fraction
+from repro.core.queries import QueryContext
+from repro.reference.naive import naive_uq11_sometime, naive_uq13_fraction
 
 BAND = 2.0  # 4r for the default 0.5-mile uncertainty radius
 

@@ -21,7 +21,7 @@ from .pruning import (
     prune_by_band,
     time_within_band,
 )
-from .queries import QueryContext, naive_uq11_sometime, naive_uq13_fraction
+from .queries import QueryContext
 from .ranking import (
     RankingComparison,
     expected_distances_at,
@@ -63,8 +63,6 @@ __all__ = [
     "is_within_band_sometime",
     "minimum_band_gap",
     "monte_carlo_ranking",
-    "naive_uq11_sometime",
-    "naive_uq13_fraction",
     "nn_probability_snapshot",
     "probability_timeline",
     "prune_by_band",

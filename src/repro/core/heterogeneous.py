@@ -35,8 +35,7 @@ from .pruning import (
     is_within_band_sometime,
     time_within_band,
 )
-
-_FULL_COVERAGE_SLACK = 1e-6
+from .tolerances import FULL_WINDOW_SLACK
 
 
 @dataclass
@@ -229,7 +228,7 @@ class HeterogeneousQueryContext:
         return [
             oid
             for oid in self.functions
-            if self.uq13_fraction(oid) >= fraction - _FULL_COVERAGE_SLACK
+            if self.uq13_fraction(oid) >= fraction - FULL_WINDOW_SLACK
         ]
 
     def pruning_statistics(self) -> PruningStatistics:

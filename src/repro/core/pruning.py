@@ -23,8 +23,8 @@ vectorized bisection; :func:`band_intervals_batch` extends the same scheme
 to *many* candidates against one envelope (one grid pass, one grouped
 bisection), which is what :class:`~repro.core.queries.QueryContext` runs
 per prepared query.  The original per-piece Brent's-method implementation
-is kept as :func:`band_intervals_scalar` and pins the vectorized output in
-the regression tests.
+and the per-candidate row loop this module's batched builder is pinned
+against bit for bit live in :mod:`repro.reference.band`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ..geometry.envelope.bulk import resolve_kernel
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola
 from ..geometry.envelope.pieces import Envelope
 
-from .tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
+from .tolerances import FULL_WINDOW_SLACK, TIME_TOLERANCE as _TIME_TOLERANCE
 
 #: Two boundaries closer than this make the scalar tolerance-deduplication
 #: observable; the vectorized row builder refuses and the reference row
@@ -47,9 +45,6 @@ from .tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
 _BOUNDARY_GUARD = 4.0 * _TIME_TOLERANCE
 #: Interior sample points per elementary interval used to bracket band crossings.
 _SAMPLES_PER_INTERVAL = 12
-#: Absolute slack when testing whole-window band coverage (UQ12/UQ32); shared
-#: with the interval-cache predicates in :mod:`repro.core.queries`.
-FULL_WINDOW_SLACK = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +78,6 @@ def band_intervals(
     band_width: float,
     t_lo: float,
     t_hi: float,
-    kernel: Optional[str] = None,
 ) -> List[Tuple[float, float]]:
     """Sub-intervals of ``[t_lo, t_hi]`` where the function is inside the band.
 
@@ -106,9 +100,7 @@ def band_intervals(
     Returns:
         Disjoint, time-ordered ``(start, end)`` intervals (possibly empty).
     """
-    return band_intervals_batch(
-        [function], envelope, band_width, t_lo, t_hi, kernel=kernel
-    )[0]
+    return band_intervals_batch([function], envelope, band_width, t_lo, t_hi)[0]
 
 
 def band_intervals_batch(
@@ -117,7 +109,6 @@ def band_intervals_batch(
     band_width: float,
     t_lo: float,
     t_hi: float,
-    kernel: Optional[str] = None,
 ) -> List[List[Tuple[float, float]]]:
     """Band intervals of *many* candidates against one envelope in one pass.
 
@@ -129,16 +120,16 @@ def band_intervals_batch(
     call uses — so the returned interval lists are bit-identical to calling
     :func:`band_intervals` per function.
 
-    With ``kernel="vector"`` (the default unless ``REPRO_ENVELOPE_KERNEL``
-    says otherwise) the row construction itself is array-oriented: the
+    The row construction itself is array-oriented: the
     candidate-independent boundary grid (envelope criticals plus owner
     breakpoints) is built once and shared by every single-curve candidate,
     and the crossing-subinterval classification runs as one batched gap
     evaluation.  Candidates the vectorized builder cannot provably replicate
     (piecewise candidates, boundaries inside the tolerance guard) fall back
-    to the reference row builder *per candidate*, so the output is always
-    bit-identical to ``kernel="scalar"`` — the pinned reference path the
-    differential suite compares against.
+    to the reference row builder (``_band_rows``) *per candidate*, so the
+    output is always bit-identical to
+    :func:`repro.reference.band.band_intervals_batch` — the per-candidate
+    row loop the differential suite compares against.
 
     Returns:
         One interval list per function, aligned with the input order.
@@ -154,163 +145,25 @@ def band_intervals_batch(
             gap = envelope.value(t_lo) + band_width - function.value(t_lo)
             results.append([(t_lo, t_hi)] if gap >= -_TIME_TOLERANCE else [])
         return results
-    vectorized = resolve_kernel(kernel) == "vector"
-
-    if vectorized:
-        lo, hi, env_coeffs, fun_coeffs, row_slices = _band_rows_vector(
-            functions, envelope, t_lo, t_hi
-        )
-        if lo.size == 0:
-            return [[] for _ in functions]
-    else:
-        all_rows: List[Tuple[float, float, Hyperbola, Hyperbola]] = []
-        row_slices = []
-        for function in functions:
-            rows = _band_rows(function, envelope, t_lo, t_hi)
-            row_slices.append((len(all_rows), len(all_rows) + len(rows)))
-            all_rows.extend(rows)
-        if not all_rows:
-            return [[] for _ in functions]
-        lo = np.array([row[0] for row in all_rows])
-        hi = np.array([row[1] for row in all_rows])
-        env_coeffs = np.array([[row[2].a, row[2].b, row[2].c] for row in all_rows])
-        fun_coeffs = np.array([[row[3].a, row[3].b, row[3].c] for row in all_rows])
-
-    group_of_row = np.empty(lo.size, dtype=np.int64)
-    for group, (start, end) in enumerate(row_slices):
-        group_of_row[start:end] = group
-
-    times = _row_sample_grid(lo, hi, env_coeffs, fun_coeffs)
-    values = _gap_grid(times, env_coeffs, fun_coeffs, band_width)
-    # Rows with no crossing are classified in one vectorized midpoint test.
-    midpoint_gaps = _gap_at((lo + hi) / 2.0, env_coeffs, fun_coeffs, band_width)
-    roots_by_row = _refine_bracketed_roots(
-        times,
-        values,
+    lo, hi, env_coeffs, fun_coeffs, row_slices = _band_rows_vector(
+        functions, envelope, t_lo, t_hi
+    )
+    if lo.size == 0:
+        return [[] for _ in functions]
+    group_of_row, midpoint_gaps, roots_by_row = _refine_rows(
+        lo, hi, env_coeffs, fun_coeffs, band_width, row_slices
+    )
+    return _classify_rows_batch(
+        lo,
+        hi,
         env_coeffs,
         fun_coeffs,
         band_width,
-        lo,
-        hi,
-        group_of_row=group_of_row,
-        group_count=len(functions),
+        roots_by_row,
+        midpoint_gaps,
+        row_slices,
+        group_of_row,
     )
-    if vectorized:
-        return _classify_rows_batch(
-            lo,
-            hi,
-            env_coeffs,
-            fun_coeffs,
-            band_width,
-            roots_by_row,
-            midpoint_gaps,
-            row_slices,
-            group_of_row,
-        )
-
-    # Bucket the refined roots per candidate, re-keyed to local row indices.
-    local_roots: List[dict] = [{} for _ in functions]
-    for row_index, row_roots in roots_by_row.items():
-        group = int(group_of_row[row_index])
-        local_roots[group][row_index - row_slices[group][0]] = row_roots
-
-    results = []
-    for group, (start, end) in enumerate(row_slices):
-        if start == end:
-            results.append([])
-            continue
-        results.append(
-            _classify_rows(
-                lo[start:end],
-                hi[start:end],
-                env_coeffs[start:end],
-                fun_coeffs[start:end],
-                band_width,
-                local_roots[group],
-                midpoint_gaps[start:end],
-            )
-        )
-    return results
-
-
-def _classify_rows(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    env_coeffs: np.ndarray,
-    fun_coeffs: np.ndarray,
-    band_width: float,
-    roots_by_row: dict,
-    midpoint_gaps: np.ndarray,
-) -> List[Tuple[float, float]]:
-    """Assemble one candidate's inside-band intervals from refined roots."""
-    inside_intervals: List[Tuple[float, float]] = []
-    for row_index in range(lo.size):
-        crossings = roots_by_row.get(row_index)
-        if not crossings:
-            if midpoint_gaps[row_index] >= 0.0:
-                inside_intervals.append((lo[row_index], hi[row_index]))
-            continue
-        marks = [lo[row_index]] + crossings + [hi[row_index]]
-        mids = np.array([
-            (sub_start + sub_end) / 2.0 for sub_start, sub_end in zip(marks, marks[1:])
-        ])
-        sub_gaps = _gap_at(
-            mids,
-            env_coeffs[row_index : row_index + 1],
-            fun_coeffs[row_index : row_index + 1],
-            band_width,
-        )
-        for sub_index, (sub_start, sub_end) in enumerate(zip(marks, marks[1:])):
-            if sub_end - sub_start <= _TIME_TOLERANCE:
-                continue
-            if sub_gaps[sub_index] >= 0.0:
-                inside_intervals.append((sub_start, sub_end))
-
-    return _merge_intervals(inside_intervals)
-
-
-def band_intervals_scalar(
-    function: DistanceFunction,
-    envelope: Envelope,
-    band_width: float,
-    t_lo: float,
-    t_hi: float,
-) -> List[Tuple[float, float]]:
-    """Reference implementation: per-piece sample grid refined with ``brentq``.
-
-    This is the original scalar band-interval extraction; it is retained as
-    the ground truth the vectorized :func:`band_intervals` is regression
-    tested against, and as a fallback should a caller want to avoid NumPy.
-    """
-    if band_width < 0:
-        raise ValueError("band width must be non-negative")
-    if t_hi < t_lo:
-        raise ValueError(f"empty window [{t_lo}, {t_hi}]")
-    if t_hi == t_lo:
-        gap = envelope.value(t_lo) + band_width - function.value(t_lo)
-        return [(t_lo, t_hi)] if gap >= -_TIME_TOLERANCE else []
-
-    boundaries = _elementary_boundaries(function, envelope, t_lo, t_hi)
-    inside_intervals: List[Tuple[float, float]] = []
-
-    for interval_start, interval_end in zip(boundaries, boundaries[1:]):
-        if interval_end - interval_start <= _TIME_TOLERANCE:
-            continue
-        piece = envelope.piece_at((interval_start + interval_end) / 2.0)
-
-        def gap(t: float) -> float:
-            return piece.function.value(t) + band_width - function.value(t)
-
-        crossings = _sign_change_roots(gap, interval_start, interval_end, function, piece)
-        marks = [interval_start] + crossings + [interval_end]
-        for sub_start, sub_end in zip(marks, marks[1:]):
-            if sub_end - sub_start <= _TIME_TOLERANCE:
-                continue
-            midpoint = (sub_start + sub_end) / 2.0
-            if gap(midpoint) >= 0.0:
-                inside_intervals.append((sub_start, sub_end))
-
-    return _merge_intervals(inside_intervals)
 
 
 def is_within_band_sometime(
@@ -581,7 +434,8 @@ def _classify_rows_batch(
 ) -> List[List[Tuple[float, float]]]:
     """Assemble every candidate's intervals with ONE batched sub-midpoint pass.
 
-    Bit-identical to running ``_classify_rows`` per candidate: crossing-free
+    Bit-identical to running :func:`repro.reference.band._classify_rows`
+    per candidate: crossing-free
     rows reuse the already-computed midpoint gaps, and the crossing rows'
     sub-interval midpoints are evaluated in a single ``_gap_at`` call whose
     elementwise arithmetic matches the per-row broadcasts.  Interval order
@@ -678,6 +532,42 @@ def _gap_at(
     return _gap_grid(times[:, None], env_coeffs, fun_coeffs, band_width)[:, 0]
 
 
+def _refine_rows(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    env_coeffs: np.ndarray,
+    fun_coeffs: np.ndarray,
+    band_width: float,
+    row_slices: List[Tuple[int, int]],
+) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """Grid evaluation and root refinement of every candidate's rows at once.
+
+    Returns:
+        ``(group_of_row, midpoint_gaps, roots_by_row)``: each row's candidate,
+        its gap at the row midpoint, and its refined crossings.
+    """
+    group_of_row = np.empty(lo.size, dtype=np.int64)
+    for group, (start, end) in enumerate(row_slices):
+        group_of_row[start:end] = group
+
+    times = _row_sample_grid(lo, hi, env_coeffs, fun_coeffs)
+    values = _gap_grid(times, env_coeffs, fun_coeffs, band_width)
+    # Rows with no crossing are classified in one vectorized midpoint test.
+    midpoint_gaps = _gap_at((lo + hi) / 2.0, env_coeffs, fun_coeffs, band_width)
+    roots_by_row = _refine_bracketed_roots(
+        times,
+        values,
+        env_coeffs,
+        fun_coeffs,
+        band_width,
+        lo,
+        hi,
+        group_of_row,
+        len(row_slices),
+    )
+    return group_of_row, midpoint_gaps, roots_by_row
+
+
 def _refine_bracketed_roots(
     times: np.ndarray,
     values: np.ndarray,
@@ -686,12 +576,12 @@ def _refine_bracketed_roots(
     band_width: float,
     lo: np.ndarray,
     hi: np.ndarray,
-    group_of_row: Optional[np.ndarray] = None,
-    group_count: int = 1,
+    group_of_row: np.ndarray,
+    group_count: int,
 ) -> dict:
     """Vectorized bisection of every bracketed sign change of the gap grid.
 
-    With ``group_of_row`` the rows belong to several candidates refined in
+    The rows belong to several candidates (``group_of_row``) refined in
     one pass: each candidate keeps its *own* step count (derived from its
     own widest bracket, exactly as a single-candidate call computes it) and
     a bracket freezes once its candidate's budget is exhausted, so the
@@ -726,10 +616,7 @@ def _refine_bracketed_roots(
         env_b = env_coeffs[rows_idx]
         fun_b = fun_coeffs[rows_idx]
         widths = t_b - t_a
-        if group_of_row is None:
-            groups = np.zeros(rows_idx.size, dtype=np.int64)
-        else:
-            groups = group_of_row[rows_idx]
+        groups = group_of_row[rows_idx]
         widest = np.zeros(group_count)
         np.maximum.at(widest, groups, widths)
         per_group_steps = np.minimum(
@@ -808,35 +695,6 @@ def _sample_times(
                 times.append(vertex)
     times.sort()
     return times
-
-
-def _sign_change_roots(
-    gap,
-    interval_start: float,
-    interval_end: float,
-    function: DistanceFunction,
-    envelope_piece,
-) -> List[float]:
-    """Roots of the gap function inside an elementary interval."""
-    times = _sample_times(interval_start, interval_end, function, envelope_piece)
-    values = [gap(t) for t in times]
-    roots: List[float] = []
-    for (t_a, v_a), (t_b, v_b) in zip(zip(times, values), zip(times[1:], values[1:])):
-        if v_a == 0.0:
-            roots.append(t_a)
-            continue
-        if v_a * v_b < 0.0:
-            try:
-                roots.append(float(brentq(gap, t_a, t_b, xtol=1e-10)))
-            except ValueError:  # pragma: no cover - defensive against flat brackets
-                roots.append((t_a + t_b) / 2.0)
-    deduplicated: List[float] = []
-    for root in sorted(roots):
-        if interval_start < root < interval_end and (
-            not deduplicated or root - deduplicated[-1] > _TIME_TOLERANCE
-        ):
-            deduplicated.append(root)
-    return deduplicated
 
 
 def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:

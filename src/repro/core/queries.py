@@ -7,10 +7,8 @@ the "after O(N log N) pre-processing" object the complexity claims of
 Section 4 refer to; every predicate below is then linear (Category 1) or
 O(kN)/O((N/K)²) (Categories 2–4) on top of it.
 
-Naive baselines (used by the Figure 12 experiment) are provided alongside:
-they rebuild the pointwise minimum from all pairwise intersections on every
-call, mirroring the paper's "check all pairwise intersection times"
-comparison approach.
+The naive baselines of the Figure 12 experiment live in
+:mod:`repro.reference.naive`.
 """
 
 from __future__ import annotations
@@ -21,19 +19,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..geometry.envelope.divide_conquer import lower_envelope
 from ..geometry.envelope.hyperbola import DistanceFunction
 from ..geometry.envelope.klevel import LevelEnvelopes, k_level_envelopes
-from ..geometry.envelope.naive import naive_lower_envelope
 from ..geometry.envelope.pieces import Envelope
 from .answer import IPACTree
 from .ipacnn import build_ipac_tree
-from .pruning import (
-    FULL_WINDOW_SLACK,
-    PruningStatistics,
-    band_intervals_batch,
-    is_within_band_sometime,
-    time_within_band,
-)
-
-_FULL_COVERAGE_SLACK = 1e-6
+from .pruning import PruningStatistics, band_intervals_batch
+from .tolerances import FULL_WINDOW_SLACK
 
 
 @dataclass
@@ -55,7 +45,6 @@ class QueryContext:
     band_width: float
     functions: Dict[object, DistanceFunction]
     envelope: Envelope
-    kernel: Optional[str] = None
     _levels: Optional[LevelEnvelopes] = None
     _levels_depth: int = 0
     _tree: Optional[IPACTree] = None
@@ -75,14 +64,8 @@ class QueryContext:
         t_start: float,
         t_end: float,
         band_width: float,
-        kernel: Optional[str] = None,
     ) -> "QueryContext":
-        """Build a context: O(N log N) envelope construction plus bookkeeping.
-
-        ``kernel`` selects the envelope/band execution kernel for every
-        computation derived from this context (``"vector"``/``"scalar"``;
-        ``None`` follows ``REPRO_ENVELOPE_KERNEL``, vector when unset).
-        """
+        """Build a context: O(N log N) envelope construction plus bookkeeping."""
         if not functions:
             raise ValueError("need at least one candidate distance function")
         if t_end < t_start:
@@ -100,7 +83,6 @@ class QueryContext:
             band_width=band_width,
             functions=by_id,
             envelope=envelope,
-            kernel=kernel,
         )
 
     @staticmethod
@@ -111,7 +93,6 @@ class QueryContext:
         t_end: float,
         band_width: Optional[float] = None,
         candidate_ids: Optional[Sequence[object]] = None,
-        kernel: Optional[str] = None,
     ) -> "QueryContext":
         """Build a context from a MOD, optionally restricted to pre-filtered candidates.
 
@@ -132,16 +113,14 @@ class QueryContext:
         if band_width is None:
             band_width = mod.default_band_width(query_id)
         functions = mod.distance_functions(
-            query_id, t_start, t_end, candidate_ids=candidate_ids, kernel=kernel
+            query_id, t_start, t_end, candidate_ids=candidate_ids
         )
         if not functions:
             raise ValueError(
                 "no candidate trajectories cover the query window; "
                 "check the window or the candidate filter"
             )
-        return QueryContext.build(
-            functions, query_id, t_start, t_end, band_width, kernel=kernel
-        )
+        return QueryContext.build(functions, query_id, t_start, t_end, band_width)
 
     # ------------------------------------------------------------------
     # Shared lazily-computed artefacts.
@@ -180,7 +159,6 @@ class QueryContext:
                 self.band_width,
                 self.t_start,
                 self.t_end,
-                kernel=self.kernel,
             )
             self._intervals = {
                 function.object_id: intervals
@@ -209,7 +187,6 @@ class QueryContext:
                 self.band_width,
                 self.t_start,
                 self.t_end,
-                kernel=self.kernel,
             )[0]
         return self._intervals[object_id]
 
@@ -246,7 +223,6 @@ class QueryContext:
                 self.t_start,
                 self.t_end,
                 max_levels=max_level,
-                kernel=self.kernel,
             )
             self._levels_depth = max_level
         return self._levels
@@ -296,7 +272,7 @@ class QueryContext:
         """UQ13(X%): non-zero NN probability at least ``fraction`` of the window."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
-        return self.uq13_fraction(object_id) >= fraction - _FULL_COVERAGE_SLACK
+        return self.uq13_fraction(object_id) >= fraction - FULL_WINDOW_SLACK
 
     def nonzero_probability_intervals(
         self, object_id: object
@@ -316,7 +292,7 @@ class QueryContext:
         """UQ22: among the top-k labels throughout the window."""
         return (
             self._rank_duration(object_id, k)
-            >= self.duration - _FULL_COVERAGE_SLACK * max(1.0, self.duration)
+            >= self.duration - FULL_WINDOW_SLACK * max(1.0, self.duration)
         )
 
     def uq23_rank_fraction(self, object_id: object, k: int) -> float:
@@ -329,7 +305,7 @@ class QueryContext:
         """UQ23: ranked within the top k at least ``fraction`` of the window."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
-        return self.uq23_rank_fraction(object_id, k) >= fraction - _FULL_COVERAGE_SLACK
+        return self.uq23_rank_fraction(object_id, k) >= fraction - FULL_WINDOW_SLACK
 
     def _rank_duration(self, object_id: object, k: int) -> float:
         """Total time the object owns one of the level-1..k envelopes."""
@@ -375,7 +351,7 @@ class QueryContext:
             covered = sum(
                 end - start for start, end in intervals[function.object_id]
             )
-            if covered / self.duration >= fraction - _FULL_COVERAGE_SLACK:
+            if covered / self.duration >= fraction - FULL_WINDOW_SLACK:
                 matching.append(function.object_id)
         return matching
 
@@ -436,52 +412,3 @@ class QueryContext:
             raise ValueError(
                 f"time {t} outside query window [{self.t_start}, {self.t_end}]"
             )
-
-
-# ----------------------------------------------------------------------
-# Naive baselines (Figure 12).
-# ----------------------------------------------------------------------
-
-
-def naive_uq11_sometime(
-    functions: Sequence[DistanceFunction],
-    target_id: object,
-    t_start: float,
-    t_end: float,
-    band_width: float,
-) -> bool:
-    """Naive UQ11: rebuild the pointwise minimum from all pairwise intersections.
-
-    This is the paper's comparison baseline: no precomputed envelope is
-    available, so every query pays the O(N² log N) pairwise-intersection
-    sweep before the O(N) check.
-    """
-    envelope = naive_lower_envelope(list(functions), t_start, t_end)
-    target = _find_function(functions, target_id)
-    return is_within_band_sometime(target, envelope, band_width, t_start, t_end)
-
-
-def naive_uq13_fraction(
-    functions: Sequence[DistanceFunction],
-    target_id: object,
-    t_start: float,
-    t_end: float,
-    band_width: float,
-) -> float:
-    """Naive UQ13: pairwise-intersection sweep plus duration accumulation."""
-    envelope = naive_lower_envelope(list(functions), t_start, t_end)
-    target = _find_function(functions, target_id)
-    duration = t_end - t_start
-    if duration <= 0:
-        return 1.0 if is_within_band_sometime(target, envelope, band_width, t_start, t_end) else 0.0
-    covered = time_within_band(target, envelope, band_width, t_start, t_end)
-    return min(1.0, covered / duration)
-
-
-def _find_function(
-    functions: Sequence[DistanceFunction], target_id: object
-) -> DistanceFunction:
-    for function in functions:
-        if function.object_id == target_id:
-            return function
-    raise KeyError(f"unknown candidate {target_id!r}")

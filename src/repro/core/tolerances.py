@@ -20,3 +20,8 @@ TIME_TOLERANCE = 1e-9
 #: Quadratic coefficients smaller than this are treated as zero when solving
 #: for hyperbola intersections (the linear/constant degenerate cases).
 COEFF_EPSILON = 1e-12
+
+#: Absolute slack when testing whole-window coverage (UQ12/UQ22/UQ32) and
+#: fraction thresholds (UQ13/UQ23/UQ33): interval extraction leaves gaps of
+#: this order at merged boundaries.
+FULL_WINDOW_SLACK = 1e-6

@@ -11,11 +11,8 @@ from .answers import VARIANTS, Answer, answer_of
 from .cache import CacheInfo, ContextCache, context_key
 from .engine import BatchResult, PreparedQuery, QueryEngine
 from .filtering import (
-    TrajectoryArrays,
-    conservative_corridor_radius,
     corridor_probe_bulk,
     filter_candidates,
-    max_pairwise_distance,
     trajectory_within_corridor,
 )
 
@@ -26,13 +23,10 @@ __all__ = [
     "ContextCache",
     "PreparedQuery",
     "QueryEngine",
-    "TrajectoryArrays",
     "VARIANTS",
     "answer_of",
-    "conservative_corridor_radius",
     "corridor_probe_bulk",
     "context_key",
     "filter_candidates",
-    "max_pairwise_distance",
     "trajectory_within_corridor",
 ]

@@ -34,9 +34,7 @@ from ..trajectories.mod import MovingObjectsDatabase
 from .answers import Answer, answer_of
 from .cache import CacheInfo, ContextCache
 from .filtering import (
-    TrajectoryArrays,
     all_other_ids,
-    conservative_corridor_radius,
     corridor_probe_bulk,
     filter_candidates,
     trajectory_within_corridor,
@@ -135,11 +133,6 @@ class QueryEngine:
         registry: the :class:`~repro.obs.MetricsRegistry` engine metrics
             land in (``repro_engine_*``); a private registry when ``None``,
             so independent engines never mix counters.
-        envelope_kernel: execution kernel for the envelope/band machinery of
-            every prepared context — ``"vector"`` (NumPy kernels with scalar
-            fallback on degenerate inputs) or ``"scalar"`` (the pinned
-            reference paths); ``None`` follows the process default
-            (``REPRO_ENVELOPE_KERNEL``, vector when unset).
     """
 
     def __init__(
@@ -152,7 +145,6 @@ class QueryEngine:
         max_workers: Optional[int] = None,
         cache_size: int = 256,
         registry: Optional[MetricsRegistry] = None,
-        envelope_kernel: Optional[str] = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -172,10 +164,8 @@ class QueryEngine:
         else:
             self._index = index  # prebuilt index object or None
         self._max_workers = max_workers
-        self._envelope_kernel = envelope_kernel
         self._cache_size = cache_size
         self._cache = ContextCache(max_size=cache_size)
-        self._arrays = TrajectoryArrays()
         self._band_widths: Dict[object, float] = {}
         self._mod_revision = mod.revision
         # Instruments are resolved once here; the hot paths below touch
@@ -234,7 +224,6 @@ class QueryEngine:
 
     def invalidate(self, query_id: object) -> int:
         """Drop cached contexts of one query (e.g. after a trajectory update)."""
-        self._arrays.invalidate(query_id)
         return self._cache.invalidate(query_id)
 
     def discard_context(
@@ -330,7 +319,6 @@ class QueryEngine:
         elif self._index_kind == "grid":
             self._index = self.mod.build_index("grid", cells=self._grid_cells)
         self._cache = ContextCache(max_size=self._cache_size)
-        self._arrays = TrajectoryArrays()
         self._band_widths = {}
 
     def _refresh_incremental(self, changed: Dict[object, Optional[float]]) -> None:
@@ -365,8 +353,6 @@ class QueryEngine:
                         self._index.remove_object(object_id)
                         if object_id in self.mod:
                             self._index.insert_trajectory(self.mod.get(object_id))
-        for object_id in changed:
-            self._arrays.invalidate(object_id)
         # Band widths depend only on the set of stored pdf supports; a batch
         # of pure replacements with finite divergence times (same radius,
         # same pdf) provably leaves them untouched.
@@ -409,13 +395,14 @@ class QueryEngine:
             ]
             if not present:
                 continue
-            corridor = conservative_corridor_radius(
-                self.mod,
-                query_id,
-                context.t_start,
-                context.t_end,
-                context.band_width,
-                self._arrays,
+            corridor = float(
+                corridor_probe_bulk(
+                    self.mod,
+                    [query_id],
+                    context.t_start,
+                    context.t_end,
+                    [context.band_width],
+                )[0]
             )
             if not np.isfinite(corridor):
                 self._cache.discard(key)
@@ -734,7 +721,6 @@ class QueryEngine:
                 t_end,
                 band_width=band_width,
                 candidate_ids=candidate_ids,
-                kernel=self._envelope_kernel,
             )
             scalar_fallbacks = scalar_fallback_count() - fallbacks_before
             span.set("scalar_fallbacks", scalar_fallbacks)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..geometry.envelope.divide_conquer import lower_envelope
-from ..geometry.envelope.naive import naive_lower_envelope
+from ..reference.naive import naive_lower_envelope
 from ..trajectories.difference import difference_distance_functions
 from ..workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 from .config import Figure11Config

@@ -17,7 +17,8 @@ from typing import List
 
 import numpy as np
 
-from ..core.queries import QueryContext, naive_uq11_sometime, naive_uq13_fraction
+from ..core.queries import QueryContext
+from ..reference.naive import naive_uq11_sometime, naive_uq13_fraction
 from ..trajectories.difference import difference_distance_functions
 from ..workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 from .config import Figure12Config

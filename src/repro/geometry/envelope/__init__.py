@@ -3,17 +3,14 @@
 from .bulk import (
     DegenerateArrangement,
     FunctionPack,
-    default_kernel,
     k_level_envelopes_bulk,
     pack_functions,
-    resolve_kernel,
 )
 from .divide_conquer import lower_envelope
 from .env2 import pairwise_envelope
 from .hyperbola import DistanceFunction, Hyperbola, HyperbolaPiece
-from .klevel import LevelEnvelopes, k_level_envelopes, k_level_envelopes_scalar
+from .klevel import LevelEnvelopes, exclusion_cascade, k_level_envelopes
 from .merge import merge_envelopes
-from .naive import naive_lower_envelope
 from .pieces import Envelope, EnvelopePiece
 
 __all__ = [
@@ -25,14 +22,11 @@ __all__ = [
     "Hyperbola",
     "HyperbolaPiece",
     "LevelEnvelopes",
-    "default_kernel",
+    "exclusion_cascade",
     "k_level_envelopes",
     "k_level_envelopes_bulk",
-    "k_level_envelopes_scalar",
     "pack_functions",
-    "resolve_kernel",
     "lower_envelope",
     "merge_envelopes",
-    "naive_lower_envelope",
     "pairwise_envelope",
 ]

@@ -24,30 +24,17 @@ whenever the arrangement is non-degenerate.  Degeneracies (tangencies,
 near-coincident critical times, crossings hugging an interval boundary,
 value ties that are not exact curve identities) are detected conservatively
 and punted to the scalar cascade.
-
-Kernel selection: callers pass ``kernel="vector"|"scalar"`` explicitly, or
-``None`` to use the process-wide default — the ``REPRO_ENVELOPE_KERNEL``
-environment variable (``"vector"`` when unset).  The environment variable is
-inherited by spawned shard workers, so the sharded process backend can be
-flipped wholesale for differential runs.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ...core.tolerances import COEFF_EPSILON, TIME_TOLERANCE
 from .hyperbola import DistanceFunction
 from .pieces import Envelope, EnvelopePiece
-
-#: Environment variable selecting the process-wide default envelope kernel.
-KERNEL_ENV_VAR = "REPRO_ENVELOPE_KERNEL"
-
-#: Accepted kernel names.
-KERNELS = ("vector", "scalar")
 
 #: Degeneracy guard radius, in multiples of the time tolerance.  Two critical
 #: times closer than this (or a crossing root this close to an interval
@@ -80,21 +67,6 @@ _GRAZE_GUARD = 1e-12
 
 class DegenerateArrangement(Exception):
     """The input is too degenerate for a vectorized kernel; use the oracle."""
-
-
-def default_kernel() -> str:
-    """The process-wide kernel default (``REPRO_ENVELOPE_KERNEL`` or vector)."""
-    kernel = os.environ.get(KERNEL_ENV_VAR, "vector").strip().lower()
-    return kernel if kernel in KERNELS else "vector"
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Validate an explicit kernel choice, or fall back to the default."""
-    if kernel is None:
-        return default_kernel()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown envelope kernel {kernel!r} (expected {KERNELS})")
-    return kernel
 
 
 class FunctionPack:

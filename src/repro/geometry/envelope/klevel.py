@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .bulk import DegenerateArrangement, k_level_envelopes_bulk, resolve_kernel
+from .bulk import DegenerateArrangement, k_level_envelopes_bulk
 from .divide_conquer import lower_envelope
 from .hyperbola import DistanceFunction
 from .pieces import Envelope, EnvelopePiece
@@ -91,9 +91,12 @@ def k_level_envelopes(
     t_lo: float,
     t_hi: float,
     max_levels: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> LevelEnvelopes:
     """Compute the first ``max_levels`` level envelopes of a function set.
+
+    The kinetic sweep of :mod:`repro.geometry.envelope.bulk` serves every
+    arrangement it can reproduce :func:`exclusion_cascade` on bit for bit;
+    a degenerate one falls back to the cascade.
 
     Args:
         functions: distance functions covering ``[t_lo, t_hi]``.
@@ -101,41 +104,17 @@ def k_level_envelopes(
         t_hi: window end.
         max_levels: number of levels to materialize; defaults to the number
             of functions (the full arrangement depth).
-        kernel: ``"vector"`` for the kinetic sweep of
-            :func:`repro.geometry.envelope.bulk.k_level_envelopes_bulk`
-            (bit-identical, with automatic fallback to the scalar cascade on
-            degenerate arrangements), ``"scalar"`` to force the pinned
-            exclusion cascade, or ``None`` for the process default
-            (``REPRO_ENVELOPE_KERNEL``, vector when unset).
 
     Returns:
         A :class:`LevelEnvelopes` stack.
     """
     functions, limit = _canonical_inputs(functions, max_levels)
-    if resolve_kernel(kernel) == "vector":
-        try:
-            levels = k_level_envelopes_bulk(functions, t_lo, t_hi, limit)
-            return LevelEnvelopes(t_lo, t_hi, levels)
-        except DegenerateArrangement:
-            pass
-    return _exclusion_cascade(functions, t_lo, t_hi, limit)
-
-
-def k_level_envelopes_scalar(
-    functions: Sequence[DistanceFunction],
-    t_lo: float,
-    t_hi: float,
-    max_levels: Optional[int] = None,
-) -> LevelEnvelopes:
-    """The pinned scalar oracle: the per-interval exclusion cascade.
-
-    This is the original ``k_level_envelopes`` implementation, retained
-    verbatim as the ground truth that the kinetic sweep of
-    :mod:`repro.geometry.envelope.bulk` is differentially tested against
-    (and as the fallback for degenerate arrangements).
-    """
-    functions, limit = _canonical_inputs(functions, max_levels)
-    return _exclusion_cascade(functions, t_lo, t_hi, limit)
+    try:
+        levels = k_level_envelopes_bulk(functions, t_lo, t_hi, limit)
+        return LevelEnvelopes(t_lo, t_hi, levels)
+    except DegenerateArrangement:
+        pass
+    return exclusion_cascade(functions, t_lo, t_hi, limit)
 
 
 def _canonical_inputs(
@@ -163,10 +142,19 @@ def _canonical_inputs(
     return ordered, limit
 
 
-def _exclusion_cascade(
-    functions: List[DistanceFunction], t_lo: float, t_hi: float, limit: int
+def exclusion_cascade(
+    functions: Sequence[DistanceFunction],
+    t_lo: float,
+    t_hi: float,
+    max_levels: Optional[int] = None,
 ) -> LevelEnvelopes:
-    """The scalar exclusion cascade over canonically-ordered functions."""
+    """The per-interval exclusion cascade: level ``k`` is the lower envelope
+    of whatever levels ``1..k-1`` do not own on each elementary interval.
+
+    Same arguments and result as :func:`k_level_envelopes`: its fallback on
+    degenerate arrangements, and the reference the sweep is tested against.
+    """
+    functions, limit = _canonical_inputs(functions, max_levels)
     by_id: Dict[object, DistanceFunction] = {f.object_id: f for f in functions}
 
     levels: List[Envelope] = []

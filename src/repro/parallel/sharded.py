@@ -12,7 +12,7 @@ Why sharded answers are exact
 For a query ``q`` with window ``[t0, t1]`` and band width ``W``, the shard
 computes the conservative corridor radius ``c = U_s + W`` where ``U_s`` is
 the smallest, over shard members fully covering the window, of the member's
-maximum distance to ``q`` (:func:`repro.engine.filtering.conservative_corridor_radius`).
+maximum distance to ``q`` (:func:`repro.engine.filtering.corridor_probe_bulk`).
 Because the shard's members are a subset of the store, ``U_s >= U_global``,
 so ``c`` is at least the single-engine corridor.  The shard's answer is
 trusted only when the *probe rectangle* (``q``'s window-clipped polyline

@@ -117,12 +117,9 @@ class BandIntervalsNode(PlanNode):
         return self.answers
 
     def props(self) -> Dict[str, object]:
-        from ..geometry.envelope.bulk import default_kernel
-
         return {
             "band": "default(4r)" if self.band_width is None else self.band_width,
             "contexts": len({answer.query_object for answer in self.answers}),
-            "kernel": default_kernel(),
         }
 
 

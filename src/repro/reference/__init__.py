@@ -1,0 +1,24 @@
+"""Reference implementations: the oracles the serving stack is tested against.
+
+The serving tree holds one production implementation per algorithm (plus its
+per-candidate or degenerate-input fallback).  Whatever computes the same
+thing a second way lives here, and nothing outside this package and
+:mod:`repro.experiments` imports it — ``tests/test_import_boundary.py``
+enforces that, and that the serving packages load no scipy:
+
+* :mod:`~repro.reference.band` — the Brent's-method band extractor, and the
+  per-candidate row loop :func:`repro.core.pruning.band_intervals_batch` is
+  bit-identical to;
+* :mod:`~repro.reference.corridor` — the per-query scalar corridor radius
+  behind :func:`repro.engine.filtering.corridor_probe_bulk`;
+* :mod:`~repro.reference.naive` — the paper's quadratic comparison
+  baselines (Figures 11 and 12);
+* :mod:`~repro.reference.definition` — the query semantics evaluated
+  straight from their definitions on dense time samples.
+
+Two references *are* production fallbacks and stay where production calls
+them: :func:`repro.geometry.envelope.klevel.exclusion_cascade` and the
+per-candidate :func:`repro.trajectories.difference.difference_distance_function`.
+:func:`repro.query_language.execute_query_naive` is the one oracle kept
+outside this package: the end-to-end benchmark imports it from there.
+"""

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .hyperbola import DistanceFunction
-from .pieces import Envelope, EnvelopePiece
-
-from ...core.tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
+from ..core.pruning import is_within_band_sometime, time_within_band
+from ..core.tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
+from ..geometry.envelope.hyperbola import DistanceFunction
+from ..geometry.envelope.pieces import Envelope, EnvelopePiece
 
 
 def naive_lower_envelope(
@@ -75,3 +75,52 @@ def _all_pairwise_critical_times(
     deduplicated[0] = t_lo
     deduplicated[-1] = t_hi
     return deduplicated
+
+
+# ----------------------------------------------------------------------
+# Naive baselines (Figure 12).
+# ----------------------------------------------------------------------
+
+
+def naive_uq11_sometime(
+    functions: Sequence[DistanceFunction],
+    target_id: object,
+    t_start: float,
+    t_end: float,
+    band_width: float,
+) -> bool:
+    """Naive UQ11: rebuild the pointwise minimum from all pairwise intersections.
+
+    This is the paper's comparison baseline: no precomputed envelope is
+    available, so every query pays the O(N² log N) pairwise-intersection
+    sweep before the O(N) check.
+    """
+    envelope = naive_lower_envelope(list(functions), t_start, t_end)
+    target = _find_function(functions, target_id)
+    return is_within_band_sometime(target, envelope, band_width, t_start, t_end)
+
+
+def naive_uq13_fraction(
+    functions: Sequence[DistanceFunction],
+    target_id: object,
+    t_start: float,
+    t_end: float,
+    band_width: float,
+) -> float:
+    """Naive UQ13: pairwise-intersection sweep plus duration accumulation."""
+    envelope = naive_lower_envelope(list(functions), t_start, t_end)
+    target = _find_function(functions, target_id)
+    duration = t_end - t_start
+    if duration <= 0:
+        return 1.0 if is_within_band_sometime(target, envelope, band_width, t_start, t_end) else 0.0
+    covered = time_within_band(target, envelope, band_width, t_start, t_end)
+    return min(1.0, covered / duration)
+
+
+def _find_function(
+    functions: Sequence[DistanceFunction], target_id: object
+) -> DistanceFunction:
+    for function in functions:
+        if function.object_id == target_id:
+            return function
+    raise KeyError(f"unknown candidate {target_id!r}")

@@ -457,18 +457,13 @@ def reference_answer(
     variant: str = "sometime",
     fraction: float = 0.0,
     band_width: Optional[float] = None,
-    kernel: Optional[str] = None,
 ) -> Answer:
     """From-scratch oracle answer over the current MOD state.
 
     Builds an unfiltered :class:`QueryContext` (every stored candidate, no
     index, no cache) and extracts the same answer shape the monitor
     maintains — the yardstick the correctness tests compare delta-replayed
-    answers against.  ``kernel`` pins the envelope/band execution kernel of
-    that context (``"scalar"`` makes the oracle run the pinned reference
-    paths end to end).
+    answers against.
     """
-    context = QueryContext.from_mod(
-        mod, query_id, t_lo, t_hi, band_width=band_width, kernel=kernel
-    )
+    context = QueryContext.from_mod(mod, query_id, t_lo, t_hi, band_width=band_width)
     return answer_of(context, variant, fraction)

@@ -304,11 +304,12 @@ class ColumnarStore:
         return self._pack
 
     def flat(self) -> tuple:
-        """The pack in the ``TrajectoryArrays.flat`` tuple layout.
+        """The pack as the flat tuple the corridor kernels consume.
 
         Returns:
-            ``(ids, starts, lengths, times, xs, ys)`` — drop-in for the
-            scalar flattening the engine's filtering math consumes.  The
+            ``(ids, starts, lengths, times, xs, ys)`` — the layout of the
+            per-sample :meth:`repro.reference.corridor.TrajectoryArrays.flat`
+            it is pinned against.  The
             tuple is cached per pack, so repeated calls return identical
             objects until the next mutation.
         """

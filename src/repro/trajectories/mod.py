@@ -21,12 +21,8 @@ from typing import (
     Tuple,
 )
 
-from ..geometry.envelope.bulk import resolve_kernel
 from ..geometry.envelope.hyperbola import DistanceFunction
-from .difference import (
-    difference_distance_functions,
-    difference_distance_functions_bulk,
-)
+from .difference import difference_distance_functions_bulk
 from .trajectory import Trajectory, UncertainTrajectory
 
 #: Changelog entries kept before old records are trimmed.  Derived structures
@@ -631,9 +627,11 @@ class MovingObjectsDatabase:
         t_lo: float,
         t_hi: float,
         candidate_ids: Optional[Sequence[object]] = None,
-        kernel: Optional[str] = None,
     ) -> List[DistanceFunction]:
         """Distance functions of (candidate) objects relative to a stored query.
+
+        One batched pass over the packed columnar arrays, bit-identical to
+        the scalar builder individual candidates fall back to.
 
         Args:
             query_id: id of the query trajectory (must be stored).
@@ -641,11 +639,6 @@ class MovingObjectsDatabase:
             t_hi: window end.
             candidate_ids: restrict to these objects (e.g. the output of an
                 index probe); defaults to every stored object except the query.
-            kernel: ``"vector"`` batches the hyperbola-coefficient
-                construction over the packed columnar arrays (bit-identical,
-                with per-candidate scalar fallback), ``"scalar"`` forces the
-                per-candidate reference path, ``None`` uses the process
-                default (``REPRO_ENVELOPE_KERNEL``, vector when unset).
 
         Returns:
             One distance function per candidate.
@@ -663,11 +656,9 @@ class MovingObjectsDatabase:
                 for object_id in candidate_ids
                 if object_id != query_id
             ]
-        if resolve_kernel(kernel) == "vector":
-            return difference_distance_functions_bulk(
-                candidates, query, t_lo, t_hi, store=self.columnar()
-            )
-        return difference_distance_functions(candidates, query, t_lo, t_hi)
+        return difference_distance_functions_bulk(
+            candidates, query, t_lo, t_hi, store=self.columnar()
+        )
 
     def clipped(self, t_lo: float, t_hi: float) -> "MovingObjectsDatabase":
         """A new MOD with every trajectory clipped to ``[t_lo, t_hi]``."""

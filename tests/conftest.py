@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
+from repro.core import pruning, queries
+from repro.geometry.envelope import klevel
 from repro.geometry.envelope.hyperbola import DistanceFunction
+from repro.reference import band as reference_band
+from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
 from repro.uncertainty.uniform import UniformDiskPDF
@@ -30,6 +35,42 @@ from repro.workloads.random_waypoint import RandomWaypointConfig, generate_traje
 def rng() -> np.random.Generator:
     """A deterministic random generator."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def reference_kernels(monkeypatch):
+    """``with reference_kernels():`` runs the stack on the reference kernels.
+
+    Inside the block the three production entry points are their
+    references, in every module that holds a name for them: the batched
+    band builder is :func:`repro.reference.band.band_intervals_batch`, the
+    k-level builder is its own fallback ``exclusion_cascade``, and
+    ``MovingObjectsDatabase.distance_functions`` builds every candidate with
+    the scalar ``difference_distance_function``.  This is how an end-to-end
+    oracle reaches the references; production code has no switch for it.
+    """
+
+    def scalar_distance_functions(mod, query_id, t_lo, t_hi, candidate_ids=None):
+        ids = mod.object_ids if candidate_ids is None else candidate_ids
+        return difference_distance_functions(
+            [mod.get(object_id) for object_id in ids], mod.get(query_id), t_lo, t_hi
+        )
+
+    @contextmanager
+    def swapped():
+        with monkeypatch.context() as patch:
+            for module in (pruning, queries):
+                patch.setattr(
+                    module, "band_intervals_batch", reference_band.band_intervals_batch
+                )
+            for module in (klevel, queries):
+                patch.setattr(module, "k_level_envelopes", klevel.exclusion_cascade)
+            patch.setattr(
+                MovingObjectsDatabase, "distance_functions", scalar_distance_functions
+            )
+            yield
+
+    return swapped
 
 
 def make_linear_function(

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pruning import band_intervals, band_intervals_scalar
+from repro.core.pruning import band_intervals
 from repro.geometry.envelope.divide_conquer import lower_envelope
+from repro.reference.band import band_intervals_scalar
 
 from ..conftest import make_linear_function, random_functions
 

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.queries import (
-    QueryContext,
-    naive_uq11_sometime,
-    naive_uq13_fraction,
-)
+from repro.core.queries import QueryContext
+from repro.reference.naive import naive_uq11_sometime, naive_uq13_fraction
 
 from ..conftest import make_linear_function, random_functions
 

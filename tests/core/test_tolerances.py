@@ -24,9 +24,44 @@ _REDEFINITION = re.compile(
 )
 
 
+#: A bare time-tolerance literal (``1e-9``, ``1.0e-09``, ...) in code.
+_BARE_TIME_TOLERANCE = re.compile(r"\b1(\.0*)?e-0*9\b")
+
+#: A numeric (re-)definition of the coverage slack under either of its names.
+_SLACK_REDEFINITION = re.compile(
+    r"^\s*_?(FULL_WINDOW_SLACK|FULL_COVERAGE_SLACK)\s*=\s*[0-9.]", re.MULTILINE
+)
+
+
 def test_values_are_the_documented_ones():
     assert tolerances.TIME_TOLERANCE == 1e-9
     assert tolerances.COEFF_EPSILON == 1e-12
+    assert tolerances.FULL_WINDOW_SLACK == 1e-6
+
+
+def test_corridor_kernel_compares_times_with_the_shared_tolerance():
+    # corridor_probe_bulk decides window coverage and in-window samples by
+    # time comparisons; a bare 1e-9 there would drift from TIME_TOLERANCE.
+    source = (SRC / "engine" / "filtering.py").read_text()
+    code = "\n".join(line.split("#", 1)[0] for line in source.splitlines())
+    assert not _BARE_TIME_TOLERANCE.search(code), (
+        "engine/filtering.py must compare times with "
+        "repro.core.tolerances.TIME_TOLERANCE, not a bare 1e-9"
+    )
+    assert "TIME_TOLERANCE" in code
+
+
+def test_the_coverage_slack_is_defined_once():
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "core" / "tolerances.py"
+        and _SLACK_REDEFINITION.search(path.read_text())
+    ]
+    assert not offenders, (
+        "FULL_WINDOW_SLACK must be imported from repro.core.tolerances, "
+        f"not re-defined; offenders: {offenders}"
+    )
 
 
 def test_no_module_redefines_the_tolerances():

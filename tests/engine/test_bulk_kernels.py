@@ -13,13 +13,9 @@ import pytest
 from repro.core.pruning import band_intervals, band_intervals_batch
 from repro.core.queries import QueryContext
 from repro.engine import QueryEngine
-from repro.engine.filtering import (
-    TrajectoryArrays,
-    conservative_corridor_radius,
-    corridor_probe_bulk,
-    filter_candidates,
-)
+from repro.engine.filtering import corridor_probe_bulk, filter_candidates
 from repro.index.boxes import segment_boxes
+from repro.reference.corridor import TrajectoryArrays, conservative_corridor_radius
 from repro.streaming import ContinuousMonitor
 from repro.trajectories.columnar import segment_boxes_bulk
 from repro.workloads.scenarios import multi_query_fleet, sharded_fleet, streaming_fleet
@@ -27,7 +23,7 @@ from repro.workloads.scenarios import multi_query_fleet, sharded_fleet, streamin
 
 def scalar_corridors(mod, query_ids, t_lo, t_hi, widths):
     """The pre-columnar scalar filtering path, one query at a time."""
-    arrays = TrajectoryArrays(use_columnar=False)
+    arrays = TrajectoryArrays()
     return np.array(
         [
             conservative_corridor_radius(mod, query_id, t_lo, t_hi, width, arrays)
@@ -185,7 +181,7 @@ class TestEngineUsesBulkKernels:
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
         engine = QueryEngine(mod, index=index)
-        arrays = TrajectoryArrays(use_columnar=False)
+        arrays = TrajectoryArrays()
         for query_id in query_ids:
             width = mod.default_band_width(query_id)
             corridor = conservative_corridor_radius(mod, query_id, lo, hi, width, arrays)

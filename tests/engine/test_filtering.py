@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.queries import QueryContext
-from repro.engine.filtering import (
+from repro.engine.filtering import filter_candidates
+from repro.reference.corridor import (
     TrajectoryArrays,
     conservative_corridor_radius,
-    filter_candidates,
     max_pairwise_distance,
 )
 from repro.trajectories.mod import MovingObjectsDatabase

@@ -7,7 +7,7 @@ from repro.geometry.envelope.divide_conquer import lower_envelope
 from repro.geometry.envelope.env2 import pairwise_envelope
 from repro.geometry.envelope.hyperbola import DistanceFunction
 from repro.geometry.envelope.merge import merge_envelopes
-from repro.geometry.envelope.naive import naive_lower_envelope
+from repro.reference.naive import naive_lower_envelope
 from repro.geometry.envelope.pieces import Envelope, EnvelopePiece
 from repro.utils.validation import (
     envelope_matches_pointwise_minimum,

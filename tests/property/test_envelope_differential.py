@@ -1,24 +1,27 @@
-"""Differential oracle: vectorized kernels are bit-identical to the scalar paths.
+"""Differential oracle: production kernels are bit-identical to their references.
 
-Every vectorized kernel introduced for the envelope hot path —
+Every vectorized kernel of the envelope hot path —
 
 * the kinetic k-level sweep (:func:`repro.geometry.envelope.bulk.k_level_envelopes_bulk`),
-* the batched band classifier (:func:`repro.core.pruning.band_intervals_batch`
-  with ``kernel="vector"``), and
+* the batched band classifier (:func:`repro.core.pruning.band_intervals_batch`), and
 * the bulk hyperbola-coefficient construction
   (:func:`repro.trajectories.difference.difference_distance_functions_bulk`)
 
-— keeps its original scalar implementation pinned as the oracle and promises
-*bit-identical* output: not approximately equal, byte-for-byte the same
-floats, piece boundaries, and owner ids.  These properties drive both sides
-with adversarial inputs (tangent hyperbolas, exact ties at breakpoints,
+— has its original scalar implementation pinned as the oracle
+(:func:`repro.geometry.envelope.klevel.exclusion_cascade`,
+:func:`repro.reference.band.band_intervals_batch`, the per-candidate
+:func:`repro.trajectories.difference.difference_distance_function`) and promises *bit-identical*
+output: not approximately equal, byte-for-byte the same floats, piece
+boundaries, and owner ids.  These properties drive both sides with
+adversarial inputs (tangent hyperbolas, exact ties at breakpoints,
 sub-tolerance gaps, zero-length segments, coincident trajectories) and
 compare with ``==``, never with a tolerance.
 
-The closing end-to-end section runs planned UQ2x/UQ4x statements under the
-vector kernel against the pinned naive interpreter forced onto the scalar
-kernel, so the equivalence is checked through the full planner/engine stack,
-not just at the kernel boundary.
+The closing end-to-end section runs planned UQ2x/UQ4x statements on the
+production kernels against the pinned naive interpreter rerouted onto the
+references (the ``reference_kernels`` fixture), so the equivalence is
+checked through the full planner/engine stack, not just at the kernel
+boundary.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from repro.geometry.envelope.hyperbola import (
     Hyperbola,
     HyperbolaPiece,
 )
-from repro.geometry.envelope.klevel import (
-    k_level_envelopes,
-    k_level_envelopes_scalar,
-)
+from repro.geometry.envelope import klevel
+from repro.geometry.envelope.klevel import exclusion_cascade, k_level_envelopes
+from repro.reference import band as reference
 from repro.streaming import ContinuousMonitor
 from repro.trajectories import difference
 from repro.trajectories.mod import MovingObjectsDatabase
@@ -189,9 +191,7 @@ def assert_identical_functions(vectorized, scalar):
 class TestEnvelopeKernels:
     @given(functions=adversarial_functions())
     def test_lower_envelope_bit_identical(self, functions):
-        vectorized = k_level_envelopes(
-            functions, T_LO, T_HI, max_levels=1, kernel="vector"
-        )
+        vectorized = k_level_envelopes(functions, T_LO, T_HI, max_levels=1)
         scalar = lower_envelope(_canonical(functions), T_LO, T_HI)
         assert_identical_envelopes(vectorized.level(1), scalar)
 
@@ -206,9 +206,7 @@ class TestEnvelopeKernels:
             first.pieces[0].curve.c + q * q,
         )
         second = DistanceFunction("b", [HyperbolaPiece(T_LO, T_HI, tangent)])
-        vectorized = k_level_envelopes(
-            [first, second], T_LO, T_HI, max_levels=1, kernel="vector"
-        )
+        vectorized = k_level_envelopes([first, second], T_LO, T_HI, max_levels=1)
         scalar = pairwise_envelope(first, second, T_LO, T_HI)
         assert_identical_envelopes(vectorized.level(1), scalar)
 
@@ -218,11 +216,9 @@ class TestEnvelopeKernels:
     )
     def test_k_level_stack_bit_identical(self, functions, max_levels):
         vectorized = k_level_envelopes(
-            functions, T_LO, T_HI, max_levels=max_levels, kernel="vector"
-        )
-        scalar = k_level_envelopes_scalar(
             functions, T_LO, T_HI, max_levels=max_levels
         )
+        scalar = exclusion_cascade(functions, T_LO, T_HI, max_levels=max_levels)
         assert len(vectorized) == len(scalar)
         for level in range(1, len(scalar) + 1):
             assert_identical_envelopes(
@@ -232,8 +228,8 @@ class TestEnvelopeKernels:
     def test_kinetic_sweep_engages_without_fallback(self):
         # A well-conditioned arrangement must be served by the sweep
         # itself: k_level_envelopes_bulk raising DegenerateArrangement
-        # here would mean the vector kernel silently degenerated into
-        # the scalar cascade for ordinary inputs.  (The shared
+        # here would mean the sweep silently degenerated into the
+        # exclusion cascade for ordinary inputs.  (The shared
         # crossing_functions fixture is unsuitable: all three of its
         # crossings land at exactly t = 5, a genuine degeneracy.)
         functions = [
@@ -243,7 +239,7 @@ class TestEnvelopeKernels:
         ]
         ordered = _canonical(functions)
         levels = k_level_envelopes_bulk(ordered, T_LO, T_HI, len(ordered))
-        scalar = k_level_envelopes_scalar(functions, T_LO, T_HI)
+        scalar = exclusion_cascade(functions, T_LO, T_HI)
         assert len(levels) == len(scalar)
         for index, level in enumerate(levels, start=1):
             assert_identical_envelopes(level, scalar.level(index))
@@ -262,32 +258,32 @@ class TestBandKernel:
     def test_band_intervals_batch_bit_identical(self, functions, band_width):
         envelope = lower_envelope(functions, T_LO, T_HI)
         vectorized = band_intervals_batch(
-            functions, envelope, band_width, T_LO, T_HI, kernel="vector"
+            functions, envelope, band_width, T_LO, T_HI
         )
-        scalar = band_intervals_batch(
-            functions, envelope, band_width, T_LO, T_HI, kernel="scalar"
+        scalar = reference.band_intervals_batch(
+            functions, envelope, band_width, T_LO, T_HI
         )
         assert vectorized == scalar
 
     @given(functions=base_functions(min_size=3, max_size=6))
     def test_single_call_matches_batch_row(self, functions):
         envelope = lower_envelope(functions, T_LO, T_HI)
-        for kernel in ("vector", "scalar"):
-            batch = band_intervals_batch(
-                functions, envelope, 2.0, T_LO, T_HI, kernel=kernel
+        batch = band_intervals_batch(functions, envelope, 2.0, T_LO, T_HI)
+        oracle = reference.band_intervals_batch(functions, envelope, 2.0, T_LO, T_HI)
+        for position, function in enumerate(functions):
+            single = band_intervals(function, envelope, 2.0, T_LO, T_HI)
+            assert single == batch[position]
+            alone = reference.band_intervals_batch(
+                [function], envelope, 2.0, T_LO, T_HI
             )
-            for position, function in enumerate(functions):
-                single = band_intervals(
-                    function, envelope, 2.0, T_LO, T_HI, kernel=kernel
-                )
-                assert single == batch[position]
+            assert alone == [oracle[position]]
 
     def test_vector_fast_path_engages(self, crossing_functions, monkeypatch):
         # Single-curve candidates over a well-separated envelope must be
         # classified by the batched rows, not the per-candidate fallback.
         envelope = lower_envelope(crossing_functions, T_LO, T_HI)
-        scalar = band_intervals_batch(
-            crossing_functions, envelope, 2.0, T_LO, T_HI, kernel="scalar"
+        scalar = reference.band_intervals_batch(
+            crossing_functions, envelope, 2.0, T_LO, T_HI
         )
         calls = []
         original = pruning._band_rows
@@ -297,10 +293,10 @@ class TestBandKernel:
             lambda *args: calls.append(args) or original(*args),
         )
         vectorized = band_intervals_batch(
-            crossing_functions, envelope, 2.0, T_LO, T_HI, kernel="vector"
+            crossing_functions, envelope, 2.0, T_LO, T_HI
         )
         assert vectorized == scalar
-        assert not calls, "vector band kernel fell back to _band_rows"
+        assert not calls, "batched band kernel fell back to _band_rows"
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +352,8 @@ class TestBulkDifferenceConstruction:
     def test_coefficients_bit_identical(self, mod, window):
         t_lo, t_hi = window
         query_id = next(iter(mod.object_ids))
-        vectorized = mod.distance_functions(query_id, t_lo, t_hi, kernel="vector")
-        scalar = mod.distance_functions(query_id, t_lo, t_hi, kernel="scalar")
+        vectorized = mod.distance_functions(query_id, t_lo, t_hi)
+        scalar = _scalar_functions(mod, query_id, t_lo, t_hi)
         assert len(vectorized) == len(scalar)
         for left, right in zip(vectorized, scalar):
             assert_identical_functions(left, right)
@@ -368,14 +364,19 @@ class TestBulkDifferenceConstruction:
         # erase the batching entirely.
         query_id = next(iter(small_mod.object_ids))
         t_lo, t_hi = small_mod.common_time_span()
-        scalar = small_mod.distance_functions(query_id, t_lo, t_hi, kernel="scalar")
+        scalar = _scalar_functions(small_mod, query_id, t_lo, t_hi)
         calls = _spy_on_scalar_builder(monkeypatch)
-        vectorized = small_mod.distance_functions(
-            query_id, t_lo, t_hi, kernel="vector"
-        )
+        vectorized = small_mod.distance_functions(query_id, t_lo, t_hi)
         for left, right in zip(vectorized, scalar):
             assert_identical_functions(left, right)
         assert not calls, "bulk construction fell back to the scalar builder"
+
+
+def _scalar_functions(mod, query_id, t_lo, t_hi):
+    """The reference: one scalar build per candidate."""
+    return difference.difference_distance_functions(
+        list(mod), mod.get(query_id), t_lo, t_hi
+    )
 
 
 def _spy_on_scalar_builder(monkeypatch):
@@ -461,8 +462,8 @@ class TestRaggedDifferenceConstruction:
     def test_multi_segment_coefficients_bit_identical(self, mod, window, query):
         t_lo, t_hi = window
         query_id = f"o{query}"
-        vectorized = mod.distance_functions(query_id, t_lo, t_hi, kernel="vector")
-        scalar = mod.distance_functions(query_id, t_lo, t_hi, kernel="scalar")
+        vectorized = mod.distance_functions(query_id, t_lo, t_hi)
+        scalar = _scalar_functions(mod, query_id, t_lo, t_hi)
         assert len(vectorized) == len(scalar)
         for left, right in zip(vectorized, scalar):
             assert_identical_functions(left, right)
@@ -473,9 +474,9 @@ class TestRaggedDifferenceConstruction:
     ):
         doubled = tuple(sorted(CADENCE + (4.0, 8.0, 8.0)))
         mod = _cadence_fleet(CADENCE, CADENCE, doubled, CADENCE[::3], (0.0, 12.0))
-        scalar = mod.distance_functions("o0", *window, kernel="scalar")
+        scalar = _scalar_functions(mod, "o0", *window)
         calls = _spy_on_scalar_builder(monkeypatch)
-        vectorized = mod.distance_functions("o0", *window, kernel="vector")
+        vectorized = mod.distance_functions("o0", *window)
         for left, right in zip(vectorized, scalar):
             assert_identical_functions(left, right)
         assert max(len(function.pieces) for function in vectorized) > 1
@@ -485,9 +486,9 @@ class TestRaggedDifferenceConstruction:
         within_tolerance = tuple(t + 3e-10 if t == 5.0 else t for t in CADENCE)
         inside_margin = tuple(t - 5e-9 if t == 6.0 else t for t in CADENCE)
         mod = _cadence_fleet(CADENCE, within_tolerance, CADENCE, inside_margin)
-        scalar = mod.distance_functions("o0", 2.5, 9.25, kernel="scalar")
+        scalar = _scalar_functions(mod, "o0", 2.5, 9.25)
         before = difference.scalar_fallback_count()
-        vectorized = mod.distance_functions("o0", 2.5, 9.25, kernel="vector")
+        vectorized = mod.distance_functions("o0", 2.5, 9.25)
         assert difference.scalar_fallback_count() - before == 2
         for left, right in zip(vectorized, scalar):
             assert_identical_functions(left, right)
@@ -513,14 +514,10 @@ class TestRaggedDifferenceConstruction:
             monitor.apply()
             t_hi = mod.common_time_span()[1]
             for query_id in scenario.query_ids:
-                vectorized = mod.distance_functions(
-                    query_id, t_hi - 5.0, t_hi, kernel="vector"
-                )
+                vectorized = mod.distance_functions(query_id, t_hi - 5.0, t_hi)
                 assert not calls, "the streaming fleet left the bulk path"
                 served += len(vectorized)
-                scalar = difference.difference_distance_functions(
-                    list(mod), mod.get(query_id), t_hi - 5.0, t_hi
-                )
+                scalar = _scalar_functions(mod, query_id, t_hi - 5.0, t_hi)
                 calls.clear()
                 for left, right in zip(vectorized, scalar):
                     assert_identical_functions(left, right)
@@ -528,8 +525,8 @@ class TestRaggedDifferenceConstruction:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: planned statements under the vector kernel vs the naive
-# interpreter forced onto the scalar kernel.
+# End-to-end: planned statements on the production kernels vs the naive
+# interpreter rerouted onto the references.
 # ---------------------------------------------------------------------------
 
 
@@ -552,29 +549,54 @@ def _uq_statements(query_id, target_id, t_lo, t_hi):
     ]
 
 
+def _naive_reference_answers(texts, mod, reference_kernels):
+    """Each statement through the naive interpreter on the reference kernels."""
+    with reference_kernels():
+        return [execute_query_naive(text, mod).object_ids for text in texts]
+
+
 class TestEndToEndKernelEquivalence:
-    def test_planned_vector_answers_equal_scalar_naive_answers(
-        self, small_mod, monkeypatch
+    def test_fixture_reroutes_every_production_kernel(
+        self, small_mod, reference_kernels, monkeypatch
+    ):
+        # The oracle side of the tests below is only independent if no
+        # production kernel runs under the fixture.
+        calls = []
+
+        def forbid(module, name):
+            monkeypatch.setattr(
+                module, name, lambda *args, **kwargs: calls.append(name)
+            )
+
+        forbid(pruning, "_band_rows_vector")
+        forbid(klevel, "k_level_envelopes_bulk")
+        forbid(difference, "_build_from_columns")
+        ids = sorted(small_mod.object_ids, key=str)
+        t_lo, t_hi = small_mod.common_time_span()
+        texts = _uq_statements(ids[0], ids[1], t_lo, t_hi)
+        _naive_reference_answers(texts, small_mod, reference_kernels)
+        assert not calls
+
+    def test_planned_answers_equal_reference_naive_answers(
+        self, small_mod, reference_kernels
     ):
         ids = sorted(small_mod.object_ids, key=str)
         t_lo, t_hi = small_mod.common_time_span()
         texts = _uq_statements(ids[0], ids[1], t_lo, t_hi)
 
-        monkeypatch.setenv("REPRO_ENVELOPE_KERNEL", "vector")
         executor = QueryExecutor(small_mod)
         planned = executor.execute_many(texts)
 
-        monkeypatch.setenv("REPRO_ENVELOPE_KERNEL", "scalar")
+        oracle = _naive_reference_answers(texts, small_mod, reference_kernels)
         for position, text in enumerate(texts):
-            oracle = execute_query_naive(text, small_mod)
-            assert planned[position].object_ids == oracle.object_ids, (
-                f"vector-planned answer diverged from the scalar oracle:\n"
+            assert planned[position].object_ids == oracle[position], (
+                f"planned answer diverged from the reference oracle:\n"
                 f"{text}\nplanned={planned[position].object_ids}\n"
-                f"oracle ={oracle.object_ids}"
+                f"oracle ={oracle[position]}"
             )
 
-    def test_probability_statements_agree_across_kernels(
-        self, tiny_mod, monkeypatch
+    def test_probability_statements_agree_with_reference_kernels(
+        self, tiny_mod, reference_kernels
     ):
         t_lo, t_hi = tiny_mod.common_time_span()
         window = f"TIME IN [{t_lo}, {t_hi}]"
@@ -586,14 +608,13 @@ class TestEndToEndKernelEquivalence:
             f"SELECT T FROM MOD WHERE EXISTS {window} "
             f"AND PROBABILITY_NN(T, 'q', TIME) > 0 AND T = 'near'",
         ]
-        answers = {}
-        for kernel in ("vector", "scalar"):
-            monkeypatch.setenv("REPRO_ENVELOPE_KERNEL", kernel)
+        def planned():
             executor = QueryExecutor(tiny_mod)
-            answers[kernel] = [
-                result.object_ids for result in executor.execute_many(texts)
-            ]
-        assert answers["vector"] == answers["scalar"]
+            return [result.object_ids for result in executor.execute_many(texts)]
+
+        production = planned()
+        with reference_kernels():
+            assert planned() == production
 
 
 @pytest.mark.slow
@@ -607,8 +628,8 @@ class TestShardedKernelEquivalence:
     """
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sharded_vector_answers_equal_scalar_naive_answers(
-        self, backend, monkeypatch
+    def test_sharded_answers_equal_reference_naive_answers(
+        self, backend, reference_kernels
     ):
         from repro.parallel import ShardedEngine
         from repro.query_language import CostModel
@@ -631,7 +652,6 @@ class TestShardedKernelEquivalence:
         t_lo, t_hi = config_mod.common_time_span()
         texts = _uq_statements("s0", "s1", t_lo, t_hi)
 
-        monkeypatch.setenv("REPRO_ENVELOPE_KERNEL", "vector")
         with ShardedEngine(config_mod, num_shards=2, backend=backend) as sharded:
             executor = QueryExecutor(
                 config_mod,
@@ -640,7 +660,5 @@ class TestShardedKernelEquivalence:
             )
             planned = executor.execute_many(texts)
 
-        monkeypatch.setenv("REPRO_ENVELOPE_KERNEL", "scalar")
-        for position, text in enumerate(texts):
-            oracle = execute_query_naive(text, config_mod)
-            assert planned[position].object_ids == oracle.object_ids
+        oracle = _naive_reference_answers(texts, config_mod, reference_kernels)
+        assert [result.object_ids for result in planned] == oracle

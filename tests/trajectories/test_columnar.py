@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.trajectories.mod as mod_module
-from repro.engine.filtering import TrajectoryArrays
 from repro.index.boxes import segment_boxes
+from repro.reference.corridor import TrajectoryArrays
 from repro.trajectories.columnar import ColumnarStore, segment_boxes_bulk
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
@@ -57,7 +57,7 @@ class TestPacking:
             assert pack.radii[slot] == trajectory.radius
 
     def test_flat_matches_scalar_flattening(self, mod):
-        scalar = TrajectoryArrays(use_columnar=False).flat_scalar(mod)
+        scalar = TrajectoryArrays().flat(mod)
         columnar = mod.columnar().flat()
         assert columnar[0] == scalar[0]
         for left, right in zip(columnar[1:], scalar[1:]):
