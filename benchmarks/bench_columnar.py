@@ -8,9 +8,12 @@ implementations they replaced, per database size:
   :func:`repro.reference.corridor.conservative_corridor_radius` loop (fresh
   ``TrajectoryArrays``, i.e. the pre-columnar filtering path every engine
   construction used to pay, including its per-sample extraction);
-* ``boxes`` — :func:`repro.trajectories.columnar.segment_boxes_bulk` +
-  entry materialization vs the per-trajectory
-  :func:`repro.index.boxes.segment_boxes` loop (the index bulk-load input);
+* ``index`` — ``mod.build_index("rtree")``, the path production runs: packed
+  columns → :func:`repro.trajectories.columnar.segment_boxes_bulk` arrays →
+  array-packed :class:`repro.index.rtree.STRRTree`, with no entry objects in
+  between.  It has no slower twin left to race, so it is gated as an absolute
+  time; its entries are first checked against the per-trajectory
+  :func:`repro.index.boxes.segment_boxes` loop;
 * ``band`` — :func:`repro.core.pruning.band_intervals_batch` (batched rows
   + shared base classification) vs
   :func:`repro.reference.band.band_intervals_batch` (the original per-candidate
@@ -49,7 +52,6 @@ from repro.geometry.envelope.klevel import exclusion_cascade, k_level_envelopes
 from repro.index.boxes import segment_boxes
 from repro.reference import band as reference
 from repro.reference.corridor import TrajectoryArrays, conservative_corridor_radius
-from repro.trajectories.columnar import segment_boxes_bulk
 from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
@@ -96,28 +98,33 @@ def bench_corridor(
     }
 
 
-def bench_boxes(mod: MovingObjectsDatabase) -> Dict[str, float]:
-    pack = mod.columnar().pack()
-    x_min, y_min, x_max, y_max = pack.spatial_bounds()
-    max_extent = max(x_max - x_min, y_max - y_min) / 32.0 or None
-
-    started = time.perf_counter()
+def bench_index_build(mod: MovingObjectsDatabase) -> Dict[str, float]:
+    tree = mod.build_index("rtree")
+    x_min, y_min, x_max, y_max = mod.columnar().pack().spatial_bounds()
+    max_extent = max(x_max - x_min, y_max - y_min) / 32.0 or None  # "auto"
     scalar: List = []
     for trajectory in mod:
         scalar.extend(segment_boxes(trajectory, max_extent=max_extent))
-    scalar_seconds = time.perf_counter() - started
 
-    started = time.perf_counter()
-    bulk = segment_boxes_bulk(pack, max_extent=max_extent).entries()
-    bulk_seconds = time.perf_counter() - started
+    def as_rows(entries):
+        return sorted(
+            (str(e.object_id), e.box.x_min, e.box.y_min, e.box.t_min,
+             e.box.x_max, e.box.y_max, e.box.t_max)
+            for e in entries
+        )
 
-    if [entry.box for entry in bulk] != [entry.box for entry in scalar]:
-        raise AssertionError("bulk segment boxes diverged from the scalar loop")
+    packed = [entry for leaf in tree.leaf_entries() for entry in leaf]
+    if as_rows(packed) != as_rows(scalar):
+        raise AssertionError("packed R-tree entries diverged from the scalar loop")
+
+    seconds = []
+    for _ in range(5):
+        started = time.perf_counter()
+        mod.build_index("rtree")
+        seconds.append(time.perf_counter() - started)
     return {
-        "boxes_scalar_ms": scalar_seconds * 1000.0,
-        "boxes_bulk_ms": bulk_seconds * 1000.0,
-        "boxes_speedup": scalar_seconds / bulk_seconds,
-        "boxes_entries": float(len(bulk)),
+        "index_build_ms": float(np.median(seconds)) * 1000.0,
+        "index_entries": float(len(tree)),
     }
 
 
@@ -284,7 +291,7 @@ def run_bench(
         pack_seconds = time.perf_counter() - started
         numbers = {"pack_ms": pack_seconds * 1000.0}
         numbers.update(bench_corridor(mod, queries))
-        numbers.update(bench_boxes(mod))
+        numbers.update(bench_index_build(mod))
         numbers.update(bench_band(mod))
         numbers.update(bench_klevel(mod))
         print(
@@ -292,9 +299,8 @@ def run_bench(
             f"corridor {numbers['corridor_scalar_ms']:7.1f} -> "
             f"{numbers['corridor_bulk_ms']:6.1f} ms "
             f"({numbers['corridor_speedup']:4.2f}x) | "
-            f"boxes {numbers['boxes_scalar_ms']:7.1f} -> "
-            f"{numbers['boxes_bulk_ms']:6.1f} ms "
-            f"({numbers['boxes_speedup']:4.2f}x) | "
+            f"index build {numbers['index_build_ms']:6.1f} ms "
+            f"({numbers['index_entries']:.0f} entries) | "
             f"band {numbers['band_scalar_ms']:7.1f} -> "
             f"{numbers['band_batch_ms']:6.1f} ms "
             f"({numbers['band_speedup']:4.2f}x) | "

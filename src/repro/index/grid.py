@@ -13,6 +13,7 @@ import math
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.tolerances import TIME_TOLERANCE
 from ..trajectories.trajectory import Trajectory
 from .boxes import Box3D, IndexEntry, segment_boxes
 
@@ -85,7 +86,7 @@ class GridIndex:
             kept = []
             for entry in bucket:
                 if entry.object_id == object_id and (
-                    after is None or entry.box.t_min >= after - 1e-9
+                    after is None or entry.box.t_min >= after - TIME_TOLERANCE
                 ):
                     removed_ids.add(id(entry))
                 else:
@@ -122,7 +123,7 @@ class GridIndex:
         for entry in segment_boxes(
             trajectory, spatial_margin, max_extent=self._max_box_extent
         ):
-            if after is not None and entry.box.t_min < after - 1e-9:
+            if after is not None and entry.box.t_min < after - TIME_TOLERANCE:
                 continue
             self.insert_entry(entry)
 

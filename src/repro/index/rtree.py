@@ -1,59 +1,123 @@
-"""A static STR-packed R-tree over segment boxes in (x, y, t) space.
+"""An array-packed STR R-tree over segment boxes in (x, y, t) space.
 
 The paper's future-work section points at U-tree-style index support for
 uncertain queries; this module provides the classical substrate: a
-Sort-Tile-Recursive bulk-loaded R-tree.  It is built once over the segment
-boxes of a trajectory set (expanded by the uncertainty radius) and answers
+Sort-Tile-Recursive bulk-loaded R-tree.  It is built over the segment boxes
+of a trajectory set (expanded by the uncertainty radius) and answers
 box-intersection probes, which the query layer uses to pre-filter NN
 candidates before building distance functions.
 
 Because the external ``rtree`` package (libspatialindex bindings) is not
-available offline, the tree is implemented from scratch.  The bulk of the
-workloads build it once with the STR packing; the streaming layer additionally
-needs *incremental maintenance* — inserting the segment boxes of an updated
-trajectory and retiring an object's old boxes — so the tree also supports
-classical least-enlargement inserts with node splits and per-object removal.
-A heavily mutated tree degrades from the optimal STR packing, but stays
-correct; rebuild when the mutation volume warrants it.
+available offline, the tree is implemented from scratch — as flat NumPy
+arrays, not as one Python object per box.  The entries live in one table
+(``lo``/``hi`` corners as (3, n) coordinate rows, owner slot, live flag)
+stored in leaf order; every level above is a ``(lo, hi, first, count)``
+column group whose node ``j`` covers columns ``first[j] : first[j] +
+count[j]`` of the level below.  A bulk
+load is a few stable sorts and ``reduceat`` calls per level, and a probe
+descends level by level with the whole frontier tested against every probe
+box in one pass.
+
+The streaming layer needs *incremental maintenance*, and small change sets
+never touch the packed levels: removal clears live flags (tombstones), and
+insertion appends to an unpacked overflow block behind the packed rows that
+probes scan alongside the leaves.  When the overflow outgrows
+``1 / _OVERFLOW_SHARE`` of the packed entries the tree repacks itself from
+its live rows, so probe cost stays within a constant factor of a fresh bulk
+load.  A probe's answer depends on the live entry set alone, never on how
+the rows are currently arranged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
+import numpy as np
+
+from ..core.tolerances import TIME_TOLERANCE
+from ..trajectories.columnar import SegmentBoxArrays
 from ..trajectories.trajectory import Trajectory
 from .boxes import Box3D, IndexEntry, segment_boxes
 
+#: Overflow rows tolerated per packed row before the tree repacks itself.
+_OVERFLOW_SHARE = 8
 
-def _covering_box(items: Sequence) -> Box3D:
-    """Smallest box covering every item's ``box`` (entries or nodes)."""
-    box = items[0].box
-    for item in items[1:]:
-        box = box.union(item.box)
-    return box
+#: (box, probe) pairs one pass of ``_hits`` compares.
+_PAIR_BUDGET = 1 << 21
 
 
-@dataclass
-class _Node:
-    """An R-tree node: either a leaf holding entries or an internal node holding children."""
+def _corners(
+    boxes: SegmentBoxArrays, margin: float = 0.0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` corner arrays of shape (3, n), grown spatially by ``margin``."""
+    lo = np.stack((boxes.x_min - margin, boxes.y_min - margin, boxes.t_min))
+    hi = np.stack((boxes.x_max + margin, boxes.y_max + margin, boxes.t_max))
+    return lo, hi
 
-    box: Box3D
-    entries: List[IndexEntry] = field(default_factory=list)
-    children: List["_Node"] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs ``first[i] : first[i] + count[i]`` concatenated in order."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(first - (ends - count), count)
+
+
+def _hits(
+    lo: np.ndarray, hi: np.ndarray, probe_lo: np.ndarray, probe_hi: np.ndarray
+) -> np.ndarray:
+    """Mask of the closed boxes ``[lo, hi]`` intersecting at least one probe box.
+
+    All four arrays are (3, count): one contiguous row per coordinate keeps
+    the (3, probes, boxes) comparison a handful of long vector passes.  The
+    probes are taken ``_PAIR_BUDGET // boxes`` at a time — normally all at
+    once — so the temporaries stay a few megabytes whatever the corridor.
+    """
+    hit = np.zeros(lo.shape[1], dtype=bool)
+    step = max(1, _PAIR_BUDGET // max(1, lo.shape[1]))
+    for start in range(0, probe_lo.shape[1], step):
+        overlap = (lo[:, None, :] <= probe_hi[:, start : start + step, None]) & (
+            probe_lo[:, start : start + step, None] <= hi[:, None, :]
+        )
+        hit |= overlap.all(axis=0).any(axis=0)
+    return hit
+
+
+def _str_order(
+    lo: np.ndarray, hi: np.ndarray, capacity: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One Sort-Tile-Recursive pass over a level's boxes.
+
+    Returns the packing order — a stable sort by x-centre, sliced into
+    vertical strips that are each stably sorted by y-centre — and the start
+    of every run of at most ``capacity`` boxes (never spanning two strips)
+    that becomes one node of the level above.
+    """
+    count = lo.shape[1]
+    strips = max(1, math.ceil(math.sqrt(math.ceil(count / capacity))))
+    per_strip = math.ceil(count / strips)
+    x_centre, y_centre = (lo[:2] + hi[:2]) / 2.0
+    position = np.arange(count)
+    by_x = np.argsort(x_centre, kind="stable")
+    order = by_x[np.lexsort((y_centre[by_x], position // per_strip))]
+    return order, np.flatnonzero(position % per_strip % capacity == 0)
 
 
 class STRRTree:
-    """Sort-Tile-Recursive bulk-loaded R-tree with incremental maintenance."""
+    """Sort-Tile-Recursive bulk-loaded R-tree with incremental maintenance.
+
+    Args:
+        entries: the boxes to load — the columnar
+            :class:`~repro.trajectories.columnar.SegmentBoxArrays` of a bulk
+            build, or a sequence of :class:`IndexEntry`.
+        leaf_capacity: maximum entries per leaf and children per node.
+        max_box_extent: the segment subdivision the entries were built with;
+            reused for incremental inserts and query-side probes.
+    """
 
     def __init__(
         self,
-        entries: Sequence[IndexEntry],
+        entries: Union[Sequence[IndexEntry], SegmentBoxArrays],
         leaf_capacity: int = 16,
         max_box_extent: Optional[float] = None,
     ):
@@ -61,96 +125,94 @@ class STRRTree:
             raise ValueError("leaf capacity must be at least 2")
         self._leaf_capacity = leaf_capacity
         self._max_box_extent = max_box_extent
-        self._size = len(entries)
-        self._root: Optional[_Node] = (
-            self._bulk_load(list(entries)) if entries else None
-        )
+        self._ids: List[object] = []
+        self._slot_of: Dict[object, int] = {}
+        #: Times the tree repacked itself because its overflow outgrew its share.
+        self.repacks = 0
+        self._pack(*self._columns(entries))
 
     def __len__(self) -> int:
         return self._size
 
     @property
     def height(self) -> int:
-        """Number of levels of the tree (0 for an empty tree)."""
-        height = 0
-        node = self._root
-        while node is not None:
-            height += 1
-            node = node.children[0] if node.children else None
-        return height
+        """Number of levels of the packed tree (0 for an empty tree)."""
+        return len(self._levels)
 
     # ------------------------------------------------------------------
     # Construction.
     # ------------------------------------------------------------------
 
-    def _bulk_load(self, entries: List[IndexEntry]) -> _Node:
-        leaves = self._pack_leaves(entries)
-        levels = leaves
-        while len(levels) > 1:
-            levels = self._pack_internal(levels)
-        return levels[0]
+    def _columns(
+        self, boxes: Union[Sequence[IndexEntry], SegmentBoxArrays]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, owner)`` rows of some boxes, owners as slots of this tree."""
+        if not isinstance(boxes, SegmentBoxArrays):
+            boxes = SegmentBoxArrays.from_entries(boxes)
+        for object_id in boxes.ids:
+            if object_id not in self._slot_of:
+                self._slot_of[object_id] = len(self._ids)
+                self._ids.append(object_id)
+        slots = np.array(
+            [self._slot_of[object_id] for object_id in boxes.ids], dtype=np.int64
+        )
+        return (*_corners(boxes), slots[boxes.owner_slots])
 
-    def _pack_leaves(self, entries: List[IndexEntry]) -> List[_Node]:
-        """STR packing: sort by x-center, slice into vertical strips, sort each by y-center."""
-        capacity = self._leaf_capacity
-        count = len(entries)
-        leaf_count = math.ceil(count / capacity)
-        strip_count = max(1, math.ceil(math.sqrt(leaf_count)))
-        per_strip = math.ceil(count / strip_count)
+    def _pack(self, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> None:
+        """Bulk load: STR-sort the rows, then stack levels until one root remains.
 
-        by_x = sorted(entries, key=lambda entry: entry.box.center[0])
-        leaves: List[_Node] = []
-        for strip_start in range(0, count, per_strip):
-            strip = sorted(
-                by_x[strip_start:strip_start + per_strip],
-                key=lambda entry: entry.box.center[1],
+        Each pass sorts the current top of the stack into packing order and
+        adds the level of nodes covering its runs, so a level is stored in
+        the order its *parents* were packed in and every node's children
+        stay one contiguous range of the level below.
+        """
+        stack: List[Tuple[np.ndarray, ...]] = [(lo, hi, owner)]
+        while len(stack[-1][2]) > 1 or (len(stack) == 1 and len(owner)):
+            order, first = _str_order(stack[-1][0], stack[-1][1], self._leaf_capacity)
+            below = stack[-1] = tuple(column[..., order] for column in stack[-1])
+            stack.append(
+                (
+                    np.minimum.reduceat(below[0], first, axis=1),
+                    np.maximum.reduceat(below[1], first, axis=1),
+                    first,
+                    np.diff(first, append=len(order)),
+                )
             )
-            for leaf_start in range(0, len(strip), capacity):
-                chunk = strip[leaf_start:leaf_start + capacity]
-                box = chunk[0].box
-                for entry in chunk[1:]:
-                    box = box.union(entry.box)
-                leaves.append(_Node(box=box, entries=list(chunk)))
-        return leaves
-
-    def _pack_internal(self, nodes: List[_Node]) -> List[_Node]:
-        capacity = self._leaf_capacity
-        count = len(nodes)
-        parent_count = math.ceil(count / capacity)
-        strip_count = max(1, math.ceil(math.sqrt(parent_count)))
-        per_strip = math.ceil(count / strip_count)
-
-        by_x = sorted(nodes, key=lambda node: node.box.center[0])
-        parents: List[_Node] = []
-        for strip_start in range(0, count, per_strip):
-            strip = sorted(
-                by_x[strip_start:strip_start + per_strip],
-                key=lambda node: node.box.center[1],
-            )
-            for parent_start in range(0, len(strip), capacity):
-                chunk = strip[parent_start:parent_start + capacity]
-                box = chunk[0].box
-                for node in chunk[1:]:
-                    box = box.union(node.box)
-                parents.append(_Node(box=box, children=list(chunk)))
-        return parents
+        self._levels = stack[1:]
+        self._size = self._packed = self._count = len(owner)
+        # The spare rows behind the packed ones are the overflow block.
+        spare = len(owner) // _OVERFLOW_SHARE
+        lo, hi, owner = stack[0]
+        self._lo = np.concatenate((lo, np.empty((3, spare))), axis=1)
+        self._hi = np.concatenate((hi, np.empty((3, spare))), axis=1)
+        self._owner = np.concatenate((owner, np.empty(spare, dtype=np.int64)))
+        self._alive = np.ones(len(self._owner), dtype=bool)
 
     # ------------------------------------------------------------------
     # Incremental maintenance.
     # ------------------------------------------------------------------
 
-    def insert_entry(self, entry: IndexEntry) -> None:
-        """Insert one entry: least-enlargement descent with node splits."""
-        self._size += 1
-        if self._root is None:
-            self._root = _Node(box=entry.box, entries=[entry])
-            return
-        sibling = self._insert_into(self._root, entry)
-        if sibling is not None:
-            self._root = _Node(
-                box=self._root.box.union(sibling.box),
-                children=[self._root, sibling],
+    def _append(self, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> None:
+        """Add rows to the overflow block, repacking once it is full."""
+        end = self._count + len(owner)
+        if end > len(self._owner):
+            live = np.flatnonzero(self._alive[: self._count])
+            self._pack(
+                np.concatenate((self._lo[:, live], lo), axis=1),
+                np.concatenate((self._hi[:, live], hi), axis=1),
+                np.concatenate((self._owner[live], owner)),
             )
+            self.repacks += 1
+            return
+        self._lo[:, self._count : end] = lo
+        self._hi[:, self._count : end] = hi
+        self._owner[self._count : end] = owner
+        self._size += len(owner)
+        self._count = end
+
+    def insert_entry(self, entry: IndexEntry) -> None:
+        """Insert one entry."""
+        self._append(*self._columns([entry]))
 
     def insert_trajectory(
         self,
@@ -173,10 +235,11 @@ class STRRTree:
         )
         if after is not None:
             entries = [
-                entry for entry in entries if entry.box.t_min >= after - 1e-9
+                entry
+                for entry in entries
+                if entry.box.t_min >= after - TIME_TOLERANCE
             ]
-        for entry in entries:
-            self.insert_entry(entry)
+        self._append(*self._columns(entries))
         return len(entries)
 
     def remove_object(
@@ -191,95 +254,20 @@ class STRRTree:
                 sample times, so no box straddles the divergence), which
                 makes a streamed extension O(changed boxes), not O(history).
 
-        Emptied nodes are pruned and bounding boxes along the removal paths
-        are tightened, so later probes do not pay for the dead space.
+        Retired rows are tombstoned — one mask pass over the owner column —
+        and leave the arrays at the next repack.
         """
-        if self._root is None:
+        slot = self._slot_of.get(object_id)
+        if slot is None:
             return 0
-        removed = self._remove_from(self._root, object_id, after)
+        doomed = self._alive[: self._count] & (self._owner[: self._count] == slot)
+        if after is not None:
+            doomed &= self._lo[2, : self._count] >= after - TIME_TOLERANCE
+        removed = int(np.count_nonzero(doomed))
+        self._alive[: self._count][doomed] = False
         self._size -= removed
-        if removed:
-            if self._root.is_leaf and not self._root.entries:
-                self._root = None
-            else:
-                while len(self._root.children) == 1:
-                    self._root = self._root.children[0]
-        return removed
-
-    def _insert_into(self, node: _Node, entry: IndexEntry) -> Optional[_Node]:
-        """Recursive insert; returns the split-off sibling on overflow."""
-        node.box = node.box.union(entry.box)
-        if node.is_leaf:
-            node.entries.append(entry)
-            if len(node.entries) > self._leaf_capacity:
-                return self._split(node)
-            return None
-        child = min(
-            node.children,
-            key=lambda candidate: (
-                candidate.box.union(entry.box).volume - candidate.box.volume,
-                candidate.box.volume,
-            ),
-        )
-        sibling = self._insert_into(child, entry)
-        if sibling is not None:
-            node.children.append(sibling)
-            if len(node.children) > self._leaf_capacity:
-                return self._split(node)
-        return None
-
-    def _split(self, node: _Node) -> _Node:
-        """Split an overflowing node in half along its widest center spread.
-
-        The node keeps the lower half; the returned sibling takes the rest.
-        """
-        items: List = node.entries if node.is_leaf else node.children
-        centers = [item.box.center for item in items]
-        spreads = [
-            max(center[axis] for center in centers)
-            - min(center[axis] for center in centers)
-            for axis in range(3)
-        ]
-        axis = spreads.index(max(spreads))
-        items.sort(key=lambda item: item.box.center[axis])
-        half = len(items) // 2
-        lower, upper = items[:half], items[half:]
-        if node.is_leaf:
-            node.entries = lower
-            sibling = _Node(box=_covering_box(upper), entries=upper)
-        else:
-            node.children = lower
-            sibling = _Node(box=_covering_box(upper), children=upper)
-        node.box = _covering_box(lower)
-        return sibling
-
-    def _remove_from(
-        self, node: _Node, object_id: object, after: Optional[float]
-    ) -> int:
-        if node.is_leaf:
-            kept = [
-                entry
-                for entry in node.entries
-                if entry.object_id != object_id
-                or (after is not None and entry.box.t_min < after - 1e-9)
-            ]
-            removed = len(node.entries) - len(kept)
-            if removed:
-                node.entries = kept
-                if kept:
-                    node.box = _covering_box(kept)
-            return removed
-        removed = 0
-        for child in node.children:
-            removed += self._remove_from(child, object_id, after)
-        if removed:
-            node.children = [
-                child
-                for child in node.children
-                if child.entries or child.children
-            ]
-            if node.children:
-                node.box = _covering_box(node.children)
+        if removed and not self._size:
+            self._pack(np.empty((3, 0)), np.empty((3, 0)), np.empty(0, dtype=np.int64))
         return removed
 
     # ------------------------------------------------------------------
@@ -290,56 +278,61 @@ class STRRTree:
         """Per-leaf entry lists in left-to-right tree order.
 
         For a freshly bulk-loaded tree this is the STR packing order (x-sorted
-        strips, y-sorted within each strip), so consecutive leaves are
-        spatially adjacent tiles — the property the shard partitioner
-        (:mod:`repro.index.partition`) exploits.  Mutated trees keep a valid
-        (if less tidy) order.
+        strips, y-sorted within each strip, at every level), so consecutive
+        leaves are spatially adjacent tiles — the property the shard
+        partitioner (:mod:`repro.index.partition`) exploits.  A mutated tree
+        lists its live entries leaf by leaf, then its overflow block.
         """
-        leaves: List[List[IndexEntry]] = []
-        if self._root is None:
-            return leaves
-
-        def collect(node: _Node) -> None:
-            if node.is_leaf:
-                leaves.append(list(node.entries))
-            else:
-                for child in node.children:
-                    collect(child)
-
-        collect(self._root)
-        return leaves
+        first = np.array([self._packed])
+        count = np.array([self._count - self._packed])
+        if self._levels:
+            leaves = np.arange(1)
+            for _, _, below, fanout in reversed(self._levels[1:]):
+                leaves = _ranges(below[leaves], fanout[leaves])
+            first = np.append(self._levels[0][2][leaves], first)
+            count = np.append(self._levels[0][3][leaves], count)
+        rows = _ranges(first, count)
+        alive = self._alive[rows]
+        rows, leaf = rows[alive], np.repeat(np.arange(len(count)), count)[alive]
+        entries = [
+            IndexEntry(Box3D(*box), self._ids[slot])
+            for box, slot in zip(
+                np.concatenate((self._lo[:, rows], self._hi[:, rows])).T.tolist(),
+                self._owner[rows].tolist(),
+            )
+        ]
+        # ``leaf`` is non-decreasing: cut the flat list where it steps.
+        cuts = [0, *(np.flatnonzero(np.diff(leaf)) + 1).tolist(), len(entries)]
+        return [entries[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
     # ------------------------------------------------------------------
     # Queries.
     # ------------------------------------------------------------------
 
+    def _probe(self, probe_lo: np.ndarray, probe_hi: np.ndarray) -> Set[object]:
+        """Ids owning a live entry that intersects at least one probe box.
+
+        The frontier starts at the root and, per level, keeps the nodes some
+        probe box touches and moves to their children; the surviving leaf
+        rows and the overflow block then take the same test entry by entry.
+        """
+        rows = np.arange(1 if self._levels else 0)
+        for lo, hi, first, count in reversed(self._levels):
+            rows = rows[_hits(lo[:, rows], hi[:, rows], probe_lo, probe_hi)]
+            rows = _ranges(first[rows], count[rows])
+        rows = np.concatenate((rows, np.arange(self._packed, self._count)))
+        rows = rows[self._alive[rows]]
+        rows = rows[
+            _hits(self._lo[:, rows], self._hi[:, rows], probe_lo, probe_hi)
+        ]
+        return {self._ids[slot] for slot in np.unique(self._owner[rows]).tolist()}
+
     def query_box(self, box: Box3D) -> Set[object]:
         """Object ids whose indexed boxes intersect the probe box."""
-        found: Set[object] = set()
-        if self._root is None:
-            return found
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.box.intersects(box):
-                continue
-            if box.contains(node.box):
-                # Whole subtree lies inside the probe: collect without tests.
-                subtree = [node]
-                while subtree:
-                    inner = subtree.pop()
-                    if inner.is_leaf:
-                        found.update(entry.object_id for entry in inner.entries)
-                    else:
-                        subtree.extend(inner.children)
-                continue
-            if node.is_leaf:
-                for entry in node.entries:
-                    if entry.box.intersects(box):
-                        found.add(entry.object_id)
-            else:
-                stack.extend(node.children)
-        return found
+        return self._probe(
+            np.array([[box.x_min], [box.y_min], [box.t_min]]),
+            np.array([[box.x_max], [box.y_max], [box.t_max]]),
+        )
 
     def query_corridor(
         self,
@@ -361,9 +354,10 @@ class STRRTree:
             if self._max_box_extent is None
             else max(self._max_box_extent, distance)
         )
-        found: Set[object] = set()
-        for entry in segment_boxes(clipped, spatial_margin=0.0, max_extent=probe_extent):
-            found.update(self.query_box(entry.box.expanded(distance)))
+        probes = SegmentBoxArrays.from_entries(
+            segment_boxes(clipped, spatial_margin=0.0, max_extent=probe_extent)
+        )
+        found = self._probe(*_corners(probes, margin=distance))
         found.discard(trajectory.object_id)
         return found
 

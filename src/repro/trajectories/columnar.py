@@ -37,7 +37,7 @@ loads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -352,8 +352,28 @@ class SegmentBoxArrays:
     def __len__(self) -> int:
         return int(self.owner_slots.size)
 
+    @classmethod
+    def from_entries(cls, entries: Sequence["IndexEntry"]) -> "SegmentBoxArrays":
+        """Pack materialized entries into columns (the inverse of :meth:`entries`).
+
+        ``ids`` lists the owners in order of first appearance.
+        """
+        slot_of: Dict[object, int] = {}
+        owner_slots = np.array(
+            [slot_of.setdefault(entry.object_id, len(slot_of)) for entry in entries],
+            dtype=np.int64,
+        )
+        columns = np.array(
+            [
+                (box.x_min, box.y_min, box.t_min, box.x_max, box.y_max, box.t_max)
+                for box in (entry.box for entry in entries)
+            ],
+            dtype=float,
+        ).reshape(-1, 6)
+        return cls(tuple(slot_of), owner_slots, *columns.T)
+
     def entries(self) -> List["IndexEntry"]:
-        """Materialized :class:`IndexEntry` list for the existing indexes."""
+        """Materialized :class:`IndexEntry` list, for the object-per-entry grid."""
         # Imported here: ``repro.index`` itself imports the trajectory
         # package, so a module-level import would be circular.
         from ..index.boxes import Box3D, IndexEntry

@@ -576,11 +576,12 @@ class MovingObjectsDatabase:
             span = max(x_max - x_min, y_max - y_min)
             max_box_extent = span / 32.0 if span > 0 else None
         # One vectorized pass over the packed columns replaces the
-        # per-segment Python loop; the entry list is byte-identical.
-        entries = segment_boxes_bulk(pack, max_extent=max_box_extent).entries()
+        # per-segment Python loop; the boxes are byte-identical.  The R-tree
+        # packs the arrays as they are; only the grid wants entry objects.
+        boxes = segment_boxes_bulk(pack, max_extent=max_box_extent)
         if kind == "rtree":
             return STRRTree(
-                entries,
+                boxes,
                 leaf_capacity=leaf_capacity,
                 max_box_extent=max_box_extent,
             )
@@ -593,7 +594,7 @@ class MovingObjectsDatabase:
                 cells=cells,
                 max_box_extent=max_box_extent,
             )
-            for entry in entries:
+            for entry in boxes.entries():
                 index.insert_entry(entry)
             return index
         raise ValueError(f"unknown index kind {kind!r} (expected 'rtree' or 'grid')")

@@ -51,6 +51,21 @@ def test_corridor_kernel_compares_times_with_the_shared_tolerance():
     assert "TIME_TOLERANCE" in code
 
 
+def test_index_maintenance_compares_times_with_the_shared_tolerance():
+    # remove_object/insert_trajectory(after=) decide which boxes a divergence
+    # time retires; the R-tree, the grid and segment_boxes must agree on it.
+    for path in sorted((SRC / "index").glob("*.py")):
+        code = "\n".join(
+            line.split("#", 1)[0] for line in path.read_text().splitlines()
+        )
+        assert not _BARE_TIME_TOLERANCE.search(code), (
+            f"index/{path.name} must compare times with "
+            "repro.core.tolerances.TIME_TOLERANCE, not a bare 1e-9"
+        )
+    for name in ("rtree.py", "grid.py"):
+        assert "TIME_TOLERANCE" in (SRC / "index" / name).read_text()
+
+
 def test_the_coverage_slack_is_defined_once():
     offenders = [
         str(path.relative_to(SRC))

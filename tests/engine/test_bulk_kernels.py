@@ -213,3 +213,123 @@ class TestEngineUsesBulkKernels:
             expected = none_engine.answer(query_id, lo, hi)
             assert rtree_engine.answer(query_id, lo, hi) == expected
             assert grid_engine.answer(query_id, lo, hi) == expected
+
+
+def rewrite(mod, object_ids):
+    """Replace some stored trajectories by shifted copies (a full change each)."""
+    for object_id in object_ids:
+        old = mod.get(object_id)
+        mod.replace_trajectory(
+            type(old)(
+                object_id,
+                [(s.x + 0.5, s.y, s.t) for s in old.samples],
+                old.radius,
+                old.pdf,
+            )
+        )
+
+
+class TestRTreePathNeverMaterializesEntries:
+    """The R-tree is loaded from the box arrays; ``.entries()`` is grid-only.
+
+    Turning ~47k columnar rows back into ``IndexEntry`` objects used to cost
+    more than packing them; a path that quietly went back to it would erase
+    the array-packed tree's build time.
+    """
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        from repro.trajectories.columnar import SegmentBoxArrays
+
+        calls = []
+        original = SegmentBoxArrays.entries
+        monkeypatch.setattr(
+            SegmentBoxArrays,
+            "entries",
+            lambda self: calls.append(len(self)) or original(self),
+        )
+        return calls
+
+    def test_build_index(self, spy):
+        mod, _ = multi_query_fleet(num_vehicles=40, num_queries=6)
+        assert len(mod.build_index("rtree")) > 0
+        assert not spy
+        mod.build_index("grid")
+        assert spy, "the spy must see the grid's materialization"
+
+    def test_engine_refresh_patch_and_bulk(self, spy):
+        mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
+        lo, hi = mod.common_time_span()
+        engine = QueryEngine(mod, index="rtree")
+        ids = list(mod.object_ids)
+        for changed in (ids[:1], ids[:36]):  # patched in place, bulk-reloaded
+            rewrite(mod, changed)
+            fresh = QueryEngine(mod, index=None)
+            for query_id in query_ids[:2]:
+                assert engine.answer(query_id, lo, hi) == fresh.answer(query_id, lo, hi)
+        assert not spy
+
+    def test_sharded_engine_warm_up(self, spy):
+        from repro.parallel import ShardedEngine
+
+        mod, query_ids = sharded_fleet(num_districts=3, vehicles_per_district=6)
+        lo, hi = mod.common_time_span()
+        with ShardedEngine(mod, 3, backend="thread") as engine:
+            engine.warm_up()
+            engine.answer_batch(query_ids, lo, hi)
+        assert not spy
+
+
+class TestRefreshObservability:
+    """``engine.refresh`` says what it did to the index, and how long loads take."""
+
+    @staticmethod
+    def refresh_span(engine, query_id, window):
+        from repro.obs.tracing import capture
+
+        with capture() as recorder:
+            engine.prepare(query_id, *window)
+        (span,) = [s for s in recorder.spans() if s.name == "engine.refresh"]
+        return span
+
+    def test_span_names_the_index_action(self):
+        mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
+        window = mod.common_time_span()
+        engine = QueryEngine(mod, index="rtree")
+        ids = list(mod.object_ids)
+
+        rewrite(mod, ids[:1])
+        span = self.refresh_span(engine, query_ids[0], window)
+        assert span.attrs["index"] == "patch"
+        assert span.attrs["entries"] == len(engine.index)
+
+        rewrite(mod, ids[:30])  # more boxes than the overflow block holds
+        assert self.refresh_span(engine, query_ids[0], window).attrs["index"] == "repack"
+
+        rewrite(mod, ids[:36])
+        span = self.refresh_span(engine, query_ids[0], window)
+        assert span.attrs["index"] == "bulk"
+        assert span.attrs["entries"] == len(engine.index) == len(mod.build_index("rtree"))
+
+        unindexed = QueryEngine(mod, index=None)
+        rewrite(mod, ids[:1])
+        span = self.refresh_span(unindexed, query_ids[0], window)
+        assert (span.attrs["index"], span.attrs["entries"]) == ("none", 0)
+
+    @pytest.mark.parametrize("index", ["rtree", "grid"])
+    def test_index_build_histogram_counts_bulk_loads(self, index):
+        mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
+        window = mod.common_time_span()
+        engine = QueryEngine(mod, index=index)
+
+        def builds():
+            return engine.registry.snapshot()["repro_engine_index_build_seconds"]["count"]
+
+        assert builds() == 1  # the constructor's load
+        ids = list(mod.object_ids)
+        rewrite(mod, ids[:1])
+        engine.prepare(query_ids[0], *window)
+        assert builds() == 1  # a patch is not a load
+        rewrite(mod, ids[:36])
+        engine.prepare(query_ids[0], *window)
+        assert builds() == 2

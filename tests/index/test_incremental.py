@@ -48,7 +48,9 @@ class TestRTreeInsert:
         ):
             assert expected == actual
 
-    def test_insert_splits_overflowing_leaves(self):
+    def test_one_by_one_inserts_repack_into_a_multi_level_tree(self):
+        # Entries land in the overflow block; each time it outgrows its share
+        # the tree repacks, so single inserts still end up under packed levels.
         tree = STRRTree([], leaf_capacity=2)
         for index in range(20):
             tree.insert_entry(
@@ -57,6 +59,7 @@ class TestRTreeInsert:
                 )
             )
         assert len(tree) == 20
+        assert tree.repacks > 0
         assert tree.height >= 3
         assert tree.query_box(Box3D(0, 0, 0, 30, 30, 1)) == set(range(20))
 

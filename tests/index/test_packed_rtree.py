@@ -1,0 +1,349 @@
+"""The array-packed STR R-tree against brute force, bulk loads and a scalar oracle.
+
+Three contracts pin :class:`repro.index.rtree.STRRTree`:
+
+* a probe's answer is a function of the live entry set alone, so
+  ``query_box``/``query_corridor`` equal a brute-force scan of the entry
+  arrays the tree was loaded from;
+* any sequence of ``remove_object``/``insert_trajectory`` — through
+  tombstones, the overflow block and repacks — leaves a tree that holds the
+  entries, and gives the answers, of a tree bulk-loaded from the final
+  store;
+* ``leaf_entries()`` lists a bulk-loaded tree in the order of the
+  object-per-box STR tree it replaced, restated here as a scalar oracle
+  (``oracle_leaves``) the way ``tests/trajectories/linear_scan.py`` keeps
+  the linear leg lookup.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, strategies as st
+
+from repro.index.boxes import Box3D, IndexEntry, segment_boxes
+from repro.index.partition import partition_from_rtree
+from repro.index.rtree import _OVERFLOW_SHARE, STRRTree
+from repro.trajectories.columnar import SegmentBoxArrays, segment_boxes_bulk
+from repro.trajectories.trajectory import UncertainTrajectory
+from repro.workloads.scenarios import multi_query_fleet
+
+from ..property.test_envelope_differential import (
+    coordinate,
+    fleets,
+    multi_segment_fleets,
+)
+
+any_fleet = st.one_of(fleets(), multi_segment_fleets())
+capacities = st.sampled_from([2, 3, 16])
+extents = st.sampled_from([None, 4.0, 11.0])
+times = st.floats(min_value=-6.0, max_value=16.0, allow_nan=False)
+distances = st.sampled_from([0.0, 0.5, 3.0, 12.0, 80.0])
+
+
+@st.composite
+def probe_boxes(draw):
+    x = sorted((draw(coordinate), draw(coordinate)))
+    y = sorted((draw(coordinate), draw(coordinate)))
+    t = sorted((draw(times), draw(times)))
+    return Box3D(x[0], y[0], t[0], x[1], y[1], t[1])
+
+
+# ---------------------------------------------------------------------------
+# Oracles.
+# ---------------------------------------------------------------------------
+
+
+def scan(boxes: SegmentBoxArrays, probes) -> set:
+    """Brute force: owners of the rows intersecting any of the probe boxes."""
+    found = set()
+    for probe in probes:
+        hit = (
+            (boxes.x_min <= probe.x_max)
+            & (probe.x_min <= boxes.x_max)
+            & (boxes.y_min <= probe.y_max)
+            & (probe.y_min <= boxes.y_max)
+            & (boxes.t_min <= probe.t_max)
+            & (probe.t_min <= boxes.t_max)
+        )
+        found.update(boxes.ids[slot] for slot in boxes.owner_slots[hit].tolist())
+    return found
+
+
+def corridor_probes(trajectory, distance, t_lo, t_hi, max_box_extent):
+    """The probe boxes ``query_corridor`` is documented to use."""
+    clipped = trajectory.clipped(
+        max(t_lo, trajectory.start_time), min(t_hi, trajectory.end_time)
+    )
+    extent = None if max_box_extent is None else max(max_box_extent, distance)
+    return [
+        entry.box.expanded(distance)
+        for entry in segment_boxes(clipped, spatial_margin=0.0, max_extent=extent)
+    ]
+
+
+def oracle_leaves(entries, capacity):
+    """Scalar STR: the leaves, left to right, of the object-per-box tree."""
+
+    def pack(items):  # items: (box, payload) pairs -> nodes: (box, items)
+        strips = max(1, math.ceil(math.sqrt(math.ceil(len(items) / capacity))))
+        per_strip = math.ceil(len(items) / strips)
+        by_x = sorted(items, key=lambda item: item[0].center[0])
+        nodes = []
+        for start in range(0, len(items), per_strip):
+            strip = sorted(by_x[start:start + per_strip], key=lambda item: item[0].center[1])
+            for cut in range(0, len(strip), capacity):
+                chunk = strip[cut:cut + capacity]
+                box = chunk[0][0]
+                for other, _ in chunk[1:]:
+                    box = box.union(other)
+                nodes.append((box, chunk))
+        return nodes
+
+    levels = [pack([(entry.box, entry) for entry in entries])]
+    while len(levels[-1]) > 1:
+        levels.append(pack(levels[-1]))
+    nodes = levels[-1]
+    for _ in levels[1:]:
+        nodes = [child for _, children in nodes for child in children]
+    return [[entry for _, entry in chunk] for _, chunk in nodes], len(levels)
+
+
+def live_entries(tree):
+    """The tree's live entries as a sorted multiset of plain tuples."""
+    return sorted(
+        (
+            (str(entry.object_id), entry.box.x_min, entry.box.y_min, entry.box.t_min,
+             entry.box.x_max, entry.box.y_max, entry.box.t_max)
+            for leaf in tree.leaf_entries()
+            for entry in leaf
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# Probes equal a brute-force scan of the entry arrays.
+# ---------------------------------------------------------------------------
+
+
+class TestProbesEqualBruteForce:
+    @given(mod=any_fleet, capacity=capacities, extent=extents,
+           probes=st.lists(probe_boxes(), min_size=1, max_size=6))
+    def test_query_box(self, mod, capacity, extent, probes):
+        tree = mod.build_index("rtree", leaf_capacity=capacity, max_box_extent=extent)
+        boxes = segment_boxes_bulk(mod.columnar().pack(), max_extent=extent)
+        assert len(tree) == len(boxes)
+        for probe in probes:
+            assert tree.query_box(probe) == scan(boxes, [probe])
+
+    @given(mod=any_fleet, capacity=capacities, extent=extents, distance=distances,
+           window=st.tuples(times, times), query=st.integers(min_value=0, max_value=2))
+    def test_query_corridor(self, mod, capacity, extent, distance, window, query):
+        trajectory = mod.get(f"o{query}")
+        t_lo = max(min(window), trajectory.start_time)
+        t_hi = min(max(window), trajectory.end_time)
+        assume(t_hi - t_lo > 1e-3)  # ``clipped`` rejects an empty window
+        tree = mod.build_index("rtree", leaf_capacity=capacity, max_box_extent=extent)
+        boxes = segment_boxes_bulk(mod.columnar().pack(), max_extent=extent)
+        expected = scan(boxes, corridor_probes(trajectory, distance, t_lo, t_hi, extent))
+        expected.discard(trajectory.object_id)
+        assert tree.query_corridor(trajectory, distance, t_lo, t_hi) == expected
+
+    def test_arrays_and_entry_objects_load_the_same_tree(self):
+        mod, _ = multi_query_fleet(num_vehicles=30, num_queries=2)
+        boxes = segment_boxes_bulk(mod.columnar().pack(), max_extent=9.0)
+        from_arrays = STRRTree(boxes, leaf_capacity=4, max_box_extent=9.0)
+        from_objects = STRRTree(boxes.entries(), leaf_capacity=4, max_box_extent=9.0)
+        assert from_arrays.leaf_entries() == from_objects.leaf_entries()
+        assert from_arrays.height == from_objects.height
+
+
+# ---------------------------------------------------------------------------
+# Leaf order: the scalar STR oracle, hence unchanged shard plans.
+# ---------------------------------------------------------------------------
+
+
+class TestLeafOrder:
+    @given(mod=any_fleet, capacity=capacities, extent=extents)
+    def test_leaf_entries_equal_the_scalar_str_oracle(self, mod, capacity, extent):
+        tree = mod.build_index("rtree", leaf_capacity=capacity, max_box_extent=extent)
+        entries = segment_boxes_bulk(mod.columnar().pack(), max_extent=extent).entries()
+        leaves, height = oracle_leaves(entries, capacity)
+        assert tree.leaf_entries() == leaves
+        assert tree.height == height
+
+    def test_city_fleet_matches_the_oracle_and_its_shard_plan(self):
+        mod, _ = multi_query_fleet(num_vehicles=120, num_queries=4)
+        tree = mod.build_index("rtree")
+        x_min, y_min, x_max, y_max = mod.columnar().pack().spatial_bounds()
+        extent = max(x_max - x_min, y_max - y_min) / 32.0  # build_index's "auto"
+        entries = segment_boxes_bulk(mod.columnar().pack(), max_extent=extent).entries()
+        leaves, height = oracle_leaves(entries, 16)
+        assert tree.leaf_entries() == leaves
+        assert tree.height == height >= 3
+        ordered = list(dict.fromkeys(e.object_id for leaf in leaves for e in leaf))
+        groups = partition_from_rtree(tree, 4)
+        assert [oid for group in groups for oid in group] == ordered
+
+    def test_ties_keep_insertion_order(self):
+        # Identical centres everywhere: only sort stability decides the order.
+        entries = [IndexEntry(Box3D(0, 0, i, 2, 2, i + 1), i) for i in range(23)]
+        tree = STRRTree(entries, leaf_capacity=3)
+        assert tree.leaf_entries() == oracle_leaves(entries, 3)[0]
+
+
+# ---------------------------------------------------------------------------
+# Mutation sequences equal a bulk load of the final store.
+# ---------------------------------------------------------------------------
+
+
+def moved(trajectory, shift):
+    """The same object on a shifted path (a full replacement)."""
+    return UncertainTrajectory(
+        trajectory.object_id,
+        [(s.x + shift, s.y - shift, s.t) for s in trajectory.samples],
+        trajectory.radius,
+        trajectory.pdf,
+    )
+
+
+def extended(trajectory, minutes):
+    """The same object with one more report (diverges at its old end time)."""
+    last = trajectory.samples[-1]
+    return UncertainTrajectory(
+        trajectory.object_id,
+        [(s.x, s.y, s.t) for s in trajectory.samples]
+        + [(last.x + 1.5, last.y - 0.5, last.t + minutes)],
+        trajectory.radius,
+        trajectory.pdf,
+    )
+
+
+def assert_equals_bulk_load(tree, store, capacity, extent):
+    bulk = STRRTree.from_trajectories(
+        store.values(), leaf_capacity=capacity, max_box_extent=extent
+    )
+    assert len(tree) == len(bulk)
+    assert live_entries(tree) == live_entries(bulk)
+    whole = Box3D(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9)
+    assert tree.query_box(whole) == bulk.query_box(whole) == set(store)
+    for trajectory in store.values():
+        for distance in (0.0, 2.0, 15.0):
+            args = (trajectory, distance, trajectory.start_time, trajectory.end_time)
+            assert tree.query_corridor(*args) == bulk.query_corridor(*args)
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["remove", "replace", "extend", "extend_whole", "reinsert"]),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([0.75, 2.0, 6.5]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestMutationsEqualBulkLoad:
+    @given(mod=any_fleet, capacity=capacities, extent=extents, ops=operations)
+    def test_any_patch_sequence(self, mod, capacity, extent, ops):
+        tree = mod.build_index("rtree", leaf_capacity=capacity, max_box_extent=extent)
+        originals = {trajectory.object_id: trajectory for trajectory in mod}
+        store = dict(originals)
+        ids = list(originals)
+        for kind, pick, amount in ops:
+            object_id = ids[pick % len(ids)]
+            current = store.get(object_id)
+            if kind == "remove" or current is None:
+                removed = tree.remove_object(object_id)
+                assert (removed > 0) == (current is not None)
+                store.pop(object_id, None)
+                if kind == "reinsert":
+                    store[object_id] = originals[object_id]
+                    tree.insert_trajectory(originals[object_id])
+            elif kind == "extend":
+                # Divergence-bounded patch: history boxes stay where they are.
+                store[object_id] = extended(current, amount)
+                assert tree.remove_object(object_id, after=current.end_time) == 0
+                assert tree.insert_trajectory(store[object_id], after=current.end_time) >= 1
+            else:
+                store[object_id] = (
+                    extended(current, amount) if kind == "extend_whole"
+                    else moved(current, amount)
+                )
+                tree.remove_object(object_id)
+                tree.insert_trajectory(store[object_id])
+        assert_equals_bulk_load(tree, store, capacity, extent)
+
+    def test_small_patch_stays_in_the_overflow_block(self):
+        mod, _ = multi_query_fleet(num_vehicles=60, num_queries=2)
+        tree = mod.build_index("rtree", max_box_extent=9.0)
+        store = {trajectory.object_id: trajectory for trajectory in mod}
+        target = next(iter(store.values()))
+        store[target.object_id] = moved(target, 3.0)
+        retired = tree.remove_object(target.object_id)
+        assert retired == len(segment_boxes(target, max_extent=9.0))
+        assert tree.insert_trajectory(store[target.object_id]) <= len(tree) // _OVERFLOW_SHARE
+        assert tree.repacks == 0, "a one-object patch must not repack"
+        assert_equals_bulk_load(tree, store, 16, 9.0)
+
+    def test_overflow_beyond_its_share_repacks(self):
+        mod, _ = multi_query_fleet(num_vehicles=60, num_queries=2)
+        tree = mod.build_index("rtree", max_box_extent=9.0)
+        store = {trajectory.object_id: trajectory for trajectory in mod}
+        height = tree.height
+        for round_, trajectory in enumerate(list(store.values()) * 2):
+            store[trajectory.object_id] = moved(store[trajectory.object_id], 1.0 + round_)
+            tree.remove_object(trajectory.object_id)
+            tree.insert_trajectory(store[trajectory.object_id])
+        assert tree.repacks >= 2
+        assert tree.height == height, "a repack restores the bulk-load shape"
+        assert_equals_bulk_load(tree, store, 16, 9.0)
+
+    def test_after_uses_the_shared_time_tolerance(self):
+        # A box starting within TIME_TOLERANCE before ``after`` still counts
+        # as "at or after" it, on both the retire and the insert side.
+        trajectory = UncertainTrajectory("a", [(0, 0, 0.0), (1, 1, 5.0), (2, 2, 9.0)], 0.2)
+        tree = STRRTree.from_trajectories([trajectory])
+        assert tree.remove_object("a", after=5.0 + 5e-10) == 1
+        assert tree.insert_trajectory(trajectory, after=5.0 + 5e-10) == 1
+        assert tree.remove_object("a", after=5.0 + 5e-9) == 0
+        assert len(tree) == 2
+
+    def test_new_ids_and_emptying(self):
+        tree = STRRTree([], leaf_capacity=4)
+        assert tree.height == 0 and tree.leaf_entries() == []
+        a = UncertainTrajectory("a", [(0, 0, 0.0), (4, 0, 4.0), (4, 4, 8.0)], 0.5)
+        b = UncertainTrajectory("b", [(9, 9, 0.0), (5, 9, 8.0)], 0.5)
+        assert tree.insert_trajectory(a) == 2 and tree.insert_trajectory(b) == 1
+        assert tree.query_corridor(a, 20.0, 0.0, 8.0) == {"b"}
+        assert tree.remove_object("a") == 2 and tree.remove_object("a") == 0
+        assert tree.remove_object("b") == 1
+        assert len(tree) == 0 and tree.height == 0
+        assert tree.query_box(Box3D(-50, -50, -50, 50, 50, 50)) == set()
+        tree.insert_entry(IndexEntry(Box3D(0, 0, 0, 1, 1, 1), "c"))
+        assert tree.query_box(Box3D(0.5, 0.5, 0.5, 2, 2, 2)) == {"c"}
+
+
+def test_probe_arrays_are_not_aliased_to_the_callers():
+    # Loading from arrays must copy: the tree outlives the pack's box arrays.
+    mod, _ = multi_query_fleet(num_vehicles=12, num_queries=2)
+    boxes = segment_boxes_bulk(mod.columnar().pack())
+    tree = STRRTree(boxes)
+    before = live_entries(tree)
+    boxes.x_min[:] = np.inf
+    assert live_entries(tree) == before
+
+
+def test_taking_the_probes_in_several_passes_changes_no_answer(monkeypatch):
+    from repro.index import rtree
+
+    mod, query_ids = multi_query_fleet(num_vehicles=60, num_queries=4)
+    tree = mod.build_index("rtree")
+    lo, hi = mod.common_time_span()
+    queries = [(mod.get(query_id), 6.0, lo, hi) for query_id in query_ids]
+    expected = [tree.query_corridor(*query) for query in queries]
+    assert any(expected)
+    monkeypatch.setattr(rtree, "_PAIR_BUDGET", 5)  # one probe box a pass
+    assert [tree.query_corridor(*query) for query in queries] == expected

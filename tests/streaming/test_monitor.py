@@ -99,6 +99,36 @@ class TestCorrectnessOracle:
         replayed = replay_deltas(events, initial=initial)
         assert_matches_oracle(monitor, replayed)
 
+    def test_full_fleet_batch_then_one_vehicle_batch(self):
+        # More than 32 changed objects bulk-reload the engine's index; the
+        # next batch changes one vehicle and is patched onto that reloaded
+        # tree (tombstones + overflow rows).  Both refreshes must leave the
+        # standing answers equal to a from-scratch evaluation.
+        world = streaming_fleet(
+            num_vehicles=40, num_queries=3, horizon_minutes=20.0, num_batches=3, seed=5
+        )
+        monitor = build_monitor(world, sliding=10.0)
+        events = []
+        monitor.subscribe(events.append)
+        initial = {
+            standing.key: monitor.answers(standing.key)
+            for standing in monitor.standing_queries
+        }
+        entries = len(monitor.engine.index)
+        for object_id, reports in world.batches[0].items():
+            monitor.ingest(object_id, reports)
+        assert len(monitor.apply().changed_ids) == 40
+        assert monitor.engine.index.repacks == 0  # a fresh bulk load
+        assert len(monitor.engine.index) > entries
+        assert_matches_oracle(monitor, replay_deltas(events, initial=initial))
+        tree = monitor.engine.index
+        for reporter in (world.query_ids[0], world.mod.object_ids[-1]):
+            entries = len(tree)
+            monitor.ingest(reporter, world.batches[1][reporter])
+            assert monitor.apply().changed_ids == (reporter,)
+            assert monitor.engine.index is tree and len(tree) > entries  # patched
+            assert_matches_oracle(monitor, replay_deltas(events, initial=initial))
+
     def test_registration_events_replay_from_empty(self, world):
         monitor = ContinuousMonitor(world.mod)
         events = []
