@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ipacnn import build_ipac_tree
-from repro.geometry.envelope.divide_conquer import lower_envelope
+from repro.geometry.envelope.divide_conquer import le_alg
 from repro.geometry.envelope.klevel import k_level_envelopes
 
 from .conftest import build_functions
@@ -21,9 +21,7 @@ from .conftest import build_functions
 def test_ablation_envelope_vs_segments_per_trajectory(benchmark, segments):
     """Envelope construction for 100 objects with 1-8 segments each."""
     functions, query = build_functions(100, segments=segments)
-    envelope = benchmark(
-        lower_envelope, functions, query.start_time, query.end_time
-    )
+    envelope = benchmark(le_alg, functions, query.start_time, query.end_time)
     assert envelope.is_contiguous
     benchmark.extra_info["segments_per_trajectory"] = segments
     benchmark.extra_info["envelope_pieces"] = len(envelope)

@@ -18,9 +18,15 @@ implementations they replaced, per database size:
   + shared base classification) vs
   :func:`repro.reference.band.band_intervals_batch` (the original per-candidate
   row builder) over a prepared context's candidates;
+* ``lower_envelope`` —
+  :func:`repro.geometry.envelope.divide_conquer.lower_envelope` (the kinetic
+  front at one level) vs the scalar ``le_alg`` recursion it reproduces, over
+  the candidates one corridor probe leaves;
 * ``klevel`` — :func:`repro.geometry.envelope.klevel.k_level_envelopes`
-  (the kinetic arrangement sweep) vs the
-  :func:`~repro.geometry.envelope.klevel.exclusion_cascade` it falls back to.
+  (the same front at three levels) vs the
+  :func:`~repro.geometry.envelope.klevel.exclusion_cascade` it runs on dirty
+  slabs.  The input is checked to be served without one, so the gate can
+  never time the cascade against itself.
 
 Every comparison asserts result equality (bit-identical pieces and
 intervals) before reporting, so a speedup can never come from a divergent
@@ -47,7 +53,8 @@ import numpy as np
 from repro.core.pruning import band_intervals, band_intervals_batch
 from repro.engine import QueryEngine
 from repro.engine.filtering import corridor_probe_bulk
-from repro.geometry.envelope.divide_conquer import lower_envelope
+from repro.geometry.envelope.bulk import front_report, front_tally
+from repro.geometry.envelope.divide_conquer import le_alg, lower_envelope
 from repro.geometry.envelope.klevel import exclusion_cascade, k_level_envelopes
 from repro.index.boxes import segment_boxes
 from repro.reference import band as reference
@@ -161,20 +168,46 @@ def bench_band(mod: MovingObjectsDatabase) -> Dict[str, float]:
     }
 
 
+def _identical_pieces(left, right) -> bool:
+    return [(p.object_id, p.t_start, p.t_end) for p in left.pieces] == [
+        (p.object_id, p.t_start, p.t_end) for p in right.pieces
+    ]
+
+
 def _identical_levels(vectorized, scalar) -> bool:
-    if len(vectorized) != len(scalar):
-        return False
-    for left, right in zip(vectorized.levels, scalar.levels):
-        if len(left.pieces) != len(right.pieces):
-            return False
-        for one, two in zip(left.pieces, right.pieces):
-            if (
-                one.object_id != two.object_id
-                or one.t_start != two.t_start
-                or one.t_end != two.t_end
-            ):
-                return False
-    return True
+    return len(vectorized) == len(scalar) and all(
+        _identical_pieces(left, right)
+        for left, right in zip(vectorized.levels, scalar.levels)
+    )
+
+
+def bench_lower_envelope(mod: MovingObjectsDatabase) -> Dict[str, float]:
+    lo, hi = mod.common_time_span()
+    query_id = mod.object_ids[0]
+    # The candidates one corridor probe leaves: what every cold prepare
+    # hands the envelope builder.
+    functions = list(QueryEngine(mod).prepare(query_id, lo, hi).context.functions.values())
+    if not _identical_pieces(lower_envelope(functions, lo, hi), le_alg(functions, lo, hi)):
+        raise AssertionError("kinetic front diverged from the scalar LE_Alg")
+
+    # Both sides take tens of milliseconds: the best of three keeps one
+    # scheduler hiccup from deciding a gate with zero tolerance.
+    def best_of_three(build) -> float:
+        seconds = []
+        for _ in range(3):
+            started = time.perf_counter()
+            build(functions, lo, hi)
+            seconds.append(time.perf_counter() - started)
+        return min(seconds)
+
+    scalar_seconds = best_of_three(le_alg)
+    vector_seconds = best_of_three(lower_envelope)
+    return {
+        "lower_envelope_scalar_ms": scalar_seconds * 1000.0,
+        "lower_envelope_vector_ms": vector_seconds * 1000.0,
+        "lower_envelope_speedup": scalar_seconds / vector_seconds,
+        "lower_envelope_functions": float(len(functions)),
+    }
 
 
 def bench_klevel(mod: MovingObjectsDatabase, max_levels: int = 3) -> Dict[str, float]:
@@ -190,12 +223,17 @@ def bench_klevel(mod: MovingObjectsDatabase, max_levels: int = 3) -> Dict[str, f
     scalar = exclusion_cascade(functions, lo, hi, max_levels=max_levels)
     scalar_seconds = time.perf_counter() - started
 
+    before = front_tally()
     started = time.perf_counter()
     vectorized = k_level_envelopes(functions, lo, hi, max_levels=max_levels)
     vector_seconds = time.perf_counter() - started
 
     if not _identical_levels(vectorized, scalar):
-        raise AssertionError("kinetic k-level sweep diverged from the scalar cascade")
+        raise AssertionError("kinetic front diverged from the scalar cascade")
+    if front_report(before)["dirty_slabs"]:
+        # A slab (or the whole window) went to the cascade: the race would
+        # be, in part, the cascade against itself.
+        raise AssertionError("the k-level gate's input needed a scalar slab")
     return {
         "klevel_scalar_ms": scalar_seconds * 1000.0,
         "klevel_vector_ms": vector_seconds * 1000.0,
@@ -211,7 +249,7 @@ def reference_answers(
     functions = difference_distance_functions(list(mod), mod.get(query_id), lo, hi)
     intervals = reference.band_intervals_batch(
         functions,
-        lower_envelope(functions, lo, hi),
+        le_alg(functions, lo, hi),
         mod.default_band_width(query_id),
         lo,
         hi,
@@ -293,6 +331,7 @@ def run_bench(
         numbers.update(bench_corridor(mod, queries))
         numbers.update(bench_index_build(mod))
         numbers.update(bench_band(mod))
+        numbers.update(bench_lower_envelope(mod))
         numbers.update(bench_klevel(mod))
         print(
             f"N={num_objects}: pack {numbers['pack_ms']:6.1f} ms | "
@@ -304,6 +343,9 @@ def run_bench(
             f"band {numbers['band_scalar_ms']:7.1f} -> "
             f"{numbers['band_batch_ms']:6.1f} ms "
             f"({numbers['band_speedup']:4.2f}x) | "
+            f"envelope {numbers['lower_envelope_scalar_ms']:7.1f} -> "
+            f"{numbers['lower_envelope_vector_ms']:6.1f} ms "
+            f"({numbers['lower_envelope_speedup']:4.2f}x) | "
             f"klevel {numbers['klevel_scalar_ms']:7.1f} -> "
             f"{numbers['klevel_vector_ms']:6.1f} ms "
             f"({numbers['klevel_speedup']:4.2f}x)"

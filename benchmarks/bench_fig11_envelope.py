@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.geometry.envelope.divide_conquer import lower_envelope
+from repro.geometry.envelope.divide_conquer import le_alg
 from repro.reference.naive import naive_lower_envelope
 
 from .conftest import build_functions
@@ -22,9 +22,7 @@ from .conftest import build_functions
 def test_fig11_divide_and_conquer_construction(benchmark, num_objects):
     """Algorithm 1 (divide-and-conquer merge of envelopes)."""
     functions, query = build_functions(num_objects)
-    envelope = benchmark(
-        lower_envelope, functions, query.start_time, query.end_time
-    )
+    envelope = benchmark(le_alg, functions, query.start_time, query.end_time)
     assert envelope.is_contiguous
     benchmark.extra_info["num_objects"] = num_objects
     benchmark.extra_info["envelope_pieces"] = len(envelope)

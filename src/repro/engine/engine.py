@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.queries import QueryContext
+from ..geometry.envelope.bulk import front_report, front_tally
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NOOP_SPAN as _NO_SPAN, trace_span
 from ..trajectories.difference import scalar_fallback_count
@@ -190,6 +192,15 @@ class QueryEngine:
             "repro_engine_difference_fallback_candidates_total",
             "Candidates whose difference function took the scalar fallback",
         )
+        self._m_slabs = {
+            kind: self.registry.counter(
+                "repro_geometry_envelope_slabs_total",
+                "Slabs of envelope windows served by the kinetic front (clean) "
+                "or handed to the scalar algorithm (dirty)",
+                kind=kind,
+            )
+            for kind in ("clean", "dirty")
+        }
         self._m_refreshes = self.registry.counter(
             "repro_engine_refresh_total", "Derived-state refreshes after MOD changes"
         )
@@ -698,9 +709,41 @@ class QueryEngine:
             cache_info=self._cache.info(),
         )
 
+    def rank_answer(
+        self, context: QueryContext, rank: int, variant: str, fraction: float = 0.0
+    ) -> List[object]:
+        """The UQ41/42/43 member ids of a prepared context.
+
+        The first rank statement on a context builds its level envelopes:
+        kernel work like the envelope itself, so it is reported the same way.
+        """
+        with self._kernel_span(query=context.query_id, rank=rank):
+            if variant == "sometime":
+                return context.uq41_all_rank_sometime(rank)
+            if variant == "always":
+                return context.uq42_all_rank_always(rank)
+            return context.uq43_all_rank_at_least(rank, fraction)
+
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
+
+    @contextmanager
+    def _kernel_span(self, traced: bool = True, **attributes) -> Iterator:
+        """An ``engine.kernel`` span that says what the kinetic front did
+        inside it: ``events=``, ``dirty_slabs=`` and ``dirty_time_share=``
+        (the share of window time the scalar algorithm recomputed) on the
+        span, the slabs in ``repro_geometry_envelope_slabs_total{kind=}``.
+        """
+        before = front_tally()
+        with trace_span("engine.kernel", **attributes) if traced else _NO_SPAN as span:
+            yield span
+            front = front_report(before)
+            for name in ("events", "dirty_slabs", "dirty_time_share"):
+                span.set(name, front[name])
+        for kind, counter in self._m_slabs.items():
+            if front[f"{kind}_slabs"]:
+                counter.inc(front[f"{kind}_slabs"])
 
     def _prepare_uncached(
         self,
@@ -728,11 +771,11 @@ class QueryEngine:
             corridor = None
         kernel_started = time.perf_counter()
         fallbacks_before = scalar_fallback_count()
-        with trace_span(
-            "engine.kernel",
+        with self._kernel_span(
+            traced,
             query=query_id,
             candidates=len(candidate_ids) if candidate_ids is not None else -1,
-        ) if traced else _NO_SPAN as span:
+        ) as span:
             context = QueryContext.from_mod(
                 self.mod,
                 query_id,

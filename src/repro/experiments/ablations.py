@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from ..core.ranking import validate_theorem1
-from ..geometry.envelope.divide_conquer import lower_envelope
+from ..geometry.envelope.divide_conquer import le_alg
 from ..index.grid import GridIndex
 from ..index.rtree import STRRTree
 from ..trajectories.difference import difference_distance_functions
@@ -142,7 +142,7 @@ def run_segments_ablation(
             trajectories[1:], query, query.start_time, query.end_time
         )
         start = time.perf_counter()
-        envelope = lower_envelope(functions, query.start_time, query.end_time)
+        envelope = le_alg(functions, query.start_time, query.end_time)
         elapsed = time.perf_counter() - start
         rows.append(
             SegmentsAblationRow(num_objects, segments, len(envelope), elapsed)

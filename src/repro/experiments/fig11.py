@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from ..geometry.envelope.divide_conquer import lower_envelope
+from ..geometry.envelope.divide_conquer import le_alg
 from ..reference.naive import naive_lower_envelope
 from ..trajectories.difference import difference_distance_functions
 from ..workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
@@ -62,7 +62,7 @@ def run_figure11(config: Figure11Config | None = None) -> List[Figure11Row]:
         naive_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        lower_envelope(functions, query.start_time, query.end_time)
+        le_alg(functions, query.start_time, query.end_time)
         divide_conquer_seconds = time.perf_counter() - start
 
         rows.append(Figure11Row(num_objects, naive_seconds, divide_conquer_seconds))

@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from ..core.pruning import prune_by_band
-from ..geometry.envelope.divide_conquer import lower_envelope
+from ..geometry.envelope.divide_conquer import le_alg
 from ..trajectories.difference import difference_distance_functions
 from ..workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 from .config import Figure13Config
@@ -68,9 +68,7 @@ def run_figure13(config: Figure13Config | None = None) -> List[Figure13Row]:
                 functions = difference_distance_functions(
                     candidates, query, query.start_time, query.end_time
                 )
-                envelope = lower_envelope(
-                    functions, query.start_time, query.end_time
-                )
+                envelope = le_alg(functions, query.start_time, query.end_time)
                 _, statistics = prune_by_band(
                     functions,
                     envelope,

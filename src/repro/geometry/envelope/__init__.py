@@ -1,12 +1,7 @@
 """Lower-envelope machinery for hyperbolic distance functions (Section 3.2)."""
 
-from .bulk import (
-    DegenerateArrangement,
-    FunctionPack,
-    k_level_envelopes_bulk,
-    pack_functions,
-)
-from .divide_conquer import lower_envelope
+from .bulk import DegenerateArrangement, FunctionPack, k_level_envelopes_bulk
+from .divide_conquer import le_alg, lower_envelope
 from .env2 import pairwise_envelope
 from .hyperbola import DistanceFunction, Hyperbola, HyperbolaPiece
 from .klevel import LevelEnvelopes, exclusion_cascade, k_level_envelopes
@@ -25,7 +20,7 @@ __all__ = [
     "exclusion_cascade",
     "k_level_envelopes",
     "k_level_envelopes_bulk",
-    "pack_functions",
+    "le_alg",
     "lower_envelope",
     "merge_envelopes",
     "pairwise_envelope",

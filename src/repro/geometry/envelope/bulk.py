@@ -1,34 +1,40 @@
-"""Array-oriented envelope kernels (vectorized hot paths, scalar-pinned).
+"""The kinetic front: one output-sensitive kernel for levels 1..k.
 
-The scalar envelope machinery (``divide_conquer``/``merge``/``env2`` and the
+The scalar envelope machinery (``le_alg``/``merge``/``env2`` and the
 exclusion cascade in ``klevel``) is the semantic ground truth of the
-reproduction — every algorithm in this module is an *accelerated re-derivation*
-of those oracles, never a reinterpretation.  The contract, enforced by the
-differential suite in ``tests/property/test_envelope_differential.py``, is:
+reproduction; this kernel is an *accelerated re-derivation* of it, never a
+reinterpretation.  The contract, enforced by the differential suite in
+``tests/property/test_envelope_differential.py``, is **bit-identity**: piece
+boundaries and owners equal the scalar output with ``==``.
 
-* a vectorized kernel either returns **bit-identical** output to its scalar
-  oracle, or raises :class:`DegenerateArrangement` so the caller falls back
-  to the oracle;
-* the *decision inputs* (crossing roots, breakpoints, midpoint comparisons)
-  are computed with the exact same floating-point expressions as the scalar
-  code, so equal decisions produce equal floats.
+The front keeps the owners of levels 1..k and advances from event to event.
+An owner's crossings with every other function are solved once, in one
+closed-form NumPy pass over the packed pieces (the exact floating-point
+expressions of ``Hyperbola.intersection_times``), when the function enters
+the front; the next event is the earliest of them, so a window costs O(n)
+per function that ever owns a level instead of O(n²) for all pairs.  Two
+functions exchange ranks only where they are equal, so an event is a swap
+of adjacent levels or the replacement of the last one; the boundaries it
+emits are the same doubles the scalar recursion derives through its merges.
 
-The k-level kernel replaces the per-interval exclusion cascade with a single
-*kinetic sweep*: all pairwise crossing roots are solved in one closed-form
-NumPy pass, sorted, and a ranking permutation is maintained by swapping
-adjacent ranks at each crossing (two distance functions can only exchange
-ranks where they are equal, hence adjacent).  Piece boundaries of the level
-envelopes are exactly those roots — the same doubles the scalar cascade
-derives through its recursive merges — so the output coincides bitwise
-whenever the arrangement is non-degenerate.  Degeneracies (tangencies,
-near-coincident critical times, crossings hugging an interval boundary,
-value ties that are not exact curve identities) are detected conservatively
-and punted to the scalar cascade.
+Where the scalar's behaviour depends on things the front does not track —
+tolerance deduplication of close critical times, square-rooted values that
+tie bitwise at a midpoint — a guard fires.  A guard is a fact about one
+owner near one time, or about one boundary the front emits (two functions,
+owners or not, close enough in value there to cross within the tolerance:
+the scalar's sub-envelopes would merge that crossing's time with the
+boundary's), so it dirties a time span, not the window: the dirty elementary
+intervals between two clean events form a **slab** that the caller's scalar
+algorithm recomputes, and ``Envelope``'s own coalescing stitches it to its
+clean neighbours.  After a dirty span the front re-ranks from values, so
+nothing it missed inside the span survives it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import threading
+from bisect import bisect_left, bisect_right
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -36,272 +42,464 @@ from ...core.tolerances import COEFF_EPSILON, TIME_TOLERANCE
 from .hyperbola import DistanceFunction
 from .pieces import Envelope, EnvelopePiece
 
-#: Degeneracy guard radius, in multiples of the time tolerance.  Two critical
-#: times closer than this (or a crossing root this close to an interval
-#: boundary) make the scalar algorithms' tolerance-deduplication observable,
-#: so the sweep refuses and the scalar oracle decides.
+#: Two events closer than this make the scalar algorithms' tolerance
+#: deduplication observable.
 _GUARD = 4.0 * TIME_TOLERANCE
 
-#: Tangency guard: a pair of roots of one quadratic closer than this is a
-#: (near-)double root — the curves touch rather than cross.
+#: A pair of roots of one quadratic closer than this is a (near-)double
+#: root — the curves touch rather than cross; a root this close to an end of
+#: its pieces' overlap can be dropped by the scalar's open-interval filter.
 _TANGENT_GUARD = 8.0 * TIME_TOLERANCE
 
 #: Shallow-crossing guard.  The scalar merges compare *square-rooted* values
-#: at interval midpoints; near a crossing where the squared-difference slope
-#: ``|2·Δa·t + Δb|`` is below this fraction of the curves' squared magnitude,
-#: the two distances round to the same double at nearby midpoints and the
-#: scalar's first-argument tie-break takes over — which the event-driven
-#: sweep cannot see.  Rounding makes distances tie when the squared gap is
-#: within ~4.4e-16 of the magnitude; midpoints sit at least ~5e-10 from a
-#: root, so slopes above ``magnitude · 8.8e-7`` are provably tie-free.  The
-#: threshold keeps an order-of-magnitude margin on top.
+#: at interval midpoints; where the squared-difference slope ``|2·Δa·t + Δb|``
+#: at a crossing is below this fraction of the curves' squared magnitude, the
+#: distances round to one double at nearby midpoints and the scalar's
+#: first-argument tie-break takes over.  (Ties need a squared gap within
+#: ~4.4e-16 of the magnitude and midpoints sit ~5e-10 from a root: slopes above
+#: ``magnitude · 8.8e-7`` are tie-free; this keeps an order of magnitude more.)
 _SHALLOW_GUARD = 1e-5
 
-#: Graze guard for non-crossing pairs: when the squared-difference quadratic
-#: stays single-signed but its extremum depth is below this fraction of the
-#: curves' squared magnitude, the square roots can still tie bitwise around
-#: the closest approach.  Ties need relative depth ~4.4e-16; the threshold
-#: leaves three orders of magnitude of margin.
+#: Graze guard for non-crossing pairs: a single-signed squared difference
+#: whose extremum depth is below this fraction of the squared magnitude can
+#: still tie bitwise around the closest approach (ties need ~4.4e-16).
 _GRAZE_GUARD = 1e-12
+
+#: Reach of a fired guard, in minutes; the tie region around a shallow,
+#: tangent or grazing contact is far narrower.
+_NEAR = 1e-3
+
+#: A window that re-ranks into a value tie this often is degenerate as a whole.
+_MAX_TIED_RERANKS = 64
+
+_TALLY = threading.local()
 
 
 class DegenerateArrangement(Exception):
-    """The input is too degenerate for a vectorized kernel; use the oracle."""
+    """The front can serve no part of the window; use the scalar algorithm."""
+
+
+def front_tally() -> Tuple[int, int, int, float, float]:
+    """``(events, clean slabs, dirty slabs, dirty minutes, minutes)`` of the
+    calling thread's kernel calls so far, a refused window counting as one
+    dirty slab; monotone, like ``difference.scalar_fallback_count``."""
+    return getattr(_TALLY, "totals", (0, 0, 0, 0.0, 0.0))
+
+
+def front_report(since: Tuple[int, int, int, float, float]) -> Dict[str, float]:
+    """What the kernel did since an earlier :func:`front_tally` read."""
+    events, clean, dirty, dirty_time, time = (
+        now - then for now, then in zip(front_tally(), since)
+    )
+    return {
+        "events": events,
+        "clean_slabs": clean,
+        "dirty_slabs": dirty,
+        "dirty_time_share": dirty_time / time if time else 0.0,
+    }
+
+
+def _count(*amounts: float) -> None:
+    _TALLY.totals = tuple(old + new for old, new in zip(front_tally(), amounts))
 
 
 class FunctionPack:
     """Distance functions packed into flat per-piece coefficient arrays.
 
-    The pack is the array-of-structures → structure-of-arrays transpose of a
-    ``Sequence[DistanceFunction]``: piece intervals and hyperbola
-    coefficients live in contiguous NumPy columns indexed by ``offsets``
-    (CSR-style), so whole-collection kernels touch no Python objects.
+    The structure-of-arrays transpose of a ``Sequence[DistanceFunction]``:
+    piece intervals and hyperbola coefficients live in contiguous columns
+    indexed CSR-style by ``offsets``; ``owner`` maps a piece to its function.
     """
 
-    __slots__ = ("functions", "offsets", "starts", "ends", "a", "b", "c")
+    __slots__ = (
+        "functions", "offsets", "owner", "followers", "starts", "ends", "a", "b", "c"
+    )
 
     def __init__(self, functions: Sequence[DistanceFunction]):
         self.functions: Tuple[DistanceFunction, ...] = tuple(functions)
-        counts = [len(f.pieces) for f in self.functions]
+        counts = [len(function.pieces) for function in self.functions]
         self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
-        total = int(self.offsets[-1])
-        self.starts = np.empty(total)
-        self.ends = np.empty(total)
-        self.a = np.empty(total)
-        self.b = np.empty(total)
-        self.c = np.empty(total)
-        position = 0
-        for function in self.functions:
-            for piece in function.pieces:
-                self.starts[position] = piece.t_start
-                self.ends[position] = piece.t_end
-                curve = piece.curve
-                self.a[position] = curve.a
-                self.b[position] = curve.b
-                self.c[position] = curve.c
-                position += 1
+        self.owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        #: Pieces that follow another piece of their function.
+        self.followers = np.delete(np.arange(self.offsets[-1]), self.offsets[:-1])
+        table = np.array(
+            [
+                (piece.t_start, piece.t_end, piece.curve.a, piece.curve.b, piece.curve.c)
+                for function in self.functions
+                for piece in function.pieces
+            ],
+            dtype=float,
+        ).reshape(-1, 5)
+        self.starts, self.ends, self.a, self.b, self.c = np.ascontiguousarray(table.T)
 
-    def __len__(self) -> int:
-        return len(self.functions)
+    def piece_index_at(self, t: float, side: str = "left") -> np.ndarray:
+        """Flat index of every function's piece at ``t``, in one ragged lookup.
 
-    def piece_index_at(self, function_index: int, t: float) -> int:
-        """Index (into the flat arrays) of ``functions[i].piece_at(t)``.
-
-        Replicates ``DistanceFunction.piece_at``: the first piece whose end
-        time is ``>= t``, clamped to the last piece.
+        ``side="left"`` is ``DistanceFunction.piece_at``: the first piece
+        whose end time is ``>= t``, clamped to the last.  ``"right"`` takes
+        the piece that *starts* at a breakpoint — the curve just after ``t``.
         """
-        lo = int(self.offsets[function_index])
-        hi = int(self.offsets[function_index + 1])
-        local = int(np.searchsorted(self.ends[lo:hi], t, side="left"))
-        return min(lo + local, hi - 1)
+        before = self.ends < t if side == "left" else self.ends <= t
+        local = np.add.reduceat(before, self.offsets[:-1], dtype=np.int64)
+        return np.minimum(self.offsets[:-1] + local, self.offsets[1:] - 1)
 
-    def values_at(self, t: float) -> np.ndarray:
+    def values_at(self, t, piece=None) -> np.ndarray:
         """Every function's value at ``t`` (same floats as ``.value(t)``)."""
-        count = len(self.functions)
-        values = np.empty(count)
-        for index in range(count):
-            piece = self.piece_index_at(index, t)
-            quad = (self.a[piece] * t + self.b[piece]) * t + self.c[piece]
-            values[index] = np.sqrt(quad) if quad > 0.0 else 0.0
-        return values
+        if piece is None:
+            piece = self.piece_index_at(t)
+        quad = (self.a[piece] * t + self.b[piece]) * t + self.c[piece]
+        return np.sqrt(np.where(quad > 0.0, quad, 0.0))
 
+    def differ(self, one: np.ndarray, two: np.ndarray) -> np.ndarray:
+        """Whether pieces ``one`` and ``two`` are different curves."""
+        a, b, c = self.a, self.b, self.c
+        return (a[one] != a[two]) | (b[one] != b[two]) | (c[one] != c[two])
 
-def pack_functions(functions: Sequence[DistanceFunction]) -> FunctionPack:
-    """Pack a function collection for the array kernels."""
-    return FunctionPack(functions)
+    def crowded_at(self, times: np.ndarray, crossed: np.ndarray) -> np.ndarray:
+        """Which of the ascending ``times`` have two functions close enough
+        in value to cross within the guard band of it.
 
+        Any two functions can own a sub-envelope of the scalar recursion, so
+        all are compared.  ``crossed[i]`` is one side of the crossing that
+        ``times[i]`` itself is (-1: none); the other side stands in for it.
+        Identical curves never cross.
+        """
+        # A distance changes by at most sqrt(a) a minute.
+        reach = 2.0 * float(np.sqrt(np.abs(self.a).max())) * _GUARD
+        # Row i: every function's piece at times[i] as ``piece_index_at`` finds
+        # it.  Piece p serves the times in (ends[p - 1], ends[p]].
+        upto = np.searchsorted(times, self.ends, side="right")
+        upto[self.offsets[1:] - 1] = len(times)
+        serves = np.diff(upto, prepend=0)
+        serves[self.offsets[:-1]] = upto[self.offsets[:-1]]
+        piece = np.repeat(np.arange(len(upto)), serves).reshape(len(self.functions), -1).T
+        values = self.values_at(times[:, None], piece)
+        rows = np.nonzero(crossed >= 0)[0]
+        values[rows, crossed[rows]] = np.nan  # sorts last, close to nothing
+        ranked = np.sort(values, axis=1)
+        close = ranked[:, 1:] - ranked[:, :-1] <= reach + 1e-12 * ranked[:, 1:]
+        rows = np.nonzero(close.any(axis=1))[0]
+        if rows.size:
+            # Tell identical twins from near misses.
+            ranked = np.take_along_axis(piece[rows], np.argsort(values[rows], axis=1), axis=1)
+            close[rows] &= self.differ(ranked[:, :-1], ranked[:, 1:])
+        return close.any(axis=1)
 
-def _require_contiguous_coverage(
-    pack: FunctionPack, t_lo: float, t_hi: float
-) -> None:
-    """Refuse functions whose pieces do not tile the query window exactly.
-
-    The scalar ``piece_at`` silently evaluates gaps with the *following*
-    piece's curve and resolves sub-tolerance overlaps by end-time binary
-    search; both behaviours make a function's effective curve change at
-    times that are not reported breakpoints, which the sweep cannot track.
-    """
-    offsets = pack.offsets
-    for index in range(len(pack)):
-        lo, hi = int(offsets[index]), int(offsets[index + 1])
-        if pack.starts[lo] > t_lo + TIME_TOLERANCE:
-            raise DegenerateArrangement("function does not cover the window start")
-        if pack.ends[hi - 1] < t_hi - TIME_TOLERANCE:
-            raise DegenerateArrangement("function does not cover the window end")
-        if hi - lo > 1 and not np.array_equal(
-            pack.starts[lo + 1 : hi], pack.ends[lo : hi - 1]
+    def require_contiguous_coverage(self, t_lo: float, t_hi: float) -> None:
+        """Refuse functions whose pieces do not tile the window exactly: the
+        scalar ``piece_at`` reads a gap with the following piece's curve and
+        an overlap by end-time search, changes of curve the front cannot see.
+        """
+        first, last = self.offsets[:-1], self.offsets[1:] - 1
+        if np.any(self.starts[first] > t_lo + TIME_TOLERANCE) or np.any(
+            self.ends[last] < t_hi - TIME_TOLERANCE
         ):
+            raise DegenerateArrangement("a function does not cover the window")
+        if np.any(self.starts[self.followers] != self.ends[self.followers - 1]):
             raise DegenerateArrangement("function pieces have gaps or overlaps")
 
+    def jump_times(self, t_lo: float, t_hi: float) -> List[float]:
+        """Interior breakpoints at which some function is discontinuous.
 
-def _pairwise_crossing_events(
-    pack: FunctionPack, t_lo: float, t_hi: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All pairwise crossing roots inside the window, as parallel arrays.
+        The front follows non-owners through their breakpoints by continuity;
+        where a curve jumps instead it has to look at the values again.
+        """
+        at = self.starts[self.followers]
 
-    Solves, for every pair of pieces belonging to distinct functions, the
-    quadratic ``(a_p - a_q) t² + (b_p - b_q) t + (c_p - c_q) = 0`` with the
-    exact floating-point expressions of ``Hyperbola.intersection_times`` and
-    the same open-interval tolerance filter.  Raises
-    :class:`DegenerateArrangement` on (near-)tangencies and on roots inside
-    the guard band of their overlap interval's endpoints, where the scalar
-    algorithms' tolerance filters could drop a genuine crossing.
+        def squared(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: np.ndarray):
+            return (a * t + b) * t + c
 
-    Returns:
-        ``(times, first, second)`` — root times with the two crossing
-        functions' indices.
+        sides = [
+            (self.a[piece], self.b[piece], self.c[piece])
+            for piece in (self.followers, self.followers - 1)
+        ]
+        gap = squared(*sides[0], at) - squared(*sides[1], at)
+        scale = sum(squared(*map(np.abs, side), np.abs(at)) for side in sides)
+        jumps = np.abs(gap) > 1e-9 * scale
+        return np.unique(at[jumps & (at > t_lo) & (at < t_hi)]).tolist()
+
+
+class _Solved(NamedTuple):
+    """One owner piece against every other function, solved once."""
+
+    times: np.ndarray  # crossing roots the scalar filters would keep, ascending
+    partner: np.ndarray  # flat index of the other function's piece at each root
+    span_lo: np.ndarray  # spans in which a guard fired for this piece
+    span_hi: np.ndarray
+
+
+def _solve(pack: FunctionPack, p: int, t_lo: float, t_hi: float) -> _Solved:
+    """Crossings and guard spans of piece ``p`` with all other functions.
+
+    Solves ``(a_p - a_q) t² + (b_p - b_q) t + (c_p - c_q) = 0`` for every
+    piece ``q`` of another function that overlaps ``p`` inside the window,
+    with the float expressions and open-interval tolerance filter of
+    ``Hyperbola.intersection_times`` (symmetric in the two curves).  Guards
+    look only at roots and vertices within ``_NEAR`` of the overlap.
     """
-    total = len(pack.starts)
-    if total * total > 64_000_000:
-        raise DegenerateArrangement("piece-pair matrix too large for the sweep")
-    fn_of_piece = (
-        np.repeat(
-            np.arange(len(pack), dtype=np.int64), np.diff(pack.offsets)
-        )
-        if total
-        else np.zeros(0, dtype=np.int64)
-    )
-    p_idx, q_idx = np.nonzero(fn_of_piece[:, None] < fn_of_piece[None, :])
-    if not p_idx.size:
-        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    p_lo, p_hi = max(t_lo, float(pack.starts[p])), min(t_hi, float(pack.ends[p]))
+    others = pack.owner != pack.owner[p]
+    q = np.nonzero(others & (pack.starts < p_hi) & (pack.ends > p_lo))[0]
+    lo, hi = np.maximum(p_lo, pack.starts[q]), np.minimum(p_hi, pack.ends[q])
+    da, db, dc = pack.a[p] - pack.a[q], pack.b[p] - pack.b[q], pack.c[p] - pack.c[q]
 
-    lo = np.maximum(t_lo, np.maximum(pack.starts[p_idx], pack.starts[q_idx]))
-    hi = np.minimum(t_hi, np.minimum(pack.ends[p_idx], pack.ends[q_idx]))
-    overlap = hi > lo
-    p_idx, q_idx, lo, hi = p_idx[overlap], q_idx[overlap], lo[overlap], hi[overlap]
-    if not p_idx.size:
-        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    def magnitude(at):
+        # The scale of the rounding error of the squared value at ``at``: the
+        # sum of its terms, which dwarfs the value itself where they cancel.
+        at = np.abs(at)
+        return (abs(pack.a[p]) * at + abs(pack.b[p])) * at + abs(pack.c[p]) + 1e-300
 
-    da = pack.a[p_idx] - pack.a[q_idx]
-    db = pack.b[p_idx] - pack.b[q_idx]
-    dc = pack.c[p_idx] - pack.c[q_idx]
-
-    root_lo = np.full(da.shape, np.nan)
-    root_hi = np.full(da.shape, np.nan)
+    # No time a guard looks at has a larger magnitude than this, so most
+    # pairs are cleared by one comparison.
+    ceiling = float(magnitude(max(abs(p_lo), abs(p_hi)) + _NEAR))
     linear = np.abs(da) < COEFF_EPSILON
     sloped = linear & (np.abs(db) >= COEFF_EPSILON)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root_lo[sloped] = -dc[sloped] / db[sloped]
-        quadratic = ~linear
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disc = db * db - 4.0 * da * dc
-        solvable = quadratic & (disc >= 0.0)
+        solvable = ~linear & (disc >= 0.0)
         sqrt_disc = np.sqrt(np.where(solvable, disc, 0.0))
-        r_minus = (-db - sqrt_disc) / (2.0 * da)
-        r_plus = (-db + sqrt_disc) / (2.0 * da)
-    r_first = np.minimum(r_minus, r_plus)
-    r_second = np.maximum(r_minus, r_plus)
-    root_lo[solvable] = r_first[solvable]
-    root_hi[solvable] = r_second[solvable]
-    with np.errstate(invalid="ignore"):
-        if np.any(solvable & (r_second - r_first <= _TANGENT_GUARD)):
-            raise DegenerateArrangement("tangent or near-tangent curve pair")
-
-    # Shallow-crossing and graze guards: the sweep's event bookkeeping only
-    # agrees with the scalar midpoint comparisons where the square-rooted
-    # values provably never tie.  Magnitudes are evaluated on the first
-    # piece of each pair; a tie region wider than ~4e-11 cannot arise past
-    # the guards, so only roots near the overlap matter.
-    near = 1e-3
-
-    def _magnitude(at: np.ndarray) -> np.ndarray:
-        squared = np.abs((pack.a[p_idx] * at + pack.b[p_idx]) * at + pack.c[p_idx])
-        return np.maximum(squared, 1e-300)
-
-    for roots in (root_lo, root_hi):
-        finite = np.isfinite(roots)
-        relevant = finite & (roots >= lo - near) & (roots <= hi + near)
-        if np.any(relevant):
-            at = np.where(relevant, roots, 0.0)
-            slope = np.abs(2.0 * da * at + db)
-            if np.any(relevant & (slope <= _magnitude(at) * _SHALLOW_GUARD)):
-                raise DegenerateArrangement(
-                    "shallow crossing (rooted values may tie)"
-                )
-
-    grazing = quadratic & (disc < 0.0)
-    if np.any(grazing):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = np.where(grazing, -db / (2.0 * da), 0.0)
-            depth = np.where(
-                grazing, np.abs(disc) / (4.0 * np.abs(da)), np.inf
-            )
-        in_reach = grazing & (vertex >= lo - near) & (vertex <= hi + near)
-        if np.any(in_reach & (depth <= _magnitude(vertex) * _GRAZE_GUARD)):
-            raise DegenerateArrangement("grazing pair (rooted values may tie)")
-
-    flat = linear & ~sloped & ~((da == 0.0) & (db == 0.0) & (dc == 0.0))
-    if np.any(flat):
+        # Both roots of every pair, smaller first; NaN where there is none.
+        r_minus, r_plus = (-db - sqrt_disc) / (2.0 * da), (-db + sqrt_disc) / (2.0 * da)
+        roots = np.stack([np.minimum(r_minus, r_plus), np.maximum(r_minus, r_plus)])
+        roots[:, ~solvable] = np.nan
+        roots[0, sloped] = -dc[sloped] / db[sloped]
+        keep = (lo + TIME_TOLERANCE < roots) & (roots < hi - TIME_TOLERANCE)
+        # Guards: a root hugging an end of its overlap, a (near-)double
+        # root, a shallow crossing, and a contact without a crossing.
+        reach = (roots >= lo - _NEAR) & (roots <= hi + _NEAR)
+        fired = ((roots >= lo) & (roots <= lo + _TANGENT_GUARD)) | (
+            (roots >= hi - _TANGENT_GUARD) & (roots <= hi)
+        )
+        fired[0] |= reach[0] & (roots[1] - roots[0] <= _TANGENT_GUARD)
+        slope = np.abs(2.0 * da * roots + db)
+        shallow = reach & (slope <= ceiling * _SHALLOW_GUARD)
+        if shallow.any():
+            fired |= shallow & (slope <= magnitude(roots) * _SHALLOW_GUARD)
+        vertex = -db / (2.0 * da)
+        depth = np.abs(disc) / (4.0 * np.abs(da))
+        graze = ~linear & (disc < 0.0) & (depth <= ceiling * _GRAZE_GUARD)
+        if graze.any():
+            graze &= (vertex >= lo - _NEAR) & (vertex <= hi + _NEAR)
+            graze &= depth <= magnitude(vertex) * _GRAZE_GUARD
+    points = np.concatenate([roots[fired], vertex[graze]])
+    # Near-identical curves may tie at any midpoint of their overlap.
+    flat = linear & ~sloped
+    if flat.any():
+        flat &= ~((da == 0.0) & (db == 0.0) & (dc == 0.0))
         span = np.maximum(np.abs(lo), np.abs(hi))
         residual = np.abs(da) * span * span + np.abs(db) * span + np.abs(dc)
-        if np.any(flat & (residual <= _magnitude((lo + hi) / 2.0) * 1e-10)):
-            raise DegenerateArrangement(
-                "near-identical pair (rooted values may tie)"
-            )
-
-    times: List[np.ndarray] = []
-    firsts: List[np.ndarray] = []
-    seconds: List[np.ndarray] = []
-    for roots in (root_lo, root_hi):
-        finite = np.isfinite(roots)
-        near_edge = finite & (
-            ((roots > lo) & (roots <= lo + _TANGENT_GUARD))
-            | ((roots >= hi - _TANGENT_GUARD) & (roots < hi))
-        )
-        if np.any(near_edge):
-            raise DegenerateArrangement("crossing root inside the boundary guard")
-        keep = finite & (lo + TIME_TOLERANCE < roots) & (roots < hi - TIME_TOLERANCE)
-        times.append(roots[keep])
-        firsts.append(fn_of_piece[p_idx[keep]])
-        seconds.append(fn_of_piece[q_idx[keep]])
-    return (
-        np.concatenate(times),
-        np.concatenate(firsts),
-        np.concatenate(seconds),
+        flat &= residual <= magnitude((lo + hi) / 2.0) * 1e-10
+    times = roots[keep]
+    order = np.argsort(times)
+    return _Solved(
+        times[order],
+        np.broadcast_to(q, roots.shape)[keep][order],
+        np.concatenate([points - _NEAR, lo[flat]]),
+        np.concatenate([points + _NEAR, hi[flat]]),
     )
 
 
-def _ranking_at(pack: FunctionPack, t: float) -> List[int]:
-    """Stable value ranking of all functions at time ``t``.
+def front_envelopes(
+    functions: Sequence[DistanceFunction],
+    t_lo: float,
+    t_hi: float,
+    limit: int,
+    scalar: Callable[[float, float], Sequence[Envelope]],
+) -> List[Envelope]:
+    """Level envelopes 1..``limit`` of ``functions`` over ``[t_lo, t_hi]``.
 
-    Ties between non-identical curves are refused: the scalar merges break
-    them with ``first.value(mid) <= second.value(mid)`` at *different*
-    midpoints, which only provably agrees with a stable sort when the tied
-    curves are the same hyperbola (coincident functions never separate).
+    Ties between identical curves go to the earlier function, so the caller
+    fixes the tie-break by the order it passes (``lower_envelope``: input
+    order; ``k_level_envelopes``: canonical order).  ``scalar(s, e)`` is the
+    algorithm being reproduced, run on one dirty slab ``[s, e]``; it returns
+    at least ``limit`` envelopes.
+
+    Raises:
+        DegenerateArrangement: when no part of the window is clean; the
+            caller runs the scalar algorithm on the whole of it.
     """
-    values = pack.values_at(t)
-    order = np.argsort(values, kind="stable")
-    tied = np.nonzero(values[order][1:] == values[order][:-1])[0]
-    for position in tied.tolist():
-        one = pack.piece_index_at(int(order[position]), t)
-        two = pack.piece_index_at(int(order[position + 1]), t)
-        if (
-            pack.a[one] != pack.a[two]
-            or pack.b[one] != pack.b[two]
-            or pack.c[one] != pack.c[two]
-        ):
-            raise DegenerateArrangement("exact value tie between distinct curves")
-    return order.tolist()
+    try:
+        if t_hi - t_lo <= _GUARD:
+            raise DegenerateArrangement("window too short for the front")
+        pack = FunctionPack(functions)
+        pack.require_contiguous_coverage(t_lo, t_hi)
+        bounds, tops, marks = _advance(pack, t_lo, t_hi, limit)
+        return _stitch(pack.functions, bounds, tops, marks, limit, scalar)
+    except DegenerateArrangement:
+        _count(0, 0, 1, max(t_hi - t_lo, 0.0), max(t_hi - t_lo, 0.0))
+        raise
+
+
+def _advance(
+    pack: FunctionPack, t_lo: float, t_hi: float, limit: int
+) -> Tuple[List[float], List[Tuple[int, ...]], List[Tuple[float, float]]]:
+    """The front's log: ``tops[i]`` owns ``bounds[i:i + 2]``; ``marks`` are
+    the spans in which a guard fired."""
+    jumps = pack.jump_times(t_lo, t_hi)
+    slope = np.sqrt(np.abs(pack.a))
+    solved: Dict[int, _Solved] = {}
+    marks: List[Tuple[float, float]] = []
+    owners: List[int] = []
+    pieces: List[int] = []
+    tied_reranks = 0
+
+    def rerank(t: float) -> None:
+        """Owners from the values just after ``t``; a value tie is dirty."""
+        nonlocal tied_reranks
+        piece = pack.piece_index_at(t, "right")
+        values = pack.values_at(t, piece)
+        top = np.argsort(values, kind="stable")[: limit + 1]
+        one, two = piece[top[:-1]], piece[top[1:]]
+        close = values[top[1:]] - values[top[:-1]] <= (
+            (slope[one] + slope[two]) * _GUARD + 1e-12 * values[top[1:]]
+        )
+        if np.any(close & pack.differ(one, two)):
+            marks.append((t - _NEAR, t + _NEAR))
+            tied_reranks += 1
+            if tied_reranks > _MAX_TIED_RERANKS:
+                raise DegenerateArrangement("value ties throughout the window")
+        owners[:] = top[:limit].tolist()
+        pieces[:] = piece[top[:limit]].tolist()
+
+    seen, resync = 0, t_lo
+
+    def dirty_until() -> float:
+        """The far side of every span marked so far: where to look again."""
+        nonlocal seen, resync
+        if len(marks) > seen:
+            resync = max(resync, max(hi for _, hi in marks[seen:]))
+            seen = len(marks)
+        return resync
+
+    rerank(t_lo)
+    t = t_lo
+    bounds: List[float] = [t_lo]
+    tops: List[Tuple[int, ...]] = []
+    crossed: List[int] = []  # per event, one side of the crossing it is, or -1
+    while t < t_hi:
+        # The earliest crossing of an owner with anything, or the end of an
+        # owner's piece, a discontinuity, or the far side of a dirty span.
+        t_next, rank, at = min(t_hi, float(pack.ends[pieces].min())), -1, -1
+        position = bisect_right(jumps, t)
+        if position < len(jumps):
+            t_next = min(t_next, jumps[position])
+        if dirty_until() > t:
+            t_next = min(t_next, resync)
+        for index, piece in enumerate(pieces):
+            if piece not in solved:
+                solved[piece] = _solve(pack, piece, t_lo, t_hi)
+            times = solved[piece].times
+            position = int(np.searchsorted(times, t, side="right"))
+            if position < len(times) and times[position] < t_next:
+                t_next, rank, at = float(times[position]), index, position
+        if t_next - t <= _GUARD:
+            marks.append((t_next - _NEAR, t_next + _NEAR))
+        partner = int(solved[pieces[rank]].partner[at]) if rank >= 0 else -1
+        other = int(pack.owner[partner]) if rank >= 0 else -1
+        crossings = 0  # of owners inside the event's guard band
+        for piece in pieces:
+            facts = solved[piece]
+            # Guard spans of an owner that this step runs into, each once.
+            hit = (facts.span_lo < t_next) & (facts.span_hi > t)
+            if facts.span_lo.size and hit.any():
+                marks.extend(zip(facts.span_lo[hit].tolist(), facts.span_hi[hit].tolist()))
+                solved[piece] = facts._replace(
+                    span_lo=facts.span_lo[~hit], span_hi=facts.span_hi[~hit]
+                )
+            near = np.searchsorted(facts.times, (t_next - _GUARD, t_next + _GUARD))
+            crossings += int(near[1] - near[0])
+        if crossings > (rank >= 0) + (other in owners):
+            # Another critical time of the front there than the event's own,
+            # which each of its two sides sees if it is an owner.
+            marks.append((t_next - _NEAR, t_next + _NEAR))
+        if t < dirty_until() < t_next:
+            # A span met on the way ends first: stop there and look again.
+            t_next, rank, other = resync, -1, -1
+        bounds.append(t_next)
+        tops.append(tuple(owners))
+        crossed.append(other)
+        t = t_next
+        if t >= t_hi:
+            break
+        if rank < 0:
+            rerank(t)
+        elif other in owners:
+            # Two owners exchange adjacent levels.
+            swap = owners.index(other)
+            if abs(swap - rank) != 1:
+                marks.append((t - _NEAR, t + _NEAR))
+            owners[rank], owners[swap] = owners[swap], owners[rank]
+            pieces[rank], pieces[swap] = pieces[swap], pieces[rank]
+        else:
+            # A function from below the front takes the last level.
+            if rank != limit - 1:
+                marks.append((t - _NEAR, t + _NEAR))
+            owners[rank], pieces[rank] = other, partner
+
+    # Only a boundary the front would emit can be displaced.
+    emitted = [i for i in range(len(tops) - 1) if tops[i] != tops[i + 1]]
+    if emitted:
+        at = np.array(bounds)[1:][emitted]
+        crowded = pack.crowded_at(at, np.array(crossed)[emitted])
+        marks.extend((time - _NEAR, time + _NEAR) for time in at[crowded].tolist())
+    return bounds, tops, marks
+
+
+def _stitch(
+    functions: Sequence[DistanceFunction],
+    bounds: List[float],
+    tops: List[Tuple[int, ...]],
+    marks: List[Tuple[float, float]],
+    limit: int,
+    scalar: Callable[[float, float], Sequence[Envelope]],
+) -> List[Envelope]:
+    """Envelopes from the front's log.
+
+    Elementary intervals a marked span overlaps are dirty; each maximal run
+    of them is one slab for ``scalar``, and ``Envelope`` coalesces its pieces
+    with the clean ones on either side.
+    """
+    dirty = [False] * len(tops)
+    for span_lo, span_hi in marks:
+        first = max(bisect_right(bounds, span_lo) - 1, 0)
+        last = min(bisect_left(bounds, span_hi), len(tops))
+        dirty[first:last] = [True] * (last - first)
+    if all(dirty):
+        raise DegenerateArrangement("no clean part of the window")
+    # One level's scalar merges every function whatever the span, so a slab
+    # costs about what the window would and a second one is a loss.  (The
+    # cascade's cost follows the pieces of the levels above: few in a slab.)
+    slabs = sum(now and not before for before, now in zip([False] + dirty, dirty))
+    if limit == 1 and slabs > 1:
+        raise DegenerateArrangement("several dirty slabs cost more than the window")
+    level_pieces: List[List[EnvelopePiece]] = [[] for _ in range(limit)]
+    served = [0, 0]  # clean and dirty slabs
+    dirty_time = 0.0
+    start = 0
+    while start < len(tops):
+        stop = start
+        while stop < len(tops) and dirty[stop] == dirty[start]:
+            stop += 1
+        served[dirty[start]] += 1
+        if dirty[start]:
+            levels = scalar(bounds[start], bounds[stop])
+            if len(levels) < limit:
+                raise DegenerateArrangement("the scalar slab is missing a level")
+            for collected, envelope in zip(level_pieces, levels):
+                collected.extend(envelope.pieces)
+            dirty_time += bounds[stop] - bounds[start]
+        else:
+            for level, collected in enumerate(level_pieces):
+                opened = start
+                for index in range(start + 1, stop + 1):
+                    if index == stop or tops[index][level] != tops[opened][level]:
+                        owner = functions[tops[opened][level]]
+                        collected.append(EnvelopePiece(owner, bounds[opened], bounds[index]))
+                        opened = index
+        start = stop
+    _count(len(tops), served[0], served[1], dirty_time, bounds[-1] - bounds[0])
+    return [Envelope(collected) for collected in level_pieces]
 
 
 def k_level_envelopes_bulk(
@@ -310,104 +508,26 @@ def k_level_envelopes_bulk(
     t_hi: float,
     max_levels: int,
 ) -> List[Envelope]:
-    """Level envelopes 1..``max_levels`` via the kinetic arrangement sweep.
+    """Level envelopes 1..``max_levels`` via the kinetic front.
 
-    ``functions`` must already be in canonical order (sorted by
-    ``str(object_id)``) — the caller,
-    :func:`repro.geometry.envelope.klevel.k_level_envelopes`, guarantees it,
-    and the stable tie-breaking of the sweep depends on it exactly like the
-    scalar cascade's candidate enumeration does.
+    ``functions`` must already be in canonical order, as
+    :func:`repro.geometry.envelope.klevel.k_level_envelopes` passes them.
+    Dirty slabs run :func:`~repro.geometry.envelope.klevel.exclusion_cascade`.
 
     Raises:
-        DegenerateArrangement: when any guard trips; the caller must fall
-            back to the scalar cascade.
+        DegenerateArrangement: when no slab can be served; the caller runs
+            the cascade on the whole window.
     """
-    count = len(functions)
-    if count == 0:
+    # Not at module level: klevel, the cascade's home, imports this module.
+    from .klevel import exclusion_cascade
+
+    if not functions:
         raise ValueError("cannot build level envelopes of an empty collection")
-    if t_hi - t_lo <= _GUARD:
-        raise DegenerateArrangement("window too short for the sweep")
-    limit = min(max_levels, count)
-
-    pack = pack_functions(functions)
-    _require_contiguous_coverage(pack, t_lo, t_hi)
-
-    cross_t, cross_i, cross_j = _pairwise_crossing_events(pack, t_lo, t_hi)
-
-    breakpoint_times: List[float] = []
-    for function in pack.functions:
-        breakpoint_times.extend(function.breakpoints(t_lo, t_hi))
-    bp_t = np.unique(np.asarray(breakpoint_times)) if breakpoint_times else np.zeros(0)
-
-    event_t = np.concatenate([cross_t, bp_t])
-    # -1 marks a re-ranking (breakpoint) event; crossings carry the pair.
-    event_i = np.concatenate([cross_i, np.full(bp_t.size, -1, dtype=np.int64)])
-    event_j = np.concatenate([cross_j, np.full(bp_t.size, -1, dtype=np.int64)])
-    order = np.argsort(event_t, kind="stable")
-    event_t, event_i, event_j = event_t[order], event_i[order], event_j[order]
-
-    guarded = np.concatenate([[t_lo], event_t, [t_hi]])
-    if np.any(np.diff(guarded) <= _GUARD):
-        raise DegenerateArrangement("critical times closer than the guard band")
-
-    first_stop = float(event_t[0]) if event_t.size else t_hi
-    ranking = _ranking_at(pack, (t_lo + first_stop) / 2.0)
-    rank_of = [0] * count
-    for rank, function_index in enumerate(ranking):
-        rank_of[function_index] = rank
-
-    level_pieces: List[List[EnvelopePiece]] = [[] for _ in range(limit)]
-    segment_start = [t_lo] * limit
-    segment_owner = list(ranking[:limit])
-
-    def _close_and_open(rank: int, t: float, new_owner: int) -> None:
-        if rank >= limit or segment_owner[rank] == new_owner:
-            return
-        level_pieces[rank].append(
-            EnvelopePiece(
-                pack.functions[segment_owner[rank]], segment_start[rank], t
-            )
-        )
-        segment_start[rank] = t
-        segment_owner[rank] = new_owner
-
-    times_list = event_t.tolist()
-    first_list = event_i.tolist()
-    second_list = event_j.tolist()
-    for position, t in enumerate(times_list):
-        one = first_list[position]
-        if one < 0:
-            # Breakpoint: curves may change discontinuously — re-rank at the
-            # midpoint of the following inter-event segment, as the scalar
-            # merges would compare there.
-            next_t = (
-                times_list[position + 1]
-                if position + 1 < len(times_list)
-                else t_hi
-            )
-            ranking = _ranking_at(pack, (t + next_t) / 2.0)
-            for rank in range(count):
-                rank_of[ranking[rank]] = rank
-            for rank in range(limit):
-                _close_and_open(rank, t, ranking[rank])
-            continue
-        two = second_list[position]
-        rank_one, rank_two = rank_of[one], rank_of[two]
-        if rank_one > rank_two:
-            one, two = two, one
-            rank_one, rank_two = rank_two, rank_one
-        if rank_two - rank_one != 1:
-            # A crossing between non-adjacent ranks means an earlier flip was
-            # filtered away — the sweep's invariant is broken.
-            raise DegenerateArrangement("non-adjacent crossing in the sweep")
-        rank_of[one], rank_of[two] = rank_two, rank_one
-        _close_and_open(rank_one, t, two)
-        _close_and_open(rank_two, t, one)
-
-    envelopes: List[Envelope] = []
-    for rank in range(limit):
-        level_pieces[rank].append(
-            EnvelopePiece(pack.functions[segment_owner[rank]], segment_start[rank], t_hi)
-        )
-        envelopes.append(Envelope(level_pieces[rank]))
-    return envelopes
+    limit = min(max_levels, len(functions))
+    return front_envelopes(
+        functions,
+        t_lo,
+        t_hi,
+        limit,
+        lambda s, e: exclusion_cascade(functions, s, e, limit).levels,
+    )

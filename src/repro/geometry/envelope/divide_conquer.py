@@ -6,21 +6,36 @@ two hyperbolic distance functions cross at most twice, the envelope's
 combinatorial complexity is linear in the number of functions
 (Davenport–Schinzel λ₂), and the overall running time is O(N log N) — the
 asymptotic advantage demonstrated by Figure 11 of the paper.
+
+:func:`le_alg` is that recursion.  :func:`lower_envelope`, the entry the
+serving stack imports, builds the same envelope with the kinetic front of
+:mod:`repro.geometry.envelope.bulk` and keeps the recursion for what the
+front cannot serve.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .bulk import DegenerateArrangement, front_envelopes
 from .hyperbola import DistanceFunction
 from .merge import merge_envelopes
 from .pieces import Envelope, EnvelopePiece
+
+#: Below this many functions the recursion is cheaper than packing them for
+#: the front (measured crossover: 32 to 48 two-piece functions).
+_FRONT_MIN_FUNCTIONS = 32
 
 
 def lower_envelope(
     functions: Sequence[DistanceFunction], t_lo: float, t_hi: float
 ) -> Envelope:
     """Lower envelope of a collection of distance functions over ``[t_lo, t_hi]``.
+
+    The production entry: the kinetic front of
+    :mod:`repro.geometry.envelope.bulk` at one level, bit-identical to
+    :func:`le_alg`, which it runs on the slabs it cannot serve.  Ties go to
+    the function that comes first in ``functions``.
 
     Args:
         functions: the distance functions (at least one); each must cover the
@@ -30,6 +45,25 @@ def lower_envelope(
 
     Returns:
         The level-1 lower envelope as an :class:`Envelope`.
+    """
+    if len(functions) >= _FRONT_MIN_FUNCTIONS:
+        functions = list(functions)
+        try:
+            return front_envelopes(
+                functions, t_lo, t_hi, 1, lambda s, e: [le_alg(functions, s, e)]
+            )[0]
+        except DegenerateArrangement:
+            pass
+    return le_alg(functions, t_lo, t_hi)
+
+
+def le_alg(
+    functions: Sequence[DistanceFunction], t_lo: float, t_hi: float
+) -> Envelope:
+    """``LE_Alg`` itself: the scalar recursion over ``Merge_LE`` and ``Env2``.
+
+    Same arguments and result as :func:`lower_envelope`: its fallback, the
+    algorithm Figure 11 times, and the oracle the front is tested against.
     """
     if not functions:
         raise ValueError("cannot build the lower envelope of an empty collection")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bulk import DegenerateArrangement, k_level_envelopes_bulk
-from .divide_conquer import lower_envelope
+from .divide_conquer import le_alg
 from .hyperbola import DistanceFunction
 from .pieces import Envelope, EnvelopePiece
 
@@ -94,9 +94,10 @@ def k_level_envelopes(
 ) -> LevelEnvelopes:
     """Compute the first ``max_levels`` level envelopes of a function set.
 
-    The kinetic sweep of :mod:`repro.geometry.envelope.bulk` serves every
-    arrangement it can reproduce :func:`exclusion_cascade` on bit for bit;
-    a degenerate one falls back to the cascade.
+    The kinetic front of :mod:`repro.geometry.envelope.bulk` serves every
+    part of the window it can reproduce :func:`exclusion_cascade` on bit for
+    bit and runs the cascade on the dirty slabs between; a window with no
+    clean part falls back to the cascade as a whole.
 
     Args:
         functions: distance functions covering ``[t_lo, t_hi]``.
@@ -123,12 +124,12 @@ def _canonical_inputs(
     """Validate inputs and canonicalize the function order.
 
     Ties between equal-valued functions are broken by input order inside
-    lower_envelope, and the per-interval exclusion cascade amplifies the
+    ``le_alg``, and the per-interval exclusion cascade amplifies the
     choice into different level *memberships*.  Canonicalizing the order
     here makes every level a pure function of the function set, so rank
     answers agree across execution layers that enumerate candidates
     differently (insertion order, sorted corridor survivors, shards).  The
-    kinetic sweep inherits the same canonical order for its stable
+    kinetic front inherits the same canonical order for its stable
     tie-breaking.
     """
     if not functions:
@@ -151,14 +152,14 @@ def exclusion_cascade(
     """The per-interval exclusion cascade: level ``k`` is the lower envelope
     of whatever levels ``1..k-1`` do not own on each elementary interval.
 
-    Same arguments and result as :func:`k_level_envelopes`: its fallback on
-    degenerate arrangements, and the reference the sweep is tested against.
+    Same arguments and result as :func:`k_level_envelopes`: what the front
+    runs on its dirty slabs, and the reference it is tested against.
     """
     functions, limit = _canonical_inputs(functions, max_levels)
     by_id: Dict[object, DistanceFunction] = {f.object_id: f for f in functions}
 
     levels: List[Envelope] = []
-    first = lower_envelope(functions, t_lo, t_hi)
+    first = le_alg(functions, t_lo, t_hi)
     levels.append(first)
     exclusions: List[_IntervalExclusion] = [
         _IntervalExclusion(piece.t_start, piece.t_end, frozenset([piece.object_id]))
@@ -178,7 +179,7 @@ def exclusion_cascade(
             ]
             if not candidates:
                 continue
-            envelope = lower_envelope(candidates, interval.t_start, interval.t_end)
+            envelope = le_alg(candidates, interval.t_start, interval.t_end)
             for piece in envelope.pieces:
                 next_pieces.append(piece)
                 next_exclusions.append(

@@ -280,13 +280,9 @@ class QueryPlan:
                 ids = list(
                     answer_of(context, statement.variant, statement.fraction)
                 )
-            elif statement.variant == "sometime":
-                ids = context.uq41_all_rank_sometime(statement.rank)
-            elif statement.variant == "always":
-                ids = context.uq42_all_rank_always(statement.rank)
             else:
-                ids = context.uq43_all_rank_at_least(
-                    statement.rank, statement.fraction
+                ids = engine.rank_answer(
+                    context, statement.rank, statement.variant, statement.fraction
                 )
             ids = sorted(ids, key=str)
             by_position[statement.position] = _restrict(ids, statement)

@@ -20,8 +20,8 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
-from repro.core import pruning, queries
-from repro.geometry.envelope import klevel
+from repro.core import heterogeneous, ipacnn, pruning, queries
+from repro.geometry.envelope import divide_conquer, klevel
 from repro.geometry.envelope.hyperbola import DistanceFunction
 from repro.reference import band as reference_band
 from repro.trajectories.difference import difference_distance_functions
@@ -41,10 +41,11 @@ def rng() -> np.random.Generator:
 def reference_kernels(monkeypatch):
     """``with reference_kernels():`` runs the stack on the reference kernels.
 
-    Inside the block the three production entry points are their
+    Inside the block the four production entry points are their
     references, in every module that holds a name for them: the batched
     band builder is :func:`repro.reference.band.band_intervals_batch`, the
-    k-level builder is its own fallback ``exclusion_cascade``, and
+    envelope and k-level builders are the scalar algorithms they fall back
+    on (``le_alg``, ``exclusion_cascade``), and
     ``MovingObjectsDatabase.distance_functions`` builds every candidate with
     the scalar ``difference_distance_function``.  This is how an end-to-end
     oracle reaches the references; production code has no switch for it.
@@ -65,6 +66,8 @@ def reference_kernels(monkeypatch):
                 )
             for module in (klevel, queries):
                 patch.setattr(module, "k_level_envelopes", klevel.exclusion_cascade)
+            for module in (divide_conquer, queries, ipacnn, heterogeneous):
+                patch.setattr(module, "lower_envelope", divide_conquer.le_alg)
             patch.setattr(
                 MovingObjectsDatabase, "distance_functions", scalar_distance_functions
             )

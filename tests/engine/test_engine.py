@@ -305,3 +305,38 @@ class TestDifferenceFallbackObservability:
             snapshot["repro_engine_difference_fallback_candidates_total"]["value"]
             == expected
         )
+
+
+class TestFrontObservability:
+    """What the kinetic front did shows on every ``engine.kernel`` span and in
+    the slab counter, for the envelope and for a rank statement's levels."""
+
+    def test_envelope_and_level_envelopes_report_through_the_engine(self):
+        from repro.query_language import QueryExecutor
+        from repro.workloads.scenarios import multi_query_fleet
+
+        mod, query_ids = multi_query_fleet(num_vehicles=120, num_queries=4, seed=29)
+        executor = QueryExecutor(mod)
+        statement = (
+            "SELECT T FROM MOD WHERE EXISTS TIME IN [20, 32] "
+            f"AND RANK_NN(T, '{query_ids[0]}', TIME) <= 3"
+        )
+        with capture() as recorder:
+            executor.execute_many([statement, statement])
+        root = recorder.latest()
+        batch = root.find("engine.prepare_batch")
+        envelope = batch.find("engine.kernel")
+        first, second = [
+            span for span in root.children if span.name == "engine.kernel"
+        ]
+        # The cold prepare built the envelope; the first rank statement
+        # built the level envelopes; the second found them on the context.
+        assert envelope.attrs["candidates"] >= 32 and envelope.attrs["events"] > 0
+        assert first.attrs["rank"] == 3 and first.attrs["events"] > 0
+        assert second.attrs["events"] == 0
+        for span in (envelope, first, second):
+            assert span.attrs["dirty_slabs"] == 0
+            assert span.attrs["dirty_time_share"] == 0.0
+        snapshot = executor.registry.snapshot()
+        assert snapshot['repro_geometry_envelope_slabs_total{kind="clean"}']["value"] == 2
+        assert snapshot['repro_geometry_envelope_slabs_total{kind="dirty"}']["value"] == 0

@@ -26,6 +26,41 @@ class TestFigure11:
         assert all(row.speedup > 1.0 for row in rows)
         assert rows[1].speedup > rows[0].speedup
 
+    def test_times_algorithm_1_and_not_the_production_kernel(self, monkeypatch):
+        # Figure 11 is the paper's LE_Alg against the naive construction.
+        # The production ``lower_envelope`` is the kinetic front now; the
+        # figure, the ablations and their benches must keep the recursion.
+        import ast
+        from pathlib import Path
+
+        from repro.experiments import ablations, fig11, fig13
+        from repro.geometry.envelope import divide_conquer
+
+        calls = []
+
+        def spy(name, original):
+            return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+        monkeypatch.setattr(
+            divide_conquer, "front_envelopes", spy("front", divide_conquer.front_envelopes)
+        )
+        monkeypatch.setattr(fig11, "le_alg", spy("le_alg", divide_conquer.le_alg))
+        # 40 objects: enough for the production entry to choose the front.
+        run_figure11(Figure11Config(object_counts=[40]))
+        assert calls == ["le_alg"]
+        for module in (fig11, fig13, ablations):
+            assert hasattr(module, "le_alg") and not hasattr(module, "lower_envelope")
+        benches = Path(__file__).resolve().parents[2] / "benchmarks"
+        for name in ("bench_fig11_envelope.py", "bench_ablation_envelope.py"):
+            names = {
+                alias.name
+                for node in ast.walk(ast.parse((benches / name).read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "repro.geometry.envelope.divide_conquer"
+                for alias in node.names
+            }
+            assert names == {"le_alg"}, name
+
     def test_table_rendering(self):
         rows = run_figure11(Figure11Config(object_counts=[15]))
         table = figure11_table(rows)

@@ -2,13 +2,15 @@
 
 Every vectorized kernel of the envelope hot path —
 
-* the kinetic k-level sweep (:func:`repro.geometry.envelope.bulk.k_level_envelopes_bulk`),
+* the kinetic front behind the lower envelope and every k-level
+  (:func:`repro.geometry.envelope.bulk.front_envelopes`),
 * the batched band classifier (:func:`repro.core.pruning.band_intervals_batch`), and
 * the bulk hyperbola-coefficient construction
   (:func:`repro.trajectories.difference.difference_distance_functions_bulk`)
 
 — has its original scalar implementation pinned as the oracle
-(:func:`repro.geometry.envelope.klevel.exclusion_cascade`,
+(:func:`repro.geometry.envelope.divide_conquer.le_alg` and
+:func:`repro.geometry.envelope.klevel.exclusion_cascade`,
 :func:`repro.reference.band.band_intervals_batch`, the per-candidate
 :func:`repro.trajectories.difference.difference_distance_function`) and promises *bit-identical*
 output: not approximately equal, byte-for-byte the same floats, piece
@@ -31,8 +33,14 @@ from hypothesis import given, strategies as st
 
 from repro.core import pruning
 from repro.core.pruning import band_intervals, band_intervals_batch
-from repro.geometry.envelope.bulk import k_level_envelopes_bulk
-from repro.geometry.envelope.divide_conquer import lower_envelope
+from repro.core.queries import QueryContext
+from repro.geometry.envelope import divide_conquer
+from repro.geometry.envelope.bulk import (
+    front_report,
+    front_tally,
+    k_level_envelopes_bulk,
+)
+from repro.geometry.envelope.divide_conquer import le_alg, lower_envelope
 from repro.geometry.envelope.env2 import pairwise_envelope
 from repro.geometry.envelope.hyperbola import (
     DistanceFunction,
@@ -48,7 +56,11 @@ from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
 from repro.uncertainty.uniform import UniformDiskPDF
 from repro.query_language import QueryExecutor, execute_query_naive
-from repro.workloads.scenarios import streaming_fleet
+from repro.workloads.scenarios import (
+    convoy_with_stragglers,
+    multi_query_fleet,
+    streaming_fleet,
+)
 
 T_LO, T_HI = 0.0, 10.0
 
@@ -101,10 +113,16 @@ def adversarial_functions(draw):
     * ``zero`` — a function carrying an exactly zero-length piece.
     * ``coincident`` — a function duplicated under a different id: the
       curves tie everywhere and only input order breaks the tie.
+    * ``convoy`` — 10 to 20 collinear, equally spaced objects sharing one
+      velocity: the query crosses the bisector of members ``i`` and ``j``
+      at one time for every pair with the same ``i + j``, so crossings far
+      above the front land within rounding of the front's own events.
     """
     functions = draw(base_functions())
     family = draw(
-        st.sampled_from(["plain", "tangent", "tie", "subtol", "zero", "coincident"])
+        st.sampled_from(
+            ["plain", "tangent", "tie", "subtol", "zero", "coincident", "convoy"]
+        )
     )
     first = functions[0]
     curve = first.pieces[0].curve
@@ -151,6 +169,15 @@ def adversarial_functions(draw):
         )
     elif family == "coincident":
         functions.append(DistanceFunction("t-coi", list(first.pieces)))
+    elif family == "convoy":
+        x0, y0 = draw(coordinate), draw(coordinate)
+        vx, vy = draw(velocity), draw(velocity)
+        step = st.sampled_from([-0.6, -0.3, 0.3, 0.6])
+        dx, dy = draw(step), draw(step)
+        for member in range(draw(st.integers(min_value=10, max_value=20))):
+            functions.append(
+                _motion(f"t-cv{member:02d}", x0 + member * dx, y0 + member * dy, vx, vy)
+            )
     return functions
 
 
@@ -224,6 +251,101 @@ class TestEnvelopeKernels:
             assert_identical_envelopes(
                 vectorized.level(level), scalar.level(level)
             )
+
+    @given(functions=adversarial_functions().flatmap(st.permutations))
+    def test_production_lower_envelope_bit_identical_in_input_order(self, functions):
+        # The entry every caller imports, ties broken by *input* order as
+        # LE_Alg breaks them.  Small sets normally skip the front; here
+        # they must not, or the families above would never reach it.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divide_conquer, "_FRONT_MIN_FUNCTIONS", 1)
+            vectorized = lower_envelope(functions, T_LO, T_HI)
+        assert_identical_envelopes(vectorized, le_alg(functions, T_LO, T_HI))
+
+    @given(
+        others=base_functions(min_size=2, max_size=5),
+        q=dyadic_time,
+        max_levels=st.integers(min_value=2, max_value=4),
+    )
+    def test_stitched_slab_equals_the_whole_window_cascade(
+        self, others, q, max_levels
+    ):
+        # One genuine near-tangency at the top of the arrangement, mid
+        # window: "t-low" keeps distance 0.5 and "t-tan" touches it at q
+        # (an exact double root), both below everything else around q.
+        low = Hyperbola(0.0, 0.0, 0.25)
+        functions = [
+            DistanceFunction("t-low", [HyperbolaPiece(T_LO, T_HI, low)]),
+            DistanceFunction(
+                "t-tan",
+                [HyperbolaPiece(T_LO, T_HI, Hyperbola(1.0, -2.0 * q, 0.25 + q * q))],
+            ),
+        ] + [
+            _motion(f.object_id, 8.0 + abs(x0), 8.0 + abs(y0), 0.0, 0.0)
+            for f, (x0, y0) in zip(
+                others, [(f.value(0.0), f.value(10.0)) for f in others]
+            )
+        ]
+        scalar = exclusion_cascade(functions, T_LO, T_HI, max_levels=max_levels)
+        slabs = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                klevel,
+                "exclusion_cascade",
+                lambda fs, s, e, k: slabs.append((s, e))
+                or exclusion_cascade(fs, s, e, k),
+            )
+            stitched = k_level_envelopes_bulk(
+                _canonical(functions), T_LO, T_HI, max_levels
+            )
+        # The scalar ran, on the slab around the tangency and nowhere else.
+        assert len(slabs) == 1
+        ((start, end),) = slabs
+        assert start <= q <= end and end - start < T_HI - T_LO
+        assert end - start <= q - T_LO + 2e-3 or start > T_LO
+        assert len(stitched) == len(scalar)
+        for level, reference in zip(stitched, scalar.levels):
+            assert_identical_envelopes(level, reference)
+
+    @pytest.mark.parametrize("seed", [100, 101, 611816])
+    def test_convoy_crossings_that_coincide_above_the_front(self, seed):
+        # Twenty collinear, equally spaced vehicles at one velocity: a
+        # straggler crosses the bisectors of members 5 and 6, 4 and 7, 3 and
+        # 8, ... at mathematically the same time, the computed roots 4e-13
+        # apart.  LE_Alg deduplicates the breakpoints of its sub-envelopes by
+        # tolerance, so the time it reports for the hand-over between 5 and 6
+        # can be the root of 4 and 7 — two functions that own nothing there.
+        mod = convoy_with_stragglers(convoy_size=20, straggler_count=12, seed=seed)
+        for straggler in range(12):
+            functions = mod.distance_functions(f"straggler-{straggler}", 0.0, 60.0)
+            for max_levels in (2, 3):
+                levels = k_level_envelopes(functions, 0.0, 60.0, max_levels=max_levels)
+                scalar = exclusion_cascade(functions, 0.0, 60.0, max_levels=max_levels)
+                for level in range(1, len(scalar) + 1):
+                    assert_identical_envelopes(levels.level(level), scalar.level(level))
+
+    def test_city_fleet_windows_need_no_scalar_slab(self):
+        # Windows shaped like the rank_sweep workload's: the benchmark's
+        # world (seed 29), 12 minutes, band survivors, three levels.  The
+        # all-pairs sweep refused two in three of them outright.
+        mod, query_ids = multi_query_fleet(
+            num_vehicles=400, num_queries=10, shift_minutes=90.0, seed=29
+        )
+        clean = windows = 0
+        for position, query_id in enumerate(query_ids):
+            for start in (7.0 + 3.1 * position, 41.0 + 2.3 * position):
+                context = QueryContext.from_mod(mod, query_id, start, start + 12.0)
+                survivors = context.survivors()
+                before = front_tally()
+                levels = k_level_envelopes(survivors, start, start + 12.0, max_levels=3)
+                report = front_report(before)
+                scalar = exclusion_cascade(survivors, start, start + 12.0, max_levels=3)
+                for level in range(1, len(scalar) + 1):
+                    assert_identical_envelopes(levels.level(level), scalar.level(level))
+                windows += 1
+                clean += report["dirty_slabs"] == 0
+        assert windows == 20
+        assert clean >= 0.9 * windows, f"only {clean} of {windows} windows were clean"
 
     def test_kinetic_sweep_engages_without_fallback(self):
         # A well-conditioned arrangement must be served by the sweep
@@ -570,6 +692,8 @@ class TestEndToEndKernelEquivalence:
 
         forbid(pruning, "_band_rows_vector")
         forbid(klevel, "k_level_envelopes_bulk")
+        forbid(divide_conquer, "front_envelopes")
+        monkeypatch.setattr(divide_conquer, "_FRONT_MIN_FUNCTIONS", 1)
         forbid(difference, "_build_from_columns")
         ids = sorted(small_mod.object_ids, key=str)
         t_lo, t_hi = small_mod.common_time_span()
