@@ -14,10 +14,14 @@ implementations they replaced, per database size:
   between.  It has no slower twin left to race, so it is gated as an absolute
   time; its entries are first checked against the per-trajectory
   :func:`repro.index.boxes.segment_boxes` loop;
-* ``band`` — :func:`repro.core.pruning.band_intervals_batch` (batched rows
-  + shared base classification) vs
-  :func:`repro.reference.band.band_intervals_batch` (the original per-candidate
-  row builder) over a prepared context's candidates;
+* ``band`` — :func:`repro.core.pruning.band_intervals_batch` (rows from the
+  packed piece columns, most of them decided by closed-form bounds) vs
+  :func:`repro.reference.band.band_intervals_batch` (the per-candidate row
+  loop that samples every row) over a prepared context's candidates, on two
+  inputs: the random-waypoint store (``band_*``) and the streaming fleet's
+  trailing window, where every candidate is piecewise
+  (``band_piecewise_*``).  Both are checked to put no candidate on the
+  scalar row builder, so neither gate can time ``_band_rows`` against itself;
 * ``lower_envelope`` —
   :func:`repro.geometry.envelope.divide_conquer.lower_envelope` (the kinetic
   front at one level) vs the scalar ``le_alg`` recursion it reproduces, over
@@ -50,7 +54,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.pruning import band_intervals, band_intervals_batch
+from repro.core.pruning import (
+    band_intervals,
+    band_intervals_batch,
+    band_report,
+    band_tally,
+)
 from repro.engine import QueryEngine
 from repro.engine.filtering import corridor_probe_bulk
 from repro.geometry.envelope.bulk import front_report, front_tally
@@ -62,6 +71,7 @@ from repro.reference.corridor import TrajectoryArrays, conservative_corridor_rad
 from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
+from repro.workloads.scenarios import streaming_fleet
 
 from common import default_output_path, write_record
 
@@ -135,37 +145,64 @@ def bench_index_build(mod: MovingObjectsDatabase) -> Dict[str, float]:
     }
 
 
-def bench_band(mod: MovingObjectsDatabase) -> Dict[str, float]:
-    lo, hi = mod.common_time_span()
-    query_id = mod.object_ids[0]
-    context = QueryEngine(mod).prepare(query_id, lo, hi).context
+def _best_of_three(build, *args) -> float:
+    """The best of three timings: with gates at zero tolerance, one
+    scheduler hiccup must not decide a race of a few milliseconds."""
+    seconds = []
+    for _ in range(3):
+        started = time.perf_counter()
+        build(*args)
+        seconds.append(time.perf_counter() - started)
+    return min(seconds)
+
+
+def _race_band(context, lo: float, hi: float, prefix: str) -> Dict[str, float]:
+    """The columnar band pass against the row loop on one context's candidates."""
     functions = list(context.functions.values())
-
-    started = time.perf_counter()
-    scalar = reference.band_intervals_batch(
-        functions, context.envelope, context.band_width, lo, hi
-    )
-    scalar_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    batched = band_intervals_batch(
-        functions, context.envelope, context.band_width, lo, hi
-    )
-    batch_seconds = time.perf_counter() - started
-
+    args = (functions, context.envelope, context.band_width, lo, hi)
+    scalar = reference.band_intervals_batch(*args)
+    before = band_tally()
+    batched = band_intervals_batch(*args)
     if scalar != batched:
         raise AssertionError("batched band kernel diverged from the reference")
-    single = band_intervals(
-        functions[0], context.envelope, context.band_width, lo, hi
-    )
+    if band_report(before)["scalar"]:
+        # A candidate went to ``_band_rows``: the race would be, in part,
+        # the row loop against itself.
+        raise AssertionError(f"the {prefix} gate's input needed the scalar row builder")
+    single = band_intervals(functions[0], *args[1:])
     if single != scalar[0]:
         raise AssertionError("single-candidate call diverged from the batch row")
+    scalar_seconds = _best_of_three(reference.band_intervals_batch, *args)
+    batch_seconds = _best_of_three(band_intervals_batch, *args)
     return {
-        "band_scalar_ms": scalar_seconds * 1000.0,
-        "band_batch_ms": batch_seconds * 1000.0,
-        "band_speedup": scalar_seconds / batch_seconds,
-        "band_candidates": float(len(functions)),
+        f"{prefix}_scalar_ms": scalar_seconds * 1000.0,
+        f"{prefix}_batch_ms": batch_seconds * 1000.0,
+        f"{prefix}_speedup": scalar_seconds / batch_seconds,
+        f"{prefix}_candidates": float(len(functions)),
     }
+
+
+def bench_band(mod: MovingObjectsDatabase) -> Dict[str, float]:
+    """Two inputs: the random-waypoint store's full window (mostly
+    single-curve candidates) and, at the same fleet size, the streaming
+    fleet's trailing window, where every candidate is piecewise."""
+    lo, hi = mod.common_time_span()
+    context = QueryEngine(mod).prepare(mod.object_ids[0], lo, hi).context
+    numbers = _race_band(context, lo, hi, "band")
+    scenario = streaming_fleet(num_vehicles=len(mod), num_queries=1, num_batches=1)
+    _, horizon = scenario.mod.common_time_span()
+    context = (
+        QueryEngine(scenario.mod)
+        .prepare(scenario.query_ids[0], horizon - 5.0, horizon)
+        .context
+    )
+    if not all(
+        function.breakpoints(horizon - 5.0, horizon)
+        for function in context.functions.values()
+    ):
+        raise AssertionError("the streaming fleet's candidates are not all piecewise")
+    numbers.update(_race_band(context, horizon - 5.0, horizon, "band_piecewise"))
+    return numbers
 
 
 def _identical_pieces(left, right) -> bool:
@@ -190,18 +227,8 @@ def bench_lower_envelope(mod: MovingObjectsDatabase) -> Dict[str, float]:
     if not _identical_pieces(lower_envelope(functions, lo, hi), le_alg(functions, lo, hi)):
         raise AssertionError("kinetic front diverged from the scalar LE_Alg")
 
-    # Both sides take tens of milliseconds: the best of three keeps one
-    # scheduler hiccup from deciding a gate with zero tolerance.
-    def best_of_three(build) -> float:
-        seconds = []
-        for _ in range(3):
-            started = time.perf_counter()
-            build(functions, lo, hi)
-            seconds.append(time.perf_counter() - started)
-        return min(seconds)
-
-    scalar_seconds = best_of_three(le_alg)
-    vector_seconds = best_of_three(lower_envelope)
+    scalar_seconds = _best_of_three(le_alg, functions, lo, hi)
+    vector_seconds = _best_of_three(lower_envelope, functions, lo, hi)
     return {
         "lower_envelope_scalar_ms": scalar_seconds * 1000.0,
         "lower_envelope_vector_ms": vector_seconds * 1000.0,
@@ -343,6 +370,9 @@ def run_bench(
             f"band {numbers['band_scalar_ms']:7.1f} -> "
             f"{numbers['band_batch_ms']:6.1f} ms "
             f"({numbers['band_speedup']:4.2f}x) | "
+            f"band (piecewise) {numbers['band_piecewise_scalar_ms']:7.1f} -> "
+            f"{numbers['band_piecewise_batch_ms']:6.1f} ms "
+            f"({numbers['band_piecewise_speedup']:4.2f}x) | "
             f"envelope {numbers['lower_envelope_scalar_ms']:7.1f} -> "
             f"{numbers['lower_envelope_vector_ms']:6.1f} ms "
             f"({numbers['lower_envelope_speedup']:4.2f}x) | "

@@ -17,7 +17,6 @@ from .pruning import (
     band_intervals_batch,
     is_within_band_always,
     is_within_band_sometime,
-    minimum_band_gap,
     prune_by_band,
     time_within_band,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "expected_distances_at",
     "is_within_band_always",
     "is_within_band_sometime",
-    "minimum_band_gap",
     "monte_carlo_ranking",
     "nn_probability_snapshot",
     "probability_timeline",

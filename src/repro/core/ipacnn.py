@@ -62,11 +62,42 @@ def build_ipac_tree(
         raise ValueError(f"empty query window [{t_lo}, {t_hi}]")
     if band_width < 0:
         raise ValueError("band width must be non-negative")
-    if not functions:
-        return IPACTree(query_id, t_lo, t_hi, [])
+    return _pruned_tree(
+        functions, query_id, t_lo, t_hi, band_width, max_levels, min_interval
+    )[0]
 
+
+def build_ipac_tree_with_statistics(
+    functions: Sequence[DistanceFunction],
+    query_id: object,
+    t_lo: float,
+    t_hi: float,
+    band_width: float,
+    max_levels: Optional[int] = None,
+) -> tuple[IPACTree, Envelope, PruningStatistics]:
+    """Like :func:`build_ipac_tree` but also return the envelope and pruning stats.
+
+    Convenient for the experiment harness (Figure 13 needs the statistics and
+    Figures 11/12 reuse the envelope).
+    """
+    return _pruned_tree(functions, query_id, t_lo, t_hi, band_width, max_levels)
+
+
+def _pruned_tree(
+    functions: Sequence[DistanceFunction],
+    query_id: object,
+    t_lo: float,
+    t_hi: float,
+    band_width: float,
+    max_levels: Optional[int],
+    min_interval: float = 1e-6,
+) -> tuple[IPACTree, Envelope, PruningStatistics]:
+    """Both public builders: one envelope, one band pruning, one tree."""
+    if not functions:
+        empty_stats = PruningStatistics(0, 0)
+        return IPACTree(query_id, t_lo, t_hi, []), None, empty_stats  # type: ignore[return-value]
     envelope = lower_envelope(functions, t_lo, t_hi)
-    survivors, _ = prune_by_band(functions, envelope, band_width, t_lo, t_hi)
+    survivors, stats = prune_by_band(functions, envelope, band_width, t_lo, t_hi)
     by_id: Dict[object, DistanceFunction] = {f.object_id: f for f in survivors}
 
     builder = _TreeBuilder(
@@ -83,31 +114,7 @@ def build_ipac_tree(
             node, excluded=frozenset([piece.object_id])
         )
         roots.append(node)
-    return IPACTree(query_id, t_lo, t_hi, roots)
-
-
-def build_ipac_tree_with_statistics(
-    functions: Sequence[DistanceFunction],
-    query_id: object,
-    t_lo: float,
-    t_hi: float,
-    band_width: float,
-    max_levels: Optional[int] = None,
-) -> tuple[IPACTree, Envelope, PruningStatistics]:
-    """Like :func:`build_ipac_tree` but also return the envelope and pruning stats.
-
-    Convenient for the experiment harness (Figure 13 needs the statistics and
-    Figures 11/12 reuse the envelope).
-    """
-    if not functions:
-        empty_stats = PruningStatistics(0, 0)
-        return IPACTree(query_id, t_lo, t_hi, []), None, empty_stats  # type: ignore[return-value]
-    envelope = lower_envelope(functions, t_lo, t_hi)
-    survivors, stats = prune_by_band(functions, envelope, band_width, t_lo, t_hi)
-    tree = build_ipac_tree(
-        functions, query_id, t_lo, t_hi, band_width, max_levels=max_levels
-    )
-    return tree, envelope, stats
+    return IPACTree(query_id, t_lo, t_hi, roots), envelope, stats
 
 
 class _TreeBuilder:

@@ -15,25 +15,26 @@ function is inside that band, so this module provides:
 
 The band test compares two hyperbolas offset by a constant, which is not a
 polynomial comparison; sign changes of the gap function are bracketed on a
-per-piece sample grid (endpoints, curve vertices, and a fixed number of
-interior points).  Band-interval extraction is the hot path of every batched
-predicate, so :func:`band_intervals` evaluates the whole sample grid with
-NumPy in one pass and refines only the bracketed sign changes with a
-vectorized bisection; :func:`band_intervals_batch` extends the same scheme
-to *many* candidates against one envelope (one grid pass, one grouped
-bisection), which is what :class:`~repro.core.queries.QueryContext` runs
-per prepared query.  The original per-piece Brent's-method implementation
-and the per-candidate row loop this module's batched builder is pinned
-against bit for bit live in :mod:`repro.reference.band`.
+per-row sample grid (endpoints, curve vertices, and a fixed number of
+interior points) and refined by bisection.  It is the largest layer of a
+cold query, so :func:`band_intervals_batch` runs it columnwise for *many*
+candidates against one envelope: the (candidate piece × envelope piece) rows
+come from the packed piece columns in one ragged NumPy pass, closed-form
+bounds decide most rows outright, and only the rest is sampled and bisected,
+all candidates' brackets in one batch.  The row loop that samples *every*
+row, which this module is pinned against bit for bit, and the original
+Brent's-method extractor live in :mod:`repro.reference.band`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola
 from ..geometry.envelope.pieces import Envelope
 
@@ -45,6 +46,29 @@ from .tolerances import FULL_WINDOW_SLACK, TIME_TOLERANCE as _TIME_TOLERANCE
 _BOUNDARY_GUARD = 4.0 * _TIME_TOLERANCE
 #: Interior sample points per elementary interval used to bracket band crossings.
 _SAMPLES_PER_INTERVAL = 12
+#: Slack of the closed-form row bounds, as a fraction of the magnitude of a
+#: squared distance's terms: evaluating ``(a t + b) t + c`` is off by a few
+#: ulps (~3e-16) of it, so bounds this loose hold for every computed sample.
+_BOUND_SLACK = 1e-12
+
+_TALLY = threading.local()
+
+
+def band_tally() -> Tuple[int, int, int, int]:
+    """``(rows, rows decided by bounds, rows refined on the sample grid,
+    candidates on the scalar row builder)`` of the calling thread's band
+    passes so far; monotone, like ``bulk.front_tally``."""
+    return getattr(_TALLY, "totals", (0, 0, 0, 0))
+
+
+def band_report(since: Tuple[int, int, int, int]) -> Dict[str, int]:
+    """What the band passes did since an earlier :func:`band_tally` read."""
+    names = ("rows", "bounded", "refined", "scalar")
+    return {name: now - then for name, now, then in zip(names, band_tally(), since)}
+
+
+def _count(*amounts: int) -> None:
+    _TALLY.totals = tuple(old + new for old, new in zip(band_tally(), amounts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,10 +109,8 @@ def band_intervals(
     since every distance function lies on or above the envelope, membership
     is simply ``function(t) <= envelope(t) + band_width``.
 
-    The window is cut into *rows* on which both the envelope owner and the
-    candidate are single hyperbolas, the gap function is evaluated on the
-    whole sample grid in one NumPy pass, and only bracketed sign changes are
-    refined (vectorized bisection over all brackets simultaneously).
+    One-candidate form of :func:`band_intervals_batch`, which describes the
+    computation; the batch returns exactly this list per function.
 
     Args:
         function: the candidate's distance function.
@@ -112,24 +134,15 @@ def band_intervals_batch(
 ) -> List[List[Tuple[float, float]]]:
     """Band intervals of *many* candidates against one envelope in one pass.
 
-    The hot loop of every UQ3x answer runs :func:`band_intervals` once per
-    candidate; this kernel concatenates every candidate's rows into one
-    (rows × samples) grid, evaluates the gap function and the no-crossing
-    midpoint tests in a single NumPy pass, and refines each candidate's
-    bracketed sign changes with the same per-candidate bisection the scalar
-    call uses — so the returned interval lists are bit-identical to calling
-    :func:`band_intervals` per function.
-
-    The row construction itself is array-oriented: the
-    candidate-independent boundary grid (envelope criticals plus owner
-    breakpoints) is built once and shared by every single-curve candidate,
-    and the crossing-subinterval classification runs as one batched gap
-    evaluation.  Candidates the vectorized builder cannot provably replicate
-    (piecewise candidates, boundaries inside the tolerance guard) fall back
-    to the reference row builder (``_band_rows``) *per candidate*, so the
-    output is always bit-identical to
-    :func:`repro.reference.band.band_intervals_batch` — the per-candidate
-    row loop the differential suite compares against.
+    The window is cut into *rows* on which the envelope and the candidate
+    are one hyperbola each (:func:`_band_rows_vector`, columnwise).  Closed
+    form bounds on the two curves decide most rows without a sample
+    (:func:`_value_bounds`); the rest get the sample grid, and every
+    candidate's bracketed sign changes are bisected in one batch, each
+    candidate on its own step budget.  The result is bit-identical to
+    :func:`repro.reference.band.band_intervals_batch`, which samples every
+    row of every candidate in a per-candidate loop: the differential suite
+    compares the two with ``==``, which is what proves the bounds sound.
 
     Returns:
         One interval list per function, aligned with the input order.
@@ -145,25 +158,60 @@ def band_intervals_batch(
             gap = envelope.value(t_lo) + band_width - function.value(t_lo)
             results.append([(t_lo, t_hi)] if gap >= -_TIME_TOLERANCE else [])
         return results
-    lo, hi, env_coeffs, fun_coeffs, row_slices = _band_rows_vector(
+    if not functions:
+        return []
+    lo, hi, env_coeffs, fun_coeffs, group = _band_rows_vector(
         functions, envelope, t_lo, t_hi
     )
-    if lo.size == 0:
-        return [[] for _ in functions]
-    group_of_row, midpoint_gaps, roots_by_row = _refine_rows(
-        lo, hi, env_coeffs, fun_coeffs, band_width, row_slices
-    )
-    return _classify_rows_batch(
-        lo,
-        hi,
-        env_coeffs,
-        fun_coeffs,
-        band_width,
-        roots_by_row,
-        midpoint_gaps,
-        row_slices,
-        group_of_row,
-    )
+    # A row whose candidate stays under ``envelope + band``, or over it, has
+    # a gap of one strict sign at every sample the grid would take: no zero,
+    # no bracket, and a midpoint of that sign.  The sums mirror ``_gap_grid``
+    # (adding the band is monotone; a float difference has the exact sign).
+    env_low, env_high = _value_bounds(lo, hi, env_coeffs)
+    fun_low, fun_high = _value_bounds(lo, hi, fun_coeffs)
+    in_band = env_low + band_width > fun_high
+    undecided = np.nonzero(~in_band & ~(env_high + band_width < fun_low))[0]
+    _count(lo.size, lo.size - undecided.size, undecided.size, 0)
+    crossings: Dict[int, List[float]] = {}
+    if undecided.size:
+        sub_lo, sub_hi = lo[undecided], hi[undecided]
+        sub_env, sub_fun = env_coeffs[undecided], fun_coeffs[undecided]
+        times = _row_sample_grid(sub_lo, sub_hi, sub_env, sub_fun)
+        values = _gap_grid(times, sub_env, sub_fun, band_width)
+        roots_by_row = _refine_bracketed_roots(
+            times, values, sub_env, sub_fun, band_width, sub_lo, sub_hi,
+            group[undecided], len(functions),
+        )
+        # Rows with no crossing are classified by one midpoint test.
+        midpoint_gaps = _gap_at((sub_lo + sub_hi) / 2.0, sub_env, sub_fun, band_width)
+        in_band[undecided] = midpoint_gaps >= 0.0
+        crossings = {
+            int(undecided[row]): roots for row, roots in roots_by_row.items() if roots
+        }
+        in_band[list(crossings)] = False
+    results = _merged_runs(lo, hi, group, in_band, len(functions))
+    if crossings:
+        # Sub-intervals between a row's crossings, by one batched midpoint test.
+        sub_row, sub_start, sub_end = zip(*(
+            (row, start, end)
+            for row, roots in crossings.items()
+            for start, end in zip([lo[row]] + roots, roots + [hi[row]])
+        ))
+        sub_row, start_arr, end_arr = np.array(sub_row), np.array(sub_start), np.array(sub_end)
+        sub_gaps = _gap_at(
+            (start_arr + end_arr) / 2.0, env_coeffs[sub_row], fun_coeffs[sub_row], band_width
+        )
+        inside = (end_arr - start_arr > _TIME_TOLERANCE) & (sub_gaps >= 0.0)
+        owners = group[sub_row[inside]].tolist()
+        for index, owner in zip(np.nonzero(inside)[0].tolist(), owners):
+            # Index the Python lists, not the arrays: refined roots are
+            # Python floats and row bounds are np.float64, and the per-row
+            # classifier emits each mark with its original type.
+            results[owner].append((sub_start[index], sub_end[index]))
+        # Merging runs first changes nothing: rows are disjoint, in time order.
+        for owner in set(owners):
+            results[owner] = _merge_intervals(results[owner])
+    return results
 
 
 def is_within_band_sometime(
@@ -214,40 +262,10 @@ def prune_by_band(
     Returns:
         ``(survivors, statistics)`` where survivors preserve the input order.
     """
-    survivors = [
-        function
-        for function in functions
-        if is_within_band_sometime(function, envelope, band_width, t_lo, t_hi)
-    ]
+    functions = list(functions)
+    inside = band_intervals_batch(functions, envelope, band_width, t_lo, t_hi)
+    survivors = [function for function, spans in zip(functions, inside) if spans]
     return survivors, PruningStatistics(len(functions), len(survivors))
-
-
-def minimum_band_gap(
-    function: DistanceFunction,
-    envelope: Envelope,
-    t_lo: float,
-    t_hi: float,
-    samples_per_interval: int = _SAMPLES_PER_INTERVAL,
-) -> float:
-    """Smallest value of ``function(t) − envelope(t)`` over the window.
-
-    Useful for diagnostics ("how far from mattering is this object?") and for
-    choosing band widths in the ablation benchmarks.  The result is
-    approximate with the same sampling resolution as the band test.
-    """
-    boundaries = _elementary_boundaries(function, envelope, t_lo, t_hi)
-    best = float("inf")
-    for interval_start, interval_end in zip(boundaries, boundaries[1:]):
-        if interval_end - interval_start <= _TIME_TOLERANCE:
-            continue
-        piece = envelope.piece_at((interval_start + interval_end) / 2.0)
-        for t in _sample_times(
-            interval_start, interval_end, function, piece, samples_per_interval
-        ):
-            gap = function.value(t) - piece.function.value(t)
-            if gap < best:
-                best = gap
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -296,69 +314,64 @@ def _band_rows(
     return rows
 
 
-def _is_single_curve(function: DistanceFunction, t_lo: float, t_hi: float) -> bool:
-    """True when the candidate behaves as ONE hyperbola over the whole window.
-
-    ``_band_rows`` consults the candidate twice per row: its breakpoints
-    split the elementary intervals, and ``piece_at`` picks the curve at each
-    row midpoint.  When the function spans the window, has no interior
-    breakpoints, and no piece ends strictly inside the window, every midpoint
-    resolves to the same piece — so the candidate-independent base rows plus
-    one tiled coefficient triple reproduce ``_band_rows`` exactly.
-    """
-    if function.t_start > t_lo or function.t_end < t_hi:
-        return False
-    if len(function.pieces) == 1:
-        return True
-    if function.breakpoints(t_lo, t_hi):
-        return False
-    return not any(t_lo < piece.t_end < t_hi for piece in function.pieces)
-
-
 def _base_band_rows(
     envelope: Envelope, t_lo: float, t_hi: float
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Optional[Tuple[np.ndarray, np.ndarray, bool]]:
     """Candidate-independent rows: envelope elementary intervals split at the
     owner's interior breakpoints.
 
-    For a candidate without breakpoints in the window, these are exactly the
-    ``(lo, hi, env_curve)`` triples ``_band_rows`` derives — the candidate
-    only contributes its own (constant) curve column.  Returns ``None``
-    whenever the reference builder's tolerance-deduplication could become
-    observable (boundaries within ``_BOUNDARY_GUARD`` of each other) or the
-    envelope does not cover the window; callers then fall back to
-    ``_band_rows`` per candidate, which raises/dedups exactly as before.
+    Returns ``(bounds, env_coeffs, tiled)``: row ``i`` spans
+    ``bounds[i:i + 2]`` on the envelope curve ``env_coeffs[i]``, exactly as
+    ``_band_rows`` derives it for a candidate without breakpoints in the
+    window.  ``tiled`` says any midpoint inside a row reads that curve too
+    (the envelope's and each owner's pieces tile without gap or overlap), so
+    a candidate's breakpoints may cut the rows further.  ``None`` when the
+    reference builder's tolerance de-duplication could be observed
+    (boundaries within ``_BOUNDARY_GUARD``) or a lookup fails; every
+    candidate then goes through ``_band_rows``, which raises/dedups as before.
     """
     interior = [t for t in envelope.critical_times if t_lo < t < t_hi]
     bounds = np.unique(np.array([t_lo, t_hi] + interior))
     if np.diff(bounds).min() <= _BOUNDARY_GUARD:
         return None
-    starts: List[float] = []
-    ends: List[float] = []
+    marks: List[float] = [t_lo]
     env_curves: List[Hyperbola] = []
-    for interval_start, interval_end in zip(bounds[:-1], bounds[1:]):
-        try:
+    tiled = True
+    try:
+        for interval_start, interval_end in zip(bounds[:-1], bounds[1:]):
             piece = envelope.piece_at((interval_start + interval_end) / 2.0)
-        except ValueError:
-            return None
-        owner = piece.function
-        marks = (
-            [interval_start]
-            + owner.breakpoints(interval_start, interval_end)
-            + [interval_end]
-        )
-        if any(b - a <= _BOUNDARY_GUARD for a, b in zip(marks, marks[1:])):
-            return None
-        for sub_start, sub_end in zip(marks, marks[1:]):
-            midpoint = (sub_start + sub_end) / 2.0
-            starts.append(sub_start)
-            ends.append(sub_end)
-            env_curves.append(owner.piece_at(midpoint).curve)
+            owner = piece.function
+            cuts = owner.breakpoints(interval_start, interval_end) + [interval_end]
+            for sub_start, sub_end in zip([interval_start] + cuts, cuts):
+                if sub_end - sub_start <= _BOUNDARY_GUARD:
+                    return None
+                env_curves.append(owner.piece_at((sub_start + sub_end) / 2.0).curve)
+            marks.extend(cuts)
+            tiled = (
+                tiled
+                and piece.t_start <= interval_start
+                and owner.t_start <= interval_start
+                and owner.t_end >= interval_end
+                and all(
+                    after.t_start == before.t_end
+                    for before, after in zip(owner.pieces, owner.pieces[1:])
+                )
+            )
+    except ValueError:
+        return None
     return (
-        np.array(starts),
-        np.array(ends),
+        np.array(marks),
         np.array([[curve.a, curve.b, curve.c] for curve in env_curves]),
+        tiled,
     )
+
+
+def _keyed(group: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``(group, time)`` pairs as complex numbers: NumPy sorts and searches
+    those lexicographically, real part first, and compares both exactly."""
+    keys = np.empty(len(times), dtype=complex)
+    keys.real, keys.imag = group, times
+    return keys
 
 
 def _band_rows_vector(
@@ -366,117 +379,134 @@ def _band_rows_vector(
     envelope: Envelope,
     t_lo: float,
     t_hi: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, int]]]:
-    """Array-oriented row construction for a whole candidate batch.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate's rows from the packed piece columns, in one pass.
 
-    Single-curve candidates share the base rows of ``_base_band_rows`` and
-    contribute one broadcast coefficient triple each; everything else (and
-    every candidate, when the base rows are unavailable) goes through the
-    reference ``_band_rows`` builder so the assembled arrays carry exactly
-    the floats the scalar kernel would produce.
+    Returns ``(lo, hi, env_coeffs, fun_coeffs, group)`` with the floats
+    ``_band_rows`` produces per candidate; ``group[i]`` is the position of
+    row ``i``'s candidate, whose rows are contiguous and in time order.
+
+    A candidate that is one curve over the window repeats the base rows.
+    One with breakpoints merges them into the base bounds — one sort over
+    (candidate, time), bitwise duplicates dropped, consecutive pairs as rows
+    — and reads its curve by ``DistanceFunction.piece_at``'s rule (the first
+    piece whose end is ``>=`` the row midpoint, clamped).  A candidate goes
+    to ``_band_rows``, alone, only where that builder's de-duplication could
+    be observed or its lookups differ: two distinct boundaries within
+    ``_BOUNDARY_GUARD``, a function that does not span the window or whose
+    piece ends are out of order, base rows that are not ``tiled``.
     """
+    count = len(functions)
+    vector = np.zeros(count, dtype=bool)
+    blocks = []
     base = _base_band_rows(envelope, t_lo, t_hi)
     if base is not None:
-        base_lo, base_hi, base_env = base
-        window_mid = (t_lo + t_hi) / 2.0
-    lo_blocks: List[np.ndarray] = []
-    hi_blocks: List[np.ndarray] = []
-    env_blocks: List[np.ndarray] = []
-    fun_blocks: List[np.ndarray] = []
-    row_slices: List[Tuple[int, int]] = []
-    total = 0
-    for function in functions:
-        if base is not None and _is_single_curve(function, t_lo, t_hi):
-            curve = function.piece_at(window_mid).curve
-            count = base_lo.size
-            lo_blocks.append(base_lo)
-            hi_blocks.append(base_hi)
-            env_blocks.append(base_env)
-            fun_blocks.append(
-                np.broadcast_to(np.array([curve.a, curve.b, curve.c]), (count, 3))
+        bounds, base_env, tiled = base
+        pack = FunctionPack(functions)
+        first, last = pack.offsets[:-1], pack.offsets[1:] - 1
+
+        def holders(pieces: np.ndarray) -> np.ndarray:
+            """How many of ``pieces`` each function has."""
+            return np.bincount(pack.owner[pieces], minlength=count)
+
+        def coefficients(pieces: np.ndarray) -> np.ndarray:
+            return np.stack([pack.a[pieces], pack.b[pieces], pack.c[pieces]], axis=1)
+
+        starts = pack.starts[pack.followers]
+        breaks = pack.followers[(t_lo < starts) & (starts < t_hi)]
+        spans = (pack.starts[first] <= t_lo) & (pack.ends[last] >= t_hi)
+        inner_ends = np.nonzero((t_lo < pack.ends) & (pack.ends < t_hi))[0]
+        single = spans & (holders(breaks) == 0) & (holders(inner_ends) == 0)
+        unordered = pack.followers[pack.ends[pack.followers] < pack.ends[pack.followers - 1]]
+        piecewise = spans & ~single & (holders(unordered) == 0) & tiled
+
+        members = np.nonzero(single)[0]
+        if members.size:
+            curve = pack.piece_index_at((t_lo + t_hi) / 2.0)[members]
+            rows = len(bounds) - 1
+            blocks.append((
+                np.tile(bounds[:-1], members.size),
+                np.tile(bounds[1:], members.size),
+                np.tile(base_env, (members.size, 1)),
+                np.repeat(coefficients(curve), rows, axis=0),
+                np.repeat(members, rows),
+            ))
+        members = np.nonzero(piecewise)[0]
+        if members.size:
+            breaks = breaks[piecewise[pack.owner[breaks]]]
+            keys = np.sort(np.concatenate([
+                _keyed(np.repeat(members, len(bounds)), np.tile(bounds, members.size)),
+                _keyed(pack.owner[breaks], pack.starts[breaks]),
+            ]))
+            keys = keys[np.append(True, keys[1:] != keys[:-1])]
+            group, times = keys.real.astype(np.int64), keys.imag
+            paired = group[1:] == group[:-1]
+            crowded = paired & (times[1:] - times[:-1] <= _BOUNDARY_GUARD)
+            piecewise[group[1:][crowded]] = False
+            paired &= piecewise[group[1:]]
+            lo, hi, group = times[:-1][paired], times[1:][paired], group[1:][paired]
+            curve = np.searchsorted(
+                _keyed(pack.owner, pack.ends), _keyed(group, (lo + hi) / 2.0)
             )
-        else:
-            rows = _band_rows(function, envelope, t_lo, t_hi)
-            count = len(rows)
-            if count:
-                lo_blocks.append(np.array([row[0] for row in rows]))
-                hi_blocks.append(np.array([row[1] for row in rows]))
-                env_blocks.append(
-                    np.array([[row[2].a, row[2].b, row[2].c] for row in rows])
-                )
-                fun_blocks.append(
-                    np.array([[row[3].a, row[3].b, row[3].c] for row in rows])
-                )
-        row_slices.append((total, total + count))
-        total += count
-    if total == 0:
-        empty = np.empty(0)
-        return empty, empty, np.empty((0, 3)), np.empty((0, 3)), row_slices
+            blocks.append((
+                lo,
+                hi,
+                base_env[np.searchsorted(bounds, lo, side="right") - 1],
+                coefficients(np.minimum(curve, last[group])),
+                group,
+            ))
+        vector = single | piecewise
+    scalar = np.nonzero(~vector)[0].tolist()
+    _count(0, 0, 0, len(scalar))
+    cut = np.array([
+        (lo, hi, env.a, env.b, env.c, fun.a, fun.b, fun.c, position)
+        for position in scalar
+        for lo, hi, env, fun in _band_rows(functions[position], envelope, t_lo, t_hi)
+    ]).reshape(-1, 9)
+    blocks.append((cut[:, 0], cut[:, 1], cut[:, 2:5], cut[:, 5:8], cut[:, 8].astype(np.int64)))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def _value_bounds(
+    lo: np.ndarray, hi: np.ndarray, coeffs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds on every value ``_quadratic_sqrt`` computes inside each row.
+
+    A quadratic's extrema over an interval are at its ends and its (clamped)
+    vertex; loosening the squared extrema by ``_BOUND_SLACK`` of the terms'
+    magnitude covers the rounding of any evaluation in the row, and the
+    clipped square root is monotone, so ``low <= value <= high`` holds for
+    the floats the sample grid computes, not just for the exact curve.
+    """
+    a, b, c = coeffs.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(a != 0.0, -b / (2.0 * a), lo)
+    at = np.stack([lo, hi, np.clip(vertex, lo, hi)])
+    squared = (a * at + b) * at + c
+    reach = np.maximum(np.abs(lo), np.abs(hi))
+    slack = _BOUND_SLACK * ((np.abs(a) * reach + np.abs(b)) * reach + np.abs(c))
     return (
-        np.concatenate(lo_blocks),
-        np.concatenate(hi_blocks),
-        np.concatenate(env_blocks),
-        np.concatenate(fun_blocks),
-        row_slices,
+        np.sqrt(np.maximum(squared.min(axis=0) - slack, 0.0)),
+        np.sqrt(np.maximum(squared.max(axis=0) + slack, 0.0)),
     )
 
 
-def _classify_rows_batch(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    env_coeffs: np.ndarray,
-    fun_coeffs: np.ndarray,
-    band_width: float,
-    roots_by_row: dict,
-    midpoint_gaps: np.ndarray,
-    row_slices: List[Tuple[int, int]],
-    group_of_row: np.ndarray,
+def _merged_runs(
+    lo: np.ndarray, hi: np.ndarray, group: np.ndarray, in_band: np.ndarray, count: int
 ) -> List[List[Tuple[float, float]]]:
-    """Assemble every candidate's intervals with ONE batched sub-midpoint pass.
-
-    Bit-identical to running :func:`repro.reference.band._classify_rows`
-    per candidate: crossing-free
-    rows reuse the already-computed midpoint gaps, and the crossing rows'
-    sub-interval midpoints are evaluated in a single ``_gap_at`` call whose
-    elementwise arithmetic matches the per-row broadcasts.  Interval order
-    within a candidate is irrelevant because ``_merge_intervals`` sorts.
-    """
-    buckets: List[List[Tuple[float, float]]] = [[] for _ in row_slices]
-    rows_with_roots = [
-        (row_index, roots) for row_index, roots in roots_by_row.items() if roots
-    ]
-    has_roots = np.zeros(lo.size, dtype=bool)
-    for row_index, _ in rows_with_roots:
-        has_roots[row_index] = True
-    for row_index in np.nonzero(~has_roots & (midpoint_gaps >= 0.0))[0].tolist():
-        buckets[int(group_of_row[row_index])].append((lo[row_index], hi[row_index]))
-    if rows_with_roots:
-        sub_row: List[int] = []
-        sub_start: List[float] = []
-        sub_end: List[float] = []
-        for row_index, roots in rows_with_roots:
-            marks = [lo[row_index]] + roots + [hi[row_index]]
-            for mark_start, mark_end in zip(marks, marks[1:]):
-                sub_row.append(row_index)
-                sub_start.append(mark_start)
-                sub_end.append(mark_end)
-        sub_row_arr = np.array(sub_row, dtype=np.int64)
-        start_arr = np.array(sub_start)
-        end_arr = np.array(sub_end)
-        sub_gaps = _gap_at(
-            (start_arr + end_arr) / 2.0,
-            env_coeffs[sub_row_arr],
-            fun_coeffs[sub_row_arr],
-            band_width,
-        )
-        kept = (end_arr - start_arr > _TIME_TOLERANCE) & (sub_gaps >= 0.0)
-        for index in np.nonzero(kept)[0].tolist():
-            group = int(group_of_row[sub_row_arr[index]])
-            # Index the Python lists, not the arrays: refined roots are
-            # Python floats and row bounds are np.float64, and the per-row
-            # classifier emits each mark with its original type.
-            buckets[group].append((sub_start[index], sub_end[index]))
-    return [_merge_intervals(bucket) for bucket in buckets]
+    """Each of ``count`` candidates' ``in_band`` rows, merged by run detection
+    under ``_merge_intervals``' rule (rows are disjoint and in time order)."""
+    kept = np.nonzero(in_band)[0]
+    kept_lo, kept_hi, kept_group = lo[kept], hi[kept], group[kept]
+    joined = (kept_group[1:] == kept_group[:-1]) & (kept_lo[1:] <= kept_hi[:-1] + 1e-7)
+    opens, closes = np.ones((2, kept.size), dtype=bool)
+    opens[1:] = closes[:-1] = ~joined
+    run_group = kept_group[opens]
+    order = np.argsort(run_group, kind="stable")
+    # Iterating the arrays yields np.float64 bounds, as the row loop emits.
+    runs = list(zip(kept_lo[opens][order], kept_hi[closes][order]))
+    stops = np.cumsum(np.bincount(run_group, minlength=count)).tolist()
+    return [runs[start:stop] for start, stop in zip([0] + stops, stops)]
 
 
 def _row_sample_grid(
@@ -532,42 +562,6 @@ def _gap_at(
     return _gap_grid(times[:, None], env_coeffs, fun_coeffs, band_width)[:, 0]
 
 
-def _refine_rows(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    env_coeffs: np.ndarray,
-    fun_coeffs: np.ndarray,
-    band_width: float,
-    row_slices: List[Tuple[int, int]],
-) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """Grid evaluation and root refinement of every candidate's rows at once.
-
-    Returns:
-        ``(group_of_row, midpoint_gaps, roots_by_row)``: each row's candidate,
-        its gap at the row midpoint, and its refined crossings.
-    """
-    group_of_row = np.empty(lo.size, dtype=np.int64)
-    for group, (start, end) in enumerate(row_slices):
-        group_of_row[start:end] = group
-
-    times = _row_sample_grid(lo, hi, env_coeffs, fun_coeffs)
-    values = _gap_grid(times, env_coeffs, fun_coeffs, band_width)
-    # Rows with no crossing are classified in one vectorized midpoint test.
-    midpoint_gaps = _gap_at((lo + hi) / 2.0, env_coeffs, fun_coeffs, band_width)
-    roots_by_row = _refine_bracketed_roots(
-        times,
-        values,
-        env_coeffs,
-        fun_coeffs,
-        band_width,
-        lo,
-        hi,
-        group_of_row,
-        len(row_slices),
-    )
-    return group_of_row, midpoint_gaps, roots_by_row
-
-
 def _refine_bracketed_roots(
     times: np.ndarray,
     values: np.ndarray,
@@ -610,11 +604,9 @@ def _refine_bracketed_roots(
 
     rows_idx, cols = np.nonzero(bracketed)
     if rows_idx.size:
-        t_a = times[rows_idx, cols].copy()
-        t_b = times[rows_idx, cols + 1].copy()
-        g_a = values[rows_idx, cols].copy()
-        env_b = env_coeffs[rows_idx]
-        fun_b = fun_coeffs[rows_idx]
+        t_a = times[rows_idx, cols]
+        t_b = times[rows_idx, cols + 1]
+        g_a = values[rows_idx, cols]
         widths = t_b - t_a
         groups = group_of_row[rows_idx]
         widest = np.zeros(group_count)
@@ -629,15 +621,27 @@ def _refine_bracketed_roots(
             ),
         )
         steps_per_bracket = per_group_steps[groups]
+        # The brackets' coefficient columns, gathered once for every step:
+        # row 0 the envelope's, row 1 the candidate's, so one pass of
+        # ``_quadratic_sqrt``'s expression evaluates both curves.
+        a, b, c = np.stack([env_coeffs[rows_idx], fun_coeffs[rows_idx]]).transpose(2, 0, 1)
+        a, b, c = (np.ascontiguousarray(column) for column in (a, b, c))
+        fewest = int(steps_per_bracket.min())
         for iteration in range(int(steps_per_bracket.max())):
-            active = steps_per_bracket > iteration
             t_mid = 0.5 * (t_a + t_b)
-            g_mid = _gap_at(t_mid, env_b, fun_b, band_width)
+            env_mid, fun_mid = np.sqrt(np.maximum((a * t_mid + b) * t_mid + c, 0.0))
+            g_mid = env_mid + band_width - fun_mid
             go_left = g_a * g_mid <= 0.0
-            move_right = active & ~go_left
-            t_b = np.where(active & go_left, t_mid, t_b)
-            t_a = np.where(move_right, t_mid, t_a)
-            g_a = np.where(move_right, g_mid, g_a)
+            if iteration < fewest:
+                move_right = ~go_left
+            else:
+                # A bracket freezes once its candidate's budget is spent.
+                active = steps_per_bracket > iteration
+                go_left &= active
+                move_right = active ^ go_left
+            np.putmask(t_b, go_left, t_mid)
+            np.putmask(t_a, move_right, t_mid)
+            np.putmask(g_a, move_right, g_mid)
         refined = 0.5 * (t_a + t_b)
         for row_index, root in zip(rows_idx.tolist(), refined.tolist()):
             _record(row_index, float(root))
@@ -674,27 +678,6 @@ def _elementary_boundaries(
     boundaries[0] = t_lo
     boundaries[-1] = t_hi
     return boundaries
-
-
-def _sample_times(
-    interval_start: float,
-    interval_end: float,
-    function: DistanceFunction,
-    envelope_piece,
-    samples: int = _SAMPLES_PER_INTERVAL,
-) -> List[float]:
-    """Sample grid for one elementary interval, including curve vertices."""
-    span = interval_end - interval_start
-    times = [
-        interval_start + span * index / (samples - 1) for index in range(samples)
-    ]
-    for candidate_function in (function, envelope_piece.function):
-        for piece in candidate_function.pieces:
-            vertex = piece.curve.vertex_time
-            if vertex is not None and interval_start < vertex < interval_end:
-                times.append(vertex)
-    times.sort()
-    return times
 
 
 def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:

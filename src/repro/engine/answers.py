@@ -9,9 +9,13 @@ batch, streaming, and parallel paths byte-compatible with each other.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Tuple
 
+from ..core.pruning import band_report, band_tally
 from ..core.queries import QueryContext
+from ..obs.metrics import MetricsRegistry
+from ..obs.tracing import trace_span
 
 #: The supported UQ3x variants, in paper order.
 VARIANTS = ("sometime", "always", "fraction")
@@ -44,3 +48,29 @@ def answer_of(
         member: tuple(context.nonzero_probability_intervals(member))
         for member in members
     }
+
+
+@contextmanager
+def band_span(registry: MetricsRegistry, name: str, **attributes) -> Iterator:
+    """A span around :func:`answer_of` that says what the band pass did.
+
+    The pass runs when an answer is first taken from a context, under no
+    span of its own; this one carries :func:`~repro.core.pruning.band_report`
+    as ``band_rows=``, ``band_bounded=``, ``band_refined=`` (rows) and
+    ``band_scalar=`` (candidates on the scalar row builder), the last three
+    also in ``repro_core_band_rows_total{kind=}`` of ``registry``.
+    """
+    before = band_tally()
+    with trace_span(name, **attributes) as span:
+        yield span
+        report = band_report(before)
+        for kind, amount in report.items():
+            span.set(f"band_{kind}", amount)
+    for kind in ("bounded", "refined", "scalar"):
+        if report[kind]:
+            registry.counter(
+                "repro_core_band_rows_total",
+                "Band rows decided by bounds or refined on the sample grid; "
+                "candidates whose rows the scalar builder cut",
+                kind=kind,
+            ).inc(report[kind])

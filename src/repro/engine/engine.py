@@ -33,7 +33,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NOOP_SPAN as _NO_SPAN, trace_span
 from ..trajectories.difference import scalar_fallback_count
 from ..trajectories.mod import MovingObjectsDatabase
-from .answers import Answer, answer_of
+from .answers import Answer, answer_of, band_span
 from .cache import CacheInfo, ContextCache
 from .filtering import (
     all_other_ids,
@@ -537,7 +537,7 @@ class QueryEngine:
         per-shard workers, and ad-hoc callers share, so every execution layer
         produces the identical answer shape for identical inputs.
         """
-        with trace_span("engine.answer", query=query_id, variant=variant):
+        with band_span(self.registry, "engine.answer", query=query_id, variant=variant):
             prepared = self.prepare(query_id, t_start, t_end, band_width=band_width)
             return answer_of(prepared.context, variant, fraction)
 

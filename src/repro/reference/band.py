@@ -8,8 +8,11 @@
   import graph.
 * :func:`band_intervals_batch` — the per-candidate row loop: one
   ``_band_rows`` call and one ``_classify_rows`` pass per candidate around
-  the grid/bisection pass of :mod:`repro.core.pruning`, whose
-  ``band_intervals_batch`` promises output bit-identical to this one.
+  a sample grid over *every* row.  :mod:`repro.core.pruning` promises output
+  bit-identical to this one while sampling only the rows its closed-form
+  bounds leave undecided; this module imports none of that bounds code, so
+  the ``==`` of the differential suite is the proof that the bounds hold.
+* :func:`minimum_band_gap` — a sampled diagnostic nothing serves.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ..core.pruning import (
+    _SAMPLES_PER_INTERVAL,
     _band_rows,
     _elementary_boundaries,
     _gap_at,
+    _gap_grid,
     _merge_intervals,
-    _refine_rows,
-    _sample_times,
+    _refine_bracketed_roots,
+    _row_sample_grid,
 )
 from ..core.tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola
@@ -63,8 +68,16 @@ def band_intervals_batch(
     hi = np.array([row[1] for row in all_rows])
     env_coeffs = np.array([[row[2].a, row[2].b, row[2].c] for row in all_rows])
     fun_coeffs = np.array([[row[3].a, row[3].b, row[3].c] for row in all_rows])
-    group_of_row, midpoint_gaps, roots_by_row = _refine_rows(
-        lo, hi, env_coeffs, fun_coeffs, band_width, row_slices
+    group_of_row = np.empty(lo.size, dtype=np.int64)
+    for group, (start, end) in enumerate(row_slices):
+        group_of_row[start:end] = group
+    # Every row is sampled; crossing-free ones are classified at the midpoint.
+    times = _row_sample_grid(lo, hi, env_coeffs, fun_coeffs)
+    values = _gap_grid(times, env_coeffs, fun_coeffs, band_width)
+    midpoint_gaps = _gap_at((lo + hi) / 2.0, env_coeffs, fun_coeffs, band_width)
+    roots_by_row = _refine_bracketed_roots(
+        times, values, env_coeffs, fun_coeffs, band_width, lo, hi,
+        group_of_row, len(row_slices),
     )
 
     # Bucket the refined roots per candidate, re-keyed to local row indices.
@@ -200,3 +213,52 @@ def _sign_change_roots(
         ):
             deduplicated.append(root)
     return deduplicated
+
+
+def minimum_band_gap(
+    function: DistanceFunction,
+    envelope: Envelope,
+    t_lo: float,
+    t_hi: float,
+    samples_per_interval: int = _SAMPLES_PER_INTERVAL,
+) -> float:
+    """Smallest value of ``function(t) − envelope(t)`` over the window.
+
+    Useful for diagnostics ("how far from mattering is this object?") and for
+    choosing band widths in the ablation benchmarks.  The result is
+    approximate with the same sampling resolution as the band test.
+    """
+    boundaries = _elementary_boundaries(function, envelope, t_lo, t_hi)
+    best = float("inf")
+    for interval_start, interval_end in zip(boundaries, boundaries[1:]):
+        if interval_end - interval_start <= _TIME_TOLERANCE:
+            continue
+        piece = envelope.piece_at((interval_start + interval_end) / 2.0)
+        for t in _sample_times(
+            interval_start, interval_end, function, piece, samples_per_interval
+        ):
+            gap = function.value(t) - piece.function.value(t)
+            if gap < best:
+                best = gap
+    return best
+
+
+def _sample_times(
+    interval_start: float,
+    interval_end: float,
+    function: DistanceFunction,
+    envelope_piece,
+    samples: int = _SAMPLES_PER_INTERVAL,
+) -> List[float]:
+    """Sample grid for one elementary interval, including curve vertices."""
+    span = interval_end - interval_start
+    times = [
+        interval_start + span * index / (samples - 1) for index in range(samples)
+    ]
+    for candidate_function in (function, envelope_piece.function):
+        for piece in candidate_function.pieces:
+            vertex = piece.curve.vertex_time
+            if vertex is not None and interval_start < vertex < interval_end:
+                times.append(vertex)
+    times.sort()
+    return times

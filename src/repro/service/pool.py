@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..engine import QueryEngine
-from ..engine.answers import Answer, answer_of
+from ..engine.answers import Answer, answer_of, band_span
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import trace_span
 from ..parallel import ShardedEngine
 from ..trajectories.mod import MovingObjectsDatabase
 
@@ -178,8 +177,8 @@ class EnginePool:
         :meth:`QueryEngine.answer` calls.
         """
         backend = self.backend_kind()
-        with trace_span(
-            "pool.answer_group", backend=backend, queries=len(query_ids)
+        with band_span(
+            self.registry, "pool.answer_group", backend=backend, queries=len(query_ids)
         ):
             if backend == "sharded":
                 batch = self.sharded_engine().answer_batch(

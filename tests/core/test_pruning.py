@@ -7,12 +7,12 @@ from repro.core.pruning import (
     band_intervals,
     is_within_band_always,
     is_within_band_sometime,
-    minimum_band_gap,
     prune_by_band,
     time_within_band,
     PruningStatistics,
 )
 from repro.geometry.envelope.divide_conquer import lower_envelope
+from repro.reference.band import minimum_band_gap
 from repro.utils.validation import intervals_are_disjoint, total_interval_length
 
 from ..conftest import make_linear_function, random_functions

@@ -340,3 +340,44 @@ class TestFrontObservability:
         snapshot = executor.registry.snapshot()
         assert snapshot['repro_geometry_envelope_slabs_total{kind="clean"}']["value"] == 2
         assert snapshot['repro_geometry_envelope_slabs_total{kind="dirty"}']["value"] == 0
+
+
+class TestBandObservability:
+    """What the band pass did shows on the spans around ``answer_of`` and in
+    ``repro_core_band_rows_total``: it runs when an answer is first taken
+    from a context, under no span of its own."""
+
+    def test_answer_spans_report_the_band_pass(self):
+        from repro.service.pool import EnginePool
+        from repro.workloads.scenarios import multi_query_fleet
+
+        mod, query_ids = multi_query_fleet(num_vehicles=120, num_queries=4, seed=29)
+        engine = QueryEngine(mod)
+        with capture() as recorder:
+            engine.answer(query_ids[0], 20.0, 28.0)
+            engine.answer(query_ids[0], 20.0, 28.0)
+        cold, warm = recorder.spans()
+        assert cold.name == warm.name == "engine.answer"
+        assert cold.attrs["band_rows"] > 0 and cold.attrs["band_scalar"] == 0
+        assert (
+            cold.attrs["band_bounded"] + cold.attrs["band_refined"]
+            == cold.attrs["band_rows"]
+        )
+        # The second answer finds the intervals on the cached context.
+        assert warm.attrs["band_rows"] == 0
+        snapshot = engine.registry.snapshot()
+        for kind in ("bounded", "refined"):
+            assert (
+                snapshot[f'repro_core_band_rows_total{{kind="{kind}"}}']["value"]
+                == cold.attrs[f"band_{kind}"]
+            )
+        assert 'repro_core_band_rows_total{kind="scalar"}' not in snapshot
+
+        with EnginePool(mod, force_backend="single") as pool:
+            with capture() as recorder:
+                pool.answer_group(query_ids[:2], 20.0, 28.0)
+            group = recorder.latest().find("pool.answer_group")
+            assert group.attrs["band_rows"] >= cold.attrs["band_rows"]
+            assert group.attrs["band_scalar"] == 0
+            rows = pool.registry.snapshot()['repro_core_band_rows_total{kind="bounded"}']
+            assert rows["value"] == group.attrs["band_bounded"]
