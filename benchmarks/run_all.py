@@ -60,7 +60,7 @@ REGISTRY = {
     ),
     "sharded": (
         "bench_sharded",
-        "sharded parallel execution vs single-process engine",
+        "batch splitting across workers vs the bare single engine",
     ),
 }
 

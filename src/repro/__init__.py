@@ -27,7 +27,7 @@ from .core import (
     build_ipac_tree,
 )
 from .engine import BatchResult, PreparedQuery, QueryEngine
-from .parallel import ShardPlan, ShardedBatchResult, ShardedEngine
+from .parallel import ShardedBatchResult, ShardedEngine
 from .service import QueryRequest, QueryResponse, QueryService
 from .streaming import (
     BatchReport,
@@ -72,7 +72,6 @@ __all__ = [
     "QueryResponse",
     "QueryService",
     "RandomWaypointConfig",
-    "ShardPlan",
     "ShardedBatchResult",
     "ShardedEngine",
     "Trajectory",

@@ -52,6 +52,8 @@ class QueryContext:
     _pruning_stats: Optional[PruningStatistics] = None
     _intervals: Optional[Dict[object, List[Tuple[float, float]]]] = None
     _intervals_complete: bool = False
+    _survivor_intervals: Optional[Dict[object, Tuple[Tuple[float, float], ...]]] = None
+    _survivor_covered: Optional[Dict[object, float]] = None
 
     # ------------------------------------------------------------------
     # Construction.
@@ -204,6 +206,31 @@ class QueryContext:
             )
         return self._survivors
 
+    def survivor_intervals(self) -> Dict[object, Tuple[Tuple[float, float], ...]]:
+        """Each survivor's non-zero-probability intervals, in survivor order.
+
+        Computed once per context and shared by every answer extracted from
+        it (a warm dashboard refresh extracts the same context's answer on
+        every call), so callers must treat the mapping and its tuples as
+        read-only.
+        """
+        if self._survivor_intervals is None:
+            intervals = self._interval_map()
+            self._survivor_intervals = {
+                function.object_id: tuple(intervals[function.object_id])
+                for function in self.survivors()
+            }
+        return self._survivor_intervals
+
+    def _covered_durations(self) -> Dict[object, float]:
+        """Each survivor's total inside-band time (memoized, survivor order)."""
+        if self._survivor_covered is None:
+            self._survivor_covered = {
+                object_id: sum(end - start for start, end in spans)
+                for object_id, spans in self.survivor_intervals().items()
+            }
+        return self._survivor_covered
+
     def pruning_statistics(self) -> PruningStatistics:
         """Pruning statistics of the band (the Figure 13 quantity)."""
         self.survivors()
@@ -331,12 +358,10 @@ class QueryContext:
 
     def uq32_all_always(self) -> List[object]:
         """UQ32: every trajectory with non-zero NN probability throughout the window."""
-        intervals = self._interval_map()
         return [
-            function.object_id
-            for function in self.survivors()
-            if sum(end - start for start, end in intervals[function.object_id])
-            >= self.duration - FULL_WINDOW_SLACK
+            object_id
+            for object_id, covered in self._covered_durations().items()
+            if covered >= self.duration - FULL_WINDOW_SLACK
         ]
 
     def uq33_all_at_least(self, fraction: float) -> List[object]:
@@ -345,15 +370,11 @@ class QueryContext:
             raise ValueError("fraction must be within [0, 1]")
         if self.duration <= 0:
             return self.uq31_all_sometime()
-        intervals = self._interval_map()
-        matching = []
-        for function in self.survivors():
-            covered = sum(
-                end - start for start, end in intervals[function.object_id]
-            )
-            if covered / self.duration >= fraction - FULL_WINDOW_SLACK:
-                matching.append(function.object_id)
-        return matching
+        return [
+            object_id
+            for object_id, covered in self._covered_durations().items()
+            if covered / self.duration >= fraction - FULL_WINDOW_SLACK
+        ]
 
     # ------------------------------------------------------------------
     # Category 4: whole MOD, rank-k.

@@ -2,7 +2,7 @@
 
 An *answer* is the mapping ``neighbor id -> non-zero-probability intervals``
 for every member of a UQ31/32/33 answer set — the structure the streaming
-monitor diffs into deltas, the sharded engine merges across shards, and the
+monitor diffs into deltas, the sharded engine merges across slices, and the
 oracle tests compare.  Centralizing the variant dispatch here keeps the
 batch, streaming, and parallel paths byte-compatible with each other.
 """
@@ -33,7 +33,9 @@ def answer_of(
 
     The UQ3x member set of the requested variant, each member mapped to its
     exact non-zero-probability intervals (the UQ11/UQ13 information).  The
-    live monitor, the sharded engine's per-shard workers, and the
+    dict is fresh per call; its interval tuples are the context's memoized
+    ones, shared by every answer taken from that context.  The
+    live monitor, the sharded engine's workers, and the
     from-scratch oracles all derive their answers through this one dispatch.
     """
     if variant == "sometime":
@@ -44,10 +46,8 @@ def answer_of(
         members = context.uq33_all_at_least(fraction)
     else:
         raise ValueError(f"unknown variant {variant!r} (expected {VARIANTS})")
-    return {
-        member: tuple(context.nonzero_probability_intervals(member))
-        for member in members
-    }
+    intervals = context.survivor_intervals()
+    return {member: intervals[member] for member in members}
 
 
 @contextmanager

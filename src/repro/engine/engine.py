@@ -276,10 +276,12 @@ class QueryEngine:
             self._band_widths[query_id] = width
         return width
 
-    def _refresh_after_mod_change(self) -> None:
+    def refresh(self) -> None:
         """Resynchronize derived state when the MOD contents changed.
 
-        When the MOD's changelog identifies a small set of changed objects,
+        Every serving call starts with this; callers that want to pay for a
+        store change eagerly (right after a streaming ``apply``) call it
+        themselves.  When the MOD's changelog identifies a small set of changed objects,
         the engine patches in place: the changed objects' boxes are retired
         and re-inserted in the engine-built index, their position arrays are
         dropped, and only the cached contexts a changed object can actually
@@ -465,7 +467,7 @@ class QueryEngine:
 
         Falls back to every other stored object when the engine has no index.
         """
-        self._refresh_after_mod_change()
+        self.refresh()
         if band_width is None:
             band_width = self._default_band_width(query_id)
         if self._index is None:
@@ -490,7 +492,7 @@ class QueryEngine:
         """Prepare (or fetch from cache) the context of one query."""
         if t_end < t_start:
             raise ValueError(f"empty query window [{t_start}, {t_end}]")
-        self._refresh_after_mod_change()
+        self.refresh()
         if band_width is None:
             band_width = self._default_band_width(query_id)
         started = time.perf_counter()
@@ -533,9 +535,8 @@ class QueryEngine:
     ) -> Answer:
         """Prepare (or fetch) one query's context and extract its UQ3x answer.
 
-        The single entry point the streaming monitor, the sharded engine's
-        per-shard workers, and ad-hoc callers share, so every execution layer
-        produces the identical answer shape for identical inputs.
+        The entry point the streaming monitor and ad-hoc callers share, and
+        the one every other execution layer's answers are pinned ``==`` to.
         """
         with band_span(self.registry, "engine.answer", query=query_id, variant=variant):
             prepared = self.prepare(query_id, t_start, t_end, band_width=band_width)
@@ -564,7 +565,7 @@ class QueryEngine:
         """
         if t_end < t_start:
             raise ValueError(f"empty query window [{t_start}, {t_end}]")
-        self._refresh_after_mod_change()
+        self.refresh()
         with trace_span("engine.prepare_batch", queries=len(query_ids)) as span:
             result = self._prepare_batch_inner(
                 query_ids, t_start, t_end, band_width, use_index, span

@@ -2,13 +2,6 @@
 
 from .boxes import Box3D, IndexEntry, segment_boxes, trajectory_box
 from .grid import GridIndex
-from .partition import (
-    grid_partition,
-    partition_from_grid,
-    partition_from_rtree,
-    str_order,
-    str_partition,
-)
 from .rtree import STRRTree
 
 __all__ = [
@@ -16,11 +9,6 @@ __all__ = [
     "GridIndex",
     "IndexEntry",
     "STRRTree",
-    "grid_partition",
-    "partition_from_grid",
-    "partition_from_rtree",
     "segment_boxes",
-    "str_order",
-    "str_partition",
     "trajectory_box",
 ]

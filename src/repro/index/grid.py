@@ -132,18 +132,6 @@ class GridIndex:
         for trajectory in trajectories:
             self.insert_trajectory(trajectory)
 
-    def cell_entries(self) -> List[Tuple[Tuple[int, int], List[IndexEntry]]]:
-        """Occupied cells and their entries in row-major ``(row, col)`` order.
-
-        The walk order makes consecutive cells spatially adjacent, which the
-        shard partitioner (:mod:`repro.index.partition`) relies on; bucket
-        keys are stored as ``(col, row)`` so the sort swaps them.
-        """
-        return [
-            ((key[1], key[0]), list(self._buckets[key]))
-            for key in sorted(self._buckets, key=lambda key: (key[1], key[0]))
-        ]
-
     def query_box(self, box: Box3D) -> Set[object]:
         """Object ids whose entries overlap the probe box."""
         found: Set[object] = set()

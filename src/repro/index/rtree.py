@@ -271,7 +271,7 @@ class STRRTree:
         return removed
 
     # ------------------------------------------------------------------
-    # Partition extraction.
+    # Leaf listing.
     # ------------------------------------------------------------------
 
     def leaf_entries(self) -> List[List[IndexEntry]]:
@@ -279,8 +279,8 @@ class STRRTree:
 
         For a freshly bulk-loaded tree this is the STR packing order (x-sorted
         strips, y-sorted within each strip, at every level), so consecutive
-        leaves are spatially adjacent tiles — the property the shard
-        partitioner (:mod:`repro.index.partition`) exploits.  A mutated tree
+        leaves are spatially adjacent tiles, which the scalar STR oracle in
+        the tests reproduces.  A mutated tree
         lists its live entries leaf by leaf, then its overflow block.
         """
         first = np.array([self._packed])

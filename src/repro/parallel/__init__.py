@@ -1,55 +1,36 @@
-"""Sharded parallel query execution over spatially partitioned MODs.
+"""Parallel query execution that splits the batch, not the store.
 
-The :class:`ShardedEngine` splits the store into spatial shards (STR-tile,
-grid, or R-tree-leaf partitioning with boundary-corridor replication), runs
-per-shard :class:`~repro.engine.QueryEngine` instances under a process pool
-(threads or serial execution as fallback backends), and merges the per-shard
-answers into exact global answers — the partitioned execution layer the
-scaling roadmap's async-ingestion and multi-node steps build on.
+The :class:`ShardedEngine` cuts a batch of queries into slices and evaluates
+every slice against the whole MOD — on one in-process
+:class:`~repro.engine.QueryEngine`, or on spawned workers that attach the
+parent's shared-memory column export — so its answers are the single
+engine's answers by construction.
 """
 
-from .plan import (
-    PARTITION_METHODS,
-    Bounds,
-    ShardPlan,
-    build_plan,
-    expanded_bounds,
-    resolve_halo,
-)
 from .sharded import (
     BACKENDS,
     MP_START_METHODS,
     ShardInfo,
     ShardedBatchResult,
     ShardedEngine,
-    ShardedQueryAnswer,
 )
 from .worker import (
-    QuerySpec,
-    ShardQueryOutcome,
     ShardTask,
     ShardTaskResult,
-    evaluate_shard,
+    ShardedQueryAnswer,
+    evaluate_queries,
     run_shard_task,
 )
 
 __all__ = [
     "BACKENDS",
-    "Bounds",
     "MP_START_METHODS",
-    "PARTITION_METHODS",
-    "QuerySpec",
     "ShardInfo",
-    "ShardPlan",
-    "ShardQueryOutcome",
     "ShardTask",
     "ShardTaskResult",
     "ShardedBatchResult",
     "ShardedEngine",
     "ShardedQueryAnswer",
-    "build_plan",
-    "evaluate_shard",
-    "expanded_bounds",
-    "resolve_halo",
+    "evaluate_queries",
     "run_shard_task",
 ]

@@ -1,128 +1,88 @@
-"""Shard-side query evaluation, shared by every execution backend.
+"""Slice evaluation, shared by every backend, and the process-pool entry point.
 
-:func:`evaluate_shard` runs a list of query specs against one shard's
-engine, performing the per-query *safety check* that makes sharded answers
-provably exact (see :mod:`repro.parallel.sharded` for the full argument):
-a query's shard-local answer is trusted only when its corridor probe region
-is contained in the shard's coverage rectangle, i.e. when the shard provably
-holds every object the corridor filter could keep.  Queries failing the
-check are reported as *escaped* and re-answered by the caller against the
-full store.  Corridor radii are computed with the batched
-:func:`~repro.engine.filtering.corridor_probe_bulk` kernel (bit-identical
-to the scalar one) directly over the shard store's packed columns — which,
-under the process backend, are zero-copy views into the parent's
-shared-memory segments.
+A *slice* is a contiguous run of a batch's unique query ids.  Whoever
+evaluates it — the parent's own engine (``"serial"`` / ``"thread"``) or a
+worker process — does so against the **whole** store through one
+:meth:`~repro.engine.QueryEngine.prepare_batch` call, so a slice's answers
+are the single engine's answers and nothing about them depends on how the
+batch was cut.
 
 :func:`run_shard_task` is the :class:`~concurrent.futures.ProcessPoolExecutor`
-entry point: a :class:`ShardTask` no longer carries trajectories at all —
-it names a :class:`~repro.trajectories.shared.SharedPackDescriptor` plus the
-shard's member ids, and the worker attaches the shared segments, rebuilds
-lightweight trajectory shells over zero-copy column views, and memoizes the
-resulting engine per ``(engine instance, shard)`` token.
+entry point.  A :class:`ShardTask` carries no trajectories: it names the
+parent's :class:`~repro.trajectories.shared.SharedPackDescriptor`, and the
+worker attaches the segments, rebuilds lightweight trajectory shells over
+zero-copy column views in the parent's insertion order, and keeps the
+resulting engine until the descriptor's revision moves.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine import QueryEngine
 from ..engine.answers import Answer, answer_of
-from ..engine.filtering import corridor_probe_bulk
 from ..obs.logging import get_logger
 from ..obs.tracing import capture, trace_span
-from ..trajectories.mod import MovingObjectsDatabase
-from ..trajectories.shared import AttachedPack, SharedPackDescriptor, attach_pack
-from .plan import Bounds, bounds_contain
+from ..trajectories.shared import AttachedPack, SharedPackDescriptor
 
 _log = get_logger("parallel.worker")
 
 
 @dataclass(frozen=True, slots=True)
-class QuerySpec:
-    """One query to evaluate: id, window, resolved band width, UQ3x variant.
+class ShardedQueryAnswer:
+    """One query's result.
 
-    The band width is always resolved by the *parent* against the full store
-    (the MOD default is a maximum over every stored pdf, which a shard's
-    subset would underestimate), so shard-local evaluation uses the exact
-    width a single-engine run would.
+    Attributes:
+        query_id: the query trajectory id.
+        answer: the exact UQ3x answer (member -> non-zero intervals).
+        shard: index of the batch slice that evaluated it.
+        candidate_count: candidates that entered envelope construction.
+        seconds: evaluation wall-clock for this query.
     """
 
     query_id: object
-    t_start: float
-    t_end: float
-    band_width: float
-    variant: str = "sometime"
-    fraction: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class ShardQueryOutcome:
-    """One query's shard-side result.
-
-    ``answer`` is ``None`` when the query escaped (failed the safety check)
-    and must be re-answered against the full store.
-    """
-
-    query_id: object
-    answer: Optional[Answer]
+    answer: Answer
+    shard: int
     candidate_count: int
-    corridor: float
     seconds: float
-
-    @property
-    def escaped(self) -> bool:
-        """The query failed the shard's safety check (needs the fallback)."""
-        return self.answer is None
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Picklable payload describing one shard's engine plus its queries.
-
-    The payload is always tiny: instead of member trajectories it carries
-    the parent's :class:`SharedPackDescriptor` (segment names + revision)
-    and the shard's member ids, so a worker reconstructs the member store
-    from zero-copy shared-memory views whenever its cache misses.
+    """Picklable payload: which store to serve from, and one slice of a batch.
 
     Attributes:
-        token: stable identity of (engine instance, shard index) so worker
-            processes can cache the rebuilt shard engine across calls; the
-            leading elements identify the engine, the last the shard.
-        fingerprint: bumped by the parent whenever the shard's membership or
-            any member's trajectory changed; a worker holding a matching
-            fingerprint reuses its cached engine without re-attaching.
-        store: descriptor of the parent's shared column export.
-        member_ids: the shard's members (owned + replicated), in the
-            parent-side member-store insertion order — answers are only
-            byte-identical when the rebuilt store preserves it.
-        cache_slots: the parent's shard count; sizes the worker's per-engine
-            cache so one engine's shards never evict each other.
-        queries: the specs to evaluate.
-        coverage: the shard's coverage rectangle (owned region + halo);
-            ``None`` when the shard owns nothing.
-        complete: the shard holds *every* stored object, making each answer
-            trivially exact.
+        token: identity of the dispatching engine instance, so a worker
+            keeps one rebuilt engine per :class:`ShardedEngine`.
+        shard: slice index (a span/telemetry label only).
+        store: descriptor of the parent's shared column export; its
+            ``revision`` is what a worker compares its cached engine to.
+        queries: ``(query id, band width)`` pairs.  Widths are resolved by
+            the *parent*: the default is a maximum over every stored pdf,
+            and workers rebuild trajectories without their pdfs.  Empty for
+            a warm-up task.
+        t_start, t_end, variant, fraction: the batch's shared window and
+            UQ3x variant.
         span_context: compact tracing context of the dispatching span
             (:func:`repro.obs.tracing.span_context`); ``None`` means the
             parent is not tracing and the worker records no spans.
     """
 
     token: Tuple[int, ...]
-    fingerprint: int
+    shard: int
     store: SharedPackDescriptor
-    member_ids: Tuple[object, ...]
     index_kind: Optional[str]
     leaf_capacity: int
     grid_cells: int
     cache_size: int
-    queries: Tuple[QuerySpec, ...]
-    coverage: Optional[Bounds]
-    complete: bool
-    cache_slots: int = 16
+    queries: Tuple[Tuple[object, float], ...] = ()
+    t_start: float = 0.0
+    t_end: float = 0.0
+    variant: str = "sometime"
+    fraction: float = 0.0
     span_context: Optional[Tuple[str, float]] = None
 
 
@@ -131,112 +91,49 @@ class ShardTaskResult:
     """One task's outcomes plus worker-cache telemetry.
 
     Attributes:
-        outcomes: per-spec results, in spec order.
-        rebuilt: the worker's cache missed (cold worker or bumped
-            fingerprint) and the shard engine was rebuilt from the shared
-            segments — a steady-state batch over unchanged shards reports
-            ``False`` everywhere.
+        outcomes: per-query results, in task order.
+        rebuilt: the worker held no engine for this store revision (cold
+            worker, or the store changed) and rebuilt it from the shared
+            segments — once per worker per revision, never at steady state.
         revision: the shared-export revision the serving engine was built
-            from (the parent's revision handshake for tests/telemetry).
+            from.
+        rebuild_seconds: attach + index time when ``rebuilt``, else 0.
         spans: serialized worker span tree (:meth:`repro.obs.Span.to_dict`)
             when the task carried a ``span_context``; the parent rebuilds
             and adopts it under its dispatch span.
     """
 
-    outcomes: Tuple[ShardQueryOutcome, ...]
+    outcomes: Tuple[ShardedQueryAnswer, ...]
     rebuilt: bool
     revision: int
+    rebuild_seconds: float = 0.0
     spans: Optional[Dict] = None
 
 
-def probe_bounds(
-    query, t_lo: float, t_hi: float, margin: float
-) -> Optional[Bounds]:
-    """The corridor probe's spatial footprint: window-clipped query ⊕ margin.
-
-    ``None`` when the window misses the query's time span entirely — no
-    finite rectangle bounds the probe then, so the caller must treat the
-    query as unsafe.
-    """
-    lo = max(t_lo, query.start_time)
-    hi = min(t_hi, query.end_time)
-    if hi < lo:
-        return None
-    x_min, y_min, x_max, y_max = query.clipped(lo, hi).spatial_bounds()
-    return (x_min - margin, y_min - margin, x_max + margin, y_max + margin)
-
-
-def evaluate_shard(
-    mod: MovingObjectsDatabase,
+def evaluate_queries(
     engine: QueryEngine,
-    queries: Tuple[QuerySpec, ...],
-    coverage: Optional[Bounds],
-    complete: bool,
-) -> List[ShardQueryOutcome]:
-    """Evaluate query specs against one shard, escaping unsafe ones.
-
-    A query is *safe* when the shard provably holds every object its
-    corridor filter could keep: either the shard is complete, or the probe
-    rectangle (query polyline over the window, expanded by the shard-locally
-    computed corridor radius) is contained in the shard's coverage
-    rectangle.  Safe queries produce exact answers; the rest escape.
-
-    Corridor radii for incomplete shards are computed in one
-    :func:`corridor_probe_bulk` call per distinct window (bit-identical to
-    the scalar kernel), straight off the member store's packed columns.
-    """
-    corridors: Dict[int, float] = {}
-    bulk_share: Dict[int, float] = {}
-    if not complete and queries:
-        windows: Dict[Tuple[float, float], List[int]] = {}
-        for position, spec in enumerate(queries):
-            windows.setdefault((spec.t_start, spec.t_end), []).append(position)
-        for (t_lo, t_hi), positions in windows.items():
-            begun = time.perf_counter()
-            with trace_span("shard.corridor", queries=len(positions)):
-                radii = corridor_probe_bulk(
-                    mod,
-                    [queries[position].query_id for position in positions],
-                    t_lo,
-                    t_hi,
-                    [queries[position].band_width for position in positions],
-                )
-            share = (time.perf_counter() - begun) / len(positions)
-            for position, radius in zip(positions, radii):
-                corridors[position] = float(radius)
-                bulk_share[position] = share
-    outcomes: List[ShardQueryOutcome] = []
-    for position, spec in enumerate(queries):
+    shard: int,
+    query_ids: Sequence[object],
+    t_start: float,
+    t_end: float,
+    variant: str,
+    fraction: float,
+    band_width: Optional[float],
+) -> List[ShardedQueryAnswer]:
+    """Slice ``shard``: one ``prepare_batch``, then each context's UQ3x answer."""
+    outcomes = []
+    for prepared in engine.prepare_batch(
+        query_ids, t_start, t_end, band_width=band_width
+    ):
         started = time.perf_counter()
-        corridor = corridors.get(position, float("inf"))
-        safe = complete
-        if not safe and math.isfinite(corridor) and coverage is not None:
-            probe = probe_bounds(
-                mod.get(spec.query_id), spec.t_start, spec.t_end, corridor
-            )
-            safe = probe is not None and bounds_contain(coverage, probe)
-        if not safe:
-            outcomes.append(
-                ShardQueryOutcome(
-                    query_id=spec.query_id,
-                    answer=None,
-                    candidate_count=0,
-                    corridor=corridor,
-                    seconds=bulk_share.get(position, 0.0)
-                    + (time.perf_counter() - started),
-                )
-            )
-            continue
-        prepared = engine.prepare(
-            spec.query_id, spec.t_start, spec.t_end, band_width=spec.band_width
-        )
+        answer = answer_of(prepared.context, variant, fraction)
         outcomes.append(
-            ShardQueryOutcome(
-                query_id=spec.query_id,
-                answer=answer_of(prepared.context, spec.variant, spec.fraction),
+            ShardedQueryAnswer(
+                query_id=prepared.query_id,
+                answer=answer,
+                shard=shard,
                 candidate_count=prepared.candidate_count,
-                corridor=corridor,
-                seconds=bulk_share.get(position, 0.0)
+                seconds=prepared.prepare_seconds
                 + (time.perf_counter() - started),
             )
         )
@@ -244,91 +141,57 @@ def evaluate_shard(
 
 
 @dataclass
-class _CachedShard:
-    """One worker-cached shard engine and everything keeping it valid."""
+class _CachedEngine:
+    """A worker's engine over one revision of one parent store."""
 
-    fingerprint: int
-    mod: MovingObjectsDatabase
     engine: QueryEngine
-    #: Held so the engine's zero-copy column views outlive any attachment-
-    #: cache eviction; the segments' pages stay mapped through this pack.
+    #: The attachment the engine's zero-copy column views point into; its
+    #: revision is the one the engine serves.
     pack: AttachedPack
 
 
-#: Per-worker-process cache of rebuilt shard engines, grouped by engine
-#: instance (the token minus its trailing shard index).  Within a group the
-#: cache is sized to that engine's shard count — one engine's shards can
-#: never evict each other, which is the bug the old flat 16-token cache had
-#: (21 shards on one worker meant every probe missed and the parent re-sent
-#: full payloads forever).  Across groups, whole engines are evicted LRU so
-#: long-lived workers serving many engine instances do not hoard every
-#: shard store they have ever seen.
-_ENGINE_CACHE: "OrderedDict[Tuple[int, ...], OrderedDict[Tuple[int, ...], _CachedShard]]" = (
-    OrderedDict()
-)
-#: Floor for the per-engine slot count (``cache_slots`` raises it).
-_ENGINE_CACHE_LIMIT = 16
-#: Distinct engine instances one worker keeps warm.
-_ENGINE_GROUP_LIMIT = 4
+#: Per-worker-process engines, one per dispatching :class:`ShardedEngine`
+#: instance, evicted LRU so a long-lived worker serving many instances does
+#: not hoard every store it has ever attached.
+_ENGINE_CACHE: "OrderedDict[Tuple[int, ...], _CachedEngine]" = OrderedDict()
+_ENGINE_CACHE_LIMIT = 4
 
 
 def run_shard_task(task: ShardTask) -> ShardTaskResult:
-    """Process-pool entry point: attach (or reuse) the shard, evaluate.
+    """Process-pool entry point: attach (or reuse) the store, evaluate a slice.
 
-    The rebuilt MOD and engine are cached per worker process keyed by the
-    task token; a matching fingerprint means the shard's membership and
-    every member trajectory are unchanged since the cached build, so index
-    and context caches stay warm across calls.  On a miss the worker
-    attaches the task's shared-memory descriptor and rebuilds the member
-    store from zero-copy column views — there is no payload-retry protocol
-    to fall back to, because the descriptor is always self-sufficient.
-
-    A task carrying a ``span_context`` is evaluated under a private
-    tracing capture: the worker's attach/evaluate spans come back
-    serialized in :attr:`ShardTaskResult.spans` for the parent to stitch
-    under its dispatch span.
+    A task carrying a ``span_context`` is evaluated under a private tracing
+    capture: the worker's attach/evaluate spans come back serialized in
+    :attr:`ShardTaskResult.spans` for the parent to stitch under its
+    dispatch span.
     """
     if task.span_context is None:
         return _serve_task(task)
     with capture() as recorder:
-        with trace_span(
-            "shard.worker", shard=task.token[-1], queries=len(task.queries)
-        ):
+        with trace_span("shard.worker", shard=task.shard, queries=len(task.queries)):
             result = _serve_task(task)
         root = recorder.latest()
-    return ShardTaskResult(
-        outcomes=result.outcomes,
-        rebuilt=result.rebuilt,
-        revision=result.revision,
-        spans=root.to_dict() if root is not None else None,
-    )
+    return replace(result, spans=root.to_dict() if root is not None else None)
 
 
 def _serve_task(task: ShardTask) -> ShardTaskResult:
-    """Resolve the cached shard engine (rebuilding on miss) and evaluate."""
-    group_key = task.token[:-1]
-    group = _ENGINE_CACHE.get(group_key)
-    if group is None:
-        group = _ENGINE_CACHE[group_key] = OrderedDict()
-    _ENGINE_CACHE.move_to_end(group_key)
-    while len(_ENGINE_CACHE) > _ENGINE_GROUP_LIMIT:
-        evicted_key, _ = _ENGINE_CACHE.popitem(last=False)
-        _log.debug("evicted engine group %s from worker cache", evicted_key)
-
-    cached = group.get(task.token)
-    rebuilt = False
-    if cached is None or cached.fingerprint != task.fingerprint:
+    """Resolve this store revision's engine (rebuilding on a miss), evaluate."""
+    cached = _ENGINE_CACHE.get(task.token)
+    rebuild_seconds = 0.0
+    rebuilt = cached is None or cached.pack.revision != task.store.revision
+    if rebuilt:
+        started = time.perf_counter()
         with trace_span(
             "shard.attach",
-            shard=task.token[-1],
-            members=len(task.member_ids),
-            reason="cold" if cached is None else "fingerprint",
-        ):
-            pack = attach_pack(task.store)
-            mod = pack.member_database(task.member_ids)
-            cached = _CachedShard(
-                fingerprint=task.fingerprint,
-                mod=mod,
+            shard=task.shard,
+            reason="cold" if cached is None else "revision",
+        ) as span:
+            pack = AttachedPack(task.store)
+            # pack.ids is the parent's insertion order, which keeps every
+            # order-sensitive kernel byte-identical to the parent's engine.
+            mod = pack.member_database(pack.ids)
+            span.set("members", len(mod))
+            cached = _CachedEngine(
                 engine=QueryEngine(
                     mod,
                     index=task.index_kind,
@@ -338,26 +201,31 @@ def _serve_task(task: ShardTask) -> ShardTaskResult:
                 ),
                 pack=pack,
             )
-        group[task.token] = cached
-        rebuilt = True
+        _ENGINE_CACHE[task.token] = cached
+        rebuild_seconds = time.perf_counter() - started
         _log.debug(
-            "rebuilt shard engine %s (fingerprint %d, %d members)",
-            task.token, task.fingerprint, len(task.member_ids),
+            "rebuilt engine %s at revision %d (%d members, %.1f ms)",
+            task.token, pack.revision, len(mod), rebuild_seconds * 1e3,
         )
-    group.move_to_end(task.token)
-    limit = max(task.cache_slots, _ENGINE_CACHE_LIMIT)
-    while len(group) > limit:
-        evicted_token, _ = group.popitem(last=False)
-        _log.debug("evicted shard engine %s from worker cache", evicted_token)
+    _ENGINE_CACHE.move_to_end(task.token)
+    while len(_ENGINE_CACHE) > _ENGINE_CACHE_LIMIT:
+        evicted, _ = _ENGINE_CACHE.popitem(last=False)
+        _log.debug("evicted engine %s from worker cache", evicted)
+
+    by_width: Dict[float, List[object]] = {}
+    for query_id, width in task.queries:
+        by_width.setdefault(width, []).append(query_id)
+    outcomes: Dict[object, ShardedQueryAnswer] = {}
     with trace_span("shard.evaluate", queries=len(task.queries)):
-        outcomes = tuple(
-            evaluate_shard(
-                cached.mod, cached.engine, task.queries, task.coverage,
-                task.complete,
-            )
-        )
+        for width, query_ids in by_width.items():
+            for outcome in evaluate_queries(
+                cached.engine, task.shard, query_ids, task.t_start, task.t_end,
+                task.variant, task.fraction, width,
+            ):
+                outcomes[outcome.query_id] = outcome
     return ShardTaskResult(
-        outcomes=outcomes,
+        outcomes=tuple(outcomes[query_id] for query_id, _ in task.queries),
         rebuilt=rebuilt,
         revision=cached.pack.revision,
+        rebuild_seconds=rebuild_seconds,
     )

@@ -11,7 +11,7 @@ snapshot, map its columns, replay the WAL frames past the snapshot
 revision (tolerating a torn final frame), and hand back a
 :class:`~repro.trajectories.mod.MovingObjectsDatabase` whose revision,
 changelog, and per-object revisions are byte-identical to the pre-crash
-store — so every revision-keyed layer above (engine caches, shard plans,
+store — so every revision-keyed layer above (engine caches, shared exports,
 the service result cache) resumes as if the process never died.
 
 :class:`PersistentStore` is the steady-state half: it subscribes to the

@@ -10,11 +10,10 @@ Two decisions are made per compiled plan, both fed by
   :attr:`CostModel.index_min_segments` segments) the bulk-load + probe
   overhead exceeds the envelope work it saves.
 * **backend** — serve a fused group on the single in-process
-  :class:`~repro.engine.QueryEngine` or fan it out over a
-  :class:`~repro.parallel.ShardedEngine`.  Sharding only pays for wide
+  :class:`~repro.engine.QueryEngine` or split it across the workers of a
+  :class:`~repro.parallel.ShardedEngine`.  Splitting only pays for wide
   probability (UQ3x) groups — rank statements are not servable by the
-  sharded batch API — and only when enough of the store lives in
-  candidate-complete shards that fallback re-evaluation stays rare.
+  sharded batch API.
 
 Both decisions are recorded with a human-readable reason, which the
 plan tree surfaces through ``explain_plan``.
@@ -36,39 +35,20 @@ class StoreStats:
     Attributes:
         object_count: stored trajectories.
         segment_count: stored polyline segments (samples minus objects).
-        shard_coverage: fraction of owned trajectories living in
-            candidate-complete shards (``None`` when no sharded engine
-            is attached).
     """
 
     object_count: int
     segment_count: int
-    shard_coverage: Optional[float] = None
 
     @classmethod
-    def from_mod(
-        cls,
-        mod: "MovingObjectsDatabase",
-        sharded: Optional[object] = None,
-    ) -> "StoreStats":
-        """Read stats off a MOD's columnar store (changelog-synced).
-
-        Args:
-            mod: the moving objects database.
-            sharded: an optional :class:`~repro.parallel.ShardedEngine`;
-                its :meth:`~repro.parallel.ShardedEngine.plan_coverage`
-                feeds the backend decision.
-        """
+    def from_mod(cls, mod: "MovingObjectsDatabase") -> "StoreStats":
+        """Read stats off a MOD's columnar store (changelog-synced)."""
         store = mod.columnar()
         pack = store.pack()
         object_count = len(store)
-        coverage: Optional[float] = None
-        if sharded is not None:
-            coverage = float(sharded.plan_coverage())
         return cls(
             object_count=object_count,
             segment_count=max(0, pack.sample_count - object_count),
-            shard_coverage=coverage,
         )
 
 
@@ -114,14 +94,11 @@ class CostModel:
             the index beats scanning them outright.
         sharded_min_group: minimum fused probability statements before
             sharded dispatch amortizes its per-batch overhead.
-        sharded_min_coverage: minimum complete-shard coverage required
-            to keep fallback re-evaluations rare.
     """
 
     index_min_objects: int = 8
     index_min_segments: int = 64
     sharded_min_group: int = 4
-    sharded_min_coverage: float = 0.5
 
     def choose_access(self, stats: StoreStats) -> AccessDecision:
         """Index-filter or full-scan, from store size alone."""
@@ -150,16 +127,11 @@ class CostModel:
         )
 
     def choose_backend(
-        self,
-        stats: StoreStats,
-        *,
-        probability_width: int,
-        sharded_available: bool,
+        self, *, probability_width: int, sharded_available: bool
     ) -> BackendDecision:
         """Single engine or sharded fan-out for one fused group.
 
         Args:
-            stats: columnar store statistics.
             probability_width: UQ3x (non-rank) statements in the group —
                 the only ones the sharded batch API can serve.
             sharded_available: a sharded engine is attached.
@@ -174,20 +146,11 @@ class CostModel:
                     f"sharded_min_group={self.sharded_min_group}"
                 ),
             )
-        coverage = stats.shard_coverage if stats.shard_coverage is not None else 0.0
-        if coverage < self.sharded_min_coverage:
-            return BackendDecision(
-                "single",
-                (
-                    f"complete-shard coverage {coverage:.2f} < "
-                    f"sharded_min_coverage={self.sharded_min_coverage}"
-                ),
-            )
         return BackendDecision(
             "sharded",
             (
-                f"{probability_width} probability statements over "
-                f"{coverage:.2f} complete-shard coverage"
+                f"{probability_width} probability statements >= "
+                f"sharded_min_group={self.sharded_min_group}"
             ),
         )
 

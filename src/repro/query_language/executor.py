@@ -91,7 +91,7 @@ class QueryExecutor:
         self.sharded = sharded
         self._cache_size = cache_size
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._stats = StoreStats.from_mod(mod, sharded=sharded)
+        self._stats = StoreStats.from_mod(mod)
         self._access = cost_model.choose_access(self._stats)
         self._stats_revision = mod.revision
         self._engine = QueryEngine(
@@ -121,7 +121,7 @@ class QueryExecutor:
         }
         self._m_fallbacks = self.registry.counter(
             "repro_planner_fallbacks_total",
-            "Statements re-routed to the single engine (or escaped shards)",
+            "Sharded-planned statements re-routed to the single engine",
         )
         self._m_execute = self.registry.histogram(
             "repro_planner_execute_seconds", help="Plan execution wall time"
@@ -251,7 +251,7 @@ class QueryExecutor:
         """
         if self.mod.revision == self._stats_revision:
             return
-        self._stats = StoreStats.from_mod(self.mod, sharded=self.sharded)
+        self._stats = StoreStats.from_mod(self.mod)
         access = self.cost_model.choose_access(self._stats)
         self._stats_revision = self.mod.revision
         if access.index_kind != self._access.index_kind:

@@ -134,6 +134,8 @@ class PlanTelemetry:
     statements: int = 0
     group_widths: List[int] = field(default_factory=list)
     backend_statements: Dict[str, int] = field(default_factory=dict)
+    #: Statements planned ``backend=sharded`` that the single engine served
+    #: (no sharded engine attached at execution, or it raised).
     fallbacks: int = 0
 
 
@@ -236,16 +238,14 @@ class QueryPlan:
         try:
             answers: Dict[Tuple[str, float], Dict[object, Answer]] = {}
             for (variant, fraction), members in subgroups.items():
-                result = sharded.answer_batch(
+                answers[(variant, fraction)] = sharded.answer_batch(
                     [s.query_object for s in members],
                     group.t_start,
                     group.t_end,
                     variant=variant,
                     fraction=fraction,
                     band_width=group.band_width,
-                )
-                telemetry.fallbacks += len(result.escaped_ids)
-                answers[(variant, fraction)] = result.answers
+                ).answers
         except Exception:
             # Any sharded failure re-routes the whole probability slice
             # through the single engine; answers stay exact either way.
@@ -362,7 +362,6 @@ def compile_queries(
     for (t_start, t_end, width), members in fused.items():
         probability_width = sum(1 for s in members if not s.is_rank)
         backend = cost_model.choose_backend(
-            stats,
             probability_width=probability_width,
             sharded_available=sharded_available,
         )

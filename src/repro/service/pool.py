@@ -1,13 +1,14 @@
 """Warm engine pool: one serving surface over single and sharded backends.
 
-The service does not want to know whether a store is best served by one
-:class:`~repro.engine.QueryEngine` or a partitioned
-:class:`~repro.parallel.ShardedEngine`; the pool owns that decision.  It
-keeps whichever engines it has already built *warm* (their indexes and
-context caches survive across requests), picks the backend per batch from
-the store's current size against ``shard_threshold``, and exposes one
-``answer_group`` call that returns the same exact answers either way — the
-oracle tests pin both backends byte-identical to direct engine calls.
+The service does not want to know whether a batch is best served by one
+:class:`~repro.engine.QueryEngine` directly or split across the workers of
+a :class:`~repro.parallel.ShardedEngine`; the pool owns that decision.  It
+holds **one** :class:`QueryEngine` per store — the in-process sharded
+backends serve from that same engine, so crossing ``shard_threshold`` never
+cold-starts an index or a context cache — picks the backend per batch from
+the store's current size, and exposes one ``answer_group`` call that
+returns the same exact answers either way — the oracle tests pin both
+backends byte-identical to direct engine calls.
 """
 
 from __future__ import annotations
@@ -40,19 +41,19 @@ class EnginePool:
         mod: the moving objects database every engine serves.
         shard_threshold: object count at which batches route to the sharded
             backend instead of the single engine.
-        num_shards: shard count for the sharded backend.
+        num_shards: most slices the sharded backend cuts a batch into.
         sharded_backend: worker backend of the sharded engine (``"thread"``
             by default: the service already runs evaluations off the event
             loop, and threads avoid per-request pickling).
         index: index kind for the engines (``"rtree"`` or ``"grid"``).
         max_workers: worker-pool width for both engine kinds.
-        cache_size: context-cache capacity of each engine.
+        cache_size: context-cache capacity of the engine.
         force_backend: pin every batch to ``"single"`` or ``"sharded"``
             regardless of store size (``None`` sizes dynamically).
         mp_start_method: multiprocessing start method handed through to the
             sharded engine's process pool (``None`` keeps the engine's
             spawn-safe default; irrelevant for thread/serial backends).
-        registry: the :class:`~repro.obs.MetricsRegistry` both pooled
+        registry: the :class:`~repro.obs.MetricsRegistry` the pooled
             engines report into (``repro_engine_*`` / ``repro_sharded_*``);
             a private registry when ``None``.
     """
@@ -114,7 +115,11 @@ class EnginePool:
         return self._single
 
     def sharded_engine(self) -> ShardedEngine:
-        """The warm sharded engine (built on first use)."""
+        """The warm sharded engine (built on first use).
+
+        Its in-process backends serve from :meth:`single_engine`; only the
+        process backend, whose engines live in its workers, gets none.
+        """
         if self._sharded is None:
             self._sharded = ShardedEngine(
                 self.mod,
@@ -125,11 +130,16 @@ class EnginePool:
                 cache_size=self._cache_size,
                 mp_start_method=self._mp_start_method,
                 registry=self.registry,
+                engine=(
+                    None
+                    if self._sharded_backend == "process"
+                    else self.single_engine()
+                ),
             )
         return self._sharded
 
     def warm_up(self) -> str:
-        """Build (and index) the backend the next batch will use; return it.
+        """Build (and index) what the next batch will use; return its label.
 
         Lets the service pay index construction — and, for a process
         backend, pool spin-up plus the shared-memory export — at startup

@@ -21,7 +21,7 @@ column arrays are immutable once built, which makes three things safe and
 cheap:
 
 * ``columns(object_id)`` hands out zero-copy references;
-* a *seeded* store (``mod.subset()`` views, shard member stores) borrows the
+* a *seeded* store (``mod.subset()`` views, worker-side rebuilds) borrows the
   parent's per-object arrays by trajectory identity instead of re-reading
   sample tuples;
 * a pack that was handed to NumPy kernels stays valid even while the store
@@ -104,7 +104,7 @@ class ColumnarStore:
         seed: an optional parent column provider whose per-object column
             arrays are borrowed (zero-copy) whenever this store needs
             columns of a trajectory *object* the provider has already
-            extracted — ``mod.subset()`` views and shard member stores
+            extracted — ``mod.subset()`` views
             share trajectory objects with their parent, so seeding skips
             the per-sample Python extraction entirely.  Any object with a
             ``columns_for(trajectory) -> Optional[(ts, xs, ys)]`` method

@@ -101,12 +101,12 @@ class MovingObjectsDatabase:
 
     * **revisions + changelog** — every mutation bumps :attr:`revision` and
       appends a :class:`ChangeRecord`; derived structures (engine indexes
-      and caches, shard member sets, columnar packs, the service's result
+      and caches, columnar packs, shared-memory exports, the service's result
       cache) detect staleness by revision and resynchronize incrementally
       via :meth:`changes_since`;
     * **columnar views** — :meth:`columnar` maintains a packed
       structure-of-arrays mirror the bulk NumPy kernels run over, shared
-      zero-copy with :meth:`subset` views and shard member stores;
+      zero-copy with :meth:`subset` views and worker-side attachments;
     * **query support** — :meth:`distance_functions`,
       :meth:`default_band_width`, and :meth:`build_index` produce the
       inputs of :class:`~repro.core.queries.QueryContext` construction and
@@ -505,7 +505,7 @@ class MovingObjectsDatabase:
     def share_columns_with(self, parent) -> None:
         """Seed this store's columnar packing from a parent column source.
 
-        View stores (shard member sets, :meth:`subset` results) hold the
+        View stores (:meth:`subset` results, worker-side rebuilds) hold the
         *same* trajectory objects as their parent; linking them lets
         :meth:`columnar` reuse the parent's per-object column arrays by
         identity — zero per-sample Python work, zero copies.
@@ -670,19 +670,16 @@ class MovingObjectsDatabase:
     def subset(self, object_ids: Iterable[object]) -> "MovingObjectsDatabase":
         """A new MOD holding (references to) the given objects' trajectories.
 
-        This is the shard-view constructor of the parallel layer: the
-        returned store shares the immutable trajectory objects but has its
-        own revision counter and changelog, so per-shard engines track
-        shard-local staleness independently of the parent store.
+        The returned store shares the immutable trajectory objects but has
+        its own revision counter and changelog, so an engine over the view
+        tracks the view's staleness independently of the parent store.
 
         The view's packed columns are zero-copy: its :meth:`columnar` store
         borrows the parent's per-object arrays by trajectory identity, so
-        building shard-side kernels over a subset never re-reads sample
-        tuples.
+        building kernels over a subset never re-reads sample tuples.
 
         Raises:
-            KeyError: when any id is unknown (a partition listing an id the
-                store no longer holds is a routing bug worth surfacing).
+            KeyError: when any id is unknown.
         """
         view = MovingObjectsDatabase(self.get(object_id) for object_id in object_ids)
         view.share_columns_with(self)

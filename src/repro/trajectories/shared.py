@@ -1,10 +1,8 @@
 """Shared-memory editions of a MOD's packed columns.
 
-The process-backed :class:`~repro.parallel.ShardedEngine` used to ship each
-shard's member trajectories as pickled
-:class:`~repro.trajectories.trajectory.UncertainTrajectory` tuples — the
-dominant repeated-batch cost.  This module replaces that payload with
-*editions*: the parent exports the store's packed columns
+The process-backed :class:`~repro.parallel.ShardedEngine` never ships
+trajectories to its workers.  This module gives it *editions* in place of
+that payload: the parent exports the store's packed columns
 (:class:`~repro.trajectories.columnar.ColumnarStore` layout — ``ts/xs/ys``
 sample columns plus per-object lengths and radii) into named
 :class:`multiprocessing.shared_memory.SharedMemory` segments, and workers
@@ -54,7 +52,6 @@ import os
 import pickle
 import struct
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -289,8 +286,10 @@ class SharedColumnarStore:
                     removed[record.object_id] = None
                     changed.pop(record.object_id, None)
                 else:
+                    # An id removed and re-added stays in ``removed`` too:
+                    # attachments drop it first and append it again, which
+                    # is where the parent's insertion order now has it.
                     changed[record.object_id] = None
-                    removed.pop(record.object_id, None)
             if removed or changed:
                 self._append_patch(tuple(changed), tuple(removed))
         self._revision = mod.revision
@@ -382,8 +381,8 @@ class AttachedPack:
     band bracketing, index bulk-load) reads the parent's pages directly.
 
     Reconstructed trajectories carry the default
-    :class:`~repro.uncertainty.uniform.UniformDiskPDF`: shard workers only
-    ever evaluate specs whose band width the parent already resolved
+    :class:`~repro.uncertainty.uniform.UniformDiskPDF`: workers only
+    ever evaluate queries whose band width the parent already resolved
     against the full store's pdfs, and no worker-side code path consults a
     pdf — the oracle tests pin the resulting answers byte-identical.
     """
@@ -463,7 +462,7 @@ class AttachedPack:
     def member_database(
         self, member_ids: Iterable[object]
     ) -> MovingObjectsDatabase:
-        """A shard member MOD over reconstructed shells, column-seeded here.
+        """A MOD over the members' reconstructed shells, column-seeded here.
 
         Raises:
             KeyError: when a requested member is not in the chain (the
@@ -484,30 +483,3 @@ class AttachedPack:
                 mapping.close()
             except BufferError:  # pragma: no cover - live views; GC collects
                 pass
-
-
-#: Per-process cache of attachments keyed by segment chain, so repeated
-#: tasks against an unchanged export re-use one mapping.  Small: retired
-#: chains die quickly (the parent rebases), and entries an engine cache
-#: still references stay alive through that reference regardless.
-_ATTACHMENT_CACHE: "OrderedDict[Tuple[str, ...], AttachedPack]" = OrderedDict()
-_ATTACHMENT_CACHE_LIMIT = 4
-
-
-def attach_pack(descriptor: SharedPackDescriptor) -> AttachedPack:
-    """Attach to an exported chain, memoized per process.
-
-    Raises:
-        FileNotFoundError: when a named segment no longer exists (owner
-            closed or rebased past this descriptor).
-    """
-    cached = _ATTACHMENT_CACHE.get(descriptor.segments)
-    if cached is not None:
-        _ATTACHMENT_CACHE.move_to_end(descriptor.segments)
-        return cached
-    pack = AttachedPack(descriptor)
-    _ATTACHMENT_CACHE[descriptor.segments] = pack
-    while len(_ATTACHMENT_CACHE) > _ATTACHMENT_CACHE_LIMIT:
-        _, evicted = _ATTACHMENT_CACHE.popitem(last=False)
-        evicted.close()
-    return pack

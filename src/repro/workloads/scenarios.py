@@ -19,8 +19,9 @@ on recognizable situations rather than pure noise:
   future update batches*, the input shape of the streaming
   :class:`~repro.streaming.ContinuousMonitor`;
 * :func:`sharded_fleet` — a metro area of spatially separated districts
-  (plus a little through traffic), the input shape of the partitioned
-  :class:`~repro.parallel.ShardedEngine`.
+  (plus a little through traffic): many monitored vehicles with small,
+  disjoint candidate sets, the batch shape the
+  :class:`~repro.parallel.ShardedEngine` splits across workers.
 """
 
 from __future__ import annotations
@@ -389,15 +390,16 @@ def sharded_fleet(
     uncertainty_radius: float = 0.2,
     seed: int = 37,
 ) -> Tuple[MovingObjectsDatabase, List[object]]:
-    """A metro area of distinct districts, the input shape of sharding.
+    """A metro area of distinct districts: a wide batch of local queries.
 
     ``num_districts`` compact districts are laid out on a square grid across
     a much larger region; each district's vehicles random-waypoint *within*
     their district only, so the fleet's spatial footprint decomposes into
-    well-separated clusters — the situation in which a spatial shard
-    partition keeps queries shard-local (small corridors, rare fallback).  A
-    few ``through_vehicles`` cross the whole region to keep the boundary
-    machinery honest.
+    well-separated clusters and each monitored vehicle's corridor keeps
+    only its own district — a batch of many cheap, independent queries,
+    which is what the sharded engine splits across its workers.  A few
+    ``through_vehicles`` cross the whole region, so some corridors do reach
+    into several districts.
 
     Ids are ``"d<district>-veh-<k>"`` and ``"through-<k>"``; the monitored
     query ids are spread evenly over the districts.

@@ -103,8 +103,8 @@ class TestCostModel:
         assert plan.groups[0].backend.backend == "single"
         assert "no sharded engine" in plan.groups[0].backend.reason
 
-    def test_backend_sharded_needs_width_and_coverage(self, mod):
-        stats = StoreStats(object_count=100, segment_count=500, shard_coverage=1.0)
+    def test_backend_sharded_needs_width(self, mod):
+        stats = StoreStats(object_count=100, segment_count=500)
         model = CostModel(sharded_min_group=2)
         asts = [parse_query(_text("q")), parse_query(_text("near"))]
         plan = compile_queries(
@@ -116,18 +116,10 @@ class TestCostModel:
             asts[:1], mod, cost_model=model, stats=stats, sharded_available=True
         )
         assert narrow.groups[0].backend.backend == "single"
-
-        uncovered = StoreStats(
-            object_count=100, segment_count=500, shard_coverage=0.1
-        )
-        plan = compile_queries(
-            asts, mod, cost_model=model, stats=uncovered, sharded_available=True
-        )
-        assert plan.groups[0].backend.backend == "single"
-        assert "coverage" in plan.groups[0].backend.reason
+        assert "sharded_min_group" in narrow.groups[0].backend.reason
 
     def test_rank_statements_never_count_toward_sharded_width(self, mod):
-        stats = StoreStats(object_count=100, segment_count=500, shard_coverage=1.0)
+        stats = StoreStats(object_count=100, segment_count=500)
         model = CostModel(sharded_min_group=2)
         rank_text = (
             "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "

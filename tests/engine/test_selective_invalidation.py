@@ -128,7 +128,7 @@ class TestAffectingChangesInvalidate:
         engine = QueryEngine(mod)
         engine.prepare(query_ids[0], lo, hi)
         mod.remove(query_ids[0])
-        engine._refresh_after_mod_change()
+        engine.refresh()
         assert engine.cache_info().size == 0
 
 

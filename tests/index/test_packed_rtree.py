@@ -23,7 +23,6 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from repro.index.boxes import Box3D, IndexEntry, segment_boxes
-from repro.index.partition import partition_from_rtree
 from repro.index.rtree import _OVERFLOW_SHARE, STRRTree
 from repro.trajectories.columnar import SegmentBoxArrays, segment_boxes_bulk
 from repro.trajectories.trajectory import UncertainTrajectory
@@ -160,7 +159,7 @@ class TestProbesEqualBruteForce:
 
 
 # ---------------------------------------------------------------------------
-# Leaf order: the scalar STR oracle, hence unchanged shard plans.
+# Leaf order: the scalar STR oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -173,7 +172,7 @@ class TestLeafOrder:
         assert tree.leaf_entries() == leaves
         assert tree.height == height
 
-    def test_city_fleet_matches_the_oracle_and_its_shard_plan(self):
+    def test_city_fleet_matches_the_oracle(self):
         mod, _ = multi_query_fleet(num_vehicles=120, num_queries=4)
         tree = mod.build_index("rtree")
         x_min, y_min, x_max, y_max = mod.columnar().pack().spatial_bounds()
@@ -182,9 +181,6 @@ class TestLeafOrder:
         leaves, height = oracle_leaves(entries, 16)
         assert tree.leaf_entries() == leaves
         assert tree.height == height >= 3
-        ordered = list(dict.fromkeys(e.object_id for leaf in leaves for e in leaf))
-        groups = partition_from_rtree(tree, 4)
-        assert [oid for group in groups for oid in group] == ordered
 
     def test_ties_keep_insertion_order(self):
         # Identical centres everywhere: only sort stability decides the order.

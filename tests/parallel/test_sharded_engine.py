@@ -1,12 +1,92 @@
-"""ShardedEngine mechanics: routing, refresh, membership, lifecycle."""
+"""ShardedEngine: equality with the single engine, and what it engages.
+
+The engine splits the batch and never the store, so on every backend,
+slice count and scenario its answers must be ``==`` to per-query
+:meth:`QueryEngine.answer` calls.  The engagement tests pin what that design
+buys: one index per store in process, one worker rebuild per store revision
+out of process.
+"""
 
 import pytest
 
-from repro.engine import QueryEngine, answer_of
-from repro.parallel import ShardedEngine, build_plan
+from repro.engine import QueryEngine
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel import ShardedEngine
+from repro.service import EnginePool
+from repro.streaming import ContinuousMonitor
+from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
 from repro.uncertainty.uniform import UniformDiskPDF
-from repro.workloads.scenarios import sharded_fleet
+from repro.workloads.scenarios import (
+    multi_query_fleet,
+    sharded_fleet,
+    streaming_fleet,
+)
+
+BACKENDS = ("serial", "thread", "process")
+VARIANTS = (("sometime", 0.0), ("always", 0.0), ("fraction", 0.3))
+
+
+def _streamed():
+    """The streaming fleet after every update batch was applied."""
+    scenario = streaming_fleet(num_vehicles=24, num_queries=3, num_batches=2)
+    monitor = ContinuousMonitor(scenario.mod)
+    for object_id in scenario.mod.object_ids:
+        monitor.track(
+            object_id,
+            max_speed=scenario.max_speed,
+            minimum_radius=scenario.uncertainty_radius,
+        )
+    for batch in scenario.batches:
+        for object_id, reports in batch.items():
+            monitor.ingest(object_id, reports)
+        monitor.apply()
+    return scenario.mod, scenario.query_ids
+
+
+def _two_radii():
+    """Two distant clusters whose pdf supports differ.
+
+    A small-radius query's default band width is set by the *other*
+    cluster's larger support; process workers rebuild trajectories without
+    their pdfs, so equality here proves the parent resolved the width
+    against the full store.
+    """
+    trajectories = [
+        UncertainTrajectory(
+            f"{name}-{i}",
+            [TrajectorySample(x, float(i), 0.0), TrajectorySample(x + 5.0, float(i), 10.0)],
+            radius,
+            UniformDiskPDF(radius),
+        )
+        for name, x, radius in (("small", 0.0, 0.1), ("big", 100.0, 2.0))
+        for i in range(6)
+    ]
+    return MovingObjectsDatabase(trajectories), ["small-0", "big-0"]
+
+
+SCENARIOS = {
+    "multi_query_fleet": lambda: multi_query_fleet(num_vehicles=40, num_queries=6),
+    "streaming_fleet": _streamed,
+    "sharded_fleet": lambda: sharded_fleet(num_districts=4, vehicles_per_district=8),
+    "two_radii": _two_radii,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def world(request):
+    """``(mod, query_ids, window, {variant: expected answers})`` of a scenario."""
+    mod, query_ids = SCENARIOS[request.param]()
+    lo, hi = mod.common_time_span()
+    single = QueryEngine(mod)
+    expected = {
+        variant: {
+            query_id: single.answer(query_id, lo, hi, variant=variant, fraction=fraction)
+            for query_id in query_ids
+        }
+        for variant, fraction in VARIANTS
+    }
+    return mod, list(query_ids), (lo, hi), expected
 
 
 @pytest.fixture(scope="module")
@@ -14,34 +94,62 @@ def fleet():
     return sharded_fleet(num_districts=4, vehicles_per_district=8)
 
 
-def fresh_engine(mod, **kwargs):
-    kwargs.setdefault("backend", "serial")
-    return ShardedEngine(mod, 4, **kwargs)
+def moved(trajectory, dy):
+    return UncertainTrajectory(
+        trajectory.object_id,
+        [TrajectorySample(s.x, s.y + dy, s.t) for s in trajectory.samples],
+        trajectory.radius,
+        trajectory.pdf,
+    )
 
 
-def test_every_query_routed_to_its_owning_shard(fleet):
+# ---------------------------------------------------------------------------
+# Equality.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_answers_equal_the_single_engine(world, backend, num_shards):
+    mod, query_ids, (lo, hi), expected = world
+    with ShardedEngine(mod, num_shards, backend=backend) as engine:
+        for variant, fraction in VARIANTS:
+            batch = engine.answer_batch(
+                query_ids, lo, hi, variant=variant, fraction=fraction
+            )
+            assert batch.answers == expected[variant], variant
+            assert [item.query_id for item in batch] == query_ids
+            assert batch.fallback_ratio == 0.0 and batch.escaped_ids == ()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_duplicate_query_ids_preserved_in_request_order(fleet, backend):
     mod, query_ids = fleet
-    with fresh_engine(mod) as engine:
-        lo, hi = mod.common_time_span()
-        batch = engine.answer_batch(query_ids, lo, hi)
-        for item in batch:
-            assert item.shard == engine.owner_of(item.query_id)
-
-
-def test_duplicate_query_ids_preserved_in_order(fleet):
-    mod, query_ids = fleet
-    with fresh_engine(mod) as engine:
-        lo, hi = mod.common_time_span()
-        doubled = [query_ids[0], query_ids[1], query_ids[0]]
+    lo, hi = mod.common_time_span()
+    doubled = [query_ids[0], query_ids[1], query_ids[0], query_ids[2]]
+    with ShardedEngine(mod, 4, backend=backend) as engine:
         batch = engine.answer_batch(doubled, lo, hi)
         assert [item.query_id for item in batch] == doubled
-        assert batch.results[0].answer == batch.results[2].answer
+        assert batch.results[0] is batch.results[2]
+        assert sum(t.queries for t in batch.shard_telemetry) == 3
+        assert engine.answer(doubled[1], lo, hi) == batch.results[1].answer
+        assert len(engine.answer_batch([], lo, hi)) == 0
+
+
+def test_explicit_band_width_is_shared_by_the_batch(fleet):
+    mod, query_ids = fleet
+    lo, hi = mod.common_time_span()
+    single = QueryEngine(mod)
+    expected = {q: single.answer(q, lo, hi, band_width=1.5) for q in query_ids}
+    for backend in ("serial", "process"):
+        with ShardedEngine(mod, 2, backend=backend) as engine:
+            assert engine.answer_batch(query_ids, lo, hi, band_width=1.5).answers == expected
 
 
 def test_unknown_query_and_bad_arguments(fleet):
     mod, query_ids = fleet
-    with fresh_engine(mod) as engine:
-        lo, hi = mod.common_time_span()
+    lo, hi = mod.common_time_span()
+    with ShardedEngine(mod, 4, backend="serial") as engine:
         with pytest.raises(KeyError):
             engine.answer_batch(["nope"], lo, hi)
         with pytest.raises(ValueError):
@@ -52,38 +160,48 @@ def test_unknown_query_and_bad_arguments(fleet):
         ShardedEngine(mod, 4, backend="gpu")
     with pytest.raises(ValueError):
         ShardedEngine(mod, 4, index="btree")
+    with pytest.raises(ValueError):
+        ShardedEngine(mod, 0)
+    with pytest.raises(ValueError):
+        ShardedEngine(mod, 4, max_workers=0)
+    with pytest.raises(ValueError):
+        ShardedEngine(mod, 4, mp_start_method="teleport")
+    with pytest.raises(ValueError, match="different store"):
+        ShardedEngine(mod, 4, backend="serial", engine=QueryEngine(_two_radii()[0]))
 
 
-def test_refresh_routes_changes_to_affected_shards_only(fleet):
+def test_every_slice_slot_sees_the_whole_store(fleet):
     mod, query_ids = fleet
-    with fresh_engine(mod) as engine:
-        lo, hi = mod.common_time_span()
-        engine.answer_batch(query_ids, lo, hi)
-        assert engine.refresh() == []  # no store change, no shard touched
-
-        moved_id = "d0-veh-1"
-        owner = engine.owner_of(moved_id)
-        old = mod.get(moved_id)
-        nudged = [
-            TrajectorySample(s.x + 0.25, s.y, s.t) for s in old.samples
-        ]
-        mod.replace_trajectory(
-            UncertainTrajectory(moved_id, nudged, old.radius, old.pdf)
-        )
-        changed = engine.refresh()
-        # The owning shard always sees its object's change; a small nudge
-        # must not ripple through every shard in a district world.
-        assert owner in changed
-        assert len(changed) < engine.num_shards
+    lo, hi = mod.common_time_span()
+    with ShardedEngine(mod, 3, backend="serial") as engine:
+        infos = engine.shard_info()
+        assert [info.shard for info in infos] == [0, 1, 2]
+        assert all(info.members == len(mod) for info in infos)
+        batch = engine.answer_batch(query_ids, lo, hi)
+        assert len(batch) == len(query_ids)
+        assert batch.total_seconds > 0
+        assert all(item.candidate_count > 0 for item in batch)
 
 
-def test_membership_follows_additions_and_removals(fleet):
+# ---------------------------------------------------------------------------
+# Mutations under a live engine.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_answers_follow_additions_replacements_and_removals(backend):
     mod, query_ids = sharded_fleet(num_districts=4, vehicles_per_district=8)
-    with fresh_engine(mod) as engine:
-        lo, hi = mod.common_time_span()
-        engine.answer_batch(query_ids, lo, hi)
-        before = sum(info.members for info in engine.shard_info())
+    lo, hi = mod.common_time_span()
 
+    def expected():
+        single = QueryEngine(mod)
+        return {q: single.answer(q, lo, hi) for q in query_ids}
+
+    with ShardedEngine(mod, 4, backend=backend) as engine:
+        assert engine.answer_batch(query_ids, lo, hi).answers == expected()
+        mod.replace_trajectory(moved(mod.get(query_ids[0]), 0.4))
+        engine.refresh()
+        assert engine.answer_batch(query_ids, lo, hi).answers == expected()
         newcomer = UncertainTrajectory(
             "newcomer",
             [TrajectorySample(1.0, 1.0, lo), TrajectorySample(2.0, 2.0, hi)],
@@ -91,200 +209,93 @@ def test_membership_follows_additions_and_removals(fleet):
             UniformDiskPDF(0.2),
         )
         mod.add(newcomer)
-        engine.refresh()
-        assert "newcomer" in mod
-        assert engine.owner_of("newcomer") in range(engine.num_shards)
-        assert sum(info.members for info in engine.shard_info()) > before
-
-        # The newcomer is queryable and exact.
-        single = QueryEngine(mod)
-        expected = answer_of(single.prepare("newcomer", lo, hi).context, "sometime")
-        assert engine.answer("newcomer", lo, hi) == expected
-
-        mod.remove("newcomer")
-        engine.refresh()
-        with pytest.raises(KeyError):
-            engine.owner_of("newcomer")
-
-
-def test_repartition_rebuilds_ownership(fleet):
-    mod, query_ids = fleet
-    with fresh_engine(mod) as engine:
-        lo, hi = mod.common_time_span()
-        first = engine.answer_batch(query_ids, lo, hi).answers
-        plan = engine.repartition(num_shards=2, method="grid")
-        assert plan.num_shards == 2
-        assert engine.num_shards == 2
-        assert engine.answer_batch(query_ids, lo, hi).answers == first
-
-
-def test_prebuilt_plan_is_honored(fleet):
-    mod, query_ids = fleet
-    plan = build_plan(mod, 3, method="grid", halo=5.0)
-    with ShardedEngine(mod, backend="serial", plan=plan) as engine:
-        assert engine.num_shards == 3
-        assert engine.halo == 5.0
-        lo, hi = mod.common_time_span()
-        single = QueryEngine(mod)
-        expected = {
-            q: answer_of(single.prepare(q, lo, hi).context, "sometime")
-            for q in query_ids
-        }
-        assert engine.answer_batch(query_ids, lo, hi).answers == expected
-
-
-def test_shard_info_accounts_everyone(fleet):
-    mod, _ = fleet
-    with fresh_engine(mod) as engine:
-        infos = engine.shard_info()
-        assert sum(info.owned for info in infos) == len(mod)
-        for info in infos:
-            assert info.members <= len(mod)
-            assert info.complete == (info.members == len(mod))
-
-
-def test_telemetry_counts_batch(fleet):
-    mod, query_ids = fleet
-    with fresh_engine(mod) as engine:
-        lo, hi = mod.common_time_span()
-        batch = engine.answer_batch(query_ids, lo, hi)
-        assert len(batch) == len(query_ids)
-        assert sum(t.queries for t in batch.shard_telemetry) == len(query_ids)
-        assert batch.total_seconds > 0
-        assert 0.0 <= batch.fallback_ratio <= 1.0
-
-
-def _shared_task_fixture(mod, query_ids):
-    """A SharedColumnarStore plus a ShardTask kwargs template over it."""
-    from repro.parallel.plan import expanded_bounds
-    from repro.parallel.worker import QuerySpec
-    from repro.trajectories.shared import SharedColumnarStore
-
-    lo, hi = mod.common_time_span()
-    bounds = [expanded_bounds(t) for t in mod]
-    coverage = (
-        min(b[0] for b in bounds), min(b[1] for b in bounds),
-        max(b[2] for b in bounds), max(b[3] for b in bounds),
-    )
-    spec = QuerySpec(query_ids[0], lo, hi, mod.default_band_width(query_ids[0]))
-    shared = SharedColumnarStore(mod)
-    common = dict(
-        token=("test-descriptor-protocol", 0),
-        fingerprint=7,
-        store=shared.descriptor(),
-        member_ids=tuple(t.object_id for t in mod),
-        index_kind="rtree",
-        leaf_capacity=16,
-        grid_cells=32,
-        cache_size=64,
-        queries=(spec,),
-        coverage=coverage,
-        complete=True,
-    )
-    return shared, common
-
-
-def test_worker_descriptor_protocol_rebuilds_then_caches(fleet):
-    """A task always succeeds: cold rebuild once, cached afterwards."""
-    from repro.parallel.worker import ShardTask, run_shard_task
-
-    mod, query_ids = fleet
-    shared, common = _shared_task_fixture(mod, query_ids)
-    with shared:
-        # Cold cache: the worker attaches the shared export and rebuilds.
-        first = run_shard_task(ShardTask(**common))
-        assert first.rebuilt
-        assert first.revision == shared.revision
-        assert not first.outcomes[0].escaped
-        # Same token+fingerprint: served from the cached shard engine.
-        probe = run_shard_task(ShardTask(**common))
-        assert not probe.rebuilt
-        assert probe.outcomes[0].answer == first.outcomes[0].answer
-        # A bumped fingerprint forces one rebuild — still from shared
-        # memory, never a trajectory payload.
-        stale = run_shard_task(ShardTask(**dict(common, fingerprint=8)))
-        assert stale.rebuilt
-        assert stale.outcomes[0].answer == first.outcomes[0].answer
-
-
-def test_worker_cache_scales_to_shard_count(fleet):
-    """More shards than the old flat limit never evict each other."""
-    from repro.parallel.worker import (
-        _ENGINE_CACHE, _ENGINE_CACHE_LIMIT, ShardTask, run_shard_task,
-    )
-
-    mod, query_ids = fleet
-    shared, common = _shared_task_fixture(mod, query_ids)
-    shards = _ENGINE_CACHE_LIMIT + 5
-    with shared:
-        for sweep in range(2):
-            for shard in range(shards):
-                task = ShardTask(**dict(
-                    common,
-                    token=("test-cache-scaling", shard),
-                    cache_slots=shards,
-                ))
-                result = run_shard_task(task)
-                # Second sweep must be all cache hits: with cache_slots
-                # scaled to the engine's shard count, sweeping 21 shards
-                # through one worker never evicts a sibling (the old flat
-                # 16-slot cache thrashed here and rebuilt every task).
-                assert result.rebuilt == (sweep == 0)
-        assert len(_ENGINE_CACHE[("test-cache-scaling",)]) == shards
-
-
-def test_process_backend_warm_batches_after_mutation(fleet):
-    mod, query_ids = sharded_fleet(num_districts=4, vehicles_per_district=8)
-    lo, hi = mod.common_time_span()
-    with ShardedEngine(mod, 4, backend="process") as engine:
-        first = engine.answer_batch(query_ids, lo, hi).answers
-        assert engine.answer_batch(query_ids, lo, hi).answers == first
-        moved = mod.get(query_ids[0])
-        mod.replace_trajectory(
-            UncertainTrajectory(
-                moved.object_id,
-                [TrajectorySample(s.x, s.y + 0.4, s.t) for s in moved.samples],
-                moved.radius,
-                moved.pdf,
-            )
+        assert engine.answer("newcomer", lo, hi) == QueryEngine(mod).answer(
+            "newcomer", lo, hi
         )
-        single = QueryEngine(mod)
-        expected = {
-            q: answer_of(single.prepare(q, lo, hi).context, "sometime")
-            for q in query_ids
-        }
-        assert engine.answer_batch(query_ids, lo, hi).answers == expected
+        # Removed and re-added between two batches: the id moves to the end
+        # of the store's insertion order, in the workers' copy as well.
+        mod.remove(query_ids[1])
+        mod.remove("newcomer")
+        mod.add(moved(newcomer, 0.5))
+        with pytest.raises(KeyError):
+            engine.answer(query_ids[1], lo, hi)
+        query_ids = [q for q in query_ids if q != query_ids[1]] + ["newcomer"]
+        assert engine.answer_batch(query_ids, lo, hi).answers == expected()
 
 
-def test_process_backend_steady_state_never_resends(fleet):
-    """Unchanged shards cost zero rebuilds (and zero payloads) per batch."""
+# ---------------------------------------------------------------------------
+# Engagement: what splitting the batch instead of the store buys.
+# ---------------------------------------------------------------------------
+
+
+def test_one_index_per_store_whatever_the_backend_label():
+    """An in-process sharded pool builds and reloads exactly one index."""
+    mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
+    lo, hi = mod.common_time_span()
+    registry = MetricsRegistry()
+
+    def index_builds():
+        return registry.snapshot()["repro_engine_index_build_seconds"]["count"]
+
+    with EnginePool(mod, force_backend="sharded", num_shards=4, registry=registry) as pool:
+        assert pool.warm_up() == "sharded"
+        assert index_builds() == 1
+        sharded = pool.sharded_engine()
+        for revision in range(1, 4):
+            # 36 of 40 objects move: past the engine's patch-or-reload cut.
+            for object_id in mod.object_ids[:36]:
+                mod.replace_trajectory(moved(mod.get(object_id), 0.1))
+            result = pool.answer_group(query_ids, lo, hi)
+            assert result.backend == "sharded"
+            assert index_builds() == 1 + revision
+        # The label's other side serves from the same engine: nothing new.
+        single = pool.single_engine()
+        assert sharded.answer(query_ids[0], lo, hi) == single.answer(query_ids[0], lo, hi)
+        assert index_builds() == 4
+        assert single.cache_info().hits > 0
+
+
+def test_process_workers_rebuild_once_per_revision(fleet):
     mod, query_ids = sharded_fleet(num_districts=4, vehicles_per_district=8)
     lo, hi = mod.common_time_span()
-    # One worker makes the task->worker assignment deterministic, so every
-    # shard's engine lands in that worker's cache on the cold batch.
     with ShardedEngine(mod, 4, backend="process", max_workers=1) as engine:
         cold = engine.answer_batch(query_ids, lo, hi)
-        assert cold.worker_rebuilds == engine.num_shards
-        # Identical batch: served entirely from the parent answer cache.
-        warm = engine.answer_batch(query_ids, lo, hi)
-        assert warm.answers == cold.answers
-        assert warm.cache_hits == len(query_ids)
-        assert warm.worker_rebuilds == 0
-        # Same queries with the cache dropped: workers serve from their
-        # cached shard engines — still zero rebuilds, zero resends.
-        engine.clear_answer_cache()
-        uncached = engine.answer_batch(query_ids, lo, hi)
-        assert uncached.answers == cold.answers
-        assert uncached.cache_hits == 0
-        assert uncached.worker_rebuilds == 0
-        assert engine.worker_rebuilds == engine.num_shards
-        assert engine.shared_segments()
+        assert cold.worker_rebuilds == 1
+        assert engine.answer_batch(query_ids, lo, hi).worker_rebuilds == 0
+        assert engine.answer_batch(query_ids[:2], lo + 1.0, hi).worker_rebuilds == 0
+        for revision in range(2, 4):
+            mod.replace_trajectory(moved(mod.get(query_ids[0]), 0.2))
+            assert engine.answer_batch(query_ids, lo, hi).worker_rebuilds == 1
+            assert engine.answer_batch(query_ids, lo, hi).worker_rebuilds == 0
+            assert engine.worker_rebuilds == revision
+        assert len(engine.shared_segments()) == 3  # base + one patch a revision
+        snapshot = engine.registry.snapshot()
+        assert snapshot["repro_sharded_worker_rebuild_seconds"]["count"] == 3
 
 
-def test_close_is_idempotent(fleet):
+def test_warm_up_leaves_the_first_batch_nothing_to_rebuild(fleet):
     mod, query_ids = fleet
-    engine = fresh_engine(mod, backend="process")
     lo, hi = mod.common_time_span()
-    engine.answer_batch(query_ids[:2], lo, hi)
+    with ShardedEngine(mod, 4, backend="process", max_workers=2) as engine:
+        engine.warm_up()
+        assert engine.worker_rebuilds == 2  # every worker, once
+        first = engine.answer_batch(query_ids, lo, hi)
+        assert first.worker_rebuilds == 0
+        assert [t.queries for t in first.shard_telemetry] == [
+            len(query_ids) // 2, len(query_ids) - len(query_ids) // 2
+        ]
+        engine.warm_up()
+        assert engine.worker_rebuilds == 2
+
+
+def test_close_is_idempotent_and_the_engine_stays_usable(fleet):
+    mod, query_ids = fleet
+    lo, hi = mod.common_time_span()
+    engine = ShardedEngine(mod, 4, backend="process")
+    first = engine.answer_batch(query_ids[:2], lo, hi).answers
+    assert engine.shared_segments()
     engine.close()
+    engine.close()
+    assert engine.shared_segments() == ()
+    assert engine.answer_batch(query_ids[:2], lo, hi).answers == first
     engine.close()

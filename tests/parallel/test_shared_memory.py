@@ -4,7 +4,7 @@ The :class:`~repro.trajectories.shared.SharedColumnarStore` owns named
 ``/dev/shm`` segments on behalf of the process-backed sharded engine; these
 tests pin the contract around that ownership — segments are unlinked on
 ``close()`` *and* on garbage collection, close is idempotent, patch syncs
-advance the revision workers handshake on, long patch chains rebase — and
+advance the revision workers rebuild on, long patch chains rebase — and
 the correctness property that makes zero-copy serving trustworthy: any
 upsert/remove/replace sequence keeps answers computed over the shared
 segments byte-identical to the single engine's.
@@ -20,11 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import QueryEngine
 from repro.trajectories.mod import MovingObjectsDatabase
-from repro.trajectories.shared import (
-    AttachedPack,
-    SharedColumnarStore,
-    attach_pack,
-)
+from repro.trajectories.shared import AttachedPack, SharedColumnarStore
 from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
 from repro.uncertainty.uniform import UniformDiskPDF
 from repro.workloads.scenarios import sharded_fleet
@@ -146,45 +142,41 @@ def test_garbage_collection_unlinks_segments(fleet):
     assert not any(segment_exists(name) for name in names)
 
 
-def test_worker_reattaches_after_parent_repack(fleet):
-    """A bumped fingerprint makes the worker serve the new revision."""
-    from repro.parallel.plan import expanded_bounds
-    from repro.parallel.worker import QuerySpec, ShardTask, run_shard_task
+def test_worker_rebuilds_when_the_export_revision_moves(fleet):
+    """One rebuild per revision: cold, then only after the store changed."""
+    from repro.parallel.worker import ShardTask, run_shard_task
 
     mod, query_ids = fleet
     lo, hi = mod.common_time_span()
-    bounds = [expanded_bounds(t) for t in mod]
-    coverage = (
-        min(b[0] for b in bounds), min(b[1] for b in bounds),
-        max(b[2] for b in bounds), max(b[3] for b in bounds),
-    )
     query_id = query_ids[0]
     with SharedColumnarStore(mod) as shared:
-        def task(fingerprint):
-            return ShardTask(
-                token=("test-reattach", 0),
-                fingerprint=fingerprint,
+        def serve():
+            shared.sync()
+            return run_shard_task(ShardTask(
+                token=("test-rebuild",),
+                shard=0,
                 store=shared.descriptor(),
-                member_ids=tuple(t.object_id for t in mod),
                 index_kind="rtree",
                 leaf_capacity=16,
                 grid_cells=32,
                 cache_size=64,
-                queries=(QuerySpec(
-                    query_id, lo, hi, mod.default_band_width(query_id)
-                ),),
-                coverage=coverage,
-                complete=True,
-            )
+                queries=((query_id, mod.default_band_width(query_id)),),
+                t_start=lo,
+                t_end=hi,
+            ))
 
-        first = run_shard_task(task(1))
+        first = serve()
+        assert first.rebuilt and first.rebuild_seconds > 0
         assert first.revision == shared.revision
+        steady = serve()
+        assert not steady.rebuilt and steady.rebuild_seconds == 0.0
+        assert steady.outcomes[0].answer == first.outcomes[0].answer
 
         mod.replace_trajectory(nudged(mod.get(query_id), 0.3))
-        shared.sync()
-        second = run_shard_task(task(2))
+        second = serve()
         assert second.rebuilt
         assert second.revision == shared.revision > first.revision
+        assert not serve().rebuilt
         expected = QueryEngine(mod).answer(query_id, lo, hi)
         assert second.outcomes[0].answer == expected
 
@@ -197,16 +189,25 @@ operations = st.lists(
         st.sampled_from(["replace", "upsert", "remove"]),
         st.integers(min_value=0, max_value=7),
         coordinate,
+        st.booleans(),
     ),
     min_size=1,
-    max_size=5,
+    max_size=6,
 )
 
 
 @settings(max_examples=10, deadline=None)
 @given(ops=operations)
 def test_any_mutation_sequence_keeps_shared_answers_exact(ops):
-    """Upsert/remove/replace sequences never desync the shared export."""
+    """Upsert/remove/replace sequences never desync the shared export.
+
+    Whether one change or several ride a sync, an attachment lists the
+    store's objects in the store's own insertion order (a removed and
+    re-added id moves to the end in both), and a worker serving from it
+    answers exactly as the single engine does.
+    """
+    from repro.parallel.worker import ShardTask, run_shard_task
+
     pdf = UniformDiskPDF(0.2)
     mod = MovingObjectsDatabase(
         UncertainTrajectory(
@@ -221,11 +222,11 @@ def test_any_mutation_sequence_keeps_shared_answers_exact(ops):
         for index in range(4)
     )
     with SharedColumnarStore(mod, max_patch_segments=2) as shared:
-        for kind, which, coord in ops:
+        for kind, which, coord, sync_now in [*ops, ("replace", 0, 1.0, True)]:
             object_id = f"o{which}"
             if kind == "remove":
                 # Keep the store non-empty and o0 queryable throughout.
-                if object_id != "o0" and object_id in mod:
+                if object_id != "o0" and object_id in mod and len(mod) > 2:
                     mod.remove(object_id)
             elif kind == "replace" and object_id in mod:
                 mod.replace_trajectory(nudged(mod.get(object_id), coord, 0.5))
@@ -239,27 +240,28 @@ def test_any_mutation_sequence_keeps_shared_answers_exact(ops):
                     0.2,
                     pdf,
                 ))
+            if not sync_now:
+                continue
             shared.sync()
             pack = AttachedPack(shared.descriptor())
-            rebuilt = pack.member_database(
-                tuple(t.object_id for t in mod)
-            )
-            single = QueryEngine(mod)
-            mirror = QueryEngine(rebuilt)
-            assert single.answer("o0", 0.0, 10.0) == mirror.answer(
+            assert pack.ids == tuple(mod.object_ids)
+            pack.close()
+            served = run_shard_task(ShardTask(
+                token=("test-mutations",),
+                shard=0,
+                store=shared.descriptor(),
+                index_kind="rtree",
+                leaf_capacity=16,
+                grid_cells=32,
+                cache_size=64,
+                queries=(("o0", mod.default_band_width("o0")),),
+                t_start=0.0,
+                t_end=10.0,
+            ))
+            assert served.revision == mod.revision
+            assert served.outcomes[0].answer == QueryEngine(mod).answer(
                 "o0", 0.0, 10.0
             )
-            pack.close()
-
-
-def test_attach_pack_memoizes_per_chain(fleet):
-    mod, _ = fleet
-    with SharedColumnarStore(mod) as shared:
-        first = attach_pack(shared.descriptor())
-        assert attach_pack(shared.descriptor()) is first
-        mod.replace_trajectory(nudged(mod.get(mod.object_ids[0]), 0.2))
-        shared.sync()
-        assert attach_pack(shared.descriptor()) is not first
 
 
 def test_full_run_leaves_no_tracker_noise_or_segments(tmp_path):

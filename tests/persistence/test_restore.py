@@ -180,13 +180,13 @@ class TestRestoreEdges:
         """
         shared_memory = pytest.importorskip("multiprocessing.shared_memory")
         del shared_memory
-        from repro.trajectories.shared import SharedColumnarStore, attach_pack
+        from repro.trajectories.shared import AttachedPack, SharedColumnarStore
 
         mod = fleet_mod(num=6)
         PersistentStore(tmp_path, mod).close(checkpoint=True)
         restored = restore(tmp_path).mod
         with SharedColumnarStore(restored) as shared:
-            attached = attach_pack(shared.descriptor())
+            attached = AttachedPack(shared.descriptor())
             try:
                 original = mod.columnar().pack()
                 for object_id in mod.object_ids:
