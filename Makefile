@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test coverage bench-smoke bench bench-streaming bench-streaming-smoke \
+.PHONY: test coverage bench-smoke bench \
 	bench-sharded bench-sharded-smoke bench-columnar bench-columnar-smoke \
 	bench-service bench-service-smoke bench-obs bench-obs-smoke \
 	bench-planner bench-planner-smoke \
@@ -32,12 +32,6 @@ bench-smoke:
 
 bench:
 	$(PYTHON) benchmarks/bench_batch_engine.py
-
-bench-streaming-smoke:
-	$(PYTHON) benchmarks/bench_streaming.py --quick --batches 3 --json BENCH_streaming.json
-
-bench-streaming:
-	$(PYTHON) benchmarks/bench_streaming.py --json BENCH_streaming.json --min-speedup 3
 
 bench-sharded-smoke:
 	$(PYTHON) benchmarks/bench_sharded.py --quick --json BENCH_sharded.json

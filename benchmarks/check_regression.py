@@ -5,10 +5,10 @@ metrics::
 
     {
       "schema_version": 1,
-      "bench": "streaming",
+      "bench": "persistence",
       "gates": [
-        {"metric": "incremental_ms", "direction": "lower", "baseline": 120.0},
-        {"metric": "speedup", "direction": "higher", "baseline": 10.0}
+        {"metric": "restore_ms", "direction": "lower", "baseline": 40.0},
+        {"metric": "restore_speedup_vs_rebuild", "direction": "higher", "baseline": 3.0}
       ]
     }
 

@@ -8,7 +8,7 @@ smoke mode, uploading the records as artifacts and gating them with
 ``check_regression.py``::
 
     PYTHONPATH=src python benchmarks/run_all.py --quick
-    PYTHONPATH=src python benchmarks/run_all.py --only streaming sharded
+    PYTHONPATH=src python benchmarks/run_all.py --only persistence sharded
     PYTHONPATH=src python benchmarks/run_all.py --list
 
 The paper-figure and ablation benches (``bench_fig*``, ``bench_ablation*``)
@@ -49,10 +49,6 @@ REGISTRY = {
     "planner": (
         "bench_planner",
         "compiled query plans vs naive per-statement interpretation",
-    ),
-    "streaming": (
-        "bench_streaming",
-        "incremental streaming maintenance vs rebuild-from-scratch",
     ),
     "service": (
         "bench_service",

@@ -5,8 +5,9 @@
 amortizes the costs a production deployment pays once per *database* rather
 than once per *query*:
 
-* the spatio-temporal index (STR R-tree or grid) is bulk-loaded once and
-  shared by every query served;
+* the spatio-temporal index (STR R-tree or grid) is the store's own
+  (:meth:`~repro.trajectories.mod.MovingObjectsDatabase.index`), shared by
+  every query and every engine the store serves;
 * each query's candidate set is shrunk by a provably safe corridor probe
   (:mod:`repro.engine.filtering`) before the O(N log N) difference-function
   and envelope construction runs;
@@ -124,9 +125,10 @@ class QueryEngine:
 
     Args:
         mod: the moving objects database to serve queries against.
-        index: ``"rtree"`` (default) or ``"grid"`` to build that index over
-            the MOD, ``None`` to disable candidate filtering, or a prebuilt
-            index object answering ``query_corridor`` probes.
+        index: ``"rtree"`` (default) or ``"grid"`` to filter with the
+            store's index of that kind, ``None`` to disable candidate
+            filtering, or a prebuilt index object answering
+            ``query_corridor`` probes.
         leaf_capacity: R-tree leaf capacity when building an R-tree.
         grid_cells: cells per axis when building a grid.
         max_workers: when > 1, prepare batch members on a thread pool of
@@ -206,10 +208,11 @@ class QueryEngine:
         )
         self._m_index_build = self.registry.histogram(
             "repro_engine_index_build_seconds",
-            help="Bulk (re)load time of the engine-built index",
+            help="Bulk (re)load time of the store's index, when this engine paid it",
         )
         # A prebuilt index object (or None) is the caller's to keep fresh.
-        self._index = index if self._index_kind is None else self._build_index()
+        self._index = None if self._index_kind else index
+        self._sync_index()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -217,21 +220,17 @@ class QueryEngine:
 
     @property
     def index(self):
-        """The shared spatio-temporal index (``None`` when filtering is off)."""
+        """The spatio-temporal index filtered with (``None`` when filtering is off)."""
         return self._index
 
     @property
     def index_kind(self) -> Optional[str]:
-        """The engine-built index kind (``None``: prebuilt or filtering off)."""
+        """The store index kind used (``None``: prebuilt or filtering off)."""
         return self._index_kind
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters of the context cache."""
         return self._cache.info()
-
-    def clear_cache(self) -> None:
-        """Drop every cached context."""
-        self._cache.clear()
 
     def invalidate(self, query_id: object) -> int:
         """Drop cached contexts of one query (e.g. after a trajectory update)."""
@@ -281,116 +280,52 @@ class QueryEngine:
 
         Every serving call starts with this; callers that want to pay for a
         store change eagerly (right after a streaming ``apply``) call it
-        themselves.  When the MOD's changelog identifies a small set of changed objects,
-        the engine patches in place: the changed objects' boxes are retired
-        and re-inserted in the engine-built index, their position arrays are
-        dropped, and only the cached contexts a changed object can actually
+        themselves.  The index is the store's own: the first engine to ask
+        after a change patches it in place for every engine over the store
+        (:meth:`~repro.trajectories.mod.MovingObjectsDatabase.sync_index`).
+        Of the cached contexts, only those a changed object can actually
         affect are invalidated (the query itself changed, a changed object
         was among the context's candidates, or a changed object's boxes now
-        come within the context's provably-safe corridor).  Everything else
-        keeps serving from cache.
-
-        When the changelog cannot identify the changes (or most of the store
-        changed), the engine falls back to the full rebuild: fresh index,
-        empty caches.  A caller-supplied index is never rebuilt here; the
-        caller owns its freshness, and the engine only maintains its own.
+        come within the context's provably-safe corridor); everything else
+        keeps serving from cache.  When the changelog cannot identify the
+        changes, the caches start over.  A caller-supplied index is never
+        touched here; the caller owns its freshness.
         """
         if self.mod.revision == self._mod_revision:
             return
-        changes = self.mod.changes_since(self._mod_revision)
-        changed: Optional[Dict[object, Optional[float]]] = None
-        if changes is not None:
-            # Per object, keep the earliest divergence time across its
-            # records; any record without one makes the change global.
-            changed = {}
-            for record in changes:
-                known = record.object_id in changed
-                current = changed.get(record.object_id)
-                if record.divergence_time is None or (known and current is None):
-                    changed[record.object_id] = None
-                elif known:
-                    changed[record.object_id] = min(current, record.divergence_time)
-                else:
-                    changed[record.object_id] = record.divergence_time
+        changed = self.mod.divergences_since(self._mod_revision)
         with trace_span(
             "engine.refresh",
             kind="incremental" if changed is not None else "full",
             changed=len(changed) if changed is not None else len(self.mod),
         ) as span:
-            if changed is not None:
-                index_action = self._refresh_incremental(changed)
+            if changed is None:
+                self._cache = ContextCache(max_size=self._cache_size)
+                self._band_widths = {}
             else:
-                index_action = self._refresh_full()
+                # Band widths depend only on the set of stored pdf supports;
+                # pure replacements with finite divergence times (same
+                # radius, same pdf) provably leave them untouched.
+                if any(divergence is None for divergence in changed.values()):
+                    self._band_widths = {}
+                self._invalidate_affected(changed)
+            index_action = self._sync_index()
             span.set("index", index_action)
             span.set("entries", len(self._index) if index_action != "none" else 0)
         self._m_refreshes.inc()
         self._mod_revision = self.mod.revision
 
-    def _build_index(self):
-        """Bulk load a fresh index of the engine's kind over the whole MOD."""
-        started = time.perf_counter()
-        if self._index_kind == "rtree":
-            index = self.mod.build_index("rtree", leaf_capacity=self._leaf_capacity)
-        else:
-            index = self.mod.build_index("grid", cells=self._grid_cells)
-        self._m_index_build.observe(time.perf_counter() - started)
-        return index
-
-    def _refresh_full(self) -> str:
-        self._cache = ContextCache(max_size=self._cache_size)
-        self._band_widths = {}
+    def _sync_index(self) -> str:
+        """Sync to the store's index and say what that did to it, or
+        ``"none"`` when the engine filters with no store index."""
         if self._index_kind is None:
             return "none"
-        self._index = self._build_index()
-        return "bulk"
-
-    def _refresh_incremental(self, changed: Dict[object, Optional[float]]) -> str:
-        """Patch derived state for an identified change set.
-
-        The index is patched in place for small change sets and bulk-reloaded
-        when most of the store moved; cache invalidation is *always*
-        selective — its soundness comes from the corridor/divergence checks,
-        not from the change-set size.
-
-        Returns:
-            What happened to the index: ``"bulk"`` (reloaded from the
-            store), ``"patch"`` (changed objects' boxes swapped in place),
-            ``"repack"`` (a patch that made the R-tree repack itself) or
-            ``"none"`` (the engine maintains no index of its own).
-        """
-        index_action = "none"
-        if self._index_kind is not None and self._index is not None:
-            # A patch rebuilds each changed object's boxes in Python, ~0.15 ms
-            # per object whatever the tree size; a bulk reload measured 6 ms
-            # at 15k entries (N=500 stream) and 29 ms at 47k (N=2000 fleet).
-            # 32 sits just under the smaller crossover (~40 objects) and well
-            # under the larger (~190), so neither side wins on both.
-            if len(self.mod) > 0 and len(changed) > 32:
-                self._index = self._build_index()
-                index_action = "bulk"
-            else:
-                repacks = getattr(self._index, "repacks", 0)
-                for object_id, divergence in changed.items():
-                    if divergence is not None and object_id in self.mod:
-                        # Boxes before the divergence time are provably
-                        # identical; retire and re-insert only the rest.
-                        self._index.remove_object(object_id, after=divergence)
-                        self._index.insert_trajectory(
-                            self.mod.get(object_id), after=divergence
-                        )
-                    else:
-                        self._index.remove_object(object_id)
-                        if object_id in self.mod:
-                            self._index.insert_trajectory(self.mod.get(object_id))
-                repacked = getattr(self._index, "repacks", 0) > repacks
-                index_action = "repack" if repacked else "patch"
-        # Band widths depend only on the set of stored pdf supports; a batch
-        # of pure replacements with finite divergence times (same radius,
-        # same pdf) provably leaves them untouched.
-        if any(divergence is None for divergence in changed.values()):
-            self._band_widths = {}
-        self._invalidate_affected(changed)
-        return index_action
+        self._index, action, seconds = self.mod.sync_index(
+            self._index_kind, self._leaf_capacity, self._grid_cells
+        )
+        if action == "bulk":
+            self._m_index_build.observe(seconds)
+        return action
 
     def _invalidate_affected(self, changed: Dict[object, Optional[float]]) -> None:
         """Drop exactly the cached contexts a changed object can affect.

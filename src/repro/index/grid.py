@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.tolerances import TIME_TOLERANCE
 from ..trajectories.trajectory import Trajectory
@@ -125,6 +125,13 @@ class GridIndex:
         ):
             if after is not None and entry.box.t_min < after - TIME_TOLERANCE:
                 continue
+            self.insert_entry(entry)
+
+    def patch(self, changed: Mapping[object, Optional[float]], store) -> None:
+        """Apply one store change set entry by entry (see ``STRRTree.patch``)."""
+        for object_id, after in changed.items():
+            self.remove_object(object_id, after=after)
+        for entry in store.boxes_since(changed, self._max_box_extent).entries():
             self.insert_entry(entry)
 
     def insert_all(self, trajectories: Iterable[Trajectory]) -> None:

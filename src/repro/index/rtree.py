@@ -18,10 +18,11 @@ load is a few stable sorts and ``reduceat`` calls per level, and a probe
 descends level by level with the whole frontier tested against every probe
 box in one pass.
 
-The streaming layer needs *incremental maintenance*, and small change sets
-never touch the packed levels: removal clears live flags (tombstones), and
-insertion appends to an unpacked overflow block behind the packed rows that
-probes scan alongside the leaves.  When the overflow outgrows
+The streaming layer needs *incremental maintenance*, and a store's change
+set (one :meth:`STRRTree.patch` per revision) never touches the packed
+levels: removal clears live flags (tombstones), and insertion appends to an
+unpacked overflow block behind the packed rows that probes scan alongside
+the leaves.  When the overflow outgrows
 ``1 / _OVERFLOW_SHARE`` of the packed entries the tree repacks itself from
 its live rows, so probe cost stays within a constant factor of a fresh bulk
 load.  A probe's answer depends on the live entry set alone, never on how
@@ -31,7 +32,7 @@ the rows are currently arranged.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -187,6 +188,7 @@ class STRRTree:
         self._hi = np.concatenate((hi, np.empty((3, spare))), axis=1)
         self._owner = np.concatenate((owner, np.empty(spare, dtype=np.int64)))
         self._alive = np.ones(len(self._owner), dtype=bool)
+        self._by_owner: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Incremental maintenance.
@@ -253,18 +255,37 @@ class STRRTree:
                 time have identical boxes before it (segment boundaries are
                 sample times, so no box straddles the divergence), which
                 makes a streamed extension O(changed boxes), not O(history).
-
-        Retired rows are tombstoned — one mask pass over the owner column —
-        and leave the arrays at the next repack.
         """
-        slot = self._slot_of.get(object_id)
-        if slot is None:
-            return 0
-        doomed = self._alive[: self._count] & (self._owner[: self._count] == slot)
-        if after is not None:
-            doomed &= self._lo[2, : self._count] >= after - TIME_TOLERANCE
-        removed = int(np.count_nonzero(doomed))
-        self._alive[: self._count][doomed] = False
+        return self._retire({object_id: after})
+
+    def patch(self, changed: Mapping[object, Optional[float]], store) -> None:
+        """Apply a store's change set (ids to divergence times) in place: one
+        tombstone pass from those times on, one append of the column store's
+        :meth:`~repro.trajectories.columnar.ColumnarStore.boxes_since`."""
+        self._retire(changed)
+        self._append(*self._columns(store.boxes_since(changed, self._max_box_extent)))
+
+    def _retire(self, changed: Mapping[object, Optional[float]]) -> int:
+        """Tombstone each object's boxes starting at or after its time.
+
+        The changed owners' packed rows come from an owner-sorted view of the
+        packed block, sorted once per pack; the overflow block is read whole.
+        """
+        cut = np.full(len(self._ids), np.inf)
+        for object_id, after in changed.items():
+            slot = self._slot_of.get(object_id)
+            if slot is not None:
+                cut[slot] = -np.inf if after is None else after - TIME_TOLERANCE
+        if self._by_owner is None:
+            order = np.argsort(self._owner[: self._packed], kind="stable")
+            self._by_owner = order, np.searchsorted(self._owner[order], np.arange(len(cut) + 1))
+        order, bounds = self._by_owner
+        slots = np.flatnonzero(cut[: len(bounds) - 1] < np.inf)
+        packed = order[_ranges(bounds[slots], bounds[slots + 1] - bounds[slots])]
+        rows = np.concatenate((packed, np.arange(self._packed, self._count)))
+        rows = rows[self._alive[rows] & (self._lo[2, rows] >= cut[self._owner[rows]])]
+        self._alive[rows] = False
+        removed = len(rows)
         self._size -= removed
         if removed and not self._size:
             self._pack(np.empty((3, 0)), np.empty((3, 0)), np.empty(0, dtype=np.int64))

@@ -15,10 +15,10 @@ store — so every revision-keyed layer above (engine caches, shared exports,
 the service result cache) resumes as if the process never died.
 
 :class:`PersistentStore` is the steady-state half: it subscribes to the
-MOD's change feed so every mutation lands in the WAL before control
-returns to the caller, and :meth:`~PersistentStore.checkpoint` publishes
-a fresh snapshot, truncates the WAL through its revision, and prunes old
-snapshots — the unit a background loop (see
+MOD's change feed so every mutating call lands in the WAL (a batch in one
+write) before control returns, and :meth:`~PersistentStore.checkpoint`
+publishes a fresh snapshot, truncates the WAL through its revision, and
+prunes old snapshots — the unit a background loop (see
 :class:`~repro.service.service.QueryService`) runs periodically.
 """
 
@@ -33,8 +33,7 @@ from typing import Optional, Union
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 from ..obs.tracing import trace_span
-from ..trajectories.mod import ChangeRecord, MovingObjectsDatabase
-from ..trajectories.trajectory import UncertainTrajectory
+from ..trajectories.mod import Changes, MovingObjectsDatabase
 from .snapshot import SnapshotInfo, Snapshotter, load_snapshot
 from .wal import WriteAheadLog, scan_wal
 
@@ -236,10 +235,8 @@ class PersistentStore:
         """The underlying snapshot manager."""
         return self._snapshotter
 
-    def _on_change(
-        self, record: ChangeRecord, trajectory: Optional[UncertainTrajectory]
-    ) -> None:
-        self._wal.append(record, trajectory)
+    def _on_change(self, changes: Changes) -> None:
+        self._wal.append_many(changes)
 
     def checkpoint(self) -> SnapshotInfo:
         """Snapshot the store, truncate the WAL through it, prune old state.

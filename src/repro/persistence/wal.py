@@ -48,11 +48,11 @@ import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
-from ..trajectories.mod import ChangeRecord
+from ..trajectories.mod import ChangeRecord, Changes
 from ..trajectories.trajectory import UncertainTrajectory
 from .codec import (
     decode_record,
@@ -349,34 +349,41 @@ class WriteAheadLog:
         record: ChangeRecord,
         trajectory: Optional[UncertainTrajectory] = None,
     ) -> int:
-        """Append one mutation frame; returns the frame's byte size.
+        """Append one mutation frame; returns its byte size (see :meth:`append_many`)."""
+        return self.append_many([(record, trajectory)])
+
+    def append_many(self, changes: Changes) -> int:
+        """Append one frame per mutation in one write (then one flush or
+        fsync: the batch is the durability unit); returns the bytes.
 
         Raises:
             WalError: when the log is closed.
-            ValueError: when the record's revision does not extend the log
-                (frames must stay strictly revision-ordered).
+            ValueError: when the revisions do not strictly extend the log.
         """
-        frame = _encode_frame(record, trajectory)
+        data = b"".join([_encode_frame(record, trajectory) for record, trajectory in changes])
         with self._lock:
             if self._closed:
                 raise WalError("the write-ahead log is closed")
-            if record.revision <= self._last_revision:
-                raise ValueError(
-                    f"frame revision {record.revision} does not extend the log "
-                    f"(last appended {self._last_revision})"
-                )
-            self._handle.write(frame)
+            last = self._last_revision
+            for record, _ in changes:
+                if record.revision <= last:
+                    raise ValueError(
+                        f"frame revision {record.revision} does not extend the log "
+                        f"(last appended {last})"
+                    )
+                last = record.revision
+            self._handle.write(data)
             if self._fsync == "always":
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
                 self._m_fsyncs.inc()
             elif self._fsync == "batch":
                 self._handle.flush()
-            self._last_revision = record.revision
-            self._frames += 1
-        self._m_appends.inc()
-        self._m_bytes.inc(len(frame))
-        return len(frame)
+            self._last_revision = last
+            self._frames += len(changes)
+        self._m_appends.inc(len(changes))
+        self._m_bytes.inc(len(data))
+        return len(data)
 
     def flush(self) -> None:
         """Flush buffers and (except under ``"never"``) fsync to disk."""
@@ -398,12 +405,6 @@ class WriteAheadLog:
             if not self._closed:
                 self._handle.flush()
         return scan_wal(self.path, strict=strict)
-
-    def frames_after(self, revision: int) -> Iterator[WalFrame]:
-        """The valid frames with ``record.revision > revision``, in order."""
-        for frame in self.scan().frames:
-            if frame.record.revision > revision:
-                yield frame
 
     def truncate_through(self, revision: int) -> int:
         """Drop every frame with ``record.revision <= revision``.

@@ -5,14 +5,14 @@ implies: UQ-style queries stay *registered* while vans report new positions.
 Each ingested batch is applied with delta semantics end to end:
 
 1. only the reporting objects' trajectories are rebuilt (via their feeds)
-   and swapped into the MOD (``replace_trajectory``/``add``);
-2. the engine's spatio-temporal index retires and re-inserts just those
-   objects' segment boxes instead of bulk-rebuilding;
+   and swapped into the MOD as one ``upsert_many`` batch (one WAL write);
+2. the store's index retires and re-appends just their boxes from their
+   divergence times on, in one patch every engine over the store shares;
 3. corridor-intersection against the changed objects decides which standing
    queries are affected — everything else keeps serving its cached context;
-4. only affected queries are re-evaluated, and the old and new answers are
-   diffed into typed :mod:`repro.streaming.events` deltas delivered to
-   subscribers.
+4. the standing queries sharing a window and band width are prepared in one
+   ``prepare_batch``, and the affected ones' old and new answers are diffed
+   into typed :mod:`repro.streaming.events` deltas delivered to subscribers.
 
 Answers reconstructed from the emitted deltas are exactly the answers a
 from-scratch :class:`~repro.core.queries.QueryContext` computes on the final
@@ -166,11 +166,6 @@ class ContinuousMonitor:
         """Registered queries in registration order."""
         return list(self._queries.values())
 
-    @property
-    def batch_count(self) -> int:
-        """Number of applied batches so far."""
-        return self._batch
-
     def register(
         self,
         query_id: object,
@@ -225,7 +220,7 @@ class ContinuousMonitor:
         self._queries[key] = standing
         self._states[key] = _QueryState()
         try:
-            events = self._evaluate_one(standing, self._batch, force=True)
+            (events,) = self._evaluate([standing], self._batch, force=True)
         except Exception:
             # A failed initial evaluation (e.g. no candidate trajectories)
             # must not leave a half-registered query poisoning apply().
@@ -277,7 +272,7 @@ class ContinuousMonitor:
         """
         if key not in self._queries:
             raise KeyError(f"unknown standing-query key {key!r}")
-        return self._resolve_window(self._queries[key])
+        return self._windows([self._queries[key]])[0]
 
     def evaluation_count(self, key: object) -> int:
         """How many times the query's answer was actually recomputed."""
@@ -344,17 +339,16 @@ class ContinuousMonitor:
             for trajectory in trajectories or ():
                 changed[trajectory.object_id] = trajectory
             with trace_span("monitor.upsert", changed=len(changed)):
-                for trajectory in changed.values():
-                    self.mod.upsert(trajectory)
+                self.mod.upsert_many(changed.values())
             self._m_changed.inc(len(changed))
 
             affected: List[object] = []
             events: List[AnswerDelta] = []
-            with trace_span(
-                "monitor.evaluate", queries=len(self._queries)
-            ):
-                for standing in self._queries.values():
-                    emitted = self._evaluate_one(standing, self._batch)
+            standings = list(self._queries.values())
+            with trace_span("monitor.evaluate", queries=len(standings)):
+                for standing, emitted in zip(
+                    standings, self._evaluate(standings, self._batch)
+                ):
                     if emitted is not None:
                         affected.append(standing.key)
                         events.extend(emitted)
@@ -377,70 +371,70 @@ class ContinuousMonitor:
     # Internals.
     # ------------------------------------------------------------------
 
-    def _resolve_window(
-        self, standing: StandingQuery
-    ) -> Optional[Tuple[float, float]]:
-        if standing.query_id not in self.mod:
-            # The query trajectory was removed: the query goes dormant (its
-            # neighbors are dropped) and revives if the object returns.
-            return None
-        span_lo, span_hi = self.mod.common_time_span()
-        if standing.window is not None:
-            lo = max(standing.window[0], span_lo)
-            hi = min(standing.window[1], span_hi)
-            if hi < lo:
-                return None
-            return (lo, hi)
-        if standing.sliding is not None:
-            return (max(span_lo, span_hi - standing.sliding), span_hi)
-        return (span_lo, span_hi)
+    def _windows(self, standings: List[StandingQuery]) -> List[Optional[Tuple[float, float]]]:
+        """The queries' current windows, from one scan of the fleet's span.
 
-    def _evaluate_one(
-        self, standing: StandingQuery, batch: int, force: bool = False
-    ) -> Optional[List[AnswerDelta]]:
-        """Re-evaluate one query if it may be affected; None when untouched.
-
-        The affected-query decision is delegated to the engine's selective
-        invalidation: when the engine serves the *identical* context object
-        the query's current answer was derived from, over an unchanged
-        window, that context survived the corridor-intersection checks
-        against every changed object, so the answer is provably unchanged
-        and the diff is skipped without recomputing anything.  (Object
-        identity, not the ``from_cache`` flag: a re-created cache entry can
-        serve a second standing query "from cache" within the same batch.)
+        ``None`` marks a dormant query: its fixed window misses the span, or
+        its query trajectory was removed (it revives if the object returns).
         """
-        state = self._states[standing.key]
-        window = self._resolve_window(standing)
-        if window is None:
-            if state.window is None and not force:
-                return None
-            answer: Answer = {}
-            context = None
-        else:
-            prepared = self.engine.prepare(
-                standing.query_id, window[0], window[1], band_width=standing.band_width
+        stored = [standing.query_id in self.mod for standing in standings]
+        span_lo, span_hi = self.mod.common_time_span() if any(stored) else (0.0, 0.0)
+        windows: List[Optional[Tuple[float, float]]] = []
+        for standing, present in zip(standings, stored):
+            lo, hi = span_lo, span_hi
+            if standing.window is not None:
+                lo, hi = max(standing.window[0], lo), min(standing.window[1], hi)
+            elif standing.sliding is not None:
+                lo = max(lo, hi - standing.sliding)
+            windows.append((lo, hi) if present and lo <= hi else None)
+        return windows
+
+    def _evaluate(
+        self, standings: List[StandingQuery], batch: int, force: bool = False
+    ) -> List[Optional[List[AnswerDelta]]]:
+        """Per query, its deltas, or None when provably untouched.
+
+        Queries sharing a window and band width are prepared with one
+        ``prepare_batch``.  When the engine serves the *identical* context
+        object a query's answer was derived from, over an unchanged window,
+        that context survived the engine's corridor-intersection checks
+        against every changed object, so the diff is skipped.  (Identity,
+        not ``from_cache``: a re-created cache entry can serve a second
+        standing query "from cache" within the same batch.)
+        """
+        windows = self._windows(standings)
+        groups: Dict[tuple, List[int]] = {}
+        for position, (standing, window) in enumerate(zip(standings, windows)):
+            if window is not None:
+                groups.setdefault((window, standing.band_width), []).append(position)
+        contexts: Dict[int, QueryContext] = {}
+        for ((lo, hi), band_width), positions in groups.items():
+            prepared = self.engine.prepare_batch(
+                [standings[position].query_id for position in positions],
+                lo, hi, band_width=band_width,
             )
-            context = prepared.context
+            contexts.update(zip(positions, (item.context for item in prepared)))
+        deltas: List[Optional[List[AnswerDelta]]] = []
+        for position, (standing, window) in enumerate(zip(standings, windows)):
+            state, context = self._states[standing.key], contexts.get(position)
             if context is state.context and state.window == window and not force:
-                return None
-            answer = answer_of(context, standing.variant, standing.fraction)
-        state.evaluations += 1
-        self._m_evaluations.inc()
-        delta = diff_answers(
-            state.answer, answer, standing.key, standing.query_id, batch
-        )
-        if state.window is not None and state.window != window:
-            # The old window will never be asked for again; free its slot.
-            self.engine.discard_context(
-                standing.query_id,
-                state.window[0],
-                state.window[1],
-                band_width=standing.band_width,
+                deltas.append(None)
+                continue
+            answer: Answer = {}
+            if context is not None:
+                answer = answer_of(context, standing.variant, standing.fraction)
+            state.evaluations += 1
+            self._m_evaluations.inc()
+            deltas.append(
+                diff_answers(state.answer, answer, standing.key, standing.query_id, batch)
             )
-        state.window = window
-        state.answer = answer
-        state.context = context
-        return delta
+            if state.window is not None and state.window != window:
+                # The old window will never be asked for again; free its slot.
+                self.engine.discard_context(
+                    standing.query_id, *state.window, band_width=standing.band_width
+                )
+            state.window, state.answer, state.context = window, answer, context
+        return deltas
 
     def _dispatch(self, events: List[AnswerDelta]) -> None:
         for event in events:

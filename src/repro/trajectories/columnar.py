@@ -36,8 +36,8 @@ loads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -263,11 +263,6 @@ class ColumnarStore:
         self.sync()
         return self._columns[object_id]
 
-    def source_of(self, object_id: object) -> Trajectory:
-        """The trajectory object a slot's columns were extracted from."""
-        self.sync()
-        return self._sources[object_id]
-
     def radius_of(self, object_id: object) -> float:
         """Uncertainty radius of one object."""
         self.sync()
@@ -302,6 +297,35 @@ class ColumnarStore:
             radii = np.array([self._radii[object_id] for object_id in ids])
             self._pack = ColumnarPack(ids, starts, lengths, ts, xs, ys, radii)
         return self._pack
+
+    def boxes_since(
+        self,
+        changed: Mapping[object, Optional[float]],
+        max_extent: Optional[float],
+    ) -> "SegmentBoxArrays":
+        """The changed, still stored objects' segment boxes from their divergence times on.
+
+        ``changed`` maps ids to divergence times (``None``: the start).  The
+        legs ending at or after them go through :func:`segment_boxes_bulk`'s
+        kernel in one pass; the boxes starting at or after them are kept.
+        """
+        self.sync()
+        ids = [object_id for object_id in changed if object_id in self._columns]
+        cut = np.array([-np.inf if changed[i] is None else changed[i] for i in ids])
+        cut -= _TIME_TOLERANCE
+        owner = np.repeat(np.arange(len(ids)), [self._columns[i][0].size for i in ids])
+        ts, xs, ys = (
+            np.concatenate([np.zeros(0), *(self._columns[i][k] for i in ids)]) for k in range(3)
+        )
+        # Legs of positive duration ending at or after their object's cut.
+        legs = owner[:-1] == owner[1:]
+        legs = np.flatnonzero(legs & (ts[1:] >= cut[owner[1:]]) & (np.diff(ts) > _TIME_TOLERANCE))
+        radii = np.array([self._radii[i] for i in ids])
+        boxes = _leg_boxes(tuple(ids), ts, xs, ys, legs, owner[legs], radii, max_extent)
+        fresh = boxes.t_min >= cut[boxes.owner_slots]
+        return SegmentBoxArrays(
+            boxes.ids, *(getattr(boxes, field.name)[fresh] for field in fields(boxes)[1:])
+        )
 
     def flat(self) -> tuple:
         """The pack as the flat tuple the corridor kernels consume.
@@ -414,17 +438,12 @@ def segment_boxes_bulk(
     object_count = len(pack.ids)
     # Segment start samples: every sample except each object's last.
     is_start = np.ones(pack.sample_count, dtype=bool)
-    last = pack.starts + pack.lengths - 1
-    is_start[last] = False
+    is_start[pack.starts + pack.lengths - 1] = False
     first_idx = np.nonzero(is_start)[0]
     owner = np.repeat(
         np.arange(object_count, dtype=np.int64), np.maximum(pack.lengths - 1, 0)
     )
-
-    t0 = pack.ts[first_idx]
-    t1 = pack.ts[first_idx + 1]
-    dt = t1 - t0
-    keep = dt > _TIME_TOLERANCE
+    keep = pack.ts[first_idx + 1] - pack.ts[first_idx] > _TIME_TOLERANCE
     kept_per_object = np.bincount(owner[keep], minlength=object_count)
     if object_count and kept_per_object.min() == 0:
         slot = int(np.argmin(kept_per_object))
@@ -432,13 +451,27 @@ def segment_boxes_bulk(
             "trajectory has no segment with positive duration: "
             f"{pack.ids[slot]!r}"
         )
-    first_idx = first_idx[keep]
-    owner = owner[keep]
-    t0, t1, dt = t0[keep], t1[keep], dt[keep]
-    x0 = pack.xs[first_idx]
-    x1 = pack.xs[first_idx + 1]
-    y0 = pack.ys[first_idx]
-    y1 = pack.ys[first_idx + 1]
+    margins = (
+        pack.radii if spatial_margin is None else np.full(object_count, float(spatial_margin))
+    )
+    return _leg_boxes(
+        pack.ids, pack.ts, pack.xs, pack.ys, first_idx[keep], owner[keep], margins, max_extent
+    )
+
+
+def _leg_boxes(ids, ts, xs, ys, first_idx, owner, margins, max_extent) -> SegmentBoxArrays:
+    """Boxes of the legs ``first_idx -> first_idx + 1`` of sample columns.
+
+    ``owner`` holds each leg's slot into ``ids`` and ``margins``; every leg
+    has positive duration.
+    """
+    t0 = ts[first_idx]
+    t1 = ts[first_idx + 1]
+    dt = t1 - t0
+    x0 = xs[first_idx]
+    x1 = xs[first_idx + 1]
+    y0 = ys[first_idx]
+    y1 = ys[first_idx + 1]
     dx = x1 - x0
     dy = y1 - y0
 
@@ -459,7 +492,7 @@ def segment_boxes_bulk(
     dt_rep = np.repeat(dt, repeat)
     slices_rep = np.repeat(slices, repeat)
     # Within-segment slice index: 0..slices-1 per segment.
-    slice_start = np.concatenate(([0], np.cumsum(slices)[:-1]))
+    slice_start = np.cumsum(slices) - slices
     k = np.arange(total, dtype=np.int64) - np.repeat(slice_start, repeat)
 
     f_lo = k / slices_rep
@@ -471,12 +504,9 @@ def segment_boxes_bulk(
     t_a = t0_rep + dt_rep * f_lo
     t_b = t0_rep + dt_rep * f_hi
 
-    if spatial_margin is None:
-        margin = pack.radii[owner_rep]
-    else:
-        margin = np.full(total, float(spatial_margin))
+    margin = margins[owner_rep]
     return SegmentBoxArrays(
-        ids=pack.ids,
+        ids=ids,
         owner_slots=owner_rep,
         x_min=np.minimum(x_a, x_b) - margin,
         y_min=np.minimum(y_a, y_b) - margin,

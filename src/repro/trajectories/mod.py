@@ -8,7 +8,11 @@ query trajectory, and (optionally) index-assisted candidate filtering.
 
 from __future__ import annotations
 
+import threading
+import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter, is_
 from typing import (
     Callable,
     Dict,
@@ -55,10 +59,13 @@ class ChangeRecord:
 #: The mutation kinds a :class:`ChangeRecord` may carry.
 CHANGE_KINDS = ("add", "remove", "replace")
 
-#: A change listener: called with every appended record plus the object's
-#: *current* trajectory (``None`` for removals).  This is the seam the
-#: persistence tier's write-ahead log hangs off.
-ChangeListener = Callable[[ChangeRecord, Optional["UncertainTrajectory"]], None]
+#: One mutating call's ``(record, trajectory after it)`` pairs (``None`` for
+#: removals); single mutations are batches of one.
+Changes = Sequence[Tuple[ChangeRecord, Optional[UncertainTrajectory]]]
+
+#: A change listener, called once per batch: the seam the persistence tier's
+#: write-ahead log hangs off.
+ChangeListener = Callable[[Changes], None]
 
 
 def _divergence_time(
@@ -76,8 +83,11 @@ def _divergence_time(
         or abs(old.pdf.support_radius - new.pdf.support_radius) > 1e-12
     ):
         return None
+    # Feeds reuse the stored sample objects: an identical prefix needs no values.
     shared = 0
-    for first, second in zip(old.samples, new.samples):
+    if all(map(is_, old.samples, new.samples)):
+        shared = min(len(old.samples), len(new.samples))
+    for first, second in zip(old.samples[shared:], new.samples[shared:]):
         if (
             abs(first.t - second.t) > 1e-12
             or abs(first.x - second.x) > 1e-12
@@ -107,6 +117,8 @@ class MovingObjectsDatabase:
     * **columnar views** — :meth:`columnar` maintains a packed
       structure-of-arrays mirror the bulk NumPy kernels run over, shared
       zero-copy with :meth:`subset` views and worker-side attachments;
+    * **one index per store** — :meth:`index`, shared by every engine over
+      the store and patched from the changelog once per revision;
     * **query support** — :meth:`distance_functions`,
       :meth:`default_band_width`, and :meth:`build_index` produce the
       inputs of :class:`~repro.core.queries.QueryContext` construction and
@@ -119,6 +131,8 @@ class MovingObjectsDatabase:
         self._object_revisions: Dict[object, int] = {}
         self._changelog: List[ChangeRecord] = []
         self._listeners: List[ChangeListener] = []
+        self._indexes: Dict[Tuple[str, int, int], Tuple[object, int]] = {}
+        self._index_lock = threading.Lock()
         self._columnar = None
         #: A MovingObjectsDatabase or any ``columns_for`` column provider.
         self._columnar_parent = None
@@ -158,7 +172,26 @@ class MovingObjectsDatabase:
             return None
         if not self._changelog or self._changelog[0].revision > revision + 1:
             return None
-        return [record for record in self._changelog if record.revision > revision]
+        # Revision-ordered, though not necessarily contiguous once restored.
+        start = bisect_right(self._changelog, revision, key=attrgetter("revision"))
+        return self._changelog[start:]
+
+    def divergences_since(self, revision: int) -> Optional[Dict[object, Optional[float]]]:
+        """The fold of :meth:`changes_since` every derived structure syncs from.
+
+        Per changed object, the earliest divergence time across its records,
+        or ``None`` when one of them (an add, a removal, a global replace)
+        can affect every time; ``None`` when the changelog cannot tell.
+        """
+        changes = self.changes_since(revision)
+        if changes is None:
+            return None
+        changed: Dict[object, Optional[float]] = {}
+        for record in changes:
+            new = record.divergence_time
+            old = changed.get(record.object_id, new)
+            changed[record.object_id] = None if None in (old, new) else min(old, new)
+        return changed
 
     def changelog_records(self) -> List[ChangeRecord]:
         """The retained changelog tail, oldest first (capacity-trimmed).
@@ -173,24 +206,24 @@ class MovingObjectsDatabase:
         kind: str,
         object_id: object,
         divergence_time: Optional[float] = None,
-    ) -> None:
+    ) -> ChangeRecord:
         self._revision += 1
         if kind == "remove":
             self._object_revisions.pop(object_id, None)
         else:
             self._object_revisions[object_id] = self._revision
         record = ChangeRecord(self._revision, kind, object_id, divergence_time)
+        self._log(record)
+        return record
+
+    def _log(self, record: ChangeRecord) -> None:
         self._changelog.append(record)
         if len(self._changelog) > _CHANGELOG_CAPACITY:
             del self._changelog[: len(self._changelog) - _CHANGELOG_CAPACITY]
-        self._notify(record)
 
-    def _notify(self, record: ChangeRecord) -> None:
-        if not self._listeners:
-            return
-        trajectory = self._trajectories.get(record.object_id)
+    def _notify(self, changes: Changes) -> None:
         for listener in tuple(self._listeners):
-            listener(record, trajectory)
+            listener(changes)
 
     # ------------------------------------------------------------------
     # Change listeners and replicated/replayed mutations (the seams the
@@ -198,11 +231,10 @@ class MovingObjectsDatabase:
     # ------------------------------------------------------------------
 
     def subscribe_changes(self, listener: ChangeListener) -> None:
-        """Register a listener called after every recorded mutation.
+        """Register a listener called once per mutating call.
 
-        The listener receives the appended :class:`ChangeRecord` and the
-        object's current trajectory (``None`` for removals) — exactly the
-        payload a write-ahead log needs to make the mutation durable.
+        The listener receives the call's :data:`Changes` — exactly the
+        payload a write-ahead log needs to make the batch durable.
         Listeners run synchronously on the mutating thread, after the
         store's own state (revision, changelog) is updated.
         """
@@ -277,10 +309,8 @@ class MovingObjectsDatabase:
             self._trajectories[record.object_id] = trajectory
             self._object_revisions[record.object_id] = record.revision
         self._revision = record.revision
-        self._changelog.append(record)
-        if len(self._changelog) > _CHANGELOG_CAPACITY:
-            del self._changelog[: len(self._changelog) - _CHANGELOG_CAPACITY]
-        self._notify(record)
+        self._log(record)
+        self._notify([(record, trajectory)])
 
     @classmethod
     def restore_state(
@@ -353,12 +383,9 @@ class MovingObjectsDatabase:
 
     def add(self, trajectory: UncertainTrajectory) -> None:
         """Insert a trajectory; object ids must be unique."""
-        if not isinstance(trajectory, UncertainTrajectory):
-            raise TypeError("the MOD stores UncertainTrajectory objects")
-        if trajectory.object_id in self._trajectories:
+        if isinstance(trajectory, UncertainTrajectory) and trajectory.object_id in self:
             raise KeyError(f"object id {trajectory.object_id!r} already stored")
-        self._trajectories[trajectory.object_id] = trajectory
-        self._record_change("add", trajectory.object_id)
+        self.upsert_many([trajectory])
 
     def add_all(self, trajectories: Iterable[UncertainTrajectory]) -> None:
         """Insert several trajectories."""
@@ -374,7 +401,7 @@ class MovingObjectsDatabase:
         if object_id not in self._trajectories:
             raise KeyError(f"unknown object id {object_id!r}")
         removed = self._trajectories.pop(object_id)
-        self._record_change("remove", object_id)
+        self._notify([(self._record_change("remove", object_id), None)])
         return removed
 
     def replace_trajectory(self, trajectory: UncertainTrajectory) -> UncertainTrajectory:
@@ -387,25 +414,41 @@ class MovingObjectsDatabase:
         Raises:
             KeyError: when the object id is not stored.
         """
-        if not isinstance(trajectory, UncertainTrajectory):
-            raise TypeError("the MOD stores UncertainTrajectory objects")
-        if trajectory.object_id not in self._trajectories:
+        previous = self._trajectories.get(getattr(trajectory, "object_id", None))
+        if previous is None and isinstance(trajectory, UncertainTrajectory):
             raise KeyError(f"unknown object id {trajectory.object_id!r}")
-        previous = self._trajectories[trajectory.object_id]
-        self._trajectories[trajectory.object_id] = trajectory
-        self._record_change(
-            "replace",
-            trajectory.object_id,
-            divergence_time=_divergence_time(previous, trajectory),
-        )
+        self.upsert_many([trajectory])
         return previous
 
     def upsert(self, trajectory: UncertainTrajectory) -> Optional[UncertainTrajectory]:
         """Insert or replace, returning the previous trajectory when replacing."""
-        if trajectory.object_id in self._trajectories:
-            return self.replace_trajectory(trajectory)
-        self.add(trajectory)
-        return None
+        previous = self._trajectories.get(getattr(trajectory, "object_id", None))
+        self.upsert_many([trajectory])
+        return previous
+
+    def upsert_many(self, trajectories: Iterable[UncertainTrajectory]) -> None:
+        """Insert or replace several trajectories as one batch.
+
+        The batch is validated before anything changes (a bad element raises
+        ``TypeError`` and leaves the store untouched).  Each object gets its
+        own :class:`ChangeRecord`, exactly as from one :meth:`upsert` per
+        element in order, and the listeners hear the batch once.
+        """
+        batch = list(trajectories)
+        if not all(isinstance(item, UncertainTrajectory) for item in batch):
+            raise TypeError("the MOD stores UncertainTrajectory objects")
+        changes = []
+        for trajectory in batch:
+            previous = self._trajectories.get(trajectory.object_id)
+            self._trajectories[trajectory.object_id] = trajectory
+            if previous is None:
+                record = self._record_change("add", trajectory.object_id)
+            else:
+                divergence = _divergence_time(previous, trajectory)
+                record = self._record_change("replace", trajectory.object_id, divergence)
+            changes.append((record, trajectory))
+        if changes:
+            self._notify(changes)
 
     def get(self, object_id: object) -> UncertainTrajectory:
         """Return the trajectory with the given id.
@@ -598,6 +641,37 @@ class MovingObjectsDatabase:
                 index.insert_entry(entry)
             return index
         raise ValueError(f"unknown index kind {kind!r} (expected 'rtree' or 'grid')")
+
+    def index(self, kind: str = "rtree", leaf_capacity: int = 16, cells: int = 32):
+        """The store's own index of one kind, synced to the current revision."""
+        return self.sync_index(kind, leaf_capacity, cells)[0]
+
+    def sync_index(
+        self, kind: str = "rtree", leaf_capacity: int = 16, cells: int = 32
+    ) -> Tuple[object, str, float]:
+        """``(index, action, seconds)``: the store's index of one kind, synced.
+
+        The first call loads it (``"bulk"``); later ones patch it in place
+        from :meth:`divergences_since` once per revision, whatever the change
+        set's size (``"patch"``/``"repack"``), or find it ``"current"``; a
+        changelog that no longer reaches back reloads it.  Per-store lock.
+        """
+        with self._index_lock:
+            started = time.perf_counter()
+            revision = self._revision
+            index, synced = self._indexes.get((kind, leaf_capacity, cells), (None, None))
+            changed = None if index is None else self.divergences_since(synced)
+            if synced == revision:
+                action = "current"
+            elif changed is None:
+                index = self.build_index(kind, leaf_capacity=leaf_capacity, cells=cells)
+                action = "bulk"
+            else:
+                repacks = getattr(index, "repacks", 0)
+                index.patch(changed, self.columnar())
+                action = "repack" if getattr(index, "repacks", 0) > repacks else "patch"
+            self._indexes[(kind, leaf_capacity, cells)] = (index, revision)
+        return index, action, time.perf_counter() - started
 
     def candidates_within_corridor(
         self,

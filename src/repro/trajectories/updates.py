@@ -9,7 +9,8 @@ users with update-stream data can get onto the trajectory pipeline:
   reported locations, with major axis ``v_max · Δt`` (Pfoser & Jensen).
   :func:`ellipse_uncertainty_bound` evaluates that bound, and
   :func:`trajectory_from_updates` builds an uncertain trajectory from the
-  update stream by bounding the ellipse with a disk radius.
+  update stream by bounding the ellipse with a disk radius: the bound's
+  exact supremum over each leg, in closed form (:func:`max_ellipse_uncertainty`).
 * **(location, time, velocity) updates with dead reckoning** (Figure 3.b) —
   the server extrapolates the last report with its velocity and the object
   promises to send a new update whenever it strays more than ``D_max`` from
@@ -92,16 +93,15 @@ def ellipse_uncertainty_bound(
 
 
 def max_ellipse_uncertainty(
-    first: LocationUpdate, second: LocationUpdate, max_speed: float, samples: int = 33
+    first: LocationUpdate, second: LocationUpdate, max_speed: float
 ) -> float:
-    """Largest circular uncertainty bound over the whole update interval."""
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    worst = 0.0
-    for index in range(samples):
-        t = first.t + (second.t - first.t) * index / (samples - 1)
-        worst = max(worst, ellipse_uncertainty_bound(first, second, max_speed, t))
-    return worst
+    """Largest circular uncertainty bound over the update interval, exactly:
+    at fraction ``f`` of the leg :func:`ellipse_uncertainty_bound` (whose
+    checks this runs) is ``(v·Δt − gap)·min(f, 1 − f)``, so the supremum is
+    ``max(0, (v·Δt − gap) / 2)``, at the midpoint."""
+    ellipse_uncertainty_bound(first, second, max_speed, first.t)
+    gap = math.hypot(second.x - first.x, second.y - first.y)
+    return max(0.0, (max_speed * (second.t - first.t) - gap) / 2.0)
 
 
 def trajectory_from_updates(

@@ -297,6 +297,10 @@ class TestRefreshObservability:
         window = mod.common_time_span()
         engine = QueryEngine(mod, index="rtree")
         ids = list(mod.object_ids)
+        # The segment subdivision the store's index was loaded with, and
+        # keeps through every patch.
+        x_min, y_min, x_max, y_max = mod.columnar().pack().spatial_bounds()
+        extent = max(x_max - x_min, y_max - y_min) / 32.0
 
         rewrite(mod, ids[:1])
         span = self.refresh_span(engine, query_ids[0], window)
@@ -306,10 +310,12 @@ class TestRefreshObservability:
         rewrite(mod, ids[:30])  # more boxes than the overflow block holds
         assert self.refresh_span(engine, query_ids[0], window).attrs["index"] == "repack"
 
-        rewrite(mod, ids[:36])
+        rewrite(mod, ids[:36])  # most of the store: still one patch
         span = self.refresh_span(engine, query_ids[0], window)
-        assert span.attrs["index"] == "bulk"
-        assert span.attrs["entries"] == len(engine.index) == len(mod.build_index("rtree"))
+        assert span.attrs["index"] == "repack"
+        assert span.attrs["entries"] == len(engine.index) == len(
+            mod.build_index("rtree", max_box_extent=extent)
+        )
 
         unindexed = QueryEngine(mod, index=None)
         rewrite(mod, ids[:1])
@@ -332,4 +338,4 @@ class TestRefreshObservability:
         assert builds() == 1  # a patch is not a load
         rewrite(mod, ids[:36])
         engine.prepare(query_ids[0], *window)
-        assert builds() == 2
+        assert builds() == 1  # nor is a patch of most of the store

@@ -42,7 +42,7 @@ def assert_frames_equal(left, right):
 def append_mutations(wal, count=3):
     """Append add/replace/remove frames for ``count`` objects via a MOD."""
     mod = MovingObjectsDatabase()
-    mod.subscribe_changes(wal.append)
+    mod.subscribe_changes(wal.append_many)
     for i in range(count):
         mod.add(make_trajectory(f"obj-{i}", offset=float(i)))
     mod.replace_trajectory(make_trajectory("obj-0", offset=100.0))

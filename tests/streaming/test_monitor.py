@@ -100,9 +100,10 @@ class TestCorrectnessOracle:
         assert_matches_oracle(monitor, replayed)
 
     def test_full_fleet_batch_then_one_vehicle_batch(self):
-        # More than 32 changed objects bulk-reload the engine's index; the
-        # next batch changes one vehicle and is patched onto that reloaded
-        # tree (tombstones + overflow rows).  Both refreshes must leave the
+        # A full-fleet batch is one patch of the store's index, which
+        # repacks itself once the new boxes outgrow its overflow block; the
+        # next batch changes one vehicle and is patched onto the same tree
+        # (tombstones + overflow rows).  Both refreshes must leave the
         # standing answers equal to a from-scratch evaluation.
         world = streaming_fleet(
             num_vehicles=40, num_queries=3, horizon_minutes=20.0, num_batches=3, seed=5
@@ -114,14 +115,14 @@ class TestCorrectnessOracle:
             standing.key: monitor.answers(standing.key)
             for standing in monitor.standing_queries
         }
-        entries = len(monitor.engine.index)
+        tree = monitor.engine.index
+        entries = len(tree)
         for object_id, reports in world.batches[0].items():
             monitor.ingest(object_id, reports)
         assert len(monitor.apply().changed_ids) == 40
-        assert monitor.engine.index.repacks == 0  # a fresh bulk load
-        assert len(monitor.engine.index) > entries
+        assert monitor.engine.index is tree and tree.repacks == 1  # patched, repacked
+        assert len(tree) > entries
         assert_matches_oracle(monitor, replay_deltas(events, initial=initial))
-        tree = monitor.engine.index
         for reporter in (world.query_ids[0], world.mod.object_ids[-1]):
             entries = len(tree)
             monitor.ingest(reporter, world.batches[1][reporter])

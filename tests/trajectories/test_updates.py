@@ -1,5 +1,8 @@
 """Tests for the alternative motion models (location updates, dead reckoning)."""
 
+import math
+import random
+
 import pytest
 
 from repro.trajectories.updates import (
@@ -51,8 +54,29 @@ class TestEllipseBound:
         worst = max_ellipse_uncertainty(first, second, 1.0)
         mid = ellipse_uncertainty_bound(first, second, 1.0, 5.0)
         assert worst >= mid - 1e-9
-        with pytest.raises(ValueError):
-            max_ellipse_uncertainty(first, second, 1.0, samples=1)
+
+        def sampled(first, second, speed, samples):
+            return max(
+                ellipse_uncertainty_bound(
+                    first, second, speed,
+                    first.t + (second.t - first.t) * index / (samples - 1),
+                )
+                for index in range(samples)
+            )
+
+        # The closed form is the supremum: a dense maximum meets it, and the
+        # old 33-point grid never exceeds it beyond rounding.
+        rng = random.Random(25)
+        for _ in range(25):
+            first = LocationUpdate(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0, 10))
+            dt, speed = rng.uniform(0.01, 20.0), rng.uniform(0.1, 5.0)
+            angle, reach = rng.uniform(0.0, 6.283), rng.uniform(0.0, 0.999) * speed * dt
+            second = LocationUpdate(
+                first.x + reach * math.cos(angle), first.y + reach * math.sin(angle), first.t + dt
+            )
+            closed = max_ellipse_uncertainty(first, second, speed)
+            assert closed == pytest.approx(sampled(first, second, speed, 10_001), rel=1e-9)
+            assert closed >= sampled(first, second, speed, 33) * (1.0 - 1e-12)
 
 
 class TestTrajectoryFromUpdates:
