@@ -7,7 +7,7 @@ export PYTHONPATH := src
 
 .PHONY: test coverage bench-smoke bench \
 	bench-sharded bench-sharded-smoke bench-columnar bench-columnar-smoke \
-	bench-service bench-service-smoke bench-obs bench-obs-smoke \
+	bench-obs bench-obs-smoke \
 	bench-planner bench-planner-smoke \
 	bench-persistence bench-persistence-smoke bench-e2e bench-e2e-smoke \
 	bench-all bench-all-smoke check-regression update-baselines-dry lint \
@@ -28,10 +28,10 @@ coverage:
 	fi
 
 bench-smoke:
-	$(PYTHON) benchmarks/bench_batch_engine.py --quick
+	$(PYTHON) benchmarks/run_all.py --quick
 
 bench:
-	$(PYTHON) benchmarks/bench_batch_engine.py
+	$(PYTHON) benchmarks/run_all.py
 
 bench-sharded-smoke:
 	$(PYTHON) benchmarks/bench_sharded.py --quick --json BENCH_sharded.json
@@ -44,12 +44,6 @@ bench-columnar-smoke:
 
 bench-columnar:
 	$(PYTHON) benchmarks/bench_columnar.py --json BENCH_columnar.json
-
-bench-service-smoke:
-	$(PYTHON) benchmarks/bench_service.py --quick --json BENCH_service.json
-
-bench-service:
-	$(PYTHON) benchmarks/bench_service.py --json BENCH_service.json
 
 bench-obs-smoke:
 	$(PYTHON) benchmarks/bench_obs.py --quick

@@ -16,23 +16,31 @@ Equality is asserted before any timing is reported: the restored store
 must match the live original in revision, changelog, per-object samples,
 *and* UQ31/32/33 answers through a :class:`~repro.engine.QueryEngine`
 (the cold rebuild must match on samples and answers too), so the gated
-speedup can never come from a divergent store.  Run with::
+speedup can never come from a divergent store.
+
+A second case times the checkpoint of a streaming store: the same N
+objects are logged, checkpointed, then extended by one sample each on two
+ticks (2N extension frames), and ``checkpoint()`` — snapshot, WAL
+truncation, prune — is timed from identically prepared copies of that
+directory, after a restore of the checkpointed copy is asserted equal to
+the live store.  Run with::
 
     PYTHONPATH=src python benchmarks/bench_persistence.py
     PYTHONPATH=src python benchmarks/bench_persistence.py --quick
 
-The regression gate pins ``restore_speedup_vs_rebuild >= 3.0`` at N=2000
-(``baselines/persistence.json``).
+The regression gate pins ``restore_speedup_vs_rebuild >= 3.0`` and
+``wal_bytes_per_extension <= 200`` at N=2000 (``baselines/persistence.json``).
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine import QueryEngine
 from repro.persistence import PersistentStore, restore
@@ -47,6 +55,9 @@ BENCH_NAME = "persistence"
 #: WAL frames left unfolded past the snapshot, so a restore always
 #: exercises replay, not just the mmap path.
 WAL_TAIL_MUTATIONS = 25
+
+#: Streaming ticks of one-sample extensions before the timed checkpoint.
+EXTENSION_TICKS = 2
 
 #: Timed repetitions per path; the record keeps the best (GC is collected
 #: before each run so a cold rebuild's object churn cannot bill its
@@ -98,21 +109,73 @@ def uq3x_answers(mod: MovingObjectsDatabase, query_ids: List[object]) -> List[ob
 
 def assert_equal_stores(
     restored: MovingObjectsDatabase,
-    cold: MovingObjectsDatabase,
+    cold: Optional[MovingObjectsDatabase],
     live: MovingObjectsDatabase,
     query_ids: List[object],
 ) -> None:
-    """The correctness half of the bench: all three stores must agree."""
+    """The correctness half of the bench: all the stores must agree."""
     assert restored.revision == live.revision
     assert restored.changelog_records() == live.changelog_records()
-    assert restored.object_ids == live.object_ids == cold.object_ids
-    for object_id in live.object_ids:
-        samples = [(s.x, s.y, s.t) for s in live.get(object_id).samples]
-        assert [(s.x, s.y, s.t) for s in restored.get(object_id).samples] == samples
-        assert [(s.x, s.y, s.t) for s in cold.get(object_id).samples] == samples
+    others = [restored] if cold is None else [restored, cold]
     expected = uq3x_answers(live, query_ids)
-    assert uq3x_answers(restored, query_ids) == expected
-    assert uq3x_answers(cold, query_ids) == expected
+    for other in others:
+        assert other.object_ids == live.object_ids
+        for object_id in live.object_ids:
+            assert other.get(object_id).samples == live.get(object_id).samples
+        assert uq3x_answers(other, query_ids) == expected
+
+
+def extension_tick(mod: MovingObjectsDatabase, tick: int) -> None:
+    """Extend every object by one sample, as one streaming batch."""
+    batch = []
+    for trajectory in mod:
+        last = trajectory.samples[-1]
+        batch.append(trajectory.extended([(last.x + 0.1 * tick, last.y, last.t + 1.0)]))
+    mod.upsert_many(batch)
+
+
+def checkpoint_case(
+    num_objects: int, query_ids: List[object], work_dir: Path
+) -> Dict[str, float]:
+    """Time ``checkpoint()`` after two ticks of one-sample extensions.
+
+    The template directory holds a snapshot of the logged store and a WAL
+    of ``EXTENSION_TICKS × N`` extension frames; every timed run attaches
+    the live store to a fresh copy of it, so each checkpoint starts from
+    the same bytes.
+    """
+    template = work_dir / "template"
+    mod = MovingObjectsDatabase()
+    store = PersistentStore(template, mod, fsync="never")
+    mod.add_all(build_mod(num_objects))
+    store.checkpoint()
+    before = store.wal.size_bytes()
+    for tick in range(1, EXTENSION_TICKS + 1):
+        extension_tick(mod, tick)
+    extension_bytes = store.wal.size_bytes() - before
+    store.close()
+
+    def checkpointed(run: int) -> Tuple[float, Path]:
+        copy = work_dir / f"run-{run}"
+        shutil.copytree(template, copy)
+        attached = PersistentStore(copy, mod, fsync="never")
+        gc.collect()
+        started = time.perf_counter()
+        attached.checkpoint()
+        seconds = time.perf_counter() - started
+        attached.close()
+        return seconds, copy
+
+    # Both sides of the checkpoint restore to the live store: the template
+    # by replaying its extension frames, the copy from its new snapshot.
+    assert_equal_stores(restore(template).mod, None, mod, query_ids)
+    _, first = checkpointed(0)
+    assert_equal_stores(restore(first).mod, None, mod, query_ids)
+    best = min(checkpointed(run)[0] for run in range(1, TIMING_REPEATS + 1))
+    return {
+        "checkpoint_ms": best * 1000.0,
+        "wal_bytes_per_extension": extension_bytes / (EXTENSION_TICKS * num_objects),
+    }
 
 
 def run_bench(
@@ -129,6 +192,7 @@ def run_bench(
         "num_objects": num_objects,
         "wal_tail_mutations": WAL_TAIL_MUTATIONS,
         "timing_repeats": TIMING_REPEATS,
+        "extension_ticks": EXTENSION_TICKS,
         "queries_checked": query_count,
         "quick": quick,
     }
@@ -154,18 +218,25 @@ def run_bench(
             lambda: restore(data_dir).mod.columnar().pack()
         )
         result = restored
+        checkpoint = checkpoint_case(num_objects, query_ids, Path(tmp) / "checkpoint")
 
     metrics = {
         "rebuild_ms": rebuild_seconds * 1000.0,
         "restore_ms": restore_seconds * 1000.0,
         "restore_replayed_frames": float(result.replayed_frames),
         "restore_speedup_vs_rebuild": rebuild_seconds / restore_seconds,
+        **checkpoint,
     }
     print(
         f"N={num_objects}: cold rebuild {metrics['rebuild_ms']:7.1f} ms | "
         f"restore {metrics['restore_ms']:6.1f} ms "
         f"({metrics['restore_replayed_frames']:.0f} frames replayed) | "
         f"speedup {metrics['restore_speedup_vs_rebuild']:.2f}x"
+    )
+    print(
+        f"N={num_objects}: checkpoint after {EXTENSION_TICKS} extension ticks "
+        f"{metrics['checkpoint_ms']:6.1f} ms | "
+        f"{metrics['wal_bytes_per_extension']:.1f} WAL bytes per extension"
     )
     return config, metrics
 

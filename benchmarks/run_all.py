@@ -30,10 +30,6 @@ from common import default_output_path, write_record
 #: name -> (module, one-line description).  Each module exposes
 #: ``run_bench(quick: bool) -> (config, metrics)`` and a ``BENCH_NAME``.
 REGISTRY = {
-    "batch_engine": (
-        "bench_batch_engine",
-        "batched engine preparation vs unfiltered per-query baseline",
-    ),
     "columnar": (
         "bench_columnar",
         "columnar bulk kernels vs scalar filtering/box/band paths",
@@ -49,10 +45,6 @@ REGISTRY = {
     "planner": (
         "bench_planner",
         "compiled query plans vs naive per-statement interpretation",
-    ),
-    "service": (
-        "bench_service",
-        "async service serving vs direct per-query engine calls",
     ),
     "sharded": (
         "bench_sharded",
@@ -101,31 +93,10 @@ def main() -> int:
             continue
         print(f"  wrote {path} ({time.perf_counter() - started:.1f}s)\n")
 
-    _dump_metrics_registry(args.out_dir)
-
     if failures:
         print(f"FAILED benches: {', '.join(failures)}", file=sys.stderr)
         return 1
     return 0
-
-
-def _dump_metrics_registry(out_dir: str) -> None:
-    """Write the process-global metrics registry as ``BENCH_metrics.json``.
-
-    Benches that report into :func:`repro.obs.default_registry` (e.g.
-    ``bench_service``) leave their full instrument state here; CI uploads
-    it alongside the per-bench records (the artifact glob is
-    ``BENCH_*.json``) so a run's counters and latency histograms are
-    inspectable after the fact.
-    """
-    from repro.obs.metrics import default_registry
-
-    registry = default_registry()
-    path = os.path.join(out_dir, "BENCH_metrics.json")
-    with open(path, "w") as handle:
-        handle.write(registry.render_json(indent=2))
-        handle.write("\n")
-    print(f"  wrote {path} ({len(registry)} instruments)")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ into a crash-safe store with seconds-scale warm restart:
 from .codec import (
     MappedTrajectory,
     build_mapped_shell,
-    build_trajectory_shell,
     decode_record,
     decode_trajectory,
     encode_record,
@@ -69,7 +68,6 @@ __all__ = [
     "WalScan",
     "WriteAheadLog",
     "build_mapped_shell",
-    "build_trajectory_shell",
     "decode_record",
     "decode_trajectory",
     "encode_record",

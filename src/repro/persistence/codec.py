@@ -39,6 +39,10 @@ PdfSpec = Tuple[str, Optional[float]]
 #: carries for an ``add``/``replace`` mutation.
 TrajectoryPayload = Dict[str, object]
 
+#: An appending ``replace``'s WAL payload: ``(base sample count, base end
+#: time, tail sample triples, radius, pdf spec)``.
+ExtensionPayload = Tuple[int, float, List[Tuple[float, float, float]], float, PdfSpec]
+
 
 class _PlainDataUnpickler(pickle.Unpickler):
     """Unpickler that refuses every global lookup.
@@ -131,30 +135,39 @@ def decode_trajectory(
     )
 
 
-def build_trajectory_shell(
-    object_id: object,
-    xs: List[float],
-    ys: List[float],
-    ts: List[float],
-    radius: float,
-    pdf: RadialPDF,
-) -> UncertainTrajectory:
-    """A trusted-input trajectory, skipping constructor validation.
-
-    Snapshot columns were validated when the original trajectory was
-    constructed and are checksummed on disk, so the restore path rebuilds
-    shells without re-running the per-sample time-ordering pass — the
-    dominant Python cost of a cold rebuild.  Never feed this unvalidated
-    data; use :class:`UncertainTrajectory` directly instead.
-    """
-    shell = UncertainTrajectory.__new__(UncertainTrajectory)
-    shell.object_id = object_id
-    shell.samples = tuple(
-        TrajectorySample(x, y, t) for x, y, t in zip(xs, ys, ts)
+def encode_extension(
+    base: UncertainTrajectory, trajectory: UncertainTrajectory
+) -> ExtensionPayload:
+    """The payload of a ``trajectory`` that starts with ``base``'s samples."""
+    count = len(base.samples)
+    return (
+        count,
+        float(base.end_time),
+        [(float(s.x), float(s.y), float(s.t)) for s in trajectory.samples[count:]],
+        float(trajectory.radius),
+        encode_pdf(trajectory.pdf),
     )
-    shell.radius = float(radius)
-    shell.pdf = pdf
-    return shell
+
+
+def decode_extension(payload: object) -> ExtensionPayload:
+    """An :func:`encode_extension` payload read back from disk, types checked."""
+    count, end_time, tail, radius, (family, parameter) = payload  # type: ignore[misc]
+    tail = [(float(x), float(y), float(t)) for x, y, t in tail]
+    return (int(count), float(end_time), tail, float(radius), (str(family), parameter))
+
+
+def extend_trajectory(
+    stored: UncertainTrajectory, payload: ExtensionPayload
+) -> UncertainTrajectory:
+    """Replay an extension payload onto ``stored``: ValueError unless
+    ``stored`` is its base (sample count and end time) and the tail is valid."""
+    count, end_time, tail, radius, pdf_spec = payload
+    if (len(stored.samples), stored.end_time) != (count, end_time):
+        raise ValueError(
+            f"the extension's base has {count} samples ending at t={end_time}, "
+            f"the stored trajectory {len(stored.samples)} ending at t={stored.end_time}"
+        )
+    return stored.extended(tail, radius, decode_pdf(pdf_spec, radius))
 
 
 class MappedTrajectory(UncertainTrajectory):
@@ -199,10 +212,10 @@ def build_mapped_shell(
 ) -> MappedTrajectory:
     """A lazy trusted-input trajectory over ``(ts, xs, ys)`` column views.
 
-    Like :func:`build_trajectory_shell` the constructor's validation pass
-    is skipped (snapshot columns are checksummed, trusted data), but here
-    the samples tuple itself is deferred until something actually reads
-    ``.samples`` — restoring N objects is O(N), not O(total samples).
+    The constructor's validation pass is skipped (snapshot columns are
+    checksummed, trusted data), and the samples tuple itself is deferred
+    until something actually reads ``.samples`` — restoring N objects is
+    O(N), not O(total samples).
     """
     shell = MappedTrajectory.__new__(MappedTrajectory)
     shell.object_id = object_id

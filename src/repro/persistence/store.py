@@ -106,7 +106,8 @@ def restore(
         WalCorruption: when the WAL is damaged beyond its tail, or —
             under ``strict`` — at all.
         PersistenceError: when the WAL tail does not connect to the
-            snapshot (a revision gap means the directory mixes histories).
+            snapshot (a revision gap means the directory mixes histories),
+            or an extension frame's base is not the stored trajectory.
     """
     started = time.perf_counter()
     registry = registry if registry is not None else NULL_REGISTRY
@@ -128,7 +129,14 @@ def restore(
                     f"{frame.record.revision} but the snapshot ends at "
                     f"{mod.revision} — the log does not connect"
                 )
-            mod.apply_change(frame.record, frame.trajectory)
+            try:
+                trajectory = frame.resolve(mod)
+            except (KeyError, ValueError) as error:
+                raise PersistenceError(
+                    f"{wal_path(data_dir)}: cannot replay revision "
+                    f"{frame.record.revision} of object {frame.record.object_id!r}: {error}"
+                ) from error
+            mod.apply_change(frame.record, trajectory)
             replayed += 1
     seconds = time.perf_counter() - started
     registry.histogram(
@@ -254,13 +262,18 @@ class PersistentStore:
         with self._checkpoint_lock:
             if self._closed:
                 raise PersistenceError("the persistent store is closed")
+            started = time.perf_counter()
             with trace_span(
                 "persistence.checkpoint", revision=self._mod.revision
-            ):
+            ) as span:
                 info = self._snapshotter.write(self._mod)
                 self._wal.flush()
-                self._wal.truncate_through(info.revision)
+                span.set("frames_dropped", self._wal.truncate_through(info.revision))
+                span.set("bytes_kept", self._wal.size_bytes())
                 self._snapshotter.prune()
+            self._registry.histogram(
+                "repro_persistence_checkpoint_seconds", help="Checkpoint latency"
+            ).observe(time.perf_counter() - started)
         self._m_checkpoints.inc()
         return info
 

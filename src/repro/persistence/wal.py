@@ -19,10 +19,12 @@ A WAL file is a 12-byte header followed by frames, append-only::
 
 The payload dict carries the encoded record (revision, kind, object id,
 divergence time) plus, for ``add``/``replace`` mutations, the encoded
-trajectory (:mod:`repro.persistence.codec`).  Frames are strictly
+trajectory — or, for a ``replace`` that only appends samples to the
+trajectory this log last wrote, an *extension* carrying just the new
+samples (:mod:`repro.persistence.codec`).  Frames are strictly
 revision-ordered within one file.
 
-A reader (:meth:`WriteAheadLog.scan`) walks frames until the first one
+A reader (:func:`scan_wal`) walks frames until the first one
 that fails to validate — a short header, a short payload, an implausible
 length, or a checksum mismatch.  Because a crash can only tear the *tail*
 (frames are written back to front nowhere; the file only ever grows),
@@ -46,19 +48,25 @@ import pickle
 import struct
 import threading
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import is_
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
-from ..trajectories.mod import ChangeRecord, Changes
+from ..trajectories.mod import ChangeRecord, Changes, MovingObjectsDatabase
 from ..trajectories.trajectory import UncertainTrajectory
 from .codec import (
+    ExtensionPayload,
+    decode_extension,
     decode_record,
     decode_trajectory,
+    encode_extension,
     encode_record,
     encode_trajectory,
+    extend_trajectory,
     plain_loads,
 )
 
@@ -90,10 +98,18 @@ class WalCorruption(WalError):
 
 @dataclass(frozen=True, slots=True)
 class WalFrame:
-    """One decoded WAL frame: the record plus its trajectory payload."""
+    """One decoded WAL frame: the record plus its trajectory or extension payload."""
 
     record: ChangeRecord
     trajectory: Optional[UncertainTrajectory]
+    extension: Optional[ExtensionPayload] = None
+
+    def resolve(self, mod: MovingObjectsDatabase) -> Optional[UncertainTrajectory]:
+        """The post-change trajectory, an extension replayed onto what ``mod``
+        stores (KeyError or ValueError when that is not the frame's base)."""
+        if self.extension is None:
+            return self.trajectory
+        return extend_trajectory(mod.get(self.record.object_id), self.extension)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,10 +134,14 @@ class WalScan:
 
 
 def _encode_frame(
-    record: ChangeRecord, trajectory: Optional[UncertainTrajectory]
+    record: ChangeRecord,
+    trajectory: Optional[UncertainTrajectory],
+    base: Optional[UncertainTrajectory] = None,
 ) -> bytes:
-    payload_dict: dict = {"record": encode_record(record)}
-    if trajectory is not None:
+    payload_dict: Dict[str, object] = {"record": encode_record(record)}
+    if trajectory is not None and base is not None:
+        payload_dict["extension"] = encode_extension(base, trajectory)
+    elif trajectory is not None:
         payload_dict["trajectory"] = encode_trajectory(trajectory)
     payload = pickle.dumps(payload_dict, protocol=pickle.HIGHEST_PROTOCOL)
     return _FRAME_PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
@@ -132,13 +152,99 @@ def _decode_payload(payload: bytes) -> WalFrame:
     if not isinstance(decoded, dict):
         raise WalError("frame payload is not a dict")
     record = decode_record(decoded["record"])
-    trajectory_payload = decoded.get("trajectory")
-    trajectory = (
-        None
-        if trajectory_payload is None
-        else decode_trajectory(record.object_id, trajectory_payload)
+    trajectory, extension = decoded.get("trajectory"), decoded.get("extension")
+    return WalFrame(
+        record,
+        None if trajectory is None else decode_trajectory(record.object_id, trajectory),
+        None if extension is None else decode_extension(extension),
     )
-    return WalFrame(record=record, trajectory=trajectory)
+
+
+def _record_only(payload: bytes) -> WalFrame:
+    """A frame's record without its trajectory: all the frame index needs."""
+    return WalFrame(decode_record(plain_loads(payload)["record"]), None)  # type: ignore[index]
+
+
+def _frame_ends(data: bytes, offset: int) -> Tuple[List[int], Optional[str]]:
+    """End offsets of the frames from ``offset`` on whose length and CRC hold,
+    and why the walk stopped short of the end of ``data`` (``None`` if not)."""
+    ends: List[int] = []
+    total = len(data)
+    while offset < total:
+        if offset + _FRAME_PREFIX.size > total:
+            return ends, "short frame header"
+        length, checksum = _FRAME_PREFIX.unpack_from(data, offset)
+        if length > MAX_FRAME_BYTES:
+            return ends, f"implausible frame length {length}"
+        start = offset + _FRAME_PREFIX.size
+        offset = start + length
+        if offset > total:
+            return ends, "short frame payload"
+        if zlib.crc32(memoryview(data)[start:offset]) != checksum:
+            return ends, "payload checksum mismatch"
+        ends.append(offset)
+    return ends, None
+
+
+def _read_log(
+    path: Path, strict: bool, decode: Callable[[bytes], WalFrame]
+) -> Tuple[List[WalFrame], List[int], int, int]:
+    """The valid frames as ``decode`` reads them (a frame it refuses ends the
+    valid prefix), their end offsets, and the valid and dropped byte counts."""
+    if not path.exists():
+        return [], [], 0, 0
+    data = path.read_bytes()
+    if len(data) < len(_HEADER):
+        if strict:
+            raise WalCorruption(f"{path}: shorter than the WAL header")
+        return [], [], 0, len(data)
+    if data[: len(WAL_MAGIC)] != WAL_MAGIC:
+        raise WalCorruption(f"{path}: not a WAL file (bad magic)")
+    (version,) = struct.unpack_from("<I", data, len(WAL_MAGIC))
+    if version != WAL_VERSION:
+        raise WalCorruption(
+            f"{path}: unsupported WAL version {version} (expected {WAL_VERSION})"
+        )
+    ends, reason = _frame_ends(data, len(_HEADER))
+    frames: List[WalFrame] = []
+    valid = len(_HEADER)
+    for end in ends:
+        try:
+            frame = decode(data[valid + _FRAME_PREFIX.size : end])
+        except Exception as error:
+            # The checksum held, so these are the bytes that were appended:
+            # an encoder/decoder mismatch, not a torn write.
+            reason = f"payload decode failure: {error}"
+            _log.error(
+                "%s: frame at offset %d passed its checksum but does not "
+                "decode (%s); it and every later frame are unreadable",
+                path,
+                valid,
+                error,
+            )
+            break
+        if frames and frame.record.revision <= frames[-1].record.revision:
+            raise WalCorruption(
+                f"{path}: frames out of revision order at offset {valid} "
+                f"({frames[-1].record.revision} then {frame.record.revision})"
+            )
+        frames.append(frame)
+        valid = end
+    dropped = len(data) - valid
+    if dropped and strict:
+        raise WalCorruption(
+            f"{path}: {dropped} unreadable tail byte(s) at offset {valid}"
+            + (f" ({reason})" if reason else "")
+        )
+    if dropped:
+        _log.warning(
+            "%s: dropping %d torn tail byte(s) at offset %d (%s)",
+            path,
+            dropped,
+            valid,
+            reason,
+        )
+    return frames, ends[: len(frames)], valid, dropped
 
 
 def scan_wal(path: PathLike, *, strict: bool = False) -> WalScan:
@@ -153,92 +259,21 @@ def scan_wal(path: PathLike, *, strict: bool = False) -> WalScan:
         WalCorruption: when the header is not a WAL header, or (under
             ``strict``) when any tail bytes fail to validate.
     """
-    path = Path(path)
-    if not path.exists():
-        return WalScan(frames=(), valid_bytes=0, dropped_bytes=0)
-    data = path.read_bytes()
-    if len(data) < len(_HEADER):
-        if strict:
-            raise WalCorruption(f"{path}: shorter than the WAL header")
-        return WalScan(frames=(), valid_bytes=0, dropped_bytes=len(data))
-    if data[: len(WAL_MAGIC)] != WAL_MAGIC:
-        raise WalCorruption(f"{path}: not a WAL file (bad magic)")
-    (version,) = struct.unpack_from("<I", data, len(WAL_MAGIC))
-    if version != WAL_VERSION:
-        raise WalCorruption(
-            f"{path}: unsupported WAL version {version} (expected {WAL_VERSION})"
-        )
-    frames: List[WalFrame] = []
-    offset = len(_HEADER)
-    valid = offset
-    total = len(data)
-    reason: Optional[str] = None
-    while offset < total:
-        if offset + _FRAME_PREFIX.size > total:
-            reason = "short frame header"
-            break
-        length, checksum = _FRAME_PREFIX.unpack_from(data, offset)
-        if length > MAX_FRAME_BYTES:
-            reason = f"implausible frame length {length}"
-            break
-        start = offset + _FRAME_PREFIX.size
-        stop = start + length
-        if stop > total:
-            reason = "short frame payload"
-            break
-        payload = data[start:stop]
-        if zlib.crc32(payload) != checksum:
-            reason = "payload checksum mismatch"
-            break
-        try:
-            frame = _decode_payload(payload)
-        except Exception as error:
-            # The checksum held, so these are the bytes that were appended:
-            # an encoder/decoder mismatch, not a torn write.
-            reason = f"payload decode failure: {error}"
-            _log.error(
-                "%s: frame at offset %d passed its checksum but does not "
-                "decode (%s); it and every later frame are unreadable",
-                path,
-                offset,
-                error,
-            )
-            break
-        if frames and frame.record.revision <= frames[-1].record.revision:
-            raise WalCorruption(
-                f"{path}: frames out of revision order at offset {offset} "
-                f"({frames[-1].record.revision} then {frame.record.revision})"
-            )
-        frames.append(frame)
-        offset = stop
-        valid = stop
-    dropped = total - valid
-    if dropped and strict:
-        raise WalCorruption(
-            f"{path}: {dropped} unreadable tail byte(s) at offset {valid}"
-            + (f" ({reason})" if reason else "")
-        )
-    if dropped:
-        _log.warning(
-            "%s: dropping %d torn tail byte(s) at offset %d (%s)",
-            path,
-            dropped,
-            valid,
-            reason,
-        )
-    return WalScan(
-        frames=tuple(frames), valid_bytes=valid, dropped_bytes=dropped
-    )
+    frames, _, valid, dropped = _read_log(Path(path), strict, _decode_payload)
+    return WalScan(frames=tuple(frames), valid_bytes=valid, dropped_bytes=dropped)
 
 
 class WriteAheadLog:
     """Appendable, checksummed log of MOD mutations.
 
-    Opening scans the existing file (if any), truncates any torn tail so
-    appends continue from the last valid frame, and then accepts
-    :meth:`append` calls — typically wired to
+    Opening scans the existing file (if any) into the frame index,
+    truncates any torn tail so appends continue from the last valid frame,
+    and then accepts :meth:`append` calls — typically wired to
     :meth:`~repro.trajectories.mod.MovingObjectsDatabase.subscribe_changes`
     by a :class:`~repro.persistence.store.PersistentStore`.
+
+    Appends remember each object's last logged trajectory (a reopened log
+    none), so a ``replace`` that appends samples to it is an extension frame.
 
     Args:
         path: the log file (created, with header, when missing).
@@ -282,16 +317,23 @@ class WriteAheadLog:
             "repro_persistence_wal_repaired_bytes_total",
             "Torn tail bytes discarded when opening the log",
         )
-        scan = scan_wal(self.path)
-        self._last_revision = scan.last_revision
-        self._frames = len(scan.frames)
+        self._m_extensions = self._registry.counter(
+            "repro_persistence_wal_extension_frames_total",
+            "WAL frames written as extensions of the object's last frame",
+        )
+        # The frame index: frame i is revision _revisions[i] at _ends[i]:_ends[i + 1].
+        frames, ends, valid, dropped = _read_log(self.path, False, _record_only)
+        self._revisions = [frame.record.revision for frame in frames]
+        self._ends = [len(_HEADER)] + ends
+        self._last_revision = self._revisions[-1] if frames else 0
+        self._written: Dict[object, UncertainTrajectory] = {}
         if self.path.exists():
-            if scan.dropped_bytes:
+            if dropped:
                 with open(self.path, "r+b") as handle:
-                    handle.truncate(scan.valid_bytes)
+                    handle.truncate(valid)
                     handle.flush()
                     os.fsync(handle.fileno())
-                self._m_repaired.inc(scan.dropped_bytes)
+                self._m_repaired.inc(dropped)
             self._handle: io.BufferedWriter = open(self.path, "ab")
             if self.path.stat().st_size < len(_HEADER):
                 # A crash during initial creation can leave a zero-byte or
@@ -326,7 +368,12 @@ class WriteAheadLog:
     @property
     def frame_count(self) -> int:
         """Number of valid frames currently in the log."""
-        return self._frames
+        return len(self._revisions)
+
+    @property
+    def frame_index(self) -> List[Tuple[int, int]]:
+        """``(revision, end offset)`` of every frame in the file, in order."""
+        return list(zip(self._revisions, self._ends[1:]))
 
     @property
     def fsync_policy(self) -> str:
@@ -360,7 +407,6 @@ class WriteAheadLog:
             WalError: when the log is closed.
             ValueError: when the revisions do not strictly extend the log.
         """
-        data = b"".join([_encode_frame(record, trajectory) for record, trajectory in changes])
         with self._lock:
             if self._closed:
                 raise WalError("the write-ahead log is closed")
@@ -372,6 +418,20 @@ class WriteAheadLog:
                         f"(last appended {last})"
                     )
                 last = record.revision
+            frames: List[bytes] = []
+            extensions = 0
+            for record, trajectory in changes:
+                base = self._written.pop(record.object_id, None)
+                if trajectory is not None:
+                    self._written[record.object_id] = trajectory
+                extends = (
+                    record.kind == "replace" and base is not None and trajectory is not None
+                    and len(trajectory.samples) >= len(base.samples)
+                    and all(map(is_, base.samples, trajectory.samples))
+                )
+                extensions += extends
+                frames.append(_encode_frame(record, trajectory, base if extends else None))
+            data = b"".join(frames)
             self._handle.write(data)
             if self._fsync == "always":
                 self._handle.flush()
@@ -380,8 +440,11 @@ class WriteAheadLog:
             elif self._fsync == "batch":
                 self._handle.flush()
             self._last_revision = last
-            self._frames += len(changes)
+            for (record, _), frame in zip(changes, frames):
+                self._revisions.append(record.revision)
+                self._ends.append(self._ends[-1] + len(frame))
         self._m_appends.inc(len(changes))
+        self._m_extensions.inc(extensions)
         self._m_bytes.inc(len(data))
         return len(data)
 
@@ -399,20 +462,16 @@ class WriteAheadLog:
     # Reading and retention.
     # ------------------------------------------------------------------
 
-    def scan(self, *, strict: bool = False) -> WalScan:
-        """Read the log back (see :func:`scan_wal`); flushes first."""
-        with self._lock:
-            if not self._closed:
-                self._handle.flush()
-        return scan_wal(self.path, strict=strict)
-
     def truncate_through(self, revision: int) -> int:
         """Drop every frame with ``record.revision <= revision``.
 
         The retention half of a checkpoint: once a snapshot at revision
         ``R`` is durable, frames at or before ``R`` are dead weight.  The
-        rewrite is atomic (temp file + rename), so a crash mid-truncation
-        leaves the previous log intact.
+        frame index finds the cut by bisection, and the bytes after it are
+        copied as far as frames' lengths and CRCs hold (:func:`scan_wal`'s
+        valid-prefix rule): nothing is decoded or encoded.  The rewrite is
+        atomic (temp file + rename), so a crash mid-truncation leaves the
+        previous log intact.
 
         Returns:
             The number of frames dropped.
@@ -421,36 +480,36 @@ class WriteAheadLog:
             if self._closed:
                 raise WalError("the write-ahead log is closed")
             self._handle.flush()
-            scan = scan_wal(self.path)
-            kept = [
-                frame
-                for frame in scan.frames
-                if frame.record.revision > revision
-            ]
-            dropped = len(scan.frames) - len(kept)
-            if dropped == 0 and scan.dropped_bytes == 0:
-                return 0
+            dropped = bisect_right(self._revisions, revision)
+            start = self._ends[dropped]
+            if dropped == 0 and os.fstat(self._handle.fileno()).st_size == self._ends[-1]:
+                return 0  # Nothing to drop and no torn tail behind the index.
+            with open(self.path, "rb") as source:
+                source.seek(start)
+                retained = source.read()
+            # Bytes past the indexed frames (a torn tail) are dropped too.
+            ends, _ = _frame_ends(retained, 0)
+            kept = min(len(ends), len(self._revisions) - dropped)
             temp = self.path.with_name(self.path.name + ".tmp")
             with open(temp, "wb") as handle:
                 handle.write(_HEADER)
-                for frame in kept:
-                    handle.write(
-                        _encode_frame(frame.record, frame.trajectory)
-                    )
+                handle.write(retained[: ends[kept - 1] if kept else 0])
                 handle.flush()
                 os.fsync(handle.fileno())
             self._handle.close()
             os.replace(temp, self.path)
             _fsync_directory(self.path.parent)
             self._handle = open(self.path, "ab")
-            self._frames = len(kept)
+            shift = len(_HEADER) - start
+            self._revisions = self._revisions[dropped : dropped + kept]
+            self._ends = [end + shift for end in self._ends[dropped : dropped + kept + 1]]
             self._m_truncations.inc()
             _log.debug(
                 "truncated %s through revision %d: dropped %d frame(s), kept %d",
                 self.path,
                 revision,
                 dropped,
-                len(kept),
+                kept,
             )
             return dropped
 

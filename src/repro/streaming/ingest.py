@@ -61,7 +61,9 @@ class LocationFeed:
             raise ValueError("the minimum radius must be positive")
         self.object_id = object_id
         self.max_speed = max_speed
-        self._samples: List[TrajectorySample] = []
+        #: The last built trajectory (the seed first) and the reports since.
+        self._built: Optional[UncertainTrajectory] = None
+        self._pending: List[TrajectorySample] = []
         self._radius = minimum_radius
         self._last: Optional[LocationUpdate] = None
         self.dirty = False
@@ -70,7 +72,7 @@ class LocationFeed:
                 raise ValueError(
                     f"seed trajectory belongs to {seed.object_id!r}, not {object_id!r}"
                 )
-            self._samples = list(seed.samples)
+            self._built = seed
             self._radius = max(self._radius, seed.radius)
             last = seed.samples[-1]
             self._last = LocationUpdate(last.x, last.y, last.t)
@@ -83,7 +85,7 @@ class LocationFeed:
     @property
     def sample_count(self) -> int:
         """Reports (plus seed samples) the feed currently holds."""
-        return len(self._samples)
+        return len(self._pending) + (0 if self._built is None else len(self._built.samples))
 
     def push(self, report: LocationReport) -> None:
         """Append one report; times must be strictly increasing.
@@ -107,7 +109,7 @@ class LocationFeed:
                 self._radius,
                 max_ellipse_uncertainty(self._last, update, self.max_speed),
             )
-        self._samples.append(TrajectorySample(update.x, update.y, update.t))
+        self._pending.append(TrajectorySample(update.x, update.y, update.t))
         self._last = update
         self.dirty = True
 
@@ -118,10 +120,11 @@ class LocationFeed:
 
     def can_build(self) -> bool:
         """True once the feed has enough reports to form a trajectory."""
-        return len(self._samples) >= 2
+        return self.sample_count >= 2
 
     def trajectory(self) -> UncertainTrajectory:
-        """The uncertain trajectory covering every report so far.
+        """The uncertain trajectory covering every report so far: the last
+        built one extended by the reports since (validating only those).
 
         Raises:
             ValueError: with fewer than two accumulated samples (a single
@@ -129,15 +132,16 @@ class LocationFeed:
         """
         if not self.can_build():
             raise ValueError(
-                f"feed for {self.object_id!r} holds {len(self._samples)} report(s); "
+                f"feed for {self.object_id!r} holds {self.sample_count} report(s); "
                 "need at least two to build a trajectory"
             )
-        return UncertainTrajectory(
-            self.object_id,
-            list(self._samples),
-            self._radius,
-            UniformDiskPDF(self._radius),
-        )
+        pdf = UniformDiskPDF(self._radius)
+        if self._built is None:
+            built = UncertainTrajectory(self.object_id, self._pending, self._radius, pdf)
+        else:
+            built = self._built.extended(self._pending, self._radius, pdf)
+        self._built, self._pending = built, []
+        return built
 
 
 class DeadReckoningFeed:

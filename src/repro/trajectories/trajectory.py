@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..geometry.disk import Disk
 from ..geometry.point import Point2D, Vector2D
@@ -38,40 +38,53 @@ class TrajectorySample:
         return Point2D(self.x, self.y)
 
 
+SampleLike = Union[TrajectorySample, Tuple[float, float, float]]
+
+
+def _ordered(
+    samples: Iterable[SampleLike], previous: Optional[TrajectorySample] = None
+) -> List[TrajectorySample]:
+    """``samples`` as time-ordered :class:`TrajectorySample` objects after ``previous``.
+
+    A regression beyond the time tolerance is an error; a sub-tolerance one
+    (float noise) is snapped to the previous time, keeping the time column
+    non-decreasing for np.interp over packed columns.  Equal-time samples
+    remain the zero-length legs ``segments()`` skips.
+    """
+    normalized: List[TrajectorySample] = []
+    for sample in samples:
+        if not isinstance(sample, TrajectorySample):
+            x, y, t = sample
+            sample = TrajectorySample(float(x), float(y), float(t))
+        if previous is not None and sample.t < previous.t:
+            if sample.t < previous.t - _TIME_TOLERANCE:
+                raise ValueError(
+                    f"trajectory samples must be time-ordered: {previous.t} then {sample.t}"
+                )
+            sample = TrajectorySample(sample.x, sample.y, previous.t)
+        normalized.append(sample)
+        previous = sample
+    return normalized
+
+
 class Trajectory:
     """A crisp (uncertainty-free) trajectory: a time-monotone 2D polyline."""
 
     __slots__ = ("object_id", "samples")
 
-    def __init__(self, object_id: object, samples: Sequence[TrajectorySample | Tuple[float, float, float]]):
+    def __init__(self, object_id: object, samples: Sequence[SampleLike]):
         if len(samples) < 2:
             raise ValueError("a trajectory needs at least two samples")
-        normalized: List[TrajectorySample] = []
-        for sample in samples:
-            if isinstance(sample, TrajectorySample):
-                normalized.append(sample)
-            else:
-                x, y, t = sample
-                normalized.append(TrajectorySample(float(x), float(y), float(t)))
-        # Time ordering is enforced with the same tolerance the rest of the
-        # class uses: a regression beyond the tolerance is an error, while a
-        # sub-tolerance one (float noise from clipping/resampling) is snapped
-        # to exactly the previous time.  The snap keeps the sample time
-        # column non-decreasing, which the vectorized interpolation over
-        # packed columns (np.interp) requires; equal-time samples remain
-        # representable as the zero-length legs ``segments()`` skips.
-        for position in range(1, len(normalized)):
-            previous, current = normalized[position - 1], normalized[position]
-            if current.t < previous.t - _TIME_TOLERANCE:
-                raise ValueError(
-                    f"trajectory samples must be time-ordered: {previous.t} then {current.t}"
-                )
-            if current.t < previous.t:
-                normalized[position] = TrajectorySample(
-                    current.x, current.y, previous.t
-                )
         self.object_id = object_id
-        self.samples: Tuple[TrajectorySample, ...] = tuple(normalized)
+        self.samples: Tuple[TrajectorySample, ...] = tuple(_ordered(samples))
+
+    def extended(self, samples: Iterable[SampleLike]) -> "Trajectory":
+        """The constructor over ``self.samples + samples``, validating only the
+        new samples and sharing this trajectory's sample objects."""
+        extension = Trajectory.__new__(Trajectory)
+        extension.object_id = self.object_id
+        extension.samples = self.samples + tuple(_ordered(samples, self.samples[-1]))
+        return extension
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
@@ -237,11 +250,14 @@ class UncertainTrajectory(Trajectory):
     def __init__(
         self,
         object_id: object,
-        samples: Sequence[TrajectorySample | Tuple[float, float, float]],
+        samples: Sequence[SampleLike],
         radius: float,
         pdf: Optional[RadialPDF] = None,
     ):
         super().__init__(object_id, samples)
+        self._set_uncertainty(radius, pdf)
+
+    def _set_uncertainty(self, radius: float, pdf: Optional[RadialPDF]) -> None:
         if radius <= 0.0:
             raise ValueError(f"uncertainty radius must be positive, got {radius}")
         if pdf is None:
@@ -253,6 +269,22 @@ class UncertainTrajectory(Trajectory):
             )
         self.radius = float(radius)
         self.pdf = pdf
+
+    def extended(
+        self,
+        samples: Iterable[SampleLike],
+        radius: Optional[float] = None,
+        pdf: Optional[RadialPDF] = None,
+    ) -> "UncertainTrajectory":
+        """:meth:`Trajectory.extended` with the constructor's radius and pdf
+        checks; without a ``radius`` the radius and (unless given) pdf stay."""
+        if radius is None:
+            radius, pdf = self.radius, self.pdf if pdf is None else pdf
+        extension = UncertainTrajectory.__new__(UncertainTrajectory)
+        extension.object_id = self.object_id
+        extension.samples = self.samples + tuple(_ordered(samples, self.samples[-1]))
+        extension._set_uncertainty(radius, pdf)
+        return extension
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -9,8 +9,7 @@ Poisson-sized burst of :class:`~repro.service.QueryRequest`s — and
 :func:`replay` drives it through a running
 :class:`~repro.service.QueryService`, gathering per-request telemetry into
 a :class:`ReplayReport` (throughput, latency percentiles, cache and
-coalescing behavior) that ``benchmarks/bench_service.py`` turns into the
-CI-gated serving record.
+coalescing behavior); ``examples/async_service.py`` is the walkthrough.
 """
 
 from __future__ import annotations

@@ -263,3 +263,74 @@ class TestUncertainTrajectory:
         changed = self.make().with_radius(1.5)
         assert changed.radius == 1.5
         assert changed.object_id == "u"
+
+
+# Tail steps for ``extended``: forward steps, sub-tolerance regressions the
+# constructor snaps, and regressions beyond the tolerance it refuses.
+_tail_steps = st.sampled_from([0.0, 3e-10, 0.5, 2.25, -4e-10, -9e-10, -2e-9, -0.75])
+
+
+@st.composite
+def tails(draw, start):
+    """0..5 samples after time ``start``: tuples (some of ints) or samples."""
+    samples, t = [], start
+    for step in draw(st.lists(_tail_steps, max_size=5)):
+        t += step
+        x = draw(st.one_of(st.integers(-5, 5), _coordinates))
+        y = draw(_coordinates)
+        samples.append(TrajectorySample(x, y, t) if draw(st.booleans()) else (x, y, t))
+    return samples
+
+
+def _typed(samples):
+    return [(type(s), type(s.x), s.x, type(s.y), s.y, type(s.t), s.t) for s in samples]
+
+
+class TestExtended:
+    """``extended`` is the constructor over the joined samples, validating the tail only."""
+
+    @given(base=histories(), data=st.data())
+    def test_crisp_extension_equals_the_constructor(self, base, data):
+        tail = data.draw(tails(base.end_time))
+        expected = _outcome(Trajectory, "h", list(base.samples) + tail)
+        extended = _outcome(base.extended, tail)
+        if isinstance(expected, tuple):
+            assert extended == expected  # the same ValueError, word for word
+            return
+        assert type(extended) is Trajectory and extended.object_id == "h"
+        assert _typed(extended.samples) == _typed(expected.samples)
+        assert all(extended.samples[i] is base.samples[i] for i in range(len(base)))
+
+    @given(
+        base=histories(),
+        data=st.data(),
+        radius=st.sampled_from([None, 0.25, 1.0, 2.0]),
+        pdf=st.sampled_from([None, "uniform", "gaussian"]),
+    )
+    def test_uncertain_extension_equals_the_constructor(self, base, data, radius, pdf):
+        seed = UncertainTrajectory("h", base.samples, 1.0, TruncatedGaussianPDF(1.0))
+        tail = data.draw(tails(base.end_time))
+        density = {
+            None: None, "uniform": UniformDiskPDF(1.0), "gaussian": TruncatedGaussianPDF(1.0)
+        }[pdf]
+        if radius is None:
+            full = (seed.radius, seed.pdf if density is None else density)
+        else:
+            full = (radius, density)
+        expected = _outcome(UncertainTrajectory, "h", list(seed.samples) + tail, *full)
+        extended = _outcome(seed.extended, tail, radius, density)
+        if isinstance(expected, tuple):
+            assert extended == expected
+            return
+        assert type(extended) is UncertainTrajectory
+        assert _typed(extended.samples) == _typed(expected.samples)
+        assert extended.radius == expected.radius
+        assert type(extended.pdf) is type(expected.pdf)
+        assert extended.pdf.support_radius == expected.pdf.support_radius
+        assert all(extended.samples[i] is seed.samples[i] for i in range(len(seed)))
+
+    def test_an_empty_tail_keeps_the_samples(self):
+        seed = UncertainTrajectory("u", [(0, 0, 0.0), (1, 1, 1.0)], 0.5)
+        same = seed.extended([])
+        assert same is not seed and same.samples is seed.samples
+        assert (same.radius, same.pdf) == (seed.radius, seed.pdf)
