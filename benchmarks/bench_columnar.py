@@ -30,7 +30,13 @@ implementations they replaced, per database size:
   (the same front at three levels) vs the
   :func:`~repro.geometry.envelope.klevel.exclusion_cascade` it runs on dirty
   slabs.  The input is checked to be served without one, so the gate can
-  never time the cascade against itself.
+  never time the cascade against itself;
+* ``context`` — a cold context as the engine builds it,
+  ``QueryContext.from_mod`` over one corridor's candidates plus
+  :func:`repro.engine.answers.answer_of`, vs the same context built from a
+  list of ``DistanceFunction`` objects (``mod.distance_functions`` +
+  ``QueryContext.build``).  It records ``context_objects_per_candidate``,
+  the functions the pack made per candidate, which the gate pins at 0.5.
 
 Every comparison asserts result equality (bit-identical pieces and
 intervals) before reporting, so a speedup can never come from a divergent
@@ -60,7 +66,9 @@ from repro.core.pruning import (
     band_report,
     band_tally,
 )
+from repro.core.queries import QueryContext
 from repro.engine import QueryEngine
+from repro.engine.answers import answer_of
 from repro.engine.filtering import corridor_probe_bulk
 from repro.geometry.envelope.bulk import front_report, front_tally
 from repro.geometry.envelope.divide_conquer import le_alg, lower_envelope
@@ -269,6 +277,37 @@ def bench_klevel(mod: MovingObjectsDatabase, max_levels: int = 3) -> Dict[str, f
     }
 
 
+def bench_context(mod: MovingObjectsDatabase) -> Dict[str, float]:
+    lo, hi = mod.common_time_span()
+    query_id = mod.object_ids[0]
+    engine = QueryEngine(mod)
+    candidates = engine.candidate_ids(query_id, lo, hi)
+    width = mod.default_band_width(query_id)
+
+    def packed():
+        context = QueryContext.from_mod(mod, query_id, lo, hi, width, candidates)
+        return context, answer_of(context, "sometime")
+
+    def objects():
+        functions = mod.distance_functions(query_id, lo, hi, candidates)
+        context = QueryContext.build(functions, query_id, lo, hi, width)
+        return context, answer_of(context, "sometime")
+
+    (context, answer), (eager, expected) = packed(), objects()
+    if answer != expected or not _identical_pieces(context.envelope, eager.envelope):
+        raise AssertionError("the context over the pack diverged from the object path")
+    objects_per_candidate = context.pack.materialized / len(context.pack)
+    object_seconds = _best_of_three(objects)
+    pack_seconds = _best_of_three(packed)
+    return {
+        "context_objects_ms": object_seconds * 1000.0,
+        "context_pack_ms": pack_seconds * 1000.0,
+        "context_speedup": object_seconds / pack_seconds,
+        "context_objects_per_candidate": objects_per_candidate,
+        "context_candidates": float(len(context.pack)),
+    }
+
+
 def reference_answers(
     mod: MovingObjectsDatabase, query_id: object, lo: float, hi: float, rank: int
 ) -> List[List[object]]:
@@ -360,6 +399,7 @@ def run_bench(
         numbers.update(bench_band(mod))
         numbers.update(bench_lower_envelope(mod))
         numbers.update(bench_klevel(mod))
+        numbers.update(bench_context(mod))
         print(
             f"N={num_objects}: pack {numbers['pack_ms']:6.1f} ms | "
             f"corridor {numbers['corridor_scalar_ms']:7.1f} -> "
@@ -378,7 +418,10 @@ def run_bench(
             f"({numbers['lower_envelope_speedup']:4.2f}x) | "
             f"klevel {numbers['klevel_scalar_ms']:7.1f} -> "
             f"{numbers['klevel_vector_ms']:6.1f} ms "
-            f"({numbers['klevel_speedup']:4.2f}x)"
+            f"({numbers['klevel_speedup']:4.2f}x) | "
+            f"context {numbers['context_objects_ms']:6.1f} -> "
+            f"{numbers['context_pack_ms']:6.1f} ms "
+            f"({numbers['context_objects_per_candidate']:.3f} objects/candidate)"
         )
         for key, value in numbers.items():
             metrics[f"n{num_objects}_{key}"] = value

@@ -144,6 +144,8 @@ def band_intervals_batch(
     row of every candidate in a per-candidate loop: the differential suite
     compares the two with ``==``, which is what proves the bounds sound.
 
+    ``functions`` may be a :class:`FunctionPack`; it is read as columns.
+
     Returns:
         One interval list per function, aligned with the input order.
     """
@@ -151,7 +153,6 @@ def band_intervals_batch(
         raise ValueError("band width must be non-negative")
     if t_hi < t_lo:
         raise ValueError(f"empty window [{t_lo}, {t_hi}]")
-    functions = list(functions)
     if t_hi == t_lo:
         results: List[List[Tuple[float, float]]] = []
         for function in functions:
@@ -396,13 +397,13 @@ def _band_rows_vector(
     ``_BOUNDARY_GUARD``, a function that does not span the window or whose
     piece ends are out of order, base rows that are not ``tiled``.
     """
-    count = len(functions)
+    pack = FunctionPack.of(functions)
+    count = len(pack)
     vector = np.zeros(count, dtype=bool)
     blocks = []
     base = _base_band_rows(envelope, t_lo, t_hi)
     if base is not None:
         bounds, base_env, tiled = base
-        pack = FunctionPack(functions)
         first, last = pack.offsets[:-1], pack.offsets[1:] - 1
 
         def holders(pieces: np.ndarray) -> np.ndarray:
@@ -461,7 +462,7 @@ def _band_rows_vector(
     cut = np.array([
         (lo, hi, env.a, env.b, env.c, fun.a, fun.b, fun.c, position)
         for position in scalar
-        for lo, hi, env, fun in _band_rows(functions[position], envelope, t_lo, t_hi)
+        for lo, hi, env, fun in _band_rows(pack.function(position), envelope, t_lo, t_hi)
     ]).reshape(-1, 9)
     blocks.append((cut[:, 0], cut[:, 1], cut[:, 2:5], cut[:, 5:8], cut[:, 8].astype(np.int64)))
     return tuple(np.concatenate(column) for column in zip(*blocks))

@@ -13,9 +13,11 @@ The naive baselines of the Figure 12 experiment live in
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.divide_conquer import lower_envelope
 from ..geometry.envelope.hyperbola import DistanceFunction
 from ..geometry.envelope.klevel import LevelEnvelopes, k_level_envelopes
@@ -26,16 +28,41 @@ from .pruning import PruningStatistics, band_intervals_batch
 from .tolerances import FULL_WINDOW_SLACK
 
 
+class CandidateFunctions(Mapping):
+    """Read-only ``object id -> DistanceFunction`` view of a context's pack:
+    iteration, ``len`` and ``in`` read its ids, a lookup makes one function."""
+
+    def __init__(self, pack: FunctionPack):
+        self.pack = pack
+        self._rows = {object_id: row for row, object_id in enumerate(pack.ids)}
+
+    def __getitem__(self, object_id: object) -> DistanceFunction:
+        return self.pack.function(self._rows[object_id])
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, object_id: object) -> bool:
+        return object_id in self._rows
+
+
 @dataclass
 class QueryContext:
     """Pre-processed state for continuous probabilistic NN queries.
+
+    Its :class:`FunctionPack` of candidates is what the envelope, the band
+    pass and the level sweep read; only rows read as objects are made.
 
     Attributes:
         query_id: identifier of the query trajectory.
         t_start: query window start.
         t_end: query window end.
         band_width: pruning band width (``4r`` in the paper's model).
-        functions: difference distance functions, keyed by object id.
+        functions: difference distance functions, keyed by object id (a
+            :class:`CandidateFunctions` view; a plain mapping is packed).
         envelope: the level-1 lower envelope.
     """
 
@@ -43,17 +70,22 @@ class QueryContext:
     t_start: float
     t_end: float
     band_width: float
-    functions: Dict[object, DistanceFunction]
+    functions: Mapping
     envelope: Envelope
     _levels: Optional[LevelEnvelopes] = None
     _levels_depth: int = 0
     _tree: Optional[IPACTree] = None
-    _survivors: Optional[List[DistanceFunction]] = None
-    _pruning_stats: Optional[PruningStatistics] = None
+    _survivor_rows: Optional[List[int]] = None
     _intervals: Optional[Dict[object, List[Tuple[float, float]]]] = None
     _intervals_complete: bool = False
     _survivor_intervals: Optional[Dict[object, Tuple[Tuple[float, float], ...]]] = None
     _survivor_covered: Optional[Dict[object, float]] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.functions, CandidateFunctions):
+            self.functions = CandidateFunctions(FunctionPack(list(self.functions.values())))
+        #: The candidates' functions as columns, in candidate order.
+        self.pack: FunctionPack = self.functions.pack
 
     # ------------------------------------------------------------------
     # Construction.
@@ -74,10 +106,11 @@ class QueryContext:
             raise ValueError(f"empty query window [{t_start}, {t_end}]")
         if band_width < 0:
             raise ValueError("band width must be non-negative")
-        by_id = {function.object_id: function for function in functions}
-        if len(by_id) != len(functions):
+        pack = FunctionPack.of(functions)
+        by_id = CandidateFunctions(pack)
+        if len(by_id) != len(pack):
             raise ValueError("distance functions must have unique object ids")
-        envelope = lower_envelope(list(functions), t_start, t_end)
+        envelope = lower_envelope(pack, t_start, t_end)
         return QueryContext(
             query_id=query_id,
             t_start=t_start,
@@ -114,7 +147,7 @@ class QueryContext:
         """
         if band_width is None:
             band_width = mod.default_band_width(query_id)
-        functions = mod.distance_functions(
+        functions = mod.distance_pack(
             query_id, t_start, t_end, candidate_ids=candidate_ids
         )
         if not functions:
@@ -154,18 +187,14 @@ class QueryContext:
         :func:`repro.core.pruning.band_intervals` call per candidate.
         """
         if not self._intervals_complete:
-            ordered = list(self.functions.values())
             batched = band_intervals_batch(
-                ordered,
+                self.pack,
                 self.envelope,
                 self.band_width,
                 self.t_start,
                 self.t_end,
             )
-            self._intervals = {
-                function.object_id: intervals
-                for function, intervals in zip(ordered, batched)
-            }
+            self._intervals = dict(zip(self.pack.ids, batched))
             self._intervals_complete = True
         assert self._intervals is not None
         return self._intervals
@@ -192,19 +221,18 @@ class QueryContext:
             )[0]
         return self._intervals[object_id]
 
-    def survivors(self) -> List[DistanceFunction]:
-        """Candidates that survive the 4r-band pruning (computed once)."""
-        if self._survivors is None:
+    def _surviving_rows(self) -> List[int]:
+        """Pack rows of the candidates that survive the 4r-band pruning."""
+        if self._survivor_rows is None:
             intervals = self._interval_map()
-            self._survivors = [
-                function
-                for function in self.functions.values()
-                if intervals[function.object_id]
+            self._survivor_rows = [
+                row for row, object_id in enumerate(self.pack.ids) if intervals[object_id]
             ]
-            self._pruning_stats = PruningStatistics(
-                len(self.functions), len(self._survivors)
-            )
-        return self._survivors
+        return self._survivor_rows
+
+    def survivors(self) -> List[DistanceFunction]:
+        """Candidates that survive the 4r-band pruning (made once each)."""
+        return [self.pack.function(row) for row in self._surviving_rows()]
 
     def survivor_intervals(self) -> Dict[object, Tuple[Tuple[float, float], ...]]:
         """Each survivor's non-zero-probability intervals, in survivor order.
@@ -217,8 +245,7 @@ class QueryContext:
         if self._survivor_intervals is None:
             intervals = self._interval_map()
             self._survivor_intervals = {
-                function.object_id: tuple(intervals[function.object_id])
-                for function in self.survivors()
+                object_id: tuple(intervals[object_id]) for object_id in self.uq31_all_sometime()
             }
         return self._survivor_intervals
 
@@ -233,20 +260,16 @@ class QueryContext:
 
     def pruning_statistics(self) -> PruningStatistics:
         """Pruning statistics of the band (the Figure 13 quantity)."""
-        self.survivors()
-        assert self._pruning_stats is not None
-        return self._pruning_stats
+        return PruningStatistics(len(self.pack), len(self._surviving_rows()))
 
     def level_envelopes(self, max_level: int) -> LevelEnvelopes:
         """Level envelopes 1..max_level over the surviving candidates."""
         if max_level < 1:
             raise ValueError("levels are 1-based")
         if self._levels is None or self._levels_depth < max_level:
-            survivors = self.survivors()
-            if not survivors:
-                survivors = list(self.functions.values())
+            rows = self._surviving_rows() or range(len(self.pack))
             self._levels = k_level_envelopes(
-                survivors,
+                self.pack.take(rows),
                 self.t_start,
                 self.t_end,
                 max_levels=max_level,
@@ -258,7 +281,7 @@ class QueryContext:
         """The IPAC-NN tree (cached for unbounded depth)."""
         if max_levels is not None:
             return build_ipac_tree(
-                list(self.functions.values()),
+                list(self.pack),
                 self.query_id,
                 self.t_start,
                 self.t_end,
@@ -267,7 +290,7 @@ class QueryContext:
             )
         if self._tree is None:
             self._tree = build_ipac_tree(
-                list(self.functions.values()),
+                list(self.pack),
                 self.query_id,
                 self.t_start,
                 self.t_end,
@@ -354,7 +377,7 @@ class QueryContext:
 
     def uq31_all_sometime(self) -> List[object]:
         """UQ31: every trajectory with non-zero NN probability at some time."""
-        return [function.object_id for function in self.survivors()]
+        return [self.pack.ids[row] for row in self._surviving_rows()]
 
     def uq32_all_always(self) -> List[object]:
         """UQ32: every trajectory with non-zero NN probability throughout the window."""
@@ -418,7 +441,7 @@ class QueryContext:
         threshold = self.envelope.value(t) + self.band_width
         return [
             function.object_id
-            for function in self.functions.values()
+            for function in self.pack
             if function.value(t) <= threshold + 1e-12
         ]
 

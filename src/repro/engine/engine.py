@@ -337,12 +337,15 @@ class QueryEngine:
         candidates, or an object that can now come within its corridor.
         Changes diverging at or after a context's window end — the common
         case of an update stream *extending* trajectories beyond standing
-        windows — leave the context untouched.
+        windows — leave the context untouched, in O(1) when none is global.
         """
+        earliest = -np.inf if None in changed.values() else min(changed.values(), default=np.inf)
         for key, context in self._cache.items():
             query_id = key[0]
             if query_id not in self.mod:
                 self._cache.discard(key)
+                continue
+            if context.t_end - 1e-12 <= earliest:
                 continue
             relevant = {
                 object_id
@@ -354,7 +357,7 @@ class QueryEngine:
             if query_id in relevant:
                 self._cache.discard(key)
                 continue
-            if not relevant.isdisjoint(context.functions):
+            if any(object_id in context.functions for object_id in relevant):
                 self._cache.discard(key)
                 continue
             present = [

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
+from collections import abc
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ...core.tolerances import COEFF_EPSILON, TIME_TOLERANCE
-from .hyperbola import DistanceFunction
+from .hyperbola import DistanceFunction, Hyperbola, HyperbolaPiece
 from .pieces import Envelope, EnvelopePiece
 
 #: Two events closer than this make the scalar algorithms' tolerance
@@ -103,35 +104,104 @@ def _count(*amounts: float) -> None:
     _TALLY.totals = tuple(old + new for old, new in zip(front_tally(), amounts))
 
 
-class FunctionPack:
+class FunctionPack(abc.Sequence):
     """Distance functions packed into flat per-piece coefficient arrays.
 
     The structure-of-arrays transpose of a ``Sequence[DistanceFunction]``:
     piece intervals and hyperbola coefficients live in contiguous columns
-    indexed CSR-style by ``offsets``; ``owner`` maps a piece to its function.
+    indexed CSR-style by ``offsets``; ``owner`` maps a piece to its function,
+    ``ids`` a row to its object id.  The kernels read the columns; a row's
+    function is made when first asked for, once for the pack and its takes.
     """
 
     __slots__ = (
-        "functions", "offsets", "owner", "followers", "starts", "ends", "a", "b", "c"
+        "ids", "offsets", "owner", "followers", "starts", "ends", "a", "b", "c",
+        "_table", "_keys", "_built",
     )
 
     def __init__(self, functions: Sequence[DistanceFunction]):
-        self.functions: Tuple[DistanceFunction, ...] = tuple(functions)
-        counts = [len(function.pieces) for function in self.functions]
-        self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.offsets[1:])
-        self.owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        #: Pieces that follow another piece of their function.
-        self.followers = np.delete(np.arange(self.offsets[-1]), self.offsets[:-1])
+        functions = tuple(functions)
         table = np.array(
             [
                 (piece.t_start, piece.t_end, piece.curve.a, piece.curve.b, piece.curve.c)
-                for function in self.functions
+                for function in functions
                 for piece in function.pieces
             ],
             dtype=float,
         ).reshape(-1, 5)
-        self.starts, self.ends, self.a, self.b, self.c = np.ascontiguousarray(table.T)
+        counts = [len(function.pieces) for function in functions]
+        self._adopt(
+            [function.object_id for function in functions],
+            np.cumsum([0] + counts),
+            np.ascontiguousarray(table.T),
+            enumerate(functions),
+        )
+
+    @classmethod
+    def from_columns(cls, ids, offsets, starts, ends, a, b, c, built) -> "FunctionPack":
+        """A pack over columns in hand; ``built`` maps rows to existing functions."""
+        pack = cls.__new__(cls)
+        pack._adopt(ids, offsets, np.stack((starts, ends, a, b, c)), built)
+        return pack
+
+    @classmethod
+    def of(cls, functions: Sequence[DistanceFunction]) -> "FunctionPack":
+        """``functions`` itself when it is a pack, else its pack."""
+        return functions if isinstance(functions, cls) else cls(functions)
+
+    def _adopt(self, ids, offsets, table, built) -> None:
+        self.ids: List[object] = list(ids)
+        self.offsets = offsets
+        # One (5, pieces) table, so that a row's pieces are one slice of it.
+        self._table = table
+        self.starts, self.ends, self.a, self.b, self.c = table
+        counts = np.diff(offsets)
+        self.owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        #: Pieces that follow another piece of their function.
+        self.followers = np.delete(np.arange(offsets[-1]), offsets[:-1])
+        # Made functions, keyed by row of the pack every take started from.
+        self._keys, self._built = range(len(self.ids)), dict(built)
+
+    def take(self, rows: Sequence[int]) -> "FunctionPack":
+        """The pack of ``rows``, in that order, sharing this pack's functions."""
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.diff(self.offsets)[rows]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        pieces = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], counts)
+        rows = rows.tolist()
+        pack = FunctionPack.__new__(FunctionPack)
+        pack._adopt([self.ids[row] for row in rows], offsets, self._table[:, pieces], {})
+        pack._keys, pack._built = [self._keys[row] for row in rows], self._built
+        return pack
+
+    def function(self, row: int) -> DistanceFunction:
+        """Row ``row``'s function, made from the columns once: of racing
+        readers' copies, the one stored first (``setdefault``) is the one."""
+        function = self._built.get(self._keys[row])
+        if function is None:
+            pieces = self._table[:, self.offsets[row] : self.offsets[row + 1]].T.tolist()
+            function = DistanceFunction(
+                self.ids[row],
+                [HyperbolaPiece(s, e, Hyperbola(a, b, c)) for s, e, a, b, c in pieces],
+            )
+            function = self._built.setdefault(self._keys[row], function)
+        return function
+
+    @property
+    def functions(self) -> Tuple[DistanceFunction, ...]:
+        """Every row's function, for the scalar algorithms that need them all."""
+        return tuple(self)
+
+    @property
+    def materialized(self) -> int:
+        """How many functions this pack and its takes have made or been given."""
+        return len(self._built)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row: int) -> DistanceFunction:
+        return self.function(range(len(self))[row])
 
     def piece_index_at(self, t: float, side: str = "left") -> np.ndarray:
         """Flat index of every function's piece at ``t``, in one ragged lookup.
@@ -173,7 +243,7 @@ class FunctionPack:
         upto[self.offsets[1:] - 1] = len(times)
         serves = np.diff(upto, prepend=0)
         serves[self.offsets[:-1]] = upto[self.offsets[:-1]]
-        piece = np.repeat(np.arange(len(upto)), serves).reshape(len(self.functions), -1).T
+        piece = np.repeat(np.arange(len(upto)), serves).reshape(len(self), -1).T
         values = self.values_at(times[:, None], piece)
         rows = np.nonzero(crossed >= 0)[0]
         values[rows, crossed[rows]] = np.nan  # sorts last, close to nothing
@@ -313,7 +383,7 @@ def front_envelopes(
     fixes the tie-break by the order it passes (``lower_envelope``: input
     order; ``k_level_envelopes``: canonical order).  ``scalar(s, e)`` is the
     algorithm being reproduced, run on one dirty slab ``[s, e]``; it returns
-    at least ``limit`` envelopes.
+    at least ``limit`` envelopes.  Of a pack, only clean owners are made.
 
     Raises:
         DegenerateArrangement: when no part of the window is clean; the
@@ -322,10 +392,10 @@ def front_envelopes(
     try:
         if t_hi - t_lo <= _GUARD:
             raise DegenerateArrangement("window too short for the front")
-        pack = FunctionPack(functions)
+        pack = FunctionPack.of(functions)
         pack.require_contiguous_coverage(t_lo, t_hi)
         bounds, tops, marks = _advance(pack, t_lo, t_hi, limit)
-        return _stitch(pack.functions, bounds, tops, marks, limit, scalar)
+        return _stitch(pack, bounds, tops, marks, limit, scalar)
     except DegenerateArrangement:
         _count(0, 0, 1, max(t_hi - t_lo, 0.0), max(t_hi - t_lo, 0.0))
         raise
@@ -447,7 +517,7 @@ def _advance(
 
 
 def _stitch(
-    functions: Sequence[DistanceFunction],
+    pack: FunctionPack,
     bounds: List[float],
     tops: List[Tuple[int, ...]],
     marks: List[Tuple[float, float]],
@@ -494,7 +564,7 @@ def _stitch(
                 opened = start
                 for index in range(start + 1, stop + 1):
                     if index == stop or tops[index][level] != tops[opened][level]:
-                        owner = functions[tops[opened][level]]
+                        owner = pack.function(tops[opened][level])
                         collected.append(EnvelopePiece(owner, bounds[opened], bounds[index]))
                         opened = index
         start = stop
@@ -523,11 +593,12 @@ def k_level_envelopes_bulk(
 
     if not functions:
         raise ValueError("cannot build level envelopes of an empty collection")
-    limit = min(max_levels, len(functions))
+    pack = FunctionPack.of(functions)
+    limit = min(max_levels, len(pack))
     return front_envelopes(
-        functions,
+        pack,
         t_lo,
         t_hi,
         limit,
-        lambda s, e: exclusion_cascade(functions, s, e, limit).levels,
+        lambda s, e: exclusion_cascade(pack.functions, s, e, limit).levels,
     )

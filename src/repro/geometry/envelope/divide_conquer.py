@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bulk import DegenerateArrangement, front_envelopes
+from .bulk import DegenerateArrangement, FunctionPack, front_envelopes
 from .hyperbola import DistanceFunction
 from .merge import merge_envelopes
 from .pieces import Envelope, EnvelopePiece
@@ -38,8 +38,8 @@ def lower_envelope(
     the function that comes first in ``functions``.
 
     Args:
-        functions: the distance functions (at least one); each must cover the
-            whole window.
+        functions: the distance functions (at least one), a pack or a
+            sequence; each must cover the whole window.
         t_lo: window start.
         t_hi: window end.
 
@@ -47,10 +47,10 @@ def lower_envelope(
         The level-1 lower envelope as an :class:`Envelope`.
     """
     if len(functions) >= _FRONT_MIN_FUNCTIONS:
-        functions = list(functions)
+        pack = FunctionPack.of(functions)
         try:
             return front_envelopes(
-                functions, t_lo, t_hi, 1, lambda s, e: [le_alg(functions, s, e)]
+                pack, t_lo, t_hi, 1, lambda s, e: [le_alg(pack.functions, s, e)]
             )[0]
         except DegenerateArrangement:
             pass

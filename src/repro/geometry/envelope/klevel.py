@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .bulk import DegenerateArrangement, k_level_envelopes_bulk
+from .bulk import DegenerateArrangement, FunctionPack, k_level_envelopes_bulk
 from .divide_conquer import le_alg
 from .hyperbola import DistanceFunction
 from .pieces import Envelope, EnvelopePiece
@@ -100,7 +100,7 @@ def k_level_envelopes(
     clean part falls back to the cascade as a whole.
 
     Args:
-        functions: distance functions covering ``[t_lo, t_hi]``.
+        functions: distance functions covering ``[t_lo, t_hi]`` (a pack too).
         t_lo: window start.
         t_hi: window end.
         max_levels: number of levels to materialize; defaults to the number
@@ -109,19 +109,21 @@ def k_level_envelopes(
     Returns:
         A :class:`LevelEnvelopes` stack.
     """
-    functions, limit = _canonical_inputs(functions, max_levels)
+    pack = FunctionPack.of(functions)
+    order, limit = _canonical_order(pack.ids, max_levels)
+    pack = pack.take(order)
     try:
-        levels = k_level_envelopes_bulk(functions, t_lo, t_hi, limit)
+        levels = k_level_envelopes_bulk(pack, t_lo, t_hi, limit)
         return LevelEnvelopes(t_lo, t_hi, levels)
     except DegenerateArrangement:
         pass
-    return exclusion_cascade(functions, t_lo, t_hi, limit)
+    return exclusion_cascade(pack.functions, t_lo, t_hi, limit)
 
 
-def _canonical_inputs(
-    functions: Sequence[DistanceFunction], max_levels: Optional[int]
-) -> Tuple[List[DistanceFunction], int]:
-    """Validate inputs and canonicalize the function order.
+def _canonical_order(
+    ids: Sequence[object], max_levels: Optional[int]
+) -> Tuple[List[int], int]:
+    """Validate inputs; the canonical order of the rows, and the level limit.
 
     Ties between equal-valued functions are broken by input order inside
     ``le_alg``, and the per-interval exclusion cascade amplifies the
@@ -132,15 +134,14 @@ def _canonical_inputs(
     kinetic front inherits the same canonical order for its stable
     tie-breaking.
     """
-    if not functions:
+    if not ids:
         raise ValueError("cannot build level envelopes of an empty collection")
-    limit = len(functions) if max_levels is None else min(max_levels, len(functions))
+    limit = len(ids) if max_levels is None else min(max_levels, len(ids))
     if limit < 1:
         raise ValueError("max_levels must be at least 1")
-    ordered = sorted(functions, key=lambda f: str(f.object_id))
-    if len({f.object_id for f in ordered}) != len(ordered):
+    if len(set(ids)) != len(ids):
         raise ValueError("distance functions must have unique object ids")
-    return ordered, limit
+    return sorted(range(len(ids)), key=lambda row: str(ids[row])), limit
 
 
 def exclusion_cascade(
@@ -155,7 +156,8 @@ def exclusion_cascade(
     Same arguments and result as :func:`k_level_envelopes`: what the front
     runs on its dirty slabs, and the reference it is tested against.
     """
-    functions, limit = _canonical_inputs(functions, max_levels)
+    order, limit = _canonical_order([f.object_id for f in functions], max_levels)
+    functions = [functions[row] for row in order]
     by_id: Dict[object, DistanceFunction] = {f.object_id: f for f in functions}
 
     levels: List[Envelope] = []

@@ -12,10 +12,11 @@ two objects' sample times.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola, HyperbolaPiece
 from .columnar import _extract_columns
 from .trajectory import Trajectory
@@ -131,15 +132,15 @@ def relative_position_at(
     return (pos_i.x - pos_q.x, pos_i.y - pos_q.y)
 
 
-def difference_distance_functions_bulk(
+def difference_function_pack(
     trajectories: Sequence[Trajectory],
     query: Trajectory,
     t_lo: float,
     t_hi: float,
     skip_query: bool = True,
     store=None,
-) -> List[DistanceFunction]:
-    """Batched distance-function construction over packed columnar arrays.
+) -> FunctionPack:
+    """Distance functions of many candidates as one :class:`FunctionPack`.
 
     One ragged NumPy pass over the columnar pack builds the hyperbola
     coefficients of every candidate, however many of its samples fall inside
@@ -150,11 +151,12 @@ def difference_distance_functions_bulk(
     both sides from the leg :meth:`Trajectory.segment_at` would return — the
     first leg of positive duration whose tolerance-widened span contains the
     time — with the scalar builder's exact float expressions.  A candidate
-    without interior samples is the zero-marks case of the same pass.
+    without interior samples is the zero-marks case of the same pass.  Its
+    columns become the pack's: no function object is made here.
 
-    Candidates the pass cannot provably replicate fall back to
-    :func:`difference_distance_function` individually, so the output is
-    always bit-identical to :func:`difference_distance_functions`: stale
+    Candidates the pass cannot provably replicate are built by
+    :func:`difference_distance_function` individually and spliced in, so the
+    pack equals the pack of :func:`difference_distance_functions`: stale
     columns, a window it does not cover, *distinct* marks closer than
     ``_EDGE_MARGIN`` to each other or to the window ends (where the scalar
     deduplication is order dependent), or a time no positive-duration leg
@@ -163,31 +165,40 @@ def difference_distance_functions_bulk(
     Args:
         store: a :class:`~repro.trajectories.columnar.ColumnarStore` (or any
             object with ``pack()``, ``slot_of`` and ``columns_for``); when
-            ``None`` the scalar path runs for every candidate.
+            ``None`` every candidate takes the scalar builder.
     """
     candidates = [
         trajectory
         for trajectory in trajectories
         if not (skip_query and trajectory.object_id == query.object_id)
     ]
-    if store is None or not candidates:
-        return [
-            difference_distance_function(candidate, query, t_lo, t_hi)
-            for candidate in candidates
-        ]
-    results: List[Optional[DistanceFunction]] = [None] * len(candidates)
-    if t_hi - t_lo > 2.0 * _EDGE_MARGIN and query.covers_interval(t_lo, t_hi):
-        _build_from_columns(results, candidates, query, t_lo, t_hi, store)
-    fallbacks = 0
-    for position, candidate in enumerate(candidates):
-        if results[position] is None:
-            results[position] = difference_distance_function(
-                candidate, query, t_lo, t_hi
-            )
-            fallbacks += 1
-    if fallbacks:
-        _TALLY.count = scalar_fallback_count() + fallbacks
-    return results  # type: ignore[return-value]
+    columns = None
+    if store is not None and t_hi - t_lo > 2.0 * _EDGE_MARGIN:
+        if query.covers_interval(t_lo, t_hi):
+            columns = _build_from_columns(candidates, query, t_lo, t_hi, store)
+    if columns is None:
+        columns = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 5
+    positions, sizes, *values = columns
+    counts = np.zeros(len(candidates), dtype=np.int64)
+    counts[positions] = sizes
+    built = {
+        position: difference_distance_function(candidates[position], query, t_lo, t_hi)
+        for position in np.flatnonzero(counts == 0).tolist()
+    }
+    if built:
+        _TALLY.count = scalar_fallback_count() + len(built)
+        scalar = FunctionPack(list(built.values()))
+        # Before the columnar pieces of the next candidates, in order.
+        at = np.repeat(np.cumsum(counts)[list(built)], np.diff(scalar.offsets))
+        theirs = (scalar.starts, scalar.ends, scalar.a, scalar.b, scalar.c)
+        values = [np.insert(column, at, more) for column, more in zip(values, theirs)]
+        counts[list(built)] = np.diff(scalar.offsets)
+    return FunctionPack.from_columns(
+        [candidate.object_id for candidate in candidates],
+        np.concatenate(([0], np.cumsum(counts))),
+        *values,
+        built,
+    )
 
 
 def scalar_fallback_count() -> int:
@@ -200,14 +211,14 @@ def scalar_fallback_count() -> int:
 
 
 def _build_from_columns(
-    results: List[Optional[DistanceFunction]],
     candidates: Sequence[Trajectory],
     query: Trajectory,
     t_lo: float,
     t_hi: float,
     store,
-) -> None:
-    """Fill ``results`` for every candidate the columnar pass can replicate."""
+) -> Optional[Tuple[np.ndarray, ...]]:
+    """The array pass: ``(positions, piece counts, starts, ends, a, b, c)``
+    of every candidate it can replicate, in candidate order, or ``None``."""
     pack = store.pack()
     positions = [
         position
@@ -215,7 +226,7 @@ def _build_from_columns(
         if store.columns_for(candidate) is not None
     ]
     if not positions:
-        return
+        return None
     ts, xs, ys = pack.ts, pack.xs, pack.ys
     slots = np.array(
         [store.slot_of(candidates[position].object_id) for position in positions],
@@ -309,26 +320,9 @@ def _build_from_columns(
     b = b_local - 2.0 * a * refs
     c = c_local - b_local * refs + a * refs * refs
 
-    # Candidates share most piece bounds (the window ends, the query's
-    # marks, a fleet's cadence): one float object per distinct time, not one
-    # per piece, keeps the retained functions as small as the scalar path's.
-    starts, stops = refs.tolist(), ends.tolist()
-    shared = {t: t for t in starts + stops}
-    pieces = [
-        HyperbolaPiece(shared[start], shared[stop], Hyperbola(a_k, b_k, c_k))
-        for start, stop, a_k, b_k, c_k in zip(
-            starts, stops, a.tolist(), b.tolist(), c.tolist()
-        )
-    ]
-    piece_stops = np.cumsum(piece_counts)
-    piece_starts = (piece_stops - piece_counts).tolist()
-    piece_stops = piece_stops.tolist()
-    for row in np.flatnonzero(ok).tolist():
-        position = positions[row]
-        results[position] = DistanceFunction(
-            candidates[position].object_id,
-            pieces[piece_starts[row] : piece_stops[row]],
-        )
+    built, keep = np.flatnonzero(ok), ok[piece_rows]
+    pieces = (column[keep] for column in (refs, ends, a, b, c))
+    return (np.array(positions, dtype=np.int64)[built], piece_counts[built], *pieces)
 
 
 def _ragged_bisect(ts: np.ndarray, lo, hi, targets, shift: float = 0.0) -> np.ndarray:

@@ -25,8 +25,9 @@ from typing import (
     Tuple,
 )
 
+from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.hyperbola import DistanceFunction
-from .difference import difference_distance_functions_bulk
+from .difference import difference_function_pack
 from .trajectory import Trajectory, UncertainTrajectory
 
 #: Changelog entries kept before old records are trimmed.  Derived structures
@@ -119,7 +120,7 @@ class MovingObjectsDatabase:
       zero-copy with :meth:`subset` views and worker-side attachments;
     * **one index per store** — :meth:`index`, shared by every engine over
       the store and patched from the changelog once per revision;
-    * **query support** — :meth:`distance_functions`,
+    * **query support** — :meth:`distance_pack`,
       :meth:`default_band_width`, and :meth:`build_index` produce the
       inputs of :class:`~repro.core.queries.QueryContext` construction and
       index-assisted candidate filtering.
@@ -696,17 +697,18 @@ class MovingObjectsDatabase:
     # Query support.
     # ------------------------------------------------------------------
 
-    def distance_functions(
+    def distance_pack(
         self,
         query_id: object,
         t_lo: float,
         t_hi: float,
         candidate_ids: Optional[Sequence[object]] = None,
-    ) -> List[DistanceFunction]:
+    ) -> FunctionPack:
         """Distance functions of (candidate) objects relative to a stored query.
 
         One batched pass over the packed columnar arrays, bit-identical to
-        the scalar builder individual candidates fall back to.
+        the scalar builder individual candidates fall back to, kept as the
+        columns of a :class:`~repro.geometry.envelope.bulk.FunctionPack`.
 
         Args:
             query_id: id of the query trajectory (must be stored).
@@ -716,7 +718,7 @@ class MovingObjectsDatabase:
                 index probe); defaults to every stored object except the query.
 
         Returns:
-            One distance function per candidate.
+            One row per candidate, in candidate order.
         """
         query = self.get(query_id)
         if candidate_ids is None:
@@ -731,9 +733,13 @@ class MovingObjectsDatabase:
                 for object_id in candidate_ids
                 if object_id != query_id
             ]
-        return difference_distance_functions_bulk(
+        return difference_function_pack(
             candidates, query, t_lo, t_hi, store=self.columnar()
         )
+
+    def distance_functions(self, *args, **kwargs) -> List[DistanceFunction]:
+        """Every function of :meth:`distance_pack` (same arguments), as a list."""
+        return list(self.distance_pack(*args, **kwargs))
 
     def clipped(self, t_lo: float, t_hi: float) -> "MovingObjectsDatabase":
         """A new MOD with every trajectory clipped to ``[t_lo, t_hi]``."""

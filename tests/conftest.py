@@ -22,6 +22,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 from repro.core import heterogeneous, ipacnn, pruning, queries
 from repro.geometry.envelope import divide_conquer, klevel
+from repro.geometry.envelope.bulk import FunctionPack
 from repro.geometry.envelope.hyperbola import DistanceFunction
 from repro.reference import band as reference_band
 from repro.trajectories.difference import difference_distance_functions
@@ -46,8 +47,9 @@ def reference_kernels(monkeypatch):
     band builder is :func:`repro.reference.band.band_intervals_batch`, the
     envelope and k-level builders are the scalar algorithms they fall back
     on (``le_alg``, ``exclusion_cascade``), and
-    ``MovingObjectsDatabase.distance_functions`` builds every candidate with
-    the scalar ``difference_distance_function``.  This is how an end-to-end
+    ``MovingObjectsDatabase.distance_functions`` (and ``distance_pack``, the
+    pack of the same list) builds every candidate with the scalar
+    ``difference_distance_function``.  This is how an end-to-end
     oracle reaches the references; production code has no switch for it.
     """
 
@@ -70,6 +72,11 @@ def reference_kernels(monkeypatch):
                 patch.setattr(module, "lower_envelope", divide_conquer.le_alg)
             patch.setattr(
                 MovingObjectsDatabase, "distance_functions", scalar_distance_functions
+            )
+            patch.setattr(
+                MovingObjectsDatabase,
+                "distance_pack",
+                lambda *args, **kwargs: FunctionPack(scalar_distance_functions(*args, **kwargs)),
             )
             yield
 

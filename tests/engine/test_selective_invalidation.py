@@ -178,3 +178,60 @@ class TestAnswersAlwaysMatchFreshEngine:
 
         batch = engine.prepare_batch(query_ids, lo, hi)
         assert engine_answers(batch) == fresh_answers(mod, query_ids, lo, hi)
+
+
+class TestExtensionsSkipStaleContextsCheaply:
+    def test_extension_batch_builds_no_relevant_set_and_probes_nothing(
+        self, world, monkeypatch
+    ):
+        # 100 cached windows, all ending by the old horizon; one batch then
+        # extends every vehicle past it.  No context can be affected, and
+        # each is cleared by one comparison with the earliest divergence.
+        from repro.engine import engine as engine_module
+
+        mod, query_ids = world
+        lo, hi = mod.common_time_span()
+        starts = [lo + 2.0 * step for step in range(20)]
+        engine = QueryEngine(mod)
+        for start in starts:
+            engine.prepare_batch(query_ids, start, start + 30.0)
+        assert engine.cache_info().size == 100
+        mod.upsert_many(
+            UncertainTrajectory(
+                trajectory.object_id,
+                list(trajectory.samples)
+                + [TrajectorySample(trajectory.samples[-1].x + 0.5, 0.0, hi + 4.0)],
+                trajectory.radius,
+            )
+            for trajectory in list(mod)
+        )
+
+        class Divergences(dict):
+            item_reads = 0
+
+            def items(self):
+                Divergences.item_reads += 1
+                return super().items()
+
+        invalidate = engine._invalidate_affected
+        monkeypatch.setattr(
+            engine, "_invalidate_affected", lambda changed: invalidate(Divergences(changed))
+        )
+        probes = []
+        probe = engine_module.corridor_probe_bulk
+        monkeypatch.setattr(
+            engine_module,
+            "corridor_probe_bulk",
+            lambda *args, **kwargs: probes.append(args) or probe(*args, **kwargs),
+        )
+        engine.refresh()
+        assert Divergences.item_reads == 0
+        assert probes == []
+        assert engine.cache_info().size == 100
+        monkeypatch.undo()
+        for start in starts:
+            batch = engine.prepare_batch(query_ids, start, start + 30.0)
+            assert all(prepared.from_cache for prepared in batch)
+            assert engine_answers(batch) == fresh_answers(
+                mod, query_ids, start, start + 30.0
+            )

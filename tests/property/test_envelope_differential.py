@@ -6,7 +6,7 @@ Every vectorized kernel of the envelope hot path —
   (:func:`repro.geometry.envelope.bulk.front_envelopes`),
 * the batched band classifier (:func:`repro.core.pruning.band_intervals_batch`), and
 * the bulk hyperbola-coefficient construction
-  (:func:`repro.trajectories.difference.difference_distance_functions_bulk`)
+  (:func:`repro.trajectories.difference.difference_function_pack`)
 
 — has its original scalar implementation pinned as the oracle
 (:func:`repro.geometry.envelope.divide_conquer.le_alg` and
