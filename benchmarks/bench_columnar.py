@@ -36,7 +36,11 @@ implementations they replaced, per database size:
   :func:`repro.engine.answers.answer_of`, vs the same context built from a
   list of ``DistanceFunction`` objects (``mod.distance_functions`` +
   ``QueryContext.build``).  It records ``context_objects_per_candidate``,
-  the functions the pack made per candidate, which the gate pins at 0.5.
+  the functions the pack made per candidate, which the gate pins at 0.5;
+* ``batch`` — one ``QueryEngine.prepare_batch`` of six cold queries (one
+  pass per stage for all six) vs six single ``prepare`` calls, answers
+  taken from each, on the city fleet at the same size.  It records
+  ``batch_prepare_speedup`` and is not gated.
 
 Every comparison asserts result equality (bit-identical pieces and
 intervals) before reporting, so a speedup can never come from a divergent
@@ -79,7 +83,7 @@ from repro.reference.corridor import TrajectoryArrays, conservative_corridor_rad
 from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
-from repro.workloads.scenarios import streaming_fleet
+from repro.workloads.scenarios import multi_query_fleet, streaming_fleet
 
 from common import default_output_path, write_record
 
@@ -308,6 +312,37 @@ def bench_context(mod: MovingObjectsDatabase) -> Dict[str, float]:
     }
 
 
+def bench_batch(num_vehicles: int, batch: int = 6) -> Dict[str, float]:
+    """One staged ``prepare_batch`` of six cold queries against six single
+    prepares, on the city fleet at the same size; answers taken from each."""
+    mod, query_ids = multi_query_fleet(num_vehicles=num_vehicles, num_queries=batch, seed=29)
+    lo, hi = 20.0, 28.0
+
+    def batched():
+        prepared = QueryEngine(mod).prepare_batch(query_ids, lo, hi)
+        return [(item.context, answer_of(item.context, "sometime")) for item in prepared]
+
+    def singles():
+        engine = QueryEngine(mod)
+        contexts = [engine.prepare(query_id, lo, hi).context for query_id in query_ids]
+        return [(context, answer_of(context, "sometime")) for context in contexts]
+
+    for (mine, answer), (theirs, expected) in zip(batched(), singles()):
+        if (
+            answer != expected
+            or not _identical_pieces(mine.envelope, theirs.envelope)
+            or mine.survivor_intervals() != theirs.survivor_intervals()
+        ):
+            raise AssertionError("the staged batch diverged from single prepares")
+    single_seconds = _best_of_three(singles)
+    batch_seconds = _best_of_three(batched)
+    return {
+        "batch_singles_ms": single_seconds * 1000.0,
+        "batch_prepare_ms": batch_seconds * 1000.0,
+        "batch_prepare_speedup": single_seconds / batch_seconds,
+    }
+
+
 def reference_answers(
     mod: MovingObjectsDatabase, query_id: object, lo: float, hi: float, rank: int
 ) -> List[List[object]]:
@@ -400,6 +435,7 @@ def run_bench(
         numbers.update(bench_lower_envelope(mod))
         numbers.update(bench_klevel(mod))
         numbers.update(bench_context(mod))
+        numbers.update(bench_batch(num_objects))
         print(
             f"N={num_objects}: pack {numbers['pack_ms']:6.1f} ms | "
             f"corridor {numbers['corridor_scalar_ms']:7.1f} -> "
@@ -421,7 +457,10 @@ def run_bench(
             f"({numbers['klevel_speedup']:4.2f}x) | "
             f"context {numbers['context_objects_ms']:6.1f} -> "
             f"{numbers['context_pack_ms']:6.1f} ms "
-            f"({numbers['context_objects_per_candidate']:.3f} objects/candidate)"
+            f"({numbers['context_objects_per_candidate']:.3f} objects/candidate) | "
+            f"batch of 6 {numbers['batch_singles_ms']:6.1f} -> "
+            f"{numbers['batch_prepare_ms']:6.1f} ms "
+            f"({numbers['batch_prepare_speedup']:4.2f}x)"
         )
         for key, value in numbers.items():
             metrics[f"n{num_objects}_{key}"] = value

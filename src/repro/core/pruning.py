@@ -21,7 +21,8 @@ cold query, so :func:`band_intervals_batch` runs it columnwise for *many*
 candidates against one envelope: the (candidate piece × envelope piece) rows
 come from the packed piece columns in one ragged NumPy pass, closed-form
 bounds decide most rows outright, and only the rest is sampled and bisected,
-all candidates' brackets in one batch.  The row loop that samples *every*
+all candidates' brackets in one batch — and :func:`band_intervals_many`
+does the same for many contexts at once.  The row loop that samples *every*
 row, which this module is pinned against bit for bit, and the original
 Brent's-method extractor live in :mod:`repro.reference.band`.
 """
@@ -145,52 +146,91 @@ def band_intervals_batch(
     compares the two with ``==``, which is what proves the bounds sound.
 
     ``functions`` may be a :class:`FunctionPack`; it is read as columns.
+    The one-context case of :func:`band_intervals_many`.
 
     Returns:
         One interval list per function, aligned with the input order.
     """
-    if band_width < 0:
-        raise ValueError("band width must be non-negative")
-    if t_hi < t_lo:
-        raise ValueError(f"empty window [{t_lo}, {t_hi}]")
-    if t_hi == t_lo:
-        results: List[List[Tuple[float, float]]] = []
-        for function in functions:
-            gap = envelope.value(t_lo) + band_width - function.value(t_lo)
-            results.append([(t_lo, t_hi)] if gap >= -_TIME_TOLERANCE else [])
+    return band_intervals_many([(functions, envelope, band_width, t_lo, t_hi)])[0]
+
+
+def band_intervals_many(
+    passes: Sequence[Tuple[Sequence[DistanceFunction], Envelope, float, float, float]],
+) -> List[List[List[Tuple[float, float]]]]:
+    """:func:`band_intervals_batch` of many contexts in one refinement pass.
+
+    Each ``(functions, envelope, band_width, t_lo, t_hi)`` pass cuts its
+    rows and decides what its closed-form bounds can on its own; the
+    undecided rows of every pass then share one sample grid, one bisection,
+    one midpoint test and one sub-interval test, with the band width as a
+    per-row column.  Bisection groups are (pass, candidate), so each
+    candidate keeps its own step budget and every result is exactly the
+    one pass's alone.
+
+    Returns:
+        One :func:`band_intervals_batch` result per pass, in order.
+    """
+    for _, _, band_width, t_lo, t_hi in passes:
+        if band_width < 0:
+            raise ValueError("band width must be non-negative")
+        if t_hi < t_lo:
+            raise ValueError(f"empty window [{t_lo}, {t_hi}]")
+    results: List[List[List[Tuple[float, float]]]] = []
+    # Per pass with rows: (its result's index, lo, hi, group, in_band,
+    # undecided rows, candidates); ``parts`` holds its undecided rows.
+    decided = []
+    parts = []
+    groups = 0
+    for functions, envelope, band_width, t_lo, t_hi in passes:
+        results.append([])
+        if t_hi == t_lo:
+            for function in functions:
+                gap = envelope.value(t_lo) + band_width - function.value(t_lo)
+                results[-1].append([(t_lo, t_hi)] if gap >= -_TIME_TOLERANCE else [])
+            continue
+        if not len(functions):
+            continue
+        lo, hi, env_coeffs, fun_coeffs, group = _band_rows_vector(
+            functions, envelope, t_lo, t_hi
+        )
+        # A row whose candidate stays under ``envelope + band``, or over it,
+        # has a gap of one strict sign at every sample the grid would take:
+        # no zero, no bracket, and a midpoint of that sign.  The sums mirror
+        # ``_gap_grid`` (adding the band is monotone; a float difference has
+        # the exact sign).
+        env_low, env_high = _value_bounds(lo, hi, env_coeffs)
+        fun_low, fun_high = _value_bounds(lo, hi, fun_coeffs)
+        in_band = env_low + band_width > fun_high
+        undecided = np.nonzero(~in_band & ~(env_high + band_width < fun_low))[0]
+        _count(lo.size, lo.size - undecided.size, undecided.size, 0)
+        decided.append((len(results) - 1, lo, hi, group, in_band, undecided, len(functions)))
+        parts.append((
+            lo[undecided], hi[undecided], env_coeffs[undecided], fun_coeffs[undecided],
+            group[undecided] + groups, np.full(undecided.size, float(band_width)),
+        ))
+        groups += len(functions)
+    if not decided:
         return results
-    if not functions:
-        return []
-    lo, hi, env_coeffs, fun_coeffs, group = _band_rows_vector(
-        functions, envelope, t_lo, t_hi
-    )
-    # A row whose candidate stays under ``envelope + band``, or over it, has
-    # a gap of one strict sign at every sample the grid would take: no zero,
-    # no bracket, and a midpoint of that sign.  The sums mirror ``_gap_grid``
-    # (adding the band is monotone; a float difference has the exact sign).
-    env_low, env_high = _value_bounds(lo, hi, env_coeffs)
-    fun_low, fun_high = _value_bounds(lo, hi, fun_coeffs)
-    in_band = env_low + band_width > fun_high
-    undecided = np.nonzero(~in_band & ~(env_high + band_width < fun_low))[0]
-    _count(lo.size, lo.size - undecided.size, undecided.size, 0)
+    lo, hi, env_coeffs, fun_coeffs, group, width = (np.concatenate(part) for part in zip(*parts))
     crossings: Dict[int, List[float]] = {}
-    if undecided.size:
-        sub_lo, sub_hi = lo[undecided], hi[undecided]
-        sub_env, sub_fun = env_coeffs[undecided], fun_coeffs[undecided]
-        times = _row_sample_grid(sub_lo, sub_hi, sub_env, sub_fun)
-        values = _gap_grid(times, sub_env, sub_fun, band_width)
+    in_band = np.zeros(lo.size, dtype=bool)
+    if lo.size:
+        times = _row_sample_grid(lo, hi, env_coeffs, fun_coeffs)
+        values = _gap_grid(times, env_coeffs, fun_coeffs, width[:, None])
         roots_by_row = _refine_bracketed_roots(
-            times, values, sub_env, sub_fun, band_width, sub_lo, sub_hi,
-            group[undecided], len(functions),
+            times, values, env_coeffs, fun_coeffs, width, lo, hi, group, groups
         )
         # Rows with no crossing are classified by one midpoint test.
-        midpoint_gaps = _gap_at((sub_lo + sub_hi) / 2.0, sub_env, sub_fun, band_width)
-        in_band[undecided] = midpoint_gaps >= 0.0
-        crossings = {
-            int(undecided[row]): roots for row, roots in roots_by_row.items() if roots
-        }
+        in_band = _gap_at((lo + hi) / 2.0, env_coeffs, fun_coeffs, width[:, None]) >= 0.0
+        crossings = {row: roots for row, roots in roots_by_row.items() if roots}
         in_band[list(crossings)] = False
-    results = _merged_runs(lo, hi, group, in_band, len(functions))
+    merged: List[List[Tuple[float, float]]] = []
+    taken = 0
+    for index, own_lo, own_hi, own_group, own_in_band, undecided, count in decided:
+        own_in_band[undecided] = in_band[taken:taken + undecided.size]
+        taken += undecided.size
+        results[index] = _merged_runs(own_lo, own_hi, own_group, own_in_band, count)
+        merged.extend(results[index])
     if crossings:
         # Sub-intervals between a row's crossings, by one batched midpoint test.
         sub_row, sub_start, sub_end = zip(*(
@@ -200,7 +240,8 @@ def band_intervals_batch(
         ))
         sub_row, start_arr, end_arr = np.array(sub_row), np.array(sub_start), np.array(sub_end)
         sub_gaps = _gap_at(
-            (start_arr + end_arr) / 2.0, env_coeffs[sub_row], fun_coeffs[sub_row], band_width
+            (start_arr + end_arr) / 2.0, env_coeffs[sub_row], fun_coeffs[sub_row],
+            width[sub_row][:, None],
         )
         inside = (end_arr - start_arr > _TIME_TOLERANCE) & (sub_gaps >= 0.0)
         owners = group[sub_row[inside]].tolist()
@@ -208,10 +249,10 @@ def band_intervals_batch(
             # Index the Python lists, not the arrays: refined roots are
             # Python floats and row bounds are np.float64, and the per-row
             # classifier emits each mark with its original type.
-            results[owner].append((sub_start[index], sub_end[index]))
+            merged[owner].append((sub_start[index], sub_end[index]))
         # Merging runs first changes nothing: rows are disjoint, in time order.
         for owner in set(owners):
-            results[owner] = _merge_intervals(results[owner])
+            merged[owner][:] = _merge_intervals(merged[owner])
     return results
 
 
@@ -543,9 +584,10 @@ def _gap_grid(
     times: np.ndarray,
     env_coeffs: np.ndarray,
     fun_coeffs: np.ndarray,
-    band_width: float,
+    band_width,
 ) -> np.ndarray:
-    """Gap values ``envelope + band − function`` over a (rows × samples) grid."""
+    """Gap values ``envelope + band − function`` over a (rows × samples) grid;
+    ``band_width`` is one width or a (rows × 1) column of them."""
     return (
         _quadratic_sqrt(times, env_coeffs)
         + band_width
@@ -582,6 +624,8 @@ def _refine_bracketed_roots(
     a bracket freezes once its candidate's budget is exhausted, so the
     refined roots are bit-identical to per-candidate calls while every
     bisection step evaluates all candidates' brackets in one batch.
+
+    ``band_width`` is one width, or one per row.
 
     Returns:
         ``{row_index: sorted deduplicated roots strictly inside the row}``.
@@ -627,11 +671,12 @@ def _refine_bracketed_roots(
         # ``_quadratic_sqrt``'s expression evaluates both curves.
         a, b, c = np.stack([env_coeffs[rows_idx], fun_coeffs[rows_idx]]).transpose(2, 0, 1)
         a, b, c = (np.ascontiguousarray(column) for column in (a, b, c))
+        band = np.broadcast_to(band_width, lo.shape)[rows_idx]
         fewest = int(steps_per_bracket.min())
         for iteration in range(int(steps_per_bracket.max())):
             t_mid = 0.5 * (t_a + t_b)
             env_mid, fun_mid = np.sqrt(np.maximum((a * t_mid + b) * t_mid + c, 0.0))
-            g_mid = env_mid + band_width - fun_mid
+            g_mid = env_mid + band - fun_mid
             go_left = g_a * g_mid <= 0.0
             if iteration < fewest:
                 move_right = ~go_left

@@ -101,7 +101,7 @@ class QueryContext:
     ) -> "QueryContext":
         """Build a context: O(N log N) envelope construction plus bookkeeping."""
         if not functions:
-            raise ValueError("need at least one candidate distance function")
+            raise ValueError("no candidate function: does any candidate cover the window?")
         if t_end < t_start:
             raise ValueError(f"empty query window [{t_start}, {t_end}]")
         if band_width < 0:
@@ -150,11 +150,6 @@ class QueryContext:
         functions = mod.distance_pack(
             query_id, t_start, t_end, candidate_ids=candidate_ids
         )
-        if not functions:
-            raise ValueError(
-                "no candidate trajectories cover the query window; "
-                "check the window or the candidate filter"
-            )
         return QueryContext.build(functions, query_id, t_start, t_end, band_width)
 
     # ------------------------------------------------------------------
@@ -187,17 +182,21 @@ class QueryContext:
         :func:`repro.core.pruning.band_intervals` call per candidate.
         """
         if not self._intervals_complete:
-            batched = band_intervals_batch(
+            self.adopt_intervals(band_intervals_batch(
                 self.pack,
                 self.envelope,
                 self.band_width,
                 self.t_start,
                 self.t_end,
-            )
-            self._intervals = dict(zip(self.pack.ids, batched))
-            self._intervals_complete = True
+            ))
         assert self._intervals is not None
         return self._intervals
+
+    def adopt_intervals(self, intervals: Sequence[List[Tuple[float, float]]]) -> None:
+        """Take every candidate's band intervals, in pack order, from a pass
+        run elsewhere (the engine's one pass over a batch's contexts)."""
+        self._intervals = dict(zip(self.pack.ids, intervals))
+        self._intervals_complete = True
 
     def _intervals_of(self, object_id: object) -> List[Tuple[float, float]]:
         """Cached inside-band intervals of one (validated) candidate.

@@ -52,10 +52,13 @@ def answer_of(
 
 @contextmanager
 def band_span(registry: MetricsRegistry, name: str, **attributes) -> Iterator:
-    """A span around :func:`answer_of` that says what the band pass did.
+    """A span around preparing contexts and taking answers from them that
+    says what the band pass did.
 
-    The pass runs when an answer is first taken from a context, under no
-    span of its own; this one carries :func:`~repro.core.pruning.band_report`
+    The engine runs the pass when it builds a context (one pass for a
+    batch's cold contexts, under ``engine.band``), a context built
+    elsewhere when its first answer is taken; this span carries
+    :func:`~repro.core.pruning.band_report`
     as ``band_rows=``, ``band_bounded=``, ``band_refined=`` (rows) and
     ``band_scalar=`` (candidates on the scalar row builder), the last three
     also in ``repro_core_band_rows_total{kind=}`` of ``registry``.

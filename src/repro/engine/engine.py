@@ -11,8 +11,9 @@ than once per *query*:
 * each query's candidate set is shrunk by a provably safe corridor probe
   (:mod:`repro.engine.filtering`) before the O(N log N) difference-function
   and envelope construction runs;
-* batches of query ids are prepared in one pass, optionally on a
-  ``concurrent.futures`` thread pool;
+* a batch of query ids is prepared in stages, every stage but the kinetic
+  front one pass over the whole batch: corridor radii, difference
+  functions, and the 4r-band refinement;
 * prepared :class:`~repro.core.queries.QueryContext`s are memoized in an
   LRU cache keyed by (query id, window, band width), so re-evaluating a
   continuous query on a refreshed dashboard is a dictionary lookup.
@@ -21,18 +22,17 @@ than once per *query*:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.pruning import band_intervals_many
 from ..core.queries import QueryContext
 from ..geometry.envelope.bulk import front_report, front_tally
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import NOOP_SPAN as _NO_SPAN, trace_span
-from ..trajectories.difference import scalar_fallback_count
+from ..obs.tracing import trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from .answers import Answer, answer_of, band_span
 from .cache import CacheInfo, ContextCache
@@ -131,8 +131,6 @@ class QueryEngine:
             ``query_corridor`` probes.
         leaf_capacity: R-tree leaf capacity when building an R-tree.
         grid_cells: cells per axis when building a grid.
-        max_workers: when > 1, prepare batch members on a thread pool of
-            this size; ``None``/1 prepares serially.
         cache_size: capacity of the LRU context cache.
         registry: the :class:`~repro.obs.MetricsRegistry` engine metrics
             land in (``repro_engine_*``); a private registry when ``None``,
@@ -146,12 +144,9 @@ class QueryEngine:
         *,
         leaf_capacity: int = 16,
         grid_cells: int = 32,
-        max_workers: Optional[int] = None,
         cache_size: int = 256,
         registry: Optional[MetricsRegistry] = None,
     ):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if isinstance(index, str) and index not in ("rtree", "grid"):
             raise ValueError(
                 f"unknown index kind {index!r} (expected 'rtree', 'grid', None, "
@@ -161,10 +156,8 @@ class QueryEngine:
         self._index_kind = index if index in ("rtree", "grid") else None
         self._leaf_capacity = leaf_capacity
         self._grid_cells = grid_cells
-        self._max_workers = max_workers
         self._cache_size = cache_size
         self._cache = ContextCache(max_size=cache_size)
-        self._band_widths: Dict[object, float] = {}
         self._mod_revision = mod.revision
         # Instruments are resolved once here; the hot paths below touch
         # them with plain attribute calls only (no registry lookups).
@@ -253,7 +246,7 @@ class QueryEngine:
         """
         if band_width is None:
             try:
-                band_width = self._default_band_width(query_id)
+                band_width = self.mod.default_band_width(query_id)
             except (KeyError, ValueError):
                 return False
         from .cache import context_key
@@ -261,19 +254,6 @@ class QueryEngine:
         return self._cache.discard(
             context_key(query_id, t_start, t_end, band_width)
         )
-
-    def _default_band_width(self, query_id: object) -> float:
-        """The MOD's default 4r band width, memoized until the MOD changes.
-
-        The value depends only on the stored pdf supports, but computing it
-        scans every trajectory; memoizing keeps fully cached batch refreshes
-        at dictionary-lookup cost.
-        """
-        width = self._band_widths.get(query_id)
-        if width is None:
-            width = self.mod.default_band_width(query_id)
-            self._band_widths[query_id] = width
-        return width
 
     def refresh(self) -> None:
         """Resynchronize derived state when the MOD contents changed.
@@ -301,13 +281,7 @@ class QueryEngine:
         ) as span:
             if changed is None:
                 self._cache = ContextCache(max_size=self._cache_size)
-                self._band_widths = {}
             else:
-                # Band widths depend only on the set of stored pdf supports;
-                # pure replacements with finite divergence times (same
-                # radius, same pdf) provably leave them untouched.
-                if any(divergence is None for divergence in changed.values()):
-                    self._band_widths = {}
                 self._invalidate_affected(changed)
             index_action = self._sync_index()
             span.set("index", index_action)
@@ -407,7 +381,7 @@ class QueryEngine:
         """
         self.refresh()
         if band_width is None:
-            band_width = self._default_band_width(query_id)
+            band_width = self.mod.default_band_width(query_id)
         if self._index is None:
             return all_other_ids(self.mod, query_id)
         candidates, _ = filter_candidates(
@@ -432,7 +406,7 @@ class QueryEngine:
             raise ValueError(f"empty query window [{t_start}, {t_end}]")
         self.refresh()
         if band_width is None:
-            band_width = self._default_band_width(query_id)
+            band_width = self.mod.default_band_width(query_id)
         started = time.perf_counter()
         # Unfiltered preparations (use_index=False) exist to *measure* the
         # no-filter path, so they bypass the cache in both directions.
@@ -454,9 +428,7 @@ class QueryEngine:
             )
         self._m_cache_misses.inc()
         with trace_span("engine.prepare", query=query_id):
-            prepared = self._prepare_uncached(
-                query_id, t_start, t_end, band_width, use_index, started
-            )
+            (prepared,) = self._build([query_id], t_start, t_end, [band_width], use_index)
         self._m_prepare.observe(prepared.prepare_seconds)
         if use_index:
             self._cache.put(query_id, t_start, t_end, band_width, prepared.context)
@@ -491,7 +463,7 @@ class QueryEngine:
         """Prepare a batch of queries over a shared window in one pass.
 
         Cached members are served immediately; the remainder are built
-        serially or on a thread pool, depending on ``max_workers``.
+        together, in stages (:meth:`_build`).
 
         Args:
             query_ids: ids of the query trajectories (duplicates allowed; the
@@ -525,7 +497,7 @@ class QueryEngine:
             query_id: (
                 band_width
                 if band_width is not None
-                else self._default_band_width(query_id)
+                else self.mod.default_band_width(query_id)
             )
             for query_id in query_ids
         }
@@ -569,54 +541,18 @@ class QueryEngine:
                 first_build[key] = position
                 builders.append(position)
 
-        # One bulk-kernel pass computes every pending corridor radius over
-        # the packed columns before the (possibly threaded) builds start.
-        corridors: Dict[int, float] = {}
-        if use_index and self._index is not None and t_end > t_start and builders:
-            corridor_started = time.perf_counter()
-            with trace_span("engine.corridor_bulk", queries=len(builders)):
-                radii = corridor_probe_bulk(
-                    self.mod,
-                    [query_ids[position] for position in builders],
-                    t_start,
-                    t_end,
-                    [widths[query_ids[position]] for position in builders],
-                )
-            self._m_corridor.observe(time.perf_counter() - corridor_started)
-            corridors = {
-                position: float(radius)
-                for position, radius in zip(builders, radii)
-            }
-
-        # Thread-pool builds run off this thread, where nesting under the
-        # batch span via the thread-local stack would misattach — they
-        # build untraced; serial builds nest normally.
-        threaded = bool(
-            self._max_workers and self._max_workers > 1 and len(builders) > 1
-        )
-
-        def build(position: int) -> PreparedQuery:
-            query_id = query_ids[position]
-            return self._prepare_uncached(
-                query_id,
-                t_start,
-                t_end,
-                widths[query_id],
-                use_index,
-                time.perf_counter(),
-                corridor=corridors.get(position),
-                traced=not threaded,
-            )
-
-        if threaded:
-            with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-                built = list(pool.map(build, builders))
-        else:
-            built = [build(position) for position in builders]
+        built: List[PreparedQuery] = []
         # Skipped entirely on the all-cached warm path: a dashboard refresh
         # batch must pay for exactly one counter update and one histogram
         # observation (see benchmarks/bench_obs.py).
         if builders:
+            built = self._build(
+                [query_ids[position] for position in builders],
+                t_start,
+                t_end,
+                [widths[query_ids[position]] for position in builders],
+                use_index,
+            )
             self._m_cache_misses.inc(len(builders))
             batch_span.set("cached", len(query_ids) - len(pending))
             batch_span.set("built", len(builders))
@@ -668,14 +604,14 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def _kernel_span(self, traced: bool = True, **attributes) -> Iterator:
+    def _kernel_span(self, **attributes) -> Iterator:
         """An ``engine.kernel`` span that says what the kinetic front did
         inside it: ``events=``, ``dirty_slabs=`` and ``dirty_time_share=``
         (the share of window time the scalar algorithm recomputed) on the
         span, the slabs in ``repro_geometry_envelope_slabs_total{kind=}``.
         """
         before = front_tally()
-        with trace_span("engine.kernel", **attributes) if traced else _NO_SPAN as span:
+        with trace_span("engine.kernel", **attributes) as span:
             yield span
             front = front_report(before)
             for name in ("events", "dirty_slabs", "dirty_time_share"):
@@ -684,56 +620,84 @@ class QueryEngine:
             if front[f"{kind}_slabs"]:
                 counter.inc(front[f"{kind}_slabs"])
 
-    def _prepare_uncached(
+    def _build(
         self,
-        query_id: object,
+        query_ids: Sequence[object],
         t_start: float,
         t_end: float,
-        band_width: float,
+        widths: Sequence[float],
         use_index: bool,
-        started: float,
-        corridor: Optional[float] = None,
-        traced: bool = True,
-    ) -> PreparedQuery:
-        candidate_ids: Optional[List[object]] = None
+    ) -> List[PreparedQuery]:
+        """Cold contexts of distinct ``(query, width)`` pairs, in stages.
+
+        Every stage but the kinetic front is one pass over all of them:
+        corridor radii from the window's samples, one difference pass over
+        every (query, candidate) row, the front per context under its
+        ``engine.kernel`` span, then one band refinement over every
+        context's undecided rows, whose interval maps seed the contexts.  A
+        member's ``prepare_seconds`` is its own stages plus an equal share
+        of the batch passes.
+        """
+        count = len(query_ids)
+        own = [0.0] * count
+        candidates: List[Optional[List[object]]] = [None] * count
+        corridors: List[Optional[float]] = [None] * count
+        started = time.perf_counter()
         # A zero-length window cannot be sliced into probe segments (and the
         # preparation it gates is trivial anyway), so it skips the filter.
         if use_index and self._index is not None and t_end > t_start:
-            filter_started = time.perf_counter()
-            with trace_span("engine.filter", query=query_id) if traced else _NO_SPAN:
-                candidate_ids, corridor = filter_candidates(
-                    self.mod, self._index, query_id, t_start, t_end, band_width,
-                    corridor=corridor,
+            with trace_span("engine.corridor_bulk", queries=count):
+                radii = corridor_probe_bulk(self.mod, query_ids, t_start, t_end, widths)
+            self._m_corridor.observe(time.perf_counter() - started)
+            for position, query_id in enumerate(query_ids):
+                filter_started = time.perf_counter()
+                with trace_span("engine.filter", query=query_id):
+                    candidates[position], corridors[position] = filter_candidates(
+                        self.mod, self._index, query_id, t_start, t_end,
+                        widths[position], corridor=float(radii[position]),
+                    )
+                own[position] = time.perf_counter() - filter_started
+                self._m_corridor.observe(own[position])
+        with trace_span("engine.difference", queries=count):
+            difference_started = time.perf_counter()
+            packs = self.mod.distance_packs(query_ids, t_start, t_end, candidates)
+            difference = (time.perf_counter() - difference_started) / count
+        contexts = []
+        for position, (query_id, pack) in enumerate(zip(query_ids, packs)):
+            kernel_started = time.perf_counter()
+            # A fresh pack holds the functions the scalar builder made, only.
+            fallbacks = pack.materialized
+            with self._kernel_span(
+                query=query_id,
+                candidates=-1 if candidates[position] is None else len(candidates[position]),
+                scalar_fallbacks=fallbacks,
+            ):
+                contexts.append(
+                    QueryContext.build(pack, query_id, t_start, t_end, widths[position])
                 )
-            self._m_corridor.observe(time.perf_counter() - filter_started)
-        else:
-            corridor = None
-        kernel_started = time.perf_counter()
-        fallbacks_before = scalar_fallback_count()
-        with self._kernel_span(
-            traced,
-            query=query_id,
-            candidates=len(candidate_ids) if candidate_ids is not None else -1,
-        ) as span:
-            context = QueryContext.from_mod(
-                self.mod,
-                query_id,
-                t_start,
-                t_end,
-                band_width=band_width,
-                candidate_ids=candidate_ids,
+            kernel = difference + time.perf_counter() - kernel_started
+            own[position] += kernel
+            self._m_kernel.observe(kernel)
+            if fallbacks:
+                self._m_difference_fallbacks.inc(fallbacks)
+        with trace_span("engine.band", contexts=count):
+            intervals = band_intervals_many([
+                (context.pack, context.envelope, context.band_width, t_start, t_end)
+                for context in contexts
+            ])
+        for context, maps in zip(contexts, intervals):
+            context.adopt_intervals(maps)
+        # The corridor and band passes, shared equally; the sums add up.
+        shared = (time.perf_counter() - started - sum(own)) / count
+        return [
+            PreparedQuery(
+                query_id=query_id,
+                context=context,
+                candidate_count=len(context.functions),
+                total_candidates=len(self.mod) - 1,
+                corridor_radius=corridor,
+                from_cache=False,
+                prepare_seconds=seconds + shared,
             )
-            scalar_fallbacks = scalar_fallback_count() - fallbacks_before
-            span.set("scalar_fallbacks", scalar_fallbacks)
-        self._m_kernel.observe(time.perf_counter() - kernel_started)
-        if scalar_fallbacks:
-            self._m_difference_fallbacks.inc(scalar_fallbacks)
-        return PreparedQuery(
-            query_id=query_id,
-            context=context,
-            candidate_count=len(context.functions),
-            total_candidates=len(self.mod) - 1,
-            corridor_radius=corridor,
-            from_cache=False,
-            prepare_seconds=time.perf_counter() - started,
-        )
+            for query_id, context, corridor, seconds in zip(query_ids, contexts, corridors, own)
+        ]

@@ -52,15 +52,20 @@ def corridor_probe_bulk(
     when no candidate covers the window — "do not filter": a partial
     candidate's overlap maximum says nothing about the envelope outside its
     overlap).  The candidates' own breakpoints go through one (objects ×
-    samples) reduction and the query-side fixed times through one (times ×
-    objects) reduction; values are bit-identical to the per-query loop of
-    :func:`repro.reference.corridor.conservative_corridor_radius`.
+    in-window samples) reduction and the query-side fixed times through one
+    (times × objects) reduction; values are bit-identical to the per-query
+    loop of :func:`repro.reference.corridor.conservative_corridor_radius`.
+
+    Only the window's samples differ from query to query: every sample
+    before the window lies below every fixed time and every one after it
+    above, so one pass per batch counts the former per object and finds
+    each object's in-window run, and each query then reads those runs alone.
 
     Args:
         mod: the moving objects database.
         query_ids: ids of the query trajectories (must be stored).
         t_lo: shared window start.
-        t_hi: shared window end.
+        t_hi: shared window end (not before ``t_lo``).
         band_widths: per-query band widths, aligned with ``query_ids``.
         store: an optional pre-synced
             :class:`~repro.trajectories.columnar.ColumnarStore`; defaults
@@ -68,6 +73,8 @@ def corridor_probe_bulk(
     """
     if len(band_widths) != len(query_ids):
         raise ValueError("band_widths must align with query_ids")
+    if t_hi < t_lo:
+        raise ValueError(f"empty window [{t_lo}, {t_hi}]")
     if store is None:
         store = mod.columnar()
     ids, starts, lengths, all_t, all_x, all_y = store.flat()
@@ -81,6 +88,12 @@ def corridor_probe_bulk(
     )
     in_window = (all_t >= t_lo - TIME_TOLERANCE) & (all_t <= t_hi + TIME_TOLERANCE)
     interior = np.maximum(lengths - 1, 1)
+    # Each object's times are sorted, so its in-window samples are one run.
+    before = np.add.reduceat((all_t < t_lo - TIME_TOLERANCE).astype(np.int64), starts)
+    held = np.add.reduceat(in_window.astype(np.int64), starts) > 0
+    inside = np.flatnonzero(in_window)
+    runs = np.searchsorted(inside, starts[held])
+    window_t, window_x, window_y = all_t[inside], all_x[inside], all_y[inside]
     for position, query_id in enumerate(query_ids):
         eligible = covers.copy()
         eligible[store.slot_of(query_id)] = False
@@ -89,12 +102,14 @@ def corridor_probe_bulk(
             continue
         query_t, query_x, query_y = store.columns(query_id)
 
-        # (a) candidates' own in-window breakpoints vs the interpolated query.
-        query_x_at = np.interp(all_t, query_t, query_x)
-        query_y_at = np.interp(all_t, query_t, query_y)
-        squared = (all_x - query_x_at) ** 2 + (all_y - query_y_at) ** 2
-        squared = np.where(in_window, squared, -np.inf)
-        per_candidate = np.maximum.reduceat(squared, starts)
+        # (a) candidates' own in-window breakpoints vs the interpolated
+        # query; an object without one reads -inf.
+        per_candidate = np.full(len(ids), -np.inf)
+        if inside.size:
+            squared = (window_x - np.interp(window_t, query_t, query_x)) ** 2 + (
+                window_y - np.interp(window_t, query_t, query_y)
+            ) ** 2
+            per_candidate[held] = np.maximum.reduceat(squared, runs)
 
         # (b) fixed times — window endpoints plus the query's in-window
         # breakpoints — evaluated for every candidate at once.  Chunking
@@ -110,9 +125,11 @@ def corridor_probe_bulk(
         )
         for chunk_start in range(0, fixed_all.size, _FIXED_TIME_CHUNK):
             fixed = fixed_all[chunk_start:chunk_start + _FIXED_TIME_CHUNK]
-            below = np.add.reduceat(
-                (all_t[None, :] < fixed[:, None]).astype(np.int64), starts, axis=1
-            )
+            below = np.repeat(before[None, :], fixed.size, axis=0)
+            if inside.size:
+                below[:, held] += np.add.reduceat(
+                    (window_t[None, :] < fixed[:, None]).astype(np.int64), runs, axis=1
+                )
             segment = np.clip(below, 1, interior)
             hi_idx = starts[None, :] + segment
             lo_idx = hi_idx - 1

@@ -14,13 +14,12 @@ partitioned, so nothing can escape: ``fallback_ratio`` is constantly 0.
 
 Backends
 --------
-* ``"serial"`` / ``"thread"`` — one in-process :class:`QueryEngine` over the
-  store: a batch is one :meth:`~QueryEngine.prepare_batch` (one bulk
-  corridor probe for all of it) plus answer extraction.  ``"thread"`` hands
-  ``max_workers`` to that engine's own preparation pool and is otherwise
-  ``"serial"``; two threads over one engine measured *no* faster than one
-  (66.5 vs 62.7 ms on cold 6-query batches at N=2000: the kernels hold the
-  GIL at these sizes), so there is no second pool here.
+* ``"serial"`` / ``"thread"`` — one name for one path: an in-process
+  :class:`QueryEngine` over the store, a batch one
+  :meth:`~QueryEngine.prepare_batch` (one pass per stage for all of it)
+  plus answer extraction.  Two threads over one engine measured *slower*
+  than one (0.71× on cold 6-query batches at N=2000: the kernels hold the
+  GIL at these sizes), so there is no thread pool.
 * ``"process"`` — spawned workers that each attach the parent's
   shared-memory column export
   (:class:`~repro.trajectories.shared.SharedColumnarStore`), build their
@@ -139,7 +138,7 @@ class ShardedEngine:
         index: index kind (``"rtree"`` or ``"grid"``), or ``None`` to
             disable candidate filtering.
         max_workers: process-pool width (default ``min(num_shards,
-            cpu_count)``); on ``"thread"``, the engine's preparation pool.
+            cpu_count)``).
         mp_start_method: multiprocessing start method for the process
             backend (``"spawn"`` by default — never the platform default,
             which forks on Linux and is unsafe next to live threads).
@@ -200,9 +199,6 @@ class ShardedEngine:
         self._mp_start_method = mp_start_method or "spawn"
         self._token = (os.getpid(), next(_instance_counter))
         self._engine = engine
-        #: Parent-resolved default band widths (process backend), per revision.
-        self._band_widths: Dict[object, float] = {}
-        self._band_widths_revision = mod.revision
         #: Released by close() or, failing that, the GC finalizer.
         self._resources = _Resources()
         self._finalizer = weakref.finalize(self, self._resources.release)
@@ -307,7 +303,6 @@ class ShardedEngine:
                 index=self._index_kind,
                 leaf_capacity=self._leaf_capacity,
                 grid_cells=self._grid_cells,
-                max_workers=self._max_workers if self.backend == "thread" else None,
                 cache_size=self._cache_size,
                 registry=self.registry,
             )
@@ -340,18 +335,6 @@ class ShardedEngine:
         else:
             shared.sync()
         return shared
-
-    def _band_width(self, query_id: object) -> float:
-        """The full store's default 4r band width, memoized until a change."""
-        if self._band_widths_revision != self.mod.revision:
-            self._band_widths = {}
-            self._band_widths_revision = self.mod.revision
-        width = self._band_widths.get(query_id)
-        if width is None:
-            width = self._band_widths[query_id] = self.mod.default_band_width(
-                query_id
-            )
-        return width
 
     def _run_process(
         self,
@@ -479,7 +462,7 @@ class ShardedEngine:
                         query_id,
                         band_width
                         if band_width is not None
-                        else self._band_width(query_id),
+                        else self.mod.default_band_width(query_id),
                     )
                     for query_id in unique_ids
                 ]

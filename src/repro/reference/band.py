@@ -105,6 +105,11 @@ def band_intervals_batch(
     return results
 
 
+def band_intervals_many(passes) -> List[List[List[Tuple[float, float]]]]:
+    """Band intervals of many contexts, one :func:`band_intervals_batch` each."""
+    return [band_intervals_batch(*arguments) for arguments in passes]
+
+
 def _classify_rows(
     lo: np.ndarray,
     hi: np.ndarray,

@@ -46,7 +46,7 @@ class EnginePool:
             by default: the service already runs evaluations off the event
             loop, and threads avoid per-request pickling).
         index: index kind for the engines (``"rtree"`` or ``"grid"``).
-        max_workers: worker-pool width for both engine kinds.
+        max_workers: process-pool width of a ``"process"`` sharded backend.
         cache_size: context-cache capacity of the engine.
         force_backend: pin every batch to ``"single"`` or ``"sharded"``
             regardless of store size (``None`` sizes dynamically).
@@ -108,7 +108,6 @@ class EnginePool:
             self._single = QueryEngine(
                 self.mod,
                 index=self._index,
-                max_workers=self._max_workers,
                 cache_size=self._cache_size,
                 registry=self.registry,
             )

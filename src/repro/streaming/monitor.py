@@ -104,7 +104,6 @@ class ContinuousMonitor:
             or ``"grid"``).
         cache_size: context-cache capacity; keep it above the number of
             standing queries so unaffected queries always hit.
-        max_workers: thread-pool width for batch preparation.
         registry: the :class:`~repro.obs.MetricsRegistry` the monitor and
             its internal engine report into (``repro_monitor_*`` /
             ``repro_engine_*``); a private registry when ``None``.
@@ -116,7 +115,6 @@ class ContinuousMonitor:
         *,
         index: str = "rtree",
         cache_size: int = 1024,
-        max_workers: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         if len(mod) == 0:
@@ -130,7 +128,6 @@ class ContinuousMonitor:
             mod,
             index=index,
             cache_size=cache_size,
-            max_workers=max_workers,
             registry=self.registry,
         )
         self.ingestor = StreamIngestor()

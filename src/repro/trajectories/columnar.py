@@ -15,8 +15,9 @@ contiguous arrays:
 The store stays in sync with the MOD through the existing
 :class:`~repro.trajectories.mod.ChangeRecord` changelog: a ``sync()`` after
 streaming updates re-extracts only the *changed* objects' samples (the
-Python-level cost) and re-concatenates the pack lazily with one C-level
-pass; untouched objects keep their per-object column arrays.  Per-object
+Python-level cost; an extension that keeps its source's sample objects
+reads its new tail only) and re-concatenates the pack lazily with one
+C-level pass; untouched objects keep their per-object column arrays.  Per-object
 column arrays are immutable once built, which makes three things safe and
 cheap:
 
@@ -37,6 +38,7 @@ loads.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import is_
 from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,10 +87,11 @@ class ColumnarPack(NamedTuple):
 
 
 def _extract_columns(
-    trajectory: Trajectory,
+    trajectory: Trajectory, first: int = 0
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fresh ``(ts, xs, ys)`` column arrays from a trajectory's samples."""
-    samples = trajectory.samples
+    """Fresh ``(ts, xs, ys)`` column arrays from a trajectory's samples
+    (from sample ``first`` on)."""
+    samples = trajectory.samples[first:]
     ts = np.array([sample.t for sample in samples])
     xs = np.array([sample.x for sample in samples])
     ys = np.array([sample.y for sample in samples])
@@ -192,13 +195,25 @@ class ColumnarStore:
         if object_id not in self._order:
             self._order[object_id] = None
             self._invalidate_pack()
-        if self._sources.get(object_id) is trajectory:
+        previous = self._sources.get(object_id)
+        if previous is trajectory:
             return
         columns = None
         if self._seed is not None:
             columns = self._seed.columns_for(trajectory)
         if columns is None:
-            columns = _extract_columns(trajectory)
+            kept = 0 if previous is None else len(previous.samples)
+            # An extension keeps its source's sample objects (the WAL's rule
+            # for extension frames): only the tail is read.
+            if kept and len(trajectory.samples) >= kept and all(
+                map(is_, previous.samples, trajectory.samples)
+            ):
+                columns = self._columns[object_id]
+                if len(trajectory.samples) > kept:
+                    tail = _extract_columns(trajectory, kept)
+                    columns = tuple(np.concatenate(pair) for pair in zip(columns, tail))
+            else:
+                columns = _extract_columns(trajectory)
         self._columns[object_id] = columns
         self._sources[object_id] = trajectory
         self._radii[object_id] = (

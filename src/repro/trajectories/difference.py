@@ -140,65 +140,92 @@ def difference_function_pack(
     skip_query: bool = True,
     store=None,
 ) -> FunctionPack:
-    """Distance functions of many candidates as one :class:`FunctionPack`.
+    """Distance functions of many candidates as one :class:`FunctionPack`:
+    the one-query case of :func:`difference_function_packs`."""
+    return difference_function_packs([(trajectories, query)], t_lo, t_hi, skip_query, store)[0]
+
+
+def difference_function_packs(
+    groups: Sequence[Tuple[Sequence[Trajectory], Trajectory]],
+    t_lo: float,
+    t_hi: float,
+    skip_query: bool = True,
+    store=None,
+) -> List[FunctionPack]:
+    """One :class:`FunctionPack` per ``(candidates, query)`` group, in one pass.
 
     One ragged NumPy pass over the columnar pack builds the hyperbola
-    coefficients of every candidate, however many of its samples fall inside
-    the window.  Per candidate the aligned marks are the union of its own
-    and the query's interior sample times (bitwise-equal times collapse, as
-    they do on a fleet reporting on one shared cadence); every (candidate,
-    piece) pair then takes its reference position and midpoint velocity on
-    both sides from the leg :meth:`Trajectory.segment_at` would return — the
-    first leg of positive duration whose tolerance-widened span contains the
-    time — with the scalar builder's exact float expressions.  A candidate
-    without interior samples is the zero-marks case of the same pass.  Its
-    columns become the pack's: no function object is made here.
+    coefficients of every (query, candidate) row of every group, however
+    many of its samples fall inside the window.  Per row the aligned marks
+    are the union of the candidate's and the query's interior sample times
+    (bitwise-equal times collapse, as they do on a fleet reporting on one
+    shared cadence); every (row, piece) pair then takes its reference
+    position and midpoint velocity on both sides from the leg
+    :meth:`Trajectory.segment_at` would return — the first leg of positive
+    duration whose tolerance-widened span contains the time — with the
+    scalar builder's exact float expressions.  A row without interior
+    samples is the zero-marks case of the same pass.  Its columns become
+    its group's pack: no function object is made here.
 
-    Candidates the pass cannot provably replicate are built by
-    :func:`difference_distance_function` individually and spliced in, so the
-    pack equals the pack of :func:`difference_distance_functions`: stale
-    columns, a window it does not cover, *distinct* marks closer than
+    Rows the pass cannot provably replicate are built by
+    :func:`difference_distance_function` individually and spliced into
+    their group's pack, so each pack equals the pack of
+    :func:`difference_distance_functions`: stale columns, a window the
+    candidate or the query does not cover, *distinct* marks closer than
     ``_EDGE_MARGIN`` to each other or to the window ends (where the scalar
     deduplication is order dependent), or a time no positive-duration leg
-    contains.  :func:`scalar_fallback_count` tallies them.
+    contains.  :func:`scalar_fallback_count` tallies them, and a fresh
+    pack's ``materialized`` counts its own.
 
     Args:
         store: a :class:`~repro.trajectories.columnar.ColumnarStore` (or any
             object with ``pack()``, ``slot_of`` and ``columns_for``); when
             ``None`` every candidate takes the scalar builder.
     """
-    candidates = [
-        trajectory
-        for trajectory in trajectories
-        if not (skip_query and trajectory.object_id == query.object_id)
+    groups = [
+        (
+            [
+                trajectory
+                for trajectory in trajectories
+                if not (skip_query and trajectory.object_id == query.object_id)
+            ],
+            query,
+        )
+        for trajectories, query in groups
     ]
     columns = None
     if store is not None and t_hi - t_lo > 2.0 * _EDGE_MARGIN:
-        if query.covers_interval(t_lo, t_hi):
-            columns = _build_from_columns(candidates, query, t_lo, t_hi, store)
+        columns = _build_from_columns(groups, t_lo, t_hi, store)
     if columns is None:
         columns = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 5
-    positions, sizes, *values = columns
-    counts = np.zeros(len(candidates), dtype=np.int64)
+    positions, sizes, *columns = columns
+    rows = np.cumsum([0] + [len(candidates) for candidates, _ in groups])
+    counts = np.zeros(rows[-1], dtype=np.int64)
     counts[positions] = sizes
-    built = {
-        position: difference_distance_function(candidates[position], query, t_lo, t_hi)
-        for position in np.flatnonzero(counts == 0).tolist()
-    }
-    if built:
-        _TALLY.count = scalar_fallback_count() + len(built)
-        scalar = FunctionPack(list(built.values()))
-        # Before the columnar pieces of the next candidates, in order.
-        at = np.repeat(np.cumsum(counts)[list(built)], np.diff(scalar.offsets))
-        theirs = (scalar.starts, scalar.ends, scalar.a, scalar.b, scalar.c)
-        values = [np.insert(column, at, more) for column, more in zip(values, theirs)]
-        counts[list(built)] = np.diff(scalar.offsets)
-    return FunctionPack.from_columns(
-        [candidate.object_id for candidate in candidates],
-        np.concatenate(([0], np.cumsum(counts))),
-        *values,
-        built,
-    )
+    pieces = np.concatenate(([0], np.cumsum(counts)))
+    packs = []
+    for (candidates, query), first, stop in zip(groups, rows[:-1], rows[1:]):
+        own = counts[first:stop].copy()
+        values = [column[pieces[first]:pieces[stop]] for column in columns]
+        built = {
+            position: difference_distance_function(candidates[position], query, t_lo, t_hi)
+            for position in np.flatnonzero(own == 0).tolist()
+        }
+        if built:
+            _TALLY.count = scalar_fallback_count() + len(built)
+            scalar = FunctionPack(list(built.values()))
+            # Before the columnar pieces of the next candidates, in order.
+            at = np.repeat(np.cumsum(own)[list(built)], np.diff(scalar.offsets))
+            theirs = (scalar.starts, scalar.ends, scalar.a, scalar.b, scalar.c)
+            values = [np.insert(column, at, more) for column, more in zip(values, theirs)]
+            own[list(built)] = np.diff(scalar.offsets)
+        packs.append(FunctionPack.from_columns(
+            [candidate.object_id for candidate in candidates],
+            np.concatenate(([0], np.cumsum(own))),
+            *values,
+            built,
+        ))
+    return packs
 
 
 def scalar_fallback_count() -> int:
@@ -211,27 +238,46 @@ def scalar_fallback_count() -> int:
 
 
 def _build_from_columns(
-    candidates: Sequence[Trajectory],
-    query: Trajectory,
+    groups: Sequence[Tuple[Sequence[Trajectory], Trajectory]],
     t_lo: float,
     t_hi: float,
     store,
 ) -> Optional[Tuple[np.ndarray, ...]]:
     """The array pass: ``(positions, piece counts, starts, ends, a, b, c)``
-    of every candidate it can replicate, in candidate order, or ``None``."""
+    of every (query, candidate) row it can replicate, in row order, or
+    ``None``; a row's position counts the candidates of earlier groups."""
     pack = store.pack()
-    positions = [
-        position
-        for position, candidate in enumerate(candidates)
-        if store.columns_for(candidate) is not None
-    ]
+    ts, xs, ys = pack.ts, pack.xs, pack.ys
+    positions: List[int] = []
+    row_group: List[int] = []
+    slots: List[int] = []
+    # Each query's samples: its pack slice, or its own columns after the pack.
+    query_first: List[int] = []
+    query_last: List[int] = []
+    extracted = [(ts, xs, ys)]
+    taken = ts.size
+    query_marks = []
+    offset = 0
+    for group, (candidates, query) in enumerate(groups):
+        if query.covers_interval(t_lo, t_hi):
+            for position, candidate in enumerate(candidates):
+                if store.columns_for(candidate) is not None:
+                    positions.append(offset + position)
+                    row_group.append(group)
+                    slots.append(store.slot_of(candidate.object_id))
+        offset += len(candidates)
+        if store.columns_for(query) is not None:
+            query_first.append(int(pack.starts[store.slot_of(query.object_id)]))
+        else:
+            extracted.append(_extract_columns(query))
+            query_first.append(taken)
+            taken += extracted[-1][0].size
+        query_last.append(query_first[-1] + len(query.samples) - 1)
+        query_marks.append(np.array(query.breakpoints_in(t_lo, t_hi), dtype=float))
     if not positions:
         return None
-    ts, xs, ys = pack.ts, pack.xs, pack.ys
-    slots = np.array(
-        [store.slot_of(candidates[position].object_id) for position in positions],
-        dtype=np.int64,
-    )
+    slots = np.array(slots, dtype=np.int64)
+    row_group = np.array(row_group, dtype=np.int64)
     count = slots.size
     first = pack.starts[slots]
     last = first + pack.lengths[slots] - 1
@@ -252,17 +298,20 @@ def _build_from_columns(
         ),
     )
     inner_count = np.maximum(inner_stop - inner_first, 0)
-    query_marks = np.array(query.breakpoints_in(t_lo, t_hi), dtype=float)
 
-    # Sorted union per candidate row; equal times collapse to one mark.
+    # Sorted union per row; equal times collapse to one mark.
     own_total = int(inner_count.sum())
     own_index = np.arange(own_total) + np.repeat(
         inner_first - (np.cumsum(inner_count) - inner_count), inner_count
     )
     rows = np.arange(count)
-    times = np.concatenate((ts[own_index], np.tile(query_marks, count)))
+    members = np.bincount(row_group, minlength=len(groups))
+    mark_counts = np.array([own.size for own in query_marks], dtype=np.int64)
+    times = np.concatenate(
+        [ts[own_index]] + [np.tile(own, size) for own, size in zip(query_marks, members)]
+    )
     time_rows = np.concatenate(
-        (np.repeat(rows, inner_count), np.repeat(rows, query_marks.size))
+        (np.repeat(rows, inner_count), np.repeat(rows, mark_counts[row_group]))
     )
     order = np.lexsort((times, time_rows))
     times, time_rows = times[order], time_rows[order]
@@ -292,12 +341,19 @@ def _build_from_columns(
     # The scalar builder drops sliver pieces; the margins above leave none.
     ok[piece_rows[ends - refs <= _TIME_TOLERANCE]] = False
 
-    query_columns = store.columns_for(query) or _extract_columns(query)
+    query_columns = extracted[0] if len(extracted) == 1 else tuple(
+        np.concatenate(column) for column in zip(*extracted)
+    )
+    piece_groups = row_group[piece_rows]
     times = np.stack((refs, mids))
     sides = []
     for columns, leg_first, leg_last in (
         ((ts, xs, ys), first[piece_rows], last[piece_rows]),
-        (query_columns, 0, query_columns[0].size - 1),
+        (
+            query_columns,
+            np.array(query_first, dtype=np.int64)[piece_groups],
+            np.array(query_last, dtype=np.int64)[piece_groups],
+        ),
     ):
         ref_legs, mid_legs = _first_containing_leg(
             columns[0], leg_first, leg_last, times

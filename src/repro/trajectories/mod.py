@@ -8,6 +8,7 @@ query trajectory, and (optionally) index-assisted candidate filtering.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from bisect import bisect_right
@@ -27,8 +28,8 @@ from typing import (
 
 from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.hyperbola import DistanceFunction
-from .difference import difference_function_pack
-from .trajectory import Trajectory, UncertainTrajectory
+from .difference import difference_function_packs
+from .trajectory import UncertainTrajectory
 
 #: Changelog entries kept before old records are trimmed.  Derived structures
 #: that fall further behind than this must resynchronize from scratch.
@@ -76,12 +77,13 @@ def _divergence_time(
 
     The motions agree up to the last shared sample prefix; a differing
     uncertainty radius or pdf support makes the change global (``None``),
-    as does a changed start time.
+    as does a changed start time.  Supports are compared exactly: only a
+    global change moves :meth:`MovingObjectsDatabase.default_band_width`.
     """
     if (
         type(old.pdf) is not type(new.pdf)
         or abs(old.radius - new.radius) > 1e-12
-        or abs(old.pdf.support_radius - new.pdf.support_radius) > 1e-12
+        or old.pdf.support_radius != new.pdf.support_radius
     ):
         return None
     # Feeds reuse the stored sample objects: an identical prefix needs no values.
@@ -135,6 +137,11 @@ class MovingObjectsDatabase:
         self._indexes: Dict[Tuple[str, int, int], Tuple[object, int]] = {}
         self._index_lock = threading.Lock()
         self._columnar = None
+        #: ``(revision, [(id, support)])`` of the two largest pdf supports,
+        #: valid until a change without a divergence time (the only kind
+        #: that can move a support) logs a later revision.
+        self._largest_supports: Tuple[int, list] = (-1, [])
+        self._supports_moved = 0
         #: A MovingObjectsDatabase or any ``columns_for`` column provider.
         self._columnar_parent = None
         if trajectories is not None:
@@ -218,6 +225,8 @@ class MovingObjectsDatabase:
         return record
 
     def _log(self, record: ChangeRecord) -> None:
+        if record.divergence_time is None:
+            self._supports_moved = record.revision
         self._changelog.append(record)
         if len(self._changelog) > _CHANGELOG_CAPACITY:
             del self._changelog[: len(self._changelog) - _CHANGELOG_CAPACITY]
@@ -569,20 +578,28 @@ class MovingObjectsDatabase:
     def default_band_width(self, query_id: object) -> float:
         """``2·(support_i + support_q)`` maximized over the stored pdfs (= 4r).
 
+        The two largest stored supports are kept per revision (one may be
+        the query's own), so a call is O(1): rounding is monotone, so
+        ``2·(largest other + support_q)`` is the maximum of the pairs.
+
         Raises:
             ValueError: when the MOD holds no candidate besides the query.
         """
-        from ..uncertainty.within_distance import effective_pruning_radius
-
-        query_pdf = self.get(query_id).pdf
-        widths = [
-            effective_pruning_radius(trajectory.pdf, query_pdf)
-            for trajectory in self._trajectories.values()
-            if trajectory.object_id != query_id
-        ]
-        if not widths:
+        query_support = self.get(query_id).pdf.support_radius
+        revision, largest = self._largest_supports
+        if revision < self._supports_moved:
+            revision = self._revision  # read first: a racing change then re-runs this
+            largest = [
+                (object_id, trajectory.pdf.support_radius)
+                for object_id, trajectory in heapq.nlargest(
+                    2, self._trajectories.items(), key=lambda item: item[1].pdf.support_radius
+                )
+            ]
+            self._largest_supports = (revision, largest)
+        others = [support for object_id, support in largest if object_id != query_id]
+        if not others:
             raise ValueError("the database holds no candidate trajectories")
-        return max(widths)
+        return 2.0 * (others[0] + query_support)
 
     def build_index(
         self,
@@ -720,22 +737,26 @@ class MovingObjectsDatabase:
         Returns:
             One row per candidate, in candidate order.
         """
-        query = self.get(query_id)
-        if candidate_ids is None:
-            candidates: List[Trajectory] = [
-                trajectory
-                for trajectory in self._trajectories.values()
-                if trajectory.object_id != query_id
-            ]
-        else:
-            candidates = [
-                self.get(object_id)
-                for object_id in candidate_ids
-                if object_id != query_id
-            ]
-        return difference_function_pack(
-            candidates, query, t_lo, t_hi, store=self.columnar()
-        )
+        return self.distance_packs([query_id], t_lo, t_hi, [candidate_ids])[0]
+
+    def distance_packs(
+        self,
+        query_ids: Sequence[object],
+        t_lo: float,
+        t_hi: float,
+        candidate_ids: Optional[Sequence[Optional[Sequence[object]]]] = None,
+    ) -> List[FunctionPack]:
+        """:meth:`distance_pack` of many queries over one window, in one pass
+        over every (query, candidate) row; ``candidate_ids`` aligns with
+        ``query_ids`` (``None`` entries: every other stored object)."""
+        groups = [
+            (
+                [self.get(i) for i in (self._trajectories if chosen is None else chosen)],
+                self.get(query_id),
+            )
+            for query_id, chosen in zip(query_ids, candidate_ids or [None] * len(query_ids))
+        ]
+        return difference_function_packs(groups, t_lo, t_hi, store=self.columnar())
 
     def distance_functions(self, *args, **kwargs) -> List[DistanceFunction]:
         """Every function of :meth:`distance_pack` (same arguments), as a list."""

@@ -21,6 +21,7 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 from repro.core import heterogeneous, ipacnn, pruning, queries
+from repro.engine import engine as engine_module
 from repro.geometry.envelope import divide_conquer, klevel
 from repro.geometry.envelope.bulk import FunctionPack
 from repro.geometry.envelope.hyperbola import DistanceFunction
@@ -44,13 +45,15 @@ def reference_kernels(monkeypatch):
 
     Inside the block the four production entry points are their
     references, in every module that holds a name for them: the batched
-    band builder is :func:`repro.reference.band.band_intervals_batch`, the
-    envelope and k-level builders are the scalar algorithms they fall back
-    on (``le_alg``, ``exclusion_cascade``), and
-    ``MovingObjectsDatabase.distance_functions`` (and ``distance_pack``, the
-    pack of the same list) builds every candidate with the scalar
-    ``difference_distance_function``.  This is how an end-to-end
-    oracle reaches the references; production code has no switch for it.
+    band builder is :func:`repro.reference.band.band_intervals_batch` (and
+    the many-context pass one such call per context), the envelope and
+    k-level builders are the scalar algorithms they fall back on
+    (``le_alg``, ``exclusion_cascade``), and
+    ``MovingObjectsDatabase.distance_functions`` (and ``distance_pack`` and
+    ``distance_packs``, packs of the same lists) builds every candidate
+    with the scalar ``difference_distance_function``.  This is how an
+    end-to-end oracle reaches the references; production code has no
+    switch for it.
     """
 
     def scalar_distance_functions(mod, query_id, t_lo, t_hi, candidate_ids=None):
@@ -59,6 +62,12 @@ def reference_kernels(monkeypatch):
             [mod.get(object_id) for object_id in ids], mod.get(query_id), t_lo, t_hi
         )
 
+    def scalar_packs(mod, query_ids, t_lo, t_hi, candidate_ids=None):
+        return [
+            FunctionPack(scalar_distance_functions(mod, query_id, t_lo, t_hi, chosen))
+            for query_id, chosen in zip(query_ids, candidate_ids or [None] * len(query_ids))
+        ]
+
     @contextmanager
     def swapped():
         with monkeypatch.context() as patch:
@@ -66,6 +75,11 @@ def reference_kernels(monkeypatch):
                 patch.setattr(
                     module, "band_intervals_batch", reference_band.band_intervals_batch
                 )
+            for module in (pruning, engine_module):
+                patch.setattr(
+                    module, "band_intervals_many", reference_band.band_intervals_many
+                )
+            patch.setattr(MovingObjectsDatabase, "distance_packs", scalar_packs)
             for module in (klevel, queries):
                 patch.setattr(module, "k_level_envelopes", klevel.exclusion_cascade)
             for module in (divide_conquer, queries, ipacnn, heterogeneous):

@@ -76,19 +76,17 @@ class TestBatchMatchesPerQuery:
                 g_prepared.context.uq31_all_sometime()
             )
 
-    def test_parallel_batch_matches_serial(self, small_mod):
+    def test_batch_matches_single_prepares(self, small_mod):
         lo, hi = small_mod.common_time_span()
         query_ids = small_mod.object_ids[:4]
-        serial = QueryEngine(small_mod).prepare_batch(query_ids, lo, hi)
-        parallel = QueryEngine(small_mod, max_workers=4).prepare_batch(
-            query_ids, lo, hi
-        )
-        for s_prepared, p_prepared in zip(serial, parallel):
-            assert s_prepared.query_id == p_prepared.query_id
-            assert s_prepared.candidate_count == p_prepared.candidate_count
-            assert set(s_prepared.context.uq31_all_sometime()) == set(
-                p_prepared.context.uq31_all_sometime()
-            )
+        batch = QueryEngine(small_mod).prepare_batch(query_ids, lo, hi)
+        engine = QueryEngine(small_mod)
+        for prepared in batch:
+            alone = engine.prepare(prepared.query_id, lo, hi)
+            assert prepared.candidate_count == alone.candidate_count
+            assert prepared.corridor_radius == alone.corridor_radius
+            assert prepared.context.uq31_all_sometime() == alone.context.uq31_all_sometime()
+            assert prepared.context.survivor_intervals() == alone.context.survivor_intervals()
 
     def test_no_index_engine_uses_all_candidates(self, tiny_mod):
         lo, hi = tiny_mod.common_time_span()
@@ -190,10 +188,6 @@ class TestBatchStatistics:
         for prepared in batch:
             assert prepared.total_candidates == len(small_mod) - 1
             assert 0 < prepared.candidate_count <= prepared.total_candidates
-
-    def test_rejects_bad_worker_count(self, tiny_mod):
-        with pytest.raises(ValueError):
-            QueryEngine(tiny_mod, max_workers=0)
 
     def test_rejects_unknown_index_kind_string(self, tiny_mod):
         with pytest.raises(ValueError, match="unknown index kind"):
@@ -343,9 +337,9 @@ class TestFrontObservability:
 
 
 class TestBandObservability:
-    """What the band pass did shows on the spans around ``answer_of`` and in
-    ``repro_core_band_rows_total``: it runs when an answer is first taken
-    from a context, under no span of its own."""
+    """What the band pass did shows on the spans around preparing and
+    answering and in ``repro_core_band_rows_total``: the engine runs it
+    when it builds a context, one pass per batch under ``engine.band``."""
 
     def test_answer_spans_report_the_band_pass(self):
         from repro.service.pool import EnginePool

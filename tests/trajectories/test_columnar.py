@@ -280,3 +280,79 @@ def test_patched_store_equals_from_scratch_pack(operations):
         assert_packs_equal(
             store.pack(), ColumnarStore(MovingObjectsDatabase(list(mod))).pack()
         )
+
+
+# ----------------------------------------------------------------------
+# Extensions append their tails.
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _streams(draw):
+    """Extend / replace / remove / re-add steps over three vehicles."""
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(["extend", "extend", "replace", "remove", "add"]))
+        object_id = draw(st.sampled_from(["obj-0", "obj-1", "obj-2"]))
+        tail = [
+            (draw(_COORDS), draw(_COORDS), gap)
+            for gap in draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=3))
+        ]
+        steps.append((kind, object_id, draw(_trajectory(object_id)), tail))
+    return steps
+
+
+@given(steps=_streams())
+def test_extended_store_equals_a_fresh_store(steps):
+    mod = MovingObjectsDatabase(
+        make_trajectory(f"obj-{index}", [(0.0, 0.0, 0.0), (1.0, 1.0, 10.0)]) for index in range(3)
+    )
+    store = mod.columnar()
+    for kind, object_id, trajectory, tail in steps:
+        revision = mod.revision
+        if kind == "extend" and object_id in mod:
+            base = mod.get(object_id)
+            times = base.samples[-1].t + np.cumsum([gap for _, _, gap in tail])
+            mod.replace_trajectory(
+                base.extended([(x, y, t) for (x, y, _), t in zip(tail, times.tolist())])
+            )
+        elif kind == "replace" and object_id in mod:
+            mod.replace_trajectory(trajectory)
+        elif kind == "remove" and object_id in mod:
+            mod.remove(object_id)
+        elif kind == "add" and object_id not in mod:
+            mod.add(trajectory)
+        changed = mod.divergences_since(revision)
+        store.sync()
+        fresh = ColumnarStore(MovingObjectsDatabase(list(mod)))
+        assert_packs_equal(store.pack(), fresh.pack())
+        for object_id in mod.object_ids:
+            for mine, theirs in zip(store.columns(object_id), fresh.columns(object_id)):
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        mine, theirs = store.boxes_since(changed, 2.0), fresh.boxes_since(changed, 2.0)
+        assert mine.ids == theirs.ids
+        for field in ("owner_slots", "x_min", "y_min", "t_min", "x_max", "y_max", "t_max"):
+            assert np.array_equal(getattr(mine, field), getattr(theirs, field))
+
+
+def test_an_extension_batch_reads_only_the_tails(monkeypatch):
+    import repro.trajectories.columnar as columnar
+
+    mod = MovingObjectsDatabase(
+        make_trajectory(f"obj-{index}", [(0.0, index, 0.0), (1.0, index, 10.0)]) for index in range(4)
+    )
+    store = mod.columnar()
+    reads = []
+    original = columnar._extract_columns
+    monkeypatch.setattr(
+        columnar,
+        "_extract_columns",
+        lambda trajectory, first=0: reads.append(first) or original(trajectory, first),
+    )
+    mod.upsert_many(
+        mod.get(object_id).extended([(2.0, 1.0, 11.0), (3.0, 1.0, 12.0)])
+        for object_id in mod.object_ids
+    )
+    store.sync()
+    assert reads == [2, 2, 2, 2]
+    assert_packs_equal(store.pack(), ColumnarStore(MovingObjectsDatabase(list(mod))).pack())

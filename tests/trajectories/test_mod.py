@@ -104,3 +104,64 @@ class TestQuerySupport:
         clipped = mod.clipped(10.0, 20.0)
         assert len(clipped) == 3
         assert clipped.common_time_span() == (10.0, 20.0)
+
+
+class TestDefaultBandWidth:
+    """``default_band_width`` in O(1) equals the maximum over every pair."""
+
+    @staticmethod
+    def loop(mod, query_id):
+        from repro.uncertainty.within_distance import effective_pruning_radius
+
+        query_pdf = mod.get(query_id).pdf
+        return max(
+            effective_pruning_radius(trajectory.pdf, query_pdf)
+            for trajectory in mod
+            if trajectory.object_id != query_id
+        )
+
+    @staticmethod
+    def fleet(pdfs):
+        from repro.trajectories.trajectory import UncertainTrajectory
+
+        return MovingObjectsDatabase(
+            UncertainTrajectory(
+                f"o{index}", [(0.0, index, 0.0), (1.0, index, 10.0)], pdf.support_radius, pdf
+            )
+            for index, pdf in enumerate(pdfs)
+        )
+
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            (0.7, 0.3, 0.5),  # the query o0 holds the maximum
+            (0.5, 0.5, 0.2),  # tied maximum, once held by the query
+            (0.4, 0.9, 0.9),  # tied maximum among the others
+            (0.1 + 0.2, 0.3, 1e-9),  # rounding-adjacent supports
+        ],
+    )
+    def test_equals_the_loop(self, radii):
+        from repro.uncertainty.uniform import UniformDiskPDF
+
+        mod = self.fleet([UniformDiskPDF(radius) for radius in radii])
+        for query_id in mod.object_ids:
+            assert mod.default_band_width(query_id) == self.loop(mod, query_id)
+
+    def test_mixed_pdf_kinds_and_updates(self):
+        from repro.uncertainty.cone import ConePDF
+        from repro.uncertainty.gaussian import TruncatedGaussianPDF
+        from repro.uncertainty.uniform import UniformDiskPDF
+
+        mod = self.fleet([UniformDiskPDF(0.5), ConePDF(0.8), TruncatedGaussianPDF(0.6)])
+        for query_id in mod.object_ids:
+            assert mod.default_band_width(query_id) == self.loop(mod, query_id)
+        mod.remove("o1")  # the largest support leaves
+        for query_id in mod.object_ids:
+            assert mod.default_band_width(query_id) == self.loop(mod, query_id)
+
+    def test_a_store_of_one_has_no_candidate(self):
+        from repro.uncertainty.uniform import UniformDiskPDF
+
+        mod = self.fleet([UniformDiskPDF(0.5)])
+        with pytest.raises(ValueError):
+            mod.default_band_width("o0")
