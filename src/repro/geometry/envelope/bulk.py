@@ -7,15 +7,18 @@ reinterpretation.  The contract, enforced by the differential suite in
 ``tests/property/test_envelope_differential.py``, is **bit-identity**: piece
 boundaries and owners equal the scalar output with ``==``.
 
-The front keeps the owners of levels 1..k and advances from event to event.
-An owner's crossings with every other function are solved once, in one
-closed-form NumPy pass over the packed pieces (the exact floating-point
-expressions of ``Hyperbola.intersection_times``), when the function enters
-the front; the next event is the earliest of them, so a window costs O(n)
-per function that ever owns a level instead of O(n²) for all pairs.  Two
-functions exchange ranks only where they are equal, so an event is a swap
-of adjacent levels or the replacement of the last one; the boundaries it
-emits are the same doubles the scalar recursion derives through its merges.
+The front keeps the owners of levels 1..k and advances from event to event
+over the window's *contenders* only: a closed-form bound on every function's
+values, slot by slot, cuts those that stay too far above level k+1 to own a
+level or meet an owner anywhere the walk looks.  The crossings of every
+contender piece with the other contenders are solved in one closed-form NumPy
+pass (the exact floating-point expressions of ``Hyperbola.intersection_times``)
+and the next event is the earliest an owner reads, so a window costs one pass
+over the pieces plus the pairs of its few contenders, not O(n) per function
+that ever owns a level.  Two functions exchange ranks only where they are
+equal, so an event is a swap of adjacent levels or the replacement of the
+last one; the boundaries it emits are the same doubles the scalar recursion
+derives through its merges.
 
 Where the scalar's behaviour depends on things the front does not track —
 tolerance deduplication of close critical times, square-rooted values that
@@ -35,7 +38,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from collections import abc
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +76,9 @@ _NEAR = 1e-3
 #: A window that re-ranks into a value tie this often is degenerate as a whole.
 _MAX_TIED_RERANKS = 64
 
+#: Slots of the window the contender cut bounds values on.
+_SLOTS = 16
+
 _TALLY = threading.local()
 
 
@@ -80,16 +86,17 @@ class DegenerateArrangement(Exception):
     """The front can serve no part of the window; use the scalar algorithm."""
 
 
-def front_tally() -> Tuple[int, int, int, float, float]:
-    """``(events, clean slabs, dirty slabs, dirty minutes, minutes)`` of the
-    calling thread's kernel calls so far, a refused window counting as one
-    dirty slab; monotone, like ``difference.scalar_fallback_count``."""
-    return getattr(_TALLY, "totals", (0, 0, 0, 0.0, 0.0))
+def front_tally() -> Tuple[float, ...]:
+    """``(events, clean slabs, dirty slabs, dirty minutes, minutes, rows
+    walked, rows packed)`` of the calling thread's kernel calls so far, a
+    refused window counting as one dirty slab; monotone, like
+    ``difference.scalar_fallback_count``."""
+    return getattr(_TALLY, "totals", (0, 0, 0, 0.0, 0.0, 0, 0))
 
 
-def front_report(since: Tuple[int, int, int, float, float]) -> Dict[str, float]:
+def front_report(since: Tuple[float, ...]) -> Dict[str, float]:
     """What the kernel did since an earlier :func:`front_tally` read."""
-    events, clean, dirty, dirty_time, time = (
+    events, clean, dirty, dirty_time, time, walked, packed = (
         now - then for now, then in zip(front_tally(), since)
     )
     return {
@@ -97,6 +104,7 @@ def front_report(since: Tuple[int, int, int, float, float]) -> Dict[str, float]:
         "clean_slabs": clean,
         "dirty_slabs": dirty,
         "dirty_time_share": dirty_time / time if time else 0.0,
+        "walked_share": walked / packed if packed else 0.0,
     }
 
 
@@ -290,39 +298,98 @@ class FunctionPack(abc.Sequence):
         return np.unique(at[jumps & (at > t_lo) & (at < t_hi)]).tolist()
 
 
-class _Solved(NamedTuple):
-    """One owner piece against every other function, solved once."""
+def _extrema(a, b, c, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest of ``a t² + b t + c`` over ``[lo, hi]`` in closed
+    form (the ends, and the vertex inside); ``(inf, -inf)`` where ``lo > hi``."""
+    ends = [(a * t + b) * t + c for t in (lo, hi)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = -b / (2.0 * a)
+        middle = np.where((lo < vertex) & (vertex < hi), (a * vertex + b) * vertex + c, ends[0])
+    empty = lo > hi
+    return (
+        np.where(empty, np.inf, np.minimum(np.minimum(*ends), middle)),
+        np.where(empty, -np.inf, np.maximum(np.maximum(*ends), middle)),
+    )
 
-    times: np.ndarray  # crossing roots the scalar filters would keep, ascending
-    partner: np.ndarray  # flat index of the other function's piece at each root
-    span_lo: np.ndarray  # spans in which a guard fired for this piece
-    span_hi: np.ndarray
 
+def _contenders(
+    pack: FunctionPack, t_lo: float, t_hi: float, depth: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows that can reach level ``depth`` in the window, ascending, and
+    per slot the ceiling the walk's owners must stay under.
 
-def _solve(pack: FunctionPack, p: int, t_lo: float, t_hi: float) -> _Solved:
-    """Crossings and guard spans of piece ``p`` with all other functions.
-
-    Solves ``(a_p - a_q) t² + (b_p - b_q) t + (c_p - c_q) = 0`` for every
-    piece ``q`` of another function that overlaps ``p`` inside the window,
-    with the float expressions and open-interval tolerance filter of
-    ``Hyperbola.intersection_times`` (symmetric in the two curves).  Guards
-    look only at roots and vertices within ``_NEAR`` of the overlap.
+    A row's smallest and largest distance on each of ``_SLOTS`` slots come
+    in closed form from its pieces, slots and pieces widened by ``_NEAR``.
+    The ``depth`` rows with the smallest maxima keep level ``depth`` under the
+    ``depth``-th, ``bound_j``, throughout slot ``j``.  A row whose minimum is
+    above ``bound_j + reach`` in every slot is cut (a distance moves at most
+    ``sqrt(a)`` a minute; ``reach = 4 sqrt(max a) _NEAR``): it never ranks
+    ``depth`` or better at a re-rank, which reads ``limit + 1 = depth``
+    values, and stays ``3 sqrt(max a) _NEAR`` above every true owner within
+    ``_NEAR`` of any step, so it never owns a level, is never an event's
+    other, nor the partner of a root or guard an owner reads (where two
+    curves meet or all but meet).  Owners the walk believes in can lag the
+    true ones in a dirty span; they are checked against the ceiling, the
+    cut rows' lowest value less ``reach / 2``.
     """
-    p_lo, p_hi = max(t_lo, float(pack.starts[p])), min(t_hi, float(pack.ends[p]))
-    others = pack.owner != pack.owner[p]
-    q = np.nonzero(others & (pack.starts < p_hi) & (pack.ends > p_lo))[0]
-    lo, hi = np.maximum(p_lo, pack.starts[q]), np.minimum(p_hi, pack.ends[q])
+    depth = min(depth, len(pack))
+    reach = 4.0 * float(np.sqrt(np.abs(pack.a).max())) * _NEAR
+    rows, floor = np.arange(len(pack)), np.full(_SLOTS, np.inf)
+    # The whole window as one slot first: at a 16th of the cost it cuts most
+    # rows, and none the slots would keep (its bound is above theirs).
+    for slots in (1, _SLOTS):
+        sub = pack.take(rows) if len(rows) < len(pack) else pack
+        first, last = sub.offsets[:-1], sub.offsets[1:] - 1
+        lo, hi = sub.starts[:, None] - _NEAR, sub.ends[:, None] + _NEAR
+        lo[first], hi[last] = -np.inf, np.inf
+        edges = np.linspace(t_lo, t_hi, slots + 1)
+        low, high = _extrema(
+            sub.a[:, None], sub.b[:, None], sub.c[:, None],
+            np.maximum(lo, edges[:-1] - _NEAR), np.minimum(hi, edges[1:] + _NEAR),
+        )
+        low = np.sqrt(np.maximum(np.minimum.reduceat(low, first), 0.0))
+        high = np.sqrt(np.maximum(np.maximum.reduceat(high, first), 0.0))
+        bound = np.partition(high, depth - 1, axis=0)[depth - 1]
+        kept = (low <= bound + reach).any(axis=1)
+        floor = np.minimum(floor, np.where(kept[:, None], np.inf, low).min(axis=0))
+        rows = rows[kept]
+    return rows, floor - reach / 2.0
+
+
+def _solve_all(
+    pack: FunctionPack, pieces: np.ndarray, t_lo: float, t_hi: float
+) -> Dict[int, Tuple[List[float], List[int], List[Tuple[float, float]]]]:
+    """Per piece of ``pieces``: its crossing roots with every other function,
+    ascending, the partner piece of each, and the spans a guard fired in.
+
+    One pass over every pair of a piece ``p`` and a piece ``q`` of another
+    function overlapping it inside the window, solving ``(a_p - a_q) t² +
+    (b_p - b_q) t + (c_p - c_q) = 0`` with the float expressions and
+    open-interval tolerance filter of ``Hyperbola.intersection_times``
+    (symmetric in the two curves).  Guards look only at roots and vertices
+    within ``_NEAR`` of the overlap.
+    """
+    p_lo = np.maximum(t_lo, pack.starts[pieces])
+    p_hi = np.minimum(t_hi, pack.ends[pieces])
+    index, q = np.nonzero(
+        (pack.owner != pack.owner[pieces, None])
+        & (pack.starts < p_hi[:, None])
+        & (pack.ends > p_lo[:, None])
+    )
+    p = pieces[index]
+    lo, hi = np.maximum(p_lo[index], pack.starts[q]), np.minimum(p_hi[index], pack.ends[q])
     da, db, dc = pack.a[p] - pack.a[q], pack.b[p] - pack.b[q], pack.c[p] - pack.c[q]
+    scale = np.abs(pack.a[p]), np.abs(pack.b[p]), np.abs(pack.c[p])
 
     def magnitude(at):
         # The scale of the rounding error of the squared value at ``at``: the
         # sum of its terms, which dwarfs the value itself where they cancel.
         at = np.abs(at)
-        return (abs(pack.a[p]) * at + abs(pack.b[p])) * at + abs(pack.c[p]) + 1e-300
+        return (scale[0] * at + scale[1]) * at + scale[2] + 1e-300
 
     # No time a guard looks at has a larger magnitude than this, so most
     # pairs are cleared by one comparison.
-    ceiling = float(magnitude(max(abs(p_lo), abs(p_hi)) + _NEAR))
+    ceiling = magnitude(np.maximum(np.abs(p_lo[index]), np.abs(p_hi[index])) + _NEAR)
     linear = np.abs(da) < COEFF_EPSILON
     sloped = linear & (np.abs(db) >= COEFF_EPSILON)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -352,7 +419,6 @@ def _solve(pack: FunctionPack, p: int, t_lo: float, t_hi: float) -> _Solved:
         if graze.any():
             graze &= (vertex >= lo - _NEAR) & (vertex <= hi + _NEAR)
             graze &= depth <= magnitude(vertex) * _GRAZE_GUARD
-    points = np.concatenate([roots[fired], vertex[graze]])
     # Near-identical curves may tie at any midpoint of their overlap.
     flat = linear & ~sloped
     if flat.any():
@@ -360,14 +426,26 @@ def _solve(pack: FunctionPack, p: int, t_lo: float, t_hi: float) -> _Solved:
         span = np.maximum(np.abs(lo), np.abs(hi))
         residual = np.abs(da) * span * span + np.abs(db) * span + np.abs(dc)
         flat &= residual <= magnitude((lo + hi) / 2.0) * 1e-10
-    times = roots[keep]
+    # Roots by piece, then by time, stably where times tie: equal roots from
+    # two partners fire the guard on crossings near an event, so their order
+    # never shows, but it stays one order whatever else is solved.
+    pair = np.broadcast_to(index, roots.shape)
+    which, times, partner = pair[keep], roots[keep], np.broadcast_to(q, roots.shape)[keep]
     order = np.argsort(times)
-    return _Solved(
-        times[order],
-        np.broadcast_to(q, roots.shape)[keep][order],
-        np.concatenate([points - _NEAR, lo[flat]]),
-        np.concatenate([points + _NEAR, hi[flat]]),
-    )
+    if np.any(times[order[1:]] == times[order[:-1]]):
+        order = np.argsort(times, kind="stable")
+    order = order[np.argsort(which[order].astype(np.min_scalar_type(len(pieces))), kind="stable")]
+    cuts = np.searchsorted(which[order], np.arange(len(pieces) + 1)).tolist()
+    times, partner, pieces = times[order].tolist(), partner[order].tolist(), pieces.tolist()
+    solved = {p: (times[s:e], partner[s:e], []) for p, s, e in zip(pieces, cuts, cuts[1:])}
+    points = np.concatenate([roots[fired], vertex[graze]])
+    for at, lo, hi in zip(
+        np.concatenate([pair[fired], index[graze], index[flat]]).tolist(),
+        np.concatenate([points - _NEAR, lo[flat]]).tolist(),
+        np.concatenate([points + _NEAR, hi[flat]]).tolist(),
+    ):
+        solved[pieces[at]][2].append((lo, hi))
+    return solved
 
 
 def front_envelopes(
@@ -397,7 +475,7 @@ def front_envelopes(
         bounds, tops, marks = _advance(pack, t_lo, t_hi, limit)
         return _stitch(pack, bounds, tops, marks, limit, scalar)
     except DegenerateArrangement:
-        _count(0, 0, 1, max(t_hi - t_lo, 0.0), max(t_hi - t_lo, 0.0))
+        _count(0, 0, 1, max(t_hi - t_lo, 0.0), max(t_hi - t_lo, 0.0), 0, 0)
         raise
 
 
@@ -405,10 +483,48 @@ def _advance(
     pack: FunctionPack, t_lo: float, t_hi: float, limit: int
 ) -> Tuple[List[float], List[Tuple[int, ...]], List[Tuple[float, float]]]:
     """The front's log: ``tops[i]`` owns ``bounds[i:i + 2]``; ``marks`` are
-    the spans in which a guard fired."""
+    the spans in which a guard fired.
+
+    The walk runs over the window's contenders.  Should an owner it believes
+    in reach the cut rows' ceiling (only one lagging the true owner in a
+    dirty span can), it runs again over the contenders of a level twice as
+    deep, down to every row.  Jumps of any row split steps, and any two rows
+    can crowd a boundary.
+    """
     jumps = pack.jump_times(t_lo, t_hi)
+    depth, walk = limit + 1, None
+    while walk is None:
+        rows, ceiling = _contenders(pack, t_lo, t_hi, depth)
+        cut = len(rows) < len(pack)
+        try:
+            walk = _walk(pack.take(rows) if cut else pack, t_lo, t_hi, limit, jumps, ceiling)
+        except DegenerateArrangement:
+            if not cut:
+                raise  # else the walk left the full one's path: cut less
+        depth *= 2
+    bounds, tops, marks, crossed = walk
+    _count(0, 0, 0, 0.0, 0.0, len(rows), len(pack))
+    tops = list(map(tuple, rows[np.array(tops)].tolist()))
+    # Only a boundary the front would emit can be displaced.
+    emitted = [i for i in range(len(tops) - 1) if tops[i] != tops[i + 1]]
+    if emitted:
+        at = np.array(bounds)[1:][emitted]
+        crossed = np.array(crossed)[emitted]
+        crowded = pack.crowded_at(at, np.where(crossed >= 0, rows[crossed], -1))
+        marks.extend((time - _NEAR, time + _NEAR) for time in at[crowded].tolist())
+    return bounds, tops, marks
+
+
+def _walk(
+    pack: FunctionPack, t_lo: float, t_hi: float, limit: int, jumps: List[float],
+    ceiling: np.ndarray,
+) -> Optional[Tuple[List[float], List[Tuple[int, ...]], List[Tuple[float, float]], List[int]]]:
+    """:func:`_advance`'s log over ``pack``'s rows, and per step one side of
+    the crossing that ends it (-1: none); ``None`` if an owner reached the
+    slot's ``ceiling`` within ``_NEAR`` of its step."""
+    solved = _solve_all(pack, np.nonzero((pack.starts < t_hi) & (pack.ends > t_lo))[0], t_lo, t_hi)
+    ends, owner = pack.ends.tolist(), pack.owner.tolist()
     slope = np.sqrt(np.abs(pack.a))
-    solved: Dict[int, _Solved] = {}
     marks: List[Tuple[float, float]] = []
     owners: List[int] = []
     pieces: List[int] = []
@@ -446,39 +562,35 @@ def _advance(
     t = t_lo
     bounds: List[float] = [t_lo]
     tops: List[Tuple[int, ...]] = []
-    crossed: List[int] = []  # per event, one side of the crossing it is, or -1
+    held: List[Tuple[int, ...]] = []  # the owners' pieces, per step
+    crossed: List[int] = []
     while t < t_hi:
         # The earliest crossing of an owner with anything, or the end of an
         # owner's piece, a discontinuity, or the far side of a dirty span.
-        t_next, rank, at = min(t_hi, float(pack.ends[pieces].min())), -1, -1
+        t_next, rank, at = min(t_hi, min(ends[piece] for piece in pieces)), -1, -1
         position = bisect_right(jumps, t)
         if position < len(jumps):
             t_next = min(t_next, jumps[position])
         if dirty_until() > t:
             t_next = min(t_next, resync)
         for index, piece in enumerate(pieces):
-            if piece not in solved:
-                solved[piece] = _solve(pack, piece, t_lo, t_hi)
-            times = solved[piece].times
-            position = int(np.searchsorted(times, t, side="right"))
+            times = solved[piece][0]
+            position = bisect_right(times, t)
             if position < len(times) and times[position] < t_next:
-                t_next, rank, at = float(times[position]), index, position
+                t_next, rank, at = times[position], index, position
         if t_next - t <= _GUARD:
             marks.append((t_next - _NEAR, t_next + _NEAR))
-        partner = int(solved[pieces[rank]].partner[at]) if rank >= 0 else -1
-        other = int(pack.owner[partner]) if rank >= 0 else -1
+        partner = solved[pieces[rank]][1][at] if rank >= 0 else -1
+        other = owner[partner] if rank >= 0 else -1
         crossings = 0  # of owners inside the event's guard band
         for piece in pieces:
-            facts = solved[piece]
+            times, _, spans = solved[piece]
             # Guard spans of an owner that this step runs into, each once.
-            hit = (facts.span_lo < t_next) & (facts.span_hi > t)
-            if facts.span_lo.size and hit.any():
-                marks.extend(zip(facts.span_lo[hit].tolist(), facts.span_hi[hit].tolist()))
-                solved[piece] = facts._replace(
-                    span_lo=facts.span_lo[~hit], span_hi=facts.span_hi[~hit]
-                )
-            near = np.searchsorted(facts.times, (t_next - _GUARD, t_next + _GUARD))
-            crossings += int(near[1] - near[0])
+            hit = [span for span in spans if span[0] < t_next and span[1] > t]
+            if hit:
+                marks.extend(hit)
+                spans[:] = [span for span in spans if span not in hit]
+            crossings += bisect_left(times, t_next + _GUARD) - bisect_left(times, t_next - _GUARD)
         if crossings > (rank >= 0) + (other in owners):
             # Another critical time of the front there than the event's own,
             # which each of its two sides sees if it is an owner.
@@ -488,6 +600,7 @@ def _advance(
             t_next, rank, other = resync, -1, -1
         bounds.append(t_next)
         tops.append(tuple(owners))
+        held.append(tuple(pieces))
         crossed.append(other)
         t = t_next
         if t >= t_hi:
@@ -506,14 +619,14 @@ def _advance(
             if rank != limit - 1:
                 marks.append((t - _NEAR, t + _NEAR))
             owners[rank], pieces[rank] = other, partner
-
-    # Only a boundary the front would emit can be displaced.
-    emitted = [i for i in range(len(tops) - 1) if tops[i] != tops[i + 1]]
-    if emitted:
-        at = np.array(bounds)[1:][emitted]
-        crowded = pack.crowded_at(at, np.array(crossed)[emitted])
-        marks.extend((time - _NEAR, time + _NEAR) for time in at[crowded].tolist())
-    return bounds, tops, marks
+    # Every owner's highest value on each slot its step, widened, meets.
+    edges, piece = np.linspace(t_lo, t_hi, _SLOTS + 1), np.array(held)[:, :, None]
+    _, high = _extrema(
+        pack.a[piece], pack.b[piece], pack.c[piece],
+        np.maximum(np.array(bounds[:-1])[:, None, None], edges[:-1]) - _NEAR,
+        np.minimum(np.array(bounds[1:])[:, None, None], edges[1:]) + _NEAR,
+    )
+    return None if np.any(high > np.square(ceiling)) else (bounds, tops, marks, crossed)
 
 
 def _stitch(
@@ -568,7 +681,7 @@ def _stitch(
                         collected.append(EnvelopePiece(owner, bounds[opened], bounds[index]))
                         opened = index
         start = stop
-    _count(len(tops), served[0], served[1], dirty_time, bounds[-1] - bounds[0])
+    _count(len(tops), served[0], served[1], dirty_time, bounds[-1] - bounds[0], 0, 0)
     return [Envelope(collected) for collected in level_pieces]
 
 

@@ -22,9 +22,11 @@ from .hyperbola import DistanceFunction
 from .merge import merge_envelopes
 from .pieces import Envelope, EnvelopePiece
 
-#: Below this many functions the recursion is cheaper than packing them for
-#: the front (measured crossover: 32 to 48 two-piece functions).
-_FRONT_MIN_FUNCTIONS = 32
+#: Below this many pieces the recursion beats the front's fixed cost.  On the
+#: IPAC-NN tree's nested sets (a median of 42 pieces over short intervals)
+#: this costs what the old 32-function switch did; every engine context of 23
+#: to 31 functions (115 pieces and up) runs faster on the front.
+_FRONT_MIN_PIECES = 64
 
 
 def lower_envelope(
@@ -46,7 +48,11 @@ def lower_envelope(
     Returns:
         The level-1 lower envelope as an :class:`Envelope`.
     """
-    if len(functions) >= _FRONT_MIN_FUNCTIONS:
+    if isinstance(functions, FunctionPack):
+        pieces = int(functions.offsets[-1])
+    else:
+        pieces = sum(len(function.pieces) for function in functions)
+    if pieces >= _FRONT_MIN_PIECES:
         pack = FunctionPack.of(functions)
         try:
             return front_envelopes(

@@ -11,6 +11,8 @@ enforces that, and that the serving packages load no scipy:
   bit-identical to;
 * :mod:`~repro.reference.corridor` — the per-query scalar corridor radius
   behind :func:`repro.engine.filtering.corridor_probe_bulk`;
+* :mod:`~repro.reference.front` — the kinetic front's per-piece crossing
+  solve, the oracle of its one-pass solve over every contender piece;
 * :mod:`~repro.reference.naive` — the paper's quadratic comparison
   baselines (Figures 11 and 12);
 * :mod:`~repro.reference.definition` — the query semantics evaluated

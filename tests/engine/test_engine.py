@@ -331,6 +331,11 @@ class TestFrontObservability:
         for span in (envelope, first, second):
             assert span.attrs["dirty_slabs"] == 0
             assert span.attrs["dirty_time_share"] == 0.0
+        # The front walked a few contenders of each pack, and nothing when
+        # the levels were already built.
+        assert 0.0 < envelope.attrs["walked_share"] < 0.5
+        assert 0.0 < first.attrs["walked_share"] < 1.0
+        assert second.attrs["walked_share"] == 0.0
         snapshot = executor.registry.snapshot()
         assert snapshot['repro_geometry_envelope_slabs_total{kind="clean"}']["value"] == 2
         assert snapshot['repro_geometry_envelope_slabs_total{kind="dirty"}']["value"] == 0

@@ -9,7 +9,7 @@ the pack's columns, the envelope's pieces, every candidate's band
 intervals, the UQ3x answers and the level envelopes 1..3 (against the
 scalar cascade over the eager survivors) — on fleets whose packs mix
 columnar rows with rows the columnar pass refuses, and on contexts on
-either side of the envelope's 32-function switch.
+either side of the envelope's 64-piece switch.
 """
 
 from __future__ import annotations

@@ -258,7 +258,7 @@ class TestEnvelopeKernels:
         # LE_Alg breaks them.  Small sets normally skip the front; here
         # they must not, or the families above would never reach it.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(divide_conquer, "_FRONT_MIN_FUNCTIONS", 1)
+            patch.setattr(divide_conquer, "_FRONT_MIN_PIECES", 1)
             vectorized = lower_envelope(functions, T_LO, T_HI)
         assert_identical_envelopes(vectorized, le_alg(functions, T_LO, T_HI))
 
@@ -693,7 +693,7 @@ class TestEndToEndKernelEquivalence:
         forbid(pruning, "_band_rows_vector")
         forbid(klevel, "k_level_envelopes_bulk")
         forbid(divide_conquer, "front_envelopes")
-        monkeypatch.setattr(divide_conquer, "_FRONT_MIN_FUNCTIONS", 1)
+        monkeypatch.setattr(divide_conquer, "_FRONT_MIN_PIECES", 1)
         forbid(difference, "_build_from_columns")
         ids = sorted(small_mod.object_ids, key=str)
         t_lo, t_hi = small_mod.common_time_span()
