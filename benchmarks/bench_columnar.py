@@ -369,16 +369,17 @@ def reference_answers(
 
 
 def assert_backend_identity(num_objects: int = 96, seed: int = 23) -> None:
-    """Byte-identity of sharded answers across backends and to the reference.
+    """Byte-identity of planned and sharded answers to the reference.
 
     Runs one UQ3x and one UQ4x statement over a small fleet through the
-    serial, thread, and process sharded backends and asserts each returns
-    exactly the ids :func:`reference_answers` computes in this process.
-    Raises before any timing happens, so a reported speedup can never ride
-    on a backend-dependent answer.
+    planner, and the UQ3x query through the serial, thread, and process
+    sharded backends, and asserts each returns exactly the ids
+    :func:`reference_answers` computes in this process.  Raises before any
+    timing happens, so a reported speedup can never ride on a
+    backend-dependent answer.
     """
     from repro.parallel import ShardedEngine
-    from repro.query_language import CostModel, QueryExecutor
+    from repro.query_language import QueryExecutor
 
     mod = build_mod(num_objects, seed=seed)
     lo, hi = mod.common_time_span()
@@ -391,18 +392,18 @@ def assert_backend_identity(num_objects: int = 96, seed: int = 23) -> None:
         f"AND RANK_NN(T, '{query_id}', TIME) <= 3",
     ]
     expected = reference_answers(mod, query_id, lo, hi, rank=3)
+    planned = [result.object_ids for result in QueryExecutor(mod).execute_many(texts)]
+    if planned != expected:
+        raise AssertionError(
+            f"planned answers diverged from the reference: {planned} != {expected}"
+        )
     for backend in ("serial", "thread", "process"):
         with ShardedEngine(mod, num_shards=2, backend=backend) as sharded:
-            executor = QueryExecutor(
-                mod,
-                sharded=sharded,
-                cost_model=CostModel(sharded_min_group=2),
-            )
-            answers = [result.object_ids for result in executor.execute_many(texts)]
-        if answers != expected:
+            answer = sorted(sharded.answer(query_id, lo, hi), key=str)
+        if answer != expected[0]:
             raise AssertionError(
                 f"sharded answers diverged from the reference on backend "
-                f"{backend}: {answers} != {expected}"
+                f"{backend}: {answer} != {expected[0]}"
             )
 
 

@@ -145,9 +145,6 @@ class ShardedEngine:
         registry: the :class:`~repro.obs.MetricsRegistry` sharded metrics
             land in (``repro_sharded_*``; the in-process engine shares it);
             a private registry when ``None``.
-        engine: a :class:`QueryEngine` over ``mod`` for the in-process
-            backends to serve from instead of building their own (the
-            service's pool hands over the one it already holds).
 
     The engine can be used as a context manager; :meth:`close` is
     idempotent and shuts the workers down *and* unlinks the shared-memory
@@ -169,7 +166,6 @@ class ShardedEngine:
         cache_size: int = 256,
         mp_start_method: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
-        engine: Optional[QueryEngine] = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r} (expected {BACKENDS})")
@@ -186,8 +182,6 @@ class ShardedEngine:
                 f"unknown start method {mp_start_method!r} "
                 f"(expected {MP_START_METHODS})"
             )
-        if engine is not None and engine.mod is not mod:
-            raise ValueError("the handed-over engine serves a different store")
         self.mod = mod
         self.backend = backend
         self.num_shards = num_shards
@@ -198,7 +192,7 @@ class ShardedEngine:
         self._max_workers = max_workers
         self._mp_start_method = mp_start_method or "spawn"
         self._token = (os.getpid(), next(_instance_counter))
-        self._engine = engine
+        self._engine: Optional[QueryEngine] = None
         #: Released by close() or, failing that, the GC finalizer.
         self._resources = _Resources()
         self._finalizer = weakref.finalize(self, self._resources.release)

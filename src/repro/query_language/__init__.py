@@ -10,13 +10,7 @@ compiler decided.
 """
 
 from .ast import ContinuousNNQueryAST, NNPredicate, Quantifier, TimeWindow
-from .cost import (
-    AccessDecision,
-    BackendDecision,
-    CostModel,
-    DEFAULT_COST_MODEL,
-    StoreStats,
-)
+from .cost import AccessDecision, CostModel, DEFAULT_COST_MODEL, StoreStats
 from .executor import (
     QueryExecutor,
     QueryResult,
@@ -48,7 +42,6 @@ from .tokens import QueryLanguageError, Token, tokenize
 __all__ = [
     "AccessDecision",
     "AnswerNode",
-    "BackendDecision",
     "BandIntervalsNode",
     "ContinuousNNQueryAST",
     "CorridorFilterNode",

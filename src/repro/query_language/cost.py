@@ -1,22 +1,16 @@
-"""The planner's cost model: columnar-stat-driven physical choices.
+"""The planner's cost model: a columnar-stat-driven access choice.
 
-Two decisions are made per compiled plan, both fed by
-:class:`StoreStats` read off the MOD's :class:`~repro.trajectories.columnar.ColumnarStore`:
+One decision is made per compiled plan, fed by :class:`StoreStats` read
+off the MOD's :class:`~repro.trajectories.columnar.ColumnarStore`:
+build/probe the spatio-temporal index (corridor filtering) or scan every
+stored trajectory.  Filtering is provably answer-preserving, so this is
+purely a cost call: below :attr:`CostModel.index_min_objects` stored
+objects (or :attr:`CostModel.index_min_segments` segments) the bulk-load +
+probe overhead exceeds the envelope work it saves.  Every group then runs
+on the executor's one :class:`~repro.engine.QueryEngine`.
 
-* **access** — build/probe the spatio-temporal index (corridor
-  filtering) or scan every stored trajectory.  Filtering is provably
-  answer-preserving, so this is purely a cost call: below
-  :attr:`CostModel.index_min_objects` stored objects (or
-  :attr:`CostModel.index_min_segments` segments) the bulk-load + probe
-  overhead exceeds the envelope work it saves.
-* **backend** — serve a fused group on the single in-process
-  :class:`~repro.engine.QueryEngine` or split it across the workers of a
-  :class:`~repro.parallel.ShardedEngine`.  Splitting only pays for wide
-  probability (UQ3x) groups — rank statements are not servable by the
-  sharded batch API.
-
-Both decisions are recorded with a human-readable reason, which the
-plan tree surfaces through ``explain_plan``.
+The decision is recorded with a human-readable reason, which the plan
+tree surfaces through ``explain_plan``.
 """
 
 from __future__ import annotations
@@ -71,19 +65,6 @@ class AccessDecision:
 
 
 @dataclass(frozen=True)
-class BackendDecision:
-    """Single-vs-sharded execution choice for one fused group."""
-
-    backend: str
-    reason: str
-
-    @property
-    def sharded(self) -> bool:
-        """Whether the group fans out over the sharded engine."""
-        return self.backend == "sharded"
-
-
-@dataclass(frozen=True)
 class CostModel:
     """Threshold-based plan costing (documented in ``docs/query-planner.md``).
 
@@ -92,13 +73,10 @@ class CostModel:
             filtering pays for the index probe.
         index_min_segments: minimum stored segments before bulk-loading
             the index beats scanning them outright.
-        sharded_min_group: minimum fused probability statements before
-            sharded dispatch amortizes its per-batch overhead.
     """
 
     index_min_objects: int = 8
     index_min_segments: int = 64
-    sharded_min_group: int = 4
 
     def choose_access(self, stats: StoreStats) -> AccessDecision:
         """Index-filter or full-scan, from store size alone."""
@@ -123,34 +101,6 @@ class CostModel:
             reason=(
                 f"{stats.object_count} objects / {stats.segment_count} "
                 "segments justify corridor filtering"
-            ),
-        )
-
-    def choose_backend(
-        self, *, probability_width: int, sharded_available: bool
-    ) -> BackendDecision:
-        """Single engine or sharded fan-out for one fused group.
-
-        Args:
-            probability_width: UQ3x (non-rank) statements in the group —
-                the only ones the sharded batch API can serve.
-            sharded_available: a sharded engine is attached.
-        """
-        if not sharded_available:
-            return BackendDecision("single", "no sharded engine attached")
-        if probability_width < self.sharded_min_group:
-            return BackendDecision(
-                "single",
-                (
-                    f"{probability_width} probability statements < "
-                    f"sharded_min_group={self.sharded_min_group}"
-                ),
-            )
-        return BackendDecision(
-            "sharded",
-            (
-                f"{probability_width} probability statements >= "
-                f"sharded_min_group={self.sharded_min_group}"
             ),
         )
 

@@ -61,16 +61,14 @@ class QueryResult:
 class QueryExecutor:
     """A reusable query-language session over one MOD.
 
-    Owns the cost model, the access decision, and the single-process
+    Owns the cost model, the access decision, and the one
     :class:`~repro.engine.QueryEngine` every compiled plan executes
     against, so repeated executions share the engine's index and context
-    cache.  Optionally fans wide probability groups out over an attached
-    :class:`~repro.parallel.ShardedEngine`.
+    cache.
 
     Args:
         mod: the moving objects database to serve.
         cost_model: planner thresholds (:class:`~repro.query_language.cost.CostModel`).
-        sharded: an optional sharded engine for wide UQ3x groups.
         cache_size: the engine's LRU context-cache capacity.
         registry: the :class:`~repro.obs.MetricsRegistry` planner and
             engine metrics land in (``repro_planner_*`` /
@@ -82,13 +80,11 @@ class QueryExecutor:
         mod: MovingObjectsDatabase,
         *,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        sharded: Optional[object] = None,
         cache_size: int = 256,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.mod = mod
         self.cost_model = cost_model
-        self.sharded = sharded
         self._cache_size = cache_size
         self.registry = registry if registry is not None else MetricsRegistry()
         self._stats = StoreStats.from_mod(mod)
@@ -111,18 +107,6 @@ class QueryExecutor:
             buckets=DEFAULT_SIZE_BUCKETS,
             help="Statements fused per prepared group",
         )
-        self._m_backend = {
-            backend: self.registry.counter(
-                "repro_planner_backend_statements_total",
-                "Statements executed per chosen backend",
-                backend=backend,
-            )
-            for backend in ("single", "sharded")
-        }
-        self._m_fallbacks = self.registry.counter(
-            "repro_planner_fallbacks_total",
-            "Sharded-planned statements re-routed to the single engine",
-        )
         self._m_execute = self.registry.histogram(
             "repro_planner_execute_seconds", help="Plan execution wall time"
         )
@@ -133,7 +117,7 @@ class QueryExecutor:
 
     @property
     def engine(self) -> QueryEngine:
-        """The reusable single-process engine plans execute against."""
+        """The reusable engine plans execute against."""
         return self._engine
 
     @property
@@ -169,7 +153,6 @@ class QueryExecutor:
             cost_model=self.cost_model,
             stats=self._stats,
             access=self._access,
-            sharded_available=self.sharded is not None,
         )
         self._m_compilations.inc()
         self._m_statements.inc(plan.statement_count)
@@ -198,11 +181,8 @@ class QueryExecutor:
             statements=plan.statement_count,
             groups=len(plan.groups),
         ):
-            execution = plan.execute(self._engine, sharded=self.sharded)
+            execution = plan.execute(self._engine)
         self._m_execute.observe(time.perf_counter() - started)
-        self._m_fallbacks.inc(execution.telemetry.fallbacks)
-        for backend, count in execution.telemetry.backend_statements.items():
-            self._m_backend[backend].inc(count)
         asts = [group_statement.ast for group_statement in _in_order(plan)]
         return [
             QueryResult(ast, ids)
@@ -233,7 +213,7 @@ class QueryExecutor:
                 statements=plan.statement_count,
                 groups=len(plan.groups),
             ):
-                plan.execute(self._engine, sharded=self.sharded)
+                plan.execute(self._engine)
         trees = "\n".join(render_tree(span) for span in recorder.spans())
         return f"{rendered}\n\n{trees}" if trees else rendered
 

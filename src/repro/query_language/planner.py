@@ -14,8 +14,7 @@ is the compiler that makes the batched stack reachable from parsed text:
    bulk probe, one envelope pass per distinct query id, shared LRU
    cache);
 3. **Cost** — the :class:`~repro.query_language.cost.CostModel` picks
-   index-vs-scan and single-vs-sharded per group from
-   :class:`~repro.query_language.cost.StoreStats`;
+   index-vs-scan from :class:`~repro.query_language.cost.StoreStats`;
 4. **Execute** — :meth:`QueryPlan.execute` runs the groups against a
    reusable engine and re-interleaves per-statement answers into
    submission order.
@@ -28,20 +27,14 @@ ordering by ``str`` of the object id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..engine.answers import Answer, answer_of
+from ..engine.answers import answer_of
 from ..engine.engine import QueryEngine
 from ..trajectories.mod import MovingObjectsDatabase
 from .ast import ContinuousNNQueryAST, Quantifier
-from .cost import (
-    AccessDecision,
-    BackendDecision,
-    CostModel,
-    DEFAULT_COST_MODEL,
-    StoreStats,
-)
+from .cost import AccessDecision, CostModel, DEFAULT_COST_MODEL, StoreStats
 from .plans import (
     AnswerNode,
     BandIntervalsNode,
@@ -94,11 +87,6 @@ class PlannedStatement:
     rank: Optional[int]
     target: Optional[object]
 
-    @property
-    def is_rank(self) -> bool:
-        """Rank (Category 2/4) statements bypass the sharded batch API."""
-        return self.rank is not None
-
 
 @dataclass(frozen=True)
 class PlanGroup:
@@ -108,35 +96,11 @@ class PlanGroup:
     t_end: float
     band_width: Optional[float]
     statements: Tuple[PlannedStatement, ...]
-    backend: BackendDecision
 
     @property
     def width(self) -> int:
         """Statements in the group."""
         return len(self.statements)
-
-    @property
-    def probability_statements(self) -> Tuple[PlannedStatement, ...]:
-        """The UQ3x members a sharded backend can serve."""
-        return tuple(s for s in self.statements if not s.is_rank)
-
-    @property
-    def rank_statements(self) -> Tuple[PlannedStatement, ...]:
-        """The rank members only the single engine can serve."""
-        return tuple(s for s in self.statements if s.is_rank)
-
-
-@dataclass
-class PlanTelemetry:
-    """Execution-side planner decisions, for metrics and tests."""
-
-    groups: int = 0
-    statements: int = 0
-    group_widths: List[int] = field(default_factory=list)
-    backend_statements: Dict[str, int] = field(default_factory=dict)
-    #: Statements planned ``backend=sharded`` that the single engine served
-    #: (no sharded engine attached at execution, or it raised).
-    fallbacks: int = 0
 
 
 @dataclass
@@ -146,7 +110,6 @@ class PlanExecution:
     #: Per-statement answer id lists, submission order, canonically
     #: sorted by ``str``.
     answers: List[List[object]]
-    telemetry: PlanTelemetry
 
 
 @dataclass(frozen=True)
@@ -168,113 +131,34 @@ class QueryPlan:
         """The plan tree as indented text."""
         return render_plan(self.root)
 
-    def execute(
-        self,
-        engine: QueryEngine,
-        sharded: Optional[object] = None,
-    ) -> PlanExecution:
+    def execute(self, engine: QueryEngine) -> PlanExecution:
         """Run every group and interleave answers into submission order.
 
         Args:
-            engine: the reusable single-process engine (its context
+            engine: the reusable engine every group runs on (its context
                 cache persists across executions).
-            sharded: the :class:`~repro.parallel.ShardedEngine` groups
-                planned as ``backend=sharded`` fan out to; such groups
-                fall back to ``engine`` (and are counted as fallbacks)
-                when it is absent or fails.
         """
-        telemetry = PlanTelemetry(
-            groups=len(self.groups), statements=self.statement_count
-        )
         by_position: Dict[int, List[object]] = {}
         for group in self.groups:
-            telemetry.group_widths.append(group.width)
-            self._execute_group(group, engine, sharded, by_position, telemetry)
+            self._execute_group(group, engine, by_position)
         answers = [by_position[position] for position in sorted(by_position)]
-        return PlanExecution(answers=answers, telemetry=telemetry)
-
-    # ------------------------------------------------------------------
-    # Group execution.
-    # ------------------------------------------------------------------
+        return PlanExecution(answers=answers)
 
     def _execute_group(
         self,
         group: PlanGroup,
         engine: QueryEngine,
-        sharded: Optional[object],
-        by_position: Dict[int, List[object]],
-        telemetry: PlanTelemetry,
-    ) -> None:
-        single: Tuple[PlannedStatement, ...] = group.statements
-        if group.backend.sharded:
-            probability = group.probability_statements
-            served = self._execute_sharded(
-                group, probability, sharded, by_position, telemetry
-            )
-            if served:
-                single = group.rank_statements
-        if single:
-            self._execute_single(group, single, engine, by_position)
-            count = telemetry.backend_statements.get("single", 0)
-            telemetry.backend_statements["single"] = count + len(single)
-
-    def _execute_sharded(
-        self,
-        group: PlanGroup,
-        statements: Tuple[PlannedStatement, ...],
-        sharded: Optional[object],
-        by_position: Dict[int, List[object]],
-        telemetry: PlanTelemetry,
-    ) -> bool:
-        """Fan the group's probability statements out; True when served."""
-        if sharded is None or not statements:
-            telemetry.fallbacks += len(statements)
-            return False
-        # The sharded batch API answers one (variant, fraction) per call.
-        subgroups: Dict[Tuple[str, float], List[PlannedStatement]] = {}
-        for statement in statements:
-            key = (statement.variant, statement.fraction)
-            subgroups.setdefault(key, []).append(statement)
-        try:
-            answers: Dict[Tuple[str, float], Dict[object, Answer]] = {}
-            for (variant, fraction), members in subgroups.items():
-                answers[(variant, fraction)] = sharded.answer_batch(
-                    [s.query_object for s in members],
-                    group.t_start,
-                    group.t_end,
-                    variant=variant,
-                    fraction=fraction,
-                    band_width=group.band_width,
-                ).answers
-        except Exception:
-            # Any sharded failure re-routes the whole probability slice
-            # through the single engine; answers stay exact either way.
-            telemetry.fallbacks += len(statements)
-            return False
-        for (variant, fraction), members in subgroups.items():
-            merged = answers[(variant, fraction)]
-            for statement in members:
-                ids = sorted(merged[statement.query_object], key=str)
-                by_position[statement.position] = _restrict(ids, statement)
-        count = telemetry.backend_statements.get("sharded", 0)
-        telemetry.backend_statements["sharded"] = count + len(statements)
-        return True
-
-    def _execute_single(
-        self,
-        group: PlanGroup,
-        statements: Tuple[PlannedStatement, ...],
-        engine: QueryEngine,
         by_position: Dict[int, List[object]],
     ) -> None:
+        """One batched preparation, then every statement's answer from it."""
         unique_ids = list(
-            dict.fromkeys(statement.query_object for statement in statements)
+            dict.fromkeys(statement.query_object for statement in group.statements)
         )
         batch = engine.prepare_batch(
             unique_ids, group.t_start, group.t_end, band_width=group.band_width
         )
         contexts = batch.contexts
-        for statement in statements:
+        for statement in group.statements:
             context = contexts[statement.query_object]
             if statement.rank is None:
                 ids = list(
@@ -303,7 +187,6 @@ def compile_queries(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     stats: Optional[StoreStats] = None,
     access: Optional[AccessDecision] = None,
-    sharded_available: bool = False,
 ) -> QueryPlan:
     """Lower parsed statements into a fused, costed :class:`QueryPlan`.
 
@@ -314,14 +197,12 @@ def compile_queries(
             statement, or a per-statement sequence (``None`` entries use
             the 4r default).  Statements only fuse when their overrides
             match, since a batched preparation shares one band width.
-        cost_model: thresholds for the access/backend decisions.
+        cost_model: thresholds for the access decision.
         stats: precomputed store statistics (read off ``mod.columnar()``
             when omitted).
         access: a pinned access decision — the executor passes the one
             its engine was built with, so plan trees always render the
             physical truth; recomputed from ``stats`` when omitted.
-        sharded_available: whether a sharded engine is attached (groups
-            never plan ``backend=sharded`` without one).
     """
     widths = _normalize_band_widths(band_width, len(asts))
     if stats is None:
@@ -360,18 +241,12 @@ def compile_queries(
     groups: List[PlanGroup] = []
     nodes: List[PrepareNode] = []
     for (t_start, t_end, width), members in fused.items():
-        probability_width = sum(1 for s in members if not s.is_rank)
-        backend = cost_model.choose_backend(
-            probability_width=probability_width,
-            sharded_available=sharded_available,
-        )
         groups.append(
             PlanGroup(
                 t_start=t_start,
                 t_end=t_end,
                 band_width=width,
                 statements=tuple(members),
-                backend=backend,
             )
         )
         answers = tuple(
@@ -379,7 +254,7 @@ def compile_queries(
                 position=s.position,
                 ast=s.ast,
                 query_object=s.query_object,
-                variant=None if s.is_rank else s.variant,
+                variant=s.variant if s.rank is None else None,
                 fraction=s.fraction,
                 rank=s.rank,
                 target=s.target,
@@ -390,8 +265,6 @@ def compile_queries(
             PrepareNode(
                 t_start=t_start,
                 t_end=t_end,
-                backend=backend.backend,
-                backend_reason=backend.reason,
                 child=CorridorFilterNode(
                     access=access.access,
                     reason=access.reason,

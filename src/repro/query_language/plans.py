@@ -8,8 +8,7 @@ tree of logical operators mirroring the batched engine's physical stages:
   into statement submission order;
 * :class:`PrepareNode` — one *fused group* of statements sharing a time
   window and band width, served by a single
-  :meth:`~repro.engine.QueryEngine.prepare_batch` (or
-  :meth:`~repro.parallel.ShardedEngine.answer_batch`) call;
+  :meth:`~repro.engine.QueryEngine.prepare_batch` call;
 * :class:`CorridorFilterNode` — the provably safe index corridor probe
   (or the full scan, when the cost model decides the store is too small
   for filtering to pay);
@@ -145,8 +144,6 @@ class PrepareNode(PlanNode):
 
     t_start: float
     t_end: float
-    backend: str
-    backend_reason: str
     child: CorridorFilterNode
 
     @property
@@ -162,8 +159,6 @@ class PrepareNode(PlanNode):
         return {
             "window": f"[{self.t_start:g}, {self.t_end:g}]",
             "statements": self.width,
-            "backend": self.backend,
-            "reason": self.backend_reason,
         }
 
 

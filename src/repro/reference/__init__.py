@@ -16,7 +16,9 @@ enforces that, and that the serving packages load no scipy:
 * :mod:`~repro.reference.naive` — the paper's quadratic comparison
   baselines (Figures 11 and 12);
 * :mod:`~repro.reference.definition` — the query semantics evaluated
-  straight from their definitions on dense time samples.
+  straight from their definitions on dense time samples, and the expected
+  location and distance of a difference object at one instant (the oracle
+  of the difference functions).
 
 Two references *are* production fallbacks and stay where production calls
 them: :func:`repro.geometry.envelope.klevel.exclusion_cascade` and the

@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..trajectories.mod import MovingObjectsDatabase
+from ..trajectories.trajectory import Trajectory
 
 
 @dataclass(frozen=True)
@@ -143,3 +144,17 @@ def sample_semantics(
         distances=distances,
         band_width=band_width,
     )
+
+
+def relative_position_at(
+    trajectory: Trajectory, query: Trajectory, t: float
+) -> Tuple[float, float]:
+    """Expected location of the difference object ``TR_iq`` at time ``t``."""
+    pos_i = trajectory.position_at(t)
+    pos_q = query.position_at(t)
+    return (pos_i.x - pos_q.x, pos_i.y - pos_q.y)
+
+
+def expected_distance_at(trajectory: Trajectory, query: Trajectory, t: float) -> float:
+    """Distance between expected locations at time ``t`` (no uncertainty)."""
+    return trajectory.position_at(t).distance_to(query.position_at(t))

@@ -3,14 +3,14 @@
 ``repro.service`` fronts every execution layer built so far behind one
 awaitable API: typed :class:`QueryRequest`/:class:`QueryResponse` shapes, a
 bounded admission queue with backpressure, request coalescing into engine
-batches, a TTL + revision result cache, a warm :class:`EnginePool` that
-picks the single or sharded backend by store size, and an async
+batches, a TTL + revision result cache, a warm :class:`EnginePool` holding
+the one engine every batch runs on, and an async
 subscription bridge over :class:`~repro.streaming.ContinuousMonitor` delta
 streams.  See ``docs/architecture.md`` for how the layers stack.
 """
 
 from .cache import ResultCache, ResultCacheInfo
-from .pool import DEFAULT_SHARD_THRESHOLD, EnginePool, GroupResult
+from .pool import EnginePool, GroupResult
 from .requests import QueryRequest, QueryResponse
 from .service import (
     ADMISSION_POLICIES,
@@ -25,7 +25,6 @@ from .subscriptions import DeltaBridge, DeltaSubscription
 
 __all__ = [
     "ADMISSION_POLICIES",
-    "DEFAULT_SHARD_THRESHOLD",
     "DeltaBridge",
     "DeltaSubscription",
     "EnginePool",

@@ -98,7 +98,7 @@ class QueryResponse:
             :meth:`repro.engine.QueryEngine.answer` call.
         revision: MOD revision the answer was computed at (or served from
             cache for).
-        backend: ``"single"``, ``"sharded"``, or ``"cache"``.
+        backend: ``"single"`` (the pool's engine) or ``"cache"``.
         batch_size: how many requests the serving engine batch coalesced
             (1 for cache hits).
         queue_seconds: time spent waiting in the admission queue.

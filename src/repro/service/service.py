@@ -1,4 +1,4 @@
-"""The asyncio query service fronting the batch, sharded, and streaming layers.
+"""The asyncio query service fronting the batch and streaming layers.
 
 :class:`QueryService` is the request/response front-end the scaling roadmap
 puts in front of the engines: callers ``await`` UQ31/32/33 requests while
@@ -15,8 +15,8 @@ the service
    engine batch, so a dashboard refresh of 50 standing queries costs one
    :meth:`~repro.engine.QueryEngine.prepare_batch` pass instead of 50
    serial preparations;
-4. routes each batch to a warm single or sharded engine picked by store
-   size (:mod:`repro.service.pool`), evaluating off the event loop on an
+4. answers each batch on the pool's one warm engine
+   (:mod:`repro.service.pool`), evaluating off the event loop on an
    executor so the loop stays responsive;
 5. bridges :class:`~repro.streaming.ContinuousMonitor` delta streams to
    async consumers (:meth:`QueryService.subscribe`), completing the
@@ -24,7 +24,7 @@ the service
 
 Answers are exact: the oracle tests pin every service response
 byte-identical to a direct :meth:`repro.engine.QueryEngine.answer` call at
-the same store state, for both backends.
+the same store state.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ import asyncio
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
 from pathlib import Path
-from typing import Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..engine.answers import Answer
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from ..obs.tracing import Span, capture, detached_span, record, render_tree, trace_span
+from ..obs.tracing import Span, capture, render_tree, trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from .cache import ResultCache, ResultCacheInfo
 from .pool import EnginePool
@@ -91,9 +90,8 @@ class ExplainResult:
 
     Attributes:
         response: the served :class:`QueryResponse` (exact, cache-aware).
-        span: root of the trace — ``service.explain`` with the pool,
-            engine, shard, and (process backend) worker spans nested under
-            it.
+        span: root of the trace — ``service.explain`` with the group,
+            pool and engine spans nested under it.
     """
 
     response: QueryResponse
@@ -147,16 +145,14 @@ class QueryService:
         cache_ttl: result-cache TTL in seconds, ``None`` for revision-only
             invalidation.
         pool: a prebuilt :class:`EnginePool` (stays owned by the caller —
-            :meth:`stop` will not close it); built from ``pool_options``
-            over ``mod`` when ``None``.
+            :meth:`stop` will not close it, so several services can share
+            its warm engine); built over ``mod`` when ``None``.
         executor: where engine batches run; the event loop's default
             thread pool when ``None``.
         registry: the :class:`~repro.obs.MetricsRegistry` every layer of
             this service reports into (``repro_service_*`` plus the pooled
-            engines' metrics); a private registry when ``None``.  A
+            engine's metrics); a private registry when ``None``.  A
             caller-supplied ``pool`` keeps its own registry.
-        **pool_options: forwarded to :class:`EnginePool` when building one
-            (``shard_threshold``, ``num_shards``, ``force_backend``, ...).
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`::
 
@@ -181,7 +177,6 @@ class QueryService:
         pool: Optional[EnginePool] = None,
         executor: Optional[Executor] = None,
         registry: Optional[MetricsRegistry] = None,
-        **pool_options,
     ) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
@@ -196,8 +191,6 @@ class QueryService:
             )
         if snapshot_interval is not None and snapshot_interval <= 0:
             raise ValueError("snapshot_interval must be positive")
-        if pool is not None and pool_options:
-            raise ValueError("pass pool_options only when the pool is built here")
         self.registry = registry if registry is not None else MetricsRegistry()
         # The durable tier: restore the recorded store when none was given,
         # then shadow every mutation through the write-ahead log.
@@ -226,11 +219,7 @@ class QueryService:
         # A caller-provided pool stays the caller's to close (it may be
         # shared across services); only a pool built here is shut down.
         self._owns_pool = pool is None
-        self.pool = (
-            pool
-            if pool is not None
-            else EnginePool(mod, registry=self.registry, **pool_options)
-        )
+        self.pool = pool if pool is not None else EnginePool(mod, registry=self.registry)
         self._queue_limit = queue_limit
         self._max_batch = max_batch
         self._coalesce_delay = coalesce_delay
@@ -296,8 +285,7 @@ class QueryService:
         """Start the dispatcher; idempotent while running.
 
         Warms the engine pool off the event loop before accepting work, so
-        the first request never pays index construction (or, for a process
-        backend, pool spin-up and the shared-memory export).
+        the first request never pays index construction.
         """
         if self._dispatcher is not None:
             if self._closing:
@@ -537,9 +525,8 @@ class QueryService:
 
         Covers the service layer (requests, cache, queue depth, admission
         wait, coalesce width, latencies), the result cache, and — when the
-        pool was built by this service — the engines behind it
-        (``repro_engine_*`` / ``repro_sharded_*``), one registry for the
-        whole stack.
+        pool was built by this service — the engine behind it
+        (``repro_engine_*``), one registry for the whole stack.
         """
         return self.registry.snapshot()
 
@@ -552,58 +539,54 @@ class QueryService:
 
         A diagnostic path: the request bypasses the admission queue and
         coalescing (nothing rides along, so the trace is exactly this
-        request's work) but uses the same result cache and engine pool, so
-        what it reports is what :meth:`submit` would have done.  Evaluation
-        runs off-loop under a temporary process-wide tracing capture; with
-        a process-backend sharded pool the workers' spans come back
-        stitched under the dispatch span.  Service counters (requests,
-        batches, latencies) are not advanced — explaining a request does
-        not distort the serving metrics — though the caches it exercises
-        count their hits and misses as usual.
+        request's work) but goes through the same result cache and the same
+        group evaluator as :meth:`submit`, as a one-request group, so what
+        it reports is what :meth:`submit` would have done.  Evaluation runs
+        off-loop under a temporary process-wide tracing capture.  Service
+        counters (requests, batches, latencies) are not advanced —
+        explaining a request does not distort the serving metrics — though
+        the caches it exercises count their hits and misses as usual.
         """
         if not self.running:
             raise ServiceClosed("the service is not running")
+        started = time.perf_counter()
+        revision = self.mod.revision
+        cached = self.cache.get(request.fingerprint, revision)
 
-        def evaluate() -> ExplainResult:
-            started = time.perf_counter()
+        def evaluate() -> Tuple[Answer, Span]:
             with capture() as recorder:
                 with trace_span(
                     "service.explain",
                     query=request.query_id,
                     variant=request.variant,
                 ):
-                    revision = self.mod.revision
-                    cached = self.cache.get(request.fingerprint, revision)
-                    if cached is not None:
-                        answer, backend = cached, "cache"
-                    else:
-                        result = self.pool.answer_group(
-                            [request.query_id],
-                            request.t_start,
-                            request.t_end,
-                            variant=request.variant,
-                            fraction=request.fraction,
-                            band_width=request.band_width,
-                        )
-                        answer = result.answers[request.query_id]
-                        backend = result.backend
-                        self.cache.put(request.fingerprint, revision, answer)
+                    answer = (
+                        cached
+                        if cached is not None
+                        else self._evaluate_group([request])[request.query_id]
+                    )
                 root = recorder.latest()
-            root.set("backend", backend)
-            return ExplainResult(
-                response=QueryResponse(
-                    request=request,
-                    answer=answer,
-                    revision=revision,
-                    backend=backend,
-                    batch_size=1,
-                    queue_seconds=0.0,
-                    service_seconds=time.perf_counter() - started,
-                ),
-                span=root,
-            )
+            return answer, root
 
-        return await self._loop.run_in_executor(self._executor, evaluate)
+        answer, root = await self._loop.run_in_executor(self._executor, evaluate)
+        if cached is None:
+            backend = self.pool.backend_kind()
+            self.cache.put(request.fingerprint, revision, answer)
+        else:
+            backend = "cache"
+        root.set("backend", backend)
+        return ExplainResult(
+            response=QueryResponse(
+                request=request,
+                answer=answer,
+                revision=revision,
+                backend=backend,
+                batch_size=1,
+                queue_seconds=0.0,
+                service_seconds=time.perf_counter() - started,
+            ),
+            span=root,
+        )
 
     # ------------------------------------------------------------------
     # Durability.
@@ -681,46 +664,52 @@ class QueryService:
         for members in groups.values():
             await self._serve_group(members)
 
+    def _evaluate_group(
+        self, requests: Sequence[QueryRequest]
+    ) -> Dict[object, Answer]:
+        """Answers, by query id, of requests that share a coalescing key.
+
+        The one evaluator behind :meth:`submit` (a coalesced group) and
+        :meth:`explain` (a one-request group): one ``pool.answer_group``
+        over the group's distinct query ids.  It runs on an executor thread,
+        whose span stack is its own, so its ``service.group`` span is a
+        root landing in the active recorder (a no-op when tracing is off),
+        or nests under ``service.explain``.
+        """
+        head = requests[0]
+        query_ids = list(dict.fromkeys(request.query_id for request in requests))
+        with trace_span(
+            "service.group",
+            queries=len(query_ids),
+            requests=len(requests),
+            variant=head.variant,
+            backend=self.pool.backend_kind(),
+        ):
+            return self.pool.answer_group(
+                query_ids,
+                head.t_start,
+                head.t_end,
+                variant=head.variant,
+                fraction=head.fraction,
+                band_width=head.band_width,
+            ).answers
+
     async def _serve_group(self, members: List[_Pending]) -> None:
-        request = members[0].request
-        query_ids = list(
-            dict.fromkeys(pending.request.query_id for pending in members)
-        )
         revision = self.mod.revision
         dequeued = time.perf_counter()
-
-        def evaluate():
-            # Runs on an executor thread, so spans must not touch the event
-            # loop thread's stack: the group's trace is a detached root
-            # pushed to the active recorder once finished (a no-op when
-            # tracing is off).
-            span = detached_span(
-                "service.group",
-                queries=len(query_ids),
-                requests=len(members),
-                variant=request.variant,
-            )
-            with span:
-                result = self.pool.answer_group(
-                    query_ids,
-                    request.t_start,
-                    request.t_end,
-                    variant=request.variant,
-                    fraction=request.fraction,
-                    band_width=request.band_width,
-                )
-            span.set("backend", result.backend)
-            record(span)
-            return result
-
         try:
-            result = await self._loop.run_in_executor(self._executor, evaluate)
+            answers = await self._loop.run_in_executor(
+                self._executor,
+                self._evaluate_group,
+                [pending.request for pending in members],
+            )
         except Exception as error:  # noqa: BLE001 - forwarded to awaiters
             for pending in members:
                 if not pending.future.done():
                     pending.future.set_exception(error)
             return
         finished = time.perf_counter()
+        backend = self.pool.backend_kind()
         self._m_batches.inc()
         self._m_evaluated.inc(len(members))
         self._m_coalesce.observe(len(members))
@@ -728,13 +717,13 @@ class QueryService:
         self.registry.counter(
             "repro_service_backend_requests_total",
             "Requests served per engine backend",
-            backend=result.backend,
+            backend=backend,
         ).inc(len(members))
-        self._backend_counts[result.backend] = (
-            self._backend_counts.get(result.backend, 0) + len(members)
+        self._backend_counts[backend] = (
+            self._backend_counts.get(backend, 0) + len(members)
         )
         for pending in members:
-            answer = result.answers[pending.request.query_id]
+            answer = answers[pending.request.query_id]
             self.cache.put(pending.request.fingerprint, revision, answer)
             self._m_latency.observe(finished - pending.submitted)
             if pending.future.done():
@@ -744,7 +733,7 @@ class QueryService:
                     request=pending.request,
                     answer=answer,
                     revision=revision,
-                    backend=result.backend,
+                    backend=backend,
                     batch_size=len(members),
                     queue_seconds=dequeued - pending.enqueued,
                     service_seconds=finished - pending.submitted,

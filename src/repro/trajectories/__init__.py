@@ -1,11 +1,6 @@
 """Trajectory model: crisp/uncertain trajectories, difference trajectories, the MOD."""
 
-from .difference import (
-    difference_distance_function,
-    difference_distance_functions,
-    expected_distance_at,
-    relative_position_at,
-)
+from .difference import difference_distance_function, difference_distance_functions
 from .io import LoadReport, load_csv, load_json, save_csv, save_json
 from .interpolation import (
     pairwise_expected_distances,
@@ -51,10 +46,8 @@ __all__ = [
     "UncertainTrajectory",
     "difference_distance_function",
     "difference_distance_functions",
-    "expected_distance_at",
     "pairwise_expected_distances",
     "positions_at",
-    "relative_position_at",
     "resample",
     "sampled_polyline",
     "uniform_time_grid",

@@ -123,15 +123,6 @@ def difference_distance_functions(
     return functions
 
 
-def relative_position_at(
-    trajectory: Trajectory, query: Trajectory, t: float
-) -> tuple[float, float]:
-    """Expected location of the difference object ``TR_iq`` at time ``t``."""
-    pos_i = trajectory.position_at(t)
-    pos_q = query.position_at(t)
-    return (pos_i.x - pos_q.x, pos_i.y - pos_q.y)
-
-
 def difference_function_pack(
     trajectories: Sequence[Trajectory],
     query: Trajectory,
@@ -433,11 +424,6 @@ def _position_and_velocity(ts, xs, ys, ref_legs, refs, mid_legs):
         start, stop = mid_legs, mid_legs + 1
         duration = ts[stop] - ts[start]
         return x, y, (xs[stop] - xs[start]) / duration, (ys[stop] - ys[start]) / duration
-
-
-def expected_distance_at(trajectory: Trajectory, query: Trajectory, t: float) -> float:
-    """Distance between expected locations at time ``t`` (no uncertainty)."""
-    return trajectory.position_at(t).distance_to(query.position_at(t))
 
 
 def _aligned_breakpoints(

@@ -228,7 +228,7 @@ class ReplayReport:
         return self.latency_percentile(99)
 
     def backend_counts(self) -> Dict[str, int]:
-        """Served requests per backend (``cache`` / ``single`` / ``sharded``)."""
+        """Served requests per backend (``cache`` / ``single``)."""
         counts: Dict[str, int] = {}
         for response in self.responses:
             counts[response.backend] = counts.get(response.backend, 0) + 1

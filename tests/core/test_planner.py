@@ -13,7 +13,6 @@ from repro.query_language import (
     explain_plan,
     parse_query,
 )
-from repro.query_language.cost import StoreStats
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.scenarios import multi_query_fleet
 
@@ -98,38 +97,13 @@ class TestCostModel:
         )
         assert plan.access.use_index
 
-    def test_backend_single_without_sharded_engine(self, mod):
-        plan = compile_queries([parse_query(_text("q"))], mod)
-        assert plan.groups[0].backend.backend == "single"
-        assert "no sharded engine" in plan.groups[0].backend.reason
-
-    def test_backend_sharded_needs_width(self, mod):
-        stats = StoreStats(object_count=100, segment_count=500)
-        model = CostModel(sharded_min_group=2)
-        asts = [parse_query(_text("q")), parse_query(_text("near"))]
-        plan = compile_queries(
-            asts, mod, cost_model=model, stats=stats, sharded_available=True
-        )
-        assert plan.groups[0].backend.sharded
-
-        narrow = compile_queries(
-            asts[:1], mod, cost_model=model, stats=stats, sharded_available=True
-        )
-        assert narrow.groups[0].backend.backend == "single"
-        assert "sharded_min_group" in narrow.groups[0].backend.reason
-
-    def test_rank_statements_never_count_toward_sharded_width(self, mod):
-        stats = StoreStats(object_count=100, segment_count=500)
-        model = CostModel(sharded_min_group=2)
-        rank_text = (
-            "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "
-            "AND RANK_NN(T, 'q', TIME) <= 2"
-        )
-        asts = [parse_query(rank_text), parse_query(rank_text)]
-        plan = compile_queries(
-            asts, mod, cost_model=model, stats=stats, sharded_available=True
-        )
-        assert plan.groups[0].backend.backend == "single"
+    def test_access_is_the_only_choice(self, mod):
+        with pytest.raises(TypeError, match="sharded_min_group"):
+            CostModel(sharded_min_group=2)
+        with pytest.raises(TypeError, match="sharded_available"):
+            compile_queries([parse_query(_text("q"))], mod, sharded_available=True)
+        with pytest.raises(TypeError, match="sharded"):
+            QueryExecutor(mod, sharded=object())
 
 
 class TestExplain:
@@ -138,7 +112,7 @@ class TestExplain:
         for label in ("Merge", "Prepare", "CorridorFilter", "BandIntervals", "Answer"):
             assert label in rendered
         assert "statements=2" in rendered
-        assert "backend=single" in rendered
+        assert "backend" not in rendered
 
     def test_explain_with_execution_appends_span_tree(self, mod):
         rendered = explain_plan(_text("q"), mod, execute=True)
@@ -197,13 +171,30 @@ class TestExecutor:
         assert registry.get("repro_planner_compilations_total").value == 1
         assert registry.get("repro_planner_statements_total").value == 2
         assert registry.get("repro_planner_group_width").count == 1
-        assert (
-            registry.get(
-                "repro_planner_backend_statements_total", backend="single"
-            ).value
-            == 2
-        )
         assert registry.get("repro_planner_execute_seconds").count == 1
+
+    def test_a_wide_group_is_one_prepare_batch(self, monkeypatch):
+        from repro.engine import QueryEngine
+
+        fleet, query_ids = multi_query_fleet(num_vehicles=24, num_queries=6)
+        t_lo, t_hi = fleet.common_time_span()
+        texts = [_text(query_id, t_lo, t_hi) for query_id in query_ids]
+        batches = []
+        prepare_batch = QueryEngine.prepare_batch
+
+        def counted(engine, ids, *args, **kwargs):
+            batches.append(list(ids))
+            return prepare_batch(engine, ids, *args, **kwargs)
+
+        monkeypatch.setattr(QueryEngine, "prepare_batch", counted)
+        results = QueryExecutor(fleet).execute_many(texts)
+        assert batches == [list(query_ids)]
+        monkeypatch.undo()
+        direct = QueryEngine(fleet)
+        for query_id, result in zip(query_ids, results):
+            assert result.object_ids == sorted(
+                direct.answer(query_id, t_lo, t_hi), key=str
+            )
 
     def test_store_growth_reprices_the_access_decision(self, mod):
         executor = QueryExecutor(mod)

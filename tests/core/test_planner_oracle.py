@@ -1,10 +1,11 @@
 """Oracle discipline: planned answers are byte-identical to the naive interpreter.
 
-Every statement the planner serves — fused, cached, index-filtered, or
-sharded — must return exactly the ids the pinned per-query interpreter
+Every statement the planner serves — fused, cached, or index-filtered —
+must return exactly the ids the pinned per-query interpreter
 (:func:`~repro.query_language.execute_query_naive`) returns, in the same
-(canonical) order.  The CI ``planner-equality`` step runs this module with
-the sharded process backend included.
+(canonical) order.  So must every UQ3x batch of the stand-alone
+:class:`~repro.parallel.ShardedEngine`, on each of its three backends; the
+CI perf job runs this module, process backend included, before timing.
 """
 
 import pytest
@@ -102,40 +103,41 @@ class TestSingleEngineOracle:
 
 
 class TestShardedOracle:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sharded_groups_match_the_oracle(self, backend):
-        mod, query_ids = multi_query_fleet(
-            num_vehicles=24, num_queries=6, seed=17
-        )
-        t_lo, t_hi = mod.common_time_span()
-        texts = _statements(query_ids, t_lo, t_hi)
-        with ShardedEngine(mod, num_shards=2, backend=backend) as sharded:
-            executor = QueryExecutor(
-                mod, sharded=sharded, cost_model=CostModel(sharded_min_group=2)
-            )
-            plan = executor.compile(texts)
-            assert any(group.backend.sharded for group in plan.groups)
-            _assert_equal_to_oracle(executor, mod, texts)
+    SHAPES = {
+        ("sometime", 0.0): "EXISTS",
+        ("always", 0.0): "FORALL",
+        ("fraction", 0.25): "FRACTION",
+    }
 
-    def test_missing_sharded_engine_falls_back_to_single(self):
-        mod, query_ids = multi_query_fleet(
-            num_vehicles=24, num_queries=4, seed=19
-        )
+    @pytest.fixture(scope="class")
+    def world(self):
+        """The fleet, its window and every UQ3x answer of the naive oracle."""
+        mod, query_ids = multi_query_fleet(num_vehicles=24, num_queries=6, seed=17)
         t_lo, t_hi = mod.common_time_span()
-        texts = _statements(query_ids, t_lo, t_hi)
-        with ShardedEngine(mod, num_shards=2, backend="serial") as sharded:
-            executor = QueryExecutor(
-                mod, sharded=sharded, cost_model=CostModel(sharded_min_group=2)
-            )
-            plan = executor.compile(texts)
-            assert any(group.backend.sharded for group in plan.groups)
-            # Execute without the sharded engine: the planned-sharded slice
-            # must fall back to the single engine with identical answers.
-            execution = plan.execute(executor.engine, sharded=None)
-            assert execution.telemetry.fallbacks > 0
-        for position, text in enumerate(texts):
-            oracle = execute_query_naive(text, mod)
-            assert execution.answers[position] == oracle.object_ids
+        window = f"TIME IN [{t_lo}, {t_hi}]"
+        oracle = {}
+        for (variant, fraction), quantifier in self.SHAPES.items():
+            bound = f" >= {fraction}" if variant == "fraction" else ""
+            for query_id in query_ids:
+                text = (
+                    f"SELECT T FROM MOD WHERE {quantifier} {window}{bound} "
+                    f"AND PROBABILITY_NN(T, '{query_id}', TIME) > 0"
+                )
+                oracle[variant, query_id] = execute_query_naive(text, mod).object_ids
+        return mod, query_ids, (t_lo, t_hi), oracle
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_sharded_batches_match_the_oracle(self, world, backend):
+        mod, query_ids, (t_lo, t_hi), oracle = world
+        with ShardedEngine(mod, num_shards=2, backend=backend) as sharded:
+            for variant, fraction in self.SHAPES:
+                answers = sharded.answer_batch(
+                    query_ids, t_lo, t_hi, variant=variant, fraction=fraction
+                ).answers
+                for query_id in query_ids:
+                    assert sorted(answers[query_id], key=str) == oracle[
+                        variant, query_id
+                    ], (backend, variant, query_id)
 
 
 coordinate = st.floats(

@@ -372,7 +372,7 @@ class TestBandObservability:
             )
         assert 'repro_core_band_rows_total{kind="scalar"}' not in snapshot
 
-        with EnginePool(mod, force_backend="single") as pool:
+        with EnginePool(mod) as pool:
             with capture() as recorder:
                 pool.answer_group(query_ids[:2], 20.0, 28.0)
             group = recorder.latest().find("pool.answer_group")

@@ -166,8 +166,8 @@ def test_unknown_query_and_bad_arguments(fleet):
         ShardedEngine(mod, 4, max_workers=0)
     with pytest.raises(ValueError):
         ShardedEngine(mod, 4, mp_start_method="teleport")
-    with pytest.raises(ValueError, match="different store"):
-        ShardedEngine(mod, 4, backend="serial", engine=QueryEngine(_two_radii()[0]))
+    with pytest.raises(TypeError, match="engine"):
+        ShardedEngine(mod, 4, backend="serial", engine=QueryEngine(mod))
 
 
 def test_every_slice_slot_sees_the_whole_store(fleet):
@@ -228,8 +228,8 @@ def test_answers_follow_additions_replacements_and_removals(backend):
 # ---------------------------------------------------------------------------
 
 
-def test_one_index_per_store_whatever_the_backend_label():
-    """An in-process sharded pool loads exactly one index and patches it."""
+def test_one_index_per_store_across_the_pool_and_a_sharded_engine():
+    """The pool's engine and an in-process sharded engine share one index."""
     mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
     lo, hi = mod.common_time_span()
     registry = MetricsRegistry()
@@ -237,24 +237,26 @@ def test_one_index_per_store_whatever_the_backend_label():
     def index_builds():
         return registry.snapshot()["repro_engine_index_build_seconds"]["count"]
 
-    with EnginePool(mod, force_backend="sharded", num_shards=4, registry=registry) as pool:
-        assert pool.warm_up() == "sharded"
+    with EnginePool(mod, registry=registry) as pool:
+        assert pool.warm_up() == "single"
         assert index_builds() == 1
-        sharded = pool.sharded_engine()
         tree = mod.index("rtree")
         for _ in range(3):
             # 36 of 40 objects move: one patch of the store's index.
             for object_id in mod.object_ids[:36]:
                 mod.replace_trajectory(moved(mod.get(object_id), 0.1))
-            result = pool.answer_group(query_ids, lo, hi)
-            assert result.backend == "sharded"
+            pool.answer_group(query_ids, lo, hi)
             assert index_builds() == 1
             assert pool.single_engine().index is tree is mod.index("rtree")
-        # The label's other side serves from the same engine: nothing new.
         single = pool.single_engine()
-        assert sharded.answer(query_ids[0], lo, hi) == single.answer(query_ids[0], lo, hi)
-        assert index_builds() == 1
+        pool.answer_group(query_ids, lo, hi)
         assert single.cache_info().hits > 0
+        # A sharded engine over the same store reuses the store's index.
+        with ShardedEngine(mod, 4, backend="thread", registry=registry) as sharded:
+            assert sharded.answer(query_ids[0], lo, hi) == single.answer(
+                query_ids[0], lo, hi
+            )
+        assert index_builds() == 1
 
 
 def test_process_workers_rebuild_once_per_revision(fleet):

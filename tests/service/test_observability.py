@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import capture
 from repro.service import QueryRequest, QueryService, ServiceStats
 from repro.workloads.scenarios import multi_query_fleet
 
@@ -55,7 +56,7 @@ class TestStatsSnapshot:
                 num_vehicles=24, num_queries=4, seed=7
             )
             lo, hi = mod.common_time_span()
-            async with QueryService(mod, force_backend="single") as service:
+            async with QueryService(mod) as service:
                 await service.submit(QueryRequest(query_ids[0], lo, hi))
                 first = service.stats()
                 first.backend_counts["single"] = 999
@@ -144,7 +145,7 @@ class TestExplain:
                 num_vehicles=24, num_queries=4, seed=7
             )
             lo, hi = mod.common_time_span()
-            async with QueryService(mod, force_backend="single") as service:
+            async with QueryService(mod) as service:
                 request = QueryRequest(query_ids[0], lo, hi)
                 explained = await service.explain(request)
                 served = await service.submit(request)
@@ -163,6 +164,35 @@ class TestExplain:
         # The first explain primed the cache; the second is served from it.
         assert cached.span.attrs["backend"] == "cache"
         assert cached.response.answer == served.answer
+
+    def test_explain_runs_the_evaluator_a_traced_submit_runs(self):
+        def tree(span):
+            return [(node.name, node.attrs) for node in span.walk()]
+
+        async def _run():
+            for explain in (True, False):
+                mod, query_ids = multi_query_fleet(
+                    num_vehicles=24, num_queries=4, seed=7
+                )
+                lo, hi = mod.common_time_span()
+                request = QueryRequest(query_ids[1], lo, hi)
+                async with QueryService(mod) as service:
+                    if explain:
+                        explained = await service.explain(request)
+                        continue
+                    with capture() as recorder:
+                        submitted = await service.submit(request)
+                    traced = recorder.spans()
+            return explained, submitted, traced
+
+        explained, submitted, traced = run(_run())
+        assert explained.response.answer == submitted.answer
+        assert explained.response.backend == submitted.backend == "single"
+        (group,) = [span for span in traced if span.name == "service.group"]
+        assert tree(explained.span.find("service.group")) == tree(group)
+        pool_span = group.find("pool.answer_group")
+        assert pool_span is not None
+        assert tree(explained.span.find("pool.answer_group")) == tree(pool_span)
 
     def test_explain_does_not_disturb_service_stats(self):
         async def _run():

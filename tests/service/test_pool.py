@@ -1,9 +1,13 @@
-"""Backend selection and exactness of the warm engine pool."""
+"""The warm engine pool: one engine, exact answers, what a group engages."""
+
+import asyncio
 
 import pytest
 
 from repro.engine import QueryEngine
-from repro.service import EnginePool
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel import ShardedEngine
+from repro.service import EnginePool, QueryRequest, QueryService
 from repro.workloads.scenarios import multi_query_fleet
 
 
@@ -12,22 +16,13 @@ def fleet():
     return multi_query_fleet(num_vehicles=24, num_queries=4)
 
 
-class TestBackendSelection:
-    def test_small_store_routes_to_single(self, fleet):
-        mod, _ = fleet
-        with EnginePool(mod, shard_threshold=1000) as pool:
-            assert pool.backend_kind() == "single"
+@pytest.fixture(scope="module")
+def large_fleet():
+    """A store above the 192 objects that once routed a pool to sharding."""
+    return multi_query_fleet(num_vehicles=200, num_queries=4, seed=5)
 
-    def test_large_store_routes_to_sharded(self, fleet):
-        mod, _ = fleet
-        with EnginePool(mod, shard_threshold=10) as pool:
-            assert pool.backend_kind() == "sharded"
 
-    def test_force_backend_overrides_size(self, fleet):
-        mod, _ = fleet
-        with EnginePool(mod, shard_threshold=10, force_backend="single") as pool:
-            assert pool.backend_kind() == "single"
-
+class TestOneEngine:
     def test_engines_stay_warm_across_groups(self, fleet):
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
@@ -38,46 +33,62 @@ class TestBackendSelection:
             assert pool.single_engine() is engine
             assert engine.cache_info().hits > 0
 
-    def test_invalid_options_rejected(self, fleet):
-        mod, _ = fleet
-        with pytest.raises(ValueError, match="shard_threshold"):
-            EnginePool(mod, shard_threshold=0)
-        with pytest.raises(ValueError, match="unknown backend"):
-            EnginePool(mod, force_backend="gpu")
-        with pytest.raises(ValueError):
-            EnginePool(
-                mod, force_backend="sharded", mp_start_method="teleport"
-            ).sharded_engine()
-
-    def test_warm_up_builds_the_routed_backend(self, fleet):
+    def test_warm_up_builds_the_engine(self, fleet):
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
-        with EnginePool(mod, force_backend="single") as pool:
+        with EnginePool(mod) as pool:
             assert pool.warm_up() == "single"
             engine = pool.single_engine()
+            assert engine.index is not None
             pool.answer_group(query_ids, lo, hi)
             assert pool.single_engine() is engine  # warm engine was reused
-        with EnginePool(mod, force_backend="sharded", num_shards=2) as pool:
-            assert pool.warm_up() == "sharded"
-            sharded = pool.sharded_engine()
-            result = pool.answer_group(query_ids, lo, hi)
-            assert result.backend == "sharded"
-            assert pool.sharded_engine() is sharded
+        assert pool.backend_kind() == "single"
 
-    def test_mp_start_method_reaches_the_sharded_engine(self, fleet):
+    def test_close_drops_the_engine_and_the_next_batch_rebuilds(self, fleet):
+        mod, query_ids = fleet
+        lo, hi = mod.common_time_span()
+        pool = EnginePool(mod)
+        first = pool.answer_group(query_ids, lo, hi)
+        engine = pool.single_engine()
+        pool.close()
+        pool.close()  # idempotent
+        second = pool.answer_group(query_ids, lo, hi)
+        assert pool.single_engine() is not engine
+        assert second.answers == first.answers
+
+    def test_engine_reports_into_the_pool_registry(self):
+        # A store of its own: the module fleet's index is already built.
+        mod, query_ids = multi_query_fleet(num_vehicles=24, num_queries=4)
+        lo, hi = mod.common_time_span()
+        registry = MetricsRegistry()
+        with EnginePool(mod, registry=registry) as pool:
+            assert pool.registry is registry
+            pool.answer_group(query_ids, lo, hi)
+            pool.answer_group(query_ids, lo, hi)
+        snapshot = registry.snapshot()
+        assert snapshot["repro_engine_index_build_seconds"]["count"] == 1
+        assert snapshot["repro_engine_batch_seconds"]["count"] == 2
+        assert registry.get("repro_engine_cache_hits_total").value == len(query_ids)
+
+    def test_backend_options_are_gone(self, fleet):
         mod, _ = fleet
-        with EnginePool(
-            mod, force_backend="sharded", mp_start_method="forkserver"
-        ) as pool:
-            assert pool.sharded_engine()._mp_start_method == "forkserver"
+        for option, value in [
+            ("shard_threshold", 10),
+            ("num_shards", 2),
+            ("sharded_backend", "thread"),
+            ("force_backend", "single"),
+            ("max_workers", 2),
+            ("mp_start_method", "spawn"),
+        ]:
+            with pytest.raises(TypeError, match=option):
+                EnginePool(mod, **{option: value})
 
 
 class TestExactness:
-    @pytest.mark.parametrize("backend", ["single", "sharded"])
     @pytest.mark.parametrize(
         "variant,fraction", [("sometime", 0.0), ("always", 0.0), ("fraction", 0.4)]
     )
-    def test_answers_match_direct_engine(self, fleet, backend, variant, fraction):
+    def test_answers_match_direct_engine(self, fleet, variant, fraction):
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
         direct = QueryEngine(mod)
@@ -87,9 +98,99 @@ class TestExactness:
             )
             for query_id in query_ids
         }
-        with EnginePool(mod, force_backend=backend, num_shards=3) as pool:
+        with EnginePool(mod) as pool:
             result = pool.answer_group(
                 query_ids, lo, hi, variant=variant, fraction=fraction
             )
-        assert result.backend == backend
         assert result.answers == expected
+
+    @pytest.mark.parametrize(
+        "variant,fraction", [("sometime", 0.0), ("always", 0.0), ("fraction", 0.4)]
+    )
+    def test_large_store_answers_match_direct_engine(
+        self, large_fleet, variant, fraction
+    ):
+        mod, query_ids = large_fleet
+        lo, hi = mod.common_time_span()
+        direct = QueryEngine(mod)
+        expected = {
+            query_id: direct.answer(
+                query_id, lo, hi, variant=variant, fraction=fraction
+            )
+            for query_id in query_ids
+        }
+        with EnginePool(mod) as pool:
+            result = pool.answer_group(
+                query_ids, lo, hi, variant=variant, fraction=fraction
+            )
+        assert result.answers == expected
+
+    def test_band_width_reaches_the_engine(self, fleet):
+        mod, query_ids = fleet
+        lo, hi = mod.common_time_span()
+        direct = QueryEngine(mod)
+        with EnginePool(mod) as pool:
+            for band_width in (0.5, 1.5):
+                result = pool.answer_group(query_ids, lo, hi, band_width=band_width)
+                assert result.answers == {
+                    query_id: direct.answer(query_id, lo, hi, band_width=band_width)
+                    for query_id in query_ids
+                }
+
+    def test_repeated_ids_are_answered_once(self, fleet):
+        mod, query_ids = fleet
+        lo, hi = mod.common_time_span()
+        with EnginePool(mod) as pool:
+            result = pool.answer_group(
+                [query_ids[0], query_ids[1], query_ids[0]], lo, hi
+            )
+        assert list(result.answers) == [query_ids[0], query_ids[1]]
+        direct = QueryEngine(mod)
+        assert result.answers[query_ids[0]] == direct.answer(query_ids[0], lo, hi)
+
+    def test_an_empty_group_has_no_answers(self, fleet):
+        mod, _ = fleet
+        lo, hi = mod.common_time_span()
+        with EnginePool(mod) as pool:
+            assert pool.answer_group([], lo, hi).answers == {}
+
+
+def test_a_large_store_group_is_one_prepare_batch_and_no_sharded_engine(
+    monkeypatch,
+):
+    """Store size picks nothing: a 200-object store's group is one batch."""
+    mod, query_ids = multi_query_fleet(num_vehicles=200, num_queries=6, seed=5)
+    assert len(mod) >= 192 and len(query_ids) == 6
+    lo, hi = mod.common_time_span()
+    batches = []
+    sharded = []
+    prepare_batch = QueryEngine.prepare_batch
+    sharded_init = ShardedEngine.__init__
+
+    def counted(engine, ids, *args, **kwargs):
+        batches.append(list(ids))
+        return prepare_batch(engine, ids, *args, **kwargs)
+
+    def spied(engine, *args, **kwargs):
+        sharded.append(args)
+        sharded_init(engine, *args, **kwargs)
+
+    monkeypatch.setattr(QueryEngine, "prepare_batch", counted)
+    monkeypatch.setattr(ShardedEngine, "__init__", spied)
+
+    async def serve():
+        async with QueryService(mod) as service:
+            return await service.submit_all(
+                [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+            )
+
+    responses = asyncio.run(serve())
+    assert batches == [list(query_ids)]
+    assert sharded == []
+    assert {response.backend for response in responses} == {"single"}
+    assert all(response.batch_size == 6 for response in responses)
+    direct = QueryEngine(mod)
+    assert all(
+        response.answer == direct.answer(response.request.query_id, lo, hi)
+        for response in responses
+    )

@@ -2,8 +2,8 @@
 
 The central claim: a service response is byte-identical to a direct
 :meth:`repro.engine.QueryEngine.answer` call at the same store state, for
-every variant and both pool backends — the async front end is pure
-plumbing, never semantics.
+every variant and store size — the async front end is pure plumbing, never
+semantics.
 """
 
 import asyncio
@@ -44,7 +44,7 @@ class TestOracleEquality:
         }
 
         async def serve():
-            async with QueryService(mod, force_backend="single") as service:
+            async with QueryService(mod) as service:
                 return await service.submit_all(
                     [
                         QueryRequest(
@@ -62,7 +62,7 @@ class TestOracleEquality:
     @pytest.mark.parametrize(
         "variant,fraction", [("sometime", 0.0), ("always", 0.0), ("fraction", 0.4)]
     )
-    def test_sharded_backend_matches_direct_engine(self, variant, fraction):
+    def test_sharded_fleet_matches_direct_engine(self, variant, fraction):
         mod, query_ids = sharded_fleet(num_districts=4, vehicles_per_district=8)
         lo, hi = mod.common_time_span()
         direct = QueryEngine(mod)
@@ -74,9 +74,7 @@ class TestOracleEquality:
         }
 
         async def serve():
-            async with QueryService(
-                mod, force_backend="sharded", num_shards=4
-            ) as service:
+            async with QueryService(mod) as service:
                 responses = await service.submit_all(
                     [
                         QueryRequest(
@@ -85,7 +83,7 @@ class TestOracleEquality:
                         for query_id in query_ids
                     ]
                 )
-                assert all(r.backend == "sharded" for r in responses)
+                assert all(r.backend == "single" for r in responses)
                 return responses
 
         responses = run(serve())
@@ -228,12 +226,38 @@ class TestLifecycleAndErrors:
 
         run(scenario())
 
-    def test_pool_options_conflict_with_prebuilt_pool(self, fleet):
+    def test_backend_options_are_not_accepted(self, fleet):
+        mod, _ = fleet
+        for option, value in [("shard_threshold", 5), ("force_backend", "single")]:
+            with pytest.raises(TypeError, match=option):
+                QueryService(mod, **{option: value})
+
+    def test_two_running_services_share_one_warm_engine(self, fleet):
         from repro.service import EnginePool
 
-        mod, _ = fleet
-        with pytest.raises(ValueError, match="pool_options"):
-            QueryService(mod, pool=EnginePool(mod), shard_threshold=5)
+        mod, query_ids = fleet
+        lo, hi = mod.common_time_span()
+
+        async def scenario():
+            with EnginePool(mod) as pool:
+                async with QueryService(mod, pool=pool) as first, QueryService(
+                    mod, pool=pool
+                ) as second:
+                    engine = pool.single_engine()
+                    ours = await first.query(query_ids[0], lo, hi)
+                    hits = engine.cache_info().hits
+                    theirs = await second.query(query_ids[0], lo, hi)
+                    # The second service's miss in its own result cache is
+                    # a hit in the shared engine's context cache.
+                    assert engine.cache_info().hits > hits
+                    assert pool.single_engine() is engine
+                return ours, theirs
+
+        ours, theirs = run(scenario())
+        assert ours.backend == theirs.backend == "single"
+        assert ours.answer == theirs.answer == QueryEngine(mod).answer(
+            query_ids[0], lo, hi
+        )
 
     def test_caller_provided_pool_survives_service_stop(self, fleet):
         from repro.service import EnginePool
@@ -242,7 +266,7 @@ class TestLifecycleAndErrors:
         lo, hi = mod.common_time_span()
 
         async def scenario():
-            with EnginePool(mod, force_backend="single") as pool:
+            with EnginePool(mod) as pool:
                 async with QueryService(mod, pool=pool) as service:
                     await service.query(query_ids[0], lo, hi)
                 engine = pool.single_engine()
@@ -262,7 +286,7 @@ class TestLifecycleAndErrors:
         lo, hi = mod.common_time_span()
 
         async def serve():
-            async with QueryService(mod, force_backend="single") as service:
+            async with QueryService(mod) as service:
                 await service.submit_all(
                     [QueryRequest(query_id, lo, hi) for query_id in query_ids]
                 )

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.reference.definition import expected_distance_at, relative_position_at
 from repro.trajectories.difference import (
     difference_distance_function,
     difference_distance_functions,
-    expected_distance_at,
-    relative_position_at,
 )
 from repro.trajectories.trajectory import Trajectory
 

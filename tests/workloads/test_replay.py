@@ -74,12 +74,9 @@ class TestReplay:
         workload = service_workload(
             num_vehicles=16, num_queries=4, ticks=3, requests_per_tick=2.0
         )
-        report = replay_sync(
-            service_options={"force_backend": "single"}, workload=workload
-        )
-        engine_backends = {
-            backend
-            for backend in report.backend_counts()
-            if backend != "cache"
-        }
-        assert engine_backends == {"single"}
+        report = replay_sync(service_options={"max_batch": 1}, workload=workload)
+        engine_served = [r for r in report.responses if not r.from_cache]
+        assert engine_served
+        assert {r.backend for r in engine_served} == {"single"}
+        assert all(r.batch_size == 1 for r in engine_served)
+        assert report.coalescing_factor == 1.0
