@@ -14,8 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ContinuousProbabilisticNNQuery, UncertainTrajectory
-from repro.index.rtree import STRRTree
+from repro import ContinuousProbabilisticNNQuery, QueryEngine, UncertainTrajectory
 from repro.uncertainty.uniform import UniformDiskPDF
 from _support import scaled
 from repro.workloads.scenarios import ride_hailing_snapshot
@@ -38,15 +37,20 @@ def main() -> None:
     mod.add(rider)
     print(f"{len(mod) - 1} drivers cruising, matching for rider over {horizon:.0f} minutes\n")
 
-    # Pre-filter drivers with the R-tree before the envelope machinery runs
-    # (the index ablation of DESIGN.md): drivers across town never matter.
-    index = STRRTree.from_trajectories([t for t in mod if t.object_id != "rider"])
-    query = ContinuousProbabilisticNNQuery(mod, "rider", 0.0, horizon, index=index)
+    # The engine filters drivers through the store's R-tree with a provably
+    # safe corridor before the envelope machinery runs: drivers across town
+    # never matter.
+    prepared = QueryEngine(mod).prepare("rider", 0.0, horizon)
+    print(
+        f"corridor filter: {prepared.candidate_count} of "
+        f"{prepared.total_candidates} drivers enter the envelope"
+    )
+    query = ContinuousProbabilisticNNQuery(mod, "rider", 0.0, horizon)
 
     relevant = query.all_with_nonzero_probability_sometime()
     print(f"drivers with non-zero probability of being nearest: {len(relevant)}")
     stats = query.pruning_statistics()
-    print(f"  (band pruning kept {stats.surviving_candidates} of {stats.total_candidates} indexed candidates)\n")
+    print(f"  (band pruning kept {stats.surviving_candidates} of {stats.total_candidates} candidates)\n")
 
     # The dispatch shortlist: drivers that are in the top-2 at least 30% of
     # the horizon (a Category 2/4 query from Section 4 of the paper).

@@ -4,11 +4,10 @@
 need.  It glues together the pieces of the pipeline in the order the paper
 prescribes:
 
-1. (optionally) pre-filter candidates with a spatio-temporal index;
-2. build the difference distance functions of the candidates with respect to
+1. build the difference distance functions of the candidates with respect to
    the query trajectory (Section 3.2);
-3. build the level-1 lower envelope and the pruning band (Algorithm 1/2);
-4. answer the Section 4 query variants, construct the IPAC-NN tree
+2. build the level-1 lower envelope and the pruning band (Algorithm 1/2);
+3. answer the Section 4 query variants, construct the IPAC-NN tree
    (Algorithm 3), and — when asked — materialize probability descriptors.
 """
 
@@ -16,8 +15,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..index.grid import GridIndex
-from ..index.rtree import STRRTree
 from ..trajectories.mod import MovingObjectsDatabase
 from .answer import IPACTree
 from .descriptors import annotate_tree
@@ -35,9 +32,9 @@ class ContinuousProbabilisticNNQuery:
         t_end: query window end.
         band_width: pruning band width; defaults to ``4r`` computed from the
             query's and candidates' pdf supports (``2·(support_i + support_q)``).
-        index: optional spatio-temporal index (grid or R-tree) used to
-            pre-filter candidates before distance functions are built.
-        candidate_ids: explicit candidate restriction (overrides the index).
+        candidate_ids: explicit candidate restriction; every other stored
+            object when ``None``.  :class:`~repro.engine.QueryEngine` is the
+            index-filtered path.
     """
 
     def __init__(
@@ -47,7 +44,6 @@ class ContinuousProbabilisticNNQuery:
         t_start: float,
         t_end: float,
         band_width: Optional[float] = None,
-        index: Optional[GridIndex | STRRTree] = None,
         candidate_ids: Optional[Sequence[object]] = None,
     ):
         if t_end < t_start:
@@ -62,21 +58,6 @@ class ContinuousProbabilisticNNQuery:
         if band_width < 0:
             raise ValueError("band width must be non-negative")
         self.band_width = band_width
-
-        if candidate_ids is None and index is not None:
-            # Conservative corridor: anything farther than the current
-            # farthest-possible-NN bound cannot matter.  We use the band
-            # width plus the maximum envelope value as the corridor radius;
-            # since the envelope is not known yet, fall back to the band
-            # width plus the query's maximum distance to its own start — a
-            # safe (loose) radius is the region diameter, so we simply use a
-            # generous multiple of the band width and let the envelope-based
-            # pruning do the precise work.
-            corridor = self._index_corridor_radius()
-            candidate_ids = sorted(
-                index.query_corridor(self.query, corridor, t_start, t_end),
-                key=str,
-            )
 
         functions = mod.distance_functions(
             query_id, t_start, t_end, candidate_ids=candidate_ids
@@ -97,33 +78,6 @@ class ContinuousProbabilisticNNQuery:
     def _default_band_width(self) -> float:
         """``2·(support_i + support_q)`` maximized over the stored pdfs (= 4r)."""
         return self.mod.default_band_width(self.query.object_id)
-
-    def _index_corridor_radius(self) -> float:
-        """Corridor radius for index pre-filtering.
-
-        The farthest a relevant candidate can be from the query's expected
-        polyline is the largest distance the envelope can attain plus the
-        band width; without the envelope we bound the former by the farthest
-        candidate start/end distance, which keeps the filter conservative.
-        """
-        query_start = self.query.position_at(self.t_start)
-        query_end = self.query.position_at(self.t_end)
-        farthest = 0.0
-        for trajectory in self.mod:
-            if trajectory.object_id == self.query.object_id:
-                continue
-            candidate_start = trajectory.position_at(
-                max(self.t_start, trajectory.start_time)
-            )
-            candidate_end = trajectory.position_at(
-                min(self.t_end, trajectory.end_time)
-            )
-            nearest_sample = min(
-                query_start.distance_to(candidate_start),
-                query_end.distance_to(candidate_end),
-            )
-            farthest = max(farthest, nearest_sample)
-        return farthest + self.band_width
 
     # ------------------------------------------------------------------
     # Category 1 (single trajectory).

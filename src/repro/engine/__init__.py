@@ -1,10 +1,10 @@
 """Batched multi-query serving on top of the paper's query machinery.
 
-The :class:`QueryEngine` bulk-loads a spatio-temporal index once, shrinks
-each query's candidate set with a provably safe corridor probe, prepares
-whole batches of :class:`~repro.core.queries.QueryContext`s (optionally on a
-thread pool), and memoizes them in an LRU cache — the architectural seam the
-scaling roadmap (sharding, async serving, distributed caching) builds on.
+The :class:`QueryEngine` shrinks each query's candidate set with a provably
+safe corridor probe of the store's R-tree, prepares whole batches of
+:class:`~repro.core.queries.QueryContext` objects in one staged pass, and
+memoizes them in an LRU cache — the seam the service, the planner, the
+monitor and the sharded engine all serve through.
 """
 
 from .answers import VARIANTS, Answer, answer_of

@@ -5,7 +5,7 @@
 amortizes the costs a production deployment pays once per *database* rather
 than once per *query*:
 
-* the spatio-temporal index (STR R-tree or grid) is the store's own
+* the spatio-temporal index is the store's own STR R-tree
   (:meth:`~repro.trajectories.mod.MovingObjectsDatabase.index`), shared by
   every query and every engine the store serves;
 * each query's candidate set is shrunk by a provably safe corridor probe
@@ -37,7 +37,6 @@ from ..trajectories.mod import MovingObjectsDatabase
 from .answers import Answer, answer_of, band_span
 from .cache import CacheInfo, ContextCache
 from .filtering import (
-    all_other_ids,
     corridor_probe_bulk,
     filter_candidates,
     trajectory_within_corridor,
@@ -53,7 +52,8 @@ class PreparedQuery:
         context: the prepared :class:`QueryContext`.
         candidate_count: candidates that entered envelope construction.
         total_candidates: stored objects other than the query.
-        corridor_radius: index probe radius used (``None`` when unfiltered).
+        corridor_radius: index probe radius used (``None`` for a cached
+            context or a zero-length window, which is not filtered).
         from_cache: whether the context came from the LRU cache.
         prepare_seconds: wall-clock preparation time for this query.
     """
@@ -124,13 +124,9 @@ class QueryEngine:
     """Prepares and serves batches of continuous probabilistic NN queries.
 
     Args:
-        mod: the moving objects database to serve queries against.
-        index: ``"rtree"`` (default) or ``"grid"`` to filter with the
-            store's index of that kind, ``None`` to disable candidate
-            filtering, or a prebuilt index object answering
-            ``query_corridor`` probes.
-        leaf_capacity: R-tree leaf capacity when building an R-tree.
-        grid_cells: cells per axis when building a grid.
+        mod: the moving objects database to serve queries against; every
+            query's candidates are filtered through its R-tree
+            (:meth:`~repro.trajectories.mod.MovingObjectsDatabase.index`).
         cache_size: capacity of the LRU context cache.
         registry: the :class:`~repro.obs.MetricsRegistry` engine metrics
             land in (``repro_engine_*``); a private registry when ``None``,
@@ -140,22 +136,11 @@ class QueryEngine:
     def __init__(
         self,
         mod: MovingObjectsDatabase,
-        index: object = "rtree",
         *,
-        leaf_capacity: int = 16,
-        grid_cells: int = 32,
         cache_size: int = 256,
         registry: Optional[MetricsRegistry] = None,
     ):
-        if isinstance(index, str) and index not in ("rtree", "grid"):
-            raise ValueError(
-                f"unknown index kind {index!r} (expected 'rtree', 'grid', None, "
-                "or a prebuilt index object)"
-            )
         self.mod = mod
-        self._index_kind = index if index in ("rtree", "grid") else None
-        self._leaf_capacity = leaf_capacity
-        self._grid_cells = grid_cells
         self._cache_size = cache_size
         self._cache = ContextCache(max_size=cache_size)
         self._mod_revision = mod.revision
@@ -203,8 +188,6 @@ class QueryEngine:
             "repro_engine_index_build_seconds",
             help="Bulk (re)load time of the store's index, when this engine paid it",
         )
-        # A prebuilt index object (or None) is the caller's to keep fresh.
-        self._index = None if self._index_kind else index
         self._sync_index()
 
     # ------------------------------------------------------------------
@@ -213,13 +196,8 @@ class QueryEngine:
 
     @property
     def index(self):
-        """The spatio-temporal index filtered with (``None`` when filtering is off)."""
+        """The store's R-tree every query's candidates are filtered through."""
         return self._index
-
-    @property
-    def index_kind(self) -> Optional[str]:
-        """The store index kind used (``None``: prebuilt or filtering off)."""
-        return self._index_kind
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters of the context cache."""
@@ -268,8 +246,7 @@ class QueryEngine:
         was among the context's candidates, or a changed object's boxes now
         come within the context's provably-safe corridor); everything else
         keeps serving from cache.  When the changelog cannot identify the
-        changes, the caches start over.  A caller-supplied index is never
-        touched here; the caller owns its freshness.
+        changes, the caches start over.
         """
         if self.mod.revision == self._mod_revision:
             return
@@ -283,20 +260,14 @@ class QueryEngine:
                 self._cache = ContextCache(max_size=self._cache_size)
             else:
                 self._invalidate_affected(changed)
-            index_action = self._sync_index()
-            span.set("index", index_action)
-            span.set("entries", len(self._index) if index_action != "none" else 0)
+            span.set("index", self._sync_index())
+            span.set("entries", len(self._index))
         self._m_refreshes.inc()
         self._mod_revision = self.mod.revision
 
     def _sync_index(self) -> str:
-        """Sync to the store's index and say what that did to it, or
-        ``"none"`` when the engine filters with no store index."""
-        if self._index_kind is None:
-            return "none"
-        self._index, action, seconds = self.mod.sync_index(
-            self._index_kind, self._leaf_capacity, self._grid_cells
-        )
+        """Sync to the store's index and say what that did to it."""
+        self._index, action, seconds = self.mod.sync_index()
         if action == "bulk":
             self._m_index_build.observe(seconds)
         return action
@@ -375,15 +346,10 @@ class QueryEngine:
         t_end: float,
         band_width: Optional[float] = None,
     ) -> List[object]:
-        """Index-filtered candidate ids for one query (safe superset of survivors).
-
-        Falls back to every other stored object when the engine has no index.
-        """
+        """Index-filtered candidate ids for one query (safe superset of survivors)."""
         self.refresh()
         if band_width is None:
             band_width = self.mod.default_band_width(query_id)
-        if self._index is None:
-            return all_other_ids(self.mod, query_id)
         candidates, _ = filter_candidates(
             self.mod, self._index, query_id, t_start, t_end, band_width
         )
@@ -399,7 +365,6 @@ class QueryEngine:
         t_start: float,
         t_end: float,
         band_width: Optional[float] = None,
-        use_index: bool = True,
     ) -> PreparedQuery:
         """Prepare (or fetch from cache) the context of one query."""
         if t_end < t_start:
@@ -408,13 +373,7 @@ class QueryEngine:
         if band_width is None:
             band_width = self.mod.default_band_width(query_id)
         started = time.perf_counter()
-        # Unfiltered preparations (use_index=False) exist to *measure* the
-        # no-filter path, so they bypass the cache in both directions.
-        cached = (
-            self._cache.get(query_id, t_start, t_end, band_width)
-            if use_index
-            else None
-        )
+        cached = self._cache.get(query_id, t_start, t_end, band_width)
         if cached is not None:
             self._m_cache_hits.inc()
             return PreparedQuery(
@@ -428,10 +387,9 @@ class QueryEngine:
             )
         self._m_cache_misses.inc()
         with trace_span("engine.prepare", query=query_id):
-            (prepared,) = self._build([query_id], t_start, t_end, [band_width], use_index)
+            (prepared,) = self._build([query_id], t_start, t_end, [band_width])
         self._m_prepare.observe(prepared.prepare_seconds)
-        if use_index:
-            self._cache.put(query_id, t_start, t_end, band_width, prepared.context)
+        self._cache.put(query_id, t_start, t_end, band_width, prepared.context)
         return prepared
 
     def answer(
@@ -458,7 +416,6 @@ class QueryEngine:
         t_start: float,
         t_end: float,
         band_width: Optional[float] = None,
-        use_index: bool = True,
     ) -> BatchResult:
         """Prepare a batch of queries over a shared window in one pass.
 
@@ -471,14 +428,13 @@ class QueryEngine:
             t_start: shared window start.
             t_end: shared window end.
             band_width: shared band width; per-query default when ``None``.
-            use_index: disable to measure unfiltered preparation.
         """
         if t_end < t_start:
             raise ValueError(f"empty query window [{t_start}, {t_end}]")
         self.refresh()
         with trace_span("engine.prepare_batch", queries=len(query_ids)) as span:
             result = self._prepare_batch_inner(
-                query_ids, t_start, t_end, band_width, use_index, span
+                query_ids, t_start, t_end, band_width, span
             )
         self._m_batch.observe(result.total_seconds)
         return result
@@ -489,7 +445,6 @@ class QueryEngine:
         t_start: float,
         t_end: float,
         band_width: Optional[float],
-        use_index: bool,
         batch_span,
     ) -> BatchResult:
         batch_started = time.perf_counter()
@@ -506,11 +461,7 @@ class QueryEngine:
         pending: List[int] = []
         for position, query_id in enumerate(query_ids):
             started = time.perf_counter()
-            cached = (
-                self._cache.get(query_id, t_start, t_end, widths[query_id])
-                if use_index
-                else None
-            )
+            cached = self._cache.get(query_id, t_start, t_end, widths[query_id])
             if cached is not None:
                 results[position] = PreparedQuery(
                     query_id=query_id,
@@ -551,7 +502,6 @@ class QueryEngine:
                 t_start,
                 t_end,
                 [widths[query_ids[position]] for position in builders],
-                use_index,
             )
             self._m_cache_misses.inc(len(builders))
             batch_span.set("cached", len(query_ids) - len(pending))
@@ -559,11 +509,10 @@ class QueryEngine:
         for position, prepared in zip(builders, built):
             self._m_prepare.observe(prepared.prepare_seconds)
             results[position] = prepared
-            if use_index:
-                self._cache.put(
-                    prepared.query_id, t_start, t_end,
-                    widths[prepared.query_id], prepared.context,
-                )
+            self._cache.put(
+                prepared.query_id, t_start, t_end,
+                widths[prepared.query_id], prepared.context,
+            )
         for position in duplicates:
             key = (query_ids[position], widths[query_ids[position]])
             original = results[first_build[key]]
@@ -627,7 +576,6 @@ class QueryEngine:
         t_start: float,
         t_end: float,
         widths: Sequence[float],
-        use_index: bool,
     ) -> List[PreparedQuery]:
         """Cold contexts of distinct ``(query, width)`` pairs, in stages.
 
@@ -646,7 +594,7 @@ class QueryEngine:
         started = time.perf_counter()
         # A zero-length window cannot be sliced into probe segments (and the
         # preparation it gates is trivial anyway), so it skips the filter.
-        if use_index and self._index is not None and t_end > t_start:
+        if t_end > t_start:
             with trace_span("engine.corridor_bulk", queries=count):
                 radii = corridor_probe_bulk(self.mod, query_ids, t_start, t_end, widths)
             self._m_corridor.observe(time.perf_counter() - started)

@@ -4,16 +4,16 @@ A simple, predictable spatial index: the region of interest is divided into
 ``cells × cells`` equal squares and every (expanded) segment box is
 registered in all cells it overlaps.  Probing with a box returns the object
 ids whose entries overlap it.  The grid is the low-tech counterpart of the
-R-tree and the reference implementation the R-tree is tested against.
+store's R-tree: the reference its box probes are tested against, and the
+other side of the index ablation.  No serving path probes it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from ..core.tolerances import TIME_TOLERANCE
 from ..trajectories.trajectory import Trajectory
 from .boxes import Box3D, IndexEntry, segment_boxes
 
@@ -44,8 +44,6 @@ class GridIndex:
         self._cell_height = (y_max - y_min) / cells
         self._buckets: Dict[Tuple[int, int], List[IndexEntry]] = defaultdict(list)
         self._count = 0
-        self._entries_per_object: Dict[object, int] = defaultdict(int)
-        self._cells_per_object: Dict[object, Set[Tuple[int, int]]] = defaultdict(set)
 
     def __len__(self) -> int:
         return self._count
@@ -59,79 +57,11 @@ class GridIndex:
         """Register one (box, object id) entry."""
         for key in self._cells_overlapping(entry.box):
             self._buckets[key].append(entry)
-            self._cells_per_object[entry.object_id].add(key)
         self._count += 1
-        self._entries_per_object[entry.object_id] += 1
 
-    def remove_object(
-        self, object_id: object, after: Optional[float] = None
-    ) -> int:
-        """Retire entries of one object; returns how many were removed.
-
-        Only the cells the object occupies are touched.  Trajectories
-        extending beyond the grid region are registered in the clamped
-        border cells, so their entries are found and removed too.
-
-        Args:
-            after: only retire boxes starting at or after this time (the
-                divergence-bounded retirement used by streamed extensions).
-        """
-        cells = self._cells_per_object.get(object_id)
-        if not cells:
-            return 0
-        removed_ids: Set[int] = set()
-        remaining_cells: Set[Tuple[int, int]] = set()
-        for key in cells:
-            bucket = self._buckets.get(key, [])
-            kept = []
-            for entry in bucket:
-                if entry.object_id == object_id and (
-                    after is None or entry.box.t_min >= after - TIME_TOLERANCE
-                ):
-                    removed_ids.add(id(entry))
-                else:
-                    kept.append(entry)
-                    if entry.object_id == object_id:
-                        remaining_cells.add(key)
-            if kept:
-                self._buckets[key] = kept
-            else:
-                self._buckets.pop(key, None)
-        removed = len(removed_ids)
-        self._count -= removed
-        remaining_entries = self._entries_per_object.get(object_id, 0) - removed
-        if remaining_entries > 0:
-            self._entries_per_object[object_id] = remaining_entries
-            self._cells_per_object[object_id] = remaining_cells
-        else:
-            self._entries_per_object.pop(object_id, None)
-            self._cells_per_object.pop(object_id, None)
-        return removed
-
-    def insert_trajectory(
-        self,
-        trajectory: Trajectory,
-        spatial_margin: float | None = None,
-        after: Optional[float] = None,
-    ) -> None:
-        """Register every segment of a trajectory.
-
-        Args:
-            after: only register boxes starting at or after this time — the
-                complement of ``remove_object(..., after=...)``.
-        """
-        for entry in segment_boxes(
-            trajectory, spatial_margin, max_extent=self._max_box_extent
-        ):
-            if after is not None and entry.box.t_min < after - TIME_TOLERANCE:
-                continue
-            self.insert_entry(entry)
-
-    def patch(self, changed: Mapping[object, Optional[float]], store) -> None:
-        """Apply one store change set entry by entry (see ``STRRTree.patch``)."""
-        for object_id, after in changed.items():
-            self.remove_object(object_id, after=after)
-        for entry in store.boxes_since(changed, self._max_box_extent).entries():
+    def insert_trajectory(self, trajectory: Trajectory) -> None:
+        """Register every segment of a trajectory."""
+        for entry in segment_boxes(trajectory, max_extent=self._max_box_extent):
             self.insert_entry(entry)
 
     def insert_all(self, trajectories: Iterable[Trajectory]) -> None:

@@ -135,8 +135,6 @@ class ShardedEngine:
         num_shards: upper bound on the slices a batch is cut into (the
             process backend cuts ``min(num_shards, workers, batch size)``).
         backend: ``"process"`` (default), ``"thread"``, or ``"serial"``.
-        index: index kind (``"rtree"`` or ``"grid"``), or ``None`` to
-            disable candidate filtering.
         max_workers: process-pool width (default ``min(num_shards,
             cpu_count)``).
         mp_start_method: multiprocessing start method for the process
@@ -159,9 +157,6 @@ class ShardedEngine:
         num_shards: int = 4,
         *,
         backend: str = "process",
-        index: Optional[str] = "rtree",
-        leaf_capacity: int = 16,
-        grid_cells: int = 32,
         max_workers: Optional[int] = None,
         cache_size: int = 256,
         mp_start_method: Optional[str] = None,
@@ -169,10 +164,6 @@ class ShardedEngine:
     ):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r} (expected {BACKENDS})")
-        if index is not None and index not in ("rtree", "grid"):
-            raise ValueError(
-                f"unknown index kind {index!r} (expected 'rtree', 'grid', or None)"
-            )
         if num_shards < 1:
             raise ValueError("need at least one shard")
         if max_workers is not None and max_workers < 1:
@@ -185,9 +176,6 @@ class ShardedEngine:
         self.mod = mod
         self.backend = backend
         self.num_shards = num_shards
-        self._index_kind = index
-        self._leaf_capacity = leaf_capacity
-        self._grid_cells = grid_cells
         self._cache_size = cache_size
         self._max_workers = max_workers
         self._mp_start_method = mp_start_method or "spawn"
@@ -293,12 +281,7 @@ class ShardedEngine:
         """The one engine the in-process backends serve from."""
         if self._engine is None:
             self._engine = QueryEngine(
-                self.mod,
-                index=self._index_kind,
-                leaf_capacity=self._leaf_capacity,
-                grid_cells=self._grid_cells,
-                cache_size=self._cache_size,
-                registry=self.registry,
+                self.mod, cache_size=self._cache_size, registry=self.registry
             )
         return self._engine
 
@@ -353,9 +336,6 @@ class ShardedEngine:
                         token=self._token,
                         shard=shard,
                         store=descriptor,
-                        index_kind=self._index_kind,
-                        leaf_capacity=self._leaf_capacity,
-                        grid_cells=self._grid_cells,
                         cache_size=self._cache_size,
                         queries=tuple(queries),
                         t_start=t_start,

@@ -74,9 +74,6 @@ class ShardTask:
     token: Tuple[int, ...]
     shard: int
     store: SharedPackDescriptor
-    index_kind: Optional[str]
-    leaf_capacity: int
-    grid_cells: int
     cache_size: int
     queries: Tuple[Tuple[object, float], ...] = ()
     t_start: float = 0.0
@@ -192,13 +189,7 @@ def _serve_task(task: ShardTask) -> ShardTaskResult:
             mod = pack.member_database(pack.ids)
             span.set("members", len(mod))
             cached = _CachedEngine(
-                engine=QueryEngine(
-                    mod,
-                    index=task.index_kind,
-                    leaf_capacity=task.leaf_capacity,
-                    grid_cells=task.grid_cells,
-                    cache_size=task.cache_size,
-                ),
+                engine=QueryEngine(mod, cache_size=task.cache_size),
                 pack=pack,
             )
         _ENGINE_CACHE[task.token] = cached

@@ -2,15 +2,14 @@
 
 Text is tokenized (:mod:`~repro.query_language.tokens`), parsed into a
 :class:`ContinuousNNQueryAST` (:mod:`~repro.query_language.parser`), and
-compiled by the :mod:`~repro.query_language.planner` into fused,
-cost-modelled plans over the batched engine — see
+compiled by the :mod:`~repro.query_language.planner` into fused plans
+over the batched engine — see
 ``docs/query-planner.md``.  :func:`execute_query` / :func:`execute_many`
 are the one-call entry points; :func:`explain_plan` renders what the
 compiler decided.
 """
 
 from .ast import ContinuousNNQueryAST, NNPredicate, Quantifier, TimeWindow
-from .cost import AccessDecision, CostModel, DEFAULT_COST_MODEL, StoreStats
 from .executor import (
     QueryExecutor,
     QueryResult,
@@ -31,7 +30,6 @@ from .planner import (
 from .plans import (
     AnswerNode,
     BandIntervalsNode,
-    CorridorFilterNode,
     MergeNode,
     PlanNode,
     PrepareNode,
@@ -40,13 +38,9 @@ from .plans import (
 from .tokens import QueryLanguageError, Token, tokenize
 
 __all__ = [
-    "AccessDecision",
     "AnswerNode",
     "BandIntervalsNode",
     "ContinuousNNQueryAST",
-    "CorridorFilterNode",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
     "MergeNode",
     "NNPredicate",
     "PlanGroup",
@@ -58,7 +52,6 @@ __all__ = [
     "QueryLanguageError",
     "QueryPlan",
     "QueryResult",
-    "StoreStats",
     "TimeWindow",
     "Token",
     "compile_queries",

@@ -38,7 +38,6 @@ from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..obs.tracing import capture, render_tree, trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from .ast import ContinuousNNQueryAST, Quantifier
-from .cost import AccessDecision, CostModel, DEFAULT_COST_MODEL, StoreStats
 from .parser import parse_query
 from .planner import BandWidths, QueryPlan, compile_queries, resolve_object_id
 
@@ -61,14 +60,12 @@ class QueryResult:
 class QueryExecutor:
     """A reusable query-language session over one MOD.
 
-    Owns the cost model, the access decision, and the one
-    :class:`~repro.engine.QueryEngine` every compiled plan executes
-    against, so repeated executions share the engine's index and context
-    cache.
+    Owns the one :class:`~repro.engine.QueryEngine` every compiled plan
+    executes against, so repeated executions share the store's index and
+    the engine's context cache.
 
     Args:
         mod: the moving objects database to serve.
-        cost_model: planner thresholds (:class:`~repro.query_language.cost.CostModel`).
         cache_size: the engine's LRU context-cache capacity.
         registry: the :class:`~repro.obs.MetricsRegistry` planner and
             engine metrics land in (``repro_planner_*`` /
@@ -79,23 +76,12 @@ class QueryExecutor:
         self,
         mod: MovingObjectsDatabase,
         *,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         cache_size: int = 256,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.mod = mod
-        self.cost_model = cost_model
-        self._cache_size = cache_size
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._stats = StoreStats.from_mod(mod)
-        self._access = cost_model.choose_access(self._stats)
-        self._stats_revision = mod.revision
-        self._engine = QueryEngine(
-            mod,
-            index=self._access.index_kind,
-            cache_size=cache_size,
-            registry=self.registry,
-        )
+        self._engine = QueryEngine(mod, cache_size=cache_size, registry=self.registry)
         self._m_compilations = self.registry.counter(
             "repro_planner_compilations_total", "Plans compiled"
         )
@@ -120,16 +106,6 @@ class QueryExecutor:
         """The reusable engine plans execute against."""
         return self._engine
 
-    @property
-    def stats(self) -> StoreStats:
-        """Columnar statistics the current access decision was priced on."""
-        return self._stats
-
-    @property
-    def access(self) -> AccessDecision:
-        """The engine's index-vs-scan decision."""
-        return self._access
-
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters of the engine's context cache."""
         return self._engine.cache_info()
@@ -144,16 +120,8 @@ class QueryExecutor:
         band_width: BandWidths = None,
     ) -> QueryPlan:
         """Parse (where needed) and lower statements into a fused plan."""
-        self._refresh_access()
         asts = [_parse(statement) for statement in _as_batch(statements)]
-        plan = compile_queries(
-            asts,
-            self.mod,
-            band_width=band_width,
-            cost_model=self.cost_model,
-            stats=self._stats,
-            access=self._access,
-        )
+        plan = compile_queries(asts, self.mod, band_width=band_width)
         self._m_compilations.inc()
         self._m_statements.inc(plan.statement_count)
         for group in plan.groups:
@@ -216,34 +184,6 @@ class QueryExecutor:
                 plan.execute(self._engine)
         trees = "\n".join(render_tree(span) for span in recorder.spans())
         return f"{rendered}\n\n{trees}" if trees else rendered
-
-    # ------------------------------------------------------------------
-    # Internals.
-    # ------------------------------------------------------------------
-
-    def _refresh_access(self) -> None:
-        """Re-price the access decision when the store changed.
-
-        The engine refreshes its own derived state on MOD changes; the
-        executor only needs to re-read the columnar stats and — in the
-        rare case the store crossed a cost threshold — rebuild the
-        engine with the flipped index choice.
-        """
-        if self.mod.revision == self._stats_revision:
-            return
-        self._stats = StoreStats.from_mod(self.mod)
-        access = self.cost_model.choose_access(self._stats)
-        self._stats_revision = self.mod.revision
-        if access.index_kind != self._access.index_kind:
-            self._access = access
-            self._engine = QueryEngine(
-                self.mod,
-                index=access.index_kind,
-                cache_size=self._cache_size,
-                registry=self.registry,
-            )
-        else:
-            self._access = access
 
 
 def _parse(statement: Statement) -> ContinuousNNQueryAST:
@@ -390,8 +330,3 @@ def execute_query_naive(
         target = resolve_object_id(mod, ast.target_object)
         candidates = [oid for oid in candidates if oid == target]
     return QueryResult(ast, candidates)
-
-
-def _resolve_object_id(mod: MovingObjectsDatabase, requested: object) -> object:
-    """Back-compat alias of :func:`repro.query_language.planner.resolve_object_id`."""
-    return resolve_object_id(mod, requested)

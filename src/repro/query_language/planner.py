@@ -13,14 +13,13 @@ is the compiler that makes the batched stack reachable from parsed text:
    :meth:`~repro.engine.QueryEngine.prepare_batch` call (one corridor
    bulk probe, one envelope pass per distinct query id, shared LRU
    cache);
-3. **Cost** — the :class:`~repro.query_language.cost.CostModel` picks
-   index-vs-scan from :class:`~repro.query_language.cost.StoreStats`;
-4. **Execute** — :meth:`QueryPlan.execute` runs the groups against a
+3. **Execute** — :meth:`QueryPlan.execute` runs the groups against a
    reusable engine and re-interleaves per-statement answers into
    submission order.
 
-Planned answers are byte-identical to the naive interpreter's: corridor
-filtering is provably answer-preserving (see
+Every group's candidates are filtered through the store's R-tree, the
+engine's one candidate filter.  Planned answers are byte-identical to the
+naive interpreter's: corridor filtering is provably answer-preserving (see
 :mod:`repro.engine.filtering`), and both paths canonicalize answer
 ordering by ``str`` of the object id.
 """
@@ -34,11 +33,9 @@ from ..engine.answers import answer_of
 from ..engine.engine import QueryEngine
 from ..trajectories.mod import MovingObjectsDatabase
 from .ast import ContinuousNNQueryAST, Quantifier
-from .cost import AccessDecision, CostModel, DEFAULT_COST_MODEL, StoreStats
 from .plans import (
     AnswerNode,
     BandIntervalsNode,
-    CorridorFilterNode,
     MergeNode,
     PrepareNode,
     render_plan,
@@ -118,9 +115,6 @@ class QueryPlan:
 
     root: MergeNode
     groups: Tuple[PlanGroup, ...]
-    stats: StoreStats
-    access: AccessDecision
-    cost_model: CostModel
 
     @property
     def statement_count(self) -> int:
@@ -184,11 +178,8 @@ def compile_queries(
     mod: MovingObjectsDatabase,
     *,
     band_width: BandWidths = None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    stats: Optional[StoreStats] = None,
-    access: Optional[AccessDecision] = None,
 ) -> QueryPlan:
-    """Lower parsed statements into a fused, costed :class:`QueryPlan`.
+    """Lower parsed statements into a fused :class:`QueryPlan`.
 
     Args:
         asts: the parsed statements, in submission order.
@@ -197,18 +188,8 @@ def compile_queries(
             statement, or a per-statement sequence (``None`` entries use
             the 4r default).  Statements only fuse when their overrides
             match, since a batched preparation shares one band width.
-        cost_model: thresholds for the access decision.
-        stats: precomputed store statistics (read off ``mod.columnar()``
-            when omitted).
-        access: a pinned access decision — the executor passes the one
-            its engine was built with, so plan trees always render the
-            physical truth; recomputed from ``stats`` when omitted.
     """
     widths = _normalize_band_widths(band_width, len(asts))
-    if stats is None:
-        stats = StoreStats.from_mod(mod)
-    if access is None:
-        access = cost_model.choose_access(stats)
 
     resolved: List[PlannedStatement] = []
     for position, ast in enumerate(asts):
@@ -265,20 +246,10 @@ def compile_queries(
             PrepareNode(
                 t_start=t_start,
                 t_end=t_end,
-                child=CorridorFilterNode(
-                    access=access.access,
-                    reason=access.reason,
-                    child=BandIntervalsNode(band_width=width, answers=answers),
-                ),
+                child=BandIntervalsNode(band_width=width, answers=answers),
             )
         )
-    return QueryPlan(
-        root=MergeNode(groups=tuple(nodes)),
-        groups=tuple(groups),
-        stats=stats,
-        access=access,
-        cost_model=cost_model,
-    )
+    return QueryPlan(root=MergeNode(groups=tuple(nodes)), groups=tuple(groups))
 
 
 def _normalize_band_widths(

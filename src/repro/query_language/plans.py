@@ -8,10 +8,8 @@ tree of logical operators mirroring the batched engine's physical stages:
   into statement submission order;
 * :class:`PrepareNode` — one *fused group* of statements sharing a time
   window and band width, served by a single
-  :meth:`~repro.engine.QueryEngine.prepare_batch` call;
-* :class:`CorridorFilterNode` — the provably safe index corridor probe
-  (or the full scan, when the cost model decides the store is too small
-  for filtering to pay);
+  :meth:`~repro.engine.QueryEngine.prepare_batch` call (whose candidates
+  come from the provably safe corridor probe of the store's R-tree);
 * :class:`BandIntervalsNode` — envelope construction + 4r-band interval
   extraction over the filtered candidates;
 * :class:`AnswerNode` — one statement's variant dispatch (UQ3x set or
@@ -123,28 +121,12 @@ class BandIntervalsNode(PlanNode):
 
 
 @dataclass(frozen=True)
-class CorridorFilterNode(PlanNode):
-    """Candidate shrinking stage: index corridor probe or full scan."""
-
-    access: str
-    reason: str
-    child: BandIntervalsNode
-
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def props(self) -> Dict[str, object]:
-        return {"access": self.access, "reason": self.reason}
-
-
-@dataclass(frozen=True)
 class PrepareNode(PlanNode):
     """One fused group: a single batched preparation over a shared window."""
 
     t_start: float
     t_end: float
-    child: CorridorFilterNode
+    child: BandIntervalsNode
 
     @property
     def children(self) -> Tuple[PlanNode, ...]:
@@ -153,7 +135,7 @@ class PrepareNode(PlanNode):
     @property
     def width(self) -> int:
         """Statements fused into this group."""
-        return len(self.child.child.answers)
+        return len(self.child.answers)
 
     def props(self) -> Dict[str, object]:
         return {

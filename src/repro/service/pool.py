@@ -58,7 +58,7 @@ class EnginePool:
         """The warm engine (built, with its index, on first use)."""
         if self._engine is None:
             self._engine = QueryEngine(
-                self.mod, index="rtree", cache_size=1024, registry=self.registry
+                self.mod, cache_size=1024, registry=self.registry
             )
         return self._engine
 

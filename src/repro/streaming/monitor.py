@@ -100,8 +100,6 @@ class ContinuousMonitor:
 
     Args:
         mod: the (non-empty) moving objects database to monitor.
-        index: index kind for the internal :class:`QueryEngine` (``"rtree"``
-            or ``"grid"``).
         cache_size: context-cache capacity; keep it above the number of
             standing queries so unaffected queries always hit.
         registry: the :class:`~repro.obs.MetricsRegistry` the monitor and
@@ -113,7 +111,6 @@ class ContinuousMonitor:
         self,
         mod: MovingObjectsDatabase,
         *,
-        index: str = "rtree",
         cache_size: int = 1024,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -124,12 +121,7 @@ class ContinuousMonitor:
             )
         self.mod = mod
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.engine = QueryEngine(
-            mod,
-            index=index,
-            cache_size=cache_size,
-            registry=self.registry,
-        )
+        self.engine = QueryEngine(mod, cache_size=cache_size, registry=self.registry)
         self.ingestor = StreamIngestor()
         self._queries: Dict[object, StandingQuery] = {}
         self._states: Dict[object, _QueryState] = {}

@@ -412,7 +412,7 @@ class SegmentBoxArrays:
         return cls(tuple(slot_of), owner_slots, *columns.T)
 
     def entries(self) -> List["IndexEntry"]:
-        """Materialized :class:`IndexEntry` list, for the object-per-entry grid."""
+        """Materialized :class:`IndexEntry` list, in the scalar loop's shape."""
         # Imported here: ``repro.index`` itself imports the trajectory
         # package, so a module-level import would be circular.
         from ..index.boxes import Box3D, IndexEntry

@@ -134,7 +134,8 @@ class MovingObjectsDatabase:
         self._object_revisions: Dict[object, int] = {}
         self._changelog: List[ChangeRecord] = []
         self._listeners: List[ChangeListener] = []
-        self._indexes: Dict[Tuple[str, int, int], Tuple[object, int]] = {}
+        #: ``(index, revision)``: the store's R-tree and the revision it is synced to.
+        self._index: Tuple[object, Optional[int]] = (None, None)
         self._index_lock = threading.Lock()
         self._columnar = None
         #: ``(revision, [(id, support)])`` of the two largest pdf supports,
@@ -605,90 +606,74 @@ class MovingObjectsDatabase:
         self,
         kind: str = "rtree",
         leaf_capacity: int = 16,
-        cells: int = 32,
-        margin: float = 1.0,
         max_box_extent: float | str | None = "auto",
     ):
-        """Build a spatio-temporal index over every stored trajectory.
+        """Bulk-load an STR R-tree over every stored trajectory.
+
+        An empty store loads an empty tree.
 
         Args:
-            kind: ``"rtree"`` for the STR bulk-loaded R-tree, ``"grid"`` for
-                the uniform grid.
+            kind: ``"rtree"``, the only index kind.
             leaf_capacity: R-tree leaf/fan-out capacity.
-            cells: grid cells per axis.
-            margin: extra spatial slack around the grid region.
             max_box_extent: per-axis cap on one entry's unexpanded box so
                 long segments are indexed as several tight slices;
                 ``"auto"`` picks 1/32 of the populated region's larger side,
                 ``None`` keeps one box per segment.
 
         Returns:
-            An index object answering ``query_box``/``query_corridor`` probes.
+            An :class:`~repro.index.rtree.STRRTree` answering
+            ``query_box``/``query_corridor`` probes.
         """
-        from ..index.grid import GridIndex
         from ..index.rtree import STRRTree
         from .columnar import segment_boxes_bulk
 
+        if kind != "rtree":
+            raise ValueError(f"unknown index kind {kind!r} (expected 'rtree')")
         if not self._trajectories:
-            raise ValueError("cannot index an empty database")
+            return STRRTree([], leaf_capacity=leaf_capacity)
         pack = self.columnar().pack()
-        x_min, y_min, x_max, y_max = pack.spatial_bounds()
         if max_box_extent == "auto":
+            x_min, y_min, x_max, y_max = pack.spatial_bounds()
             span = max(x_max - x_min, y_max - y_min)
             max_box_extent = span / 32.0 if span > 0 else None
         # One vectorized pass over the packed columns replaces the
-        # per-segment Python loop; the boxes are byte-identical.  The R-tree
-        # packs the arrays as they are; only the grid wants entry objects.
-        boxes = segment_boxes_bulk(pack, max_extent=max_box_extent)
-        if kind == "rtree":
-            return STRRTree(
-                boxes,
-                leaf_capacity=leaf_capacity,
-                max_box_extent=max_box_extent,
-            )
-        if kind == "grid":
-            index = GridIndex(
-                x_min - margin,
-                y_min - margin,
-                x_max + margin,
-                y_max + margin,
-                cells=cells,
-                max_box_extent=max_box_extent,
-            )
-            for entry in boxes.entries():
-                index.insert_entry(entry)
-            return index
-        raise ValueError(f"unknown index kind {kind!r} (expected 'rtree' or 'grid')")
+        # per-segment Python loop; the boxes are byte-identical, and the
+        # tree packs the arrays as they are.
+        return STRRTree(
+            segment_boxes_bulk(pack, max_extent=max_box_extent),
+            leaf_capacity=leaf_capacity,
+            max_box_extent=max_box_extent,
+        )
 
-    def index(self, kind: str = "rtree", leaf_capacity: int = 16, cells: int = 32):
-        """The store's own index of one kind, synced to the current revision."""
-        return self.sync_index(kind, leaf_capacity, cells)[0]
+    def index(self):
+        """The store's own R-tree, synced to the current revision."""
+        return self.sync_index()[0]
 
-    def sync_index(
-        self, kind: str = "rtree", leaf_capacity: int = 16, cells: int = 32
-    ) -> Tuple[object, str, float]:
-        """``(index, action, seconds)``: the store's index of one kind, synced.
+    def sync_index(self) -> Tuple[object, str, float]:
+        """``(index, action, seconds)``: the store's R-tree, synced.
 
         The first call loads it (``"bulk"``); later ones patch it in place
         from :meth:`divergences_since` once per revision, whatever the change
-        set's size (``"patch"``/``"repack"``), or find it ``"current"``; a
-        changelog that no longer reaches back reloads it.  Per-store lock.
+        set's size (``"patch"``/``"repack"``), or find it ``"current"``.  A
+        changelog that no longer reaches back, or a tree with no live entry
+        (whose box subdivision was picked for no data), reloads it.
+        Per-store lock.
         """
         with self._index_lock:
             started = time.perf_counter()
             revision = self._revision
-            index, synced = self._indexes.get((kind, leaf_capacity, cells), (None, None))
+            index, synced = self._index
             changed = None if index is None else self.divergences_since(synced)
             if synced == revision:
                 action = "current"
-            elif changed is None:
-                index = self.build_index(kind, leaf_capacity=leaf_capacity, cells=cells)
+            elif changed is None or not len(index):
+                index = self.build_index()
                 action = "bulk"
             else:
-                repacks = getattr(index, "repacks", 0)
+                repacks = index.repacks
                 index.patch(changed, self.columnar())
-                action = "repack" if getattr(index, "repacks", 0) > repacks else "patch"
-            self._indexes[(kind, leaf_capacity, cells)] = (index, revision)
+                action = "repack" if index.repacks > repacks else "patch"
+            self._index = (index, revision)
         return index, action, time.perf_counter() - started
 
     def candidates_within_corridor(

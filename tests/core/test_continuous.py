@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.continuous import ContinuousProbabilisticNNQuery
-from repro.index.grid import GridIndex
-from repro.index.rtree import STRRTree
+from repro.engine import QueryEngine
 from repro.trajectories.mod import MovingObjectsDatabase
 
 from ..conftest import straight_trajectory
@@ -111,18 +110,17 @@ class TestCategoryFacades:
 
 
 class TestIndexPrefiltering:
-    def test_grid_prefilter_keeps_answers_identical(self, mod):
+    def test_engine_candidates_keep_answers_identical(self, mod):
         plain = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0)
-        index = GridIndex.covering(list(mod), cells=16)
-        filtered = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0, index=index)
+        candidates = QueryEngine(mod).candidate_ids("q", 0.0, 60.0)
+        assert "far" not in candidates
+        filtered = ContinuousProbabilisticNNQuery(
+            mod, "q", 0.0, 60.0, candidate_ids=candidates
+        )
+        # Same members; the order is each context's candidate order.
         assert set(filtered.all_with_nonzero_probability_sometime()) == set(
             plain.all_with_nonzero_probability_sometime()
         )
-
-    def test_rtree_prefilter_keeps_answers_identical(self, mod):
-        plain = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0)
-        index = STRRTree.from_trajectories(list(mod))
-        filtered = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0, index=index)
-        assert set(filtered.all_with_nonzero_probability_sometime()) == set(
-            plain.all_with_nonzero_probability_sometime()
+        assert set(filtered.all_with_nonzero_probability_always()) == set(
+            plain.all_with_nonzero_probability_always()
         )

@@ -1,14 +1,16 @@
-"""Tests for the query-language planner: fusion, costing, execution, explain."""
+"""Tests for the query-language planner: fusion, execution, explain."""
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+import repro.query_language as query_language
+from repro.core.continuous import ContinuousProbabilisticNNQuery
 from repro.query_language import (
-    CostModel,
     QueryExecutor,
     compile_queries,
     execute_many,
     execute_query,
+    execute_query_naive,
     executor_for,
     explain_plan,
     parse_query,
@@ -17,6 +19,7 @@ from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.scenarios import multi_query_fleet
 
 from ..conftest import straight_trajectory
+from .test_planner_oracle import _statements
 
 
 @pytest.fixture
@@ -75,44 +78,71 @@ class TestFusion:
             compile_queries(asts, mod, band_width=[1.0, 2.0])
 
 
-class TestCostModel:
-    def test_tiny_store_scans(self, mod):
-        plan = compile_queries([parse_query(_text("q"))], mod)
-        assert not plan.access.use_index
-        assert plan.access.index_kind is None
-        assert "index_min" in plan.access.reason
-
-    def test_large_store_uses_index(self):
-        fleet, _ = multi_query_fleet(num_vehicles=60, num_queries=2)
-        plan = compile_queries(
-            [parse_query(_text("veh-0", t_end=30.0))], fleet
+class TestOneCandidateFilter:
+    def test_small_store_filters_through_the_store_rtree(self):
+        # Three objects and under 64 segments: every store takes the R-tree.
+        mod = MovingObjectsDatabase(
+            [
+                straight_trajectory("q", (0.0, 0.0), (30.0, 0.0)),
+                straight_trajectory("near", (0.0, 2.0), (30.0, 2.0)),
+                straight_trajectory("crossing", (15.0, -20.0), (15.0, 20.0)),
+            ]
         )
-        assert plan.access.use_index
-        assert plan.access.index_kind == "rtree"
+        assert sum(len(trajectory.samples) - 1 for trajectory in mod) < 64
+        executor = QueryExecutor(mod)
+        assert executor.engine.index is mod.index()
+        texts = _statements(mod.object_ids, 0.0, 60.0)
+        assert len(texts) == 8
+        results = executor.execute_many(texts)
+        assert [result.object_ids for result in results] == [
+            execute_query_naive(text, mod).object_ids for text in texts
+        ]
 
-    def test_thresholds_flip_the_access_choice(self, mod):
-        eager = CostModel(index_min_objects=1, index_min_segments=1)
-        plan = compile_queries(
-            [parse_query(_text("q"))], mod, cost_model=eager
-        )
-        assert plan.access.use_index
+    def test_executor_over_an_empty_store_serves_after_adds(self, mod):
+        empty = MovingObjectsDatabase()
+        executor = QueryExecutor(empty)
+        assert len(executor.engine.index) == 0
+        empty.add_all(list(mod))
+        texts = _statements(empty.object_ids, 0.0, 60.0)
+        assert [result.object_ids for result in executor.execute_many(texts)] == [
+            execute_query_naive(text, empty).object_ids for text in texts
+        ]
+        assert executor.engine.index is empty.index()
 
-    def test_access_is_the_only_choice(self, mod):
-        with pytest.raises(TypeError, match="sharded_min_group"):
-            CostModel(sharded_min_group=2)
+    def test_removed_options_are_not_accepted(self, mod):
+        statement = parse_query(_text("q"))
         with pytest.raises(TypeError, match="sharded_available"):
-            compile_queries([parse_query(_text("q"))], mod, sharded_available=True)
+            compile_queries([statement], mod, sharded_available=True)
         with pytest.raises(TypeError, match="sharded"):
             QueryExecutor(mod, sharded=object())
+        for option, value in [("cost_model", None), ("stats", None), ("access", None)]:
+            with pytest.raises(TypeError, match=option):
+                compile_queries([statement], mod, **{option: value})
+        with pytest.raises(TypeError, match="cost_model"):
+            QueryExecutor(mod, cost_model=None)
+        with pytest.raises(TypeError, match="index"):
+            ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0, index=mod.index())
+        for name in (
+            "CostModel", "StoreStats", "AccessDecision", "DEFAULT_COST_MODEL",
+            "CorridorFilterNode",
+        ):
+            assert not hasattr(query_language, name)
+        plan = compile_queries([statement], mod)
+        for name in ("stats", "access", "cost_model"):
+            assert not hasattr(plan, name)
+        executor = QueryExecutor(mod)
+        for name in ("stats", "access"):
+            assert not hasattr(executor, name)
 
 
 class TestExplain:
     def test_plan_tree_renders_every_stage(self, mod):
         rendered = explain_plan([_text("q"), _text("near")], mod)
-        for label in ("Merge", "Prepare", "CorridorFilter", "BandIntervals", "Answer"):
+        for label in ("Merge", "Prepare", "BandIntervals", "Answer"):
             assert label in rendered
         assert "statements=2" in rendered
-        assert "backend" not in rendered
+        for gone in ("backend", "CorridorFilter", "access"):
+            assert gone not in rendered
 
     def test_explain_with_execution_appends_span_tree(self, mod):
         rendered = explain_plan(_text("q"), mod, execute=True)
@@ -196,11 +226,12 @@ class TestExecutor:
                 direct.answer(query_id, t_lo, t_hi), key=str
             )
 
-    def test_store_growth_reprices_the_access_decision(self, mod):
+    def test_store_growth_keeps_one_engine_on_the_store_index(self, mod):
         executor = QueryExecutor(mod)
-        assert not executor.access.use_index
+        engine = executor.engine
         fleet, _ = multi_query_fleet(num_vehicles=60, num_queries=2)
         mod.add_all(list(fleet))
-        executor.execute(_text("q", t_end=30.0))
-        assert executor.access.use_index
-        assert executor.engine.index is not None
+        result = executor.execute(_text("q", t_end=30.0))
+        assert executor.engine is engine
+        assert engine.index is mod.index()
+        assert result.object_ids == execute_query_naive(_text("q", t_end=30.0), mod).object_ids

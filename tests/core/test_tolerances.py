@@ -52,8 +52,9 @@ def test_corridor_kernel_compares_times_with_the_shared_tolerance():
 
 
 def test_index_maintenance_compares_times_with_the_shared_tolerance():
-    # remove_object/insert_trajectory(after=) decide which boxes a divergence
-    # time retires; the R-tree, the grid and segment_boxes must agree on it.
+    # The R-tree's remove_object/insert_trajectory(after=) and patch decide
+    # which boxes a divergence time retires; no index module may use its
+    # own bare tolerance for it.
     for path in sorted((SRC / "index").glob("*.py")):
         code = "\n".join(
             line.split("#", 1)[0] for line in path.read_text().splitlines()
@@ -62,8 +63,7 @@ def test_index_maintenance_compares_times_with_the_shared_tolerance():
             f"index/{path.name} must compare times with "
             "repro.core.tolerances.TIME_TOLERANCE, not a bare 1e-9"
         )
-    for name in ("rtree.py", "grid.py"):
-        assert "TIME_TOLERANCE" in (SRC / "index" / name).read_text()
+    assert "TIME_TOLERANCE" in (SRC / "index" / "rtree.py").read_text()
 
 
 def test_the_coverage_slack_is_defined_once():

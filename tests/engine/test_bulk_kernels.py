@@ -3,8 +3,10 @@
 The columnar bulk kernels (``corridor_probe_bulk``, ``segment_boxes_bulk``,
 ``band_intervals_batch``) are only allowed to *batch* work, never to change
 a value.  These tests pin them, result for result, against the retained
-scalar paths — on fresh stores, on every scenario shape, for both index
-backends, and after a stream of trajectory updates has been applied.
+scalar paths — on fresh stores, on every scenario shape, and after a stream
+of trajectory updates has been applied.  The engine's corridor-filtered
+answers are pinned against the unfiltered definition
+(:func:`~repro.streaming.reference_answer`, every stored candidate).
 """
 
 import numpy as np
@@ -16,8 +18,9 @@ from repro.engine import QueryEngine
 from repro.engine.filtering import corridor_probe_bulk, filter_candidates
 from repro.index.boxes import segment_boxes
 from repro.reference.corridor import TrajectoryArrays, conservative_corridor_radius
-from repro.streaming import ContinuousMonitor
+from repro.streaming import ContinuousMonitor, reference_answer
 from repro.trajectories.columnar import segment_boxes_bulk
+from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.scenarios import multi_query_fleet, sharded_fleet, streaming_fleet
 
 
@@ -176,11 +179,17 @@ class TestBandIntervalsBatch:
 class TestEngineUsesBulkKernels:
     """The engine's bulk-kernel path must not change a single answer."""
 
-    @pytest.mark.parametrize("index", ["rtree", "grid"])
-    def test_filtered_candidates_match_scalar_corridor(self, fleet, index):
-        mod, query_ids = fleet
+    @pytest.mark.parametrize("scenario", ["multi_query", "sharded", "streaming"])
+    def test_filtered_candidates_match_scalar_corridor(self, fleet, scenario):
+        if scenario == "multi_query":
+            mod, query_ids = fleet
+        elif scenario == "sharded":
+            mod, query_ids = sharded_fleet(num_districts=3, vehicles_per_district=6)
+        else:
+            streamed = streaming_fleet(num_vehicles=16, num_queries=3, num_batches=2)
+            mod, query_ids = streamed.mod, streamed.query_ids
         lo, hi = mod.common_time_span()
-        engine = QueryEngine(mod, index=index)
+        engine = QueryEngine(mod)
         arrays = TrajectoryArrays()
         for query_id in query_ids:
             width = mod.default_band_width(query_id)
@@ -203,16 +212,16 @@ class TestEngineUsesBulkKernels:
             )
             assert prepared.corridor_radius == single.corridor_radius
 
-    def test_sharded_fleet_index_backends_agree(self):
+    @pytest.mark.parametrize("variant,fraction", [("sometime", 0.0), ("always", 0.0), ("fraction", 0.3)])
+    def test_filtered_answers_equal_the_unfiltered_definition(self, variant, fraction):
         mod, query_ids = sharded_fleet(num_districts=3, vehicles_per_district=6)
         lo, hi = mod.common_time_span()
-        rtree_engine = QueryEngine(mod, index="rtree")
-        grid_engine = QueryEngine(mod, index="grid")
-        none_engine = QueryEngine(mod, index=None)
+        engine = QueryEngine(mod)
         for query_id in query_ids:
-            expected = none_engine.answer(query_id, lo, hi)
-            assert rtree_engine.answer(query_id, lo, hi) == expected
-            assert grid_engine.answer(query_id, lo, hi) == expected
+            assert len(engine.candidate_ids(query_id, lo, hi)) < len(mod) - 1
+            assert engine.answer(query_id, lo, hi, variant, fraction) == reference_answer(
+                mod, query_id, lo, hi, variant, fraction
+            )
 
 
 def rewrite(mod, object_ids):
@@ -230,7 +239,7 @@ def rewrite(mod, object_ids):
 
 
 class TestRTreePathNeverMaterializesEntries:
-    """The R-tree is loaded from the box arrays; ``.entries()`` is grid-only.
+    """The R-tree is loaded from the box arrays, never from ``.entries()``.
 
     Turning ~47k columnar rows back into ``IndexEntry`` objects used to cost
     more than packing them; a path that quietly went back to it would erase
@@ -254,19 +263,18 @@ class TestRTreePathNeverMaterializesEntries:
         mod, _ = multi_query_fleet(num_vehicles=40, num_queries=6)
         assert len(mod.build_index("rtree")) > 0
         assert not spy
-        mod.build_index("grid")
-        assert spy, "the spy must see the grid's materialization"
+        segment_boxes_bulk(mod.columnar().pack()).entries()
+        assert spy, "the spy must see a materialization"
 
     def test_engine_refresh_patch_and_bulk(self, spy):
         mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
         lo, hi = mod.common_time_span()
-        engine = QueryEngine(mod, index="rtree")
+        engine = QueryEngine(mod)
         ids = list(mod.object_ids)
         for changed in (ids[:1], ids[:36]):  # patched in place, bulk-reloaded
             rewrite(mod, changed)
-            fresh = QueryEngine(mod, index=None)
             for query_id in query_ids[:2]:
-                assert engine.answer(query_id, lo, hi) == fresh.answer(query_id, lo, hi)
+                assert engine.answer(query_id, lo, hi) == reference_answer(mod, query_id, lo, hi)
         assert not spy
 
     def test_sharded_engine_warm_up(self, spy):
@@ -295,7 +303,7 @@ class TestRefreshObservability:
     def test_span_names_the_index_action(self):
         mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
         window = mod.common_time_span()
-        engine = QueryEngine(mod, index="rtree")
+        engine = QueryEngine(mod)
         ids = list(mod.object_ids)
         # The segment subdivision the store's index was loaded with, and
         # keeps through every patch.
@@ -317,16 +325,32 @@ class TestRefreshObservability:
             mod.build_index("rtree", max_box_extent=extent)
         )
 
-        unindexed = QueryEngine(mod, index=None)
-        rewrite(mod, ids[:1])
-        span = self.refresh_span(unindexed, query_ids[0], window)
-        assert (span.attrs["index"], span.attrs["entries"]) == ("none", 0)
+    def test_an_empty_store_index_is_reloaded_once_it_fills(self):
+        source, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
+        mod = MovingObjectsDatabase()
+        engine = QueryEngine(mod)
+        assert len(engine.index) == 0
+        mod.upsert_many(list(source))
+        span = self.refresh_span(engine, query_ids[0], mod.common_time_span())
+        assert span.attrs["index"] == "bulk"
+        assert span.attrs["entries"] == len(engine.index) == len(mod.build_index())
+        assert engine.registry.snapshot()["repro_engine_index_build_seconds"]["count"] == 2
+        # Emptied by a patch, then refilled: reloaded again, not patched.
+        for object_id in list(mod.object_ids):
+            mod.remove(object_id)
+        engine.refresh()
+        assert len(engine.index) == 0
+        mod.upsert_many(list(source))
+        span = self.refresh_span(engine, query_ids[0], mod.common_time_span())
+        assert span.attrs["index"] == "bulk"
+        assert engine.answer(query_ids[0], *mod.common_time_span()) == reference_answer(
+            mod, query_ids[0], *mod.common_time_span()
+        )
 
-    @pytest.mark.parametrize("index", ["rtree", "grid"])
-    def test_index_build_histogram_counts_bulk_loads(self, index):
+    def test_index_build_histogram_counts_bulk_loads(self):
         mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
         window = mod.common_time_span()
-        engine = QueryEngine(mod, index=index)
+        engine = QueryEngine(mod)
 
         def builds():
             return engine.registry.snapshot()["repro_engine_index_build_seconds"]["count"]

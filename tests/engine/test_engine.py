@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.queries import QueryContext
-from repro.engine import QueryEngine
+from repro.engine import QueryEngine, answer_of
+from repro.streaming import reference_answer
 from repro.obs.tracing import capture
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
@@ -62,19 +63,15 @@ class TestBatchMatchesPerQuery:
                 prepared.context, unfiltered_context(small_mod, prepared.query_id)
             )
 
-    def test_grid_backend_matches_rtree(self, small_mod):
+    def test_every_query_equals_the_unfiltered_definition(self, small_mod):
         lo, hi = small_mod.common_time_span()
-        query_ids = small_mod.object_ids[:3]
-        rtree_batch = QueryEngine(small_mod, index="rtree").prepare_batch(
-            query_ids, lo, hi
-        )
-        grid_batch = QueryEngine(small_mod, index="grid").prepare_batch(
-            query_ids, lo, hi
-        )
-        for r_prepared, g_prepared in zip(rtree_batch, grid_batch):
-            assert set(r_prepared.context.uq31_all_sometime()) == set(
-                g_prepared.context.uq31_all_sometime()
-            )
+        query_ids = small_mod.object_ids
+        batch = QueryEngine(small_mod).prepare_batch(query_ids, lo, hi)
+        for prepared in batch:
+            for variant, fraction in (("sometime", 0.0), ("always", 0.0), ("fraction", 0.4)):
+                assert answer_of(prepared.context, variant, fraction) == reference_answer(
+                    small_mod, prepared.query_id, lo, hi, variant, fraction
+                )
 
     def test_batch_matches_single_prepares(self, small_mod):
         lo, hi = small_mod.common_time_span()
@@ -88,12 +85,14 @@ class TestBatchMatchesPerQuery:
             assert prepared.context.uq31_all_sometime() == alone.context.uq31_all_sometime()
             assert prepared.context.survivor_intervals() == alone.context.survivor_intervals()
 
-    def test_no_index_engine_uses_all_candidates(self, tiny_mod):
-        lo, hi = tiny_mod.common_time_span()
-        engine = QueryEngine(tiny_mod, index=None)
-        prepared = engine.prepare("q", lo, hi)
+    def test_zero_length_window_is_not_filtered(self, tiny_mod):
+        engine = QueryEngine(tiny_mod)
+        prepared = engine.prepare("q", 30.0, 30.0)
         assert prepared.candidate_count == len(tiny_mod) - 1
         assert prepared.corridor_radius is None
+        assert answer_of(prepared.context, "sometime") == reference_answer(
+            tiny_mod, "q", 30.0, 30.0
+        )
 
 
 class TestFilterSafety:
@@ -190,20 +189,22 @@ class TestBatchStatistics:
             assert 0 < prepared.candidate_count <= prepared.total_candidates
 
     def test_rejects_unknown_index_kind_string(self, tiny_mod):
+        # The store's R-tree is the one index kind; the engine takes none.
         with pytest.raises(ValueError, match="unknown index kind"):
+            tiny_mod.build_index("r-tree")
+        with pytest.raises(TypeError, match="index"):
             QueryEngine(tiny_mod, index="r-tree")
 
-    def test_unfiltered_prepare_bypasses_cache(self, small_mod):
-        lo, hi = small_mod.common_time_span()
-        engine = QueryEngine(small_mod)
-        query_id = small_mod.object_ids[0]
-        filtered = engine.prepare(query_id, lo, hi)
-        unfiltered = engine.prepare(query_id, lo, hi, use_index=False)
-        assert not unfiltered.from_cache
-        assert unfiltered.context is not filtered.context
-        assert unfiltered.candidate_count == len(small_mod) - 1
-        # ... and the unfiltered build must not poison the cache either.
-        assert engine.prepare(query_id, lo, hi).context is filtered.context
+    def test_engine_over_an_empty_store_starts_and_follows_adds(self, tiny_mod):
+        mod = MovingObjectsDatabase()
+        engine = QueryEngine(mod)
+        assert len(engine.index) == 0
+        with pytest.raises(KeyError):
+            engine.prepare("q", 0.0, 60.0)
+        mod.add_all(list(tiny_mod))
+        lo, hi = mod.common_time_span()
+        assert engine.answer("q", lo, hi) == reference_answer(mod, "q", lo, hi)
+        assert engine.index is mod.index()
 
 
 class TestWindowValidation:
@@ -289,7 +290,7 @@ class TestDifferenceFallbackObservability:
 
     @pytest.mark.parametrize("off_cadence, expected", [(0.0, 0), (3e-10, 1)])
     def test_counter_and_span_attribute(self, off_cadence, expected):
-        engine = QueryEngine(self.fleet(off_cadence), index=None)
+        engine = QueryEngine(self.fleet(off_cadence))
         with capture() as recorder:
             engine.prepare("v0", 2.5, 8.5)
         kernel = recorder.latest().find("engine.kernel")

@@ -63,6 +63,16 @@ class TestGridQueries:
                     expected.add(trajectory.object_id)
         assert index.query_box(probe) == expected
 
+    def test_out_of_region_trajectory_is_found_in_border_cells(self):
+        index = GridIndex(0.0, 0.0, 40.0, 40.0, cells=8)
+        index.insert_trajectory(straight_trajectory("inside", (5, 5), (10, 10)))
+        index.insert_trajectory(straight_trajectory("far", (1e4, 1e4), (1.1e4, 1.1e4)))
+        assert len(index) == 2
+        # Registered in the clamped corner cell, so a probe there finds it.
+        assert index.query_box(Box3D(1.05e4, 1.05e4, 0.0, 1.06e4, 1.06e4, 60.0)) == {"far"}
+        assert index.query_box(Box3D(39.0, 39.0, 0.0, 40.0, 40.0, 60.0)) == set()
+        assert index.query_box(Box3D(4.0, 4.0, 0.0, 6.0, 6.0, 60.0)) == {"inside"}
+
     def test_corridor_query_excludes_query_and_respects_distance(self):
         query = straight_trajectory("q", (0.0, 0.0), (30.0, 0.0))
         near = straight_trajectory("near", (0.0, 2.0), (30.0, 2.0))

@@ -1,10 +1,9 @@
-"""Incremental maintenance of the R-tree and grid vs bulk rebuilds."""
+"""Incremental maintenance of the R-tree vs bulk rebuilds."""
 
 import numpy as np
 import pytest
 
 from repro.index.boxes import Box3D, IndexEntry, segment_boxes
-from repro.index.grid import GridIndex
 from repro.index.rtree import STRRTree
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 
@@ -135,70 +134,3 @@ class TestDivergenceBoundedMaintenance:
             probe_grid(bulk, trajectories, seed=5), probe_grid(tree, trajectories, seed=5)
         ):
             assert expected == actual
-
-    def test_grid_partial_patch_matches_bulk_rebuild(self, trajectories):
-        grid = GridIndex.covering(trajectories, cells=12, max_box_extent=15.0)
-        target = trajectories[1]
-        extended = self.extend(target)
-        assert grid.remove_object(target.object_id, after=target.end_time) == 0
-        grid.insert_trajectory(extended, after=target.end_time)
-        bulk = GridIndex.covering(
-            [extended if t.object_id == target.object_id else t for t in trajectories],
-            cells=12,
-            max_box_extent=15.0,
-        )
-        assert len(grid) == len(bulk)
-        assert probe_grid(grid, trajectories, seed=6) == probe_grid(
-            bulk, trajectories, seed=6
-        )
-
-    def test_grid_partial_then_full_removal_is_consistent(self, trajectories):
-        grid = GridIndex.covering(trajectories, cells=12, max_box_extent=15.0)
-        target = trajectories[2]
-        midpoint = (target.start_time + target.end_time) / 2.0
-        partial = grid.remove_object(target.object_id, after=midpoint)
-        rest = grid.remove_object(target.object_id)
-        assert partial + rest == len(segment_boxes(target, max_extent=15.0))
-        for found in probe_grid(grid, trajectories, seed=7):
-            assert target.object_id not in found
-
-
-class TestGridRemove:
-    def test_remove_object_drops_entries_and_count(self, trajectories):
-        grid = GridIndex.covering(trajectories, cells=12, max_box_extent=15.0)
-        target = trajectories[3]
-        expected = len(segment_boxes(target, max_extent=15.0))
-        before = len(grid)
-        assert grid.remove_object(target.object_id) == expected
-        assert len(grid) == before - expected
-        for found in probe_grid(grid, trajectories, seed=2):
-            assert target.object_id not in found
-
-    def test_remove_then_reinsert_matches_bulk_grid(self, trajectories):
-        grid = GridIndex.covering(trajectories, cells=12, max_box_extent=15.0)
-        for trajectory in trajectories[:8]:
-            grid.remove_object(trajectory.object_id)
-            grid.insert_trajectory(trajectory)
-        bulk = GridIndex.covering(trajectories, cells=12, max_box_extent=15.0)
-        assert probe_grid(grid, trajectories, seed=3) == probe_grid(
-            bulk, trajectories, seed=3
-        )
-
-    def test_remove_unknown_object_is_a_noop(self, trajectories):
-        grid = GridIndex.covering(trajectories, cells=12)
-        before = len(grid)
-        assert grid.remove_object("ghost") == 0
-        assert len(grid) == before
-
-    def test_out_of_region_trajectory_can_be_removed(self, trajectories):
-        grid = GridIndex.covering(trajectories[:5], cells=8)
-        outside = trajectories[0].with_radius(trajectories[0].radius)
-        far = type(outside)(
-            "far",
-            [(1e4, 1e4, outside.start_time), (1.1e4, 1.1e4, outside.end_time)],
-            outside.radius,
-        )
-        grid.insert_trajectory(far)
-        assert grid.remove_object("far") == len(segment_boxes(far))
-        for found in probe_grid(grid, trajectories[:5], seed=4):
-            assert "far" not in found

@@ -7,13 +7,16 @@ buys: one index per store in process, one worker rebuild per store revision
 out of process.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.engine import QueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ShardedEngine
+from repro.parallel.worker import ShardTask
 from repro.service import EnginePool
-from repro.streaming import ContinuousMonitor
+from repro.streaming import ContinuousMonitor, reference_answer
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
 from repro.uncertainty.uniform import UniformDiskPDF
@@ -159,8 +162,6 @@ def test_unknown_query_and_bad_arguments(fleet):
     with pytest.raises(ValueError):
         ShardedEngine(mod, 4, backend="gpu")
     with pytest.raises(ValueError):
-        ShardedEngine(mod, 4, index="btree")
-    with pytest.raises(ValueError):
         ShardedEngine(mod, 0)
     with pytest.raises(ValueError):
         ShardedEngine(mod, 4, max_workers=0)
@@ -168,6 +169,11 @@ def test_unknown_query_and_bad_arguments(fleet):
         ShardedEngine(mod, 4, mp_start_method="teleport")
     with pytest.raises(TypeError, match="engine"):
         ShardedEngine(mod, 4, backend="serial", engine=QueryEngine(mod))
+    for option, value in [("index", "grid"), ("leaf_capacity", 8), ("grid_cells", 16)]:
+        with pytest.raises(TypeError, match=option):
+            ShardedEngine(mod, 4, backend="serial", **{option: value})
+    task_fields = {field.name for field in dataclasses.fields(ShardTask)}
+    assert not task_fields & {"index_kind", "leaf_capacity", "grid_cells"}
 
 
 def test_every_slice_slot_sees_the_whole_store(fleet):
@@ -223,6 +229,19 @@ def test_answers_follow_additions_replacements_and_removals(backend):
         assert engine.answer_batch(query_ids, lo, hi).answers == expected()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_empty_store_serves_once_upserted(backend):
+    source, query_ids = multi_query_fleet(num_vehicles=20, num_queries=3)
+    mod = MovingObjectsDatabase()
+    with ShardedEngine(mod, 2, backend=backend) as engine:
+        assert len(mod.index()) == 0
+        mod.upsert_many(list(source))
+        lo, hi = mod.common_time_span()
+        assert engine.answer_batch(query_ids, lo, hi).answers == {
+            query_id: reference_answer(mod, query_id, lo, hi) for query_id in query_ids
+        }
+
+
 # ---------------------------------------------------------------------------
 # Engagement: what splitting the batch instead of the store buys.
 # ---------------------------------------------------------------------------
@@ -240,14 +259,14 @@ def test_one_index_per_store_across_the_pool_and_a_sharded_engine():
     with EnginePool(mod, registry=registry) as pool:
         assert pool.warm_up() == "single"
         assert index_builds() == 1
-        tree = mod.index("rtree")
+        tree = mod.index()
         for _ in range(3):
             # 36 of 40 objects move: one patch of the store's index.
             for object_id in mod.object_ids[:36]:
                 mod.replace_trajectory(moved(mod.get(object_id), 0.1))
             pool.answer_group(query_ids, lo, hi)
             assert index_builds() == 1
-            assert pool.single_engine().index is tree is mod.index("rtree")
+            assert pool.single_engine().index is tree is mod.index()
         single = pool.single_engine()
         pool.answer_group(query_ids, lo, hi)
         assert single.cache_info().hits > 0

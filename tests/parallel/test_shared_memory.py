@@ -11,6 +11,7 @@ segments byte-identical to the single engine's.
 """
 
 import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -156,9 +157,6 @@ def test_worker_rebuilds_when_the_export_revision_moves(fleet):
                 token=("test-rebuild",),
                 shard=0,
                 store=shared.descriptor(),
-                index_kind="rtree",
-                leaf_capacity=16,
-                grid_cells=32,
                 cache_size=64,
                 queries=((query_id, mod.default_band_width(query_id)),),
                 t_start=lo,
@@ -196,6 +194,9 @@ operations = st.lists(
 )
 
 
+_EXAMPLES = itertools.count()
+
+
 @settings(max_examples=10, deadline=None)
 @given(ops=operations)
 def test_any_mutation_sequence_keeps_shared_answers_exact(ops):
@@ -221,6 +222,10 @@ def test_any_mutation_sequence_keeps_shared_answers_exact(ops):
         )
         for index in range(4)
     )
+    # A worker keeps one engine per token and trusts it while the revision
+    # matches, so each example's store needs its own token, as each
+    # ShardedEngine instance has (two examples can reach one revision).
+    token = ("test-mutations", next(_EXAMPLES))
     with SharedColumnarStore(mod, max_patch_segments=2) as shared:
         for kind, which, coord, sync_now in [*ops, ("replace", 0, 1.0, True)]:
             object_id = f"o{which}"
@@ -247,12 +252,9 @@ def test_any_mutation_sequence_keeps_shared_answers_exact(ops):
             assert pack.ids == tuple(mod.object_ids)
             pack.close()
             served = run_shard_task(ShardTask(
-                token=("test-mutations",),
+                token=token,
                 shard=0,
                 store=shared.descriptor(),
-                index_kind="rtree",
-                leaf_capacity=16,
-                grid_cells=32,
                 cache_size=64,
                 queries=(("o0", mod.default_band_width("o0")),),
                 t_start=0.0,

@@ -23,9 +23,10 @@ from hypothesis import given, strategies as st
 from repro.core import pruning
 from repro.core.queries import QueryContext
 from repro.core.tolerances import TIME_TOLERANCE
-from repro.engine import QueryEngine
+from repro.engine import QueryEngine, answer_of
 from repro.engine.filtering import corridor_probe_bulk
 from repro.reference.corridor import conservative_corridor_radius
+from repro.streaming import reference_answer
 from repro.trajectories import difference
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
@@ -73,14 +74,13 @@ def batches(draw):
         draw(st.sampled_from(WINDOWS)),
         draw(st.sampled_from([None, None, 0.0, 1.7])),
         draw(st.lists(st.sampled_from(ids), max_size=2)),
-        draw(st.sampled_from(["rtree", None])),
     )
 
 
 @given(case=batches())
 def test_every_batch_context_equals_its_query_alone(case):
-    mod, members, (t_lo, t_hi), band_width, cached, index = case
-    engine = QueryEngine(mod, index=index)
+    mod, members, (t_lo, t_hi), band_width, cached = case
+    engine = QueryEngine(mod)
     for query_id in cached:
         engine.prepare(query_id, t_lo, t_hi, band_width=band_width)
     batch = engine.prepare_batch(members, t_lo, t_hi, band_width=band_width)
@@ -89,16 +89,15 @@ def test_every_batch_context_equals_its_query_alone(case):
         query_id = prepared.query_id
         assert prepared.from_cache == (query_id in cached or query_id in members[:position])
         width = mod.default_band_width(query_id) if band_width is None else band_width
-        filtered = index is not None and t_hi > t_lo
-        alone = QueryContext.from_mod(
-            mod,
-            query_id,
-            t_lo,
-            t_hi,
-            width,
-            engine.candidate_ids(query_id, t_lo, t_hi, width) if filtered else None,
-        )
+        # The engine filters every window but a zero-length one.
+        candidates = engine.candidate_ids(query_id, t_lo, t_hi, width) if t_hi > t_lo else None
+        alone = QueryContext.from_mod(mod, query_id, t_lo, t_hi, width, candidates)
         assert_same_context(prepared.context, alone)
+        # ... and answers as the unfiltered definition does.
+        for variant in ("sometime", "always"):
+            assert answer_of(prepared.context, variant) == reference_answer(
+                mod, query_id, t_lo, t_hi, variant, band_width=width
+            )
 
 
 # ----------------------------------------------------------------------

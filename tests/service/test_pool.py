@@ -8,6 +8,7 @@ from repro.engine import QueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ShardedEngine
 from repro.service import EnginePool, QueryRequest, QueryService
+from repro.streaming import ContinuousMonitor
 from repro.workloads.scenarios import multi_query_fleet
 
 
@@ -82,6 +83,39 @@ class TestOneEngine:
         ]:
             with pytest.raises(TypeError, match=option):
                 EnginePool(mod, **{option: value})
+
+    def test_index_settings_are_gone(self, fleet):
+        # The pool's engine, and every other, filters through mod.index().
+        mod, query_ids = fleet
+        lo, hi = mod.common_time_span()
+        engine = EnginePool(mod).single_engine()
+        assert engine.index is mod.index()
+        assert not hasattr(engine, "index_kind")
+        for option, value in [
+            ("index", "grid"),
+            ("index", None),
+            ("index", mod.index()),
+            ("leaf_capacity", 8),
+            ("grid_cells", 16),
+        ]:
+            with pytest.raises(TypeError, match=option):
+                QueryEngine(mod, **{option: value})
+        with pytest.raises(TypeError):
+            QueryEngine(mod, "grid")
+        with pytest.raises(TypeError, match="use_index"):
+            engine.prepare(query_ids[0], lo, hi, use_index=False)
+        with pytest.raises(TypeError, match="use_index"):
+            engine.prepare_batch(query_ids, lo, hi, use_index=False)
+        with pytest.raises(TypeError, match="index"):
+            ContinuousMonitor(mod, index=None)
+        with pytest.raises(TypeError):
+            mod.index("grid")
+        with pytest.raises(TypeError):
+            mod.sync_index("rtree", 16, 32)
+        with pytest.raises(TypeError, match="cells"):
+            mod.build_index("rtree", cells=8)
+        with pytest.raises(ValueError, match="unknown index kind"):
+            mod.build_index("grid")
 
 
 class TestExactness:

@@ -16,6 +16,8 @@ from repro.service import (
     QueryService,
     ServiceClosed,
 )
+from repro.streaming import reference_answer
+from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.scenarios import multi_query_fleet, sharded_fleet
 
 
@@ -231,6 +233,26 @@ class TestLifecycleAndErrors:
         for option, value in [("shard_threshold", 5), ("force_backend", "single")]:
             with pytest.raises(TypeError, match=option):
                 QueryService(mod, **{option: value})
+
+    def test_service_over_an_empty_store_starts_and_serves_upserts(self, fleet):
+        source, query_ids = fleet
+        mod = MovingObjectsDatabase()
+
+        async def scenario():
+            async with QueryService(mod) as service:
+                assert len(mod.index()) == 0
+                mod.upsert_many(list(source))
+                lo, hi = mod.common_time_span()
+                responses = await asyncio.gather(
+                    *(service.query(query_id, lo, hi) for query_id in query_ids)
+                )
+                return lo, hi, responses
+
+        lo, hi, responses = run(scenario())
+        for query_id, response in zip(query_ids, responses):
+            assert response.answer == reference_answer(mod, query_id, lo, hi)
+        # The empty tree was reloaded, not patched: it is a fresh load's twin.
+        assert len(mod.index()) == len(mod.build_index())
 
     def test_two_running_services_share_one_warm_engine(self, fleet):
         from repro.service import EnginePool

@@ -98,7 +98,6 @@ def test_random_batches_keep_index_monitor_log_and_restore_exact(batches, seed):
             monitor.register(query_id, sliding=4.0)
         monitor.register(world.query_ids[0], window=(1.0, 6.0), variant="always")
         extent = auto_extent(mod)
-        mod.index("grid", cells=8)
         base = mod.revision
         probes = [Box3D(x, y, 0.0, x + 6.0, y + 6.0, 30.0) for x in (0, 9, 18) for y in (0, 12)]
         for number, batch in enumerate(batches):
@@ -122,11 +121,8 @@ def test_random_batches_keep_index_monitor_log_and_restore_exact(batches, seed):
 
             # The store's index answers like a fresh load over a copy.
             copy = MovingObjectsDatabase(list(mod))
-            for kind, options in (("rtree", {}), ("grid", {"cells": 8})):
-                fresh = copy.build_index(kind, max_box_extent=extent, **options)
-                assert index_answers(mod.index(kind, **options), mod, probes) == (
-                    index_answers(fresh, copy, probes)
-                )
+            fresh = copy.build_index(max_box_extent=extent)
+            assert index_answers(mod.index(), mod, probes) == index_answers(fresh, copy, probes)
             # The monitor's answers are the from-scratch ones.
             windows = {}
             for standing in monitor.standing_queries:
@@ -213,7 +209,7 @@ def test_a_one_vehicle_batch_appends_exactly_its_new_boxes():
     for object_id, reports in world.batches[0].items():
         monitor.ingest(object_id, reports)
     monitor.apply()
-    tree = mod.index("rtree")
+    tree = mod.index()
     entries, repacks = len(tree), tree.repacks
     reporter = mod.object_ids[5]
     old = mod.get(reporter)
@@ -225,7 +221,7 @@ def test_a_one_vehicle_batch_appends_exactly_its_new_boxes():
         if entry.box.t_min >= old.end_time - TIME_TOLERANCE
     ]
     assert new_boxes
-    assert mod.index("rtree") is tree and tree.repacks == repacks
+    assert mod.index() is tree and tree.repacks == repacks
     assert len(tree) == entries + len(new_boxes)
 
 
@@ -235,7 +231,7 @@ def test_concurrent_engines_patch_the_shared_index_once_per_revision():
     )
     mod = world.mod
     extent = auto_extent(mod)
-    mod.index("rtree")
+    mod.index()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -247,7 +243,7 @@ def test_concurrent_engines_patch_the_shared_index_once_per_revision():
 
             def sync():
                 barrier.wait(timeout=10)
-                actions.append(mod.sync_index("rtree")[1])
+                actions.append(mod.sync_index()[1])
 
             threads = [threading.Thread(target=sync) for _ in range(8)]
             for thread in threads:
@@ -258,7 +254,7 @@ def test_concurrent_engines_patch_the_shared_index_once_per_revision():
             patched = [action for action in actions if action != "current"]
             assert len(actions) == 8 and patched in (["patch"], ["repack"])
             copy = MovingObjectsDatabase(list(mod))
-            assert len(mod.index("rtree")) == len(copy.build_index("rtree", max_box_extent=extent))
+            assert len(mod.index()) == len(copy.build_index("rtree", max_box_extent=extent))
     finally:
         sys.setswitchinterval(interval)
 

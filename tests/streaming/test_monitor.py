@@ -261,7 +261,7 @@ class TestRegistrationAndSubscriptions:
         from repro.trajectories.mod import MovingObjectsDatabase
 
         lonely = MovingObjectsDatabase([world.mod.get(world.query_ids[0])])
-        monitor = ContinuousMonitor(lonely, index=None)
+        monitor = ContinuousMonitor(lonely)
         with pytest.raises(ValueError):
             monitor.register(world.query_ids[0], sliding=10.0)
         assert monitor.standing_queries == []

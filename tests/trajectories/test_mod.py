@@ -165,3 +165,25 @@ class TestDefaultBandWidth:
         mod = self.fleet([UniformDiskPDF(0.5)])
         with pytest.raises(ValueError):
             mod.default_band_width("o0")
+
+
+class TestStoreIndex:
+    def test_empty_store_loads_an_empty_rtree_and_reloads_once_filled(self, mod):
+        from repro.index.rtree import STRRTree
+
+        empty = MovingObjectsDatabase()
+        tree, action, _ = empty.sync_index()
+        assert isinstance(tree, STRRTree) and len(tree) == 0
+        assert action == "bulk"
+        assert empty.sync_index()[:2] == (tree, "current")
+        empty.add_all(list(mod))
+        filled, action, _ = empty.sync_index()
+        # A tree with no live entry is reloaded, not patched.
+        assert action == "bulk"
+        assert filled is empty.index() is not tree
+        fresh = empty.build_index()
+        assert len(filled) == len(fresh)
+        for query_id in empty.object_ids:
+            assert empty.candidates_within_corridor(query_id, 5.0, 0.0, 60.0, filled) == (
+                empty.candidates_within_corridor(query_id, 5.0, 0.0, 60.0, fresh)
+            )
