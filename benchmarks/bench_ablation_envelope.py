@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ipacnn import build_ipac_tree
-from repro.geometry.envelope.divide_conquer import le_alg
 from repro.geometry.envelope.klevel import k_level_envelopes
+from repro.reference.envelope import le_alg
 
 from .conftest import build_functions
 

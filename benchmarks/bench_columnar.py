@@ -24,13 +24,21 @@ implementations they replaced, per database size:
   scalar row builder, so neither gate can time ``_band_rows`` against itself;
 * ``lower_envelope`` —
   :func:`repro.geometry.envelope.divide_conquer.lower_envelope` (the kinetic
-  front at one level) vs the scalar ``le_alg`` recursion it reproduces, over
-  the candidates one corridor probe leaves;
+  front at one level) vs the plain ``LE_Alg`` recursion it reproduces
+  (:func:`repro.reference.envelope.le_alg`), over the candidates one
+  corridor probe leaves;
 * ``klevel`` — :func:`repro.geometry.envelope.klevel.k_level_envelopes`
-  (the same front at three levels) vs the
-  :func:`~repro.geometry.envelope.klevel.exclusion_cascade` it runs on dirty
-  slabs.  The input is checked to be served without one, so the gate can
-  never time the cascade against itself;
+  (the same front at three levels) vs the plain
+  :func:`repro.reference.envelope.exclusion_cascade`.  The input is checked
+  to be served without a dirty slab, so the gate can never time a cascade
+  against a cascade;
+* ``slab`` — the level-1 dirty slab of the heaviest ``rank_sweep`` op
+  (``veh-1912`` over ``[55.2, 67.2]`` on the N=2000 city fleet: 0.32 minutes
+  of ~935 functions): the production
+  :func:`repro.geometry.envelope.divide_conquer.le_alg` the front runs on
+  it, which skips subtrees buried under their sibling's envelope, vs the
+  plain recursion.  It records ``slab_speedup`` and ``slab_rows_share``, the
+  share of the slab's rows the skip still built;
 * ``context`` — a cold context as the engine builds it,
   ``QueryContext.from_mod`` over one corridor's candidates plus
   :func:`repro.engine.answers.answer_of`, vs the same context built from a
@@ -74,11 +82,12 @@ from repro.core.queries import QueryContext
 from repro.engine import QueryEngine
 from repro.engine.answers import answer_of
 from repro.engine.filtering import corridor_probe_bulk
-from repro.geometry.envelope.bulk import front_report, front_tally
+from repro.geometry.envelope.bulk import front_envelopes, front_report, front_tally
 from repro.geometry.envelope.divide_conquer import le_alg, lower_envelope
-from repro.geometry.envelope.klevel import exclusion_cascade, k_level_envelopes
+from repro.geometry.envelope.klevel import k_level_envelopes
 from repro.index.boxes import segment_boxes
 from repro.reference import band as reference
+from repro.reference import envelope as plain
 from repro.reference.corridor import TrajectoryArrays, conservative_corridor_radius
 from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
@@ -236,10 +245,10 @@ def bench_lower_envelope(mod: MovingObjectsDatabase) -> Dict[str, float]:
     # The candidates one corridor probe leaves: what every cold prepare
     # hands the envelope builder.
     functions = list(QueryEngine(mod).prepare(query_id, lo, hi).context.functions.values())
-    if not _identical_pieces(lower_envelope(functions, lo, hi), le_alg(functions, lo, hi)):
+    if not _identical_pieces(lower_envelope(functions, lo, hi), plain.le_alg(functions, lo, hi)):
         raise AssertionError("kinetic front diverged from the scalar LE_Alg")
 
-    scalar_seconds = _best_of_three(le_alg, functions, lo, hi)
+    scalar_seconds = _best_of_three(plain.le_alg, functions, lo, hi)
     vector_seconds = _best_of_three(lower_envelope, functions, lo, hi)
     return {
         "lower_envelope_scalar_ms": scalar_seconds * 1000.0,
@@ -259,7 +268,7 @@ def bench_klevel(mod: MovingObjectsDatabase, max_levels: int = 3) -> Dict[str, f
     functions = context.survivors() or list(context.functions.values())
 
     started = time.perf_counter()
-    scalar = exclusion_cascade(functions, lo, hi, max_levels=max_levels)
+    scalar = plain.exclusion_cascade(functions, lo, hi, max_levels=max_levels)
     scalar_seconds = time.perf_counter() - started
 
     before = front_tally()
@@ -278,6 +287,32 @@ def bench_klevel(mod: MovingObjectsDatabase, max_levels: int = 3) -> Dict[str, f
         "klevel_vector_ms": vector_seconds * 1000.0,
         "klevel_speedup": scalar_seconds / vector_seconds,
         "klevel_functions": float(len(functions)),
+    }
+
+
+def bench_slab(num_vehicles: int) -> Dict[str, float]:
+    """The heaviest ``rank_sweep`` op's level-1 dirty slab, the skip vs the
+    plain recursion; equality asserted before timing."""
+    mod, _ = multi_query_fleet(num_vehicles=num_vehicles, num_queries=6, seed=29)
+    lo, hi = 55.2, 67.2
+    pack = QueryEngine(mod).prepare("veh-1912", lo, hi).context.pack
+    slabs: List[Tuple[float, float]] = []
+    before = front_tally()
+    front_envelopes(pack, lo, hi, 1, lambda s, e: slabs.append((s, e)) or [le_alg(pack, s, e)])
+    rows_share = front_report(before)["slab_rows_share"]
+    start, end = max(slabs, key=lambda slab: slab[1] - slab[0])
+    functions = pack.functions
+    if not _identical_pieces(le_alg(pack, start, end), plain.le_alg(functions, start, end)):
+        raise AssertionError("LE_Alg's subtree skip diverged from the plain recursion")
+    plain_seconds = _best_of_three(plain.le_alg, functions, start, end)
+    skip_seconds = _best_of_three(le_alg, pack, start, end)
+    return {
+        "slab_plain_ms": plain_seconds * 1000.0,
+        "slab_skip_ms": skip_seconds * 1000.0,
+        "slab_speedup": plain_seconds / skip_seconds,
+        "slab_functions": float(len(pack)),
+        "slab_minutes": end - start,
+        "slab_rows_share": rows_share,
     }
 
 
@@ -350,7 +385,7 @@ def reference_answers(
     functions = difference_distance_functions(list(mod), mod.get(query_id), lo, hi)
     intervals = reference.band_intervals_batch(
         functions,
-        le_alg(functions, lo, hi),
+        plain.le_alg(functions, lo, hi),
         mod.default_band_width(query_id),
         lo,
         hi,
@@ -358,7 +393,7 @@ def reference_answers(
     survivors = [
         function for function, inside in zip(functions, intervals) if inside
     ]
-    levels = exclusion_cascade(survivors, lo, hi, max_levels=rank)
+    levels = plain.exclusion_cascade(survivors, lo, hi, max_levels=rank)
     ranked = {
         object_id for level in levels.levels for object_id in level.distinct_owner_ids
     }
@@ -437,6 +472,9 @@ def run_bench(
         numbers.update(bench_klevel(mod))
         numbers.update(bench_context(mod))
         numbers.update(bench_batch(num_objects))
+        if num_objects == 2000:
+            # The slab belongs to the benchmark's N=2000 world.
+            numbers.update(bench_slab(num_objects))
         print(
             f"N={num_objects}: pack {numbers['pack_ms']:6.1f} ms | "
             f"corridor {numbers['corridor_scalar_ms']:7.1f} -> "
@@ -463,6 +501,13 @@ def run_bench(
             f"{numbers['batch_prepare_ms']:6.1f} ms "
             f"({numbers['batch_prepare_speedup']:4.2f}x)"
         )
+        if "slab_speedup" in numbers:
+            print(
+                f"  slab of {numbers['slab_functions']:.0f} functions: "
+                f"plain {numbers['slab_plain_ms']:6.2f} -> skip "
+                f"{numbers['slab_skip_ms']:6.2f} ms ({numbers['slab_speedup']:4.2f}x, "
+                f"{numbers['slab_rows_share']:.3f} of the rows built)"
+            )
         for key, value in numbers.items():
             metrics[f"n{num_objects}_{key}"] = value
     return config, metrics

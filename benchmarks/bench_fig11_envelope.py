@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.geometry.envelope.divide_conquer import le_alg
+from repro.reference.envelope import le_alg
 from repro.reference.naive import naive_lower_envelope
 
 from .conftest import build_functions

@@ -556,15 +556,19 @@ class QueryEngine:
     def _kernel_span(self, **attributes) -> Iterator:
         """An ``engine.kernel`` span that says what the kinetic front did
         inside it: ``events=``, ``walked_share=`` (the share of the packed
-        rows the front walked), ``dirty_slabs=`` and ``dirty_time_share=``
-        (the share of window time the scalar algorithm recomputed) on the
-        span, the slabs in ``repro_geometry_envelope_slabs_total{kind=}``.
+        rows the front walked), ``slab_rows_share=`` (the share of its dirty
+        slabs' rows ``le_alg`` built), ``dirty_slabs=`` and
+        ``dirty_time_share=`` (the share of window time the scalar algorithm
+        recomputed) on the span, the slabs in
+        ``repro_geometry_envelope_slabs_total{kind=}``.
         """
         before = front_tally()
         with trace_span("engine.kernel", **attributes) as span:
             yield span
             front = front_report(before)
-            for name in ("events", "walked_share", "dirty_slabs", "dirty_time_share"):
+            for name in (
+                "events", "walked_share", "slab_rows_share", "dirty_slabs", "dirty_time_share"
+            ):
                 span.set(name, front[name])
         for kind, counter in self._m_slabs.items():
             if front[f"{kind}_slabs"]:

@@ -22,9 +22,9 @@ from typing import List
 import numpy as np
 
 from ..core.ranking import validate_theorem1
-from ..geometry.envelope.divide_conquer import le_alg
 from ..index.grid import GridIndex
 from ..index.rtree import STRRTree
+from ..reference.envelope import le_alg
 from ..trajectories.difference import difference_distance_functions
 from ..trajectories.mod import MovingObjectsDatabase
 from ..workloads.random_waypoint import RandomWaypointConfig, generate_trajectories

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from ..geometry.envelope.divide_conquer import le_alg
+from ..reference.envelope import le_alg
 from ..reference.naive import naive_lower_envelope
 from ..trajectories.difference import difference_distance_functions
 from ..workloads.random_waypoint import RandomWaypointConfig, generate_trajectories

@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from ..core.pruning import prune_by_band
-from ..geometry.envelope.divide_conquer import le_alg
+from ..reference.envelope import le_alg
 from ..trajectories.difference import difference_distance_functions
 from ..workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 from .config import Figure13Config

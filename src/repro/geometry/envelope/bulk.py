@@ -1,7 +1,8 @@
 """The kinetic front: one output-sensitive kernel for levels 1..k.
 
-The scalar envelope machinery (``le_alg``/``merge``/``env2`` and the
-exclusion cascade in ``klevel``) is the semantic ground truth of the
+The scalar envelope machinery (the plain ``LE_Alg`` recursion over
+``merge``/``env2`` and the exclusion cascade over it, kept in
+:mod:`repro.reference.envelope`) is the semantic ground truth of the
 reproduction; this kernel is an *accelerated re-derivation* of it, never a
 reinterpretation.  The contract, enforced by the differential suite in
 ``tests/property/test_envelope_differential.py``, is **bit-identity**: piece
@@ -29,8 +30,11 @@ the scalar's sub-envelopes would merge that crossing's time with the
 boundary's), so it dirties a time span, not the window: the dirty elementary
 intervals between two clean events form a **slab** that the caller's scalar
 algorithm recomputes, and ``Envelope``'s own coalescing stitches it to its
-clean neighbours.  After a dirty span the front re-ranks from values, so
-nothing it missed inside the span survives it.
+clean neighbours.  That algorithm is ``le_alg``, alone or under the cascade,
+which skips the rows buried under a slab's envelope, so a slab costs the rows
+that can reach it whatever its width, and a window takes any number of them.
+After a dirty span the front re-ranks from values, so nothing it missed
+inside the span survives it.
 """
 
 from __future__ import annotations
@@ -88,15 +92,15 @@ class DegenerateArrangement(Exception):
 
 def front_tally() -> Tuple[float, ...]:
     """``(events, clean slabs, dirty slabs, dirty minutes, minutes, rows
-    walked, rows packed)`` of the calling thread's kernel calls so far, a
-    refused window counting as one dirty slab; monotone, like
-    ``difference.scalar_fallback_count``."""
-    return getattr(_TALLY, "totals", (0, 0, 0, 0.0, 0.0, 0, 0))
+    walked, rows packed, slab rows built, slab rows)`` of the calling
+    thread's kernel calls so far, a refused window counting as one dirty
+    slab; monotone, like ``difference.scalar_fallback_count``."""
+    return getattr(_TALLY, "totals", (0, 0, 0, 0.0, 0.0, 0, 0, 0, 0))
 
 
 def front_report(since: Tuple[float, ...]) -> Dict[str, float]:
     """What the kernel did since an earlier :func:`front_tally` read."""
-    events, clean, dirty, dirty_time, time, walked, packed = (
+    events, clean, dirty, dirty_time, time, walked, packed, built, slab_rows = (
         now - then for now, then in zip(front_tally(), since)
     )
     return {
@@ -105,11 +109,23 @@ def front_report(since: Tuple[float, ...]) -> Dict[str, float]:
         "dirty_slabs": dirty,
         "dirty_time_share": dirty_time / time if time else 0.0,
         "walked_share": walked / packed if packed else 0.0,
+        "slab_rows_share": built / slab_rows if slab_rows else 0.0,
     }
 
 
 def _count(*amounts: float) -> None:
     _TALLY.totals = tuple(old + new for old, new in zip(front_tally(), amounts))
+
+
+def _recursion() -> Tuple[int, int]:
+    """``(rows built, rows handed)`` of the calling thread's ``LE_Alg`` calls."""
+    return getattr(_TALLY, "recursion", (0, 0))
+
+
+def count_recursion(built: int, rows: int) -> None:
+    """``LE_Alg`` built ``built`` of the ``rows`` it was handed; the front
+    reads the count around each slab it hands over."""
+    _TALLY.recursion = (_recursion()[0] + built, _recursion()[1] + rows)
 
 
 class FunctionPack(abc.Sequence):
@@ -277,8 +293,8 @@ class FunctionPack(abc.Sequence):
         if np.any(self.starts[self.followers] != self.ends[self.followers - 1]):
             raise DegenerateArrangement("function pieces have gaps or overlaps")
 
-    def jump_times(self, t_lo: float, t_hi: float) -> List[float]:
-        """Interior breakpoints at which some function is discontinuous.
+    def jumping(self) -> np.ndarray:
+        """Per piece, whether its function is discontinuous where it starts.
 
         The front follows non-owners through their breakpoints by continuity;
         where a curve jumps instead it has to look at the values again.
@@ -294,8 +310,14 @@ class FunctionPack(abc.Sequence):
         ]
         gap = squared(*sides[0], at) - squared(*sides[1], at)
         scale = sum(squared(*map(np.abs, side), np.abs(at)) for side in sides)
-        jumps = np.abs(gap) > 1e-9 * scale
-        return np.unique(at[jumps & (at > t_lo) & (at < t_hi)]).tolist()
+        jumps = np.zeros(len(self.starts), dtype=bool)
+        jumps[self.followers] = np.abs(gap) > 1e-9 * scale
+        return jumps
+
+    def jump_times(self, t_lo: float, t_hi: float) -> List[float]:
+        """Interior breakpoints at which some function is discontinuous."""
+        at = self.starts
+        return np.unique(at[self.jumping() & (at > t_lo) & (at < t_hi)]).tolist()
 
 
 def _extrema(a, b, c, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -312,6 +334,36 @@ def _extrema(a, b, c, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.nd
     )
 
 
+def slot_bounds(
+    pack: FunctionPack, t_lo: float, t_hi: float, slots: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's smallest and largest distance on each of ``slots`` equal
+    slots of the window, ``(rows, slots)`` each, in closed form from the
+    pieces that serve it; slots and pieces are widened by ``_NEAR``.
+
+    A piece serves from its predecessor's end to its own, the first and last
+    beyond, as ``DistanceFunction.piece_at`` reads them.
+    """
+    lo, hi = np.concatenate(([0.0], pack.ends[:-1])) - _NEAR, pack.ends + _NEAR
+    lo[pack.offsets[:-1]], hi[pack.offsets[1:] - 1] = -np.inf, np.inf
+    serving = (hi >= t_lo - _NEAR) & (lo <= t_hi + _NEAR)
+    if serving.all():
+        piece, first = slice(None), pack.offsets[:-1]
+    else:
+        piece = np.nonzero(serving)[0]
+        first = np.searchsorted(pack.owner[piece], np.arange(len(pack)))
+    edges = np.linspace(t_lo, t_hi, slots + 1)
+    low, high = _extrema(
+        pack.a[piece, None], pack.b[piece, None], pack.c[piece, None],
+        np.maximum(lo[piece, None], edges[:-1] - _NEAR),
+        np.minimum(hi[piece, None], edges[1:] + _NEAR),
+    )
+    return (
+        np.sqrt(np.maximum(np.minimum.reduceat(low, first), 0.0)),
+        np.sqrt(np.maximum(np.maximum.reduceat(high, first), 0.0)),
+    )
+
+
 def _contenders(
     pack: FunctionPack, t_lo: float, t_hi: float, depth: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -319,10 +371,10 @@ def _contenders(
     per slot the ceiling the walk's owners must stay under.
 
     A row's smallest and largest distance on each of ``_SLOTS`` slots come
-    in closed form from its pieces, slots and pieces widened by ``_NEAR``.
-    The ``depth`` rows with the smallest maxima keep level ``depth`` under the
-    ``depth``-th, ``bound_j``, throughout slot ``j``.  A row whose minimum is
-    above ``bound_j + reach`` in every slot is cut (a distance moves at most
+    from :func:`slot_bounds`.  The ``depth`` rows with the smallest maxima
+    keep level ``depth`` under the ``depth``-th, ``bound_j``, throughout slot
+    ``j``.  A row whose minimum is above ``bound_j + reach`` in every slot
+    is cut (a distance moves at most
     ``sqrt(a)`` a minute; ``reach = 4 sqrt(max a) _NEAR``): it never ranks
     ``depth`` or better at a re-rank, which reads ``limit + 1 = depth``
     values, and stays ``3 sqrt(max a) _NEAR`` above every true owner within
@@ -339,16 +391,7 @@ def _contenders(
     # rows, and none the slots would keep (its bound is above theirs).
     for slots in (1, _SLOTS):
         sub = pack.take(rows) if len(rows) < len(pack) else pack
-        first, last = sub.offsets[:-1], sub.offsets[1:] - 1
-        lo, hi = sub.starts[:, None] - _NEAR, sub.ends[:, None] + _NEAR
-        lo[first], hi[last] = -np.inf, np.inf
-        edges = np.linspace(t_lo, t_hi, slots + 1)
-        low, high = _extrema(
-            sub.a[:, None], sub.b[:, None], sub.c[:, None],
-            np.maximum(lo, edges[:-1] - _NEAR), np.minimum(hi, edges[1:] + _NEAR),
-        )
-        low = np.sqrt(np.maximum(np.minimum.reduceat(low, first), 0.0))
-        high = np.sqrt(np.maximum(np.maximum.reduceat(high, first), 0.0))
+        low, high = slot_bounds(sub, t_lo, t_hi, slots)
         bound = np.partition(high, depth - 1, axis=0)[depth - 1]
         kept = (low <= bound + reach).any(axis=1)
         floor = np.minimum(floor, np.where(kept[:, None], np.inf, low).min(axis=0))
@@ -475,7 +518,7 @@ def front_envelopes(
         bounds, tops, marks = _advance(pack, t_lo, t_hi, limit)
         return _stitch(pack, bounds, tops, marks, limit, scalar)
     except DegenerateArrangement:
-        _count(0, 0, 1, max(t_hi - t_lo, 0.0), max(t_hi - t_lo, 0.0), 0, 0)
+        _count(0, 0, 1, max(t_hi - t_lo, 0.0), max(t_hi - t_lo, 0.0), 0, 0, 0, 0)
         raise
 
 
@@ -503,7 +546,7 @@ def _advance(
                 raise  # else the walk left the full one's path: cut less
         depth *= 2
     bounds, tops, marks, crossed = walk
-    _count(0, 0, 0, 0.0, 0.0, len(rows), len(pack))
+    _count(0, 0, 0, 0.0, 0.0, len(rows), len(pack), 0, 0)
     tops = list(map(tuple, rows[np.array(tops)].tolist()))
     # Only a boundary the front would emit can be displaced.
     emitted = [i for i in range(len(tops) - 1) if tops[i] != tops[i + 1]]
@@ -650,15 +693,10 @@ def _stitch(
         dirty[first:last] = [True] * (last - first)
     if all(dirty):
         raise DegenerateArrangement("no clean part of the window")
-    # One level's scalar merges every function whatever the span, so a slab
-    # costs about what the window would and a second one is a loss.  (The
-    # cascade's cost follows the pieces of the levels above: few in a slab.)
-    slabs = sum(now and not before for before, now in zip([False] + dirty, dirty))
-    if limit == 1 and slabs > 1:
-        raise DegenerateArrangement("several dirty slabs cost more than the window")
     level_pieces: List[List[EnvelopePiece]] = [[] for _ in range(limit)]
     served = [0, 0]  # clean and dirty slabs
     dirty_time = 0.0
+    recursion = _recursion()
     start = 0
     while start < len(tops):
         stop = start
@@ -681,7 +719,8 @@ def _stitch(
                         collected.append(EnvelopePiece(owner, bounds[opened], bounds[index]))
                         opened = index
         start = stop
-    _count(len(tops), served[0], served[1], dirty_time, bounds[-1] - bounds[0], 0, 0)
+    built, rows = (now - then for now, then in zip(_recursion(), recursion))
+    _count(len(tops), served[0], served[1], dirty_time, bounds[-1] - bounds[0], 0, 0, built, rows)
     return [Envelope(collected) for collected in level_pieces]
 
 
@@ -713,5 +752,5 @@ def k_level_envelopes_bulk(
         t_lo,
         t_hi,
         limit,
-        lambda s, e: exclusion_cascade(pack.functions, s, e, limit).levels,
+        lambda s, e: exclusion_cascade(pack, s, e, limit).levels,
     )

@@ -11,8 +11,9 @@ here is what the Category-2 and Category-4 queries of Section 4 consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .bulk import DegenerateArrangement, FunctionPack, k_level_envelopes_bulk
 from .divide_conquer import le_alg
@@ -20,15 +21,6 @@ from .hyperbola import DistanceFunction
 from .pieces import Envelope, EnvelopePiece
 
 from ...core.tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
-
-
-@dataclass(frozen=True, slots=True)
-class _IntervalExclusion:
-    """A time interval together with the object ids excluded from it."""
-
-    t_start: float
-    t_end: float
-    excluded: FrozenSet[object]
 
 
 class LevelEnvelopes:
@@ -117,7 +109,7 @@ def k_level_envelopes(
         return LevelEnvelopes(t_lo, t_hi, levels)
     except DegenerateArrangement:
         pass
-    return exclusion_cascade(pack.functions, t_lo, t_hi, limit)
+    return exclusion_cascade(pack, t_lo, t_hi, limit)
 
 
 def _canonical_order(
@@ -154,46 +146,34 @@ def exclusion_cascade(
     of whatever levels ``1..k-1`` do not own on each elementary interval.
 
     Same arguments and result as :func:`k_level_envelopes`: what the front
-    runs on its dirty slabs, and the reference it is tested against.
+    runs on its dirty slabs, ``==`` to
+    :func:`repro.reference.envelope.exclusion_cascade`.  Each interval's
+    candidates are a take of the pack, so :func:`le_alg` makes functions
+    only of the rows it does not skip.
     """
-    order, limit = _canonical_order([f.object_id for f in functions], max_levels)
-    functions = [functions[row] for row in order]
-    by_id: Dict[object, DistanceFunction] = {f.object_id: f for f in functions}
+    pack = FunctionPack.of(functions)
+    order, limit = _canonical_order(pack.ids, max_levels)
+    pack = pack.take(order)
+    row_of = {object_id: row for row, object_id in enumerate(pack.ids)}
+    every = np.arange(len(pack))
 
-    levels: List[Envelope] = []
-    first = le_alg(functions, t_lo, t_hi)
-    levels.append(first)
-    exclusions: List[_IntervalExclusion] = [
-        _IntervalExclusion(piece.t_start, piece.t_end, frozenset([piece.object_id]))
-        for piece in first.pieces
+    levels: List[Envelope] = [le_alg(pack, t_lo, t_hi)]
+    exclusions = [
+        (piece.t_start, piece.t_end, [row_of[piece.object_id]]) for piece in levels[0].pieces
     ]
-
     for _ in range(1, limit):
         next_pieces: List[EnvelopePiece] = []
-        next_exclusions: List[_IntervalExclusion] = []
-        for interval in exclusions:
-            if interval.t_end - interval.t_start <= _TIME_TOLERANCE:
+        next_exclusions = []
+        for start, end, excluded in exclusions:
+            if end - start <= _TIME_TOLERANCE or len(excluded) == len(pack):
                 continue
-            candidates = [
-                function
-                for object_id, function in by_id.items()
-                if object_id not in interval.excluded
-            ]
-            if not candidates:
-                continue
-            envelope = le_alg(candidates, interval.t_start, interval.t_end)
-            for piece in envelope.pieces:
+            for piece in le_alg(pack.take(np.delete(every, excluded)), start, end).pieces:
                 next_pieces.append(piece)
                 next_exclusions.append(
-                    _IntervalExclusion(
-                        piece.t_start,
-                        piece.t_end,
-                        interval.excluded | {piece.object_id},
-                    )
+                    (piece.t_start, piece.t_end, excluded + [row_of[piece.object_id]])
                 )
         if not next_pieces:
             break
         levels.append(Envelope(next_pieces))
         exclusions = next_exclusions
-
     return LevelEnvelopes(t_lo, t_hi, levels)

@@ -11,6 +11,11 @@ enforces that, and that the serving packages load no scipy:
   bit-identical to;
 * :mod:`~repro.reference.corridor` — the per-query scalar corridor radius
   behind :func:`repro.engine.filtering.corridor_probe_bulk`;
+* :mod:`~repro.reference.envelope` — the paper's plain ``LE_Alg``
+  recursion and the exclusion cascade over it: the oracle of the kinetic
+  front, of the production ``le_alg`` that skips buried subtrees, and of
+  the cascade the front runs on dirty slabs, and what Figures 11 and 13
+  time;
 * :mod:`~repro.reference.front` — the kinetic front's per-piece crossing
   solve, the oracle of its one-pass solve over every contender piece;
 * :mod:`~repro.reference.naive` — the paper's quadratic comparison
@@ -20,9 +25,9 @@ enforces that, and that the serving packages load no scipy:
   location and distance of a difference object at one instant (the oracle
   of the difference functions).
 
-Two references *are* production fallbacks and stay where production calls
-them: :func:`repro.geometry.envelope.klevel.exclusion_cascade` and the
-per-candidate :func:`repro.trajectories.difference.difference_distance_function`.
+One reference *is* a production fallback and stays where production calls
+it: the per-candidate
+:func:`repro.trajectories.difference.difference_distance_function`.
 :func:`repro.query_language.execute_query_naive` is the one oracle kept
 outside this package: the end-to-end benchmark imports it from there.
 """

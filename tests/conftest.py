@@ -26,6 +26,7 @@ from repro.geometry.envelope import divide_conquer, klevel
 from repro.geometry.envelope.bulk import FunctionPack
 from repro.geometry.envelope.hyperbola import DistanceFunction
 from repro.reference import band as reference_band
+from repro.reference import envelope as reference_envelope
 from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
@@ -47,8 +48,8 @@ def reference_kernels(monkeypatch):
     references, in every module that holds a name for them: the batched
     band builder is :func:`repro.reference.band.band_intervals_batch` (and
     the many-context pass one such call per context), the envelope and
-    k-level builders are the scalar algorithms they fall back on
-    (``le_alg``, ``exclusion_cascade``), and
+    k-level builders are the plain recursion and cascade of
+    :mod:`repro.reference.envelope`, and
     ``MovingObjectsDatabase.distance_functions`` (and ``distance_pack`` and
     ``distance_packs``, packs of the same lists) builds every candidate
     with the scalar ``difference_distance_function``.  This is how an
@@ -81,9 +82,11 @@ def reference_kernels(monkeypatch):
                 )
             patch.setattr(MovingObjectsDatabase, "distance_packs", scalar_packs)
             for module in (klevel, queries):
-                patch.setattr(module, "k_level_envelopes", klevel.exclusion_cascade)
+                patch.setattr(
+                    module, "k_level_envelopes", reference_envelope.exclusion_cascade
+                )
             for module in (divide_conquer, queries, ipacnn, heterogeneous):
-                patch.setattr(module, "lower_envelope", divide_conquer.le_alg)
+                patch.setattr(module, "lower_envelope", reference_envelope.le_alg)
             patch.setattr(
                 MovingObjectsDatabase, "distance_functions", scalar_distance_functions
             )

@@ -35,6 +35,7 @@ class TestFigure11:
 
         from repro.experiments import ablations, fig11, fig13
         from repro.geometry.envelope import divide_conquer
+        from repro.reference import envelope
 
         calls = []
 
@@ -44,7 +45,7 @@ class TestFigure11:
         monkeypatch.setattr(
             divide_conquer, "front_envelopes", spy("front", divide_conquer.front_envelopes)
         )
-        monkeypatch.setattr(fig11, "le_alg", spy("le_alg", divide_conquer.le_alg))
+        monkeypatch.setattr(fig11, "le_alg", spy("le_alg", envelope.le_alg))
         # 40 objects: enough for the production entry to choose the front.
         run_figure11(Figure11Config(object_counts=[40]))
         assert calls == ["le_alg"]
@@ -56,7 +57,7 @@ class TestFigure11:
                 alias.name
                 for node in ast.walk(ast.parse((benches / name).read_text()))
                 if isinstance(node, ast.ImportFrom)
-                and node.module == "repro.geometry.envelope.divide_conquer"
+                and node.module == "repro.reference.envelope"
                 for alias in node.names
             }
             assert names == {"le_alg"}, name

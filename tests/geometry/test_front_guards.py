@@ -21,7 +21,7 @@ from repro.geometry.envelope.hyperbola import (
     Hyperbola,
     HyperbolaPiece,
 )
-from repro.geometry.envelope.klevel import exclusion_cascade
+from repro.reference.envelope import exclusion_cascade
 
 from ..conftest import make_linear_function
 

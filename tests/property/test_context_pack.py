@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.queries import QueryContext
 from repro.geometry.envelope.bulk import FunctionPack
-from repro.geometry.envelope.klevel import exclusion_cascade
+from repro.reference.envelope import exclusion_cascade
 from repro.trajectories import difference
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory

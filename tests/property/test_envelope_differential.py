@@ -3,20 +3,22 @@
 Every vectorized kernel of the envelope hot path —
 
 * the kinetic front behind the lower envelope and every k-level
-  (:func:`repro.geometry.envelope.bulk.front_envelopes`),
+  (:func:`repro.geometry.envelope.bulk.front_envelopes`), and the ``LE_Alg``
+  it runs on dirty slabs, which skips halves buried under their sibling
+  (:func:`repro.geometry.envelope.divide_conquer.le_alg`),
 * the batched band classifier (:func:`repro.core.pruning.band_intervals_batch`), and
 * the bulk hyperbola-coefficient construction
   (:func:`repro.trajectories.difference.difference_function_pack`)
 
 — has its original scalar implementation pinned as the oracle
-(:func:`repro.geometry.envelope.divide_conquer.le_alg` and
-:func:`repro.geometry.envelope.klevel.exclusion_cascade`,
+(the plain recursion and cascade of :mod:`repro.reference.envelope`,
 :func:`repro.reference.band.band_intervals_batch`, the per-candidate
 :func:`repro.trajectories.difference.difference_distance_function`) and promises *bit-identical*
 output: not approximately equal, byte-for-byte the same floats, piece
 boundaries, and owner ids.  These properties drive both sides with
 adversarial inputs (tangent hyperbolas, exact ties at breakpoints,
-sub-tolerance gaps, zero-length segments, coincident trajectories) and
+sub-tolerance gaps, zero-length segments, coincident trajectories, copies
+of a cluster lifted above it) and
 compare with ``==``, never with a tolerance.
 
 The closing end-to-end section runs planned UQ2x/UQ4x statements on the
@@ -40,7 +42,7 @@ from repro.geometry.envelope.bulk import (
     front_tally,
     k_level_envelopes_bulk,
 )
-from repro.geometry.envelope.divide_conquer import le_alg, lower_envelope
+from repro.geometry.envelope.divide_conquer import lower_envelope
 from repro.geometry.envelope.env2 import pairwise_envelope
 from repro.geometry.envelope.hyperbola import (
     DistanceFunction,
@@ -48,8 +50,9 @@ from repro.geometry.envelope.hyperbola import (
     HyperbolaPiece,
 )
 from repro.geometry.envelope import klevel
-from repro.geometry.envelope.klevel import exclusion_cascade, k_level_envelopes
+from repro.geometry.envelope.klevel import k_level_envelopes
 from repro.reference import band as reference
+from repro.reference.envelope import exclusion_cascade, le_alg
 from repro.streaming import ContinuousMonitor
 from repro.trajectories import difference
 from repro.trajectories.mod import MovingObjectsDatabase
@@ -181,6 +184,39 @@ def adversarial_functions(draw):
     return functions
 
 
+@st.composite
+def buried_functions(draw):
+    """``buried`` — a low cluster and copies of it lifted far above it.
+
+    The cluster is two to six random motions plus a row touching the first
+    at a dyadic time (an exact or near tangency).  Each copy adds one
+    constant to every member's ``c``, and 0, 1e-9 or 1e-6 to every other
+    member's: copies cross one another at the cluster's own crossing times,
+    or within rounding of them — critical times of a half ``le_alg`` skips,
+    landing on the envelope of the half it keeps.  64 rows or more.
+    """
+    cluster = draw(base_functions(min_size=2, max_size=6))
+    curve = cluster[0].pieces[0].curve
+    q = draw(dyadic_time)
+    nudge = draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+    tangent = Hyperbola(curve.a + 1.0, curve.b - 2.0 * q, curve.c + q * q + nudge)
+    cluster.append(DistanceFunction("t-tan", [HyperbolaPiece(T_LO, T_HI, tangent)]))
+    lift = draw(st.sampled_from([1e4, 1e5, 1e6]))
+    copies = -(-64 // len(cluster)) - 1 + draw(st.integers(min_value=0, max_value=2))
+    functions = list(cluster)
+    for copy in range(1, copies + 1):
+        shake = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+        for member, function in enumerate(cluster):
+            a, b, c = (lambda h: (h.a, h.b, h.c))(function.pieces[0].curve)
+            lifted = Hyperbola(a, b, c + lift * copy + shake * (member % 2))
+            functions.append(
+                DistanceFunction(
+                    f"c{copy:02d}-{function.object_id}", [HyperbolaPiece(T_LO, T_HI, lifted)]
+                )
+            )
+    return functions
+
+
 def _canonical(functions):
     """The canonical order every kernel layer sorts into."""
     return sorted(functions, key=lambda f: str(f.object_id))
@@ -261,6 +297,62 @@ class TestEnvelopeKernels:
             patch.setattr(divide_conquer, "_FRONT_MIN_PIECES", 1)
             vectorized = lower_envelope(functions, T_LO, T_HI)
         assert_identical_envelopes(vectorized, le_alg(functions, T_LO, T_HI))
+
+    def test_buried_subtrees_are_skipped_only_when_certified(self, monkeypatch):
+        # Every production entry equals the plain recursion on the buried
+        # family, and across its examples LE_Alg both skipped a half and had
+        # the certificate refuse one (the family is not vacuous).
+        verdicts = []
+        certifies = divide_conquer._Burial.certifies
+        monkeypatch.setattr(
+            divide_conquer._Burial,
+            "certifies",
+            lambda *args: verdicts.append(certifies(*args)) or verdicts[-1],
+        )
+
+        @given(functions=buried_functions(), max_levels=st.integers(min_value=1, max_value=3))
+        def check(functions, max_levels):
+            assert len(functions) >= 64
+            expected = le_alg(functions, T_LO, T_HI)
+            assert_identical_envelopes(divide_conquer.le_alg(functions, T_LO, T_HI), expected)
+            assert_identical_envelopes(lower_envelope(functions, T_LO, T_HI), expected)
+            levels = k_level_envelopes(functions, T_LO, T_HI, max_levels=max_levels)
+            scalar = exclusion_cascade(functions, T_LO, T_HI, max_levels=max_levels)
+            assert len(levels) == len(scalar)
+            for level in range(1, len(scalar) + 1):
+                assert_identical_envelopes(levels.level(level), scalar.level(level))
+
+        check()
+        assert True in verdicts, "LE_Alg never skipped a buried half"
+        assert False in verdicts, "the certificate never refused a skip"
+
+    def test_a_window_with_two_dirty_slabs_is_served(self):
+        # Two exact tangencies with the level-1 owner, at t = 2.5 and 7.5:
+        # two dirty slabs, each run by LE_Alg, with clean front between and
+        # around them (the owner's breakpoints at 1 and 5 end its steps
+        # there).  The front once refused such a window as a whole.
+        low = Hyperbola(0.0, 0.0, 0.25)
+        functions = [
+            DistanceFunction(
+                "t-low",
+                [HyperbolaPiece(s, e, low) for s, e in ((T_LO, 1.0), (1.0, 5.0), (5.0, T_HI))],
+            )
+        ] + [
+            DistanceFunction(
+                f"t-tan{q}",
+                [HyperbolaPiece(T_LO, T_HI, Hyperbola(1.0, -2.0 * q, 0.25 + q * q))],
+            )
+            for q in (2.5, 7.5)
+        ] + [
+            _motion(f"far{index:02d}", 20.0 + index, 30.0 - index, 0.1, -0.1)
+            for index in range(64)
+        ]
+        before = front_tally()
+        served = lower_envelope(functions, T_LO, T_HI)
+        report = front_report(before)
+        assert report["dirty_slabs"] == 2 and report["clean_slabs"] == 3
+        assert 0.0 < report["slab_rows_share"] < 0.5
+        assert_identical_envelopes(served, le_alg(functions, T_LO, T_HI))
 
     @given(
         others=base_functions(min_size=2, max_size=5),
@@ -693,6 +785,7 @@ class TestEndToEndKernelEquivalence:
         forbid(pruning, "_band_rows_vector")
         forbid(klevel, "k_level_envelopes_bulk")
         forbid(divide_conquer, "front_envelopes")
+        forbid(divide_conquer, "_recurse")
         monkeypatch.setattr(divide_conquer, "_FRONT_MIN_PIECES", 1)
         forbid(difference, "_build_from_columns")
         ids = sorted(small_mod.object_ids, key=str)
