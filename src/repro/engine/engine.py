@@ -366,30 +366,11 @@ class QueryEngine:
         t_end: float,
         band_width: Optional[float] = None,
     ) -> PreparedQuery:
-        """Prepare (or fetch from cache) the context of one query."""
-        if t_end < t_start:
-            raise ValueError(f"empty query window [{t_start}, {t_end}]")
-        self.refresh()
-        if band_width is None:
-            band_width = self.mod.default_band_width(query_id)
-        started = time.perf_counter()
-        cached = self._cache.get(query_id, t_start, t_end, band_width)
-        if cached is not None:
-            self._m_cache_hits.inc()
-            return PreparedQuery(
-                query_id=query_id,
-                context=cached,
-                candidate_count=len(cached.functions),
-                total_candidates=len(self.mod) - 1,
-                corridor_radius=None,
-                from_cache=True,
-                prepare_seconds=time.perf_counter() - started,
-            )
-        self._m_cache_misses.inc()
-        with trace_span("engine.prepare", query=query_id):
-            (prepared,) = self._build([query_id], t_start, t_end, [band_width])
-        self._m_prepare.observe(prepared.prepare_seconds)
-        self._cache.put(query_id, t_start, t_end, band_width, prepared.context)
+        """Prepare (or fetch from cache) the context of one query.
+
+        The single member of a :meth:`prepare_batch` call.
+        """
+        (prepared,) = self.prepare_batch([query_id], t_start, t_end, band_width)
         return prepared
 
     def answer(
@@ -403,8 +384,8 @@ class QueryEngine:
     ) -> Answer:
         """Prepare (or fetch) one query's context and extract its UQ3x answer.
 
-        The entry point the streaming monitor and ad-hoc callers share, and
-        the one every other execution layer's answers are pinned ``==`` to.
+        The per-query entry point of ad-hoc callers, and the one every plan's
+        answers are pinned ``==`` to.
         """
         with band_span(self.registry, "engine.answer", query=query_id, variant=variant):
             prepared = self.prepare(query_id, t_start, t_end, band_width=band_width)

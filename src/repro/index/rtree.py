@@ -113,7 +113,7 @@ class STRRTree:
             build, or a sequence of :class:`IndexEntry`.
         leaf_capacity: maximum entries per leaf and children per node.
         max_box_extent: the segment subdivision the entries were built with;
-            reused for incremental inserts and query-side probes.
+            reused for patches and query-side probes.
     """
 
     def __init__(
@@ -212,64 +212,14 @@ class STRRTree:
         self._size += len(owner)
         self._count = end
 
-    def insert_entry(self, entry: IndexEntry) -> None:
-        """Insert one entry."""
-        self._append(*self._columns([entry]))
-
-    def insert_trajectory(
-        self,
-        trajectory: Trajectory,
-        spatial_margin: float | None = None,
-        after: Optional[float] = None,
-    ) -> int:
-        """Insert every segment box of a trajectory; returns the entry count.
-
-        Uses the same ``max_box_extent`` subdivision the tree was built with,
-        so incremental entries match bulk-loaded ones.
-
-        Args:
-            after: only insert boxes starting at or after this time — the
-                complement of ``remove_object(..., after=...)`` for applying
-                a trajectory change with a known divergence time.
-        """
-        entries = segment_boxes(
-            trajectory, spatial_margin, max_extent=self._max_box_extent
-        )
-        if after is not None:
-            entries = [
-                entry
-                for entry in entries
-                if entry.box.t_min >= after - TIME_TOLERANCE
-            ]
-        self._append(*self._columns(entries))
-        return len(entries)
-
-    def remove_object(
-        self, object_id: object, after: Optional[float] = None
-    ) -> int:
-        """Retire entries of one object; returns how many were removed.
-
-        Args:
-            after: only retire boxes starting at or after this time.  Two
-                trajectories of one object that agree up to a divergence
-                time have identical boxes before it (segment boundaries are
-                sample times, so no box straddles the divergence), which
-                makes a streamed extension O(changed boxes), not O(history).
-        """
-        return self._retire({object_id: after})
-
     def patch(self, changed: Mapping[object, Optional[float]], store) -> None:
-        """Apply a store's change set (ids to divergence times) in place: one
-        tombstone pass from those times on, one append of the column store's
-        :meth:`~repro.trajectories.columnar.ColumnarStore.boxes_since`."""
-        self._retire(changed)
-        self._append(*self._columns(store.boxes_since(changed, self._max_box_extent)))
+        """Apply a store's change set (ids to divergence times) in place.
 
-    def _retire(self, changed: Mapping[object, Optional[float]]) -> int:
-        """Tombstone each object's boxes starting at or after its time.
-
-        The changed owners' packed rows come from an owner-sorted view of the
-        packed block, sorted once per pack; the overflow block is read whole.
+        One tombstone pass retires each changed object's boxes starting at
+        or after its time (its packed rows found through an owner-sorted
+        view of the packed block, sorted once per pack; the overflow block
+        read whole), then one append adds the column store's
+        :meth:`~repro.trajectories.columnar.ColumnarStore.boxes_since`.
         """
         cut = np.full(len(self._ids), np.inf)
         for object_id, after in changed.items():
@@ -285,11 +235,10 @@ class STRRTree:
         rows = np.concatenate((packed, np.arange(self._packed, self._count)))
         rows = rows[self._alive[rows] & (self._lo[2, rows] >= cut[self._owner[rows]])]
         self._alive[rows] = False
-        removed = len(rows)
-        self._size -= removed
-        if removed and not self._size:
+        self._size -= len(rows)
+        if len(rows) and not self._size:
             self._pack(np.empty((3, 0)), np.empty((3, 0)), np.empty(0, dtype=np.int64))
-        return removed
+        self._append(*self._columns(store.boxes_since(changed, self._max_box_extent)))
 
     # ------------------------------------------------------------------
     # Leaf listing.

@@ -18,7 +18,7 @@ from .worker import (
     ShardTask,
     ShardTaskResult,
     ShardedQueryAnswer,
-    evaluate_queries,
+    answer_slice,
     run_shard_task,
 )
 
@@ -31,6 +31,6 @@ __all__ = [
     "ShardedBatchResult",
     "ShardedEngine",
     "ShardedQueryAnswer",
-    "evaluate_queries",
+    "answer_slice",
     "run_shard_task",
 ]

@@ -16,10 +16,11 @@ Backends
 --------
 * ``"serial"`` / ``"thread"`` — one name for one path: an in-process
   :class:`QueryEngine` over the store, a batch one
-  :meth:`~QueryEngine.prepare_batch` (one pass per stage for all of it)
-  plus answer extraction.  Two threads over one engine measured *slower*
-  than one (0.71× on cold 6-query batches at N=2000: the kernels hold the
-  GIL at these sizes), so there is no thread pool.
+  :class:`~repro.query_language.planner.QueryPlan` (one
+  :meth:`~QueryEngine.prepare_batch`, one pass per stage for all of it).
+  Two threads over one engine measured *slower* than one (0.71× on cold
+  6-query batches at N=2000: the kernels hold the GIL at these sizes), so
+  there is no thread pool.
 * ``"process"`` — spawned workers that each attach the parent's
   shared-memory column export
   (:class:`~repro.trajectories.shared.SharedColumnarStore`), build their
@@ -47,7 +48,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, span_context, trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from ..trajectories.shared import SharedColumnarStore
-from .worker import ShardTask, ShardedQueryAnswer, evaluate_queries, run_shard_task
+from .worker import ShardTask, ShardedQueryAnswer, answer_slice, run_shard_task
 
 BACKENDS = ("process", "thread", "serial")
 
@@ -376,9 +377,10 @@ class ShardedEngine:
         with trace_span("sharded.dispatch", backend=self.backend, shards=1):
             started = time.perf_counter()
             with trace_span("shard.local", shard=0, queries=len(query_ids)):
-                outcomes = evaluate_queries(
-                    self._local_engine(), 0, query_ids, t_start, t_end,
-                    variant, fraction, band_width,
+                outcomes = answer_slice(
+                    self._local_engine(), 0,
+                    [(query_id, band_width) for query_id in query_ids],
+                    t_start, t_end, variant, fraction,
                 )
             seconds = time.perf_counter() - started
         self._m_shard_seconds.observe(seconds)

@@ -2,9 +2,9 @@
 
 A *slice* is a contiguous run of a batch's unique query ids.  Whoever
 evaluates it — the parent's own engine (``"serial"`` / ``"thread"``) or a
-worker process — does so against the **whole** store through one
-:meth:`~repro.engine.QueryEngine.prepare_batch` call, so a slice's answers
-are the single engine's answers and nothing about them depends on how the
+worker process — runs it against the **whole** store as one
+:class:`~repro.query_language.planner.QueryPlan`, so a slice's answers are
+the single engine's answers and nothing about them depends on how the
 batch was cut.
 
 :func:`run_shard_task` is the :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine import QueryEngine
-from ..engine.answers import Answer, answer_of
+from ..engine.answers import Answer
 from ..obs.logging import get_logger
 from ..obs.tracing import capture, trace_span
+from ..query_language.planner import PlannedStatement, plan_statements
 from ..trajectories.shared import AttachedPack, SharedPackDescriptor
 
 _log = get_logger("parallel.worker")
@@ -40,14 +41,12 @@ class ShardedQueryAnswer:
         answer: the exact UQ3x answer (member -> non-zero intervals).
         shard: index of the batch slice that evaluated it.
         candidate_count: candidates that entered envelope construction.
-        seconds: evaluation wall-clock for this query.
     """
 
     query_id: object
     answer: Answer
     shard: int
     candidate_count: int
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -107,34 +106,26 @@ class ShardTaskResult:
     spans: Optional[Dict] = None
 
 
-def evaluate_queries(
+def answer_slice(
     engine: QueryEngine,
     shard: int,
-    query_ids: Sequence[object],
+    queries: Sequence[Tuple[object, Optional[float]]],
     t_start: float,
     t_end: float,
     variant: str,
     fraction: float,
-    band_width: Optional[float],
 ) -> List[ShardedQueryAnswer]:
-    """Slice ``shard``: one ``prepare_batch``, then each context's UQ3x answer."""
-    outcomes = []
-    for prepared in engine.prepare_batch(
-        query_ids, t_start, t_end, band_width=band_width
-    ):
-        started = time.perf_counter()
-        answer = answer_of(prepared.context, variant, fraction)
-        outcomes.append(
-            ShardedQueryAnswer(
-                query_id=prepared.query_id,
-                answer=answer,
-                shard=shard,
-                candidate_count=prepared.candidate_count,
-                seconds=prepared.prepare_seconds
-                + (time.perf_counter() - started),
-            )
+    """Slice ``shard``'s ``(query id, band width)`` pairs, run as one plan."""
+    execution = plan_statements([
+        PlannedStatement(query_id, t_start, t_end, width, variant, fraction)
+        for query_id, width in queries
+    ]).execute(engine)
+    return [
+        ShardedQueryAnswer(query_id, answer, shard, len(context.functions))
+        for (query_id, _), context, answer in zip(
+            queries, execution.contexts, execution.answers
         )
-    return outcomes
+    ]
 
 
 @dataclass
@@ -203,19 +194,13 @@ def _serve_task(task: ShardTask) -> ShardTaskResult:
         evicted, _ = _ENGINE_CACHE.popitem(last=False)
         _log.debug("evicted engine %s from worker cache", evicted)
 
-    by_width: Dict[float, List[object]] = {}
-    for query_id, width in task.queries:
-        by_width.setdefault(width, []).append(query_id)
-    outcomes: Dict[object, ShardedQueryAnswer] = {}
     with trace_span("shard.evaluate", queries=len(task.queries)):
-        for width, query_ids in by_width.items():
-            for outcome in evaluate_queries(
-                cached.engine, task.shard, query_ids, task.t_start, task.t_end,
-                task.variant, task.fraction, width,
-            ):
-                outcomes[outcome.query_id] = outcome
+        outcomes = answer_slice(
+            cached.engine, task.shard, task.queries, task.t_start, task.t_end,
+            task.variant, task.fraction,
+        )
     return ShardTaskResult(
-        outcomes=tuple(outcomes[query_id] for query_id, _ in task.queries),
+        outcomes=tuple(outcomes),
         rebuilt=rebuilt,
         revision=cached.pack.revision,
         rebuild_seconds=rebuild_seconds,

@@ -3,10 +3,11 @@
 Text is tokenized (:mod:`~repro.query_language.tokens`), parsed into a
 :class:`ContinuousNNQueryAST` (:mod:`~repro.query_language.parser`), and
 compiled by the :mod:`~repro.query_language.planner` into fused plans
-over the batched engine — see
-``docs/query-planner.md``.  :func:`execute_query` / :func:`execute_many`
-are the one-call entry points; :func:`explain_plan` renders what the
-compiler decided.
+over the batched engine — see ``docs/query-planner.md``.  The planner's
+:class:`PlannedStatement` / :func:`plan_statements` / :class:`QueryPlan`
+are also how the service, the monitor and the sharded engine run their
+queries.  :func:`execute_query` / :func:`execute_many` are the one-call
+entry points; :func:`explain_plan` renders what the compiler decided.
 """
 
 from .ast import ContinuousNNQueryAST, NNPredicate, Quantifier, TimeWindow
@@ -21,32 +22,22 @@ from .executor import (
 )
 from .parser import parse_query
 from .planner import (
+    PlanExecution,
     PlanGroup,
     PlannedStatement,
     QueryPlan,
     compile_queries,
+    plan_statements,
     resolve_object_id,
-)
-from .plans import (
-    AnswerNode,
-    BandIntervalsNode,
-    MergeNode,
-    PlanNode,
-    PrepareNode,
-    render_plan,
 )
 from .tokens import QueryLanguageError, Token, tokenize
 
 __all__ = [
-    "AnswerNode",
-    "BandIntervalsNode",
     "ContinuousNNQueryAST",
-    "MergeNode",
     "NNPredicate",
+    "PlanExecution",
     "PlanGroup",
-    "PlanNode",
     "PlannedStatement",
-    "PrepareNode",
     "Quantifier",
     "QueryExecutor",
     "QueryLanguageError",
@@ -61,7 +52,7 @@ __all__ = [
     "executor_for",
     "explain_plan",
     "parse_query",
-    "render_plan",
+    "plan_statements",
     "resolve_object_id",
     "tokenize",
 ]

@@ -77,12 +77,14 @@ class ContinuousNNQueryAST:
     @property
     def category(self) -> int:
         """The paper's query category (1-4) this AST corresponds to."""
-        ranked = self.predicate.max_rank is not None
-        single = self.target_object is not None
-        if single and not ranked:
-            return 1
-        if single and ranked:
-            return 2
-        if not single and not ranked:
-            return 3
-        return 4
+        return query_category(
+            ranked=self.predicate.max_rank is not None,
+            targeted=self.target_object is not None,
+        )
+
+
+def query_category(*, ranked: bool, targeted: bool) -> int:
+    """The paper's query category: 1/2 targeted, 3/4 open; 2/4 ranked."""
+    if targeted:
+        return 2 if ranked else 1
+    return 4 if ranked else 3

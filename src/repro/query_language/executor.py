@@ -39,7 +39,7 @@ from ..obs.tracing import capture, render_tree, trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from .ast import ContinuousNNQueryAST, Quantifier
 from .parser import parse_query
-from .planner import BandWidths, QueryPlan, compile_queries, resolve_object_id
+from .planner import BandWidths, QueryPlan, StatementAnswer, compile_queries, resolve_object_id
 
 Statement = Union[str, ContinuousNNQueryAST]
 
@@ -144,18 +144,21 @@ class QueryExecutor:
         """Compile and run a batch; results come back in submission order."""
         plan = self.compile(statements, band_width=band_width)
         started = time.perf_counter()
+        answers = self._run(plan)
+        self._m_execute.observe(time.perf_counter() - started)
+        return [
+            QueryResult(statement.ast, sorted(answer, key=str))
+            for statement, answer in zip(plan.statements, answers)
+        ]
+
+    def _run(self, plan: QueryPlan) -> List[StatementAnswer]:
+        """Execute a plan and read every answer, under ``planner.execute``."""
         with trace_span(
             "planner.execute",
             statements=plan.statement_count,
             groups=len(plan.groups),
         ):
-            execution = plan.execute(self._engine)
-        self._m_execute.observe(time.perf_counter() - started)
-        asts = [group_statement.ast for group_statement in _in_order(plan)]
-        return [
-            QueryResult(ast, ids)
-            for ast, ids in zip(asts, execution.answers)
-        ]
+            return plan.execute(self._engine).answers
 
     def explain(
         self,
@@ -164,11 +167,11 @@ class QueryExecutor:
         *,
         execute: bool = False,
     ) -> str:
-        """Render the compiled plan tree, optionally with the span tree.
+        """Render the compiled plan, optionally with the span tree.
 
         With ``execute=True`` the plan is run under a private tracing
         capture and the resulting engine span tree is appended below the
-        plan, so one string shows both the *decisions* (plan nodes) and
+        plan, so one string shows both the *decisions* (plan stages) and
         the *observed costs* (span timings).
         """
         plan = self.compile(statements, band_width=band_width)
@@ -176,12 +179,7 @@ class QueryExecutor:
         if not execute:
             return rendered
         with capture() as recorder:
-            with trace_span(
-                "planner.execute",
-                statements=plan.statement_count,
-                groups=len(plan.groups),
-            ):
-                plan.execute(self._engine)
+            self._run(plan)
         trees = "\n".join(render_tree(span) for span in recorder.spans())
         return f"{rendered}\n\n{trees}" if trees else rendered
 
@@ -200,14 +198,6 @@ def _as_batch(
     if isinstance(statements, (str, ContinuousNNQueryAST)):
         return [statements]
     return statements
-
-
-def _in_order(plan: QueryPlan):
-    """The plan's statements sorted back into submission order."""
-    flat = [
-        statement for group in plan.groups for statement in group.statements
-    ]
-    return sorted(flat, key=lambda statement: statement.position)
 
 
 # ----------------------------------------------------------------------

@@ -1,45 +1,35 @@
-"""Compiling parsed UQ statements into set-oriented batched plans.
+"""Query plans: the one grouping rule and the one evaluator.
 
-The naive interpreter evaluates each
-:class:`~repro.query_language.ast.ContinuousNNQueryAST` alone against the
-scalar :class:`~repro.core.continuous.ContinuousProbabilisticNNQuery`
-façade — no index reuse, no context cache, no bulk kernels.  This module
-is the compiler that makes the batched stack reachable from parsed text:
+Every query the library serves is a :class:`PlannedStatement`, and every
+caller runs its statements as a :class:`QueryPlan`: the query language's
+compiled text, the service pool's coalesced batches, the monitor's
+standing queries, and each slice of the sharded engine.
 
-1. **Resolve** — each statement's query (and target) literal is matched
-   against the MOD's actual ids once, up front;
-2. **Fuse** — statements sharing ``(t_start, t_end, band width)`` are
-   folded into one :class:`PlanGroup`, served by a single
-   :meth:`~repro.engine.QueryEngine.prepare_batch` call (one corridor
-   bulk probe, one envelope pass per distinct query id, shared LRU
-   cache);
-3. **Execute** — :meth:`QueryPlan.execute` runs the groups against a
-   reusable engine and re-interleaves per-statement answers into
-   submission order.
+1. **Resolve** — (parsed text only, :func:`compile_queries`) each
+   statement's query and target literals are matched against the MOD's ids;
+2. **Fuse** — :func:`plan_statements` folds statements sharing
+   ``(t_start, t_end, band width)`` into one :class:`PlanGroup`, served by
+   a single :meth:`~repro.engine.QueryEngine.prepare_batch` call;
+3. **Execute** — :meth:`QueryPlan.execute` prepares every group on a
+   reusable engine and returns each statement's context in submission
+   order; :meth:`PlanExecution.answer` reads an answer off its context, so
+   a caller pays only for the answers it reads.
 
-Every group's candidates are filtered through the store's R-tree, the
-engine's one candidate filter.  Planned answers are byte-identical to the
-naive interpreter's: corridor filtering is provably answer-preserving (see
-:mod:`repro.engine.filtering`), and both paths canonicalize answer
-ordering by ``str`` of the object id.
+Planned answers are byte-identical to the naive interpreter's: corridor
+filtering is provably answer-preserving (see :mod:`repro.engine.filtering`),
+and both paths canonicalize answer ordering by ``str`` of the object id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..engine.answers import answer_of
+from ..core.queries import QueryContext
+from ..engine.answers import Answer, answer_of
 from ..engine.engine import QueryEngine
 from ..trajectories.mod import MovingObjectsDatabase
-from .ast import ContinuousNNQueryAST, Quantifier
-from .plans import (
-    AnswerNode,
-    BandIntervalsNode,
-    MergeNode,
-    PrepareNode,
-    render_plan,
-)
+from .ast import ContinuousNNQueryAST, Quantifier, query_category
 
 #: Quantifier -> UQ3x variant of the shared answer dispatch.
 VARIANT_OF_QUANTIFIER: Dict[Quantifier, str] = {
@@ -49,6 +39,9 @@ VARIANT_OF_QUANTIFIER: Dict[Quantifier, str] = {
 }
 
 BandWidths = Union[None, float, Sequence[Optional[float]]]
+
+#: A statement's answer: the UQ3x member -> intervals map, or the UQ4x ids.
+StatementAnswer = Union[Answer, List[object]]
 
 
 def resolve_object_id(mod: MovingObjectsDatabase, requested: object) -> object:
@@ -72,20 +65,45 @@ def resolve_object_id(mod: MovingObjectsDatabase, requested: object) -> object:
     raise KeyError(f"query references unknown object {requested!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlannedStatement:
-    """One resolved statement inside a fused group."""
+    """One query of a plan.
 
-    position: int
-    ast: ContinuousNNQueryAST
+    Attributes:
+        query_object: the query trajectory id.
+        t_start, t_end: the window.
+        band_width: pruning-band override; the store's 4r default when
+            ``None``.
+        variant: UQ3x variant (``sometime``/``always``/``fraction``); for a
+            rank statement, the quantifier of its UQ4x form.
+        fraction: minimum window fraction (``fraction`` variant only).
+        rank: ``RANK_NN`` bound ``k``, ``None`` for probability statements.
+        target: Category-1/2 target id, ``None`` for the open Category-3/4
+            forms.
+        ast: the parsed statement this one was compiled from, if any.
+    """
+
     query_object: object
-    variant: str
-    fraction: float
-    rank: Optional[int]
-    target: Optional[object]
+    t_start: float
+    t_end: float
+    band_width: Optional[float] = None
+    variant: str = "sometime"
+    fraction: float = 0.0
+    rank: Optional[int] = None
+    target: Optional[object] = None
+    ast: Optional[ContinuousNNQueryAST] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def category(self) -> int:
+        """The paper's query category (1-4) of this statement."""
+        return query_category(
+            ranked=self.rank is not None, targeted=self.target is not None
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlanGroup:
     """Statements fused into one batched preparation."""
 
@@ -93,6 +111,8 @@ class PlanGroup:
     t_end: float
     band_width: Optional[float]
     statements: Tuple[PlannedStatement, ...]
+    #: Each statement's index in the plan's submission order.
+    positions: Tuple[int, ...]
 
     @property
     def width(self) -> int:
@@ -100,77 +120,142 @@ class PlanGroup:
         return len(self.statements)
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanExecution:
-    """Outcome of executing one compiled plan."""
+    """Each statement's prepared context, in submission order.
 
-    #: Per-statement answer id lists, submission order, canonically
-    #: sorted by ``str``.
-    answers: List[List[object]]
+    Answers are read off the contexts on demand: a caller that finds a
+    context unchanged (the monitor) skips extracting it.
+    """
+
+    statements: Tuple[PlannedStatement, ...]
+    contexts: Tuple[QueryContext, ...]
+    engine: QueryEngine = field(repr=False)
+
+    def answer(self, position: int) -> StatementAnswer:
+        """Statement ``position``'s answer, restricted to its target.
+
+        The UQ3x :data:`~repro.engine.answers.Answer` (member -> non-zero
+        intervals) of a probability statement, the UQ4x member ids of a
+        rank statement.
+        """
+        statement, context = self.statements[position], self.contexts[position]
+        if statement.rank is None:
+            answer = answer_of(context, statement.variant, statement.fraction)
+        else:
+            answer = self.engine.rank_answer(
+                context, statement.rank, statement.variant, statement.fraction
+            )
+        if statement.target is None:
+            return answer
+        kept = [member for member in answer if member == statement.target]
+        return {member: answer[member] for member in kept} if isinstance(answer, dict) else kept
+
+    @property
+    def answers(self) -> List[StatementAnswer]:
+        """Every statement's answer, in submission order (extracted per call)."""
+        return [self.answer(position) for position in range(len(self.statements))]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryPlan:
-    """A compiled, executable batch of UQ statements."""
+    """A fused, executable batch of statements."""
 
-    root: MergeNode
+    #: Every statement, in submission order.
+    statements: Tuple[PlannedStatement, ...]
     groups: Tuple[PlanGroup, ...]
 
     @property
     def statement_count(self) -> int:
         """Total statements across every group."""
-        return sum(group.width for group in self.groups)
+        return len(self.statements)
 
     def explain(self) -> str:
-        """The plan tree as indented text."""
-        return render_plan(self.root)
+        """The plan's four stages as indented text.
+
+        ``Merge`` (submission order), one ``Prepare`` per group (its
+        window), its ``BandIntervals`` (band width, distinct contexts) and
+        one ``Answer`` per statement — in the visual grammar of
+        :func:`repro.obs.tracing.render_tree`, so ``explain_plan`` output
+        reads uniformly when the span tree is appended below it.
+        """
+        lines = [_line(0, "Merge", statements=self.statement_count, groups=len(self.groups))]
+        for group in self.groups:
+            band = "default(4r)" if group.band_width is None else group.band_width
+            lines += [
+                _line(1, "Prepare", window=f"[{group.t_start:g}, {group.t_end:g}]",
+                      statements=group.width),
+                _line(2, "BandIntervals", band=band,
+                      contexts=len({s.query_object for s in group.statements})),
+                *(_line(3, "Answer", **_shown(s)) for s in group.statements),
+            ]
+        return "\n".join(lines)
 
     def execute(self, engine: QueryEngine) -> PlanExecution:
-        """Run every group and interleave answers into submission order.
+        """One ``prepare_batch`` per group over its distinct query ids.
 
         Args:
             engine: the reusable engine every group runs on (its context
                 cache persists across executions).
         """
-        by_position: Dict[int, List[object]] = {}
+        contexts: List[Optional[QueryContext]] = [None] * self.statement_count
         for group in self.groups:
-            self._execute_group(group, engine, by_position)
-        answers = [by_position[position] for position in sorted(by_position)]
-        return PlanExecution(answers=answers)
-
-    def _execute_group(
-        self,
-        group: PlanGroup,
-        engine: QueryEngine,
-        by_position: Dict[int, List[object]],
-    ) -> None:
-        """One batched preparation, then every statement's answer from it."""
-        unique_ids = list(
-            dict.fromkeys(statement.query_object for statement in group.statements)
-        )
-        batch = engine.prepare_batch(
-            unique_ids, group.t_start, group.t_end, band_width=group.band_width
-        )
-        contexts = batch.contexts
-        for statement in group.statements:
-            context = contexts[statement.query_object]
-            if statement.rank is None:
-                ids = list(
-                    answer_of(context, statement.variant, statement.fraction)
-                )
-            else:
-                ids = engine.rank_answer(
-                    context, statement.rank, statement.variant, statement.fraction
-                )
-            ids = sorted(ids, key=str)
-            by_position[statement.position] = _restrict(ids, statement)
+            prepared = engine.prepare_batch(
+                list(dict.fromkeys(s.query_object for s in group.statements)),
+                group.t_start,
+                group.t_end,
+                band_width=group.band_width,
+            ).contexts
+            for position, statement in zip(group.positions, group.statements):
+                contexts[position] = prepared[statement.query_object]
+        return PlanExecution(self.statements, tuple(contexts), engine)
 
 
-def _restrict(ids: List[object], statement: PlannedStatement) -> List[object]:
-    """Apply the Category-1/2 target restriction to an answer set."""
-    if statement.target is None:
-        return ids
-    return [object_id for object_id in ids if object_id == statement.target]
+def _shown(statement: PlannedStatement) -> Dict[str, object]:
+    """The decisions :meth:`QueryPlan.explain` prints for one statement."""
+    shown: Dict[str, object] = {"query": statement.query_object}
+    if statement.rank is not None:
+        shown["rank"] = statement.rank
+    shown["variant"] = statement.variant
+    if statement.variant == "fraction":
+        shown["fraction"] = statement.fraction
+    if statement.target is not None:
+        shown["target"] = statement.target
+    shown["category"] = statement.category
+    return shown
+
+
+def _line(depth: int, label: str, **shown: object) -> str:
+    inner = " ".join(f"{key}={value}" for key, value in shown.items())
+    return f"{'  ' * depth}{label:<20s}  [{inner}]"
+
+
+def plan_statements(statements: Sequence[PlannedStatement]) -> QueryPlan:
+    """Fuse statements into a plan.
+
+    The one grouping rule: statements with the same ``(t_start, t_end,
+    band width)`` share a preparation, since a batched preparation shares
+    one window and one band width.  Groups appear in the order of their
+    first statement.
+    """
+    statements = tuple(statements)
+    fused: Dict[Tuple[float, float, Optional[float]], List[int]] = {}
+    for position, statement in enumerate(statements):
+        key = (statement.t_start, statement.t_end, statement.band_width)
+        fused.setdefault(key, []).append(position)
+    return QueryPlan(
+        statements=statements,
+        groups=tuple(
+            PlanGroup(
+                t_start=t_start,
+                t_end=t_end,
+                band_width=width,
+                statements=tuple(statements[position] for position in positions),
+                positions=tuple(positions),
+            )
+            for (t_start, t_end, width), positions in fused.items()
+        ),
+    )
 
 
 def compile_queries(
@@ -179,7 +264,7 @@ def compile_queries(
     *,
     band_width: BandWidths = None,
 ) -> QueryPlan:
-    """Lower parsed statements into a fused :class:`QueryPlan`.
+    """Resolve parsed statements against the MOD, then :func:`plan_statements`.
 
     Args:
         asts: the parsed statements, in submission order.
@@ -187,69 +272,27 @@ def compile_queries(
         band_width: pruning-band override — a single value for every
             statement, or a per-statement sequence (``None`` entries use
             the 4r default).  Statements only fuse when their overrides
-            match, since a batched preparation shares one band width.
+            match.
     """
     widths = _normalize_band_widths(band_width, len(asts))
-
-    resolved: List[PlannedStatement] = []
-    for position, ast in enumerate(asts):
-        target = (
-            resolve_object_id(mod, ast.target_object)
-            if ast.target_object is not None
-            else None
+    return plan_statements([
+        PlannedStatement(
+            query_object=resolve_object_id(mod, ast.predicate.query_object),
+            t_start=ast.window.t_start,
+            t_end=ast.window.t_end,
+            band_width=width,
+            variant=VARIANT_OF_QUANTIFIER[ast.quantifier],
+            fraction=ast.min_fraction if ast.min_fraction is not None else 0.0,
+            rank=ast.predicate.max_rank,
+            target=(
+                resolve_object_id(mod, ast.target_object)
+                if ast.target_object is not None
+                else None
+            ),
+            ast=ast,
         )
-        resolved.append(
-            PlannedStatement(
-                position=position,
-                ast=ast,
-                query_object=resolve_object_id(mod, ast.predicate.query_object),
-                variant=VARIANT_OF_QUANTIFIER[ast.quantifier],
-                fraction=(
-                    ast.min_fraction if ast.min_fraction is not None else 0.0
-                ),
-                rank=ast.predicate.max_rank,
-                target=target,
-            )
-        )
-
-    fused: Dict[
-        Tuple[float, float, Optional[float]], List[PlannedStatement]
-    ] = {}
-    for statement, width in zip(resolved, widths):
-        key = (statement.ast.window.t_start, statement.ast.window.t_end, width)
-        fused.setdefault(key, []).append(statement)
-
-    groups: List[PlanGroup] = []
-    nodes: List[PrepareNode] = []
-    for (t_start, t_end, width), members in fused.items():
-        groups.append(
-            PlanGroup(
-                t_start=t_start,
-                t_end=t_end,
-                band_width=width,
-                statements=tuple(members),
-            )
-        )
-        answers = tuple(
-            AnswerNode(
-                position=s.position,
-                ast=s.ast,
-                query_object=s.query_object,
-                variant=s.variant if s.rank is None else None,
-                fraction=s.fraction,
-                rank=s.rank,
-                target=s.target,
-            )
-            for s in members
-        )
-        nodes.append(
-            PrepareNode(
-                t_start=t_start,
-                t_end=t_end,
-                child=BandIntervalsNode(band_width=width, answers=answers),
-            )
-        )
-    return QueryPlan(root=MergeNode(groups=tuple(nodes)), groups=tuple(groups))
+        for ast, width in zip(asts, widths)
+    ])
 
 
 def _normalize_band_widths(

@@ -1,9 +1,10 @@
 """Warm engine pool: the service's one :class:`~repro.engine.QueryEngine`.
 
 The pool holds **one** lazily built engine per store and exposes one
-``answer_group`` call: a coalesced batch is one
-:meth:`~repro.engine.QueryEngine.prepare_batch` pass plus answer
-extraction from each prepared context.  A pool can be shared by several
+``answer_group`` call: a coalesced batch runs as one
+:class:`~repro.query_language.planner.QueryPlan` (one
+:meth:`~repro.engine.QueryEngine.prepare_batch` pass, then each
+statement's answer read off its context).  A pool can be shared by several
 services, so the engine's index and context cache stay warm across them.
 """
 
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..engine import QueryEngine
-from ..engine.answers import Answer, answer_of, band_span
+from ..engine.answers import Answer, band_span
 from ..obs.metrics import MetricsRegistry
+from ..query_language.planner import PlannedStatement, plan_statements
 from ..trajectories.mod import MovingObjectsDatabase
 
 
@@ -92,17 +94,15 @@ class EnginePool:
     ) -> GroupResult:
         """Answer one coalesced batch exactly.
 
-        One :meth:`QueryEngine.prepare_batch` over the whole group, then
-        each answer extracted from its prepared context; the answers are
+        One UQ3x statement per query id, run as one plan; the answers are
         byte-identical to per-query :meth:`QueryEngine.answer` calls.
         """
         with band_span(self.registry, "pool.answer_group", queries=len(query_ids)):
-            batch = self.single_engine().prepare_batch(
-                query_ids, t_start, t_end, band_width=band_width
-            )
-            return GroupResult(
-                answers={
-                    prepared.query_id: answer_of(prepared.context, variant, fraction)
-                    for prepared in batch
-                }
-            )
+            plan = plan_statements([
+                PlannedStatement(
+                    query_id, t_start, t_end, band_width, variant, fraction
+                )
+                for query_id in query_ids
+            ])
+            answers = plan.execute(self.single_engine()).answers
+            return GroupResult(answers=dict(zip(query_ids, answers)))

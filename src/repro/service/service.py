@@ -32,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,9 +65,7 @@ class ServiceStats:
     """Immutable snapshot of the serving counters.
 
     Built fresh by every :meth:`QueryService.stats` call (a thin view over
-    the service's metrics registry); ``backend_counts`` is a per-snapshot
-    copy, so mutating one snapshot can never leak into another or into the
-    service.
+    the service's metrics registry).
     """
 
     submitted: int = 0
@@ -76,7 +74,6 @@ class ServiceStats:
     evaluated: int = 0
     batches: int = 0
     max_queue_depth: int = 0
-    backend_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def coalescing_factor(self) -> float:
@@ -263,7 +260,6 @@ class QueryService:
             buckets=DEFAULT_SIZE_BUCKETS,
             help="Requests coalesced into one engine batch",
         )
-        self._backend_counts: Dict[str, int] = {}
         self._max_queue_depth = 0
         self._queue: Optional["asyncio.Queue[object]"] = None
         self._dispatcher: Optional["asyncio.Task[None]"] = None
@@ -492,8 +488,7 @@ class QueryService:
         """An immutable snapshot of the serving counters.
 
         Each call builds a fresh :class:`ServiceStats` from the metrics
-        registry (``backend_counts`` is a fresh copy), so a held snapshot
-        never changes under the caller.
+        registry, so a held snapshot never changes under the caller.
         """
         return ServiceStats(
             submitted=int(self._m_submitted.value),
@@ -502,18 +497,16 @@ class QueryService:
             evaluated=int(self._m_evaluated.value),
             batches=int(self._m_batches.value),
             max_queue_depth=self._max_queue_depth,
-            backend_counts=dict(self._backend_counts),
         )
 
     def reset(self) -> None:
         """Zero every serving metric (counters, gauges, and histograms).
 
         Resets the whole registry — including the pooled engines' metrics
-        when the pool was built by this service — plus the backend and
-        queue-depth trackers.  Cached answers are kept.
+        when the pool was built by this service — plus the queue-depth
+        tracker.  Cached answers are kept.
         """
         self.registry.reset()
-        self._backend_counts = {}
         self._max_queue_depth = 0
 
     def cache_info(self) -> ResultCacheInfo:
@@ -683,7 +676,6 @@ class QueryService:
             queries=len(query_ids),
             requests=len(requests),
             variant=head.variant,
-            backend=self.pool.backend_kind(),
         ):
             return self.pool.answer_group(
                 query_ids,
@@ -709,19 +701,10 @@ class QueryService:
                     pending.future.set_exception(error)
             return
         finished = time.perf_counter()
-        backend = self.pool.backend_kind()
         self._m_batches.inc()
         self._m_evaluated.inc(len(members))
         self._m_coalesce.observe(len(members))
         self._m_eval.observe(finished - dequeued)
-        self.registry.counter(
-            "repro_service_backend_requests_total",
-            "Requests served per engine backend",
-            backend=backend,
-        ).inc(len(members))
-        self._backend_counts[backend] = (
-            self._backend_counts.get(backend, 0) + len(members)
-        )
         for pending in members:
             answer = answers[pending.request.query_id]
             self.cache.put(pending.request.fingerprint, revision, answer)
@@ -733,7 +716,7 @@ class QueryService:
                     request=pending.request,
                     answer=answer,
                     revision=revision,
-                    backend=backend,
+                    backend=self.pool.backend_kind(),
                     batch_size=len(members),
                     queue_seconds=dequeued - pending.enqueued,
                     service_seconds=finished - pending.submitted,

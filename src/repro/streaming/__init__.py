@@ -23,7 +23,6 @@ from .monitor import (
     BatchReport,
     ContinuousMonitor,
     StandingQuery,
-    answer_of,
     reference_answer,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "NeighborDropped",
     "StandingQuery",
     "StreamIngestor",
-    "answer_of",
     "answers_equal",
     "diff_answers",
     "reference_answer",

@@ -10,9 +10,11 @@ Each ingested batch is applied with delta semantics end to end:
    divergence times on, in one patch every engine over the store shares;
 3. corridor-intersection against the changed objects decides which standing
    queries are affected — everything else keeps serving its cached context;
-4. the standing queries sharing a window and band width are prepared in one
-   ``prepare_batch``, and the affected ones' old and new answers are diffed
-   into typed :mod:`repro.streaming.events` deltas delivered to subscribers.
+4. the standing queries run as one
+   :class:`~repro.query_language.planner.QueryPlan` (those sharing a window
+   and band width share one ``prepare_batch``), and the affected ones' old
+   and new answers are diffed into typed :mod:`repro.streaming.events`
+   deltas delivered to subscribers.
 
 Answers reconstructed from the emitted deltas are exactly the answers a
 from-scratch :class:`~repro.core.queries.QueryContext` computes on the final
@@ -31,6 +33,7 @@ from ..engine.answers import VARIANTS as _VARIANTS
 from ..engine.answers import answer_of
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import trace_span
+from ..query_language.planner import PlannedStatement, plan_statements
 from ..trajectories.mod import MovingObjectsDatabase
 from ..trajectories.trajectory import UncertainTrajectory
 from .events import Answer, AnswerDelta, diff_answers
@@ -40,7 +43,6 @@ __all__ = [
     "BatchReport",
     "ContinuousMonitor",
     "StandingQuery",
-    "answer_of",
     "reference_answer",
 ]
 
@@ -383,35 +385,38 @@ class ContinuousMonitor:
     ) -> List[Optional[List[AnswerDelta]]]:
         """Per query, its deltas, or None when provably untouched.
 
-        Queries sharing a window and band width are prepared with one
-        ``prepare_batch``.  When the engine serves the *identical* context
-        object a query's answer was derived from, over an unchanged window,
-        that context survived the engine's corridor-intersection checks
-        against every changed object, so the diff is skipped.  (Identity,
-        not ``from_cache``: a re-created cache entry can serve a second
-        standing query "from cache" within the same batch.)
+        The live (non-dormant) queries run as one plan.  When it serves the
+        *identical* context object a query's answer was derived from, over
+        an unchanged window, that context survived the engine's
+        corridor-intersection checks against every changed object, so the
+        answer is neither extracted nor diffed.  (Identity, not
+        ``from_cache``: a re-created cache entry can serve a second standing
+        query "from cache" within the same batch.)
         """
         windows = self._windows(standings)
-        groups: Dict[tuple, List[int]] = {}
-        for position, (standing, window) in enumerate(zip(standings, windows)):
-            if window is not None:
-                groups.setdefault((window, standing.band_width), []).append(position)
-        contexts: Dict[int, QueryContext] = {}
-        for ((lo, hi), band_width), positions in groups.items():
-            prepared = self.engine.prepare_batch(
-                [standings[position].query_id for position in positions],
-                lo, hi, band_width=band_width,
+        live = [
+            position for position, window in enumerate(windows) if window is not None
+        ]
+        execution = plan_statements([
+            PlannedStatement(
+                standings[position].query_id,
+                *windows[position],
+                band_width=standings[position].band_width,
+                variant=standings[position].variant,
+                fraction=standings[position].fraction,
             )
-            contexts.update(zip(positions, (item.context for item in prepared)))
+            for position in live
+        ]).execute(self.engine)
+        slots = {position: slot for slot, position in enumerate(live)}
         deltas: List[Optional[List[AnswerDelta]]] = []
         for position, (standing, window) in enumerate(zip(standings, windows)):
-            state, context = self._states[standing.key], contexts.get(position)
+            slot = slots.get(position)
+            state = self._states[standing.key]
+            context = None if slot is None else execution.contexts[slot]
             if context is state.context and state.window == window and not force:
                 deltas.append(None)
                 continue
-            answer: Answer = {}
-            if context is not None:
-                answer = answer_of(context, standing.variant, standing.fraction)
+            answer: Answer = {} if slot is None else execution.answer(slot)
             state.evaluations += 1
             self._m_evaluations.inc()
             deltas.append(

@@ -1,11 +1,14 @@
 """Tests for the query-language planner: fusion, execution, explain."""
 
+import importlib.util
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 import repro.query_language as query_language
 from repro.core.continuous import ContinuousProbabilisticNNQuery
 from repro.query_language import (
+    PlannedStatement,
     QueryExecutor,
     compile_queries,
     execute_many,
@@ -14,6 +17,7 @@ from repro.query_language import (
     executor_for,
     explain_plan,
     parse_query,
+    plan_statements,
 )
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.scenarios import multi_query_fleet
@@ -78,6 +82,50 @@ class TestFusion:
             compile_queries(asts, mod, band_width=[1.0, 2.0])
 
 
+class TestOnePlanShape:
+    def test_statements_need_no_ast(self, mod):
+        from repro.engine import QueryEngine
+
+        plan = plan_statements([
+            PlannedStatement("q", 0.0, 60.0),
+            PlannedStatement("near", 0.0, 60.0, variant="always"),
+            PlannedStatement("q", 0.0, 30.0, rank=2, target="near"),
+            PlannedStatement("q", 0.0, 60.0, band_width=2.0),
+            PlannedStatement("q", 0.0, 60.0, variant="fraction", fraction=0.5),
+        ])
+        assert [
+            (group.t_start, group.t_end, group.band_width, group.positions)
+            for group in plan.groups
+        ] == [(0.0, 60.0, None, (0, 1, 4)), (0.0, 30.0, None, (2,)), (0.0, 60.0, 2.0, (3,))]
+        assert plan.statements[2].category == 2 and plan.statements[2].ast is None
+        engine = QueryEngine(mod)
+        execution = plan.execute(engine)
+        assert execution.contexts[0] is execution.contexts[4]
+        direct = QueryEngine(mod)
+        assert execution.answers == [
+            direct.answer("q", 0.0, 60.0),
+            direct.answer("near", 0.0, 60.0, variant="always"),
+            [
+                member for member in direct.rank_answer(
+                    direct.prepare("q", 0.0, 30.0).context, 2, "sometime"
+                )
+                if member == "near"
+            ],
+            direct.answer("q", 0.0, 60.0, band_width=2.0),
+            direct.answer("q", 0.0, 60.0, variant="fraction", fraction=0.5),
+        ]
+
+    def test_the_node_tree_is_gone(self, mod):
+        for name in (
+            "PlanNode", "MergeNode", "PrepareNode", "BandIntervalsNode",
+            "AnswerNode", "render_plan",
+        ):
+            assert not hasattr(query_language, name)
+        assert importlib.util.find_spec("repro.query_language.plans") is None
+        plan = compile_queries([parse_query(_text("q"))], mod)
+        assert not hasattr(plan, "root")
+
+
 class TestOneCandidateFilter:
     def test_small_store_filters_through_the_store_rtree(self):
         # Three objects and under 64 segments: every store takes the R-tree.
@@ -135,6 +183,23 @@ class TestOneCandidateFilter:
             assert not hasattr(executor, name)
 
 
+GOLDEN_EXPLAIN = (
+    "Merge                 [statements=6 groups=3]\n"
+    "  Prepare               [window=[0, 60] statements=3]\n"
+    "    BandIntervals         [band=default(4r) contexts=2]\n"
+    "      Answer                [query=q variant=sometime category=3]\n"
+    "      Answer                [query=near rank=2 variant=always category=4]\n"
+    "      Answer                [query=q variant=fraction fraction=0.25 target=crossing category=1]\n"
+    "  Prepare               [window=[0, 30] statements=2]\n"
+    "    BandIntervals         [band=2.5 contexts=2]\n"
+    "      Answer                [query=q variant=sometime category=3]\n"
+    "      Answer                [query=far rank=3 variant=fraction fraction=0.5 target=near category=2]\n"
+    "  Prepare               [window=[0, 30] statements=1]\n"
+    "    BandIntervals         [band=default(4r) contexts=1]\n"
+    "      Answer                [query=near variant=sometime category=3]"
+)
+
+
 class TestExplain:
     def test_plan_tree_renders_every_stage(self, mod):
         rendered = explain_plan([_text("q"), _text("near")], mod)
@@ -143,6 +208,28 @@ class TestExplain:
         assert "statements=2" in rendered
         for gone in ("backend", "CorridorFilter", "access"):
             assert gone not in rendered
+
+    def test_explain_text_is_pinned(self, mod):
+        # Captured from the plan-node renderer this text replaced: two
+        # windows, a band override, rank statements, targets and FRACTION.
+        statements = [
+            "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "
+            "AND PROBABILITY_NN(T, 'q', TIME) > 0",
+            "SELECT T FROM MOD WHERE FORALL TIME IN [0, 60] "
+            "AND RANK_NN(T, 'near', TIME) <= 2",
+            "SELECT T FROM MOD WHERE FRACTION TIME IN [0, 60] >= 0.25 "
+            "AND PROBABILITY_NN(T, 'q', TIME) > 0 AND T = 'crossing'",
+            "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 30] "
+            "AND PROBABILITY_NN(T, 'q', TIME) > 0",
+            "SELECT T FROM MOD WHERE FRACTION TIME IN [0, 30] >= 0.5 "
+            "AND RANK_NN(T, 'far', TIME) <= 3 AND T = 'near'",
+            "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 30] "
+            "AND PROBABILITY_NN(T, 'near', TIME) > 0",
+        ]
+        rendered = explain_plan(
+            statements, mod, band_width=[None, None, None, 2.5, 2.5, None]
+        )
+        assert rendered == GOLDEN_EXPLAIN
 
     def test_explain_with_execution_appends_span_tree(self, mod):
         rendered = explain_plan(_text("q"), mod, execute=True)

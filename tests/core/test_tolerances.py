@@ -52,9 +52,8 @@ def test_corridor_kernel_compares_times_with_the_shared_tolerance():
 
 
 def test_index_maintenance_compares_times_with_the_shared_tolerance():
-    # The R-tree's remove_object/insert_trajectory(after=) and patch decide
-    # which boxes a divergence time retires; no index module may use its
-    # own bare tolerance for it.
+    # The R-tree's patch decides which boxes a divergence time retires; no
+    # index module may use its own bare tolerance for it.
     for path in sorted((SRC / "index").glob("*.py")):
         code = "\n".join(
             line.split("#", 1)[0] for line in path.read_text().splitlines()

@@ -207,6 +207,26 @@ class TestBatchStatistics:
         assert engine.index is mod.index()
 
 
+class TestSingleQueryPrepare:
+    def test_prepare_is_a_one_member_prepare_batch(self, tiny_mod, monkeypatch):
+        lo, hi = tiny_mod.common_time_span()
+        engine = QueryEngine(tiny_mod)
+        calls = []
+        prepare_batch = QueryEngine.prepare_batch
+
+        def counted(self, query_ids, *args, **kwargs):
+            calls.append(list(query_ids))
+            return prepare_batch(self, query_ids, *args, **kwargs)
+
+        monkeypatch.setattr(QueryEngine, "prepare_batch", counted)
+        cold = engine.prepare("q", lo, hi)
+        warm = engine.prepare("q", lo, hi, band_width=None)
+        assert calls == [["q"], ["q"]]
+        assert not cold.from_cache and warm.from_cache
+        assert warm.context is cold.context
+        assert engine.cache_info().hits == 1 and engine.cache_info().misses == 1
+
+
 class TestWindowValidation:
     def test_rejects_inverted_window(self, tiny_mod):
         lo, hi = tiny_mod.common_time_span()

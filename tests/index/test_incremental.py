@@ -1,11 +1,23 @@
-"""Incremental maintenance of the R-tree vs bulk rebuilds."""
+"""Incremental maintenance of the R-tree (``patch``) vs bulk rebuilds.
+
+The store applies every change to its tree with one ``patch`` per revision:
+the changed ids' divergence times, and the column store to read their
+current boxes from.  Each test mutates a store, patches a tree from the
+store's changelog, and compares it with a fresh ``mod.build_index("rtree")``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.index.boxes import Box3D, IndexEntry, segment_boxes
+from repro.index.boxes import Box3D, segment_boxes
 from repro.index.rtree import STRRTree
+from repro.trajectories.mod import MovingObjectsDatabase
+from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
+
+from ..conftest import straight_trajectory
+
+EXTENT = 15.0
 
 
 @pytest.fixture(scope="module")
@@ -26,86 +38,110 @@ def probe_grid(index, trajectories, seed=0, probes=60):
     return results
 
 
-class TestRTreeInsert:
-    def test_insert_into_empty_tree(self):
-        tree = STRRTree([], leaf_capacity=4)
-        entry = IndexEntry(Box3D(0, 0, 0, 1, 1, 1), "x")
-        tree.insert_entry(entry)
+def sync(tree, mod, revision):
+    """Patch ``tree`` with the store's changes since ``revision``."""
+    tree.patch(mod.divergences_since(revision), mod.columnar())
+    return mod.revision
+
+
+def fresh(mod, leaf_capacity=8, max_box_extent=EXTENT):
+    return mod.build_index(
+        "rtree", leaf_capacity=leaf_capacity, max_box_extent=max_box_extent
+    )
+
+
+class TestPatchInsert:
+    def test_patch_into_empty_tree(self):
+        mod = MovingObjectsDatabase()
+        tree = fresh(mod)
+        revision = mod.revision
+        mod.add(straight_trajectory("x", (0.0, 0.0), (1.0, 1.0), 0.0, 1.0, 0.1))
+        sync(tree, mod, revision)
         assert len(tree) == 1
         assert tree.query_box(Box3D(0.5, 0.5, 0.5, 2, 2, 2)) == {"x"}
 
-    def test_incremental_tree_answers_like_bulk_tree(self, trajectories):
-        bulk = STRRTree.from_trajectories(
-            trajectories, leaf_capacity=8, max_box_extent=15.0
-        )
-        tree = STRRTree([], leaf_capacity=8, max_box_extent=15.0)
+    def test_patched_tree_answers_like_bulk_tree(self, trajectories):
+        mod = MovingObjectsDatabase()
+        tree = STRRTree([], leaf_capacity=8, max_box_extent=EXTENT)
+        revision = mod.revision
         for trajectory in trajectories:
-            tree.insert_trajectory(trajectory)
+            mod.add(trajectory)
+            revision = sync(tree, mod, revision)
+        bulk = fresh(mod)
         assert len(tree) == len(bulk)
         for expected, actual in zip(
             probe_grid(bulk, trajectories), probe_grid(tree, trajectories)
         ):
             assert expected == actual
 
-    def test_one_by_one_inserts_repack_into_a_multi_level_tree(self):
-        # Entries land in the overflow block; each time it outgrows its share
-        # the tree repacks, so single inserts still end up under packed levels.
+    def test_one_by_one_patches_repack_into_a_multi_level_tree(self):
+        # Boxes land in the overflow block; each time it outgrows its share
+        # the tree repacks, so single additions still end up under packed
+        # levels.
+        mod = MovingObjectsDatabase()
         tree = STRRTree([], leaf_capacity=2)
+        revision = mod.revision
         for index in range(20):
-            tree.insert_entry(
-                IndexEntry(
-                    Box3D(index, index, 0.0, index + 1, index + 1, 1.0), index
+            mod.add(
+                straight_trajectory(
+                    index, (index, index), (index + 1, index + 1), 0.0, 1.0, 0.1
                 )
             )
+            revision = sync(tree, mod, revision)
         assert len(tree) == 20
         assert tree.repacks > 0
         assert tree.height >= 3
         assert tree.query_box(Box3D(0, 0, 0, 30, 30, 1)) == set(range(20))
 
 
-class TestRTreeRemove:
-    def test_remove_object_drops_all_its_entries(self, trajectories):
-        tree = STRRTree.from_trajectories(
-            trajectories, leaf_capacity=8, max_box_extent=15.0
-        )
+class TestPatchRemove:
+    def test_removal_drops_all_its_entries(self, trajectories):
+        mod = MovingObjectsDatabase(trajectories)
+        tree = fresh(mod)
+        before, revision = len(tree), mod.revision
         target = trajectories[0]
-        expected = len(segment_boxes(target, max_extent=15.0))
-        assert tree.remove_object(target.object_id) == expected
+        mod.remove(target.object_id)
+        sync(tree, mod, revision)
+        assert before - len(tree) == len(segment_boxes(target, max_extent=EXTENT))
+        assert len(tree) == len(fresh(mod))
         for found in probe_grid(tree, trajectories):
             assert target.object_id not in found
 
-    def test_remove_then_reinsert_restores_answers(self, trajectories):
-        tree = STRRTree.from_trajectories(
-            trajectories, leaf_capacity=8, max_box_extent=15.0
-        )
+    def test_remove_then_readd_restores_answers(self, trajectories):
+        mod = MovingObjectsDatabase(trajectories)
+        tree = fresh(mod)
         baseline = probe_grid(tree, trajectories)
+        revision = mod.revision
         for trajectory in trajectories[:10]:
-            tree.remove_object(trajectory.object_id)
-        for trajectory in trajectories[:10]:
-            tree.insert_trajectory(trajectory)
+            mod.remove(trajectory.object_id)
+        revision = sync(tree, mod, revision)
+        mod.add_all(trajectories[:10])
+        sync(tree, mod, revision)
         assert probe_grid(tree, trajectories) == baseline
 
     def test_removing_every_object_empties_the_tree(self, trajectories):
-        tree = STRRTree.from_trajectories(trajectories[:5], leaf_capacity=4)
+        mod = MovingObjectsDatabase(trajectories[:5])
+        tree = fresh(mod, leaf_capacity=4, max_box_extent=None)
+        revision = mod.revision
         for trajectory in trajectories[:5]:
-            tree.remove_object(trajectory.object_id)
-        assert len(tree) == 0
+            mod.remove(trajectory.object_id)
+        sync(tree, mod, revision)
+        assert len(tree) == len(fresh(mod)) == 0
         assert tree.height == 0
         assert tree.query_box(Box3D(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9)) == set()
 
-    def test_remove_unknown_object_is_a_noop(self, trajectories):
-        tree = STRRTree.from_trajectories(trajectories[:5], leaf_capacity=4)
+    def test_patching_an_unknown_object_is_a_noop(self, trajectories):
+        mod = MovingObjectsDatabase(trajectories[:5])
+        tree = fresh(mod, leaf_capacity=4, max_box_extent=None)
         size = len(tree)
-        assert tree.remove_object("ghost") == 0
+        tree.patch({"ghost": None}, mod.columnar())
         assert len(tree) == size
 
 
 class TestDivergenceBoundedMaintenance:
-    """remove/insert with `after=`: only post-divergence boxes are touched."""
+    """A patch touches only the boxes from each object's divergence time on."""
 
     def extend(self, trajectory, extra_minutes=7.0):
-        from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
-
         last = trajectory.samples[-1]
         return UncertainTrajectory(
             trajectory.object_id,
@@ -115,20 +151,23 @@ class TestDivergenceBoundedMaintenance:
         )
 
     def test_rtree_partial_patch_matches_bulk_rebuild(self, trajectories):
-        tree = STRRTree.from_trajectories(
-            trajectories, leaf_capacity=8, max_box_extent=15.0
-        )
+        mod = MovingObjectsDatabase(trajectories)
+        tree = fresh(mod)
+        revision = mod.revision
         target = trajectories[0]
         extended = self.extend(target)
-        removed = tree.remove_object(target.object_id, after=target.end_time)
-        assert removed == 0, "a pure extension retires no historical boxes"
-        inserted = tree.insert_trajectory(extended, after=target.end_time)
-        assert inserted >= 1
-        bulk = STRRTree.from_trajectories(
-            [extended] + list(trajectories[1:]),
-            leaf_capacity=8,
-            max_box_extent=15.0,
+        mod.replace_trajectory(extended)
+        assert mod.divergences_since(revision) == {target.object_id: target.end_time}
+        sync(tree, mod, revision)
+        # A pure extension retires no historical box: the overflow block
+        # (listed last) holds exactly the new leg's boxes.
+        overflow = tree.leaf_entries()[-1]
+        added = len(segment_boxes(extended, max_extent=EXTENT)) - len(
+            segment_boxes(target, max_extent=EXTENT)
         )
+        assert added >= 1 and len(overflow) == added
+        assert all(entry.box.t_min >= target.end_time for entry in overflow)
+        bulk = fresh(mod)
         assert len(tree) == len(bulk)
         for expected, actual in zip(
             probe_grid(bulk, trajectories, seed=5), probe_grid(tree, trajectories, seed=5)

@@ -5,7 +5,7 @@ Three contracts pin :class:`repro.index.rtree.STRRTree`:
 * a probe's answer is a function of the live entry set alone, so
   ``query_box``/``query_corridor`` equal a brute-force scan of the entry
   arrays the tree was loaded from;
-* any sequence of ``remove_object``/``insert_trajectory`` — through
+* any sequence of store changes applied with ``patch`` — through
   tombstones, the overflow block and repacks — leaves a tree that holds the
   entries, and gives the answers, of a tree bulk-loaded from the final
   store;
@@ -25,6 +25,7 @@ from hypothesis import assume, given, strategies as st
 from repro.index.boxes import Box3D, IndexEntry, segment_boxes
 from repro.index.rtree import _OVERFLOW_SHARE, STRRTree
 from repro.trajectories.columnar import SegmentBoxArrays, segment_boxes_bulk
+from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
 from repro.workloads.scenarios import multi_query_fleet
 
@@ -216,18 +217,22 @@ def extended(trajectory, minutes):
     )
 
 
-def assert_equals_bulk_load(tree, store, capacity, extent):
-    bulk = STRRTree.from_trajectories(
-        store.values(), leaf_capacity=capacity, max_box_extent=extent
-    )
+def assert_equals_bulk_load(tree, mod, capacity, extent):
+    bulk = mod.build_index("rtree", leaf_capacity=capacity, max_box_extent=extent)
     assert len(tree) == len(bulk)
     assert live_entries(tree) == live_entries(bulk)
     whole = Box3D(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9)
-    assert tree.query_box(whole) == bulk.query_box(whole) == set(store)
-    for trajectory in store.values():
+    assert tree.query_box(whole) == bulk.query_box(whole) == set(mod.object_ids)
+    for trajectory in mod:
         for distance in (0.0, 2.0, 15.0):
             args = (trajectory, distance, trajectory.start_time, trajectory.end_time)
             assert tree.query_corridor(*args) == bulk.query_corridor(*args)
+
+
+def sync(tree, mod, revision):
+    """Patch ``tree`` with the store's changes since ``revision``."""
+    tree.patch(mod.divergences_since(revision), mod.columnar())
+    return mod.revision
 
 
 operations = st.lists(
@@ -235,6 +240,7 @@ operations = st.lists(
         st.sampled_from(["remove", "replace", "extend", "extend_whole", "reinsert"]),
         st.integers(min_value=0, max_value=5),
         st.sampled_from([0.75, 2.0, 6.5]),
+        st.booleans(),
     ),
     min_size=1,
     max_size=12,
@@ -246,79 +252,98 @@ class TestMutationsEqualBulkLoad:
     def test_any_patch_sequence(self, mod, capacity, extent, ops):
         tree = mod.build_index("rtree", leaf_capacity=capacity, max_box_extent=extent)
         originals = {trajectory.object_id: trajectory for trajectory in mod}
-        store = dict(originals)
         ids = list(originals)
-        for kind, pick, amount in ops:
+        revision = mod.revision
+        for kind, pick, amount, patch_now in ops:
             object_id = ids[pick % len(ids)]
-            current = store.get(object_id)
-            if kind == "remove" or current is None:
-                removed = tree.remove_object(object_id)
-                assert (removed > 0) == (current is not None)
-                store.pop(object_id, None)
-                if kind == "reinsert":
-                    store[object_id] = originals[object_id]
-                    tree.insert_trajectory(originals[object_id])
+            current = mod.get(object_id) if object_id in mod else None
+            if current is None:
+                mod.add(originals[object_id])
+            elif kind == "remove":
+                mod.remove(object_id)
+            elif kind == "reinsert":
+                mod.remove(object_id)
+                mod.add(originals[object_id])
             elif kind == "extend":
-                # Divergence-bounded patch: history boxes stay where they are.
-                store[object_id] = extended(current, amount)
-                assert tree.remove_object(object_id, after=current.end_time) == 0
-                assert tree.insert_trajectory(store[object_id], after=current.end_time) >= 1
+                # Diverges at the old end time: history boxes stay put.
+                mod.replace_trajectory(extended(current, amount))
+                assert mod.divergences_since(mod.revision - 1) == {
+                    object_id: current.end_time
+                }
+            elif kind == "extend_whole":
+                mod.remove(object_id)
+                mod.add(extended(current, amount))
             else:
-                store[object_id] = (
-                    extended(current, amount) if kind == "extend_whole"
-                    else moved(current, amount)
-                )
-                tree.remove_object(object_id)
-                tree.insert_trajectory(store[object_id])
-        assert_equals_bulk_load(tree, store, capacity, extent)
+                mod.replace_trajectory(moved(current, amount))
+            if patch_now:
+                revision = sync(tree, mod, revision)
+        sync(tree, mod, revision)
+        assert_equals_bulk_load(tree, mod, capacity, extent)
 
     def test_small_patch_stays_in_the_overflow_block(self):
         mod, _ = multi_query_fleet(num_vehicles=60, num_queries=2)
         tree = mod.build_index("rtree", max_box_extent=9.0)
-        store = {trajectory.object_id: trajectory for trajectory in mod}
-        target = next(iter(store.values()))
-        store[target.object_id] = moved(target, 3.0)
-        retired = tree.remove_object(target.object_id)
-        assert retired == len(segment_boxes(target, max_extent=9.0))
-        assert tree.insert_trajectory(store[target.object_id]) <= len(tree) // _OVERFLOW_SHARE
+        revision = mod.revision
+        target = next(iter(mod))
+        mod.replace_trajectory(moved(target, 3.0))
+        sync(tree, mod, revision)
+        overflow = tree.leaf_entries()[-1]
+        assert len(overflow) == len(segment_boxes(target, max_extent=9.0))
+        assert {entry.object_id for entry in overflow} == {target.object_id}
+        assert len(overflow) <= len(tree) // _OVERFLOW_SHARE
         assert tree.repacks == 0, "a one-object patch must not repack"
-        assert_equals_bulk_load(tree, store, 16, 9.0)
+        assert_equals_bulk_load(tree, mod, 16, 9.0)
 
     def test_overflow_beyond_its_share_repacks(self):
         mod, _ = multi_query_fleet(num_vehicles=60, num_queries=2)
         tree = mod.build_index("rtree", max_box_extent=9.0)
-        store = {trajectory.object_id: trajectory for trajectory in mod}
-        height = tree.height
-        for round_, trajectory in enumerate(list(store.values()) * 2):
-            store[trajectory.object_id] = moved(store[trajectory.object_id], 1.0 + round_)
-            tree.remove_object(trajectory.object_id)
-            tree.insert_trajectory(store[trajectory.object_id])
+        height, revision = tree.height, mod.revision
+        for round_, object_id in enumerate(list(mod.object_ids) * 2):
+            mod.replace_trajectory(moved(mod.get(object_id), 1.0 + round_))
+            revision = sync(tree, mod, revision)
         assert tree.repacks >= 2
         assert tree.height == height, "a repack restores the bulk-load shape"
-        assert_equals_bulk_load(tree, store, 16, 9.0)
+        assert_equals_bulk_load(tree, mod, 16, 9.0)
 
-    def test_after_uses_the_shared_time_tolerance(self):
-        # A box starting within TIME_TOLERANCE before ``after`` still counts
-        # as "at or after" it, on both the retire and the insert side.
+    def test_divergence_times_use_the_shared_time_tolerance(self):
+        # A box starting within TIME_TOLERANCE before a divergence time
+        # still counts as "at or after" it, on both the retire and the
+        # append side.  Eight one-box bystanders give the overflow block
+        # room for a row, so no repack hides what the patch did.
         trajectory = UncertainTrajectory("a", [(0, 0, 0.0), (1, 1, 5.0), (2, 2, 9.0)], 0.2)
-        tree = STRRTree.from_trajectories([trajectory])
-        assert tree.remove_object("a", after=5.0 + 5e-10) == 1
-        assert tree.insert_trajectory(trajectory, after=5.0 + 5e-10) == 1
-        assert tree.remove_object("a", after=5.0 + 5e-9) == 0
-        assert len(tree) == 2
+        bystanders = [
+            UncertainTrajectory(f"b{k}", [(k, 9, 0.0), (k, 9, 9.0)], 0.2) for k in range(8)
+        ]
+        mod = MovingObjectsDatabase([trajectory, *bystanders])
+        tree = mod.build_index("rtree", max_box_extent=None)
+        tree.patch({"a": 5.0 + 5e-10}, mod.columnar())
+        assert len(tree) == 10 and tree.repacks == 0
+        assert [(e.object_id, e.box.t_min) for e in tree.leaf_entries()[-1]] == [("a", 5.0)]
+        tree.patch({"a": 5.0 + 5e-9}, mod.columnar())
+        assert len(tree) == 10
+        assert [(e.object_id, e.box.t_min) for e in tree.leaf_entries()[-1]] == [("a", 5.0)]
+        assert_equals_bulk_load(tree, mod, 16, None)
 
     def test_new_ids_and_emptying(self):
+        mod = MovingObjectsDatabase()
         tree = STRRTree([], leaf_capacity=4)
         assert tree.height == 0 and tree.leaf_entries() == []
         a = UncertainTrajectory("a", [(0, 0, 0.0), (4, 0, 4.0), (4, 4, 8.0)], 0.5)
         b = UncertainTrajectory("b", [(9, 9, 0.0), (5, 9, 8.0)], 0.5)
-        assert tree.insert_trajectory(a) == 2 and tree.insert_trajectory(b) == 1
+        revision = mod.revision
+        mod.add_all([a, b])
+        revision = sync(tree, mod, revision)
+        assert len(tree) == 3
         assert tree.query_corridor(a, 20.0, 0.0, 8.0) == {"b"}
-        assert tree.remove_object("a") == 2 and tree.remove_object("a") == 0
-        assert tree.remove_object("b") == 1
+        mod.remove("a")
+        revision = sync(tree, mod, revision)
+        assert len(tree) == 1
+        mod.remove("b")
+        revision = sync(tree, mod, revision)
         assert len(tree) == 0 and tree.height == 0
         assert tree.query_box(Box3D(-50, -50, -50, 50, 50, 50)) == set()
-        tree.insert_entry(IndexEntry(Box3D(0, 0, 0, 1, 1, 1), "c"))
+        mod.add(UncertainTrajectory("c", [(0, 0, 0.0), (1, 1, 1.0)], 0.1))
+        sync(tree, mod, revision)
         assert tree.query_box(Box3D(0.5, 0.5, 0.5, 2, 2, 2)) == {"c"}
 
 

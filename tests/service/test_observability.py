@@ -7,7 +7,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import capture
-from repro.service import QueryRequest, QueryService, ServiceStats
+from repro.service import QueryRequest, QueryService
 from repro.workloads.scenarios import multi_query_fleet
 
 
@@ -46,35 +46,16 @@ class TestStatsSnapshot:
         assert stats.evaluated + stats.cache_hits == 4
         assert stats.rejected == 0
         assert stats.batches >= 1
-        assert sum(stats.backend_counts.values()) == stats.evaluated
 
-    def test_backend_counts_mutation_does_not_leak(self):
-        # Regression: the live mutable stats object (and its shared
-        # backend_counts dict) used to leak internal state to callers.
-        async def _run():
-            mod, query_ids = multi_query_fleet(
-                num_vehicles=24, num_queries=4, seed=7
-            )
-            lo, hi = mod.common_time_span()
-            async with QueryService(mod) as service:
-                await service.submit(QueryRequest(query_ids[0], lo, hi))
-                first = service.stats()
-                first.backend_counts["single"] = 999
-                first.backend_counts["bogus"] = 1
-                second = service.stats()
-                return first, second
-
-        first, second = run(_run())
-        assert second.backend_counts == {"single": 1}
-        assert "bogus" not in second.backend_counts
-
-    def test_default_backend_counts_not_shared_between_instances(self):
-        # Regression: a mutable default would alias every bare ServiceStats.
-        first = ServiceStats()
-        second = ServiceStats()
-        assert first.backend_counts is not second.backend_counts
-        first.backend_counts["single"] = 5
-        assert second.backend_counts == {}
+    def test_the_constant_backend_label_is_gone(self):
+        # Every engine-served response reads "single": the stats field and
+        # the per-backend counter it mirrored were removed.
+        _service, stats, snapshot = serve_some()
+        assert not hasattr(stats, "backend_counts")
+        assert not any(
+            name.startswith("repro_service_backend_requests_total")
+            for name in snapshot
+        )
 
     def test_reset_zeroes_stats_and_metrics(self):
         async def _run():
@@ -89,7 +70,6 @@ class TestStatsSnapshot:
 
         stats, snapshot = run(_run())
         assert stats.submitted == 0
-        assert stats.backend_counts == {}
         assert stats.max_queue_depth == 0
         assert snapshot["repro_service_requests_total"]["value"] == 0.0
 

@@ -318,6 +318,5 @@ class TestLifecycleAndErrors:
         stats, cache_info = run(serve())
         assert stats.submitted == len(query_ids) + 1
         assert stats.cache_hits == 1
-        assert stats.backend_counts == {"single": len(query_ids)}
         assert stats.coalescing_factor == len(query_ids)
         assert cache_info.size == len(query_ids)

@@ -1,0 +1,79 @@
+"""Every caller runs its queries as a plan: no hand-written prepare-and-answer loop.
+
+:mod:`repro.query_language.planner` holds the one grouping rule
+(:func:`~repro.query_language.planner.plan_statements`) and the one
+evaluator (:meth:`~repro.query_language.planner.QueryPlan.execute`).  The
+service pool, the streaming monitor and the sharded engine build statements
+and run a plan; none of them prepares contexts or extracts answers itself.
+This check keeps it that way: outside ``repro/engine/`` and the planner, no
+module may call ``.prepare_batch(`` or ``.prepare(``, and ``answer_of(`` is
+called only by the planner and the from-scratch oracle
+``streaming.reference_answer``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+PLANNER = Path("query_language") / "planner.py"
+PREPARE_METHODS = {"prepare_batch", "prepare"}
+#: ``(module, enclosing function)`` pairs allowed to call ``answer_of``.
+ANSWER_OF_ORACLES = {(Path("streaming") / "monitor.py", "reference_answer")}
+
+
+def _calls(tree: ast.AST):
+    """``(name, is a method call, enclosing top-level def, line)`` of every call."""
+    for top in ast.iter_child_nodes(tree):
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                yield node.func.attr, True, owner, node.lineno
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                yield node.func.id, False, owner, node.lineno
+
+
+def _offenders(package: Path = PACKAGE):
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package)
+        if relative.parts[0] == "engine" or relative == PLANNER:
+            continue
+        for name, method, owner, line in _calls(ast.parse(path.read_text())):
+            if method and name in PREPARE_METHODS:
+                offenders.append(f"{relative}:{line} calls .{name}(")
+            elif name == "answer_of" and (relative, owner) not in ANSWER_OF_ORACLES:
+                offenders.append(f"{relative}:{line} calls answer_of(")
+    return offenders
+
+
+def test_only_the_plan_prepares_and_extracts_answers():
+    offenders = _offenders()
+    assert not offenders, (
+        "build PlannedStatements and run plan_statements(...).execute(engine) "
+        f"instead of preparing or extracting answers by hand: {offenders}"
+    )
+
+
+def test_the_guard_sees_the_calls_it_forbids(tmp_path):
+    # The check must not pass vacuously: a module with a hand-written loop
+    # is caught, call by call.
+    fake = tmp_path / "repro"
+    (fake / "service").mkdir(parents=True)
+    (fake / "service" / "loop.py").write_text(
+        "def serve(engine, ids):\n"
+        "    batch = engine.prepare_batch(ids, 0.0, 1.0)\n"
+        "    one = engine.prepare(ids[0], 0.0, 1.0)\n"
+        "    return [answer_of(p.context, 'sometime') for p in batch], one\n"
+    )
+    (fake / "streaming").mkdir()
+    (fake / "streaming" / "monitor.py").write_text(
+        "def reference_answer(context):\n"
+        "    return answer_of(context, 'sometime')\n"
+    )
+    assert _offenders(fake) == [
+        "service/loop.py:2 calls .prepare_batch(",
+        "service/loop.py:3 calls .prepare(",
+        "service/loop.py:4 calls answer_of(",
+    ]
