@@ -6,7 +6,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test coverage bench-smoke bench \
-	bench-sharded bench-sharded-smoke bench-columnar bench-columnar-smoke \
+	bench-columnar bench-columnar-smoke \
 	bench-obs bench-obs-smoke \
 	bench-planner bench-planner-smoke \
 	bench-persistence bench-persistence-smoke bench-e2e bench-e2e-smoke \
@@ -32,12 +32,6 @@ bench-smoke:
 
 bench:
 	$(PYTHON) benchmarks/run_all.py
-
-bench-sharded-smoke:
-	$(PYTHON) benchmarks/bench_sharded.py --quick --json BENCH_sharded.json
-
-bench-sharded:
-	$(PYTHON) benchmarks/bench_sharded.py --json BENCH_sharded.json
 
 bench-columnar-smoke:
 	$(PYTHON) benchmarks/bench_columnar.py --quick --json BENCH_columnar.json

@@ -52,8 +52,8 @@ implementations they replaced, per database size:
 
 Every comparison asserts result equality (bit-identical pieces and
 intervals) before reporting, so a speedup can never come from a divergent
-answer; in addition, one sharded fleet is answered across the serial,
-thread, and process backends before any timing starts, asserting answers
+answer; in addition, one fleet is answered through the planner and a
+``ShardedEngine`` batch before any timing starts, asserting answers
 byte-identical to one computed in this process from the reference kernels.
 Run with::
 
@@ -407,11 +407,10 @@ def assert_backend_identity(num_objects: int = 96, seed: int = 23) -> None:
     """Byte-identity of planned and sharded answers to the reference.
 
     Runs one UQ3x and one UQ4x statement over a small fleet through the
-    planner, and the UQ3x query through the serial, thread, and process
-    sharded backends, and asserts each returns exactly the ids
-    :func:`reference_answers` computes in this process.  Raises before any
-    timing happens, so a reported speedup can never ride on a
-    backend-dependent answer.
+    planner, and the UQ3x query through one :class:`ShardedEngine` pass,
+    and asserts each returns exactly the ids :func:`reference_answers`
+    computes in this process.  Raises before any timing happens, so a
+    reported speedup can never ride on a path-dependent answer.
     """
     from repro.parallel import ShardedEngine
     from repro.query_language import QueryExecutor
@@ -432,14 +431,12 @@ def assert_backend_identity(num_objects: int = 96, seed: int = 23) -> None:
         raise AssertionError(
             f"planned answers diverged from the reference: {planned} != {expected}"
         )
-    for backend in ("serial", "thread", "process"):
-        with ShardedEngine(mod, num_shards=2, backend=backend) as sharded:
-            answer = sorted(sharded.answer(query_id, lo, hi), key=str)
-        if answer != expected[0]:
-            raise AssertionError(
-                f"sharded answers diverged from the reference on backend "
-                f"{backend}: {answer} != {expected[0]}"
-            )
+    with ShardedEngine(mod, num_shards=2) as sharded:
+        answer = sorted(sharded.answer(query_id, lo, hi), key=str)
+    if answer != expected[0]:
+        raise AssertionError(
+            f"sharded answers diverged from the reference: {answer} != {expected[0]}"
+        )
 
 
 def run_bench(
@@ -457,7 +454,7 @@ def run_bench(
     queries = queries or (8 if quick else 16)
     config = {"sizes": sizes, "queries": queries, "quick": quick}
     metrics: Dict[str, float] = {}
-    print("  backend byte-identity check (serial/thread/process vs reference) ...")
+    print("  byte-identity check (planner and sharded batch vs reference) ...")
     assert_backend_identity()
     for num_objects in sizes:
         mod = build_mod(num_objects)

@@ -8,7 +8,7 @@ smoke mode, uploading the records as artifacts and gating them with
 ``check_regression.py``::
 
     PYTHONPATH=src python benchmarks/run_all.py --quick
-    PYTHONPATH=src python benchmarks/run_all.py --only persistence sharded
+    PYTHONPATH=src python benchmarks/run_all.py --only persistence planner
     PYTHONPATH=src python benchmarks/run_all.py --list
 
 The paper-figure and ablation benches (``bench_fig*``, ``bench_ablation*``)
@@ -45,10 +45,6 @@ REGISTRY = {
     "planner": (
         "bench_planner",
         "compiled query plans vs naive per-statement interpretation",
-    ),
-    "sharded": (
-        "bench_sharded",
-        "batch splitting across workers vs the bare single engine",
     ),
 }
 

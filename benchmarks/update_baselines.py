@@ -11,7 +11,7 @@ factor so ordinary machine jitter does not trip the gate:
 
 Gate structure (metrics, directions, per-gate tolerances, notes) is
 preserved — only the numbers move.  Gates carrying ``"pin": true`` hold
-fixed *policy* thresholds (e.g. the warm sharded/single ratio ceiling) and
+fixed *policy* thresholds (e.g. the columnar 2x kernel floors) and
 are never rewritten from measurements.  Always inspect the diff first::
 
     PYTHONPATH=src python benchmarks/run_all.py --quick

@@ -10,10 +10,9 @@ Walks the ``repro.obs`` subsystem end to end:
    ``/metrics`` endpoint;
 3. ``explain`` one request: a span tree showing where its milliseconds
    went, layer by layer;
-4. trace a sharded batch on the process backend and print the stitched
-   tree — worker spans cross the process boundary and re-attach under
-   the dispatching parent;
-5. turn on ``repro.*`` logging to watch shared-memory exports happen.
+4. trace a sharded batch and print its tree — one plan on one engine,
+   so the engine's stages nest under the batch span;
+5. turn on ``repro.*`` logging to watch a checkpoint and a restore happen.
 
 Run with::
 
@@ -23,10 +22,12 @@ Run with::
 from __future__ import annotations
 
 import asyncio
+import tempfile
 
 from _support import scaled
 from repro.obs import capture, configure_logging, render_tree
 from repro.parallel import ShardedEngine
+from repro.persistence import PersistentStore, restore
 from repro.service import QueryRequest, QueryService
 from repro.workloads.scenarios import multi_query_fleet
 
@@ -82,30 +83,26 @@ def sharded_tracing_tour() -> None:
         num_vehicles=scaled(40, 20), num_queries=scaled(8, 4), seed=5
     )
     lo, hi = mod.common_time_span()
-    print("\n--- stitched trace of a process-backend sharded batch ---")
-    with ShardedEngine(
-        mod, num_shards=2, backend="process", mp_start_method="spawn"
-    ) as engine:
+    print("\n--- trace of a sharded batch ---")
+    with ShardedEngine(mod, num_shards=2) as engine:
         engine.warm_up()
         with capture() as recorder:
             engine.answer_batch(query_ids, lo, hi)
         root = recorder.latest()
         print(render_tree(root))
-        workers = [s for s in root.walk() if s.name == "shard.worker"]
-        print(f"  ({len(workers)} worker span(s) crossed the process boundary)")
+        prepares = [s for s in root.walk() if s.name == "engine.prepare_batch"]
+        print(f"  ({len(prepares)} batched preparation(s) under one plan)")
 
 
 def logging_tour() -> None:
-    print("\n--- repro.* logging (DEBUG shows shared-memory exports) ---")
+    print("\n--- repro.* logging (INFO shows checkpoints and restores) ---")
     import sys
 
-    configure_logging("DEBUG", stream=sys.stdout)
-    mod, query_ids = multi_query_fleet(num_vehicles=20, num_queries=2, seed=5)
-    lo, hi = mod.common_time_span()
-    with ShardedEngine(
-        mod, num_shards=2, backend="process", mp_start_method="spawn"
-    ) as engine:
-        engine.answer_batch(query_ids[:1], lo, hi)
+    configure_logging("INFO", stream=sys.stdout)
+    mod, _ = multi_query_fleet(num_vehicles=20, num_queries=2, seed=5)
+    with tempfile.TemporaryDirectory() as data_dir:
+        PersistentStore(data_dir, mod).close(checkpoint=True)
+        restore(data_dir)
 
 
 def main() -> None:

@@ -10,8 +10,8 @@ The public API re-exports the pieces most users need:
 * the location pdfs and probability machinery (:mod:`repro.uncertainty`);
 * the envelope algorithms (:mod:`repro.geometry.envelope`);
 * the query façade, IPAC-NN trees and query variants (:mod:`repro.core`);
-* the serving stack — batched engine (:mod:`repro.engine`), sharded
-  parallel execution (:mod:`repro.parallel`), streaming monitor
+* the serving stack — batched engine (:mod:`repro.engine`), the
+  stand-alone batch API (:mod:`repro.parallel`), streaming monitor
   (:mod:`repro.streaming`), and the async query service
   (:mod:`repro.service`);
 * the synthetic workloads of the paper's evaluation and the service

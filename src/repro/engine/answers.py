@@ -2,9 +2,9 @@
 
 An *answer* is the mapping ``neighbor id -> non-zero-probability intervals``
 for every member of a UQ31/32/33 answer set — the structure the streaming
-monitor diffs into deltas, the sharded engine merges across slices, and the
+monitor diffs into deltas, the sharded engine returns per query, and the
 oracle tests compare.  Centralizing the variant dispatch here keeps the
-batch, streaming, and parallel paths byte-compatible with each other.
+batch and streaming paths byte-compatible with each other.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def answer_of(
     exact non-zero-probability intervals (the UQ11/UQ13 information).  The
     dict is fresh per call; its interval tuples are the context's memoized
     ones, shared by every answer taken from that context.  The
-    live monitor, the sharded engine's workers, and the
-    from-scratch oracles all derive their answers through this one dispatch.
+    live monitor, the query plan, and the from-scratch oracles all derive
+    their answers through this one dispatch.
     """
     if variant == "sometime":
         members = context.uq31_all_sometime()

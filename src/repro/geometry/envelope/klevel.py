@@ -122,7 +122,7 @@ def _canonical_order(
     choice into different level *memberships*.  Canonicalizing the order
     here makes every level a pure function of the function set, so rank
     answers agree across execution layers that enumerate candidates
-    differently (insertion order, sorted corridor survivors, worker rebuilds).  The
+    differently (insertion order, sorted corridor survivors).  The
     kinetic front inherits the same canonical order for its stable
     tie-breaking.
     """

@@ -6,9 +6,8 @@ Three small pieces with one convention:
   counters, gauges, and fixed-bucket histograms (p50/p95/p99), with
   plain-dict snapshots, JSON, and Prometheus text exposition;
 * :mod:`repro.obs.tracing` — :func:`trace_span` nested spans with
-  monotonic timings, a ring-buffer :class:`SpanRecorder`, a no-op fast
-  path when disabled, and cross-process span stitching for sharded
-  evaluation;
+  monotonic timings, a ring-buffer :class:`SpanRecorder`, and a no-op
+  fast path when disabled;
 * :mod:`repro.obs.logging` — the ``repro.*`` logger namespace and a
   one-call :func:`configure_logging`.
 
@@ -40,7 +39,6 @@ from .tracing import (
     enabled,
     record,
     render_tree,
-    span_context,
     trace_span,
 )
 
@@ -66,6 +64,5 @@ __all__ = [
     "get_logger",
     "record",
     "render_tree",
-    "span_context",
     "trace_span",
 ]

@@ -27,8 +27,8 @@ _FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
 def get_logger(name: str = ROOT_LOGGER_NAME) -> _logging.Logger:
     """A logger inside the ``repro.`` namespace.
 
-    ``get_logger("parallel.worker")`` and
-    ``get_logger("repro.parallel.worker")`` return the same logger.
+    ``get_logger("persistence.wal")`` and
+    ``get_logger("repro.persistence.wal")`` return the same logger.
     """
     if name != ROOT_LOGGER_NAME and not name.startswith(ROOT_LOGGER_NAME + "."):
         name = f"{ROOT_LOGGER_NAME}.{name}"

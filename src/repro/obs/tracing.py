@@ -5,7 +5,7 @@ span around its stage (:func:`trace_span`), child spans nest under the
 currently open one via a thread-local stack, and finished root spans land
 in a ring-buffer :class:`SpanRecorder`.  Rendering a recorded root with
 :func:`render_tree` gives the per-query breakdown — index probe, corridor
-filter, kernel, shard dispatch, merge — as an indented tree.
+filter, kernel, band — as an indented tree.
 
 Tracing is **off by default** and the disabled path is a compiled no-op:
 :func:`trace_span` returns one preallocated singleton whose ``__enter__``
@@ -18,12 +18,9 @@ Two deliberate design rules keep the thread-local stack honest:
   thread, so a span held across a suspension point would adopt children
   from unrelated tasks.  Async code times with plain ``perf_counter`` and
   opens spans only inside synchronous scopes (typically executor threads).
-* **Executor threads and worker processes use detached spans.**
-  :func:`detached_span` never auto-attaches to a parent; the caller
-  stitches the finished span into the right tree with
-  :meth:`Span.adopt` — which is also how spans cross the process
-  boundary: workers serialize a detached root (:meth:`Span.to_dict`),
-  the parent rebuilds (:meth:`Span.from_dict`) and adopts it.
+* **Executor threads use detached spans.**  :func:`detached_span` never
+  auto-attaches to a parent; the caller stitches the finished span into
+  the right tree with :meth:`Span.adopt`.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
@@ -44,7 +41,6 @@ __all__ = [
     "enabled",
     "record",
     "render_tree",
-    "span_context",
     "trace_span",
 ]
 
@@ -68,9 +64,7 @@ class Span:
     """One timed, named, attributed node of a trace tree.
 
     Timings are :func:`time.perf_counter` seconds.  ``duration`` is filled
-    on exit; serialized spans carry child *offsets* relative to their root
-    so a tree rebuilt in another process keeps its internal shape even
-    though the two processes' monotonic clocks are unrelated.
+    on exit.
     """
 
     __slots__ = ("name", "attrs", "started", "duration", "children", "_detached")
@@ -89,7 +83,7 @@ class Span:
         self.attrs[key] = value
 
     def adopt(self, child: Optional["Span"]) -> None:
-        """Attach a finished detached span (or rebuilt worker span) as a child.
+        """Attach a finished detached span as a child.
 
         ``None`` and the no-op singleton are ignored, so call sites can
         adopt unconditionally.
@@ -120,47 +114,6 @@ class Span:
             recorder = _RECORDER
             if recorder is not None:
                 recorder.push(self)
-
-    # ------------------------------------------------------------------
-    # Serialization (cross-process stitching).
-    # ------------------------------------------------------------------
-
-    def to_dict(self, _root_started: Optional[float] = None) -> Dict[str, object]:
-        """Serialize the span tree to plain dicts.
-
-        ``offset`` is each node's start relative to the root's start, so
-        the shape survives crossing to a process with an unrelated
-        monotonic clock.
-        """
-        root_started = self.started if _root_started is None else _root_started
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "offset": self.started - root_started,
-            "duration": self.duration,
-            "children": [
-                child.to_dict(root_started) for child in self.children
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object],
-                  _base: Optional[float] = None) -> "Span":
-        """Rebuild a span tree serialized by :meth:`to_dict`.
-
-        The rebuilt tree is detached; anchor it with :meth:`adopt`.  Its
-        ``started`` values are re-based onto this process's clock at call
-        time, preserving relative offsets.
-        """
-        base = time.perf_counter() if _base is None else _base
-        span = cls(str(payload["name"]), dict(payload.get("attrs") or {}),
-                   detached=True)
-        span.started = base + float(payload.get("offset") or 0.0)
-        duration = payload.get("duration")
-        span.duration = None if duration is None else float(duration)
-        for child in payload.get("children") or ():
-            span.children.append(cls.from_dict(child, base))
-        return span
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""
@@ -202,10 +155,6 @@ class _NoopSpan:
 
     def adopt(self, child) -> None:
         pass
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": "noop", "attrs": {}, "offset": 0.0,
-                "duration": 0.0, "children": []}
 
     def walk(self):
         return iter(())
@@ -296,9 +245,9 @@ def trace_span(name: str, **attrs):
 def detached_span(name: str, **attrs):
     """A span that never auto-attaches or records; caller stitches it.
 
-    For executor threads and worker processes, whose work belongs to a
-    tree owned elsewhere: finish the span, then hand it to the owner via
-    :meth:`Span.adopt` or :func:`record`.
+    For executor threads, whose work belongs to a tree owned elsewhere:
+    finish the span, then hand it to the owner via :meth:`Span.adopt` or
+    :func:`record`.
     """
     if not _ENABLED:
         return NOOP_SPAN
@@ -322,28 +271,13 @@ def record(span: Optional[Span]) -> None:
         recorder.push(span)
 
 
-def span_context() -> Optional[Tuple[str, float]]:
-    """A compact context for shipping across the process boundary.
-
-    ``None`` when tracing is off — workers treat a ``None`` context as
-    "don't trace".  The tuple carries the requesting span's name and start
-    time purely as provenance; workers only need its truthiness.
-    """
-    if not _ENABLED:
-        return None
-    span = current_span()
-    if span is NOOP_SPAN:
-        return ("detached", 0.0)
-    return (span.name, span.started)
-
-
 @contextmanager
 def capture(recorder: Optional[SpanRecorder] = None):
     """Temporarily enable tracing into a private recorder.
 
     Saves and restores the global enabled flag, recorder, and this
-    thread's span stack, so tests and worker processes can trace without
-    leaking state.  Yields the recorder.
+    thread's span stack, so tests can trace without leaking state.  Yields
+    the recorder.
     """
     global _ENABLED, _RECORDER
     saved_enabled = _ENABLED

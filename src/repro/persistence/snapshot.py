@@ -197,9 +197,9 @@ class MappedSnapshot:
     larger than RAM restores fine and pages in on demand.  Trajectory
     shells are materialized per object on first access (the samples tuple
     is the one unavoidable Python-object cost) and the pack layer borrows
-    the mmap column views directly through :meth:`columns_for`, the same
+    the mmap column views directly through :meth:`columns_for`, the
     seeding hook :meth:`~repro.trajectories.mod.MovingObjectsDatabase
-    .share_columns_with` uses for subset views.
+    .share_columns_with` links.
     """
 
     def __init__(self, path: PathLike, *, verify: bool = True) -> None:

@@ -3,7 +3,7 @@
 Every query the library serves is a :class:`PlannedStatement`, and every
 caller runs its statements as a :class:`QueryPlan`: the query language's
 compiled text, the service pool's coalesced batches, the monitor's
-standing queries, and each slice of the sharded engine.
+standing queries, and the sharded engine's batches.
 
 1. **Resolve** — (parsed text only, :func:`compile_queries`) each
    statement's query and target literals are matched against the MOD's ids;

@@ -22,8 +22,8 @@ column arrays are immutable once built, which makes three things safe and
 cheap:
 
 * ``columns(object_id)`` hands out zero-copy references;
-* a *seeded* store (``mod.subset()`` views, worker-side rebuilds) borrows the
-  parent's per-object arrays by trajectory identity instead of re-reading
+* a *seeded* store (a MOD restored from a snapshot) borrows the snapshot's
+  mapped per-object arrays by trajectory identity instead of re-reading
   sample tuples;
 * a pack that was handed to NumPy kernels stays valid even while the store
   syncs past it.
@@ -104,16 +104,14 @@ class ColumnarStore:
     Args:
         mod: the :class:`~repro.trajectories.mod.MovingObjectsDatabase` to
             mirror.
-        seed: an optional parent column provider whose per-object column
-            arrays are borrowed (zero-copy) whenever this store needs
-            columns of a trajectory *object* the provider has already
-            extracted — ``mod.subset()`` views
-            share trajectory objects with their parent, so seeding skips
-            the per-sample Python extraction entirely.  Any object with a
+        seed: an optional column provider whose per-object column arrays
+            are borrowed (zero-copy) whenever this store needs columns of a
+            trajectory *object* the provider handed out — a restored MOD
+            holds its snapshot's trajectory shells, so seeding from the
+            :class:`~repro.persistence.snapshot.MappedSnapshot` skips the
+            per-sample Python extraction entirely.  Any object with a
             ``columns_for(trajectory) -> Optional[(ts, xs, ys)]`` method
-            qualifies: another :class:`ColumnarStore`, or a worker-side
-            :class:`~repro.trajectories.shared.AttachedPack` whose views
-            point into shared memory.
+            qualifies.
     """
 
     def __init__(

@@ -114,12 +114,12 @@ class MovingObjectsDatabase:
 
     * **revisions + changelog** — every mutation bumps :attr:`revision` and
       appends a :class:`ChangeRecord`; derived structures (engine indexes
-      and caches, columnar packs, shared-memory exports, the service's result
-      cache) detect staleness by revision and resynchronize incrementally
-      via :meth:`changes_since`;
+      and caches, columnar packs, the service's result cache) detect
+      staleness by revision and resynchronize incrementally via
+      :meth:`changes_since`;
     * **columnar views** — :meth:`columnar` maintains a packed
-      structure-of-arrays mirror the bulk NumPy kernels run over, shared
-      zero-copy with :meth:`subset` views and worker-side attachments;
+      structure-of-arrays mirror the bulk NumPy kernels run over, seeded
+      zero-copy from a restored snapshot's mapped columns;
     * **one index per store** — :meth:`index`, shared by every engine over
       the store and patched from the changelog once per revision;
     * **query support** — :meth:`distance_pack`,
@@ -143,7 +143,7 @@ class MovingObjectsDatabase:
         #: that can move a support) logs a later revision.
         self._largest_supports: Tuple[int, list] = (-1, [])
         self._supports_moved = 0
-        #: A MovingObjectsDatabase or any ``columns_for`` column provider.
+        #: A ``columns_for`` column provider (a restored snapshot), or None.
         self._columnar_parent = None
         if trajectories is not None:
             for trajectory in trajectories:
@@ -533,25 +533,14 @@ class MovingObjectsDatabase:
         The returned :class:`~repro.trajectories.columnar.ColumnarStore` is
         cached on the MOD and re-synchronized (incrementally, via the
         changelog) on every call, so callers always see the current
-        revision.  Stores created by :meth:`subset` — and any store a
-        caller linked with :meth:`share_columns_with` — seed their packing
-        from the parent's per-object columns instead of re-reading sample
-        tuples.
+        revision.  A store linked with :meth:`share_columns_with` seeds its
+        packing from that provider's per-object columns instead of
+        re-reading sample tuples.
         """
         from .columnar import ColumnarStore
 
         if self._columnar is None:
-            seed = None
-            parent = self._columnar_parent
-            if isinstance(parent, MovingObjectsDatabase):
-                # Borrow only a pack the parent already paid for; never
-                # force the parent to build one on a view's behalf.
-                seed = parent._columnar
-            elif parent is not None:
-                # Any direct column provider (``columns_for``), e.g. a
-                # worker-side shared-memory attachment.
-                seed = parent
-            self._columnar = ColumnarStore(self, seed=seed)
+            self._columnar = ColumnarStore(self, seed=self._columnar_parent)
         else:
             self._columnar.sync()
         return self._columnar
@@ -559,16 +548,11 @@ class MovingObjectsDatabase:
     def share_columns_with(self, parent) -> None:
         """Seed this store's columnar packing from a parent column source.
 
-        View stores (:meth:`subset` results, worker-side rebuilds) hold the
-        *same* trajectory objects as their parent; linking them lets
-        :meth:`columnar` reuse the parent's per-object column arrays by
-        identity — zero per-sample Python work, zero copies.
-
-        ``parent`` is either another :class:`MovingObjectsDatabase` (its
-        already-built columnar store is borrowed) or any object exposing
-        ``columns_for(trajectory)`` directly — e.g. a worker-side
-        :class:`~repro.trajectories.shared.AttachedPack` whose views live
-        in shared memory.
+        ``parent`` exposes ``columns_for(trajectory)``: the
+        :class:`~repro.persistence.snapshot.MappedSnapshot` a store was
+        restored from, whose trajectory shells this store holds.  Linking
+        them lets :meth:`columnar` reuse the snapshot's mapped column views
+        by trajectory identity — zero per-sample Python work, zero copies.
         """
         self._columnar_parent = parent
 
@@ -752,21 +736,3 @@ class MovingObjectsDatabase:
         return MovingObjectsDatabase(
             trajectory.clipped(t_lo, t_hi) for trajectory in self._trajectories.values()
         )
-
-    def subset(self, object_ids: Iterable[object]) -> "MovingObjectsDatabase":
-        """A new MOD holding (references to) the given objects' trajectories.
-
-        The returned store shares the immutable trajectory objects but has
-        its own revision counter and changelog, so an engine over the view
-        tracks the view's staleness independently of the parent store.
-
-        The view's packed columns are zero-copy: its :meth:`columnar` store
-        borrows the parent's per-object arrays by trajectory identity, so
-        building kernels over a subset never re-reads sample tuples.
-
-        Raises:
-            KeyError: when any id is unknown.
-        """
-        view = MovingObjectsDatabase(self.get(object_id) for object_id in object_ids)
-        view.share_columns_with(self)
-        return view

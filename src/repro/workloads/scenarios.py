@@ -20,8 +20,8 @@ on recognizable situations rather than pure noise:
   :class:`~repro.streaming.ContinuousMonitor`;
 * :func:`sharded_fleet` — a metro area of spatially separated districts
   (plus a little through traffic): many monitored vehicles with small,
-  disjoint candidate sets, the batch shape the
-  :class:`~repro.parallel.ShardedEngine` splits across workers.
+  disjoint candidate sets, the batch shape
+  :class:`~repro.parallel.ShardedEngine` answers as one plan.
 """
 
 from __future__ import annotations
@@ -397,7 +397,7 @@ def sharded_fleet(
     their district only, so the fleet's spatial footprint decomposes into
     well-separated clusters and each monitored vehicle's corridor keeps
     only its own district — a batch of many cheap, independent queries,
-    which is what the sharded engine splits across its workers.  A few
+    the batch shape the sharded engine answers as one plan.  A few
     ``through_vehicles`` cross the whole region, so some corridors do reach
     into several districts.
 

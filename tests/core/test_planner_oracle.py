@@ -4,8 +4,8 @@ Every statement the planner serves — fused, cached, or index-filtered —
 must return exactly the ids the pinned per-query interpreter
 (:func:`~repro.query_language.execute_query_naive`) returns, in the same
 (canonical) order.  So must every UQ3x batch of the stand-alone
-:class:`~repro.parallel.ShardedEngine`, on each of its three backends; the
-CI perf job runs this module, process backend included, before timing.
+:class:`~repro.parallel.ShardedEngine`, under each of its three backend
+labels; the CI perf job runs this module before timing.
 """
 
 import pytest

@@ -16,7 +16,7 @@ def _fresh_root():
 
 
 def test_get_logger_prefixes_repro_namespace():
-    assert get_logger("parallel.worker").name == "repro.parallel.worker"
+    assert get_logger("persistence.wal").name == "repro.persistence.wal"
     assert get_logger("repro.engine").name == "repro.engine"
     assert get_logger().name == "repro"
 

@@ -1,4 +1,4 @@
-"""Cross-layer span trees: worker stitching and monitor instrumentation."""
+"""Cross-layer span trees: the sharded batch and the monitor."""
 
 from __future__ import annotations
 
@@ -23,46 +23,44 @@ def fleet():
     return multi_query_fleet(num_vehicles=24, num_queries=4, seed=11)
 
 
-class TestProcessBackendStitching:
-    def test_single_stitched_tree_with_consistent_durations(self, fleet):
+class TestShardedSpans:
+    def test_one_tree_over_the_plan_spans(self, fleet):
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
-        with ShardedEngine(
-            mod, num_shards=2, backend="process", mp_start_method="spawn"
-        ) as engine:
+        with ShardedEngine(mod, num_shards=2, backend="process") as engine:
             engine.warm_up()
             with capture() as recorder:
                 engine.answer_batch(query_ids, lo, hi)
-            assert len(recorder) == 1, "expected exactly one stitched root"
-            root = recorder.latest()
-            assert root.name == "sharded.answer_batch"
-            dispatch = root.find("sharded.dispatch")
-            assert dispatch is not None
-            assert dispatch.attrs["backend"] == "process"
-            workers = [
-                span for span in root.walk() if span.name == "shard.worker"
-            ]
-            assert workers, "worker spans did not cross the process boundary"
-            for worker in workers:
-                assert worker.find("shard.evaluate") is not None
-            # Children fit inside their parent: one after another
-            # everywhere except under the dispatch span, whose workers
-            # run side by side.
-            for span in root.walk():
-                assert span.duration is not None
-                spent = [child.duration for child in span.children]
-                total = max(spent, default=0.0) if span is dispatch else sum(spent)
-                assert total <= span.duration, span.name
+        assert len(recorder) == 1
+        root = recorder.latest()
+        assert root.name == "sharded.answer_batch"
+        (plan,) = root.children
+        assert plan.name == "planner.execute"
+        assert plan.attrs == {"statements": len(query_ids), "groups": 1}
+        assert plan.find("engine.prepare_batch") is not None
+        for span in root.walk():
+            assert span.duration is not None
+            assert sum(child.duration for child in span.children) <= span.duration
 
-    def test_thread_backend_adopts_local_spans(self, fleet):
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_every_label_builds_the_same_in_process_tree(self, fleet, backend):
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
-        with ShardedEngine(mod, num_shards=2, backend="thread") as engine:
-            with capture() as recorder:
-                engine.answer_batch(query_ids, lo, hi)
+
+        def names(label):
+            with ShardedEngine(mod, num_shards=2, backend=label) as engine:
+                with capture() as recorder:
+                    engine.answer_batch(query_ids, lo, hi, variant="always")
             root = recorder.latest()
-            assert root.find("shard.local") is not None
-            assert root.find("shard.worker") is None
+            assert root.attrs == {"queries": len(query_ids), "variant": "always"}
+            return [span.name for span in root.walk()]
+
+        tree = names(backend)
+        assert tree == names("serial")
+        # No dispatch, worker or per-slice span: one batch root over the plan.
+        assert [name for name in tree if name.startswith("shard")] == [
+            "sharded.answer_batch"
+        ]
 
 
 class TestMonitorSpans:

@@ -1,4 +1,4 @@
-"""Unit tests of structured tracing: spans, stitching, and the no-op path."""
+"""Unit tests of structured tracing: spans, adoption, and the no-op path."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.obs.tracing import (
     enabled,
     record,
     render_tree,
-    span_context,
     trace_span,
 )
 
@@ -36,7 +35,6 @@ class TestNoopPath:
         assert trace_span("x") is NOOP_SPAN
         assert detached_span("x") is NOOP_SPAN
         assert current_span() is NOOP_SPAN
-        assert span_context() is None
 
     def test_noop_span_is_inert(self):
         with trace_span("x", a=1) as span:
@@ -103,12 +101,6 @@ class TestSpans:
         span.adopt(NOOP_SPAN)
         assert span.children == []
 
-    def test_span_context_carries_current_span(self):
-        enable_tracing(SpanRecorder())
-        with trace_span("outer"):
-            name, _started = span_context()
-            assert name == "outer"
-
     def test_walk_and_find(self):
         with capture():
             with trace_span("a") as a:
@@ -118,35 +110,6 @@ class TestSpans:
         assert [span.name for span in a.walk()] == ["a", "b", "c"]
         assert a.find("c").name == "c"
         assert a.find("missing") is None
-
-
-class TestSerialization:
-    def test_round_trip_preserves_shape_and_relative_offsets(self):
-        with capture():
-            with trace_span("root", shard=1) as root:
-                with trace_span("child", stage="kernel"):
-                    pass
-        payload = root.to_dict()
-        rebuilt = Span.from_dict(payload)
-        assert rebuilt.name == "root"
-        assert rebuilt.attrs == {"shard": 1}
-        assert rebuilt.duration == pytest.approx(root.duration)
-        (child,) = rebuilt.children
-        assert child.name == "child"
-        assert child.attrs == {"stage": "kernel"}
-        # Relative child offset survives re-basing onto a new clock.
-        original_offset = root.children[0].started - root.started
-        assert child.started - rebuilt.started == pytest.approx(original_offset)
-
-    def test_rebuilt_tree_is_detached(self):
-        with capture() as recorder:
-            with trace_span("root"):
-                pass
-            payload = recorder.latest().to_dict()
-            with Span.from_dict(payload):
-                pass
-            # Exiting the rebuilt (detached) root must not re-record it.
-            assert len(recorder) == 1
 
 
 class TestRecorder:

@@ -1,20 +1,22 @@
 """ShardedEngine: equality with the single engine, and what it engages.
 
-The engine splits the batch and never the store, so on every backend,
-slice count and scenario its answers must be ``==`` to per-query
-:meth:`QueryEngine.answer` calls.  The engagement tests pin what that design
-buys: one index per store in process, one worker rebuild per store revision
-out of process.
+The engine runs a batch as one plan over the whole store, so on every
+backend label, slice count and scenario its answers must be ``==`` to
+per-query :meth:`QueryEngine.answer` calls.  ``BACKENDS`` is the contract
+that every label callers pass still answers like the single engine.  The
+engagement test pins what that design buys: one index per store.
 """
 
-import dataclasses
+import multiprocessing
+import os
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import QueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ShardedEngine
-from repro.parallel.worker import ShardTask
 from repro.service import EnginePool
 from repro.streaming import ContinuousMonitor, reference_answer
 from repro.trajectories.mod import MovingObjectsDatabase
@@ -51,9 +53,8 @@ def _two_radii():
     """Two distant clusters whose pdf supports differ.
 
     A small-radius query's default band width is set by the *other*
-    cluster's larger support; process workers rebuild trajectories without
-    their pdfs, so equality here proves the parent resolved the width
-    against the full store.
+    cluster's larger support, so equality here proves the width is
+    resolved against the full store.
     """
     trajectories = [
         UncertainTrajectory(
@@ -66,6 +67,10 @@ def _two_radii():
         for i in range(6)
     ]
     return MovingObjectsDatabase(trajectories), ["small-0", "big-0"]
+
+
+def _metric(registry, name, field="value"):
+    return registry.snapshot()[name][field]
 
 
 SCENARIOS = {
@@ -122,7 +127,7 @@ def test_answers_equal_the_single_engine(world, backend, num_shards):
             )
             assert batch.answers == expected[variant], variant
             assert [item.query_id for item in batch] == query_ids
-            assert batch.fallback_ratio == 0.0 and batch.escaped_ids == ()
+            assert batch.fallback_ratio == 0.0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -134,7 +139,7 @@ def test_duplicate_query_ids_preserved_in_request_order(fleet, backend):
         batch = engine.answer_batch(doubled, lo, hi)
         assert [item.query_id for item in batch] == doubled
         assert batch.results[0] is batch.results[2]
-        assert sum(t.queries for t in batch.shard_telemetry) == 3
+        assert len({id(item) for item in batch}) == 3
         assert engine.answer(doubled[1], lo, hi) == batch.results[1].answer
         assert len(engine.answer_batch([], lo, hi)) == 0
 
@@ -163,17 +168,14 @@ def test_unknown_query_and_bad_arguments(fleet):
         ShardedEngine(mod, 4, backend="gpu")
     with pytest.raises(ValueError):
         ShardedEngine(mod, 0)
-    with pytest.raises(ValueError):
-        ShardedEngine(mod, 4, max_workers=0)
-    with pytest.raises(ValueError):
-        ShardedEngine(mod, 4, mp_start_method="teleport")
     with pytest.raises(TypeError, match="engine"):
         ShardedEngine(mod, 4, backend="serial", engine=QueryEngine(mod))
-    for option, value in [("index", "grid"), ("leaf_capacity", 8), ("grid_cells", 16)]:
+    for option, value in [
+        ("index", "grid"), ("leaf_capacity", 8), ("grid_cells", 16),
+        ("max_workers", 2), ("mp_start_method", "spawn"), ("cache_size", 64),
+    ]:
         with pytest.raises(TypeError, match=option):
             ShardedEngine(mod, 4, backend="serial", **{option: value})
-    task_fields = {field.name for field in dataclasses.fields(ShardTask)}
-    assert not task_fields & {"index_kind", "leaf_capacity", "grid_cells"}
 
 
 def test_every_slice_slot_sees_the_whole_store(fleet):
@@ -219,7 +221,7 @@ def test_answers_follow_additions_replacements_and_removals(backend):
             "newcomer", lo, hi
         )
         # Removed and re-added between two batches: the id moves to the end
-        # of the store's insertion order, in the workers' copy as well.
+        # of the store's insertion order.
         mod.remove(query_ids[1])
         mod.remove("newcomer")
         mod.add(moved(newcomer, 0.5))
@@ -242,13 +244,92 @@ def test_an_empty_store_serves_once_upserted(backend):
         }
 
 
+coordinate = st.floats(
+    min_value=0.0, max_value=30.0, allow_nan=False, allow_infinity=False
+)
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "upsert", "remove"]),
+        st.integers(min_value=0, max_value=7),
+        coordinate,
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=10, deadline=None)
+@given(ops=operations)
+def test_any_mutation_sequence_keeps_batch_answers_exact(backend, ops):
+    """A live engine follows every upsert/remove/replace sequence exactly.
+
+    Whether one change or several land between two batches, the batch
+    answers every object still in the store as a fresh single engine does,
+    and every slice slot counts the store as it now is.
+    """
+    pdf = UniformDiskPDF(0.2)
+    mod = MovingObjectsDatabase(
+        UncertainTrajectory(
+            f"o{index}",
+            [TrajectorySample(3.0 * index, 2.0 * index + t, t) for t in (0.0, 5.0, 10.0)],
+            0.2,
+            pdf,
+        )
+        for index in range(4)
+    )
+    with ShardedEngine(mod, 2, backend=backend) as engine:
+        for kind, which, coord, serve_now in [*ops, ("replace", 0, 1.0, True)]:
+            object_id = f"o{which}"
+            if kind == "remove":
+                # Keep the store non-empty and o0 queryable throughout.
+                if object_id != "o0" and object_id in mod and len(mod) > 2:
+                    mod.remove(object_id)
+            elif kind == "replace" and object_id in mod:
+                mod.replace_trajectory(moved(mod.get(object_id), coord))
+            else:
+                mod.upsert(UncertainTrajectory(
+                    object_id,
+                    [TrajectorySample(coord, coord + t, t) for t in (0.0, 5.0, 10.0)],
+                    0.2,
+                    pdf,
+                ))
+            if not serve_now:
+                continue
+            single = QueryEngine(mod)
+            assert engine.answer_batch(mod.object_ids, 0.0, 10.0).answers == {
+                query_id: single.answer(query_id, 0.0, 10.0)
+                for query_id in mod.object_ids
+            }
+            assert all(info.members == len(mod) for info in engine.shard_info())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_refresh_pays_a_store_change_before_the_next_batch(backend):
+    mod, query_ids = sharded_fleet(num_districts=2, vehicles_per_district=6)
+    lo, hi = mod.common_time_span()
+    registry = MetricsRegistry()
+    with ShardedEngine(mod, 2, backend=backend, registry=registry) as engine:
+        engine.answer_batch(query_ids, lo, hi)
+        assert _metric(registry, "repro_engine_refresh_total") == 0
+        mod.replace_trajectory(moved(mod.get(query_ids[0]), 0.3))
+        engine.refresh()
+        assert _metric(registry, "repro_engine_refresh_total") == 1
+        batch = engine.answer_batch(query_ids, lo, hi)
+        # The batch found the engine already in step with the store.
+        assert _metric(registry, "repro_engine_refresh_total") == 1
+        single = QueryEngine(mod)
+        assert batch.answers == {q: single.answer(q, lo, hi) for q in query_ids}
+
+
 # ---------------------------------------------------------------------------
-# Engagement: what splitting the batch instead of the store buys.
+# Engagement: what one engine over the whole store buys.
 # ---------------------------------------------------------------------------
 
 
 def test_one_index_per_store_across_the_pool_and_a_sharded_engine():
-    """The pool's engine and an in-process sharded engine share one index."""
+    """The pool's engine and a sharded engine share one index."""
     mod, query_ids = multi_query_fleet(num_vehicles=40, num_queries=6)
     lo, hi = mod.common_time_span()
     registry = MetricsRegistry()
@@ -278,47 +359,72 @@ def test_one_index_per_store_across_the_pool_and_a_sharded_engine():
         assert index_builds() == 1
 
 
-def test_process_workers_rebuild_once_per_revision(fleet):
-    mod, query_ids = sharded_fleet(num_districts=4, vehicles_per_district=8)
-    lo, hi = mod.common_time_span()
-    with ShardedEngine(mod, 4, backend="process", max_workers=1) as engine:
-        cold = engine.answer_batch(query_ids, lo, hi)
-        assert cold.worker_rebuilds == 1
-        assert engine.answer_batch(query_ids, lo, hi).worker_rebuilds == 0
-        assert engine.answer_batch(query_ids[:2], lo + 1.0, hi).worker_rebuilds == 0
-        for revision in range(2, 4):
-            mod.replace_trajectory(moved(mod.get(query_ids[0]), 0.2))
-            assert engine.answer_batch(query_ids, lo, hi).worker_rebuilds == 1
-            assert engine.answer_batch(query_ids, lo, hi).worker_rebuilds == 0
-            assert engine.worker_rebuilds == revision
-        assert len(engine.shared_segments()) == 3  # base + one patch a revision
-        snapshot = engine.registry.snapshot()
-        assert snapshot["repro_sharded_worker_rebuild_seconds"]["count"] == 3
-
-
-def test_warm_up_leaves_the_first_batch_nothing_to_rebuild(fleet):
-    mod, query_ids = fleet
-    lo, hi = mod.common_time_span()
-    with ShardedEngine(mod, 4, backend="process", max_workers=2) as engine:
-        engine.warm_up()
-        assert engine.worker_rebuilds == 2  # every worker, once
-        first = engine.answer_batch(query_ids, lo, hi)
-        assert first.worker_rebuilds == 0
-        assert [t.queries for t in first.shard_telemetry] == [
-            len(query_ids) // 2, len(query_ids) - len(query_ids) // 2
-        ]
-        engine.warm_up()
-        assert engine.worker_rebuilds == 2
-
-
 def test_close_is_idempotent_and_the_engine_stays_usable(fleet):
     mod, query_ids = fleet
     lo, hi = mod.common_time_span()
     engine = ShardedEngine(mod, 4, backend="process")
     first = engine.answer_batch(query_ids[:2], lo, hi).answers
-    assert engine.shared_segments()
-    engine.close()
-    engine.close()
     assert engine.shared_segments() == ()
+    engine.close()
+    engine.close()
     assert engine.answer_batch(query_ids[:2], lo, hi).answers == first
     engine.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_up_leaves_the_first_batch_nothing_to_build(backend):
+    mod, query_ids = sharded_fleet(num_districts=2, vehicles_per_district=6)
+    lo, hi = mod.common_time_span()
+    registry = MetricsRegistry()
+    with ShardedEngine(mod, 4, backend=backend, registry=registry) as engine:
+        engine.warm_up()
+        assert _metric(registry, "repro_engine_index_build_seconds", "count") == 1
+        first = engine.answer_batch(query_ids, lo, hi)
+        assert _metric(registry, "repro_engine_index_build_seconds", "count") == 1
+        assert _metric(registry, "repro_engine_cache_misses_total") == len(query_ids)
+        engine.warm_up()
+        again = engine.answer_batch(query_ids, lo, hi)
+        assert again.answers == first.answers
+        # The second batch, after a second warm-up, is all cache hits.
+        assert _metric(registry, "repro_engine_index_build_seconds", "count") == 1
+        assert _metric(registry, "repro_engine_cache_misses_total") == len(query_ids)
+        assert _metric(registry, "repro_engine_cache_hits_total") == len(query_ids)
+
+
+def test_batch_metrics_are_the_only_sharded_instruments(fleet):
+    mod, query_ids = fleet
+    lo, hi = mod.common_time_span()
+    registry = MetricsRegistry()
+    with ShardedEngine(mod, 4, backend="process", registry=registry) as engine:
+        engine.answer_batch(query_ids, lo, hi)
+        engine.answer_batch(query_ids[:1], lo, hi)
+    snapshot = registry.snapshot()
+    assert sorted(name for name in snapshot if name.startswith("repro_sharded_")) == [
+        "repro_sharded_batch_seconds",
+        "repro_sharded_batches_total",
+    ]
+    assert snapshot["repro_sharded_batches_total"]["value"] == 2
+    assert snapshot["repro_sharded_batch_seconds"]["count"] == 2
+
+
+def _shared_memory_segments():
+    """Names of the POSIX shared-memory segments Python creates (``psm_*``)."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_batch_starts_no_process_thread_or_segment(fleet, backend):
+    """Every label serves in the calling thread and leaves nothing behind."""
+    mod, query_ids = fleet
+    lo, hi = mod.common_time_span()
+    segments = _shared_memory_segments()
+    threads = set(threading.enumerate())
+    with ShardedEngine(mod, 4, backend=backend) as engine:
+        engine.warm_up()
+        engine.answer_batch(query_ids, lo, hi)
+        assert engine.shared_segments() == ()
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) <= threads
+        assert _shared_memory_segments() <= segments

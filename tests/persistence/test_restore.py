@@ -171,33 +171,20 @@ class TestRestoreEdges:
         second = restore(tmp_path)
         assert_identical(second.mod, first.mod)
 
-    def test_shared_memory_export_from_restored_mod(self, tmp_path):
-        """A restored MOD's shared-column export equals the original's.
+    def test_restored_mod_reproduces_the_columns(self, tmp_path):
+        """A restored MOD's columnar pack equals the original's.
 
-        The export reads the restored store's columnar pack, whose
-        per-object arrays are snapshot-mmap views — so worker processes
-        seed straight from the mapped pages.
+        The restored store's per-object arrays are snapshot-mmap views, so
+        this holds without re-reading a sample tuple.
         """
-        shared_memory = pytest.importorskip("multiprocessing.shared_memory")
-        del shared_memory
-        from repro.trajectories.shared import AttachedPack, SharedColumnarStore
-
         mod = fleet_mod(num=6)
         PersistentStore(tmp_path, mod).close(checkpoint=True)
-        restored = restore(tmp_path).mod
-        with SharedColumnarStore(restored) as shared:
-            attached = AttachedPack(shared.descriptor())
-            try:
-                original = mod.columnar().pack()
-                for object_id in mod.object_ids:
-                    ts, xs, ys = attached.columns(object_id)
-                    ots, oxs, oys = mod.columnar().columns(object_id)
-                    assert np.array_equal(ts, ots)
-                    assert np.array_equal(xs, oxs)
-                    assert np.array_equal(ys, oys)
-                assert attached.ids == original.ids
-            finally:
-                attached.close()
+        restored = restore(tmp_path).mod.columnar()
+        original = mod.columnar()
+        for object_id in mod.object_ids:
+            for left, right in zip(restored.columns(object_id), original.columns(object_id)):
+                assert np.array_equal(left, right)
+        assert restored.pack().ids == original.pack().ids
 
 
 # ----------------------------------------------------------------------

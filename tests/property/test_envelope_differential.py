@@ -836,14 +836,12 @@ class TestEndToEndKernelEquivalence:
 
 @pytest.mark.slow
 class TestShardedKernelEquivalence:
-    """The differential contract holds through the sharded backends.
+    """The differential contract holds through every sharded backend label.
 
-    Each backend's UQ3x batch, computed with the production kernels (in
-    spawned workers on the process backend), equals the naive interpreter
-    run in the parent on the reference kernels.  The CI perf job runs this
-    class with the process backend included; the default profile keeps it
-    in the regular run too, since a 10-object fleet answers in well under a
-    second on every backend.
+    Each label's UQ3x batch, computed with the production kernels, equals
+    the naive interpreter run on the reference kernels.  The CI perf job
+    runs this class; the default profile keeps it in the regular run too,
+    since a 10-object fleet answers in well under a second.
     """
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])

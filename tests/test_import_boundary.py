@@ -1,10 +1,12 @@
-"""The serving tree stays on one side of ``repro.reference``.
+"""The serving tree stays on one side of ``repro.reference``, in one process.
 
 Reference implementations live in :mod:`repro.reference`; only that package
 and :mod:`repro.experiments` (which plots the paper's baselines) may import
 it.  The first-generation band extractor there is the package's only scipy
-user, so a serving process — and every spawned shard worker — must come up
-without loading scipy at all.
+user, so a serving process must come up without loading scipy at all.
+
+Every query runs in the caller's process: no module under ``repro`` may
+import :mod:`multiprocessing` or a process pool.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ SERVING = [
 ]
 
 
-def _imported_modules(path: Path):
+def _imported_modules(path: Path, root: Path = SRC):
     """Absolute dotted names of everything ``path`` imports, relative imports resolved."""
-    package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
+    package = list(path.relative_to(root).with_suffix("").parts[:-1])
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -56,6 +58,41 @@ def test_only_reference_and_experiments_import_repro_reference():
         "the serving tree must not import reference implementations: "
         f"{offenders}"
     )
+
+
+def _process_imports(package: Path = PACKAGE):
+    """``module imports name`` for every multiprocessing or process-pool import."""
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for name in _imported_modules(path, package.parent):
+            if (
+                name == "multiprocessing"
+                or name.startswith("multiprocessing.")
+                or name == "concurrent.futures.ProcessPoolExecutor"
+            ):
+                offenders.append(f"{path.relative_to(package.parent)} imports {name}")
+    return offenders
+
+
+def test_no_module_imports_multiprocessing():
+    offenders = _process_imports()
+    assert not offenders, f"queries run in the caller's process: {offenders}"
+
+
+def test_the_process_guard_sees_the_imports_it_forbids(tmp_path):
+    fake = tmp_path / "repro"
+    (fake / "parallel").mkdir(parents=True)
+    (fake / "parallel" / "pool.py").write_text(
+        "import multiprocessing\n"
+        "from multiprocessing import shared_memory\n"
+        "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+    )
+    assert _process_imports(fake) == [
+        "repro/parallel/pool.py imports multiprocessing",
+        "repro/parallel/pool.py imports multiprocessing",
+        "repro/parallel/pool.py imports multiprocessing.shared_memory",
+        "repro/parallel/pool.py imports concurrent.futures.ProcessPoolExecutor",
+    ]
 
 
 def test_serving_packages_load_without_scipy():

@@ -1,4 +1,4 @@
-"""Tests for the columnar store: packing, changelog sync, views, bulk boxes."""
+"""Tests for the columnar store: packing, changelog sync, seeding, bulk boxes."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import repro.trajectories.mod as mod_module
 from repro.index.boxes import segment_boxes
+from repro.persistence import Snapshotter, load_snapshot
 from repro.reference.corridor import TrajectoryArrays
 from repro.trajectories.columnar import ColumnarStore, segment_boxes_bulk
 from repro.trajectories.mod import MovingObjectsDatabase
@@ -142,31 +143,39 @@ class TestChangelogSync:
 
 
 class TestSeededViews:
-    def test_subset_columns_are_zero_copy(self, mod):
-        parent = mod.columnar()
-        view = mod.subset(["a", "c"])
-        store = view.columnar()
+    """A store restored from a snapshot borrows the snapshot's mapped columns."""
+
+    @staticmethod
+    def restored(mod, tmp_path):
+        snapshot = load_snapshot(Snapshotter(tmp_path).write(mod).path)
+        return snapshot, snapshot.build_mod()
+
+    def test_snapshot_columns_are_borrowed_by_identity(self, mod, tmp_path):
+        snapshot, restored = self.restored(mod, tmp_path)
+        store = restored.columnar()
         for object_id in ("a", "c"):
-            for left, right in zip(store.columns(object_id), parent.columns(object_id)):
+            for left, right in zip(store.columns(object_id), snapshot.columns(object_id)):
                 assert left is right
 
-    def test_seed_survives_parent_updates(self, mod):
-        parent = mod.columnar()
-        view = mod.subset(["a", "b"])
-        view_store = view.columnar()
-        old_columns = view_store.columns("a")
-        # The parent moves on; the view still mirrors its own (old) objects.
-        mod.replace_trajectory(
+    def test_replaced_trajectory_is_re_extracted(self, mod, tmp_path):
+        snapshot, restored = self.restored(mod, tmp_path)
+        store = restored.columnar()
+        mapped = snapshot.columns("a")
+        assert store.columns("a")[0] is mapped[0]
+        # The replacement is not one of the snapshot's shells, so its
+        # columns are read from its samples, never paired with stale views.
+        restored.replace_trajectory(
             make_trajectory("a", [(0.0, 0.0, 0.0), (0.0, 1.0, 10.0)])
         )
-        parent.sync()
-        assert view.columnar().columns("a") is not parent.columns("a")
-        assert view.columnar().columns("a")[0] is old_columns[0]
+        ts, xs, ys = restored.columnar().columns("a")
+        assert ts is not mapped[0]
+        assert np.array_equal(ys, [0.0, 1.0])
+        assert restored.columnar().columns("b")[0] is snapshot.columns("b")[0]
 
-    def test_unseeded_subset_still_correct(self, mod):
-        view = mod.subset(["b"])
-        view._columnar_parent = None
-        store = view.columnar()
+    def test_unseeded_restored_store_still_correct(self, mod, tmp_path):
+        _, restored = self.restored(mod, tmp_path)
+        restored._columnar_parent = None
+        store = restored.columnar()
         assert np.array_equal(store.columns("b")[0], [0.0, 10.0])
 
 
