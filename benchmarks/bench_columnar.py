@@ -432,7 +432,8 @@ def assert_backend_identity(num_objects: int = 96, seed: int = 23) -> None:
             f"planned answers diverged from the reference: {planned} != {expected}"
         )
     with ShardedEngine(mod, num_shards=2) as sharded:
-        answer = sorted(sharded.answer(query_id, lo, hi), key=str)
+        batch = sharded.answer_batch([query_id], lo, hi)
+        answer = sorted(batch.answers[query_id], key=str)
     if answer != expected[0]:
         raise AssertionError(
             f"sharded answers diverged from the reference: {answer} != {expected[0]}"

@@ -3,14 +3,14 @@
 Walks the front door of the serving stack end to end:
 
 1. build a city fleet and start a :class:`repro.service.QueryService` over
-   it — bounded admission queue, request coalescing, TTL + revision result
+   it — bounded admission queue, request coalescing, revision-keyed result
    cache, warm engine pool;
 2. fire a burst of concurrent UQ31/32/33 requests and watch them coalesce
    into shared engine batches;
 3. re-fire the burst to see the result cache absorb it, then mutate the
    store to see the revision key invalidate exactly the stale answers;
-4. replay a synthetic dashboard schedule (`repro.workloads.replay`) and
-   print the serving report;
+4. fire a few dashboard refresh bursts over a sliding window and read the
+   serving counters back through ``service.stats()``;
 5. bridge a :class:`repro.streaming.ContinuousMonitor` into an async
    subscription and consume live answer deltas.
 
@@ -26,29 +26,23 @@ import asyncio
 from _support import scaled
 from repro.service import QueryRequest, QueryService
 from repro.streaming import ContinuousMonitor
-from repro.workloads.replay import replay, service_workload
-from repro.workloads.scenarios import streaming_fleet
+from repro.workloads.scenarios import multi_query_fleet, streaming_fleet
 
 
 async def request_response_tour() -> None:
-    workload = service_workload(
-        num_vehicles=scaled(60, 20),
-        num_queries=scaled(12, 6),
-        ticks=scaled(24, 8),
+    mod, query_ids = multi_query_fleet(
+        num_vehicles=scaled(60, 20), num_queries=scaled(12, 6)
     )
-    mod = workload.mod
     lo, hi = mod.common_time_span()
     print(f"fleet of {len(mod)} vehicles, window {lo:.0f}-{hi:.0f} min")
 
-    async with QueryService(mod, queue_limit=128, max_batch=64) as service:
+    async with QueryService(mod, queue_limit=128) as service:
         # One concurrent burst: every monitored vehicle's UQ31 plus a UQ32
         # and a UQ33 — same window, so the dispatcher coalesces them.
-        requests = [
-            QueryRequest(query_id, lo, hi) for query_id in workload.query_ids
-        ]
-        requests.append(QueryRequest(workload.query_ids[0], lo, hi, variant="always"))
+        requests = [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+        requests.append(QueryRequest(query_ids[0], lo, hi, variant="always"))
         requests.append(
-            QueryRequest(workload.query_ids[1], lo, hi, variant="fraction", fraction=0.5)
+            QueryRequest(query_ids[1], lo, hi, variant="fraction", fraction=0.5)
         )
         responses = await service.submit_all(requests)
         print("\n--- burst of concurrent requests ---")
@@ -67,24 +61,29 @@ async def request_response_tour() -> None:
 
         # Any store mutation bumps mod.revision, so stale answers silently
         # stop matching the cache key.
-        mod.replace_trajectory(mod.get(workload.query_ids[0]))
-        fresh = await service.query(workload.query_ids[0], lo, hi)
+        mod.replace_trajectory(mod.get(query_ids[0]))
+        fresh = await service.query(query_ids[0], lo, hi)
         print(
             f"  after update: backend={fresh.backend} "
             f"(revision {fresh.revision}; stale entry invalidated)"
         )
 
-        # A synthetic dashboard schedule, replayed burst by burst.
-        report = await replay(service, workload)
-        print("\n--- dashboard replay ---")
+        # Dashboard refreshes: a 15-minute window slides forward, and each
+        # position is refreshed twice (the second burst is all cache hits).
+        service.reset()
+        print("\n--- dashboard refresh bursts ---")
+        for start in range(int(lo), int(hi) - 15, 15):
+            burst = [
+                QueryRequest(query_id, start, start + 15.0) for query_id in query_ids
+            ]
+            await service.submit_all(burst)
+            await service.submit_all(burst)
+        stats = service.stats()
         print(
-            f"  {report.served} requests in {report.wall_seconds * 1000:.0f} ms"
-            f" ({report.requests_per_second:.0f} req/s)"
-            f"   cache {report.cache_hit_ratio:.0%}"
-            f"   coalesce x{report.coalescing_factor:.1f}"
-            f"   p95 {report.latency_percentile(95) * 1000:.1f} ms"
+            f"  {stats.submitted} requests: {stats.cache_hits} from cache,"
+            f" {stats.evaluated} evaluated in {stats.batches} engine batches"
+            f" (coalesce x{stats.coalescing_factor:.1f})"
         )
-        print(f"  service stats: {service.stats()}")
 
 
 async def streaming_bridge_tour() -> None:

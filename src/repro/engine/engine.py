@@ -127,22 +127,23 @@ class QueryEngine:
         mod: the moving objects database to serve queries against; every
             query's candidates are filtered through its R-tree
             (:meth:`~repro.trajectories.mod.MovingObjectsDatabase.index`).
-        cache_size: capacity of the LRU context cache.
         registry: the :class:`~repro.obs.MetricsRegistry` engine metrics
             land in (``repro_engine_*``); a private registry when ``None``,
             so independent engines never mix counters.
+
+    The LRU context cache holds 256 contexts (:class:`ContextCache`'s
+    default): twice the 128 that the busiest end-to-end workload,
+    ``dash_refresh``, re-hits.
     """
 
     def __init__(
         self,
         mod: MovingObjectsDatabase,
         *,
-        cache_size: int = 256,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.mod = mod
-        self._cache_size = cache_size
-        self._cache = ContextCache(max_size=cache_size)
+        self._cache = ContextCache()
         self._mod_revision = mod.revision
         # Instruments are resolved once here; the hot paths below touch
         # them with plain attribute calls only (no registry lookups).
@@ -257,7 +258,7 @@ class QueryEngine:
             changed=len(changed) if changed is not None else len(self.mod),
         ) as span:
             if changed is None:
-                self._cache = ContextCache(max_size=self._cache_size)
+                self._cache = ContextCache()
             else:
                 self._invalidate_affected(changed)
             span.set("index", self._sync_index())

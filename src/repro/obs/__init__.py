@@ -33,11 +33,9 @@ from .tracing import (
     SpanRecorder,
     capture,
     current_span,
-    detached_span,
     disable_tracing,
     enable_tracing,
     enabled,
-    record,
     render_tree,
     trace_span,
 )
@@ -57,12 +55,10 @@ __all__ = [
     "configure_logging",
     "current_span",
     "default_registry",
-    "detached_span",
     "disable_tracing",
     "enable_tracing",
     "enabled",
     "get_logger",
-    "record",
     "render_tree",
     "trace_span",
 ]

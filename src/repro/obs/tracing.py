@@ -18,9 +18,14 @@ Two deliberate design rules keep the thread-local stack honest:
   thread, so a span held across a suspension point would adopt children
   from unrelated tasks.  Async code times with plain ``perf_counter`` and
   opens spans only inside synchronous scopes (typically executor threads).
-* **Executor threads use detached spans.**  :func:`detached_span` never
-  auto-attaches to a parent; the caller stitches the finished span into
-  the right tree with :meth:`Span.adopt`.
+* **Executor threads open ordinary root spans.**  Each thread has its own
+  stack, so the first span an executor thread opens is a root: it lands
+  in the active recorder on exit, and a caller that needs that tree keeps
+  the span it opened (``with trace_span(...) as root``).
+
+:func:`capture` may be entered on several threads at once: the first
+entry saves the global state, the last exit restores it, and every
+finished root reaches the recorder of every capture still open.
 """
 
 from __future__ import annotations
@@ -28,18 +33,16 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Span",
     "SpanRecorder",
     "capture",
     "current_span",
-    "detached_span",
     "disable_tracing",
     "enable_tracing",
     "enabled",
-    "record",
     "render_tree",
     "trace_span",
 ]
@@ -49,6 +52,16 @@ _ENABLED = False
 
 #: The recorder finished root spans are pushed to (None drops them).
 _RECORDER: Optional["SpanRecorder"] = None
+
+#: The recorders of the open :func:`capture` blocks; while any is open,
+#: finished roots go to each of them instead of ``_RECORDER``.
+_CAPTURES: Tuple["SpanRecorder", ...] = ()
+
+#: ``_ENABLED`` as the first open capture found it.
+_SAVED_ENABLED = False
+
+#: Held only while a capture enters or exits, never across its body.
+_CAPTURE_LOCK = threading.Lock()
 
 _STACK = threading.local()
 
@@ -67,37 +80,22 @@ class Span:
     on exit.
     """
 
-    __slots__ = ("name", "attrs", "started", "duration", "children", "_detached")
+    __slots__ = ("name", "attrs", "started", "duration", "children")
 
-    def __init__(self, name: str, attrs: Optional[Dict[str, object]] = None,
-                 *, detached: bool = False) -> None:
+    def __init__(self, name: str, attrs: Optional[Dict[str, object]] = None) -> None:
         self.name = name
         self.attrs: Dict[str, object] = attrs or {}
         self.started = time.perf_counter()
         self.duration: Optional[float] = None
         self.children: List[Span] = []
-        self._detached = detached
 
     def set(self, key: str, value: object) -> None:
         """Set one attribute on the span."""
         self.attrs[key] = value
 
-    def adopt(self, child: Optional["Span"]) -> None:
-        """Attach a finished detached span as a child.
-
-        ``None`` and the no-op singleton are ignored, so call sites can
-        adopt unconditionally.
-        """
-        if child is None or child is NOOP_SPAN:
-            return
-        self.children.append(child)
-
     def __enter__(self) -> "Span":
         stack = _stack()
-        # A detached span joins its thread's stack (so spans opened inside
-        # nest under it) but never auto-attaches to the span above it —
-        # its owner stitches it in explicitly via adopt().
-        if not self._detached and stack:
+        if stack:
             stack[-1].children.append(self)
         stack.append(self)
         self.started = time.perf_counter()
@@ -110,9 +108,11 @@ class Span:
         stack = _stack()
         if stack and stack[-1] is self:
             stack.pop()
-        if not self._detached and not stack:
-            recorder = _RECORDER
-            if recorder is not None:
+        if not stack:
+            recorders = _CAPTURES
+            if not recorders:
+                recorders = () if _RECORDER is None else (_RECORDER,)
+            for recorder in recorders:
                 recorder.push(self)
 
     def walk(self) -> Iterator["Span"]:
@@ -151,9 +151,6 @@ class _NoopSpan:
         pass
 
     def set(self, key: str, value: object) -> None:
-        pass
-
-    def adopt(self, child) -> None:
         pass
 
     def walk(self):
@@ -242,18 +239,6 @@ def trace_span(name: str, **attrs):
     return Span(name, attrs or None)
 
 
-def detached_span(name: str, **attrs):
-    """A span that never auto-attaches or records; caller stitches it.
-
-    For executor threads, whose work belongs to a tree owned elsewhere:
-    finish the span, then hand it to the owner via :meth:`Span.adopt` or
-    :func:`record`.
-    """
-    if not _ENABLED:
-        return NOOP_SPAN
-    return Span(name, attrs or None, detached=True)
-
-
 def current_span():
     """The innermost open span on this thread (no-op singleton when none)."""
     if not _ENABLED:
@@ -262,36 +247,34 @@ def current_span():
     return stack[-1] if stack else NOOP_SPAN
 
 
-def record(span: Optional[Span]) -> None:
-    """Push a finished detached span to the active recorder, if any."""
-    if span is None or span is NOOP_SPAN:
-        return
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.push(span)
-
-
 @contextmanager
 def capture(recorder: Optional[SpanRecorder] = None):
     """Temporarily enable tracing into a private recorder.
 
-    Saves and restores the global enabled flag, recorder, and this
-    thread's span stack, so tests can trace without leaking state.  Yields
-    the recorder.
+    Yields the recorder, which receives every root span finished on any
+    thread while the capture is open.  Captures may overlap, on one thread
+    or several: the first to enter saves the global enabled flag and the
+    last to exit restores it, so tests can trace without leaking state.
+    This thread's span stack is saved and restored too.
     """
-    global _ENABLED, _RECORDER
-    saved_enabled = _ENABLED
-    saved_recorder = _RECORDER
+    global _ENABLED, _CAPTURES, _SAVED_ENABLED
+    active = recorder if recorder is not None else SpanRecorder()
     saved_stack = getattr(_STACK, "spans", None)
     _STACK.spans = []
-    active = recorder if recorder is not None else SpanRecorder()
-    _RECORDER = active
-    _ENABLED = True
+    with _CAPTURE_LOCK:
+        if not _CAPTURES:
+            _SAVED_ENABLED = _ENABLED
+        _CAPTURES = _CAPTURES + (active,)
+        _ENABLED = True
     try:
         yield active
     finally:
-        _ENABLED = saved_enabled
-        _RECORDER = saved_recorder
+        with _CAPTURE_LOCK:
+            remaining = list(_CAPTURES)
+            remaining.remove(active)
+            _CAPTURES = tuple(remaining)
+            if not _CAPTURES:
+                _ENABLED = _SAVED_ENABLED
         _STACK.spans = saved_stack if saved_stack is not None else []
 
 

@@ -29,13 +29,13 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.continuous import ContinuousProbabilisticNNQuery
 from ..engine.cache import CacheInfo
 from ..engine.engine import QueryEngine
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from ..obs.tracing import capture, render_tree, trace_span
+from ..obs.tracing import Span, capture, render_tree, trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from .ast import ContinuousNNQueryAST, Quantifier
 from .parser import parse_query
@@ -66,7 +66,6 @@ class QueryExecutor:
 
     Args:
         mod: the moving objects database to serve.
-        cache_size: the engine's LRU context-cache capacity.
         registry: the :class:`~repro.obs.MetricsRegistry` planner and
             engine metrics land in (``repro_planner_*`` /
             ``repro_engine_*``); a private registry when ``None``.
@@ -76,12 +75,11 @@ class QueryExecutor:
         self,
         mod: MovingObjectsDatabase,
         *,
-        cache_size: int = 256,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.mod = mod
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._engine = QueryEngine(mod, cache_size=cache_size, registry=self.registry)
+        self._engine = QueryEngine(mod, registry=self.registry)
         self._m_compilations = self.registry.counter(
             "repro_planner_compilations_total", "Plans compiled"
         )
@@ -144,21 +142,25 @@ class QueryExecutor:
         """Compile and run a batch; results come back in submission order."""
         plan = self.compile(statements, band_width=band_width)
         started = time.perf_counter()
-        answers = self._run(plan)
+        answers, _ = self._run(plan)
         self._m_execute.observe(time.perf_counter() - started)
         return [
             QueryResult(statement.ast, sorted(answer, key=str))
             for statement, answer in zip(plan.statements, answers)
         ]
 
-    def _run(self, plan: QueryPlan) -> List[StatementAnswer]:
-        """Execute a plan and read every answer, under ``planner.execute``."""
+    def _run(self, plan: QueryPlan) -> Tuple[List[StatementAnswer], Span]:
+        """Execute a plan and read every answer, under ``planner.execute``.
+
+        Returns the answers and that span (the no-op span when tracing is
+        off).
+        """
         with trace_span(
             "planner.execute",
             statements=plan.statement_count,
             groups=len(plan.groups),
-        ):
-            return plan.execute(self._engine).answers
+        ) as span:
+            return plan.execute(self._engine).answers, span
 
     def explain(
         self,
@@ -169,8 +171,9 @@ class QueryExecutor:
     ) -> str:
         """Render the compiled plan, optionally with the span tree.
 
-        With ``execute=True`` the plan is run under a private tracing
-        capture and the resulting engine span tree is appended below the
+        With ``execute=True`` the plan is run under a tracing capture and
+        the span tree of that run (its own ``planner.execute`` root, not
+        whatever other threads record meanwhile) is appended below the
         plan, so one string shows both the *decisions* (plan stages) and
         the *observed costs* (span timings).
         """
@@ -178,10 +181,9 @@ class QueryExecutor:
         rendered = plan.explain()
         if not execute:
             return rendered
-        with capture() as recorder:
-            self._run(plan)
-        trees = "\n".join(render_tree(span) for span in recorder.spans())
-        return f"{rendered}\n\n{trees}" if trees else rendered
+        with capture():
+            _, root = self._run(plan)
+        return f"{rendered}\n\n{render_tree(root)}"
 
 
 def _parse(statement: Statement) -> ContinuousNNQueryAST:

@@ -3,7 +3,7 @@
 ``repro.service`` fronts every execution layer built so far behind one
 awaitable API: typed :class:`QueryRequest`/:class:`QueryResponse` shapes, a
 bounded admission queue with backpressure, request coalescing into engine
-batches, a TTL + revision result cache, a warm :class:`EnginePool` holding
+batches, a revision-keyed result cache, a warm :class:`EnginePool` holding
 the one engine every batch runs on, and an async
 subscription bridge over :class:`~repro.streaming.ContinuousMonitor` delta
 streams.  See ``docs/architecture.md`` for how the layers stack.

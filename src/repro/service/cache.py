@@ -1,28 +1,19 @@
-"""TTL + revision result cache of the :class:`~repro.service.QueryService`.
+"""Revision-keyed result cache of the :class:`~repro.service.QueryService`.
 
 The engine layer already memoizes *prepared contexts*; this cache sits one
 level higher and memoizes *final answers*, keyed on the request fingerprint
-and the MOD revision the answer was computed at.  Two staleness mechanisms
-compose:
-
-* **revision** — an entry is only served while the store is at the revision
-  it was computed at, so any add/remove/replace invalidates every affected
-  answer implicitly (no scanning, no subscriptions: the key just stops
-  matching);
-* **TTL** — an optional wall-clock bound for deployments that want answers
-  re-verified periodically even on a quiet store (and that keeps entries
-  from outliving their usefulness when revisions never change).
-
-Capacity is enforced LRU-style.  The clock is injectable so tests can
-advance time deterministically.
+and the MOD revision the answer was computed at.  The revision is the only
+staleness rule: an entry is only served while the store is at the revision
+it was computed at, so any add/remove/replace invalidates every affected
+answer implicitly (no scanning, no subscriptions: the key just stops
+matching).  Capacity is enforced LRU-style.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..engine.answers import Answer
 from ..obs.metrics import MetricsRegistry
@@ -35,7 +26,6 @@ class ResultCacheInfo:
 
     hits: int
     misses: int
-    expirations: int
     invalidations: int
     evictions: int
     size: int
@@ -48,7 +38,7 @@ class ResultCacheInfo:
 
 
 class ResultCache:
-    """LRU result cache with TTL expiry and revision-keyed invalidation.
+    """LRU result cache with revision-keyed invalidation.
 
     Counters are registry-backed (``repro_service_result_cache_*``);
     :meth:`info` stays the exact per-instance view because the default
@@ -56,8 +46,6 @@ class ResultCache:
 
     Args:
         capacity: maximum number of cached answers (LRU eviction beyond).
-        ttl: seconds an entry stays servable, or ``None`` for no TTL.
-        clock: monotonic time source (injectable for tests).
         registry: the :class:`~repro.obs.MetricsRegistry` the counters
             land in; a private registry when ``None``.
     """
@@ -65,20 +53,14 @@ class ResultCache:
     def __init__(
         self,
         capacity: int = 1024,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive (or None)")
         self.capacity = capacity
-        self.ttl = ttl
-        self._clock = clock
-        #: fingerprint -> (revision, expiry-or-None, answer); one live entry
-        #: per fingerprint, so a newer revision displaces the stale answer.
-        self._entries: "OrderedDict[Fingerprint, Tuple[int, Optional[float], Answer]]"
+        #: fingerprint -> (revision, answer); one live entry per
+        #: fingerprint, so a newer revision displaces the stale answer.
+        self._entries: "OrderedDict[Fingerprint, Tuple[int, Answer]]"
         self._entries = OrderedDict()
         self.registry = registry if registry is not None else MetricsRegistry()
         self._hits = self.registry.counter(
@@ -86,10 +68,6 @@ class ResultCache:
         )
         self._misses = self.registry.counter(
             "repro_service_result_cache_misses_total", "Result-cache misses"
-        )
-        self._expirations = self.registry.counter(
-            "repro_service_result_cache_expirations_total",
-            "Entries dropped by TTL expiry",
         )
         self._invalidations = self.registry.counter(
             "repro_service_result_cache_invalidations_total",
@@ -106,22 +84,17 @@ class ResultCache:
     def get(self, fingerprint: Fingerprint, revision: int) -> Optional[Answer]:
         """The cached answer for ``fingerprint`` at ``revision``, or ``None``.
 
-        A hit requires the entry's revision to match exactly and its TTL (if
-        any) to be unexpired; a revision mismatch drops the stale entry.
+        A hit requires the entry's revision to match exactly; a mismatch
+        drops the stale entry.
         """
         entry = self._entries.get(fingerprint)
         if entry is None:
             self._misses.inc()
             return None
-        cached_revision, expiry, answer = entry
+        cached_revision, answer = entry
         if cached_revision != revision:
             del self._entries[fingerprint]
             self._invalidations.inc()
-            self._misses.inc()
-            return None
-        if expiry is not None and self._clock() >= expiry:
-            del self._entries[fingerprint]
-            self._expirations.inc()
             self._misses.inc()
             return None
         self._entries.move_to_end(fingerprint)
@@ -130,10 +103,9 @@ class ResultCache:
 
     def put(self, fingerprint: Fingerprint, revision: int, answer: Answer) -> None:
         """Store an answer computed at ``revision``; evicts LRU beyond capacity."""
-        expiry = None if self.ttl is None else self._clock() + self.ttl
         if fingerprint in self._entries:
             del self._entries[fingerprint]
-        self._entries[fingerprint] = (revision, expiry, answer)
+        self._entries[fingerprint] = (revision, answer)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._evictions.inc()
@@ -147,7 +119,6 @@ class ResultCache:
         return ResultCacheInfo(
             hits=int(self._hits.value),
             misses=int(self._misses.value),
-            expirations=int(self._expirations.value),
             invalidations=int(self._invalidations.value),
             evictions=int(self._evictions.value),
             size=len(self._entries),

@@ -4,8 +4,9 @@ The pool holds **one** lazily built engine per store and exposes one
 ``answer_group`` call: a coalesced batch runs as one
 :class:`~repro.query_language.planner.QueryPlan` (one
 :meth:`~repro.engine.QueryEngine.prepare_batch` pass, then each
-statement's answer read off its context).  A pool can be shared by several
-services, so the engine's index and context cache stay warm across them.
+statement's answer read off its context).  Each service builds and
+closes its own pool; :class:`~repro.parallel.ShardedEngine` is a pool
+too.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from ..core.queries import QueryContext
 from ..engine import QueryEngine
 from ..engine.answers import Answer, band_span
 from ..obs.metrics import MetricsRegistry
@@ -22,9 +24,10 @@ from ..trajectories.mod import MovingObjectsDatabase
 
 @dataclass(frozen=True, slots=True)
 class GroupResult:
-    """Answers of one coalesced batch, keyed by query id."""
+    """Answers of one coalesced batch, and their contexts, keyed by query id."""
 
     answers: Dict[object, Answer]
+    contexts: Dict[object, QueryContext]
 
 
 class EnginePool:
@@ -59,9 +62,7 @@ class EnginePool:
     def single_engine(self) -> QueryEngine:
         """The warm engine (built, with its index, on first use)."""
         if self._engine is None:
-            self._engine = QueryEngine(
-                self.mod, cache_size=1024, registry=self.registry
-            )
+            self._engine = QueryEngine(self.mod, registry=self.registry)
         return self._engine
 
     def warm_up(self) -> str:
@@ -104,5 +105,8 @@ class EnginePool:
                 )
                 for query_id in query_ids
             ])
-            answers = plan.execute(self.single_engine()).answers
-            return GroupResult(answers=dict(zip(query_ids, answers)))
+            execution = plan.execute(self.single_engine())
+            return GroupResult(
+                answers=dict(zip(query_ids, execution.answers)),
+                contexts=dict(zip(query_ids, execution.contexts)),
+            )

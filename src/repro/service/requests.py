@@ -17,7 +17,7 @@ from ..engine.answers import VARIANTS, Answer
 
 #: Hashable identity of a request's *semantics* (everything that determines
 #: its answer except the database state).  Together with the MOD revision it
-#: keys the service's TTL result cache.
+#: keys the service's result cache.
 Fingerprint = Tuple[object, float, float, str, float, Optional[float]]
 
 
@@ -115,5 +115,5 @@ class QueryResponse:
 
     @property
     def from_cache(self) -> bool:
-        """Whether the answer was served from the TTL result cache."""
+        """Whether the answer was served from the result cache."""
         return self.backend == "cache"

@@ -4,7 +4,7 @@
 puts in front of the engines: callers ``await`` UQ31/32/33 requests while
 the service
 
-1. serves repeat requests from a TTL result cache keyed on (request
+1. serves repeat requests from a result cache keyed on (request
    fingerprint, MOD revision) — any store mutation silently invalidates
    every affected answer because the revision stops matching
    (:mod:`repro.service.cache`);
@@ -16,8 +16,8 @@ the service
    :meth:`~repro.engine.QueryEngine.prepare_batch` pass instead of 50
    serial preparations;
 4. answers each batch on the pool's one warm engine
-   (:mod:`repro.service.pool`), evaluating off the event loop on an
-   executor so the loop stays responsive;
+   (:mod:`repro.service.pool`), evaluating off the event loop on the
+   loop's default executor so the loop stays responsive;
 5. bridges :class:`~repro.streaming.ContinuousMonitor` delta streams to
    async consumers (:meth:`QueryService.subscribe`), completing the
    request/response + push story.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -46,6 +45,12 @@ from .requests import QueryRequest, QueryResponse
 from .subscriptions import DeltaBridge, DeltaSubscription
 
 ADMISSION_POLICIES = ("wait", "reject")
+
+#: Answers the result cache keeps (LRU beyond).
+CACHE_CAPACITY = 4096
+
+#: Most queued requests the dispatcher drains into one engine batch.
+MAX_BATCH = 64
 
 
 class ServiceError(RuntimeError):
@@ -132,24 +137,16 @@ class QueryService:
             :class:`~repro.persistence.WriteAheadLog`).
         snapshot_retain: snapshots kept after each checkpoint.
         queue_limit: admission-queue capacity (the backpressure bound).
-        max_batch: most requests coalesced into one engine batch.
-        coalesce_delay: seconds the dispatcher lingers after the first
-            dequeued request to let concurrent submitters join its batch;
-            0 batches only what is already queued.
         admission: ``"wait"`` (default) blocks submitters while the queue
             is full; ``"reject"`` raises :class:`ServiceOverloaded` instead.
-        cache_capacity: result-cache entries kept (LRU beyond).
-        cache_ttl: result-cache TTL in seconds, ``None`` for revision-only
-            invalidation.
-        pool: a prebuilt :class:`EnginePool` (stays owned by the caller —
-            :meth:`stop` will not close it, so several services can share
-            its warm engine); built over ``mod`` when ``None``.
-        executor: where engine batches run; the event loop's default
-            thread pool when ``None``.
         registry: the :class:`~repro.obs.MetricsRegistry` every layer of
             this service reports into (``repro_service_*`` plus the pooled
-            engine's metrics); a private registry when ``None``.  A
-            caller-supplied ``pool`` keeps its own registry.
+            engine's metrics); a private registry when ``None``.
+
+    The service builds its own :class:`EnginePool` (closed by :meth:`stop`)
+    and a :class:`ResultCache` of :data:`CACHE_CAPACITY` answers, and drains
+    at most :data:`MAX_BATCH` queued requests into one engine batch.
+    Engine batches run on the event loop's default executor.
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`::
 
@@ -166,21 +163,11 @@ class QueryService:
         persistence_fsync: str = "batch",
         snapshot_retain: int = 2,
         queue_limit: int = 256,
-        max_batch: int = 64,
-        coalesce_delay: float = 0.0,
         admission: str = "wait",
-        cache_capacity: int = 4096,
-        cache_ttl: Optional[float] = None,
-        pool: Optional[EnginePool] = None,
-        executor: Optional[Executor] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if coalesce_delay < 0:
-            raise ValueError("coalesce_delay must be non-negative")
         if admission not in ADMISSION_POLICIES:
             raise ValueError(
                 f"unknown admission policy {admission!r} "
@@ -213,18 +200,10 @@ class QueryService:
         self._snapshot_interval = snapshot_interval
         self._checkpointer: Optional["asyncio.Task[None]"] = None
         self.mod = mod
-        # A caller-provided pool stays the caller's to close (it may be
-        # shared across services); only a pool built here is shut down.
-        self._owns_pool = pool is None
-        self.pool = pool if pool is not None else EnginePool(mod, registry=self.registry)
+        self.pool = EnginePool(mod, registry=self.registry)
         self._queue_limit = queue_limit
-        self._max_batch = max_batch
-        self._coalesce_delay = coalesce_delay
         self._admission = admission
-        self.cache = ResultCache(
-            capacity=cache_capacity, ttl=cache_ttl, registry=self.registry
-        )
-        self._executor = executor
+        self.cache = ResultCache(capacity=CACHE_CAPACITY, registry=self.registry)
         self._m_submitted = self.registry.counter(
             "repro_service_requests_total", "Requests submitted"
         )
@@ -300,7 +279,7 @@ class QueryService:
                 retain=self.persistence.snapshotter.retain,
                 registry=self.registry,
             )
-        await self._loop.run_in_executor(self._executor, self.pool.warm_up)
+        await self._loop.run_in_executor(None, self.pool.warm_up)
         self._queue = asyncio.Queue(maxsize=self._queue_limit)
         self._bridge = DeltaBridge(self._loop)
         self._closing = False
@@ -314,8 +293,7 @@ class QueryService:
 
         Requests already in the queue are still served; new :meth:`submit`
         calls raise :class:`ServiceClosed` immediately.  Subscriptions are
-        closed, and the engine pool is shut down unless it was supplied by
-        the caller (a shared pool stays warm for its other users).
+        closed, and the engine pool is shut down.
         """
         if self._dispatcher is None:
             return
@@ -342,14 +320,13 @@ class QueryService:
         if self._bridge is not None:
             self._bridge.close()
             self._bridge = None
-        if self._owns_pool:
-            self.pool.close()
+        self.pool.close()
         if self.persistence is not None and not self.persistence.closed:
             # Final checkpoint so the next restore maps a snapshot instead
             # of replaying the whole log; closing releases the WAL handle
             # (start() re-attaches on restart).
             await self._loop.run_in_executor(
-                self._executor, lambda: self.persistence.close(checkpoint=True)
+                None, lambda: self.persistence.close(checkpoint=True)
             )
         self._closing = False
 
@@ -502,9 +479,8 @@ class QueryService:
     def reset(self) -> None:
         """Zero every serving metric (counters, gauges, and histograms).
 
-        Resets the whole registry — including the pooled engines' metrics
-        when the pool was built by this service — plus the queue-depth
-        tracker.  Cached answers are kept.
+        Resets the whole registry — including the pooled engine's metrics —
+        plus the queue-depth tracker.  Cached answers are kept.
         """
         self.registry.reset()
         self._max_queue_depth = 0
@@ -517,9 +493,8 @@ class QueryService:
         """Every metric of the serving stack as plain (JSON-ready) dicts.
 
         Covers the service layer (requests, cache, queue depth, admission
-        wait, coalesce width, latencies), the result cache, and — when the
-        pool was built by this service — the engine behind it
-        (``repro_engine_*``), one registry for the whole stack.
+        wait, coalesce width, latencies), the result cache, and the engine
+        behind it (``repro_engine_*``), one registry for the whole stack.
         """
         return self.registry.snapshot()
 
@@ -535,7 +510,9 @@ class QueryService:
         request's work) but goes through the same result cache and the same
         group evaluator as :meth:`submit`, as a one-request group, so what
         it reports is what :meth:`submit` would have done.  Evaluation runs
-        off-loop under a temporary process-wide tracing capture.  Service
+        off-loop under a tracing capture, and the span tree returned is the
+        ``service.explain`` root that call opened, so concurrent explains
+        each get their own.  Service
         counters (requests, batches, latencies) are not advanced —
         explaining a request does not distort the serving metrics — though
         the caches it exercises count their hits and misses as usual.
@@ -547,21 +524,20 @@ class QueryService:
         cached = self.cache.get(request.fingerprint, revision)
 
         def evaluate() -> Tuple[Answer, Span]:
-            with capture() as recorder:
+            with capture():
                 with trace_span(
                     "service.explain",
                     query=request.query_id,
                     variant=request.variant,
-                ):
+                ) as root:
                     answer = (
                         cached
                         if cached is not None
                         else self._evaluate_group([request])[request.query_id]
                     )
-                root = recorder.latest()
             return answer, root
 
-        answer, root = await self._loop.run_in_executor(self._executor, evaluate)
+        answer, root = await self._loop.run_in_executor(None, evaluate)
         if cached is None:
             backend = self.pool.backend_kind()
             self.cache.put(request.fingerprint, revision, answer)
@@ -601,17 +577,13 @@ class QueryService:
         if self.persistence is None:
             raise ServiceError("the service has no durable tier (no data_dir)")
         loop = self._loop if self._loop is not None else asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, self.persistence.checkpoint
-        )
+        return await loop.run_in_executor(None, self.persistence.checkpoint)
 
     async def _checkpoint_loop(self) -> None:
         while True:
             await asyncio.sleep(self._snapshot_interval)
             try:
-                await self._loop.run_in_executor(
-                    self._executor, self.persistence.checkpoint
-                )
+                await self._loop.run_in_executor(None, self.persistence.checkpoint)
             except asyncio.CancelledError:
                 raise
             except Exception:  # noqa: BLE001 - a failed checkpoint must not
@@ -631,11 +603,9 @@ class QueryService:
             item = await self._queue.get()
             if item is self._sentinel:
                 return
-            if self._coalesce_delay > 0:
-                await asyncio.sleep(self._coalesce_delay)
             batch: List[_Pending] = [item]
             stop = False
-            while len(batch) < self._max_batch:
+            while len(batch) < MAX_BATCH:
                 try:
                     extra = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
@@ -691,7 +661,7 @@ class QueryService:
         dequeued = time.perf_counter()
         try:
             answers = await self._loop.run_in_executor(
-                self._executor,
+                None,
                 self._evaluate_group,
                 [pending.request for pending in members],
             )

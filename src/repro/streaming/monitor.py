@@ -102,18 +102,19 @@ class ContinuousMonitor:
 
     Args:
         mod: the (non-empty) moving objects database to monitor.
-        cache_size: context-cache capacity; keep it above the number of
-            standing queries so unaffected queries always hit.
         registry: the :class:`~repro.obs.MetricsRegistry` the monitor and
             its internal engine report into (``repro_monitor_*`` /
             ``repro_engine_*``); a private registry when ``None``.
+
+    The internal engine's context cache holds 256 contexts, so unaffected
+    standing queries keep hitting it while the live (query, window) pairs
+    number no more than that.
     """
 
     def __init__(
         self,
         mod: MovingObjectsDatabase,
         *,
-        cache_size: int = 1024,
         registry: Optional[MetricsRegistry] = None,
     ):
         if len(mod) == 0:
@@ -123,7 +124,7 @@ class ContinuousMonitor:
             )
         self.mod = mod
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.engine = QueryEngine(mod, cache_size=cache_size, registry=self.registry)
+        self.engine = QueryEngine(mod, registry=self.registry)
         self.ingestor = StreamIngestor()
         self._queries: Dict[object, StandingQuery] = {}
         self._states: Dict[object, _QueryState] = {}

@@ -7,13 +7,6 @@ from .random_waypoint import (
     generate_mod,
     generate_trajectories,
 )
-from .replay import (
-    ReplayReport,
-    ServiceWorkload,
-    replay,
-    replay_sync,
-    service_workload,
-)
 from .scenarios import (
     StreamingFleetScenario,
     commuter_traffic,
@@ -29,8 +22,6 @@ __all__ = [
     "MAX_SPEED_MILES_PER_MINUTE",
     "MIN_SPEED_MILES_PER_MINUTE",
     "RandomWaypointConfig",
-    "ReplayReport",
-    "ServiceWorkload",
     "StreamingFleetScenario",
     "commuter_traffic",
     "convoy_with_stragglers",
@@ -38,10 +29,7 @@ __all__ = [
     "generate_mod",
     "generate_trajectories",
     "multi_query_fleet",
-    "replay",
-    "replay_sync",
     "ride_hailing_snapshot",
-    "service_workload",
     "sharded_fleet",
     "streaming_fleet",
 ]

@@ -34,10 +34,13 @@ class TestShardedSpans:
         assert len(recorder) == 1
         root = recorder.latest()
         assert root.name == "sharded.answer_batch"
-        (plan,) = root.children
-        assert plan.name == "planner.execute"
-        assert plan.attrs == {"statements": len(query_ids), "groups": 1}
-        assert plan.find("engine.prepare_batch") is not None
+        (group,) = root.children
+        assert group.name == "pool.answer_group"
+        assert group.attrs["queries"] == len(query_ids)
+        assert sorted(group.attrs) == [
+            "band_bounded", "band_refined", "band_rows", "band_scalar", "queries"
+        ]
+        assert group.find("engine.prepare_batch") is not None
         for span in root.walk():
             assert span.duration is not None
             assert sum(child.duration for child in span.children) <= span.duration

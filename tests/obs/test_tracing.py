@@ -1,4 +1,4 @@
-"""Unit tests of structured tracing: spans, adoption, and the no-op path."""
+"""Unit tests of structured tracing: spans, captures, and the no-op path."""
 
 from __future__ import annotations
 
@@ -12,11 +12,9 @@ from repro.obs.tracing import (
     SpanRecorder,
     capture,
     current_span,
-    detached_span,
     disable_tracing,
     enable_tracing,
     enabled,
-    record,
     render_tree,
     trace_span,
 )
@@ -33,13 +31,11 @@ def _tracing_off():
 class TestNoopPath:
     def test_disabled_returns_singleton(self):
         assert trace_span("x") is NOOP_SPAN
-        assert detached_span("x") is NOOP_SPAN
         assert current_span() is NOOP_SPAN
 
     def test_noop_span_is_inert(self):
         with trace_span("x", a=1) as span:
             span.set("k", "v")
-            span.adopt(None)
         assert span is NOOP_SPAN
         assert span.find("x") is None
         assert list(span.walk()) == []
@@ -75,31 +71,6 @@ class TestSpans:
         assert child.attrs["error"] == "RuntimeError"
         assert root.attrs["error"] == "RuntimeError"
         assert current_span() is NOOP_SPAN  # stack fully unwound
-
-    def test_detached_span_nests_children_but_never_attaches(self):
-        recorder = enable_tracing(SpanRecorder())
-        with trace_span("root") as root:
-            with detached_span("off-tree") as detached:
-                with trace_span("inner") as inner:
-                    pass
-        assert detached not in root.children
-        assert inner in detached.children
-        assert recorder.spans() == [root]  # detached spans never auto-record
-        root.adopt(detached)
-        assert detached in root.children
-
-    def test_record_pushes_detached_roots(self):
-        recorder = enable_tracing(SpanRecorder())
-        with detached_span("worker") as span:
-            pass
-        record(span)
-        assert recorder.latest() is span
-
-    def test_adopt_ignores_none_and_noop(self):
-        span = Span("root")
-        span.adopt(None)
-        span.adopt(NOOP_SPAN)
-        assert span.children == []
 
     def test_walk_and_find(self):
         with capture():
@@ -150,6 +121,43 @@ class TestCapture:
                     pass
             assert current_span().name == "outer"  # stack restored
         assert inner_recorder.latest().name == "inner"
+
+    def test_overlapping_captures_on_two_threads_restore_in_any_order(self):
+        """Capture A exits while B is still open: B keeps tracing, and the
+        state the first capture found comes back only when B exits too."""
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def first():
+            with capture() as recorder:
+                a_open.set()
+                b_open.wait(5)
+                with trace_span("a-root"):
+                    pass
+            seen["a"] = recorder
+            a_closed.set()
+
+        def second():
+            a_open.wait(5)
+            with capture() as recorder:
+                b_open.set()
+                a_closed.wait(5)
+                seen["enabled-after-a"] = enabled()
+                with trace_span("b-root"):
+                    pass
+            seen["b"] = recorder
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen["enabled-after-a"]
+        assert [span.name for span in seen["a"].spans()] == ["a-root"]
+        # A root finished while both captures were open reaches both.
+        assert [span.name for span in seen["b"].spans()] == ["a-root", "b-root"]
+        assert not enabled()
+        assert trace_span("after") is NOOP_SPAN
 
 
 def test_spans_on_other_threads_record_independently():

@@ -140,7 +140,9 @@ def test_duplicate_query_ids_preserved_in_request_order(fleet, backend):
         assert [item.query_id for item in batch] == doubled
         assert batch.results[0] is batch.results[2]
         assert len({id(item) for item in batch}) == 3
-        assert engine.answer(doubled[1], lo, hi) == batch.results[1].answer
+        assert engine.answer_batch([doubled[1]], lo, hi).answers == {
+            doubled[1]: batch.results[1].answer
+        }
         assert len(engine.answer_batch([], lo, hi)) == 0
 
 
@@ -208,7 +210,7 @@ def test_answers_follow_additions_replacements_and_removals(backend):
     with ShardedEngine(mod, 4, backend=backend) as engine:
         assert engine.answer_batch(query_ids, lo, hi).answers == expected()
         mod.replace_trajectory(moved(mod.get(query_ids[0]), 0.4))
-        engine.refresh()
+        engine.single_engine().refresh()
         assert engine.answer_batch(query_ids, lo, hi).answers == expected()
         newcomer = UncertainTrajectory(
             "newcomer",
@@ -217,16 +219,16 @@ def test_answers_follow_additions_replacements_and_removals(backend):
             UniformDiskPDF(0.2),
         )
         mod.add(newcomer)
-        assert engine.answer("newcomer", lo, hi) == QueryEngine(mod).answer(
-            "newcomer", lo, hi
-        )
+        assert engine.answer_batch(["newcomer"], lo, hi).answers == {
+            "newcomer": QueryEngine(mod).answer("newcomer", lo, hi)
+        }
         # Removed and re-added between two batches: the id moves to the end
         # of the store's insertion order.
         mod.remove(query_ids[1])
         mod.remove("newcomer")
         mod.add(moved(newcomer, 0.5))
         with pytest.raises(KeyError):
-            engine.answer(query_ids[1], lo, hi)
+            engine.answer_batch([query_ids[1]], lo, hi)
         query_ids = [q for q in query_ids if q != query_ids[1]] + ["newcomer"]
         assert engine.answer_batch(query_ids, lo, hi).answers == expected()
 
@@ -314,7 +316,7 @@ def test_refresh_pays_a_store_change_before_the_next_batch(backend):
         engine.answer_batch(query_ids, lo, hi)
         assert _metric(registry, "repro_engine_refresh_total") == 0
         mod.replace_trajectory(moved(mod.get(query_ids[0]), 0.3))
-        engine.refresh()
+        engine.single_engine().refresh()
         assert _metric(registry, "repro_engine_refresh_total") == 1
         batch = engine.answer_batch(query_ids, lo, hi)
         # The batch found the engine already in step with the store.
@@ -353,9 +355,9 @@ def test_one_index_per_store_across_the_pool_and_a_sharded_engine():
         assert single.cache_info().hits > 0
         # A sharded engine over the same store reuses the store's index.
         with ShardedEngine(mod, 4, backend="thread", registry=registry) as sharded:
-            assert sharded.answer(query_ids[0], lo, hi) == single.answer(
-                query_ids[0], lo, hi
-            )
+            assert sharded.answer_batch([query_ids[0]], lo, hi).answers == {
+                query_ids[0]: single.answer(query_ids[0], lo, hi)
+            }
         assert index_builds() == 1
 
 

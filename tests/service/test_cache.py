@@ -1,4 +1,4 @@
-"""TTL expiry, revision invalidation, and LRU behavior of the result cache."""
+"""Revision invalidation and LRU behavior of the result cache."""
 
 from repro.service import QueryRequest, ResultCache
 
@@ -8,17 +8,6 @@ ANSWER_B = {"b": ((1.0, 2.0),)}
 
 def fp(query_id="q", t_start=0.0, t_end=10.0):
     return QueryRequest(query_id, t_start, t_end).fingerprint
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestRevisionKeying:
@@ -42,34 +31,6 @@ class TestRevisionKeying:
         assert len(cache) == 1
         assert cache.get(fp(), 5) == ANSWER_B
         assert cache.get(fp(), 3) is None
-
-
-class TestTTL:
-    def test_entry_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(ttl=10.0, clock=clock)
-        cache.put(fp(), 1, ANSWER_A)
-        clock.advance(9.99)
-        assert cache.get(fp(), 1) == ANSWER_A
-        clock.advance(0.02)
-        assert cache.get(fp(), 1) is None
-        assert cache.info().expirations == 1
-
-    def test_no_ttl_means_revision_only_staleness(self):
-        clock = FakeClock()
-        cache = ResultCache(ttl=None, clock=clock)
-        cache.put(fp(), 1, ANSWER_A)
-        clock.advance(1e9)
-        assert cache.get(fp(), 1) == ANSWER_A
-
-    def test_put_refreshes_the_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(ttl=10.0, clock=clock)
-        cache.put(fp(), 1, ANSWER_A)
-        clock.advance(8.0)
-        cache.put(fp(), 1, ANSWER_B)
-        clock.advance(8.0)
-        assert cache.get(fp(), 1) == ANSWER_B
 
 
 class TestCapacity:

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import capture
+from repro.obs.tracing import capture, disable_tracing, enabled
 from repro.service import QueryRequest, QueryService
 from repro.workloads.scenarios import multi_query_fleet
 
@@ -187,3 +187,58 @@ class TestExplain:
         stats = run(_run())
         assert stats.submitted == 0
         assert stats.evaluated == 0
+
+    def test_concurrent_explains_each_return_their_own_tree(self):
+        """Overlapping explains on executor threads never swap or lose roots.
+
+        Every round fires one explain per query id at once (a fresh window
+        each round, so none is a cache hit); each must come back with its
+        own ``service.explain`` root, and tracing must be off afterwards.
+        """
+        disable_tracing()
+
+        async def _run():
+            mod, query_ids = multi_query_fleet(
+                num_vehicles=40, num_queries=8, seed=7
+            )
+            lo, hi = mod.common_time_span()
+            rounds = []
+            async with QueryService(mod) as service:
+                for step in range(6):
+                    window = (lo + step, hi - step)
+                    requests = [QueryRequest(query_id, *window) for query_id in query_ids]
+                    explained = await asyncio.gather(
+                        *(service.explain(request) for request in requests)
+                    )
+                    rounds.append((requests, explained))
+            return rounds
+
+        for requests, explained in run(_run()):
+            for request, result in zip(requests, explained):
+                assert result.span.name == "service.explain"
+                assert result.span.attrs["query"] == request.query_id
+                assert result.response.request is request
+                group = result.span.find("service.group")
+                assert group is not None and group.attrs["queries"] == 1
+        assert not enabled()
+
+    def test_an_explain_inside_a_capture_reaches_its_recorder(self):
+        disable_tracing()
+
+        async def _run():
+            mod, query_ids = multi_query_fleet(
+                num_vehicles=24, num_queries=4, seed=7
+            )
+            lo, hi = mod.common_time_span()
+            async with QueryService(mod) as service:
+                with capture() as recorder:
+                    explained = await service.explain(
+                        QueryRequest(query_ids[0], lo, hi)
+                    )
+                    assert enabled()
+                return explained, recorder
+
+        explained, recorder = run(_run())
+        assert explained.span in recorder.spans()
+        assert not enabled()
+

@@ -183,11 +183,6 @@ class TestResultCache:
         assert second.revision > first.revision
         assert second.answer == direct
 
-    def test_ttl_zero_is_rejected(self, fleet):
-        mod, _ = fleet
-        with pytest.raises(ValueError, match="ttl"):
-            QueryService(mod, cache_ttl=0.0)
-
 
 class TestLifecycleAndErrors:
     def test_submit_before_start_raises(self, fleet):
@@ -253,55 +248,6 @@ class TestLifecycleAndErrors:
             assert response.answer == reference_answer(mod, query_id, lo, hi)
         # The empty tree was reloaded, not patched: it is a fresh load's twin.
         assert len(mod.index()) == len(mod.build_index())
-
-    def test_two_running_services_share_one_warm_engine(self, fleet):
-        from repro.service import EnginePool
-
-        mod, query_ids = fleet
-        lo, hi = mod.common_time_span()
-
-        async def scenario():
-            with EnginePool(mod) as pool:
-                async with QueryService(mod, pool=pool) as first, QueryService(
-                    mod, pool=pool
-                ) as second:
-                    engine = pool.single_engine()
-                    ours = await first.query(query_ids[0], lo, hi)
-                    hits = engine.cache_info().hits
-                    theirs = await second.query(query_ids[0], lo, hi)
-                    # The second service's miss in its own result cache is
-                    # a hit in the shared engine's context cache.
-                    assert engine.cache_info().hits > hits
-                    assert pool.single_engine() is engine
-                return ours, theirs
-
-        ours, theirs = run(scenario())
-        assert ours.backend == theirs.backend == "single"
-        assert ours.answer == theirs.answer == QueryEngine(mod).answer(
-            query_ids[0], lo, hi
-        )
-
-    def test_caller_provided_pool_survives_service_stop(self, fleet):
-        from repro.service import EnginePool
-
-        mod, query_ids = fleet
-        lo, hi = mod.common_time_span()
-
-        async def scenario():
-            with EnginePool(mod) as pool:
-                async with QueryService(mod, pool=pool) as service:
-                    await service.query(query_ids[0], lo, hi)
-                engine = pool.single_engine()
-                # The shared pool's warm engine outlives the service...
-                assert engine.cache_info().size > 0
-                async with QueryService(mod, pool=pool) as service:
-                    response = await service.query(query_ids[0], lo, hi)
-                # ...so a second service starts with its context cache hot.
-                assert pool.single_engine() is engine
-                return response
-
-        response = run(scenario())
-        assert response.answer
 
     def test_stats_report_backend_and_counts(self, fleet):
         mod, query_ids = fleet
