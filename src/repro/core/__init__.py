@@ -4,7 +4,7 @@ from .answer import IPACNode, IPACTree, ProbabilityDescriptor
 from .continuous import ContinuousProbabilisticNNQuery
 from .descriptors import annotate_tree, compute_descriptor
 from .heterogeneous import HeterogeneousQueryContext
-from .ipacnn import build_ipac_tree, build_ipac_tree_with_statistics
+from .ipacnn import build_ipac_tree
 from .reverse import (
     ReverseNNResult,
     all_pairs_nn_matrix,
@@ -54,7 +54,6 @@ __all__ = [
     "band_intervals",
     "band_intervals_batch",
     "build_ipac_tree",
-    "build_ipac_tree_with_statistics",
     "compute_descriptor",
     "continuous_threshold_nn_query",
     "expected_distances_at",

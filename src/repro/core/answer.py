@@ -12,9 +12,11 @@ NN query):
 * each node carries the trajectory id, its time interval, and an optional
   descriptor of the probability values over that interval.
 
-This module contains the value objects (nodes, tree, descriptors); the
-construction algorithm (Algorithm 3) lives in
-:mod:`repro.core.ipacnn`.
+Theorem 2 identifies the tree with the stack of envelope levels inside the
+pruning band: it is that level stack with parent links.  This module
+contains the value objects (nodes, tree, descriptors); the construction
+(Algorithm 3), which reads the tree off a context's level envelopes, lives
+in :mod:`repro.core.ipacnn`.
 """
 
 from __future__ import annotations

@@ -1,33 +1,39 @@
-"""Algorithm 3: constructing the IPAC-NN tree.
+"""Algorithm 3: the IPAC-NN tree, read off the level envelopes.
 
-The construction follows the paper:
+Theorem 2 of the paper identifies the IPAC-NN tree with the stack of
+envelope levels inside the 4r band: the tree is that stack with parent
+links.  The children of a node that A owns on ``[t0, t1]`` are the pieces
+of the next level there, because the next level is the lower envelope of
+what the node's path has not used yet.  So:
 
-1. build the level-1 lower envelope of the difference distance functions
-   (Algorithm 1 / 2);
-2. prune every object that never enters the 4r band above the envelope
-   (zero probability of ever being the NN);
-3. recursively, for every node's time interval, remove the node's own
-   trajectory (and its ancestors on the path) and build the lower envelope
-   of the remaining candidates restricted to that interval — its pieces are
-   the node's children — stopping when a candidate piece lies entirely
-   outside the band (it, and everything above it, has zero NN probability
-   there).
+* the roots are the pieces of level 1;
+* the children of a level-(j−1) node are the level-j pieces clipped to its
+  interval, less those whose owner never enters the band there: it has
+  zero NN probability on that piece, and so does everything above it.
 
-The recursion produces exactly the stack of envelope levels inside the band,
-which Theorem 2 identifies as the dual of the IPAC-NN tree.
+The levels are the context's (:meth:`QueryContext.level_envelopes`, over the
+band survivors in canonical order), so the tree does not depend on the order
+of the candidates, and each level's clipped pieces are band-tested in one
+:func:`band_intervals_many` pass.  The paper's recursion, one lower envelope
+per node, is :mod:`repro.reference.ipacnn`, the oracle this is pinned ``==``
+to.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..geometry.envelope.divide_conquer import lower_envelope
 from ..geometry.envelope.hyperbola import DistanceFunction
-from ..geometry.envelope.pieces import Envelope
 from .answer import IPACNode, IPACTree
-from .pruning import is_within_band_sometime, prune_by_band, PruningStatistics
+from .pruning import band_intervals_many
 
-from .tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
+if TYPE_CHECKING:  # pragma: no cover - import-cycle-safe type-only import
+    from .queries import QueryContext
+
+#: Nodes shorter than this get no children, and clipped pieces shorter than
+#: it are dropped (numerical slivers).
+_MIN_INTERVAL = 1e-6
 
 
 def build_ipac_tree(
@@ -37,7 +43,6 @@ def build_ipac_tree(
     t_hi: float,
     band_width: float,
     max_levels: Optional[int] = None,
-    min_interval: float = 1e-6,
 ) -> IPACTree:
     """Construct the IPAC-NN tree for a continuous probabilistic NN query.
 
@@ -51,125 +56,57 @@ def build_ipac_tree(
             uniform model).
         max_levels: optional cap on the tree depth (``None`` = until no
             candidate with non-zero probability remains).
-        min_interval: sub-intervals shorter than this are not refined further
-            (guards against numerical slivers).
 
     Returns:
-        The :class:`IPACTree`.  An empty candidate set yields a tree with no
-        nodes.
+        The :class:`IPACTree` of a context built over ``functions``.  An
+        empty candidate set yields a tree with no nodes.
     """
     if t_hi < t_lo:
         raise ValueError(f"empty query window [{t_lo}, {t_hi}]")
     if band_width < 0:
         raise ValueError("band width must be non-negative")
-    return _pruned_tree(
-        functions, query_id, t_lo, t_hi, band_width, max_levels, min_interval
-    )[0]
-
-
-def build_ipac_tree_with_statistics(
-    functions: Sequence[DistanceFunction],
-    query_id: object,
-    t_lo: float,
-    t_hi: float,
-    band_width: float,
-    max_levels: Optional[int] = None,
-) -> tuple[IPACTree, Envelope, PruningStatistics]:
-    """Like :func:`build_ipac_tree` but also return the envelope and pruning stats.
-
-    Convenient for the experiment harness (Figure 13 needs the statistics and
-    Figures 11/12 reuse the envelope).
-    """
-    return _pruned_tree(functions, query_id, t_lo, t_hi, band_width, max_levels)
-
-
-def _pruned_tree(
-    functions: Sequence[DistanceFunction],
-    query_id: object,
-    t_lo: float,
-    t_hi: float,
-    band_width: float,
-    max_levels: Optional[int],
-    min_interval: float = 1e-6,
-) -> tuple[IPACTree, Envelope, PruningStatistics]:
-    """Both public builders: one envelope, one band pruning, one tree."""
     if not functions:
-        empty_stats = PruningStatistics(0, 0)
-        return IPACTree(query_id, t_lo, t_hi, []), None, empty_stats  # type: ignore[return-value]
-    envelope = lower_envelope(functions, t_lo, t_hi)
-    survivors, stats = prune_by_band(functions, envelope, band_width, t_lo, t_hi)
-    by_id: Dict[object, DistanceFunction] = {f.object_id: f for f in survivors}
+        return IPACTree(query_id, t_lo, t_hi, [])
+    from .queries import QueryContext  # local import: queries imports this module
 
-    builder = _TreeBuilder(
-        by_id=by_id,
-        level1_envelope=envelope,
-        band_width=band_width,
-        max_levels=max_levels,
-        min_interval=min_interval,
-    )
-    roots: List[IPACNode] = []
-    for piece in envelope.pieces:
-        node = IPACNode(piece.object_id, piece.t_start, piece.t_end, level=1)
-        node.children = builder.build_children(
-            node, excluded=frozenset([piece.object_id])
-        )
-        roots.append(node)
-    return IPACTree(query_id, t_lo, t_hi, roots), envelope, stats
+    context = QueryContext.build(functions, query_id, t_lo, t_hi, band_width)
+    return context.ipac_tree(max_levels)
 
 
-class _TreeBuilder:
-    """Recursive child construction shared by all first-level nodes."""
-
-    def __init__(
-        self,
-        by_id: Dict[object, DistanceFunction],
-        level1_envelope: Envelope,
-        band_width: float,
-        max_levels: Optional[int],
-        min_interval: float,
-    ):
-        self._by_id = by_id
-        self._level1_envelope = level1_envelope
-        self._band_width = band_width
-        self._max_levels = max_levels
-        self._min_interval = min_interval
-
-    def build_children(
-        self, parent: IPACNode, excluded: FrozenSet[object]
-    ) -> List[IPACNode]:
-        """Children of ``parent``: next-envelope pieces inside the band."""
-        next_level = parent.level + 1
-        if self._max_levels is not None and next_level > self._max_levels:
-            return []
-        if parent.t_end - parent.t_start < self._min_interval:
-            return []
-        candidates = [
-            function
-            for object_id, function in self._by_id.items()
-            if object_id not in excluded
-        ]
-        if not candidates:
-            return []
-
-        envelope = lower_envelope(candidates, parent.t_start, parent.t_end)
-        children: List[IPACNode] = []
-        for piece in envelope.pieces:
-            if piece.duration < self._min_interval:
+def read_ipac_tree(context: "QueryContext", max_levels: Optional[int]) -> IPACTree:
+    """The IPAC-NN tree of a context, to ``max_levels`` levels (``None``: all)."""
+    depth = len(context.pack) if max_levels is None else max(max_levels, 1)
+    levels = context.level_envelopes(depth)
+    roots = [
+        IPACNode(piece.object_id, piece.t_start, piece.t_end, level=1)
+        for piece in levels.level(1).pieces
+    ]
+    parents = roots
+    for level in range(2, min(depth, len(levels)) + 1):
+        pieces = levels.level(level).pieces
+        ends = [piece.t_end for piece in pieces]
+        clipped = []
+        for parent in parents:
+            if parent.duration < _MIN_INTERVAL:
                 continue
-            # A piece whose owner never enters the band on this interval has
-            # zero NN probability there — and so does everything above it,
-            # because the owner is the lowest remaining function.  Stop.
-            if not is_within_band_sometime(
-                piece.function,
-                self._level1_envelope,
-                self._band_width,
-                piece.t_start,
-                piece.t_end,
-            ):
-                continue
-            child = IPACNode(piece.object_id, piece.t_start, piece.t_end, level=next_level)
-            child.children = self.build_children(
-                child, excluded=excluded | {piece.object_id}
-            )
-            children.append(child)
-        return children
+            index = bisect_right(ends, parent.t_start)
+            while index < len(pieces) and pieces[index].t_start < parent.t_end:
+                piece = pieces[index]
+                index += 1
+                start = max(piece.t_start, parent.t_start)
+                end = min(piece.t_end, parent.t_end)
+                if end - start >= _MIN_INTERVAL:
+                    clipped.append((parent, piece.function, start, end))
+        inside = band_intervals_many([
+            ([function], context.envelope, context.band_width, start, end)
+            for _, function, start, end in clipped
+        ])
+        parents = []
+        for (parent, function, start, end), (spans,) in zip(clipped, inside):
+            if spans:
+                child = IPACNode(function.object_id, start, end, level=level)
+                parent.children.append(child)
+                parents.append(child)
+        if not parents:
+            break
+    return IPACTree(context.query_id, context.t_start, context.t_end, roots)

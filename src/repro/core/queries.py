@@ -23,7 +23,7 @@ from ..geometry.envelope.hyperbola import DistanceFunction
 from ..geometry.envelope.klevel import LevelEnvelopes, k_level_envelopes
 from ..geometry.envelope.pieces import Envelope
 from .answer import IPACTree
-from .ipacnn import build_ipac_tree
+from .ipacnn import read_ipac_tree
 from .pruning import PruningStatistics, band_intervals_batch
 from .tolerances import FULL_WINDOW_SLACK
 
@@ -277,24 +277,11 @@ class QueryContext:
         return self._levels
 
     def ipac_tree(self, max_levels: Optional[int] = None) -> IPACTree:
-        """The IPAC-NN tree (cached for unbounded depth)."""
+        """The IPAC-NN tree read off the level envelopes (cached for unbounded depth)."""
         if max_levels is not None:
-            return build_ipac_tree(
-                list(self.pack),
-                self.query_id,
-                self.t_start,
-                self.t_end,
-                self.band_width,
-                max_levels=max_levels,
-            )
+            return read_ipac_tree(self, max_levels)
         if self._tree is None:
-            self._tree = build_ipac_tree(
-                list(self.pack),
-                self.query_id,
-                self.t_start,
-                self.t_end,
-                self.band_width,
-            )
+            self._tree = read_ipac_tree(self, None)
         return self._tree
 
     # ------------------------------------------------------------------

@@ -37,10 +37,11 @@ from .hyperbola import DistanceFunction
 from .merge import merge_envelopes
 from .pieces import Envelope, EnvelopePiece
 
-#: Below this many pieces the recursion beats the front's fixed cost.  On the
-#: IPAC-NN tree's nested sets (a median of 42 pieces over short intervals)
-#: this costs what the old 32-function switch did; every engine context of 23
-#: to 31 functions (115 pieces and up) runs faster on the front.
+#: Below this many pieces the recursion beats the front's fixed cost.  The
+#: serving caller left is ``QueryContext.build``; in 3 s of each end-to-end
+#: workload only ``dash_refresh`` built contexts this small (18 of 266).  On
+#: random single-segment sets (one Xeon core), ``le_alg`` took 0.11 ms and the
+#: front 1.5 ms at 3 functions, and the front was ahead from 32 functions on.
 _FRONT_MIN_PIECES = 64
 
 #: Below this many rows ``le_alg`` merges every subtree: bounding the halves

@@ -18,6 +18,9 @@ enforces that, and that the serving packages load no scipy:
   time;
 * :mod:`~repro.reference.front` — the kinetic front's per-piece crossing
   solve, the oracle of its one-pass solve over every contender piece;
+* :mod:`~repro.reference.ipacnn` — the paper's recursive Algorithm 3, one
+  lower envelope per node: the oracle of the IPAC-NN tree read off the
+  level envelopes;
 * :mod:`~repro.reference.naive` — the paper's quadratic comparison
   baselines (Figures 11 and 12);
 * :mod:`~repro.reference.definition` — the query semantics evaluated

@@ -2,13 +2,6 @@
 
 from .difference import difference_distance_function, difference_distance_functions
 from .io import LoadReport, load_csv, load_json, save_csv, save_json
-from .interpolation import (
-    pairwise_expected_distances,
-    positions_at,
-    resample,
-    sampled_polyline,
-    uniform_time_grid,
-)
 from .columnar import ColumnarPack, ColumnarStore, SegmentBoxArrays, segment_boxes_bulk
 from .mod import ChangeRecord, MovingObjectsDatabase
 from .trajectory import Trajectory, TrajectorySample, UncertainTrajectory
@@ -46,9 +39,4 @@ __all__ = [
     "UncertainTrajectory",
     "difference_distance_function",
     "difference_distance_functions",
-    "pairwise_expected_distances",
-    "positions_at",
-    "resample",
-    "sampled_polyline",
-    "uniform_time_grid",
 ]

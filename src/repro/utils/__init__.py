@@ -1,6 +1,5 @@
-"""Shared utilities: timing and validation helpers."""
+"""Shared utilities: validation helpers."""
 
-from .timing import Stopwatch, time_call
 from .validation import (
     envelope_matches_pointwise_minimum,
     envelopes_equal_pointwise,
@@ -9,10 +8,8 @@ from .validation import (
 )
 
 __all__ = [
-    "Stopwatch",
     "envelope_matches_pointwise_minimum",
     "envelopes_equal_pointwise",
     "intervals_are_disjoint",
-    "time_call",
     "total_interval_length",
 ]

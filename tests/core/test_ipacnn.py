@@ -1,10 +1,16 @@
 """Tests for Algorithm 3: constructing the IPAC-NN tree."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from repro.core.ipacnn import build_ipac_tree, build_ipac_tree_with_statistics
+from repro.core import queries
+from repro.core.ipacnn import build_ipac_tree
+from repro.core.queries import QueryContext
+from repro.geometry.envelope import divide_conquer
 from repro.geometry.envelope.divide_conquer import lower_envelope
+from repro.geometry.envelope.hyperbola import DistanceFunction
 from repro.geometry.envelope.klevel import k_level_envelopes
 
 from ..conftest import make_linear_function, random_functions
@@ -90,18 +96,68 @@ class TestTreeConstruction:
         assert tree.ranking_at(5.0) == ["only"]
 
 
-class TestTreeWithStatistics:
-    def test_returns_envelope_and_stats(self, rng):
-        functions = random_functions(12, rng)
-        tree, envelope, stats = build_ipac_tree_with_statistics(
-            functions, "q", 0.0, 10.0, band_width=2.0
-        )
-        assert stats.total_candidates == 12
-        assert 0 < stats.surviving_candidates <= 12
-        assert envelope.t_start == pytest.approx(0.0)
-        assert tree.size() >= len(envelope)
+class TestTreeOfContext:
+    """The tree is read off the context's levels, whatever the candidate order."""
 
-    def test_empty_input(self):
-        tree, envelope, stats = build_ipac_tree_with_statistics([], "q", 0.0, 10.0, 2.0)
-        assert tree.size() == 0
-        assert stats.total_candidates == 0
+    @staticmethod
+    def _shape(tree):
+        def node(item):
+            children = tuple(node(child) for child in item.children)
+            return (item.object_id, item.t_start, item.t_end, item.level, children)
+
+        return tuple(node(root) for root in tree.roots)
+
+    def test_identical_candidates_give_one_tree_in_every_order(self):
+        a = make_linear_function("a", 1.0, 0.0, 0.8, 0.0)
+        b = DistanceFunction("b", list(a.pieces))
+        c = make_linear_function("c", 9.0, 0.0, -0.8, 0.0)
+        trees = {
+            self._shape(build_ipac_tree(list(order), "q", 0.0, 10.0, band_width=1000.0))
+            for order in permutations([a, b, c])
+        }
+        assert len(trees) == 1
+
+    def test_tree_ranking_is_the_context_ranking_in_every_order(self):
+        a = make_linear_function("a", 1.0, 0.0, 0.8, 0.0)
+        b = DistanceFunction("b", list(a.pieces))
+        c = make_linear_function("c", 9.0, 0.0, -0.8, 0.0)
+        for order in permutations([a, b, c]):
+            context = QueryContext.build(list(order), "q", 0.0, 10.0, 1000.0)
+            tree = context.ipac_tree()
+            for t in (0.5, 2.25, 4.75, 5.5, 9.0):
+                assert tree.ranking_at(t) == context.ranking_at(t, 3)
+            assert tree.ranking_at(2.25) == ["a", "b", "c"]
+
+    def test_build_is_the_tree_of_a_context(self, rng):
+        functions = random_functions(9, rng)
+        tree = build_ipac_tree(functions, "q", 0.0, 10.0, band_width=3.0, max_levels=3)
+        context = QueryContext.build(functions, "q", 0.0, 10.0, 3.0)
+        assert self._shape(tree) == self._shape(context.ipac_tree(max_levels=3))
+
+    def test_context_tree_builds_no_envelope(self, rng, monkeypatch):
+        functions = random_functions(9, rng)
+        context = QueryContext.build(functions, "q", 0.0, 10.0, 3.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tree must reuse the context's envelope")
+
+        monkeypatch.setattr(queries, "lower_envelope", refuse)
+        monkeypatch.setattr(divide_conquer, "lower_envelope", refuse)
+        tree = context.ipac_tree()
+        assert [node.object_id for node in tree.roots] == context.envelope.owner_ids
+
+    def test_unbounded_tree_reads_the_cached_levels(self, rng):
+        context = QueryContext.build(random_functions(7, rng), "q", 0.0, 10.0, 1000.0)
+        tree = context.ipac_tree()
+        levels = context.level_envelopes(2)
+        assert len(levels) == tree.depth() == 7
+        assert [node.object_id for node in tree.nodes_at_level(2)] == levels.level(2).owner_ids
+
+    def test_zero_max_levels_keeps_level_one(self, crossing_functions):
+        tree = build_ipac_tree(crossing_functions, "q", 0.0, 10.0, band_width=2.0, max_levels=0)
+        assert tree.depth() == 1
+        assert [node.object_id for node in tree.roots] == ["a", "b"]
+
+    def test_duplicate_ids_rejected(self, crossing_functions):
+        with pytest.raises(ValueError):
+            build_ipac_tree(crossing_functions + crossing_functions[:1], "q", 0.0, 10.0, 2.0)

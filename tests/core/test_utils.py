@@ -1,11 +1,8 @@
-"""Tests for the shared utilities (timing and validation helpers)."""
-
-import time
+"""Tests for the shared utilities (validation helpers)."""
 
 import pytest
 
 from repro.geometry.envelope.divide_conquer import lower_envelope
-from repro.utils.timing import Stopwatch, time_call
 from repro.utils.validation import (
     envelope_matches_pointwise_minimum,
     envelopes_equal_pointwise,
@@ -14,30 +11,6 @@ from repro.utils.validation import (
 )
 
 from ..conftest import make_linear_function
-
-
-class TestStopwatch:
-    def test_measure_and_totals(self):
-        watch = Stopwatch()
-        with watch.measure("step"):
-            time.sleep(0.01)
-        with watch.measure("step"):
-            time.sleep(0.01)
-        assert watch.count("step") == 2
-        assert watch.total("step") >= 0.02
-        assert watch.mean("step") >= 0.01
-
-    def test_unknown_label_defaults(self):
-        watch = Stopwatch()
-        assert watch.total("nothing") == 0.0
-        assert watch.mean("nothing") == 0.0
-        assert watch.count("nothing") == 0
-
-    def test_time_call(self):
-        elapsed = time_call(lambda: sum(range(1000)), repeats=2)
-        assert elapsed >= 0.0
-        with pytest.raises(ValueError):
-            time_call(lambda: None, repeats=0)
 
 
 class TestValidationHelpers:

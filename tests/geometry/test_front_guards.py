@@ -115,6 +115,39 @@ class TestGuardScope:
         assert_served_without_a_slab(functions, 2, monkeypatch)
 
 
+class TestBelowTheSolverEpsilon:
+    """Curves whose ``t²`` coefficients differ by less than ``COEFF_EPSILON``
+    (distances around 1e-9).  The solver drops that term, so it misses a
+    crossing that is there or reports one that is not.  The scalar then
+    ranks the pair by the midpoints of its elementary intervals, anywhere in
+    the window, and the walk by the values where it re-ranks or by a swap at
+    the reported root.  No guard hands such a pair to the scalar yet: one
+    over the pair's whole overlap fires on rows the contender cut drops."""
+
+    @pytest.mark.parametrize(
+        "curves",
+        [
+            # distance 1e-9·t against 1e-12·sqrt(t² + 1): they cross near
+            # t = 1e-3, and the solver sees no crossing.
+            [(1e-18, 0.0, 0.0), (1e-24, 0.0, 1e-24)],
+            [(1e-18, 2e-21, 1e-24), (0.0, 0.0, 1e-18)],
+            # 3e-9·t against 1e-6·|t - 1|: the solver's linear root at
+            # t = 0.5 is no crossing at all.
+            [(9e-18, -6e-309, 1e-20), (1.000001e-12, -2.0000002e-12, 1.00000001e-12)],
+        ],
+    )
+    @pytest.mark.xfail(strict=True, reason="the front parts from the scalar below COEFF_EPSILON")
+    def test_the_stack_is_the_cascade(self, curves):
+        functions = [whole(f"f{index}", Hyperbola(*curve)) for index, curve in enumerate(curves)]
+        expected = exclusion_cascade(functions, T_LO, T_HI, 2)
+        levels = klevel.k_level_envelopes(functions, T_LO, T_HI, 2)
+        assert [
+            [(p.object_id, p.t_start, p.t_end) for p in level.pieces] for level in levels.levels
+        ] == [
+            [(p.object_id, p.t_start, p.t_end) for p in level.pieces] for level in expected.levels
+        ]
+
+
 class TestFunctionPack:
     @pytest.fixture
     def functions(self):
