@@ -94,8 +94,8 @@ clean:
 	find . -type d -name snapshots -not -path "./.git/*" -prune -exec rm -rf {} +
 
 lint:
-	$(PYTHON) -m compileall -q src benchmarks examples
-	$(PYTHON) -c "import repro; import repro.engine; import repro.streaming; import repro.parallel; import repro.service; import repro.reference; print('import ok:', repro.__version__)"
+	$(PYTHON) -m compileall -q src benchmarks examples tests
+	$(PYTHON) -c "import importlib, pkgutil, repro; names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.') if m.name.rpartition('.')[2] != '__main__']; [importlib.import_module(name) for name in names]; print('import ok:', len(names), 'modules, repro', repro.__version__)"
 	@if $(PYTHON) -c "import ruff" >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src benchmarks examples tests; \
 	else \

@@ -1,7 +1,7 @@
 """Ablation A3 benchmark: index-assisted candidate pre-filtering.
 
 Measures bulk-loading the two index substrates and probing them with a
-corridor around a query trajectory, which is how the query façade narrows the
+corridor around a query trajectory, which is how the query engine narrows the
 candidate set before building distance functions (the U-tree-style direction
 of the paper's future work).
 """

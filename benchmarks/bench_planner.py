@@ -5,9 +5,9 @@ partial windows, repeated refresh passes) over
 :func:`~repro.workloads.scenarios.multi_query_fleet` twice:
 
 * **naive** — every statement interpreted alone through
-  :func:`~repro.query_language.execute_query_naive` (a fresh scalar façade
-  per call: no index, no cache, no fusion — exactly what ``execute_query``
-  did before the planner);
+  :func:`~repro.query_language.execute_query_naive` (a fresh
+  ``QueryContext.from_mod`` per call: no index, no cache, no fusion —
+  how statements ran before the planner);
 * **planned** — the same statements compiled by one reusable
   :class:`~repro.query_language.QueryExecutor` into fused
   ``prepare_batch`` groups (timing includes the executor construction, so

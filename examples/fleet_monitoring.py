@@ -24,7 +24,7 @@ Run with::
 from __future__ import annotations
 
 from _support import scaled
-from repro import ContinuousProbabilisticNNQuery, QueryEngine
+from repro import QueryContext, QueryEngine
 from repro.core.thresholds import probability_timeline
 from repro.workloads.scenarios import delivery_fleet, multi_query_fleet
 
@@ -41,12 +41,12 @@ def main() -> None:
     print(f"fleet of {len(mod)} vans, shift {window[0]:.0f}-{window[1]:.0f} minutes")
     print(f"query van: {van_of_interest}\n")
 
-    query = ContinuousProbabilisticNNQuery(mod, van_of_interest, window[0], window[1])
+    context = QueryContext.from_mod(mod, van_of_interest, window[0], window[1])
 
     # Which vans can ever be the nearest neighbor (non-zero probability)?
-    candidates = query.all_with_nonzero_probability_sometime()
+    candidates = context.uq31_all_sometime()
     print(f"vans that can be the nearest neighbor at some point: {candidates}")
-    stats = query.pruning_statistics()
+    stats = context.pruning_statistics()
     print(
         f"({stats.pruned_candidates} of {stats.total_candidates} vans pruned outright "
         f"by the 4r band)\n"
@@ -56,14 +56,14 @@ def main() -> None:
     # the band intersection, i.e. the UQ11/UQ13 machinery of the paper.
     print("relevance windows (minutes into the shift):")
     for van in candidates:
-        intervals = query.nonzero_probability_intervals(van)
+        intervals = context.nonzero_probability_intervals(van)
         pretty = ", ".join(f"[{start:5.1f}, {end:5.1f}]" for start, end in intervals)
-        fraction = query.nonzero_probability_fraction(van)
+        fraction = context.uq13_fraction(van)
         print(f"  {van:8s}  {fraction:5.1%} of the shift  {pretty}")
 
     # Who is the most probable nearest neighbor over time (level 1 of the
     # IPAC-NN tree), and who is the backup (level 2)?
-    tree = query.answer_tree(max_levels=2)
+    tree = context.ipac_tree(max_levels=2)
     print("\nmost probable nearest neighbor over time (IPAC-NN level 1):")
     for node in tree.nodes_at_level(1):
         print(f"  [{node.t_start:6.1f}, {node.t_end:6.1f}] min -> {node.object_id}")
@@ -75,7 +75,7 @@ def main() -> None:
     # For the two most relevant candidates, sample the actual NN probability
     # over the shift (the descriptor information of the paper's answer tree).
     top_two = candidates[:2]
-    series = probability_timeline(query.context, mod, top_two, time_samples=9, grid_size=96)
+    series = probability_timeline(context, mod, top_two, time_samples=9, grid_size=96)
     print("\nsampled NN probability across the shift:")
     header = "minute  " + "  ".join(f"{van:>10s}" for van in top_two)
     print(header)

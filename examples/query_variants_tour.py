@@ -14,7 +14,8 @@ Run with::
 from __future__ import annotations
 
 from _support import scaled
-from repro import ContinuousProbabilisticNNQuery
+from repro import QueryContext
+from repro.core.thresholds import continuous_threshold_nn_query
 from repro.workloads.scenarios import convoy_with_stragglers
 
 
@@ -25,66 +26,68 @@ def show(question: str, answer: object) -> None:
 def main() -> None:
     mod = convoy_with_stragglers(convoy_size=5, straggler_count=scaled(6, 3))
     query_vehicle = "convoy-2"  # the middle of the formation
-    query = ContinuousProbabilisticNNQuery(mod, query_vehicle, 0.0, 60.0)
+    context = QueryContext.from_mod(mod, query_vehicle, 0.0, 60.0)
     target = "convoy-1"
     print(f"convoy of 5 plus 6 stragglers; query vehicle: {query_vehicle}\n")
 
     print("Category 1 — one trajectory, non-zero NN probability (UQ11/UQ12/UQ13):")
     show(
         f"can {target} ever be the nearest neighbor?",
-        query.has_nonzero_probability_sometime(target),
+        context.uq11_sometime(target),
     )
     show(
         f"can {target} be the nearest neighbor at every instant?",
-        query.has_nonzero_probability_always(target),
+        context.uq12_always(target),
     )
     show(
         f"for what fraction of the hour is {target} a candidate?",
-        f"{query.nonzero_probability_fraction(target):.2f}",
+        f"{context.uq13_fraction(target):.2f}",
     )
     show(
         f"is {target} a candidate at least 50% of the time?",
-        query.has_nonzero_probability_at_least(target, 0.5),
+        context.uq13_at_least(target, 0.5),
     )
 
     print("\nCategory 2 — one trajectory, rank-k (UQ21/UQ22/UQ23):")
     show(
         f"is {target} ever among the top-2 candidates?",
-        query.is_ranked_within_sometime(target, 2),
+        context.uq21_rank_sometime(target, 2),
     )
     show(
         f"is {target} always among the top-3 candidates?",
-        query.is_ranked_within_always(target, 3),
+        context.uq22_rank_always(target, 3),
     )
     show(
         f"what fraction of the hour is {target} in the top-2?",
-        f"{query.ranked_within_fraction(target, 2):.2f}",
+        f"{context.uq23_rank_fraction(target, 2):.2f}",
     )
 
     print("\nCategory 3 — whole database, non-zero NN probability (UQ31/UQ32/UQ33):")
-    show("who can ever be the nearest neighbor?", query.all_with_nonzero_probability_sometime())
-    show("who is a candidate at every instant?", query.all_with_nonzero_probability_always())
+    show("who can ever be the nearest neighbor?", context.uq31_all_sometime())
+    show("who is a candidate at every instant?", context.uq32_all_always())
     show(
         "who is a candidate at least 80% of the time?",
-        query.all_with_nonzero_probability_at_least(0.8),
+        context.uq33_all_at_least(0.8),
     )
 
     print("\nCategory 4 — whole database, rank-k:")
-    show("who ever makes the top-2?", query.all_ranked_within_sometime(2))
-    show("who is always in the top-3?", query.all_ranked_within_always(3))
-    show("who is in the top-2 at least half the time?", query.all_ranked_within_at_least(2, 0.5))
+    show("who ever makes the top-2?", context.uq41_all_rank_sometime(2))
+    show("who is always in the top-3?", context.uq42_all_rank_always(3))
+    show("who is in the top-2 at least half the time?", context.uq43_all_rank_at_least(2, 0.5))
 
     print("\nFixed-time variants:")
-    show("candidates at t = 30 min", query.candidates_at(30.0))
-    show("top-3 ranking at t = 30 min", query.ranking_at(30.0, 3))
+    show("candidates at t = 30 min", context.candidates_at(30.0))
+    show("top-3 ranking at t = 30 min", context.ranking_at(30.0, 3))
 
     print("\nThe answer structure (IPAC-NN tree):")
-    tree = query.answer_tree(max_levels=3)
+    tree = context.ipac_tree(max_levels=3)
     show("number of nodes / depth", f"{tree.size()} / {tree.depth()}")
     show("ranking encoded by the tree at t = 30", tree.ranking_at(30.0)[:3])
 
     print("\nExtension (paper's future work) — continuous threshold query:")
-    results = query.threshold_query(probability_threshold=0.3, min_time_fraction=0.5, time_samples=5)
+    results = continuous_threshold_nn_query(
+        context, mod, probability_threshold=0.3, min_time_fraction=0.5, time_samples=5
+    )
     show(
         "who has > 30% NN probability at least half the time?",
         [result.object_id for result in results],

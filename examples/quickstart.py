@@ -13,7 +13,7 @@ Run with::
 from __future__ import annotations
 
 from _support import scaled
-from repro import ContinuousProbabilisticNNQuery, RandomWaypointConfig, generate_mod
+from repro import QueryContext, RandomWaypointConfig, generate_mod
 
 
 def main() -> None:
@@ -27,18 +27,18 @@ def main() -> None:
     print(f"MOD holds {len(mod)} uncertain trajectories over {config.duration_minutes} minutes")
 
     # 2. Pose the continuous probabilistic NN query for object 0 over the hour.
-    query = ContinuousProbabilisticNNQuery(mod, query_id=0, t_start=0.0, t_end=60.0)
-    print(f"pruning band width (4r): {query.band_width:.2f} miles")
+    context = QueryContext.from_mod(mod, query_id=0, t_start=0.0, t_end=60.0)
+    print(f"pruning band width (4r): {context.band_width:.2f} miles")
 
     # 3. Category 3 (whole-database) answers.
-    sometime = query.all_with_nonzero_probability_sometime()
-    always = query.all_with_nonzero_probability_always()
-    half_time = query.all_with_nonzero_probability_at_least(0.5)
+    sometime = context.uq31_all_sometime()
+    always = context.uq32_all_always()
+    half_time = context.uq33_all_at_least(0.5)
     print(f"objects with non-zero NN probability at some time : {len(sometime)}")
     print(f"objects with non-zero NN probability all the time  : {always}")
     print(f"objects with non-zero NN probability >= 50% of time: {half_time}")
 
-    stats = query.pruning_statistics()
+    stats = context.pruning_statistics()
     print(
         f"band pruning removed {stats.pruned_candidates}/{stats.total_candidates} "
         f"candidates ({stats.pruning_ratio:.0%})"
@@ -47,21 +47,21 @@ def main() -> None:
     # 4. Category 1 / 2 answers for a single candidate.
     candidate = sometime[0]
     print(f"\ncandidate {candidate}:")
-    print(f"  non-zero NN probability sometime : {query.has_nonzero_probability_sometime(candidate)}")
-    print(f"  non-zero NN probability always   : {query.has_nonzero_probability_always(candidate)}")
-    print(f"  fraction of time with probability: {query.nonzero_probability_fraction(candidate):.2f}")
-    print(f"  within the top-2 ranking sometime: {query.is_ranked_within_sometime(candidate, 2)}")
+    print(f"  non-zero NN probability sometime : {context.uq11_sometime(candidate)}")
+    print(f"  non-zero NN probability always   : {context.uq12_always(candidate)}")
+    print(f"  fraction of time with probability: {context.uq13_fraction(candidate):.2f}")
+    print(f"  within the top-2 ranking sometime: {context.uq21_rank_sometime(candidate, 2)}")
 
     # 5. The IPAC-NN tree: the time-parameterized, ranked answer.
-    tree = query.answer_tree(max_levels=3)
+    tree = context.ipac_tree(max_levels=3)
     print(f"\nIPAC-NN tree: {tree.size()} nodes, depth {tree.depth()}")
     print("level-1 intervals (who is the most-probable NN, and when):")
     for node in tree.nodes_at_level(1):
         print(f"  [{node.t_start:5.1f}, {node.t_end:5.1f}] min -> object {node.object_id}")
 
     # 6. Fixed-time variants.
-    print(f"\ntop-3 ranking at t = 30 min: {query.ranking_at(30.0, 3)}")
-    print(f"candidates at t = 30 min   : {query.candidates_at(30.0)}")
+    print(f"\ntop-3 ranking at t = 30 min: {context.ranking_at(30.0, 3)}")
+    print(f"candidates at t = 30 min   : {context.candidates_at(30.0)}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ContinuousProbabilisticNNQuery, QueryEngine, UncertainTrajectory
+from repro import QueryContext, QueryEngine, UncertainTrajectory
 from repro.uncertainty.uniform import UniformDiskPDF
 from _support import scaled
 from repro.workloads.scenarios import ride_hailing_snapshot
@@ -45,34 +45,34 @@ def main() -> None:
         f"corridor filter: {prepared.candidate_count} of "
         f"{prepared.total_candidates} drivers enter the envelope"
     )
-    query = ContinuousProbabilisticNNQuery(mod, "rider", 0.0, horizon)
+    context = QueryContext.from_mod(mod, "rider", 0.0, horizon)
 
-    relevant = query.all_with_nonzero_probability_sometime()
+    relevant = context.uq31_all_sometime()
     print(f"drivers with non-zero probability of being nearest: {len(relevant)}")
-    stats = query.pruning_statistics()
+    stats = context.pruning_statistics()
     print(f"  (band pruning kept {stats.surviving_candidates} of {stats.total_candidates} candidates)\n")
 
     # The dispatch shortlist: drivers that are in the top-2 at least 30% of
     # the horizon (a Category 2/4 query from Section 4 of the paper).
-    shortlist = query.all_ranked_within_at_least(2, 0.3)
+    shortlist = context.uq43_all_rank_at_least(2, 0.3)
     print(f"shortlist (top-2 at least 30% of the time): {shortlist}\n")
 
     # Continuous answer: who is the most probable nearest driver, and when.
-    tree = query.answer_tree(max_levels=2)
+    tree = context.ipac_tree(max_levels=2)
     print("most probable nearest driver over the horizon:")
     for node in tree.nodes_at_level(1):
         print(f"  minutes [{node.t_start:5.1f}, {node.t_end:5.1f}] -> {node.object_id}")
 
     # Instantaneous double-check at request time (t = 0) and at pickup time.
-    print(f"\nranking now       : {query.ranking_at(0.0, 3)}")
-    print(f"ranking at pickup : {query.ranking_at(horizon, 3)}")
+    print(f"\nranking now       : {context.ranking_at(0.0, 3)}")
+    print(f"ranking at pickup : {context.ranking_at(horizon, 3)}")
 
     # Existential question dispatch actually asks per driver (UQ11/UQ13).
-    best_now = query.ranking_at(0.0, 1)[0]
-    fraction = query.nonzero_probability_fraction(best_now)
+    best_now = context.ranking_at(0.0, 1)[0]
+    fraction = context.uq13_fraction(best_now)
     print(
         f"\ndriver {best_now} can be the nearest {fraction:.0%} of the horizon; "
-        f"always a candidate: {query.has_nonzero_probability_always(best_now)}"
+        f"always a candidate: {context.uq12_always(best_now)}"
     )
 
 

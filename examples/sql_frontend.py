@@ -18,7 +18,7 @@ from pathlib import Path
 from _support import scaled
 from repro import RandomWaypointConfig, generate_mod
 from repro.core.reverse import reverse_nn_query
-from repro.query_language import execute_query, parse_query
+from repro.query_language import QueryExecutor, parse_query
 from repro.trajectories.io import load_json, save_json
 
 
@@ -46,9 +46,10 @@ def main() -> None:
         # Category 1: a specific object, existentially quantified.
         "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROBABILITY_NN(T, 5, TIME) > 0 AND T = 12",
     ]
+    executor = QueryExecutor(mod)
     for text in queries:
         ast = parse_query(text)
-        result = execute_query(ast, mod)
+        result = executor.execute(ast)
         print(f"Category {ast.category} | {text}")
         print(f"  -> {result.object_ids if result.object_ids else '[] (does not hold)'}\n")
 

@@ -9,7 +9,7 @@ The public API re-exports the pieces most users need:
 * the trajectory model and the MOD store (:mod:`repro.trajectories`);
 * the location pdfs and probability machinery (:mod:`repro.uncertainty`);
 * the envelope algorithms (:mod:`repro.geometry.envelope`);
-* the query façade, IPAC-NN trees and query variants (:mod:`repro.core`);
+* the query context, IPAC-NN trees and query variants (:mod:`repro.core`);
 * the serving stack — batched engine (:mod:`repro.engine`), the
   stand-alone batch API (:mod:`repro.parallel`), streaming monitor
   (:mod:`repro.streaming`), and the async query service
@@ -19,7 +19,6 @@ The public API re-exports the pieces most users need:
 """
 
 from .core import (
-    ContinuousProbabilisticNNQuery,
     IPACNode,
     IPACTree,
     ProbabilityDescriptor,
@@ -55,7 +54,6 @@ __all__ = [
     "ChangeRecord",
     "ConePDF",
     "ContinuousMonitor",
-    "ContinuousProbabilisticNNQuery",
     "CrispPDF",
     "IntervalChanged",
     "NeighborAppeared",

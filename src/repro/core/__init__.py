@@ -1,7 +1,6 @@
 """Core contribution: IPAC-NN trees, pruning, ranking, and the query variants."""
 
 from .answer import IPACNode, IPACTree, ProbabilityDescriptor
-from .continuous import ContinuousProbabilisticNNQuery
 from .descriptors import annotate_tree, compute_descriptor
 from .heterogeneous import HeterogeneousQueryContext
 from .ipacnn import build_ipac_tree
@@ -37,7 +36,6 @@ from .thresholds import (
 )
 
 __all__ = [
-    "ContinuousProbabilisticNNQuery",
     "HeterogeneousQueryContext",
     "IPACNode",
     "ReverseNNResult",

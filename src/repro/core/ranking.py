@@ -18,8 +18,9 @@ checked empirically (ablation A1 of DESIGN.md):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -29,21 +30,16 @@ from ..uncertainty.nn_probability import (
     monte_carlo_nn_probabilities,
     nn_probabilities,
 )
-from ..uncertainty.pdf import CrispPDF, RadialPDF
+from ..uncertainty.pdf import CrispPDF
 from ..uncertainty.within_distance import WithinDistanceProfile
 
 # The convolution of two pdfs depends only on the pdf objects, not on the
 # trajectories or the time instant, and in the paper's model every candidate
-# shares one pdf — so the (possibly numeric) convolution is computed once per
-# distinct pdf pair and reused across candidates and time instants.
-_DIFFERENCE_PDF_CACHE: Dict[Tuple[int, int], RadialPDF] = {}
-
-
-def _cached_difference_pdf(object_pdf: RadialPDF, query_pdf: RadialPDF) -> RadialPDF:
-    key = (id(object_pdf), id(query_pdf))
-    if key not in _DIFFERENCE_PDF_CACHE:
-        _DIFFERENCE_PDF_CACHE[key] = difference_pdf(object_pdf, query_pdf)
-    return _DIFFERENCE_PDF_CACHE[key]
+# shares one pdf — so the (possibly numeric, seconds-long) convolution is
+# computed once per distinct pdf pair and reused across candidates and time
+# instants.  The cache holds its key pdfs, so a freed pdf's address can never
+# be read back as another pair's convolution.
+_cached_difference_pdf = functools.lru_cache(maxsize=64)(difference_pdf)
 
 
 @dataclass(frozen=True, slots=True)

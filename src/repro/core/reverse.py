@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..trajectories.mod import MovingObjectsDatabase
-from ..uncertainty.within_distance import effective_pruning_radius
 from .queries import QueryContext
 
 
@@ -34,25 +33,6 @@ class ReverseNNResult:
     sometime: bool
     always: bool
     fraction: float
-
-
-def _context_for(
-    mod: MovingObjectsDatabase,
-    center_id: object,
-    t_start: float,
-    t_end: float,
-    band_width: Optional[float],
-) -> QueryContext:
-    """Query context centred on ``center_id`` (helper shared by both variants)."""
-    if band_width is None:
-        center = mod.get(center_id)
-        band_width = max(
-            effective_pruning_radius(trajectory.pdf, center.pdf)
-            for trajectory in mod
-            if trajectory.object_id != center_id
-        )
-    functions = mod.distance_functions(center_id, t_start, t_end)
-    return QueryContext.build(functions, center_id, t_start, t_end, band_width)
 
 
 def reverse_nn_query(
@@ -71,7 +51,7 @@ def reverse_nn_query(
         t_start: window start.
         t_end: window end.
         band_width: pruning band width used in each per-candidate context;
-            defaults to the 4r-style width derived from the pdfs.
+            defaults to the MOD's ``default_band_width`` (the paper's ``4r``).
         candidate_ids: restrict the reverse search to these objects.
 
     Returns:
@@ -88,7 +68,7 @@ def reverse_nn_query(
     for candidate_id in candidate_ids:
         if candidate_id == query_id:
             continue
-        context = _context_for(mod, candidate_id, t_start, t_end, band_width)
+        context = QueryContext.from_mod(mod, candidate_id, t_start, t_end, band_width)
         if query_id not in context.functions:
             continue
         sometime = context.uq11_sometime(query_id)
@@ -124,7 +104,7 @@ def all_pairs_nn_matrix(
         if len(mod) < 2:
             matrix[center_id] = []
             continue
-        context = _context_for(mod, center_id, t_start, t_end, band_width)
+        context = QueryContext.from_mod(mod, center_id, t_start, t_end, band_width)
         matrix[center_id] = context.uq31_all_sometime()
     return matrix
 

@@ -1,7 +1,7 @@
 """The batched multi-query engine.
 
-:class:`QueryEngine` is the serving-side counterpart of the per-query
-:class:`~repro.core.continuous.ContinuousProbabilisticNNQuery` façade.  It
+:class:`QueryEngine` is the serving-side counterpart of one
+:meth:`~repro.core.queries.QueryContext.from_mod` per query.  It
 amortizes the costs a production deployment pays once per *database* rather
 than once per *query*:
 

@@ -6,19 +6,16 @@ compiled by the :mod:`~repro.query_language.planner` into fused plans
 over the batched engine — see ``docs/query-planner.md``.  The planner's
 :class:`PlannedStatement` / :func:`plan_statements` / :class:`QueryPlan`
 are also how the service, the monitor and the sharded engine run their
-queries.  :func:`execute_query` / :func:`execute_many` are the one-call
-entry points; :func:`explain_plan` renders what the compiler decided.
+queries.  A :class:`QueryExecutor` is a session over one MOD: its
+``execute`` / ``execute_many`` run statements and its ``explain`` renders
+what the compiler decided.
 """
 
 from .ast import ContinuousNNQueryAST, NNPredicate, Quantifier, TimeWindow
 from .executor import (
     QueryExecutor,
     QueryResult,
-    execute_many,
-    execute_query,
     execute_query_naive,
-    executor_for,
-    explain_plan,
 )
 from .parser import parse_query
 from .planner import (
@@ -46,11 +43,7 @@ __all__ = [
     "TimeWindow",
     "Token",
     "compile_queries",
-    "execute_many",
-    "execute_query",
     "execute_query_naive",
-    "executor_for",
-    "explain_plan",
     "parse_query",
     "plan_statements",
     "resolve_object_id",

@@ -11,27 +11,24 @@ of the paper's UQ operators:
 
 Execution routes through the :mod:`~repro.query_language.planner`: text
 is parsed, lowered into a fused :class:`~repro.query_language.planner.QueryPlan`,
-and run against a *reusable* :class:`~repro.engine.QueryEngine` — one
-engine (index, context cache, bulk kernels) per MOD, held by a
-:class:`QueryExecutor`.  The module-level :func:`execute_query` /
-:func:`execute_many` keep one executor alive per MOD (weakly referenced),
-so a dashboard re-issuing the same text hits the engine's
+and run against the *reusable* :class:`~repro.engine.QueryEngine` a
+:class:`QueryExecutor` holds for its MOD, so a dashboard re-issuing the
+same text through one executor hits the engine's
 :class:`~repro.engine.cache.ContextCache` instead of rebuilding envelopes.
 
-:func:`execute_query_naive` pins the original per-query interpreter over
-the scalar :class:`~repro.core.continuous.ContinuousProbabilisticNNQuery`
-façade as the equivalence oracle: planned answers must stay byte-identical
-to it (both paths canonicalize answer order by ``str``).
+:func:`execute_query_naive` pins the original per-query interpreter — one
+:meth:`~repro.core.queries.QueryContext.from_mod` per statement — as the
+equivalence oracle: planned answers must stay byte-identical to it (both
+paths canonicalize answer order by ``str``).
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..core.continuous import ContinuousProbabilisticNNQuery
+from ..core.queries import QueryContext
 from ..engine.cache import CacheInfo
 from ..engine.engine import QueryEngine
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
@@ -202,79 +199,6 @@ def _as_batch(
     return statements
 
 
-# ----------------------------------------------------------------------
-# Module-level convenience API (one cached executor per MOD).
-# ----------------------------------------------------------------------
-
-_EXECUTORS: "weakref.WeakKeyDictionary[MovingObjectsDatabase, QueryExecutor]"
-_EXECUTORS = weakref.WeakKeyDictionary()
-
-
-def executor_for(mod: MovingObjectsDatabase) -> QueryExecutor:
-    """The process-wide cached executor of one MOD.
-
-    Created on first use and kept alive (weakly, so dropping the MOD
-    drops its executor) — which is what lets bare :func:`execute_query`
-    calls share an engine and hit its context cache on re-execution.
-    """
-    executor = _EXECUTORS.get(mod)
-    if executor is None:
-        executor = QueryExecutor(mod)
-        _EXECUTORS[mod] = executor
-    return executor
-
-
-def execute_query(
-    text_or_ast: Statement,
-    mod: MovingObjectsDatabase,
-    band_width: Optional[float] = None,
-) -> QueryResult:
-    """Parse (if needed) and execute a query against a MOD.
-
-    Routes through the MOD's cached :class:`QueryExecutor`, so repeated
-    executions of the same text reuse the engine's prepared contexts.
-
-    Args:
-        text_or_ast: the query text, or an already-parsed AST.
-        mod: the moving objects database to run against.
-        band_width: optional pruning-band override.
-
-    Returns:
-        A :class:`QueryResult` with the qualifying object ids (the query
-        object itself is never part of its own answer), sorted by ``str``.
-    """
-    return executor_for(mod).execute(text_or_ast, band_width=band_width)
-
-
-def execute_many(
-    statements: Sequence[Statement],
-    mod: MovingObjectsDatabase,
-    band_width: BandWidths = None,
-) -> List[QueryResult]:
-    """Execute a batch of statements through one fused plan.
-
-    Statements sharing a window and band width are served by a single
-    batched preparation; results come back in submission order.
-    """
-    return executor_for(mod).execute_many(statements, band_width=band_width)
-
-
-def explain_plan(
-    statements: Union[Statement, Sequence[Statement]],
-    mod: MovingObjectsDatabase,
-    band_width: BandWidths = None,
-    *,
-    execute: bool = False,
-) -> str:
-    """Render the fused plan tree of one or many statements.
-
-    See :meth:`QueryExecutor.explain`.
-    """
-    return executor_for(mod).explain(
-        statements, band_width=band_width, execute=execute
-    )
-
-
 def execute_query_naive(
     text_or_ast: Statement,
     mod: MovingObjectsDatabase,
@@ -282,16 +206,15 @@ def execute_query_naive(
 ) -> QueryResult:
     """The pinned per-query interpreter, kept as the planner's oracle.
 
-    Evaluates one AST alone against the scalar façade — no index, no
-    cache, no fusion — exactly as ``execute_query`` did before the
-    planner existed.  Answer ordering is canonicalized by ``str`` so
+    Evaluates one AST alone on its own
+    :meth:`~repro.core.queries.QueryContext.from_mod` context — no index,
+    no cache, no fusion.  Answer ordering is canonicalized by ``str`` so
     planned results can be compared byte-for-byte.
     """
     ast = _parse(text_or_ast)
-    query_object = resolve_object_id(mod, ast.predicate.query_object)
-    facade = ContinuousProbabilisticNNQuery(
+    context = QueryContext.from_mod(
         mod,
-        query_object,
+        resolve_object_id(mod, ast.predicate.query_object),
         ast.window.t_start,
         ast.window.t_end,
         band_width=band_width,
@@ -300,22 +223,18 @@ def execute_query_naive(
     rank = ast.predicate.max_rank
     if rank is None:
         if ast.quantifier is Quantifier.EXISTS:
-            candidates = facade.all_with_nonzero_probability_sometime()
+            candidates = context.uq31_all_sometime()
         elif ast.quantifier is Quantifier.FORALL:
-            candidates = facade.all_with_nonzero_probability_always()
+            candidates = context.uq32_all_always()
         else:
-            candidates = facade.all_with_nonzero_probability_at_least(
-                ast.min_fraction
-            )
+            candidates = context.uq33_all_at_least(ast.min_fraction)
     else:
         if ast.quantifier is Quantifier.EXISTS:
-            candidates = facade.all_ranked_within_sometime(rank)
+            candidates = context.uq41_all_rank_sometime(rank)
         elif ast.quantifier is Quantifier.FORALL:
-            candidates = facade.all_ranked_within_always(rank)
+            candidates = context.uq42_all_rank_always(rank)
         else:
-            candidates = facade.all_ranked_within_at_least(
-                rank, ast.min_fraction
-            )
+            candidates = context.uq43_all_rank_at_least(rank, ast.min_fraction)
 
     candidates = sorted(candidates, key=str)
     if ast.target_object is not None:

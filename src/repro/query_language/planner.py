@@ -176,7 +176,7 @@ class QueryPlan:
         ``Merge`` (submission order), one ``Prepare`` per group (its
         window), its ``BandIntervals`` (band width, distinct contexts) and
         one ``Answer`` per statement — in the visual grammar of
-        :func:`repro.obs.tracing.render_tree`, so ``explain_plan`` output
+        :func:`repro.obs.tracing.render_tree`, so ``QueryExecutor.explain`` output
         reads uniformly when the span tree is appended below it.
         """
         lines = [_line(0, "Merge", statements=self.statement_count, groups=len(self.groups))]

@@ -503,26 +503,6 @@ class MovingObjectsDatabase:
             raise ValueError("stored trajectories have no common time span")
         return (start, end)
 
-    def uncertainty_radii(self) -> List[float]:
-        """Uncertainty radii of the stored trajectories."""
-        return [t.radius for t in self._trajectories.values()]
-
-    def uniform_uncertainty_radius(self) -> float:
-        """The common uncertainty radius.
-
-        The paper assumes all trajectories share ``r``; this accessor raises
-        when that assumption is violated so callers notice instead of getting
-        silently wrong pruning bands.
-        """
-        radii = set(round(r, 12) for r in self.uncertainty_radii())
-        if not radii:
-            raise ValueError("the database is empty")
-        if len(radii) > 1:
-            raise ValueError(
-                f"trajectories have heterogeneous uncertainty radii: {sorted(radii)}"
-            )
-        return next(iter(radii))
-
     # ------------------------------------------------------------------
     # Columnar storage.
     # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ from .random_waypoint import (
 )
 from .scenarios import (
     StreamingFleetScenario,
-    commuter_traffic,
     convoy_with_stragglers,
     delivery_fleet,
     multi_query_fleet,
@@ -23,7 +22,6 @@ __all__ = [
     "MIN_SPEED_MILES_PER_MINUTE",
     "RandomWaypointConfig",
     "StreamingFleetScenario",
-    "commuter_traffic",
     "convoy_with_stragglers",
     "delivery_fleet",
     "generate_mod",

@@ -8,8 +8,6 @@ on recognizable situations rather than pure noise:
 
 * :func:`delivery_fleet` — vans leaving a depot, visiting a few stops, and
   returning, with GPS-style uncertainty;
-* :func:`commuter_traffic` — commuters driving between home and work zones
-  across town at rush hour;
 * :func:`convoy_with_stragglers` — a tight convoy plus stragglers, useful to
   show rank-k (Category 2) queries doing something interesting;
 * :func:`multi_query_fleet` — a city-scale mixed fleet plus a set of
@@ -77,46 +75,6 @@ def delivery_fleet(
         ]
         trajectories.append(
             UncertainTrajectory(f"van-{van}", samples, uncertainty_radius, pdf)
-        )
-    return MovingObjectsDatabase(trajectories)
-
-
-def commuter_traffic(
-    num_commuters: int = 40,
-    region_size_miles: float = 30.0,
-    commute_minutes: float = 45.0,
-    uncertainty_radius: float = 0.4,
-    seed: int = 13,
-) -> MovingObjectsDatabase:
-    """Morning commuters driving from a residential band to a business district.
-
-    Homes are scattered on the western third of the region, workplaces on the
-    eastern third; every commuter drives a single straight leg with a small
-    random start delay absorbed into the start position.  Ids are
-    ``"commuter-<k>"``.
-    """
-    if num_commuters < 1:
-        raise ValueError("need at least one commuter")
-    rng = np.random.default_rng(seed)
-    pdf = UniformDiskPDF(uncertainty_radius)
-    trajectories: List[UncertainTrajectory] = []
-    for commuter in range(num_commuters):
-        home = (
-            rng.uniform(0.0, region_size_miles / 3.0),
-            rng.uniform(0.0, region_size_miles),
-        )
-        work = (
-            rng.uniform(2.0 * region_size_miles / 3.0, region_size_miles),
-            rng.uniform(region_size_miles / 3.0, 2.0 * region_size_miles / 3.0),
-        )
-        samples = [
-            TrajectorySample(home[0], home[1], 0.0),
-            TrajectorySample(work[0], work[1], commute_minutes),
-        ]
-        trajectories.append(
-            UncertainTrajectory(
-                f"commuter-{commuter}", samples, uncertainty_radius, pdf
-            )
         )
     return MovingObjectsDatabase(trajectories)
 

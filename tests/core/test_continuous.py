@@ -1,8 +1,9 @@
-"""Tests for the ContinuousProbabilisticNNQuery façade."""
+"""Tests for one continuous query answered off ``QueryContext.from_mod``."""
 
 import pytest
 
-from repro.core.continuous import ContinuousProbabilisticNNQuery
+from repro.core.descriptors import annotate_tree
+from repro.core.queries import QueryContext
 from repro.engine import QueryEngine
 from repro.trajectories.mod import MovingObjectsDatabase
 
@@ -15,8 +16,8 @@ def mod(tiny_mod) -> MovingObjectsDatabase:
 
 
 @pytest.fixture
-def query(mod) -> ContinuousProbabilisticNNQuery:
-    return ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0)
+def query(mod) -> QueryContext:
+    return QueryContext.from_mod(mod, "q", 0.0, 60.0)
 
 
 class TestConstruction:
@@ -24,68 +25,68 @@ class TestConstruction:
         assert query.band_width == pytest.approx(2.0)  # 4 × 0.5
 
     def test_explicit_band_width(self, mod):
-        query = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0, band_width=1.0)
+        query = QueryContext.from_mod(mod, "q", 0.0, 60.0, band_width=1.0)
         assert query.band_width == 1.0
 
     def test_unknown_query_id_raises(self, mod):
         with pytest.raises(KeyError):
-            ContinuousProbabilisticNNQuery(mod, "missing", 0.0, 60.0)
+            QueryContext.from_mod(mod, "missing", 0.0, 60.0)
 
     def test_empty_window_rejected(self, mod):
         with pytest.raises(ValueError):
-            ContinuousProbabilisticNNQuery(mod, "q", 60.0, 0.0)
+            QueryContext.from_mod(mod, "q", 60.0, 0.0)
 
     def test_negative_band_rejected(self, mod):
         with pytest.raises(ValueError):
-            ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0, band_width=-1.0)
+            QueryContext.from_mod(mod, "q", 0.0, 60.0, band_width=-1.0)
 
     def test_explicit_candidate_restriction(self, mod):
-        query = ContinuousProbabilisticNNQuery(
+        query = QueryContext.from_mod(
             mod, "q", 0.0, 60.0, candidate_ids=["near"]
         )
-        assert query.all_with_nonzero_probability_sometime() == ["near"]
+        assert query.uq31_all_sometime() == ["near"]
 
     def test_empty_candidate_set_rejected(self, mod):
         with pytest.raises(ValueError):
-            ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0, candidate_ids=[])
+            QueryContext.from_mod(mod, "q", 0.0, 60.0, candidate_ids=[])
 
     def test_single_object_database_rejected(self):
         lonely = MovingObjectsDatabase(
             [straight_trajectory("q", (0.0, 0.0), (30.0, 0.0))]
         )
         with pytest.raises(ValueError):
-            ContinuousProbabilisticNNQuery(lonely, "q", 0.0, 60.0)
+            QueryContext.from_mod(lonely, "q", 0.0, 60.0)
 
 
 class TestCategoryFacades:
     def test_category1(self, query):
-        assert query.has_nonzero_probability_sometime("near")
-        assert query.has_nonzero_probability_always("near")
-        assert query.has_nonzero_probability_sometime("crossing")
-        assert not query.has_nonzero_probability_always("crossing")
-        assert not query.has_nonzero_probability_sometime("far")
-        assert 0.0 < query.nonzero_probability_fraction("crossing") < 1.0
-        assert query.has_nonzero_probability_at_least("near", 0.9)
+        assert query.uq11_sometime("near")
+        assert query.uq12_always("near")
+        assert query.uq11_sometime("crossing")
+        assert not query.uq12_always("crossing")
+        assert not query.uq11_sometime("far")
+        assert 0.0 < query.uq13_fraction("crossing") < 1.0
+        assert query.uq13_at_least("near", 0.9)
         assert query.nonzero_probability_intervals("far") == []
 
     def test_category2(self, query):
-        assert query.is_ranked_within_sometime("near", 1)
-        assert query.is_ranked_within_sometime("crossing", 2)
-        assert query.ranked_within_fraction("near", 2) == pytest.approx(1.0, abs=1e-6)
-        assert query.is_ranked_within_at_least("near", 1, 0.5)
+        assert query.uq21_rank_sometime("near", 1)
+        assert query.uq21_rank_sometime("crossing", 2)
+        assert query.uq23_rank_fraction("near", 2) == pytest.approx(1.0, abs=1e-6)
+        assert query.uq23_rank_at_least("near", 1, 0.5)
 
     def test_category3(self, query):
-        sometime = set(query.all_with_nonzero_probability_sometime())
-        always = set(query.all_with_nonzero_probability_always())
-        at_least_half = set(query.all_with_nonzero_probability_at_least(0.5))
+        sometime = set(query.uq31_all_sometime())
+        always = set(query.uq32_all_always())
+        at_least_half = set(query.uq33_all_at_least(0.5))
         assert sometime == {"near", "crossing"}
         assert always == {"near"}
         assert always <= at_least_half <= sometime
 
     def test_category4(self, query):
-        assert set(query.all_ranked_within_sometime(1)) >= {"near"}
-        assert "near" in query.all_ranked_within_always(2)
-        assert "near" in query.all_ranked_within_at_least(2, 0.5)
+        assert set(query.uq41_all_rank_sometime(1)) >= {"near"}
+        assert "near" in query.uq42_all_rank_always(2)
+        assert "near" in query.uq43_all_rank_at_least(2, 0.5)
 
     def test_fixed_time_variants(self, query):
         assert "near" in query.candidates_at(10.0)
@@ -94,13 +95,14 @@ class TestCategoryFacades:
         assert ranking[0] in ("near", "crossing")
 
     def test_answer_tree(self, query):
-        tree = query.answer_tree(max_levels=2)
+        tree = query.ipac_tree(max_levels=2)
         assert tree.query_id == "q"
         assert tree.depth() <= 2
         assert "far" not in tree.labelled_object_ids()
 
-    def test_answer_tree_with_descriptors(self, query):
-        tree = query.answer_tree(max_levels=1, with_descriptors=True, descriptor_samples=2)
+    def test_answer_tree_with_descriptors(self, mod, query):
+        tree = query.ipac_tree(max_levels=1)
+        annotate_tree(tree, mod, samples=2)
         assert all(node.descriptor is not None for node in tree.walk())
 
     def test_pruning_statistics(self, query):
@@ -111,16 +113,16 @@ class TestCategoryFacades:
 
 class TestIndexPrefiltering:
     def test_engine_candidates_keep_answers_identical(self, mod):
-        plain = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0)
+        plain = QueryContext.from_mod(mod, "q", 0.0, 60.0)
         candidates = QueryEngine(mod).candidate_ids("q", 0.0, 60.0)
         assert "far" not in candidates
-        filtered = ContinuousProbabilisticNNQuery(
+        filtered = QueryContext.from_mod(
             mod, "q", 0.0, 60.0, candidate_ids=candidates
         )
         # Same members; the order is each context's candidate order.
-        assert set(filtered.all_with_nonzero_probability_sometime()) == set(
-            plain.all_with_nonzero_probability_sometime()
+        assert set(filtered.uq31_all_sometime()) == set(
+            plain.uq31_all_sometime()
         )
-        assert set(filtered.all_with_nonzero_probability_always()) == set(
-            plain.all_with_nonzero_probability_always()
+        assert set(filtered.uq32_all_always()) == set(
+            plain.uq32_all_always()
         )

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.answer import IPACNode
-from repro.core.continuous import ContinuousProbabilisticNNQuery
 from repro.core.descriptors import annotate_tree, compute_descriptor
+from repro.core.queries import QueryContext
 from repro.trajectories.mod import MovingObjectsDatabase
 
 from ..conftest import straight_trajectory
@@ -51,16 +51,14 @@ class TestComputeDescriptor:
 
 class TestAnnotateTree:
     def test_annotation_bounded_by_max_nodes(self, mod):
-        query = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0)
-        tree = query.answer_tree()
+        tree = QueryContext.from_mod(mod, "q", 0.0, 60.0).ipac_tree()
         annotated = annotate_tree(tree, mod, samples=2, grid_size=64, max_nodes=1)
         assert annotated == 1
         nodes = list(tree.walk())
         assert nodes[0].descriptor is not None
 
     def test_full_annotation(self, mod):
-        query = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0)
-        tree = query.answer_tree(max_levels=2)
+        tree = QueryContext.from_mod(mod, "q", 0.0, 60.0).ipac_tree(max_levels=2)
         annotated = annotate_tree(tree, mod, samples=2, grid_size=64)
         assert annotated == tree.size()
         assert all(node.descriptor is not None for node in tree.walk())

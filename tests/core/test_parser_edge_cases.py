@@ -10,10 +10,10 @@ the planner down to the prepared group.
 import pytest
 
 from repro.query_language import (
+    QueryExecutor,
     QueryLanguageError,
     Quantifier,
     compile_queries,
-    execute_query,
     execute_query_naive,
     parse_query,
     tokenize,
@@ -198,11 +198,12 @@ class TestBandWidthPlumbing:
         assert "default(4r)" in plan.explain()
 
     def test_band_width_changes_the_answer_set_consistently(self, mod):
-        narrow = execute_query(self.TEXT, mod, band_width=0.5)
-        wide = execute_query(self.TEXT, mod, band_width=12.0)
+        executor = QueryExecutor(mod)
+        narrow = executor.execute(self.TEXT, band_width=0.5)
+        wide = executor.execute(self.TEXT, band_width=12.0)
         assert set(narrow.object_ids) <= set(wide.object_ids)
         assert "mid" in wide.object_ids
         for band in (0.5, 12.0):
-            planned = execute_query(self.TEXT, mod, band_width=band)
+            planned = executor.execute(self.TEXT, band_width=band)
             oracle = execute_query_naive(self.TEXT, mod, band_width=band)
             assert planned.object_ids == oracle.object_ids

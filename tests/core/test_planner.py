@@ -1,21 +1,21 @@
 """Tests for the query-language planner: fusion, execution, explain."""
 
+import gc
 import importlib.util
+import inspect
+import weakref
 
 import pytest
 
+import repro.core
 from repro.obs.metrics import MetricsRegistry
 import repro.query_language as query_language
-from repro.core.continuous import ContinuousProbabilisticNNQuery
+from repro.core.queries import QueryContext
 from repro.query_language import (
     PlannedStatement,
     QueryExecutor,
     compile_queries,
-    execute_many,
-    execute_query,
     execute_query_naive,
-    executor_for,
-    explain_plan,
     parse_query,
     plan_statements,
 )
@@ -169,7 +169,7 @@ class TestOneCandidateFilter:
         with pytest.raises(TypeError, match="cost_model"):
             QueryExecutor(mod, cost_model=None)
         with pytest.raises(TypeError, match="index"):
-            ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0, index=mod.index())
+            QueryContext.from_mod(mod, "q", 0.0, 60.0, index=mod.index())
         for name in (
             "CostModel", "StoreStats", "AccessDecision", "DEFAULT_COST_MODEL",
             "CorridorFilterNode",
@@ -202,7 +202,7 @@ GOLDEN_EXPLAIN = (
 
 class TestExplain:
     def test_plan_tree_renders_every_stage(self, mod):
-        rendered = explain_plan([_text("q"), _text("near")], mod)
+        rendered = QueryExecutor(mod).explain([_text("q"), _text("near")])
         for label in ("Merge", "Prepare", "BandIntervals", "Answer"):
             assert label in rendered
         assert "statements=2" in rendered
@@ -226,13 +226,13 @@ class TestExplain:
             "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 30] "
             "AND PROBABILITY_NN(T, 'near', TIME) > 0",
         ]
-        rendered = explain_plan(
-            statements, mod, band_width=[None, None, None, 2.5, 2.5, None]
+        rendered = QueryExecutor(mod).explain(
+            statements, band_width=[None, None, None, 2.5, 2.5, None]
         )
         assert rendered == GOLDEN_EXPLAIN
 
     def test_explain_with_execution_appends_span_tree(self, mod):
-        rendered = explain_plan(_text("q"), mod, execute=True)
+        rendered = QueryExecutor(mod).explain(_text("q"), execute=True)
         assert "Merge" in rendered
         assert "planner.execute" in rendered
 
@@ -245,10 +245,12 @@ class TestExecutor:
         executor.execute(_text("q"))
         assert executor.cache_info().hits > 0
 
-    def test_module_level_execute_query_reuses_one_executor(self, mod):
-        execute_query(_text("q"), mod)
-        execute_query(_text("q"), mod)
-        assert executor_for(mod).cache_info().hits > 0
+    def test_a_second_executor_starts_cold(self, mod):
+        # Each session owns its engine; no executor is shared behind the caller.
+        QueryExecutor(mod).execute(_text("q"))
+        second = QueryExecutor(mod)
+        second.execute(_text("q"))
+        assert second.cache_info().hits == 0
 
     def test_execute_many_preserves_submission_order(self, mod):
         texts = [
@@ -256,7 +258,7 @@ class TestExecutor:
             _text("near", t_end=30.0),
             _text("q", t_end=30.0),
         ]
-        results = execute_many(texts, mod)
+        results = QueryExecutor(mod).execute_many(texts)
         assert [r.ast.predicate.query_object for r in results] == [
             "q",
             "near",
@@ -264,19 +266,18 @@ class TestExecutor:
         ]
 
     def test_answers_are_canonically_sorted(self, mod):
-        result = execute_query(_text("q"), mod)
+        result = QueryExecutor(mod).execute(_text("q"))
         assert result.object_ids == sorted(result.object_ids, key=str)
 
     def test_target_restriction(self, mod):
-        holds = execute_query(
+        executor = QueryExecutor(mod)
+        holds = executor.execute(
             "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "
-            "AND PROBABILITY_NN(T, 'q', TIME) > 0 AND T = 'crossing'",
-            mod,
+            "AND PROBABILITY_NN(T, 'q', TIME) > 0 AND T = 'crossing'"
         )
-        fails = execute_query(
+        fails = executor.execute(
             "SELECT T FROM MOD WHERE FORALL TIME IN [0, 60] "
-            "AND PROBABILITY_NN(T, 'q', TIME) > 0 AND T = 'crossing'",
-            mod,
+            "AND PROBABILITY_NN(T, 'q', TIME) > 0 AND T = 'crossing'"
         )
         assert holds.holds and holds.object_ids == ["crossing"]
         assert not fails.holds
@@ -322,3 +323,59 @@ class TestExecutor:
         assert executor.engine is engine
         assert engine.index is mod.index()
         assert result.object_ids == execute_query_naive(_text("q", t_end=30.0), mod).object_ids
+
+
+def _serve_through_every_mod_taking_export():
+    """Run one statement through every export of ``repro.query_language``
+    that takes a store; returns a weak reference to that store and the
+    names of the exports called."""
+    store = MovingObjectsDatabase(
+        [
+            straight_trajectory("q", (0.0, 0.0), (30.0, 0.0)),
+            straight_trajectory("near", (0.0, 2.0), (30.0, 2.0)),
+        ]
+    )
+    text = _text("q")
+    arguments = {
+        "mod": store,
+        "text_or_ast": text,
+        "statements": [text],
+        "asts": [parse_query(text)],
+        "requested": "q",
+    }
+    called = []
+    for name in query_language.__all__:
+        export = getattr(query_language, name)
+        try:
+            parameters = inspect.signature(export).parameters
+        except ValueError:  # an exception class: no signature to read
+            continue
+        if "mod" not in parameters:
+            continue
+        result = export(
+            **{
+                parameter: arguments[parameter]
+                for parameter, spec in parameters.items()
+                if spec.default is spec.empty
+            }
+        )
+        if isinstance(result, QueryExecutor):
+            result.execute(text)
+        called.append(name)
+    return weakref.ref(store), called
+
+
+class TestOneWayIn:
+    def test_removed_front_doors_are_gone(self):
+        assert importlib.util.find_spec("repro.core.continuous") is None
+        assert not hasattr(repro, "ContinuousProbabilisticNNQuery")
+        assert not hasattr(repro.core, "ContinuousProbabilisticNNQuery")
+        for name in ("execute_query", "execute_many", "explain_plan", "executor_for", "_EXECUTORS"):
+            assert not hasattr(query_language, name)
+            assert not hasattr(query_language.executor, name)
+
+    def test_a_dropped_store_is_collected(self):
+        store, called = _serve_through_every_mod_taking_export()
+        assert {"QueryExecutor", "compile_queries", "execute_query_naive"} <= set(called)
+        gc.collect()
+        assert store() is None

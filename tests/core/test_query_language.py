@@ -6,9 +6,9 @@ from repro.query_language import (
     ContinuousNNQueryAST,
     NNPredicate,
     Quantifier,
+    QueryExecutor,
     QueryLanguageError,
     TimeWindow,
-    execute_query,
     parse_query,
     tokenize,
 )
@@ -122,48 +122,42 @@ class TestExecutor:
         )
 
     def test_category3_exists(self, mod):
-        result = execute_query(
+        result = QueryExecutor(mod).execute(
             "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "
             "AND PROBABILITY_NN(T, 'q', TIME) > 0",
-            mod,
         )
         assert set(result.object_ids) == {"near", "crossing"}
 
     def test_category3_forall(self, mod):
-        result = execute_query(
+        result = QueryExecutor(mod).execute(
             "SELECT T FROM MOD WHERE FORALL TIME IN [0, 60] "
             "AND PROBABILITY_NN(T, 'q', TIME) > 0",
-            mod,
         )
         assert result.object_ids == ["near"]
 
     def test_category1_target(self, mod):
-        holds = execute_query(
+        holds = QueryExecutor(mod).execute(
             "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "
             "AND PROBABILITY_NN(T, 'q', TIME) > 0 AND T = 'crossing'",
-            mod,
         )
-        fails = execute_query(
+        fails = QueryExecutor(mod).execute(
             "SELECT T FROM MOD WHERE FORALL TIME IN [0, 60] "
             "AND PROBABILITY_NN(T, 'q', TIME) > 0 AND T = 'crossing'",
-            mod,
         )
         assert holds.holds
         assert not fails.holds
 
     def test_category4_rank(self, mod):
-        result = execute_query(
+        result = QueryExecutor(mod).execute(
             "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "
             "AND RANK_NN(T, 'q', TIME) <= 2",
-            mod,
         )
         assert "near" in result.object_ids and "crossing" in result.object_ids
 
     def test_fraction_quantifier(self, mod):
-        result = execute_query(
+        result = QueryExecutor(mod).execute(
             "SELECT T FROM MOD WHERE FRACTION TIME IN [0, 60] >= 0.9 "
             "AND PROBABILITY_NN(T, 'q', TIME) > 0",
-            mod,
         )
         assert result.object_ids == ["near"]
 
@@ -173,19 +167,17 @@ class TestExecutor:
         mod = MovingObjectsDatabase(
             generate_trajectories(RandomWaypointConfig(num_objects=8, seed=3))
         )
-        result = execute_query(
+        result = QueryExecutor(mod).execute(
             "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "
             "AND PROBABILITY_NN(T, 0, TIME) > 0",
-            mod,
         )
         assert result.object_ids  # somebody can always be the NN
 
     def test_unknown_query_object_raises(self, mod):
         with pytest.raises(KeyError):
-            execute_query(
+            QueryExecutor(mod).execute(
                 "SELECT T FROM MOD WHERE EXISTS TIME IN [0, 60] "
                 "AND PROBABILITY_NN(T, 'ghost', TIME) > 0",
-                mod,
             )
 
     def test_executing_a_pre_parsed_ast(self, mod):
@@ -194,5 +186,5 @@ class TestExecutor:
             "AND PROBABILITY_NN(T, 'q', TIME) > 0"
         )
         assert isinstance(ast, ContinuousNNQueryAST)
-        result = execute_query(ast, mod)
+        result = QueryExecutor(mod).execute(ast)
         assert set(result.object_ids) == {"near", "crossing"}

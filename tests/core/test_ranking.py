@@ -1,8 +1,11 @@
 """Tests for Theorem 1: distance ranking vs probability ranking."""
 
+import gc
+
 import pytest
 
 from repro.core.ranking import (
+    _cached_difference_pdf,
     expected_distances_at,
     monte_carlo_ranking,
     nn_probability_snapshot,
@@ -11,6 +14,7 @@ from repro.core.ranking import (
     validate_theorem1,
 )
 from repro.trajectories.mod import MovingObjectsDatabase
+from repro.uncertainty.uniform import UniformDiskPDF
 
 from ..conftest import straight_trajectory
 
@@ -77,3 +81,25 @@ class TestTheorem1Validation:
     def test_monte_carlo_referee_agrees_on_top1(self, clustered_mod, rng):
         sampled = monte_carlo_ranking(clustered_mod, "q", 30.0, samples=8000, rng=rng)
         assert sampled[0] == "first"
+
+
+class TestDifferencePdfCache:
+    def test_freed_pdfs_never_read_another_pairs_convolution(self):
+        # A cache keyed on object addresses hands a new pdf pair living at a
+        # freed pair's address that pair's convolution; with the pdfs freed
+        # between lookups, every lookup must still convolve its own pair.
+        for lookup in range(64):
+            radius = 0.5 if lookup % 2 == 0 else 2.0
+            relative = _cached_difference_pdf(UniformDiskPDF(radius), UniformDiskPDF(radius))
+            assert relative.support_radius == pytest.approx(2.0 * radius)
+            del relative
+            gc.collect()
+
+    def test_a_live_pair_is_convolved_once(self):
+        object_pdf, query_pdf = UniformDiskPDF(0.5), UniformDiskPDF(0.5)
+        first = _cached_difference_pdf(object_pdf, query_pdf)
+        assert _cached_difference_pdf(object_pdf, query_pdf) is first
+
+    def test_the_cache_is_bounded(self):
+        maxsize = _cached_difference_pdf.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0

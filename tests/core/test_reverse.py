@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.queries import QueryContext
 from repro.core.reverse import all_pairs_nn_matrix, mutual_nn_pairs, reverse_nn_query
 from repro.trajectories.mod import MovingObjectsDatabase
+from repro.uncertainty.within_distance import effective_pruning_radius
 
 from ..conftest import straight_trajectory
 
@@ -106,3 +108,67 @@ class TestAllPairs:
         pairs = mutual_nn_pairs(mod, 0.0, 60.0)
         normalized = [tuple(sorted((str(a), str(b)))) for a, b in pairs]
         assert len(normalized) == len(set(normalized))
+
+
+def _pdf_pair_context(mod, center_id, t_start, t_end):
+    """A context centred on ``center_id`` whose band is the largest
+    ``effective_pruning_radius`` of any other object's pdf against the
+    centre's pdf, derived pair by pair."""
+    center = mod.get(center_id)
+    band_width = max(
+        effective_pruning_radius(trajectory.pdf, center.pdf)
+        for trajectory in mod
+        if trajectory.object_id != center_id
+    )
+    functions = mod.distance_functions(center_id, t_start, t_end)
+    return QueryContext.build(functions, center_id, t_start, t_end, band_width)
+
+
+@pytest.fixture
+def mixed_radii_mod() -> MovingObjectsDatabase:
+    """Five tracks whose uncertainty radii all differ, so each centre's
+    default band depends on the pdfs it is paired with.  ``c`` lies 6.5
+    miles from ``a``: inside the 4-mile band of ``b``'s pdf pairs, outside
+    the 2.8-mile band of ``a``'s, so one band for every centre would
+    change ``a``'s answer."""
+    return MovingObjectsDatabase(
+        [
+            straight_trajectory("a", (0.0, 0.0), (30.0, 0.0), radius=0.1),
+            straight_trajectory("b", (0.0, 3.0), (30.0, 3.0), radius=1.3),
+            straight_trajectory("c", (0.0, -6.5), (30.0, -6.5), radius=0.4),
+            straight_trajectory("d", (0.0, 10.0), (30.0, 14.0), radius=0.7),
+            straight_trajectory("e", (0.0, 30.0), (30.0, 17.0), radius=0.25),
+        ]
+    )
+
+
+class TestDefaultBand:
+    """With no ``band_width`` given, every per-centre context uses the MOD's
+    ``default_band_width``, which equals the band derived pair by pair from
+    the pdfs even when the radii are mixed."""
+
+    def test_all_pairs_matches_the_pdf_pair_band(self, mixed_radii_mod):
+        matrix = all_pairs_nn_matrix(mixed_radii_mod, 0.0, 60.0)
+        expected = {
+            center_id: _pdf_pair_context(mixed_radii_mod, center_id, 0.0, 60.0).uq31_all_sometime()
+            for center_id in mixed_radii_mod.object_ids
+        }
+        assert matrix == expected
+
+    def test_reverse_matches_the_pdf_pair_band(self, mixed_radii_mod):
+        for query_id in mixed_radii_mod.object_ids:
+            expected = []
+            for candidate_id in mixed_radii_mod.object_ids:
+                if candidate_id == query_id:
+                    continue
+                context = _pdf_pair_context(mixed_radii_mod, candidate_id, 0.0, 60.0)
+                if context.uq11_sometime(query_id):
+                    expected.append(candidate_id)
+            got = reverse_nn_query(mixed_radii_mod, query_id, 0.0, 60.0)
+            assert sorted(result.object_id for result in got) == sorted(expected)
+
+    def test_default_contexts_carry_the_stores_band(self, mixed_radii_mod):
+        for center_id in mixed_radii_mod.object_ids:
+            context = QueryContext.from_mod(mixed_radii_mod, center_id, 0.0, 60.0)
+            reference = _pdf_pair_context(mixed_radii_mod, center_id, 0.0, 60.0)
+            assert context.band_width == reference.band_width

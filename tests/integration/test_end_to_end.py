@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.continuous import ContinuousProbabilisticNNQuery
+from repro.core.queries import QueryContext
 from repro.core.ranking import monte_carlo_ranking, nn_probability_snapshot
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
@@ -18,8 +18,8 @@ def workload_mod() -> MovingObjectsDatabase:
 
 
 @pytest.fixture(scope="module")
-def workload_query(workload_mod) -> ContinuousProbabilisticNNQuery:
-    return ContinuousProbabilisticNNQuery(workload_mod, 0, 0.0, 60.0)
+def workload_query(workload_mod) -> QueryContext:
+    return QueryContext.from_mod(workload_mod, 0, 0.0, 60.0)
 
 
 class TestPipelineConsistency:
@@ -39,7 +39,7 @@ class TestPipelineConsistency:
             assert ranking[0] == true_nearest
 
     def test_tree_and_context_rankings_agree(self, workload_query):
-        tree = workload_query.answer_tree(max_levels=3)
+        tree = workload_query.ipac_tree(max_levels=3)
         for t in np.linspace(1.0, 59.0, 7):
             tree_ranking = tree.ranking_at(float(t))[:2]
             context_ranking = workload_query.ranking_at(float(t), 2)
@@ -47,7 +47,7 @@ class TestPipelineConsistency:
 
     def test_survivors_cover_all_probability_bearing_objects(self, workload_mod, workload_query):
         """Objects with visible NN probability at sampled times must survive pruning."""
-        survivors = set(workload_query.all_with_nonzero_probability_sometime())
+        survivors = set(workload_query.uq31_all_sometime())
         for t in np.linspace(5.0, 55.0, 4):
             snapshot = nn_probability_snapshot(workload_mod, 0, float(t), grid_size=128)
             for object_id, probability in snapshot.items():
@@ -56,7 +56,7 @@ class TestPipelineConsistency:
 
     def test_rank1_sometime_objects_win_monte_carlo_somewhere(self, workload_mod, workload_query, rng):
         """Each rank-1 object is the Monte-Carlo favourite somewhere in its interval."""
-        tree = workload_query.answer_tree(max_levels=1)
+        tree = workload_query.ipac_tree(max_levels=1)
         for node in list(tree.walk())[:4]:
             midpoint = (node.t_start + node.t_end) / 2.0
             sampled = monte_carlo_ranking(workload_mod, 0, midpoint, samples=4000, rng=rng)
@@ -73,10 +73,10 @@ class TestHandCraftedGroundTruth:
                 straight_trajectory("late", (0.0, 12.0), (30.0, 1.0)),
             ]
         )
-        query = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0)
+        query = QueryContext.from_mod(mod, "q", 0.0, 60.0)
         assert query.ranking_at(1.0, 1) == ["early"]
         assert query.ranking_at(59.0, 1) == ["late"]
-        tree = query.answer_tree(max_levels=1)
+        tree = query.ipac_tree(max_levels=1)
         owners = [node.object_id for node in tree.nodes_at_level(1)]
         assert owners == ["early", "late"]
 
@@ -89,18 +89,18 @@ class TestHandCraftedGroundTruth:
                 straight_trajectory("below", (0.0, -1.5), (30.0, -1.5)),
             ]
         )
-        query = ContinuousProbabilisticNNQuery(mod, "q", 0.0, 60.0)
-        assert query.is_ranked_within_always("above", 2)
-        assert query.is_ranked_within_always("below", 2)
-        assert set(query.all_with_nonzero_probability_always()) == {"above", "below"}
+        query = QueryContext.from_mod(mod, "q", 0.0, 60.0)
+        assert query.uq22_rank_always("above", 2)
+        assert query.uq22_rank_always("below", 2)
+        assert set(query.uq32_all_always()) == {"above", "below"}
 
     def test_fleet_scenario_end_to_end(self):
         from repro.workloads.scenarios import convoy_with_stragglers
 
         mod = convoy_with_stragglers(convoy_size=4, straggler_count=4)
-        query = ContinuousProbabilisticNNQuery(mod, "convoy-1", 0.0, 60.0)
-        neighbors = query.all_ranked_within_sometime(2)
+        query = QueryContext.from_mod(mod, "convoy-1", 0.0, 60.0)
+        neighbors = query.uq41_all_rank_sometime(2)
         # The adjacent convoy members must be among the top-2 candidates.
         assert any(str(object_id).startswith("convoy-") for object_id in neighbors)
-        tree = query.answer_tree(max_levels=2)
+        tree = query.ipac_tree(max_levels=2)
         assert tree.size() >= len(tree.nodes_at_level(1))

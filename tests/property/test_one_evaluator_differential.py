@@ -7,7 +7,8 @@ several windows, explicit and default band widths, all three UQ3x
 variants, ranks 1-3, targets, duplicate ids — go through each of them, and
 every answer must ``==`` the from-scratch oracles: ``reference_answer``
 (an unfiltered context per query) for UQ3x answers, and
-``execute_query_naive`` (the scalar façade) for query-language statements.
+``execute_query_naive`` (one ``QueryContext.from_mod`` per statement) for
+query-language statements.
 """
 
 from __future__ import annotations

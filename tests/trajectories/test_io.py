@@ -112,7 +112,7 @@ class TestJSONRoundTrip:
             load_json(path)
 
     def test_workload_round_trip_preserves_query_answers(self, tmp_path):
-        from repro.core.continuous import ContinuousProbabilisticNNQuery
+        from repro.core.queries import QueryContext
 
         mod = MovingObjectsDatabase(
             generate_trajectories(RandomWaypointConfig(num_objects=15, seed=9))
@@ -120,10 +120,6 @@ class TestJSONRoundTrip:
         path = tmp_path / "workload.json"
         save_json(mod, path)
         loaded, _ = load_json(path)
-        original_answer = ContinuousProbabilisticNNQuery(
-            mod, 0, 0.0, 60.0
-        ).all_with_nonzero_probability_sometime()
-        restored_answer = ContinuousProbabilisticNNQuery(
-            loaded, 0, 0.0, 60.0
-        ).all_with_nonzero_probability_sometime()
+        original_answer = QueryContext.from_mod(mod, 0, 0.0, 60.0).uq31_all_sometime()
+        restored_answer = QueryContext.from_mod(loaded, 0, 0.0, 60.0).uq31_all_sometime()
         assert set(original_answer) == set(restored_answer)

@@ -75,17 +75,6 @@ class TestAggregates:
         with pytest.raises(ValueError):
             mod.common_time_span()
 
-    def test_uniform_uncertainty_radius(self, mod):
-        assert mod.uniform_uncertainty_radius() == pytest.approx(0.5)
-
-    def test_heterogeneous_radii_detected(self, mod):
-        mod.add(straight_trajectory("thick", (0, 0), (1, 1), radius=1.0))
-        with pytest.raises(ValueError):
-            mod.uniform_uncertainty_radius()
-
-    def test_uncertainty_radii_list(self, mod):
-        assert mod.uncertainty_radii() == [0.5, 0.5, 0.5]
-
 
 class TestQuerySupport:
     def test_distance_functions_exclude_query(self, mod):

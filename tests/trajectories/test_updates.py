@@ -145,7 +145,7 @@ class TestDeadReckoning:
             )
 
     def test_resulting_trajectory_is_queryable(self):
-        from repro.core.continuous import ContinuousProbabilisticNNQuery
+        from repro.core.queries import QueryContext
         from repro.trajectories.mod import MovingObjectsDatabase
 
         streams = {
@@ -157,5 +157,5 @@ class TestDeadReckoning:
             trajectory_from_dead_reckoning(name, updates, d_max=0.4, end_time=30.0)
             for name, updates in streams.items()
         )
-        query = ContinuousProbabilisticNNQuery(mod, "a", 0.0, 30.0)
-        assert query.all_with_nonzero_probability_sometime() == ["b"]
+        context = QueryContext.from_mod(mod, "a", 0.0, 30.0)
+        assert context.uq31_all_sometime() == ["b"]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.workloads.scenarios import (
-    commuter_traffic,
     convoy_with_stragglers,
     delivery_fleet,
     multi_query_fleet,
@@ -29,24 +28,6 @@ class TestDeliveryFleet:
             delivery_fleet(num_vans=0)
         with pytest.raises(ValueError):
             delivery_fleet(num_stops=0)
-
-
-class TestCommuterTraffic:
-    def test_sizes(self):
-        mod = commuter_traffic(num_commuters=10)
-        assert len(mod) == 10
-
-    def test_commute_goes_west_to_east(self):
-        mod = commuter_traffic(num_commuters=20, region_size_miles=30.0)
-        for commuter in mod:
-            start = commuter.position_at(commuter.start_time)
-            end = commuter.position_at(commuter.end_time)
-            assert start.x < 10.0
-            assert end.x > 20.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            commuter_traffic(num_commuters=0)
 
 
 class TestConvoy:
