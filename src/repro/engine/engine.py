@@ -35,7 +35,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from .answers import Answer, answer_of, band_span
-from .cache import CacheInfo, ContextCache
+from .cache import CacheInfo, ContextCache, context_key
 from .filtering import (
     corridor_probe_bulk,
     filter_candidates,
@@ -228,11 +228,38 @@ class QueryEngine:
                 band_width = self.mod.default_band_width(query_id)
             except (KeyError, ValueError):
                 return False
-        from .cache import context_key
-
         return self._cache.discard(
             context_key(query_id, t_start, t_end, band_width)
         )
+
+    def warm(
+        self,
+        query_ids: Sequence[object],
+        t_start: float,
+        t_end: float,
+        band_width: Optional[float] = None,
+    ) -> bool:
+        """Whether a batch would be served from cache with nothing to refresh.
+
+        True when this engine is synced to the store's revision and every
+        member's context is cached.  An unknown id, or a store with no
+        candidate, reads as not warm.  Reads only: the LRU order and the
+        hit and miss counters do not move.
+        """
+        if self._mod_revision != self.mod.revision:
+            return False
+        try:
+            keys = [
+                context_key(
+                    query_id, t_start, t_end,
+                    band_width if band_width is not None
+                    else self.mod.default_band_width(query_id),
+                )
+                for query_id in query_ids
+            ]
+        except (KeyError, ValueError):
+            return False
+        return all(key in self._cache for key in keys)
 
     def refresh(self) -> None:
         """Resynchronize derived state when the MOD contents changed.
@@ -249,7 +276,10 @@ class QueryEngine:
         keeps serving from cache.  When the changelog cannot identify the
         changes, the caches start over.
         """
-        if self.mod.revision == self._mod_revision:
+        # Read first: a change landing after the changelog read is then
+        # still unseen, and the next refresh processes it.
+        revision = self.mod.revision
+        if revision == self._mod_revision:
             return
         changed = self.mod.divergences_since(self._mod_revision)
         with trace_span(
@@ -264,7 +294,7 @@ class QueryEngine:
             span.set("index", self._sync_index())
             span.set("entries", len(self._index))
         self._m_refreshes.inc()
-        self._mod_revision = self.mod.revision
+        self._mod_revision = revision
 
     def _sync_index(self) -> str:
         """Sync to the store's index and say what that did to it."""

@@ -21,7 +21,9 @@ Two deliberate design rules keep the thread-local stack honest:
 * **Executor threads open ordinary root spans.**  Each thread has its own
   stack, so the first span an executor thread opens is a root: it lands
   in the active recorder on exit, and a caller that needs that tree keeps
-  the span it opened (``with trace_span(...) as root``).
+  the span it opened (``with trace_span(...) as root``).  Synchronous work
+  run on the event loop's own thread gets the same footing from
+  :func:`fresh_stack`.
 
 :func:`capture` may be entered on several threads at once: the first
 entry saves the global state, the last exit restores it, and every
@@ -43,6 +45,7 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "enabled",
+    "fresh_stack",
     "render_tree",
     "trace_span",
 ]
@@ -248,6 +251,21 @@ def current_span():
 
 
 @contextmanager
+def fresh_stack():
+    """Run the body on an empty span stack, then restore this thread's own.
+
+    The body's first span is a root, as it would be on an executor thread,
+    so a span the caller holds open is not its parent.
+    """
+    saved = getattr(_STACK, "spans", None)
+    _STACK.spans = []
+    try:
+        yield
+    finally:
+        _STACK.spans = saved if saved is not None else []
+
+
+@contextmanager
 def capture(recorder: Optional[SpanRecorder] = None):
     """Temporarily enable tracing into a private recorder.
 
@@ -259,23 +277,21 @@ def capture(recorder: Optional[SpanRecorder] = None):
     """
     global _ENABLED, _CAPTURES, _SAVED_ENABLED
     active = recorder if recorder is not None else SpanRecorder()
-    saved_stack = getattr(_STACK, "spans", None)
-    _STACK.spans = []
-    with _CAPTURE_LOCK:
-        if not _CAPTURES:
-            _SAVED_ENABLED = _ENABLED
-        _CAPTURES = _CAPTURES + (active,)
-        _ENABLED = True
-    try:
-        yield active
-    finally:
+    with fresh_stack():
         with _CAPTURE_LOCK:
-            remaining = list(_CAPTURES)
-            remaining.remove(active)
-            _CAPTURES = tuple(remaining)
             if not _CAPTURES:
-                _ENABLED = _SAVED_ENABLED
-        _STACK.spans = saved_stack if saved_stack is not None else []
+                _SAVED_ENABLED = _ENABLED
+            _CAPTURES = _CAPTURES + (active,)
+            _ENABLED = True
+        try:
+            yield active
+        finally:
+            with _CAPTURE_LOCK:
+                remaining = list(_CAPTURES)
+                remaining.remove(active)
+                _CAPTURES = tuple(remaining)
+                if not _CAPTURES:
+                    _ENABLED = _SAVED_ENABLED
 
 
 def render_tree(span: Span, *, _depth: int = 0) -> str:

@@ -54,16 +54,37 @@ class EnginePool:
         """Always ``"single"``: one engine serves every batch.
 
         The label of every engine-served response (cache hits read
-        ``"cache"``); the frozen end-to-end bench also still asks it which
-        backend serves the next batch.
+        ``"cache"``).  Kept only for the frozen end-to-end bench, which
+        still asks it which backend serves the next batch.
         """
         return "single"
 
     def single_engine(self) -> QueryEngine:
-        """The warm engine (built, with its index, on first use)."""
+        """The warm engine (built, with its index, on first use).
+
+        Kept public only for the frozen end-to-end bench; serving code
+        reaches the engine through :meth:`answer_group` and :meth:`warm`.
+        """
         if self._engine is None:
             self._engine = QueryEngine(self.mod, registry=self.registry)
         return self._engine
+
+    def warm(
+        self,
+        query_ids: Sequence[object],
+        t_start: float,
+        t_end: float,
+        band_width: Optional[float] = None,
+    ) -> bool:
+        """Whether :meth:`answer_group` would only read cached contexts.
+
+        False until the engine is built, while a store change waits to be
+        refreshed, and when any member's context is missing
+        (:meth:`QueryEngine.warm`).  Builds nothing and moves no counter.
+        """
+        return self._engine is not None and self._engine.warm(
+            query_ids, t_start, t_end, band_width
+        )
 
     def warm_up(self) -> str:
         """Build (and index) the engine now; return its label.

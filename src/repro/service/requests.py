@@ -98,7 +98,9 @@ class QueryResponse:
             :meth:`repro.engine.QueryEngine.answer` call.
         revision: MOD revision the answer was computed at (or served from
             cache for).
-        backend: ``"single"`` (the pool's engine) or ``"cache"``.
+        backend: ``"single"`` (the pool's engine) or ``"cache"``.  Kept
+            only for the frozen end-to-end bench, which prints it; use
+            :attr:`from_cache` instead.
         batch_size: how many requests the serving engine batch coalesced
             (1 for cache hits).
         queue_seconds: time spent waiting in the admission queue.

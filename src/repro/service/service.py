@@ -16,8 +16,10 @@ the service
    :meth:`~repro.engine.QueryEngine.prepare_batch` pass instead of 50
    serial preparations;
 4. answers each batch on the pool's one warm engine
-   (:mod:`repro.service.pool`), evaluating off the event loop on the
-   loop's default executor so the loop stays responsive;
+   (:mod:`repro.service.pool`): a batch whose contexts are all cached at
+   the store's revision is a linear read, answered on the event loop; one
+   that must refresh or build contexts runs on the loop's default
+   executor, so the loop stays responsive;
 5. bridges :class:`~repro.streaming.ContinuousMonitor` delta streams to
    async consumers (:meth:`QueryService.subscribe`), completing the
    request/response + push story.
@@ -37,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.answers import Answer
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from ..obs.tracing import Span, capture, render_tree, trace_span
+from ..obs.tracing import Span, capture, fresh_stack, render_tree, trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from .cache import ResultCache, ResultCacheInfo
 from .pool import EnginePool
@@ -146,7 +148,9 @@ class QueryService:
     The service builds its own :class:`EnginePool` (closed by :meth:`stop`)
     and a :class:`ResultCache` of :data:`CACHE_CAPACITY` answers, and drains
     at most :data:`MAX_BATCH` queued requests into one engine batch.
-    Engine batches run on the event loop's default executor.
+    Engine batches that must refresh or build contexts run on the event
+    loop's default executor; a batch of cached contexts is answered on the
+    loop itself (:meth:`EnginePool.warm`).
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`::
 
@@ -219,6 +223,10 @@ class QueryService:
         self._m_batches = self.registry.counter(
             "repro_service_batches_total", "Engine batches dispatched"
         )
+        self._m_inline = self.registry.counter(
+            "repro_service_inline_batches_total",
+            "Engine batches answered on the event loop (every context cached)",
+        )
         self._m_queue_depth = self.registry.gauge(
             "repro_service_queue_depth", "Admitted requests currently queued"
         )
@@ -232,7 +240,7 @@ class QueryService:
         )
         self._m_eval = self.registry.histogram(
             "repro_service_eval_seconds",
-            help="Off-loop engine evaluation time per batch",
+            help="Engine evaluation time per batch",
         )
         self._m_coalesce = self.registry.histogram(
             "repro_service_coalesce_width",
@@ -352,7 +360,8 @@ class QueryService:
             raise ServiceClosed("the service is not running")
         started = time.perf_counter()
         self._m_submitted.inc()
-        cached = self.cache.get(request.fingerprint, self.mod.revision)
+        revision = self.mod.revision
+        cached = self.cache.get(request.fingerprint, revision)
         if cached is not None:
             self._m_cache_hits.inc()
             seconds = time.perf_counter() - started
@@ -360,7 +369,7 @@ class QueryService:
             return QueryResponse(
                 request=request,
                 answer=cached,
-                revision=self.mod.revision,
+                revision=revision,
                 backend="cache",
                 batch_size=1,
                 queue_seconds=0.0,
@@ -620,12 +629,27 @@ class QueryService:
                 return
 
     async def _serve_batch(self, batch: List[_Pending]) -> None:
-        """Group one drained batch by coalescing key and evaluate each group."""
+        """Group one drained batch by coalescing key and evaluate each group.
+
+        A group whose contexts are all cached at the store's revision is
+        answered on the loop, then the loop yields once so its submitters
+        resume before the next group runs; any other group goes to the
+        executor.
+        """
         groups: Dict[object, List[_Pending]] = {}
         for pending in batch:
             groups.setdefault(pending.request.group_key, []).append(pending)
         for members in groups.values():
-            await self._serve_group(members)
+            head = members[0].request
+            inline = self.pool.warm(
+                [pending.request.query_id for pending in members],
+                head.t_start,
+                head.t_end,
+                head.band_width,
+            )
+            await self._serve_group(members, inline)
+            if inline:
+                await asyncio.sleep(0)
 
     def _evaluate_group(
         self, requests: Sequence[QueryRequest]
@@ -635,9 +659,10 @@ class QueryService:
         The one evaluator behind :meth:`submit` (a coalesced group) and
         :meth:`explain` (a one-request group): one ``pool.answer_group``
         over the group's distinct query ids.  It runs on an executor thread,
-        whose span stack is its own, so its ``service.group`` span is a
-        root landing in the active recorder (a no-op when tracing is off),
-        or nests under ``service.explain``.
+        or on the loop thread under :func:`~repro.obs.tracing.fresh_stack`;
+        either way its span stack is its own, so its ``service.group`` span
+        is a root landing in the active recorder (a no-op when tracing is
+        off), or nests under ``service.explain``.
         """
         head = requests[0]
         query_ids = list(dict.fromkeys(request.query_id for request in requests))
@@ -656,15 +681,18 @@ class QueryService:
                 band_width=head.band_width,
             ).answers
 
-    async def _serve_group(self, members: List[_Pending]) -> None:
+    async def _serve_group(self, members: List[_Pending], inline: bool) -> None:
         revision = self.mod.revision
         dequeued = time.perf_counter()
+        requests = [pending.request for pending in members]
         try:
-            answers = await self._loop.run_in_executor(
-                None,
-                self._evaluate_group,
-                [pending.request for pending in members],
-            )
+            if inline:
+                with fresh_stack():
+                    answers = self._evaluate_group(requests)
+            else:
+                answers = await self._loop.run_in_executor(
+                    None, self._evaluate_group, requests
+                )
         except Exception as error:  # noqa: BLE001 - forwarded to awaiters
             for pending in members:
                 if not pending.future.done():
@@ -672,6 +700,8 @@ class QueryService:
             return
         finished = time.perf_counter()
         self._m_batches.inc()
+        if inline:
+            self._m_inline.inc()
         self._m_evaluated.inc(len(members))
         self._m_coalesce.observe(len(members))
         self._m_eval.observe(finished - dequeued)

@@ -153,7 +153,10 @@ class ColumnarStore:
         array whose source trajectory is identical.
         """
         mod = self._mod
-        if self._revision == mod.revision:
+        # Read first: a change landing after the changelog read is then
+        # still unseen, and the next sync re-reads it.
+        revision = mod.revision
+        if self._revision == revision:
             return False
         changes = (
             None if self._revision is None else mod.changes_since(self._revision)
@@ -166,7 +169,7 @@ class ColumnarStore:
                     self._discard(record.object_id)
                 else:
                     self._adopt(mod.get(record.object_id))
-        self._revision = mod.revision
+        self._revision = revision
         return True
 
     def _resync_full(self) -> None:
