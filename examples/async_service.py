@@ -6,7 +6,7 @@ Walks the front door of the serving stack end to end:
    it — bounded admission queue, request coalescing, revision-keyed result
    cache, warm engine pool;
 2. fire a burst of concurrent UQ31/32/33 requests and watch them coalesce
-   into shared engine batches;
+   into shared engine batches, then ask a rank (UQ41) statement;
 3. re-fire the burst to see the result cache absorb it, then mutate the
    store to see the revision key invalidate exactly the stale answers;
 4. fire a few dashboard refresh bursts over a sliding window and read the
@@ -24,7 +24,8 @@ from __future__ import annotations
 import asyncio
 
 from _support import scaled
-from repro.service import QueryRequest, QueryService
+from repro.query_language import PlannedStatement
+from repro.service import QueryService
 from repro.streaming import ContinuousMonitor
 from repro.workloads.scenarios import multi_query_fleet, streaming_fleet
 
@@ -39,10 +40,10 @@ async def request_response_tour() -> None:
     async with QueryService(mod, queue_limit=128) as service:
         # One concurrent burst: every monitored vehicle's UQ31 plus a UQ32
         # and a UQ33 — same window, so the dispatcher coalesces them.
-        requests = [QueryRequest(query_id, lo, hi) for query_id in query_ids]
-        requests.append(QueryRequest(query_ids[0], lo, hi, variant="always"))
+        requests = [PlannedStatement(query_id, lo, hi) for query_id in query_ids]
+        requests.append(PlannedStatement(query_ids[0], lo, hi, variant="always"))
         requests.append(
-            QueryRequest(query_ids[1], lo, hi, variant="fraction", fraction=0.5)
+            PlannedStatement(query_ids[1], lo, hi, variant="fraction", fraction=0.5)
         )
         responses = await service.submit_all(requests)
         print("\n--- burst of concurrent requests ---")
@@ -54,6 +55,13 @@ async def request_response_tour() -> None:
             )
         print(f"  ... {len(responses)} responses total")
 
+        # Any planned statement is a request: here a UQ41 rank statement.
+        ranked = await service.submit(PlannedStatement(query_ids[0], lo, hi, rank=2))
+        print(
+            f"  {query_ids[0]} rank<=2  -> {len(ranked.answer)} neighbors"
+            f"   backend={ranked.backend} batch={ranked.batch_size}"
+        )
+
         # The identical burst again: pure result-cache traffic.
         again = await service.submit_all(requests)
         hits = sum(1 for response in again if response.from_cache)
@@ -62,7 +70,7 @@ async def request_response_tour() -> None:
         # Any store mutation bumps mod.revision, so stale answers silently
         # stop matching the cache key.
         mod.replace_trajectory(mod.get(query_ids[0]))
-        fresh = await service.query(query_ids[0], lo, hi)
+        fresh = await service.submit(PlannedStatement(query_ids[0], lo, hi))
         print(
             f"  after update: backend={fresh.backend} "
             f"(revision {fresh.revision}; stale entry invalidated)"
@@ -74,7 +82,7 @@ async def request_response_tour() -> None:
         print("\n--- dashboard refresh bursts ---")
         for start in range(int(lo), int(hi) - 15, 15):
             burst = [
-                QueryRequest(query_id, start, start + 15.0) for query_id in query_ids
+                PlannedStatement(query_id, start, start + 15.0) for query_id in query_ids
             ]
             await service.submit_all(burst)
             await service.submit_all(burst)

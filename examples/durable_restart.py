@@ -32,6 +32,7 @@ import numpy as np
 from _support import scaled
 from repro.engine import QueryEngine
 from repro.persistence import PersistentStore, restore, scan_wal, wal_path
+from repro.query_language import PlannedStatement
 from repro.service import QueryService
 from repro.trajectories.trajectory import UncertainTrajectory
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
@@ -132,7 +133,7 @@ async def service_wiring(data_dir: Path) -> None:
     async with QueryService(data_dir=data_dir) as service:
         mod = service.mod
         lo, hi = mod.common_time_span()
-        response = await service.query(mod.object_ids[0], lo, hi)
+        response = await service.submit(PlannedStatement(mod.object_ids[0], lo, hi))
         print(
             f"\nQueryService(data_dir=...): restored revision {mod.revision}, "
             f"served {len(response.answer)} neighbor(s)"

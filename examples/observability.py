@@ -28,7 +28,8 @@ from _support import scaled
 from repro.obs import capture, configure_logging, render_tree
 from repro.parallel import ShardedEngine
 from repro.persistence import PersistentStore, restore
-from repro.service import QueryRequest, QueryService
+from repro.query_language import PlannedStatement
+from repro.service import QueryService
 from repro.workloads.scenarios import multi_query_fleet
 
 
@@ -40,7 +41,7 @@ async def metrics_and_explain_tour() -> None:
     print(f"fleet of {len(mod)} vehicles, window {lo:.0f}-{hi:.0f} min")
 
     async with QueryService(mod) as service:
-        requests = [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+        requests = [PlannedStatement(query_id, lo, hi) for query_id in query_ids]
         await service.submit_all(requests)
         await service.submit_all(requests)  # the second burst hits the cache
 
@@ -73,7 +74,7 @@ async def metrics_and_explain_tour() -> None:
 
         print("\n--- explain: where did this answer's time go? ---")
         explained = await service.explain(
-            QueryRequest(query_ids[0], lo, hi, variant="always")
+            PlannedStatement(query_ids[0], lo, hi, variant="always")
         )
         print(render_tree(explained.span))
 

@@ -27,7 +27,8 @@ from .core import (
 )
 from .engine import BatchResult, PreparedQuery, QueryEngine
 from .parallel import ShardedBatchResult, ShardedEngine
-from .service import QueryRequest, QueryResponse, QueryService
+from .query_language import PlannedStatement
+from .service import QueryResponse, QueryService
 from .streaming import (
     BatchReport,
     ContinuousMonitor,
@@ -62,11 +63,11 @@ __all__ = [
     "IPACNode",
     "IPACTree",
     "MovingObjectsDatabase",
+    "PlannedStatement",
     "PreparedQuery",
     "ProbabilityDescriptor",
     "QueryContext",
     "QueryEngine",
-    "QueryRequest",
     "QueryResponse",
     "QueryService",
     "RandomWaypointConfig",

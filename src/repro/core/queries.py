@@ -367,22 +367,25 @@ class QueryContext:
 
     def uq32_all_always(self) -> List[object]:
         """UQ32: every trajectory with non-zero NN probability throughout the window."""
+        threshold = self.duration - FULL_WINDOW_SLACK
         return [
             object_id
             for object_id, covered in self._covered_durations().items()
-            if covered >= self.duration - FULL_WINDOW_SLACK
+            if covered >= threshold
         ]
 
     def uq33_all_at_least(self, fraction: float) -> List[object]:
         """UQ33: trajectories with non-zero NN probability at least ``fraction`` of the window."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
-        if self.duration <= 0:
+        duration = self.duration
+        if duration <= 0:
             return self.uq31_all_sometime()
+        threshold = fraction - FULL_WINDOW_SLACK
         return [
             object_id
             for object_id, covered in self._covered_durations().items()
-            if covered / self.duration >= fraction - FULL_WINDOW_SLACK
+            if covered / duration >= threshold
         ]
 
     # ------------------------------------------------------------------

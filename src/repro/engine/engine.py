@@ -85,6 +85,8 @@ class BatchResult:
     prepared: List[PreparedQuery]
     total_seconds: float
     cache_info: CacheInfo
+    #: The store revision the engine synced to before preparing the batch.
+    revision: int
 
     def __iter__(self):
         return iter(self.prepared)
@@ -261,7 +263,7 @@ class QueryEngine:
             return False
         return all(key in self._cache for key in keys)
 
-    def refresh(self) -> None:
+    def refresh(self) -> int:
         """Resynchronize derived state when the MOD contents changed.
 
         Every serving call starts with this; callers that want to pay for a
@@ -274,13 +276,13 @@ class QueryEngine:
         was among the context's candidates, or a changed object's boxes now
         come within the context's provably-safe corridor); everything else
         keeps serving from cache.  When the changelog cannot identify the
-        changes, the caches start over.
+        changes, the caches start over.  Returns the revision synced to.
         """
         # Read first: a change landing after the changelog read is then
         # still unseen, and the next refresh processes it.
         revision = self.mod.revision
         if revision == self._mod_revision:
-            return
+            return revision
         changed = self.mod.divergences_since(self._mod_revision)
         with trace_span(
             "engine.refresh",
@@ -295,6 +297,7 @@ class QueryEngine:
             span.set("entries", len(self._index))
         self._m_refreshes.inc()
         self._mod_revision = revision
+        return revision
 
     def _sync_index(self) -> str:
         """Sync to the store's index and say what that did to it."""
@@ -443,10 +446,10 @@ class QueryEngine:
         """
         if t_end < t_start:
             raise ValueError(f"empty query window [{t_start}, {t_end}]")
-        self.refresh()
+        revision = self.refresh()
         with trace_span("engine.prepare_batch", queries=len(query_ids)) as span:
             result = self._prepare_batch_inner(
-                query_ids, t_start, t_end, band_width, span
+                query_ids, t_start, t_end, band_width, revision, span
             )
         self._m_batch.observe(result.total_seconds)
         return result
@@ -457,6 +460,7 @@ class QueryEngine:
         t_start: float,
         t_end: float,
         band_width: Optional[float],
+        revision: int,
         batch_span,
     ) -> BatchResult:
         batch_started = time.perf_counter()
@@ -543,6 +547,7 @@ class QueryEngine:
             prepared=ordered,
             total_seconds=time.perf_counter() - batch_started,
             cache_info=self._cache.info(),
+            revision=revision,
         )
 
     def rank_answer(

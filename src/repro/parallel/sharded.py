@@ -2,7 +2,7 @@
 a batch-shaped result.
 
 :class:`ShardedEngine` answers a batch of UQ3x queries that share a window
-with the pool's one ``answer_group`` call: one
+with the pool's ``answer_group`` adapter over ``execute``: one
 :class:`~repro.query_language.planner.QueryPlan` on the pool's lazily built
 :class:`~repro.engine.QueryEngine` over the **whole** store.  Every answer
 is therefore ``==`` to :meth:`QueryEngine.answer` by construction, and

@@ -2,13 +2,14 @@
 
 Every query the library serves is a :class:`PlannedStatement`, and every
 caller runs its statements as a :class:`QueryPlan`: the query language's
-compiled text, the service pool's coalesced batches, the monitor's
+compiled text, the service's drained request batches, the monitor's
 standing queries, and the sharded engine's batches.
 
 1. **Resolve** — (parsed text only, :func:`compile_queries`) each
    statement's query and target literals are matched against the MOD's ids;
-2. **Fuse** — :func:`plan_statements` folds statements sharing
-   ``(t_start, t_end, band width)`` into one :class:`PlanGroup`, served by
+2. **Fuse** — :func:`plan_statements` folds statements sharing their
+   :attr:`~PlannedStatement.group_key` ``(t_start, t_end, band width)``
+   into one :class:`PlanGroup`, served by
    a single :meth:`~repro.engine.QueryEngine.prepare_batch` call;
 3. **Execute** — :meth:`QueryPlan.execute` prepares every group on a
    reusable engine and returns each statement's context in submission
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.queries import QueryContext
-from ..engine.answers import Answer, answer_of
+from ..engine.answers import VARIANTS, Answer, answer_of
 from ..engine.engine import QueryEngine
 from ..trajectories.mod import MovingObjectsDatabase
 from .ast import ContinuousNNQueryAST, Quantifier, query_category
@@ -65,12 +66,16 @@ def resolve_object_id(mod: MovingObjectsDatabase, requested: object) -> object:
     raise KeyError(f"query references unknown object {requested!r}")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PlannedStatement:
-    """One query of a plan.
+    """One query: the input of every plan and the service's request.
+
+    Frozen and hashable, so the statement itself keys the service's result
+    cache (together with the store revision); ``ast`` takes no part in
+    equality or hashing.
 
     Attributes:
-        query_object: the query trajectory id.
+        query_id: the query trajectory id.
         t_start, t_end: the window.
         band_width: pruning-band override; the store's 4r default when
             ``None``.
@@ -83,7 +88,7 @@ class PlannedStatement:
         ast: the parsed statement this one was compiled from, if any.
     """
 
-    query_object: object
+    query_id: object
     t_start: float
     t_end: float
     band_width: Optional[float] = None
@@ -95,12 +100,42 @@ class PlannedStatement:
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        if self.t_end < self.t_start:
+            raise ValueError(f"empty query window [{self.t_start}, {self.t_end}]")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r} (expected {VARIANTS})")
+        if self.variant == "fraction":
+            if not 0.0 <= self.fraction <= 1.0:
+                raise ValueError("fraction must lie in [0, 1]")
+        elif self.fraction != 0.0:
+            raise ValueError("fraction is only meaningful for the 'fraction' variant")
+        if self.band_width is not None and self.band_width <= 0.0:
+            raise ValueError("band_width must be positive")
+        if self.rank is not None and self.rank < 1:
+            raise ValueError("rank must be at least 1")
+
+    @property
+    def group_key(self) -> Tuple[float, float, Optional[float]]:
+        """The one grouping rule: ``(t_start, t_end, band_width)``."""
+        return (self.t_start, self.t_end, self.band_width)
+
     @property
     def category(self) -> int:
         """The paper's query category (1-4) of this statement."""
         return query_category(
             ranked=self.rank is not None, targeted=self.target is not None
         )
+
+    @property
+    def fingerprint(self) -> "PlannedStatement":
+        """The statement itself; kept only for the frozen end-to-end bench."""
+        return self
+
+    @property
+    def query_object(self) -> object:
+        """:attr:`query_id`; kept only for the frozen end-to-end bench."""
+        return self.query_id
 
 
 @dataclass(slots=True)
@@ -131,6 +166,9 @@ class PlanExecution:
     statements: Tuple[PlannedStatement, ...]
     contexts: Tuple[QueryContext, ...]
     engine: QueryEngine = field(repr=False)
+    #: The revision the engine synced to for the last group (``None`` for
+    #: no statement): a one-group plan, as the service runs, is wholly at it.
+    revision: Optional[int] = None
 
     def answer(self, position: int) -> StatementAnswer:
         """Statement ``position``'s answer, restricted to its target.
@@ -186,7 +224,7 @@ class QueryPlan:
                 _line(1, "Prepare", window=f"[{group.t_start:g}, {group.t_end:g}]",
                       statements=group.width),
                 _line(2, "BandIntervals", band=band,
-                      contexts=len({s.query_object for s in group.statements})),
+                      contexts=len({s.query_id for s in group.statements})),
                 *(_line(3, "Answer", **_shown(s)) for s in group.statements),
             ]
         return "\n".join(lines)
@@ -199,21 +237,23 @@ class QueryPlan:
                 cache persists across executions).
         """
         contexts: List[Optional[QueryContext]] = [None] * self.statement_count
+        revision: Optional[int] = None
         for group in self.groups:
-            prepared = engine.prepare_batch(
-                list(dict.fromkeys(s.query_object for s in group.statements)),
+            batch = engine.prepare_batch(
+                list(dict.fromkeys(s.query_id for s in group.statements)),
                 group.t_start,
                 group.t_end,
                 band_width=group.band_width,
-            ).contexts
+            )
+            revision, prepared = batch.revision, batch.contexts
             for position, statement in zip(group.positions, group.statements):
-                contexts[position] = prepared[statement.query_object]
-        return PlanExecution(self.statements, tuple(contexts), engine)
+                contexts[position] = prepared[statement.query_id]
+        return PlanExecution(self.statements, tuple(contexts), engine, revision)
 
 
 def _shown(statement: PlannedStatement) -> Dict[str, object]:
     """The decisions :meth:`QueryPlan.explain` prints for one statement."""
-    shown: Dict[str, object] = {"query": statement.query_object}
+    shown: Dict[str, object] = {"query": statement.query_id}
     if statement.rank is not None:
         shown["rank"] = statement.rank
     shown["variant"] = statement.variant
@@ -233,16 +273,16 @@ def _line(depth: int, label: str, **shown: object) -> str:
 def plan_statements(statements: Sequence[PlannedStatement]) -> QueryPlan:
     """Fuse statements into a plan.
 
-    The one grouping rule: statements with the same ``(t_start, t_end,
-    band width)`` share a preparation, since a batched preparation shares
-    one window and one band width.  Groups appear in the order of their
-    first statement.
+    The one grouping rule: statements with the same
+    :attr:`~PlannedStatement.group_key` ``(t_start, t_end, band width)``
+    share a preparation, whatever their variants, ranks and targets, since
+    a batched preparation shares one window and one band width.  Groups
+    appear in the order of their first statement.
     """
     statements = tuple(statements)
     fused: Dict[Tuple[float, float, Optional[float]], List[int]] = {}
     for position, statement in enumerate(statements):
-        key = (statement.t_start, statement.t_end, statement.band_width)
-        fused.setdefault(key, []).append(position)
+        fused.setdefault(statement.group_key, []).append(position)
     return QueryPlan(
         statements=statements,
         groups=tuple(
@@ -277,7 +317,7 @@ def compile_queries(
     widths = _normalize_band_widths(band_width, len(asts))
     return plan_statements([
         PlannedStatement(
-            query_object=resolve_object_id(mod, ast.predicate.query_object),
+            query_id=resolve_object_id(mod, ast.predicate.query_object),
             t_start=ast.window.t_start,
             t_end=ast.window.t_end,
             band_width=width,

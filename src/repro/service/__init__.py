@@ -1,7 +1,8 @@
 """The async query service layer: the front door of the serving stack.
 
 ``repro.service`` fronts every execution layer built so far behind one
-awaitable API: typed :class:`QueryRequest`/:class:`QueryResponse` shapes, a
+awaitable API: :class:`~repro.query_language.planner.PlannedStatement`
+requests (any UQ1x-UQ4x operator) answered by :class:`QueryResponse`, a
 bounded admission queue with backpressure, request coalescing into engine
 batches, a revision-keyed result cache, a warm :class:`EnginePool` holding
 the one engine every batch runs on, and an async

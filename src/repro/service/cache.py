@@ -1,8 +1,9 @@
 """Revision-keyed result cache of the :class:`~repro.service.QueryService`.
 
 The engine layer already memoizes *prepared contexts*; this cache sits one
-level higher and memoizes *final answers*, keyed on the request fingerprint
-and the MOD revision the answer was computed at.  The revision is the only
+level higher and memoizes *final answers*, keyed on the request statement
+(a frozen :class:`~repro.query_language.planner.PlannedStatement`) and the
+MOD revision the answer was computed at.  The revision is the only
 staleness rule: an entry is only served while the store is at the revision
 it was computed at, so any add/remove/replace invalidates every affected
 answer implicitly (no scanning, no subscriptions: the key just stops
@@ -15,9 +16,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..engine.answers import Answer
 from ..obs.metrics import MetricsRegistry
-from .requests import Fingerprint
+from ..query_language.planner import PlannedStatement, StatementAnswer
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +58,9 @@ class ResultCache:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        #: fingerprint -> (revision, answer); one live entry per
-        #: fingerprint, so a newer revision displaces the stale answer.
-        self._entries: "OrderedDict[Fingerprint, Tuple[int, Answer]]"
+        #: statement -> (revision, answer); one live entry per
+        #: statement, so a newer revision displaces the stale answer.
+        self._entries: "OrderedDict[PlannedStatement, Tuple[int, StatementAnswer]]"
         self._entries = OrderedDict()
         self.registry = registry if registry is not None else MetricsRegistry()
         self._hits = self.registry.counter(
@@ -81,31 +81,31 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, fingerprint: Fingerprint, revision: int) -> Optional[Answer]:
-        """The cached answer for ``fingerprint`` at ``revision``, or ``None``.
+    def get(self, statement: PlannedStatement, revision: int) -> Optional[StatementAnswer]:
+        """The cached answer for ``statement`` at ``revision``, or ``None``.
 
         A hit requires the entry's revision to match exactly; a mismatch
         drops the stale entry.
         """
-        entry = self._entries.get(fingerprint)
+        entry = self._entries.get(statement)
         if entry is None:
             self._misses.inc()
             return None
         cached_revision, answer = entry
         if cached_revision != revision:
-            del self._entries[fingerprint]
+            del self._entries[statement]
             self._invalidations.inc()
             self._misses.inc()
             return None
-        self._entries.move_to_end(fingerprint)
+        self._entries.move_to_end(statement)
         self._hits.inc()
         return answer
 
-    def put(self, fingerprint: Fingerprint, revision: int, answer: Answer) -> None:
+    def put(self, statement: PlannedStatement, revision: int, answer: StatementAnswer) -> None:
         """Store an answer computed at ``revision``; evicts LRU beyond capacity."""
-        if fingerprint in self._entries:
-            del self._entries[fingerprint]
-        self._entries[fingerprint] = (revision, answer)
+        if statement in self._entries:
+            del self._entries[statement]
+        self._entries[statement] = (revision, answer)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._evictions.inc()

@@ -1,24 +1,28 @@
 """Warm engine pool: the service's one :class:`~repro.engine.QueryEngine`.
 
 The pool holds **one** lazily built engine per store and exposes one
-``answer_group`` call: a coalesced batch runs as one
-:class:`~repro.query_language.planner.QueryPlan` (one
-:meth:`~repro.engine.QueryEngine.prepare_batch` pass, then each
-statement's answer read off its context).  Each service builds and
-closes its own pool; :class:`~repro.parallel.ShardedEngine` is a pool
-too.
+evaluation call, :meth:`EnginePool.execute`: a group of statements
+(:class:`~repro.query_language.planner.PlannedStatement`) runs as one
+:class:`~repro.query_language.planner.QueryPlan` on that engine.  Each
+service builds and closes its own pool;
+:class:`~repro.parallel.ShardedEngine` is a pool too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.queries import QueryContext
 from ..engine import QueryEngine
 from ..engine.answers import Answer, band_span
 from ..obs.metrics import MetricsRegistry
-from ..query_language.planner import PlannedStatement, plan_statements
+from ..query_language.planner import (
+    PlanExecution,
+    PlannedStatement,
+    StatementAnswer,
+    plan_statements,
+)
 from ..trajectories.mod import MovingObjectsDatabase
 
 
@@ -31,7 +35,7 @@ class GroupResult:
 
 
 class EnginePool:
-    """A lazily built, long-lived engine behind one ``answer_group`` call.
+    """A lazily built, long-lived engine behind one :meth:`execute` call.
 
     Args:
         mod: the moving objects database the engine serves.
@@ -63,7 +67,7 @@ class EnginePool:
         """The warm engine (built, with its index, on first use).
 
         Kept public only for the frozen end-to-end bench; serving code
-        reaches the engine through :meth:`answer_group` and :meth:`warm`.
+        reaches the engine through :meth:`execute` and :meth:`warm`.
         """
         if self._engine is None:
             self._engine = QueryEngine(self.mod, registry=self.registry)
@@ -76,7 +80,7 @@ class EnginePool:
         t_end: float,
         band_width: Optional[float] = None,
     ) -> bool:
-        """Whether :meth:`answer_group` would only read cached contexts.
+        """Whether :meth:`execute` would only read cached contexts.
 
         False until the engine is built, while a store change waits to be
         refreshed, and when any member's context is missing
@@ -105,6 +109,19 @@ class EnginePool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def execute(
+        self, statements: Sequence[PlannedStatement]
+    ) -> Tuple[List[StatementAnswer], PlanExecution]:
+        """Run statements as one plan on the warm engine and take every answer.
+
+        The service's one evaluation call.  Returns each statement's answer,
+        in order, ``==`` its naive evaluation, and the execution: its
+        contexts and the store ``revision`` the engine synced to.
+        """
+        with band_span(self.registry, "pool.answer_group", queries=len(statements)):
+            execution = plan_statements(statements).execute(self.single_engine())
+            return execution.answers, execution
+
     def answer_group(
         self,
         query_ids: Sequence[object],
@@ -114,20 +131,17 @@ class EnginePool:
         fraction: float = 0.0,
         band_width: Optional[float] = None,
     ) -> GroupResult:
-        """Answer one coalesced batch exactly.
+        """One UQ3x statement per query id, through :meth:`execute`.
 
-        One UQ3x statement per query id, run as one plan; the answers are
-        byte-identical to per-query :meth:`QueryEngine.answer` calls.
+        A thin adapter kept for the frozen end-to-end bench and for
+        :class:`~repro.parallel.ShardedEngine`, which take answers and
+        contexts keyed by query id.
         """
-        with band_span(self.registry, "pool.answer_group", queries=len(query_ids)):
-            plan = plan_statements([
-                PlannedStatement(
-                    query_id, t_start, t_end, band_width, variant, fraction
-                )
-                for query_id in query_ids
-            ])
-            execution = plan.execute(self.single_engine())
-            return GroupResult(
-                answers=dict(zip(query_ids, execution.answers)),
-                contexts=dict(zip(query_ids, execution.contexts)),
-            )
+        answers, execution = self.execute([
+            PlannedStatement(query_id, t_start, t_end, band_width, variant, fraction)
+            for query_id in query_ids
+        ])
+        return GroupResult(
+            answers=dict(zip(query_ids, answers)),
+            contexts=dict(zip(query_ids, execution.contexts)),
+        )

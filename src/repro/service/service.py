@@ -1,20 +1,22 @@
 """The asyncio query service fronting the batch and streaming layers.
 
 :class:`QueryService` is the request/response front-end the scaling roadmap
-puts in front of the engines: callers ``await`` UQ31/32/33 requests while
-the service
+puts in front of the engines: callers ``await`` requests — each a
+:class:`~repro.query_language.planner.PlannedStatement`, any of the twelve
+UQ1x-UQ4x operators — while the service
 
-1. serves repeat requests from a result cache keyed on (request
-   fingerprint, MOD revision) — any store mutation silently invalidates
-   every affected answer because the revision stops matching
-   (:mod:`repro.service.cache`);
+1. serves repeat requests from a result cache keyed on (statement, MOD
+   revision) — any store mutation silently invalidates every affected
+   answer because the revision stops matching (:mod:`repro.service.cache`);
 2. admits the rest through a *bounded* queue — when the queue is full the
    service either backpressures the caller (``admission="wait"``) or fails
    fast with :class:`ServiceOverloaded` (``admission="reject"``);
-3. *coalesces* queued requests that share a window/variant/band into one
-   engine batch, so a dashboard refresh of 50 standing queries costs one
-   :meth:`~repro.engine.QueryEngine.prepare_batch` pass instead of 50
-   serial preparations;
+3. *coalesces* a drained batch with the planner's one grouping rule
+   (:func:`~repro.query_language.planner.plan_statements`): requests that
+   share a window and band width ride one engine batch whatever their
+   variant, rank and target, so a dashboard refresh of 50 standing queries
+   costs one :meth:`~repro.engine.QueryEngine.prepare_batch` pass instead
+   of 50 serial preparations;
 4. answers each batch on the pool's one warm engine
    (:mod:`repro.service.pool`): a batch whose contexts are all cached at
    the store's revision is a linear read, answered on the event loop; one
@@ -24,9 +26,9 @@ the service
    async consumers (:meth:`QueryService.subscribe`), completing the
    request/response + push story.
 
-Answers are exact: the oracle tests pin every service response
-byte-identical to a direct :meth:`repro.engine.QueryEngine.answer` call at
-the same store state.
+Answers are exact: the oracle tests pin every service response ``==`` to
+the statement's naive evaluation at the store revision the response is
+labelled with, which is the revision the engine synced to.
 """
 
 from __future__ import annotations
@@ -37,13 +39,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..engine.answers import Answer
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..obs.tracing import Span, capture, fresh_stack, render_tree, trace_span
+from ..query_language.planner import (
+    PlannedStatement,
+    StatementAnswer,
+    plan_statements,
+)
 from ..trajectories.mod import MovingObjectsDatabase
 from .cache import ResultCache, ResultCacheInfo
 from .pool import EnginePool
-from .requests import QueryRequest, QueryResponse
+from .requests import QueryResponse
 from .subscriptions import DeltaBridge, DeltaSubscription
 
 ADMISSION_POLICIES = ("wait", "reject")
@@ -110,14 +116,14 @@ class ExplainResult:
 class _Pending:
     """One admitted request waiting for its engine batch."""
 
-    request: QueryRequest
+    request: PlannedStatement
     future: "asyncio.Future[QueryResponse]"
     submitted: float
     enqueued: float
 
 
 class QueryService:
-    """Async UQ3x serving over one moving objects database.
+    """Async serving of :class:`PlannedStatement` requests over one store.
 
     Args:
         mod: the store to serve; the same object a
@@ -155,7 +161,7 @@ class QueryService:
     Use as an async context manager, or call :meth:`start` / :meth:`stop`::
 
         async with QueryService(mod) as service:
-            response = await service.query("van-3", lo, hi)
+            response = await service.submit(PlannedStatement("van-3", lo, hi))
     """
 
     def __init__(
@@ -348,20 +354,22 @@ class QueryService:
     # Submission.
     # ------------------------------------------------------------------
 
-    async def submit(self, request: QueryRequest) -> QueryResponse:
-        """Serve one request: cache, else admit, coalesce, and evaluate.
+    async def submit(self, request: PlannedStatement) -> QueryResponse:
+        """Serve one statement: cache, else admit, coalesce, and evaluate.
 
         Raises:
             ServiceClosed: when the service is not running.
             ServiceOverloaded: when the queue is full under ``"reject"``.
-            KeyError: when the query id is unknown (raised at evaluation).
+            KeyError: when the query id is not in the store, for this
+                request alone (checked before admission, so its group-mates
+                are served).
         """
         if not self.running:
             raise ServiceClosed("the service is not running")
         started = time.perf_counter()
         self._m_submitted.inc()
         revision = self.mod.revision
-        cached = self.cache.get(request.fingerprint, revision)
+        cached = self.cache.get(request, revision)
         if cached is not None:
             self._m_cache_hits.inc()
             seconds = time.perf_counter() - started
@@ -375,6 +383,8 @@ class QueryService:
                 queue_seconds=0.0,
                 service_seconds=seconds,
             )
+        if request.query_id not in self.mod:
+            raise KeyError(f"unknown query id {request.query_id!r}")
         future: "asyncio.Future[QueryResponse]" = self._loop.create_future()
         pending = _Pending(
             request=request,
@@ -403,30 +413,8 @@ class QueryService:
         self._m_queue_depth.set(depth)
         return await future
 
-    async def query(
-        self,
-        query_id: object,
-        t_start: float,
-        t_end: float,
-        *,
-        variant: str = "sometime",
-        fraction: float = 0.0,
-        band_width: Optional[float] = None,
-    ) -> QueryResponse:
-        """Convenience wrapper building and submitting one :class:`QueryRequest`."""
-        return await self.submit(
-            QueryRequest(
-                query_id=query_id,
-                t_start=t_start,
-                t_end=t_end,
-                variant=variant,
-                fraction=fraction,
-                band_width=band_width,
-            )
-        )
-
     async def submit_all(
-        self, requests: Sequence[QueryRequest]
+        self, requests: Sequence[PlannedStatement]
     ) -> List[QueryResponse]:
         """Submit concurrently and gather; order matches ``requests``.
 
@@ -511,7 +499,7 @@ class QueryService:
         """The same metrics in Prometheus text exposition format."""
         return self.registry.render_prometheus()
 
-    async def explain(self, request: QueryRequest) -> "ExplainResult":
+    async def explain(self, request: PlannedStatement) -> "ExplainResult":
         """Serve one request with tracing on, returning answer + span tree.
 
         A diagnostic path: the request bypasses the admission queue and
@@ -530,26 +518,24 @@ class QueryService:
             raise ServiceClosed("the service is not running")
         started = time.perf_counter()
         revision = self.mod.revision
-        cached = self.cache.get(request.fingerprint, revision)
+        cached = self.cache.get(request, revision)
 
-        def evaluate() -> Tuple[Answer, Span]:
+        def evaluate() -> Tuple[StatementAnswer, int, Span]:
             with capture():
                 with trace_span(
                     "service.explain",
                     query=request.query_id,
                     variant=request.variant,
                 ) as root:
-                    answer = (
-                        cached
-                        if cached is not None
-                        else self._evaluate_group([request])[request.query_id]
-                    )
-            return answer, root
+                    if cached is not None:
+                        return cached, revision, root
+                    answers, synced = self._evaluate_group([request])
+            return answers[request], synced, root
 
-        answer, root = await self._loop.run_in_executor(None, evaluate)
+        answer, answered_at, root = await self._loop.run_in_executor(None, evaluate)
         if cached is None:
             backend = self.pool.backend_kind()
-            self.cache.put(request.fingerprint, revision, answer)
+            self.cache.put(request, answered_at, answer)
         else:
             backend = "cache"
         root.set("backend", backend)
@@ -557,7 +543,7 @@ class QueryService:
             response=QueryResponse(
                 request=request,
                 answer=answer,
-                revision=revision,
+                revision=answered_at,
                 backend=backend,
                 batch_size=1,
                 queue_seconds=0.0,
@@ -629,69 +615,61 @@ class QueryService:
                 return
 
     async def _serve_batch(self, batch: List[_Pending]) -> None:
-        """Group one drained batch by coalescing key and evaluate each group.
+        """Plan one drained batch and evaluate each of the plan's groups.
 
         A group whose contexts are all cached at the store's revision is
         answered on the loop, then the loop yields once so its submitters
         resume before the next group runs; any other group goes to the
         executor.
         """
-        groups: Dict[object, List[_Pending]] = {}
-        for pending in batch:
-            groups.setdefault(pending.request.group_key, []).append(pending)
-        for members in groups.values():
-            head = members[0].request
+        plan = plan_statements([pending.request for pending in batch])
+        for group in plan.groups:
             inline = self.pool.warm(
-                [pending.request.query_id for pending in members],
-                head.t_start,
-                head.t_end,
-                head.band_width,
+                [statement.query_id for statement in group.statements],
+                group.t_start,
+                group.t_end,
+                group.band_width,
             )
-            await self._serve_group(members, inline)
+            await self._serve_group(
+                [batch[position] for position in group.positions], inline
+            )
             if inline:
                 await asyncio.sleep(0)
 
     def _evaluate_group(
-        self, requests: Sequence[QueryRequest]
-    ) -> Dict[object, Answer]:
-        """Answers, by query id, of requests that share a coalescing key.
+        self, statements: Sequence[PlannedStatement]
+    ) -> Tuple[Dict[PlannedStatement, StatementAnswer], int]:
+        """Answers of statements sharing a group key, and their revision.
 
         The one evaluator behind :meth:`submit` (a coalesced group) and
-        :meth:`explain` (a one-request group): one ``pool.answer_group``
-        over the group's distinct query ids.  It runs on an executor thread,
-        or on the loop thread under :func:`~repro.obs.tracing.fresh_stack`;
-        either way its span stack is its own, so its ``service.group`` span
-        is a root landing in the active recorder (a no-op when tracing is
-        off), or nests under ``service.explain``.
+        :meth:`explain` (a one-request group): one ``pool.execute`` over the
+        group's distinct statements, returning each statement's answer and
+        the store revision the engine synced to before answering.  It runs
+        on an executor thread, or on the loop thread under
+        :func:`~repro.obs.tracing.fresh_stack`; either way its span stack
+        is its own, so its ``service.group`` span is a root landing in the
+        active recorder (a no-op when tracing is off), or nests under
+        ``service.explain``.
         """
-        head = requests[0]
-        query_ids = list(dict.fromkeys(request.query_id for request in requests))
+        distinct = list(dict.fromkeys(statements))
         with trace_span(
             "service.group",
-            queries=len(query_ids),
-            requests=len(requests),
-            variant=head.variant,
+            queries=len({statement.query_id for statement in distinct}),
+            requests=len(statements),
         ):
-            return self.pool.answer_group(
-                query_ids,
-                head.t_start,
-                head.t_end,
-                variant=head.variant,
-                fraction=head.fraction,
-                band_width=head.band_width,
-            ).answers
+            answers, execution = self.pool.execute(distinct)
+            return dict(zip(distinct, answers)), execution.revision
 
     async def _serve_group(self, members: List[_Pending], inline: bool) -> None:
-        revision = self.mod.revision
         dequeued = time.perf_counter()
-        requests = [pending.request for pending in members]
+        statements = [pending.request for pending in members]
         try:
             if inline:
                 with fresh_stack():
-                    answers = self._evaluate_group(requests)
+                    answers, revision = self._evaluate_group(statements)
             else:
-                answers = await self._loop.run_in_executor(
-                    None, self._evaluate_group, requests
+                answers, revision = await self._loop.run_in_executor(
+                    None, self._evaluate_group, statements
                 )
         except Exception as error:  # noqa: BLE001 - forwarded to awaiters
             for pending in members:
@@ -706,8 +684,8 @@ class QueryService:
         self._m_coalesce.observe(len(members))
         self._m_eval.observe(finished - dequeued)
         for pending in members:
-            answer = answers[pending.request.query_id]
-            self.cache.put(pending.request.fingerprint, revision, answer)
+            answer = answers[pending.request]
+            self.cache.put(pending.request, revision, answer)
             self._m_latency.observe(finished - pending.submitted)
             if pending.future.done():
                 continue

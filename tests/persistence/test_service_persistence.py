@@ -6,7 +6,8 @@ import shutil
 import pytest
 
 from repro.persistence import restore, scan_wal, snapshots_path, wal_path
-from repro.service import QueryRequest, QueryService
+from repro.query_language import PlannedStatement
+from repro.service import QueryService
 from repro.workloads.scenarios import multi_query_fleet
 
 
@@ -27,7 +28,7 @@ class TestWarmRestart:
         async def first_life():
             async with QueryService(mod, data_dir=tmp_path) as service:
                 return [
-                    (await service.query(q, lo, hi)).answer for q in monitored
+                    (await service.submit(PlannedStatement(q, lo, hi))).answer for q in monitored
                 ]
 
         async def second_life():
@@ -35,7 +36,7 @@ class TestWarmRestart:
                 assert service.restore_result is not None
                 assert service.mod.revision == mod.revision
                 return [
-                    (await service.query(q, lo, hi)).answer for q in monitored
+                    (await service.submit(PlannedStatement(q, lo, hi))).answer for q in monitored
                 ]
 
         before = run(first_life())
@@ -100,14 +101,14 @@ class TestWarmRestart:
 
         async def life():
             async with QueryService(mod, data_dir=tmp_path) as service:
-                await service.query(monitored[0], lo, hi)
+                await service.submit(PlannedStatement(monitored[0], lo, hi))
                 mod.replace_trajectory(mod.get(mod.object_ids[0]))
                 # Logged before the mutating call returned — visible in the
                 # WAL right now, well before any checkpoint.
                 service.persistence.flush()
                 scan = scan_wal(wal_path(tmp_path))
                 assert scan.last_revision == mod.revision
-                await service.query(monitored[0], lo, hi)
+                await service.submit(PlannedStatement(monitored[0], lo, hi))
 
         run(life())
 

@@ -1,25 +1,27 @@
 """Every caller of the one evaluator answers like the definitions.
 
-The service pool, the query executor, the streaming monitor and the
-sharded engine all run their queries as a
+The query service, the service pool, the query executor, the streaming
+monitor and the sharded engine all run their queries as a
 :class:`~repro.query_language.planner.QueryPlan`.  Random mixed batches —
 several windows, explicit and default band widths, all three UQ3x
 variants, ranks 1-3, targets, duplicate ids — go through each of them, and
 every answer must ``==`` the from-scratch oracles: ``reference_answer``
 (an unfiltered context per query) for UQ3x answers, and
 ``execute_query_naive`` (one ``QueryContext.from_mod`` per statement) for
-query-language statements.
+every statement, all twelve UQ1x-UQ4x operators.
 """
 
 from __future__ import annotations
 
+import asyncio
 from collections import defaultdict
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.engine.answers import VARIANTS
 from repro.parallel import ShardedEngine
-from repro.query_language import QueryExecutor, execute_query_naive
+from repro.query_language import PlannedStatement, QueryExecutor, execute_query_naive
+from repro.service import QueryService
 from repro.service.pool import EnginePool
 from repro.streaming import ContinuousMonitor, reference_answer
 from repro.workloads.scenarios import multi_query_fleet
@@ -72,16 +74,55 @@ def expected_uq3x(statement):
     )
 
 
+#: The twelve operators once each: 3 variants x probability/rank x open/targeted.
+#: The target is a neighbour at some time but not throughout, so targeted
+#: answers are neither all empty nor all full.
+TWELVE = [
+    {"query_id": QUERY_IDS[0], "window": WINDOWS[0], "band_width": None,
+     "variant": variant, "fraction": 0.3 if variant == "fraction" else 0.0,
+     "rank": rank, "target": target}
+    for variant in VARIANTS
+    for rank in (None, 2)
+    for target in (None, MOD.object_ids[7])
+]
+
+
+def planned(statement) -> PlannedStatement:
+    return PlannedStatement(
+        statement["query_id"], *statement["window"],
+        band_width=statement["band_width"], variant=statement["variant"],
+        fraction=statement["fraction"], rank=statement["rank"],
+        target=statement["target"],
+    )
+
+
+async def served(batch):
+    async with QueryService(MOD) as service:
+        return await service.submit_all([planned(statement) for statement in batch])
+
+
+@example(batch=TWELVE)
 @given(batch=st.lists(statements(), min_size=1, max_size=8))
 def test_every_caller_answers_like_the_oracles(batch):
+    naive = [
+        execute_query_naive(text(statement), MOD, band_width=statement["band_width"])
+        for statement in batch
+    ]
     # The query language: every statement shape, targets included.
     results = QueryExecutor(MOD).execute_many(
         [text(statement) for statement in batch],
         band_width=[statement["band_width"] for statement in batch],
     )
-    for statement, result in zip(batch, results):
-        naive = execute_query_naive(text(statement), MOD, band_width=statement["band_width"])
-        assert result.object_ids == naive.object_ids, text(statement)
+    for statement, result, expected in zip(batch, results, naive):
+        assert result.object_ids == expected.object_ids, text(statement)
+
+    # The service, on every statement as one drained batch: the member
+    # ids of each answer, and a probability answer's intervals too.
+    for statement, response, expected in zip(batch, asyncio.run(served(batch)), naive):
+        assert sorted(response.answer, key=str) == expected.object_ids, text(statement)
+        if statement["rank"] is None:
+            intervals = expected_uq3x(statement)
+            assert response.answer == {m: intervals[m] for m in expected.object_ids}
 
     # The UQ3x callers, on the batch's probability statements: one
     # coalesced group per (window, band, variant, fraction), duplicates kept.

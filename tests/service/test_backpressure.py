@@ -4,11 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.service import (
-    QueryRequest,
-    QueryService,
-    ServiceOverloaded,
-)
+from repro.query_language import PlannedStatement
+from repro.service import QueryService, ServiceOverloaded
 from repro.workloads.scenarios import multi_query_fleet
 
 
@@ -32,7 +29,7 @@ class TestRejectPolicy:
             ) as service:
                 results = await asyncio.gather(
                     *(
-                        service.submit(QueryRequest(query_id, lo, hi))
+                        service.submit(PlannedStatement(query_id, lo, hi))
                         for query_id in query_ids
                     ),
                     return_exceptions=True,
@@ -62,7 +59,7 @@ class TestRejectPolicy:
             ) as service:
                 results = await asyncio.gather(
                     *(
-                        service.submit(QueryRequest(query_id, lo, hi))
+                        service.submit(PlannedStatement(query_id, lo, hi))
                         for query_id in query_ids[:3]
                     ),
                     return_exceptions=True,
@@ -70,11 +67,11 @@ class TestRejectPolicy:
                 retry_id = next(
                     request.query_id
                     for request, outcome in zip(
-                        [QueryRequest(q, lo, hi) for q in query_ids[:3]], results
+                        [PlannedStatement(q, lo, hi) for q in query_ids[:3]], results
                     )
                     if isinstance(outcome, ServiceOverloaded)
                 )
-                response = await service.query(retry_id, lo, hi)
+                response = await service.submit(PlannedStatement(retry_id, lo, hi))
                 return response
 
         response = run(scenario())
@@ -91,7 +88,7 @@ class TestWaitPolicy:
                 mod, queue_limit=2, admission="wait"
             ) as service:
                 responses = await service.submit_all(
-                    [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+                    [PlannedStatement(query_id, lo, hi) for query_id in query_ids]
                 )
                 return responses, service.stats()
 
@@ -111,7 +108,7 @@ class TestWaitPolicy:
                 mod, queue_limit=2, admission="wait"
             ) as service:
                 await service.submit_all(
-                    [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+                    [PlannedStatement(query_id, lo, hi) for query_id in query_ids]
                 )
                 return service.stats()
 
@@ -129,7 +126,7 @@ class TestDrainOnStop:
             await service.start()
             pending = [
                 asyncio.create_task(
-                    service.submit(QueryRequest(query_id, lo, hi))
+                    service.submit(PlannedStatement(query_id, lo, hi))
                 )
                 for query_id in query_ids[:3]
             ]

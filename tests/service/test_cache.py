@@ -1,13 +1,14 @@
 """Revision invalidation and LRU behavior of the result cache."""
 
-from repro.service import QueryRequest, ResultCache
+from repro.query_language import PlannedStatement
+from repro.service import ResultCache
 
 ANSWER_A = {"a": ((0.0, 5.0),)}
 ANSWER_B = {"b": ((1.0, 2.0),)}
 
 
 def fp(query_id="q", t_start=0.0, t_end=10.0):
-    return QueryRequest(query_id, t_start, t_end).fingerprint
+    return PlannedStatement(query_id, t_start, t_end)
 
 
 class TestRevisionKeying:

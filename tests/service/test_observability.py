@@ -7,7 +7,8 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import capture, disable_tracing, enabled
-from repro.service import QueryRequest, QueryService
+from repro.query_language import PlannedStatement
+from repro.service import QueryService
 from repro.workloads.scenarios import multi_query_fleet
 
 
@@ -27,7 +28,7 @@ def serve_some(service_options=None, repeats=1):
         async with QueryService(mod, **(service_options or {})) as service:
             for _ in range(repeats):
                 await service.submit_all(
-                    [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+                    [PlannedStatement(query_id, lo, hi) for query_id in query_ids]
                 )
             return service, service.stats(), service.metrics_snapshot()
 
@@ -64,7 +65,7 @@ class TestStatsSnapshot:
             )
             lo, hi = mod.common_time_span()
             async with QueryService(mod) as service:
-                await service.submit(QueryRequest(query_ids[0], lo, hi))
+                await service.submit(PlannedStatement(query_ids[0], lo, hi))
                 service.reset()
                 return service.stats(), service.metrics_snapshot()
 
@@ -96,7 +97,7 @@ class TestMetricsSurface:
             )
             lo, hi = mod.common_time_span()
             async with QueryService(mod, registry=registry) as service:
-                await service.submit(QueryRequest(query_ids[0], lo, hi))
+                await service.submit(PlannedStatement(query_ids[0], lo, hi))
                 return service.registry
 
         assert run(_run()) is registry
@@ -109,7 +110,7 @@ class TestMetricsSurface:
             )
             lo, hi = mod.common_time_span()
             async with QueryService(mod) as service:
-                await service.submit(QueryRequest(query_ids[0], lo, hi))
+                await service.submit(PlannedStatement(query_ids[0], lo, hi))
                 return service.metrics_prometheus()
 
         text = run(_run())
@@ -126,7 +127,7 @@ class TestExplain:
             )
             lo, hi = mod.common_time_span()
             async with QueryService(mod) as service:
-                request = QueryRequest(query_ids[0], lo, hi)
+                request = PlannedStatement(query_ids[0], lo, hi)
                 explained = await service.explain(request)
                 served = await service.submit(request)
                 cached = await service.explain(request)
@@ -155,7 +156,7 @@ class TestExplain:
                     num_vehicles=24, num_queries=4, seed=7
                 )
                 lo, hi = mod.common_time_span()
-                request = QueryRequest(query_ids[1], lo, hi)
+                request = PlannedStatement(query_ids[1], lo, hi)
                 async with QueryService(mod) as service:
                     if explain:
                         explained = await service.explain(request)
@@ -181,7 +182,7 @@ class TestExplain:
             )
             lo, hi = mod.common_time_span()
             async with QueryService(mod) as service:
-                await service.explain(QueryRequest(query_ids[0], lo, hi))
+                await service.explain(PlannedStatement(query_ids[0], lo, hi))
                 return service.stats()
 
         stats = run(_run())
@@ -206,7 +207,7 @@ class TestExplain:
             async with QueryService(mod) as service:
                 for step in range(6):
                     window = (lo + step, hi - step)
-                    requests = [QueryRequest(query_id, *window) for query_id in query_ids]
+                    requests = [PlannedStatement(query_id, *window) for query_id in query_ids]
                     explained = await asyncio.gather(
                         *(service.explain(request) for request in requests)
                     )
@@ -233,7 +234,7 @@ class TestExplain:
             async with QueryService(mod) as service:
                 with capture() as recorder:
                     explained = await service.explain(
-                        QueryRequest(query_ids[0], lo, hi)
+                        PlannedStatement(query_ids[0], lo, hi)
                     )
                     assert enabled()
                 return explained, recorder

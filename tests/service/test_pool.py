@@ -7,7 +7,8 @@ import pytest
 from repro.engine import QueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ShardedEngine
-from repro.service import EnginePool, QueryRequest, QueryService
+from repro.query_language import PlannedStatement
+from repro.service import EnginePool, QueryService
 from repro.streaming import ContinuousMonitor
 from repro.workloads.scenarios import multi_query_fleet
 
@@ -215,7 +216,7 @@ def test_a_large_store_group_is_one_prepare_batch_and_no_sharded_engine(
     async def serve():
         async with QueryService(mod) as service:
             return await service.submit_all(
-                [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+                [PlannedStatement(query_id, lo, hi) for query_id in query_ids]
             )
 
     responses = asyncio.run(serve())

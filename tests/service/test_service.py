@@ -11,11 +11,8 @@ import asyncio
 import pytest
 
 from repro.engine import QueryEngine
-from repro.service import (
-    QueryRequest,
-    QueryService,
-    ServiceClosed,
-)
+from repro.query_language import PlannedStatement
+from repro.service import QueryService, ServiceClosed
 from repro.streaming import reference_answer
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.scenarios import multi_query_fleet, sharded_fleet
@@ -49,7 +46,7 @@ class TestOracleEquality:
             async with QueryService(mod) as service:
                 return await service.submit_all(
                     [
-                        QueryRequest(
+                        PlannedStatement(
                             query_id, lo, hi, variant=variant, fraction=fraction
                         )
                         for query_id in query_ids
@@ -79,7 +76,7 @@ class TestOracleEquality:
             async with QueryService(mod) as service:
                 responses = await service.submit_all(
                     [
-                        QueryRequest(
+                        PlannedStatement(
                             query_id, lo, hi, variant=variant, fraction=fraction
                         )
                         for query_id in query_ids
@@ -96,7 +93,7 @@ class TestOracleEquality:
     def test_duplicate_requests_share_one_evaluation(self, fleet):
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
-        request = QueryRequest(query_ids[0], lo, hi)
+        request = PlannedStatement(query_ids[0], lo, hi)
 
         async def serve():
             async with QueryService(mod) as service:
@@ -118,7 +115,7 @@ class TestCoalescing:
         async def serve():
             async with QueryService(mod) as service:
                 responses = await service.submit_all(
-                    [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+                    [PlannedStatement(query_id, lo, hi) for query_id in query_ids]
                 )
                 return responses, service.stats()
 
@@ -135,9 +132,9 @@ class TestCoalescing:
             async with QueryService(mod) as service:
                 await service.submit_all(
                     [
-                        QueryRequest(query_ids[0], lo, mid),
-                        QueryRequest(query_ids[1], lo, mid),
-                        QueryRequest(query_ids[2], mid, hi),
+                        PlannedStatement(query_ids[0], lo, mid),
+                        PlannedStatement(query_ids[1], lo, mid),
+                        PlannedStatement(query_ids[2], mid, hi),
                     ]
                 )
                 return service.stats()
@@ -154,8 +151,8 @@ class TestResultCache:
 
         async def serve():
             async with QueryService(mod) as service:
-                first = await service.query(query_ids[0], lo, hi)
-                second = await service.query(query_ids[0], lo, hi)
+                first = await service.submit(PlannedStatement(query_ids[0], lo, hi))
+                second = await service.submit(PlannedStatement(query_ids[0], lo, hi))
                 return first, second
 
         first, second = run(serve())
@@ -169,12 +166,12 @@ class TestResultCache:
 
         async def serve():
             async with QueryService(mod) as service:
-                first = await service.query(query_ids[0], lo, hi)
+                first = await service.submit(PlannedStatement(query_ids[0], lo, hi))
                 # Same-motion replacement still bumps the revision, so the
                 # cached answer must stop being served even though it would
                 # have been correct.
                 mod.replace_trajectory(mod.get(query_ids[1]))
-                second = await service.query(query_ids[0], lo, hi)
+                second = await service.submit(PlannedStatement(query_ids[0], lo, hi))
                 direct = QueryEngine(mod).answer(query_ids[0], lo, hi)
                 return first, second, direct
 
@@ -191,7 +188,7 @@ class TestLifecycleAndErrors:
         service = QueryService(mod)
 
         async def attempt():
-            await service.submit(QueryRequest(query_ids[0], lo, hi))
+            await service.submit(PlannedStatement(query_ids[0], lo, hi))
 
         with pytest.raises(ServiceClosed):
             run(attempt())
@@ -205,7 +202,7 @@ class TestLifecycleAndErrors:
             await service.start()
             await service.stop()
             with pytest.raises(ServiceClosed):
-                await service.submit(QueryRequest(query_ids[0], lo, hi))
+                await service.submit(PlannedStatement(query_ids[0], lo, hi))
 
         run(scenario())
 
@@ -216,9 +213,9 @@ class TestLifecycleAndErrors:
         async def scenario():
             async with QueryService(mod) as service:
                 with pytest.raises(KeyError):
-                    await service.query("no-such-vehicle", lo, hi)
+                    await service.submit(PlannedStatement("no-such-vehicle", lo, hi))
                 # The dispatcher survives the failed group and keeps serving.
-                response = await service.query(mod.object_ids[0], lo, hi)
+                response = await service.submit(PlannedStatement(mod.object_ids[0], lo, hi))
                 assert response.answer
 
         run(scenario())
@@ -239,7 +236,7 @@ class TestLifecycleAndErrors:
                 mod.upsert_many(list(source))
                 lo, hi = mod.common_time_span()
                 responses = await asyncio.gather(
-                    *(service.query(query_id, lo, hi) for query_id in query_ids)
+                    *(service.submit(PlannedStatement(query_id, lo, hi)) for query_id in query_ids)
                 )
                 return lo, hi, responses
 
@@ -256,9 +253,9 @@ class TestLifecycleAndErrors:
         async def serve():
             async with QueryService(mod) as service:
                 await service.submit_all(
-                    [QueryRequest(query_id, lo, hi) for query_id in query_ids]
+                    [PlannedStatement(query_id, lo, hi) for query_id in query_ids]
                 )
-                await service.query(query_ids[0], lo, hi)
+                await service.submit(PlannedStatement(query_ids[0], lo, hi))
                 return service.stats(), service.cache_info()
 
         stats, cache_info = run(serve())

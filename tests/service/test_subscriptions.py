@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.query_language import PlannedStatement
 from repro.service import QueryService
 from repro.streaming import ContinuousMonitor
 from repro.streaming.events import NeighborAppeared
@@ -179,7 +180,7 @@ class TestRealMonitorIntegration:
             monitor = ContinuousMonitor(mod)
             lo, hi = mod.common_time_span()
             async with QueryService(mod) as service:
-                first = await service.query(scenario_data.query_ids[0], lo, hi)
+                first = await service.submit(PlannedStatement(scenario_data.query_ids[0], lo, hi))
                 for object_id in mod.object_ids:
                     monitor.track(
                         object_id,
@@ -189,9 +190,9 @@ class TestRealMonitorIntegration:
                 for object_id, reports in scenario_data.batches[0].items():
                     monitor.ingest(object_id, reports)
                 monitor.apply()
-                second = await service.query(
+                second = await service.submit(PlannedStatement(
                     scenario_data.query_ids[0], lo, hi
-                )
+                ))
                 return first, second
 
         first, second = run(scenario())

@@ -14,6 +14,7 @@ import pytest
 
 from repro.engine import QueryEngine
 from repro.obs.tracing import capture, current_span, trace_span
+from repro.query_language import PlannedStatement
 from repro.service import QueryRequest, QueryService
 from repro.service.pool import EnginePool
 from repro.trajectories.trajectory import UncertainTrajectory
@@ -129,18 +130,22 @@ class TestWarmGroupsStayOnTheLoop:
     def test_submitters_of_one_group_resume_before_the_next_group_runs(self, fleet):
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
+        mid = (lo + hi) / 2
         events = []
 
         async def serve():
             async with QueryService(mod) as service:
-                await service.submit_all(requests_for(query_ids, lo, hi))
+                # Two warm windows: one drained batch, two groups.
+                await service.submit_all(
+                    requests_for(query_ids, lo, hi) + requests_for(query_ids, lo, mid)
+                )
                 evaluate = service._evaluate_group
                 serve_batch = service._serve_batch
                 batches = []
 
-                def spy_evaluate(requests):
-                    events.append(("evaluate", requests[0].variant))
-                    return evaluate(requests)
+                def spy_evaluate(statements):
+                    events.append(("evaluate", statements[0].t_end))
+                    return evaluate(statements)
 
                 async def spy_serve_batch(batch):
                     batches.append(len(batch))
@@ -149,15 +154,15 @@ class TestWarmGroupsStayOnTheLoop:
                 service._evaluate_group = spy_evaluate
                 service._serve_batch = spy_serve_batch
 
-                async def submit(request):
-                    await service.submit(request)
-                    events.append(("resumed", request.variant))
+                async def submit(statement):
+                    await service.submit(statement)
+                    events.append(("resumed", statement.t_end))
 
                 await asyncio.gather(
-                    submit(QueryRequest(query_ids[0], lo, hi, variant="always")),
+                    submit(PlannedStatement(query_ids[0], lo, hi, variant="always")),
                     submit(
-                        QueryRequest(
-                            query_ids[1], lo, hi, variant="fraction", fraction=0.4
+                        PlannedStatement(
+                            query_ids[1], lo, mid, variant="fraction", fraction=0.4
                         )
                     ),
                 )
@@ -165,10 +170,10 @@ class TestWarmGroupsStayOnTheLoop:
 
         assert run(serve()) == [2]
         assert events == [
-            ("evaluate", "always"),
-            ("resumed", "always"),
-            ("evaluate", "fraction"),
-            ("resumed", "fraction"),
+            ("evaluate", hi),
+            ("resumed", hi),
+            ("evaluate", mid),
+            ("resumed", mid),
         ]
 
 

@@ -27,7 +27,8 @@ from repro.engine import QueryEngine
 from repro.index.boxes import Box3D, segment_boxes
 from repro.obs.metrics import MetricsRegistry
 from repro.persistence import PersistentStore, restore
-from repro.service import QueryRequest, QueryService
+from repro.query_language import PlannedStatement
+from repro.service import QueryService
 from repro.streaming import ContinuousMonitor, reference_answer
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
@@ -183,7 +184,7 @@ def test_a_durable_service_and_its_monitor_load_one_index_across_ticks(tmp_path)
                     fsyncs + number + 1
                 )
                 _, hi = mod.common_time_span()
-                requests = [QueryRequest(q, hi - 5.0, hi) for q in world.query_ids]
+                requests = [PlannedStatement(q, hi - 5.0, hi) for q in world.query_ids]
                 responses = await service.submit_all(requests)
                 oracle = QueryEngine(MovingObjectsDatabase(list(mod)))
                 for response in responses:

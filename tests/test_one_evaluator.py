@@ -9,6 +9,11 @@ This check keeps it that way: outside ``repro/engine/`` and the planner, no
 module may call ``.prepare_batch(`` or ``.prepare(``, and ``answer_of(`` is
 called only by the planner and the from-scratch oracle
 ``streaming.reference_answer``.
+
+A statement's identity and its grouping rule live on
+:class:`~repro.query_language.planner.PlannedStatement` alone: no module
+outside the planner may define a ``group_key`` or a ``fingerprint`` (in
+any case, so a ``Fingerprint`` type counts too).
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ PLANNER = Path("query_language") / "planner.py"
 PREPARE_METHODS = {"prepare_batch", "prepare"}
 #: ``(module, enclosing function)`` pairs allowed to call ``answer_of``.
 ANSWER_OF_ORACLES = {(Path("streaming") / "monitor.py", "reference_answer")}
+#: Names of a statement's identity and grouping rule (compared lower-cased).
+IDENTITY_NAMES = {"group_key", "fingerprint"}
 
 
 def _calls(tree: ast.AST):
@@ -45,6 +52,33 @@ def _offenders(package: Path = PACKAGE):
                 offenders.append(f"{relative}:{line} calls .{name}(")
             elif name == "answer_of" and (relative, owner) not in ANSWER_OF_ORACLES:
                 offenders.append(f"{relative}:{line} calls answer_of(")
+    return offenders
+
+
+def _definitions(tree: ast.AST):
+    """``(name, line)`` of every def, class and assignment target."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, name.lineno
+                    elif isinstance(name, ast.Attribute):
+                        yield name.attr, name.lineno
+
+
+def _identity_offenders(package: Path = PACKAGE):
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package)
+        if relative == PLANNER:
+            continue
+        for name, line in _definitions(ast.parse(path.read_text())):
+            if name.lower() in IDENTITY_NAMES:
+                offenders.append(f"{relative}:{line} defines {name}")
     return offenders
 
 
@@ -76,4 +110,42 @@ def test_the_guard_sees_the_calls_it_forbids(tmp_path):
         "service/loop.py:2 calls .prepare_batch(",
         "service/loop.py:3 calls .prepare(",
         "service/loop.py:4 calls answer_of(",
+    ]
+
+
+def test_only_the_planner_defines_a_statement_identity():
+    offenders = _identity_offenders()
+    assert not offenders, (
+        "a statement is its own identity and PlannedStatement.group_key the "
+        f"one grouping rule; do not define another: {offenders}"
+    )
+
+
+def test_the_identity_guard_sees_the_definitions_it_forbids(tmp_path):
+    # A second request type with its own identity and grouping rule is
+    # caught, definition by definition; the planner's own are allowed.
+    fake = tmp_path / "repro"
+    (fake / "service").mkdir(parents=True)
+    (fake / "service" / "requests.py").write_text(
+        "Fingerprint = tuple\n"
+        "class Request:\n"
+        "    def group_key(self):\n"
+        "        return ()\n"
+        "    @property\n"
+        "    def fingerprint(self):\n"
+        "        return ()\n"
+        "def coalesce(pending):\n"
+        "    pending.group_key = ()\n"
+    )
+    (fake / "query_language").mkdir()
+    (fake / "query_language" / "planner.py").write_text(
+        "class PlannedStatement:\n"
+        "    def group_key(self):\n"
+        "        return ()\n"
+    )
+    assert _identity_offenders(fake) == [
+        "service/requests.py:1 defines Fingerprint",
+        "service/requests.py:3 defines group_key",
+        "service/requests.py:6 defines fingerprint",
+        "service/requests.py:9 defines group_key",
     ]
