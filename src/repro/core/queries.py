@@ -14,7 +14,7 @@ The naive baselines of the Figure 12 experiment live in
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..geometry.envelope.bulk import FunctionPack
@@ -26,6 +26,9 @@ from .answer import IPACTree
 from .ipacnn import read_ipac_tree
 from .pruning import PruningStatistics, band_intervals_batch
 from .tolerances import FULL_WINDOW_SLACK
+
+#: The variants of the UQ3x (and UQ4x) answers, in paper order.
+VARIANTS = ("sometime", "always", "fraction")
 
 
 class CandidateFunctions(Mapping):
@@ -78,8 +81,10 @@ class QueryContext:
     _survivor_rows: Optional[List[int]] = None
     _intervals: Optional[Dict[object, List[Tuple[float, float]]]] = None
     _intervals_complete: bool = False
-    _survivor_intervals: Optional[Dict[object, Tuple[Tuple[float, float], ...]]] = None
-    _survivor_covered: Optional[Dict[object, float]] = None
+    _answers: Dict[Tuple[str, float], Dict[object, Tuple]] = field(default_factory=dict)
+    # Read off the level stack, so a deeper stack starts both over.
+    _rank_answers: Dict[Tuple[int, str, float], List[object]] = field(default_factory=dict)
+    _rank_durations: Dict[int, Dict[object, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.functions, CandidateFunctions):
@@ -234,28 +239,50 @@ class QueryContext:
         return [self.pack.function(row) for row in self._surviving_rows()]
 
     def survivor_intervals(self) -> Dict[object, Tuple[Tuple[float, float], ...]]:
-        """Each survivor's non-zero-probability intervals, in survivor order.
-
-        Computed once per context and shared by every answer extracted from
-        it (a warm dashboard refresh extracts the same context's answer on
-        every call), so callers must treat the mapping and its tuples as
-        read-only.
-        """
-        if self._survivor_intervals is None:
-            intervals = self._interval_map()
-            self._survivor_intervals = {
-                object_id: tuple(intervals[object_id]) for object_id in self.uq31_all_sometime()
-            }
-        return self._survivor_intervals
+        """Each survivor's non-zero-probability intervals, in survivor order."""
+        intervals = self._interval_map()
+        return {object_id: tuple(intervals[object_id]) for object_id in self.uq31_all_sometime()}
 
     def _covered_durations(self) -> Dict[object, float]:
-        """Each survivor's total inside-band time (memoized, survivor order)."""
-        if self._survivor_covered is None:
-            self._survivor_covered = {
-                object_id: sum(end - start for start, end in spans)
-                for object_id, spans in self.survivor_intervals().items()
-            }
-        return self._survivor_covered
+        """Each survivor's total inside-band time, in survivor order."""
+        intervals = self._interval_map()
+        return {
+            object_id: sum(end - start for start, end in intervals[object_id])
+            for object_id in self.uq31_all_sometime()
+        }
+
+    def answer(self, variant: str, fraction: float = 0.0) -> Dict[object, Tuple]:
+        """The UQ3x ``variant`` members, each mapped to its non-zero intervals.
+
+        Memoized per ``(variant, fraction)``, as a built context never
+        changes, and shared: :func:`~repro.engine.answers.answer_of` copies.
+        """
+        answer = self._answers.get((variant, fraction))
+        if answer is None:
+            if variant not in VARIANTS:
+                raise ValueError(f"unknown variant {variant!r} (expected {VARIANTS})")
+            members = (
+                self.uq31_all_sometime() if variant == "sometime"
+                else self.uq32_all_always() if variant == "always"
+                else self.uq33_all_at_least(fraction)
+            )
+            intervals = self._interval_map()
+            answer = {member: tuple(intervals[member]) for member in members}
+            self._answers[variant, fraction] = answer
+        return answer
+
+    def rank_answer(self, rank: int, variant: str, fraction: float = 0.0) -> List[object]:
+        """The UQ41/42/43 ``variant`` ids within the top ``rank``, memoized
+        like :meth:`answer` (per level stack); ``QueryEngine.rank_answer`` copies."""
+        members = self._rank_answers.get((rank, variant, fraction))
+        if members is None:
+            members = (
+                self.uq41_all_rank_sometime(rank) if variant == "sometime"
+                else self.uq42_all_rank_always(rank) if variant == "always"
+                else self.uq43_all_rank_at_least(rank, fraction)
+            )
+            self._rank_answers[rank, variant, fraction] = members
+        return members
 
     def pruning_statistics(self) -> PruningStatistics:
         """Pruning statistics of the band (the Figure 13 quantity)."""
@@ -274,6 +301,7 @@ class QueryContext:
                 max_levels=max_level,
             )
             self._levels_depth = max_level
+            self._rank_answers, self._rank_durations = {}, {}
         return self._levels
 
     def ipac_tree(self, max_levels: Optional[int] = None) -> IPACTree:
@@ -352,10 +380,10 @@ class QueryContext:
         if object_id not in self.functions:
             raise KeyError(f"unknown candidate {object_id!r}")
         levels = self.level_envelopes(k)
-        total = 0.0
-        for level_index in range(1, min(k, len(levels)) + 1):
-            total += levels.level(level_index).total_duration_of(object_id)
-        return total
+        durations = self._rank_durations.get(k)
+        if durations is None:
+            durations = self._rank_durations[k] = rank_durations(levels, k)
+        return durations.get(object_id, 0.0)
 
     # ------------------------------------------------------------------
     # Category 3: whole MOD, non-zero NN probability.
@@ -445,3 +473,17 @@ class QueryContext:
             raise ValueError(
                 f"time {t} outside query window [{self.t_start}, {self.t_end}]"
             )
+
+
+def rank_durations(levels: LevelEnvelopes, k: int) -> Dict[object, float]:
+    """Each owner's time on levels ``1..k``, in one pass over the pieces:
+    ``==`` one ``Envelope.total_duration_of`` per level and owner, added in
+    level order (the same floats, in the same order)."""
+    totals: Dict[object, float] = {}
+    for level_index in range(1, min(k, len(levels)) + 1):
+        spans: Dict[object, List[float]] = {}
+        for piece in levels.level(level_index).pieces:
+            spans.setdefault(piece.object_id, []).append(piece.duration)
+        for object_id, durations in spans.items():
+            totals[object_id] = totals.get(object_id, 0.0) + sum(durations)
+    return totals

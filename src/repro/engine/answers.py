@@ -13,12 +13,9 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
 from ..core.pruning import band_report, band_tally
-from ..core.queries import QueryContext
+from ..core.queries import VARIANTS, QueryContext  # VARIANTS is re-exported
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import trace_span
-
-#: The supported UQ3x variants, in paper order.
-VARIANTS = ("sometime", "always", "fraction")
 
 Intervals = Tuple[Tuple[float, float], ...]
 
@@ -33,21 +30,11 @@ def answer_of(
 
     The UQ3x member set of the requested variant, each member mapped to its
     exact non-zero-probability intervals (the UQ11/UQ13 information).  The
-    dict is fresh per call; its interval tuples are the context's memoized
-    ones, shared by every answer taken from that context.  The
-    live monitor, the query plan, and the from-scratch oracles all derive
-    their answers through this one dispatch.
+    context memoizes it (:meth:`QueryContext.answer`): the dict is a fresh
+    copy per call, its interval tuples are shared.  The live monitor, the
+    query plan, and the from-scratch oracles all take answers this way.
     """
-    if variant == "sometime":
-        members = context.uq31_all_sometime()
-    elif variant == "always":
-        members = context.uq32_all_always()
-    elif variant == "fraction":
-        members = context.uq33_all_at_least(fraction)
-    else:
-        raise ValueError(f"unknown variant {variant!r} (expected {VARIANTS})")
-    intervals = context.survivor_intervals()
-    return {member: intervals[member] for member in members}
+    return dict(context.answer(variant, fraction))
 
 
 @contextmanager

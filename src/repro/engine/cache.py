@@ -68,7 +68,10 @@ class ContextCache:
         self, query_id: object, t_start: float, t_end: float, band_width: float
     ) -> Optional[QueryContext]:
         """The cached context for the key, refreshing its recency, or ``None``."""
-        key = context_key(query_id, t_start, t_end, band_width)
+        return self.lookup(context_key(query_id, t_start, t_end, band_width))
+
+    def lookup(self, key: Tuple) -> Optional[QueryContext]:
+        """:meth:`get` by a :func:`context_key` already made."""
         context = self._entries.get(key)
         if context is None:
             self._misses += 1

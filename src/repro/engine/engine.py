@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class BatchResult:
 
     prepared: List[PreparedQuery]
     total_seconds: float
-    cache_info: CacheInfo
     #: The store revision the engine synced to before preparing the batch.
     revision: int
 
@@ -147,6 +146,8 @@ class QueryEngine:
         self.mod = mod
         self._cache = ContextCache()
         self._mod_revision = mod.revision
+        #: (revision, ids, window, band width, widths, keys) of the last warm check.
+        self._warm_keys: tuple = ()
         # Instruments are resolved once here; the hot paths below touch
         # them with plain attribute calls only (no registry lookups).
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -246,22 +247,28 @@ class QueryEngine:
         True when this engine is synced to the store's revision and every
         member's context is cached.  An unknown id, or a store with no
         candidate, reads as not warm.  Reads only: the LRU order and the
-        hit and miss counters do not move.
+        hit and miss counters do not move.  A warm check's keys serve a
+        :meth:`prepare_batch` of the same batch at the same revision.
         """
-        if self._mod_revision != self.mod.revision:
+        revision = self._mod_revision
+        if revision != self.mod.revision:
             return False
         try:
-            keys = [
-                context_key(
-                    query_id, t_start, t_end,
-                    band_width if band_width is not None
-                    else self.mod.default_band_width(query_id),
-                )
-                for query_id in query_ids
-            ]
+            widths, keys = self._keys(query_ids, t_start, t_end, band_width)
         except (KeyError, ValueError):
             return False
-        return all(key in self._cache for key in keys)
+        if not all(key in self._cache for key in keys):
+            return False
+        self._warm_keys = (revision, query_ids, t_start, t_end, band_width, widths, keys)
+        return True
+
+    def _keys(self, query_ids, t_start, t_end, band_width) -> Tuple[List[float], List[Tuple]]:
+        """Each member's band width and context-cache key, in order."""
+        widths = [
+            self.mod.default_band_width(query_id) if band_width is None else band_width
+            for query_id in query_ids
+        ]
+        return widths, [context_key(q, t_start, t_end, w) for q, w in zip(query_ids, widths)]
 
     def refresh(self) -> int:
         """Resynchronize derived state when the MOD contents changed.
@@ -464,20 +471,17 @@ class QueryEngine:
         batch_span,
     ) -> BatchResult:
         batch_started = time.perf_counter()
-        widths = {
-            query_id: (
-                band_width
-                if band_width is not None
-                else self.mod.default_band_width(query_id)
-            )
-            for query_id in query_ids
-        }
+        warm = self._warm_keys
+        if warm[:5] == (revision, query_ids, t_start, t_end, band_width):
+            widths, keys = warm[5:]
+        else:
+            widths, keys = self._keys(query_ids, t_start, t_end, band_width)
 
         results: Dict[int, PreparedQuery] = {}
         pending: List[int] = []
         for position, query_id in enumerate(query_ids):
             started = time.perf_counter()
-            cached = self._cache.get(query_id, t_start, t_end, widths[query_id])
+            cached = self._cache.lookup(keys[position])
             if cached is not None:
                 results[position] = PreparedQuery(
                     query_id=query_id,
@@ -495,17 +499,16 @@ class QueryEngine:
         # per-position loop above stays instrumentation-free.
         self._m_cache_hits.inc(len(query_ids) - len(pending))
 
-        # Deduplicate concurrent builds of the same (query, band) pair: only
-        # the first position builds, later duplicates reuse its context.
-        first_build: Dict[object, int] = {}
+        # Deduplicate concurrent builds of the same context: only the first
+        # position builds, later duplicates reuse its context.
+        first_build: Dict[Tuple, int] = {}
         duplicates: List[int] = []
         builders: List[int] = []
         for position in pending:
-            key = (query_ids[position], widths[query_ids[position]])
-            if key in first_build:
+            if keys[position] in first_build:
                 duplicates.append(position)
             else:
-                first_build[key] = position
+                first_build[keys[position]] = position
                 builders.append(position)
 
         built: List[PreparedQuery] = []
@@ -517,7 +520,7 @@ class QueryEngine:
                 [query_ids[position] for position in builders],
                 t_start,
                 t_end,
-                [widths[query_ids[position]] for position in builders],
+                [widths[position] for position in builders],
             )
             self._m_cache_misses.inc(len(builders))
             batch_span.set("cached", len(query_ids) - len(pending))
@@ -526,12 +529,10 @@ class QueryEngine:
             self._m_prepare.observe(prepared.prepare_seconds)
             results[position] = prepared
             self._cache.put(
-                prepared.query_id, t_start, t_end,
-                widths[prepared.query_id], prepared.context,
+                prepared.query_id, t_start, t_end, widths[position], prepared.context
             )
         for position in duplicates:
-            key = (query_ids[position], widths[query_ids[position]])
-            original = results[first_build[key]]
+            original = results[first_build[keys[position]]]
             results[position] = PreparedQuery(
                 query_id=original.query_id,
                 context=original.context,
@@ -546,7 +547,6 @@ class QueryEngine:
         return BatchResult(
             prepared=ordered,
             total_seconds=time.perf_counter() - batch_started,
-            cache_info=self._cache.info(),
             revision=revision,
         )
 
@@ -557,13 +557,10 @@ class QueryEngine:
 
         The first rank statement on a context builds its level envelopes:
         kernel work like the envelope itself, so it is reported the same way.
+        A fresh copy per call of the context's memo (:meth:`QueryContext.rank_answer`).
         """
         with self._kernel_span(query=context.query_id, rank=rank):
-            if variant == "sometime":
-                return context.uq41_all_rank_sometime(rank)
-            if variant == "always":
-                return context.uq42_all_rank_always(rank)
-            return context.uq43_all_rank_at_least(rank, fraction)
+            return list(context.rank_answer(rank, variant, fraction))
 
     # ------------------------------------------------------------------
     # Internals.

@@ -72,7 +72,7 @@ class PlannedStatement:
 
     Frozen and hashable, so the statement itself keys the service's result
     cache (together with the store revision); ``ast`` takes no part in
-    equality or hashing.
+    equality or hashing.  The hash is made once, at construction.
 
     Attributes:
         query_id: the query trajectory id.
@@ -99,6 +99,10 @@ class PlannedStatement:
     ast: Optional[ContinuousNNQueryAST] = field(
         default=None, repr=False, compare=False
     )
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self) -> None:
         if self.t_end < self.t_start:
@@ -114,6 +118,9 @@ class PlannedStatement:
             raise ValueError("band_width must be positive")
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank must be at least 1")
+        object.__setattr__(self, "_hash", hash((
+            self.query_id, self.t_start, self.t_end, self.band_width, self.variant,
+            self.fraction, self.rank, self.target)))
 
     @property
     def group_key(self) -> Tuple[float, float, Optional[float]]:
@@ -148,11 +155,20 @@ class PlanGroup:
     statements: Tuple[PlannedStatement, ...]
     #: Each statement's index in the plan's submission order.
     positions: Tuple[int, ...]
+    #: The distinct query ids, in order: the group's one ``prepare_batch``.
+    query_ids: Tuple[object, ...]
 
     @property
     def width(self) -> int:
         """Statements in the group."""
         return len(self.statements)
+
+    def plan(self) -> "QueryPlan":
+        """The group as a plan of its own, its statements numbered from 0."""
+        return QueryPlan(self.statements, (PlanGroup(
+            self.t_start, self.t_end, self.band_width, self.statements,
+            tuple(range(self.width)), self.query_ids,
+        ),))
 
 
 @dataclass(slots=True)
@@ -208,6 +224,10 @@ class QueryPlan:
         """Total statements across every group."""
         return len(self.statements)
 
+    def __getitem__(self, position: int) -> PlannedStatement:
+        """Statement ``position``, in submission order."""
+        return self.statements[position]
+
     def explain(self) -> str:
         """The plan's four stages as indented text.
 
@@ -223,8 +243,7 @@ class QueryPlan:
             lines += [
                 _line(1, "Prepare", window=f"[{group.t_start:g}, {group.t_end:g}]",
                       statements=group.width),
-                _line(2, "BandIntervals", band=band,
-                      contexts=len({s.query_id for s in group.statements})),
+                _line(2, "BandIntervals", band=band, contexts=len(group.query_ids)),
                 *(_line(3, "Answer", **_shown(s)) for s in group.statements),
             ]
         return "\n".join(lines)
@@ -240,10 +259,7 @@ class QueryPlan:
         revision: Optional[int] = None
         for group in self.groups:
             batch = engine.prepare_batch(
-                list(dict.fromkeys(s.query_id for s in group.statements)),
-                group.t_start,
-                group.t_end,
-                band_width=group.band_width,
+                group.query_ids, group.t_start, group.t_end, band_width=group.band_width
             )
             revision, prepared = batch.revision, batch.contexts
             for position, statement in zip(group.positions, group.statements):
@@ -292,6 +308,7 @@ def plan_statements(statements: Sequence[PlannedStatement]) -> QueryPlan:
                 band_width=width,
                 statements=tuple(statements[position] for position in positions),
                 positions=tuple(positions),
+                query_ids=tuple(dict.fromkeys(statements[p].query_id for p in positions)),
             )
             for (t_start, t_end, width), positions in fused.items()
         ),

@@ -1,8 +1,8 @@
 """Warm engine pool: the service's one :class:`~repro.engine.QueryEngine`.
 
 The pool holds **one** lazily built engine per store and exposes one
-evaluation call, :meth:`EnginePool.execute`: a group of statements
-(:class:`~repro.query_language.planner.PlannedStatement`) runs as one
+evaluation call, :meth:`EnginePool.execute`: a planned group of statements
+(:class:`~repro.query_language.planner.PlannedStatement`) runs as its
 :class:`~repro.query_language.planner.QueryPlan` on that engine.  Each
 service builds and closes its own pool;
 :class:`~repro.parallel.ShardedEngine` is a pool too.
@@ -20,6 +20,7 @@ from ..obs.metrics import MetricsRegistry
 from ..query_language.planner import (
     PlanExecution,
     PlannedStatement,
+    QueryPlan,
     StatementAnswer,
     plan_statements,
 )
@@ -109,17 +110,15 @@ class EnginePool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def execute(
-        self, statements: Sequence[PlannedStatement]
-    ) -> Tuple[List[StatementAnswer], PlanExecution]:
-        """Run statements as one plan on the warm engine and take every answer.
+    def execute(self, plan: QueryPlan) -> Tuple[List[StatementAnswer], PlanExecution]:
+        """Run a plan on the warm engine and take every answer.
 
         The service's one evaluation call.  Returns each statement's answer,
         in order, ``==`` its naive evaluation, and the execution: its
         contexts and the store ``revision`` the engine synced to.
         """
-        with band_span(self.registry, "pool.answer_group", queries=len(statements)):
-            execution = plan_statements(statements).execute(self.single_engine())
+        with band_span(self.registry, "pool.answer_group", queries=plan.statement_count):
+            execution = plan.execute(self.single_engine())
             return execution.answers, execution
 
     def answer_group(
@@ -137,10 +136,10 @@ class EnginePool:
         :class:`~repro.parallel.ShardedEngine`, which take answers and
         contexts keyed by query id.
         """
-        answers, execution = self.execute([
+        answers, execution = self.execute(plan_statements([
             PlannedStatement(query_id, t_start, t_end, band_width, variant, fraction)
             for query_id in query_ids
-        ])
+        ]))
         return GroupResult(
             answers=dict(zip(query_ids, answers)),
             contexts=dict(zip(query_ids, execution.contexts)),

@@ -43,6 +43,7 @@ from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..obs.tracing import Span, capture, fresh_stack, render_tree, trace_span
 from ..query_language.planner import (
     PlannedStatement,
+    QueryPlan,
     StatementAnswer,
     plan_statements,
 )
@@ -529,7 +530,7 @@ class QueryService:
                 ) as root:
                     if cached is not None:
                         return cached, revision, root
-                    answers, synced = self._evaluate_group([request])
+                    answers, synced = self._evaluate_group(plan_statements([request]))
             return answers[request], synced, root
 
         answer, answered_at, root = await self._loop.run_in_executor(None, evaluate)
@@ -620,61 +621,64 @@ class QueryService:
         A group whose contexts are all cached at the store's revision is
         answered on the loop, then the loop yields once so its submitters
         resume before the next group runs; any other group goes to the
-        executor.
+        executor.  Duplicate requests share one statement of the plan.
         """
-        plan = plan_statements([pending.request for pending in batch])
-        for group in plan.groups:
+        waiting: Dict[PlannedStatement, List[_Pending]] = {}
+        for pending in batch:
+            waiting.setdefault(pending.request, []).append(pending)
+        for group in plan_statements(list(waiting)).groups:
             inline = self.pool.warm(
-                [statement.query_id for statement in group.statements],
-                group.t_start,
-                group.t_end,
-                group.band_width,
+                group.query_ids, group.t_start, group.t_end, group.band_width
             )
-            await self._serve_group(
-                [batch[position] for position in group.positions], inline
-            )
+            members = [pending for s in group.statements for pending in waiting[s]]
+            await self._serve_group(group.plan(), members, inline)
             if inline:
                 await asyncio.sleep(0)
 
     def _evaluate_group(
-        self, statements: Sequence[PlannedStatement]
+        self, plan: QueryPlan
     ) -> Tuple[Dict[PlannedStatement, StatementAnswer], int]:
-        """Answers of statements sharing a group key, and their revision.
+        """Answers of a one-group plan's (distinct) statements, and their revision.
 
         The one evaluator behind :meth:`submit` (a coalesced group) and
-        :meth:`explain` (a one-request group): one ``pool.execute`` over the
-        group's distinct statements, returning each statement's answer and
-        the store revision the engine synced to before answering.  It runs
-        on an executor thread, or on the loop thread under
-        :func:`~repro.obs.tracing.fresh_stack`; either way its span stack
-        is its own, so its ``service.group`` span is a root landing in the
-        active recorder (a no-op when tracing is off), or nests under
-        ``service.explain``.
+        :meth:`explain` (a one-request group): one ``pool.execute`` of the
+        plan, returning each statement's answer and the store revision the
+        engine synced to before answering.  It runs on an executor thread,
+        or on the loop thread under :func:`~repro.obs.tracing.fresh_stack`;
+        either way its span stack is its own, so its ``service.group`` span
+        is a root landing in the active recorder (a no-op when tracing is
+        off), or nests under ``service.explain``.
         """
-        distinct = list(dict.fromkeys(statements))
         with trace_span(
             "service.group",
-            queries=len({statement.query_id for statement in distinct}),
-            requests=len(statements),
+            queries=sum(len(group.query_ids) for group in plan.groups),
+            requests=plan.statement_count,
         ):
-            answers, execution = self.pool.execute(distinct)
-            return dict(zip(distinct, answers)), execution.revision
+            answers, execution = self.pool.execute(plan)
+            return dict(zip(plan.statements, answers)), execution.revision
 
-    async def _serve_group(self, members: List[_Pending], inline: bool) -> None:
+    async def _serve_group(self, plan: QueryPlan, members: List[_Pending], inline: bool) -> None:
         dequeued = time.perf_counter()
-        statements = [pending.request for pending in members]
         try:
             if inline:
                 with fresh_stack():
-                    answers, revision = self._evaluate_group(statements)
+                    answers, revision = self._evaluate_group(plan)
             else:
                 answers, revision = await self._loop.run_in_executor(
-                    None, self._evaluate_group, statements
+                    None, self._evaluate_group, plan
                 )
         except Exception as error:  # noqa: BLE001 - forwarded to awaiters
+            # A member whose id left the store after its submit-time check
+            # fails alone; its group-mates are served without it.
+            kept = [pending for pending in members if pending.request.query_id in self.mod]
+            if not isinstance(error, KeyError) or len(kept) == len(members):
+                kept = []
             for pending in members:
-                if not pending.future.done():
+                if pending not in kept and not pending.future.done():
                     pending.future.set_exception(error)
+            if kept:
+                requests = dict.fromkeys(pending.request for pending in kept)
+                await self._serve_group(plan_statements(list(requests)), kept, False)
             return
         finished = time.perf_counter()
         self._m_batches.inc()

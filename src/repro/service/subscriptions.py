@@ -103,11 +103,6 @@ class DeltaBridge:
         self._subscriptions: List[DeltaSubscription] = []
         self._unsubscribers: List[Callable[[], None]] = []
 
-    @property
-    def subscription_count(self) -> int:
-        """Currently attached subscriptions."""
-        return len(self._subscriptions)
-
     def attach(self, monitor) -> None:
         """Start forwarding a monitor's deltas into the bridge.
 

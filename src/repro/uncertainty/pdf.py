@@ -45,10 +45,6 @@ class RadialPDF(abc.ABC):
     # Derived quantities with numeric defaults.
     # ------------------------------------------------------------------
 
-    def density_at(self, x: float, y: float, center_x: float = 0.0, center_y: float = 0.0) -> float:
-        """Planar density at the point ``(x, y)`` for a pdf centered at ``(cx, cy)``."""
-        return self.density(math.hypot(x - center_x, y - center_y))
-
     def radial_cdf(self, rho: float) -> float:
         """Probability that the location is within ``rho`` of the center.
 

@@ -105,3 +105,40 @@ def test_a_response_carries_the_revision_it_was_answered_at(fleet, path):
     assert response.revision == mod.revision
     assert member not in response.answer
     assert service.cache.get(response.request, mod.revision) == expected
+
+
+def test_a_member_removed_after_its_submit_check_fails_alone(fleet):
+    """Two variants over one window ride one group; one query id leaves the
+    store after its ``submit``-time check, before the engine syncs."""
+    mod, query_ids = fleet
+    lo, hi = mod.common_time_span()
+    kept, removed = query_ids[0], query_ids[1]
+
+    async def serve():
+        async with QueryService(mod) as service:
+            execute = service.pool.execute
+
+            def racing_execute(plan):
+                if removed in mod:
+                    mod.remove(removed)
+                return execute(plan)
+
+            service.pool.execute = racing_execute
+            outcomes = await asyncio.gather(
+                service.submit(PlannedStatement(kept, lo, hi, variant="always")),
+                service.submit(PlannedStatement(removed, lo, hi)),
+                return_exceptions=True,
+            )
+            return outcomes, service.stats()
+
+    (served, failed), stats = run(serve())
+    assert isinstance(failed, KeyError)
+    assert removed not in mod
+    assert served.revision == mod.revision
+    text = (
+        f"SELECT T FROM MOD WHERE FORALL TIME IN [{lo!r}, {hi!r}] "
+        f"AND PROBABILITY_NN(T, '{kept}', TIME) > 0"
+    )
+    assert sorted(served.answer, key=str) == execute_query_naive(text, mod).object_ids
+    assert served.answer == QueryEngine(mod).answer(kept, lo, hi, "always")
+    assert (stats.batches, stats.evaluated) == (1, 1)
