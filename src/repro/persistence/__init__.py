@@ -17,8 +17,6 @@ into a crash-safe store with seconds-scale warm restart:
 """
 
 from .codec import (
-    MappedTrajectory,
-    build_mapped_shell,
     decode_record,
     decode_trajectory,
     encode_record,
@@ -54,7 +52,6 @@ from .wal import (
 __all__ = [
     "FSYNC_POLICIES",
     "MappedSnapshot",
-    "MappedTrajectory",
     "PersistenceError",
     "PersistentStore",
     "RestoreResult",
@@ -67,7 +64,6 @@ __all__ = [
     "WalFrame",
     "WalScan",
     "WriteAheadLog",
-    "build_mapped_shell",
     "decode_record",
     "decode_trajectory",
     "encode_record",

@@ -12,21 +12,21 @@ with the same support radius, exactly like the JSON/CSV exporters.
 
 Everything here is plain data (dicts, tuples, floats) — the frame/byte
 layer (length prefixes, checksums, files) lives in
-:mod:`repro.persistence.wal` and :mod:`repro.persistence.snapshot`.
+:mod:`repro.persistence.wal` and :mod:`repro.persistence.snapshot`.  A
+snapshot's sample columns need no codec: a restored trajectory is an
+ordinary :class:`~repro.trajectories.trajectory.UncertainTrajectory` over
+the mapped column views
+(:meth:`~repro.trajectories.trajectory.UncertainTrajectory.from_columns`).
 """
 
 from __future__ import annotations
 
 import io
 import pickle
-from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from ..trajectories.mod import ChangeRecord
-from ..trajectories.trajectory import (
-    Trajectory,
-    TrajectorySample,
-    UncertainTrajectory,
-)
+from ..trajectories.trajectory import UncertainTrajectory
 from ..uncertainty.gaussian import TruncatedGaussianPDF
 from ..uncertainty.pdf import RadialPDF
 from ..uncertainty.uniform import UniformDiskPDF
@@ -168,61 +168,6 @@ def extend_trajectory(
             f"the stored trajectory {len(stored.samples)} ending at t={stored.end_time}"
         )
     return stored.extended(tail, radius, decode_pdf(pdf_spec, radius))
-
-
-class MappedTrajectory(UncertainTrajectory):
-    """A snapshot-backed trajectory whose samples materialize on demand.
-
-    Restoring a large store must not pay one Python
-    :class:`TrajectorySample` per packed sample up front — that is the
-    dominant cost of a cold rebuild, and most restored objects are only
-    ever touched through the packed columns (filtering, boxes, kernels).
-    This subclass keeps just the mmap column views; the ``samples`` tuple
-    (a *slot* on :class:`Trajectory`, shadowed here by a property) is
-    built lazily on first attribute access and cached in the slot, after
-    which the instance behaves exactly like an eagerly-built trajectory.
-
-    Combined with :func:`numpy.memmap` column files this is what lets a
-    store larger than RAM restore: unread objects cost four slot writes
-    and no page faults.
-    """
-
-    __slots__ = ("_mapped",)
-
-    @property
-    def samples(self) -> Tuple[TrajectorySample, ...]:  # type: ignore[override]
-        slot = Trajectory.__dict__["samples"]
-        try:
-            return slot.__get__(self)  # type: ignore[no-any-return]
-        except AttributeError:
-            ts, xs, ys = self._mapped
-            built = tuple(
-                TrajectorySample(x, y, t)
-                for x, y, t in zip(xs.tolist(), ys.tolist(), ts.tolist())
-            )
-            slot.__set__(self, built)
-            return built
-
-
-def build_mapped_shell(
-    object_id: object,
-    columns: Tuple[Sequence[float], Sequence[float], Sequence[float]],
-    radius: float,
-    pdf: RadialPDF,
-) -> MappedTrajectory:
-    """A lazy trusted-input trajectory over ``(ts, xs, ys)`` column views.
-
-    The constructor's validation pass is skipped (snapshot columns are
-    checksummed, trusted data), and the samples tuple itself is deferred
-    until something actually reads ``.samples`` — restoring N objects is
-    O(N), not O(total samples).
-    """
-    shell = MappedTrajectory.__new__(MappedTrajectory)
-    shell.object_id = object_id
-    shell._mapped = columns
-    shell.radius = float(radius)
-    shell.pdf = pdf
-    return shell
 
 
 def encode_record(record: ChangeRecord) -> Tuple[int, str, object, Optional[float]]:

@@ -12,10 +12,14 @@ A snapshot is one directory holding three files::
 then ``ys``, each ``samples`` doubles long), so restoring maps the file
 with :func:`numpy.memmap` and slices per-object column views straight out
 of the page cache — no parse, no copy, and stores larger than RAM fault
-pages in lazily.  ``header.pkl`` carries what the columns cannot: object
-ids and per-object lengths/radii/pdf specs (in pack order), plus the MOD's
-revision, per-object revisions, and changelog — verbatim, so a restored
-store's ``changes_since`` answers exactly like the original's.
+pages in lazily.  Each restored trajectory owns its views as its columns
+(:meth:`~repro.trajectories.trajectory.UncertainTrajectory.from_columns`),
+so the restored store packs them without reading a sample, and the
+``samples`` tuple of a trajectory is built only when something reads it.
+``header.pkl`` carries what the columns cannot: object ids and per-object
+lengths/radii/pdf specs (in pack order), plus the MOD's revision,
+per-object revisions, and changelog — verbatim, so a restored store's
+``changes_since`` answers exactly like the original's.
 
 Writes are atomic: everything lands in a ``.tmp-*`` sibling first, files
 and directory are fsynced, and one :func:`os.replace` publishes the
@@ -47,7 +51,6 @@ from ..trajectories.mod import ChangeRecord, MovingObjectsDatabase
 from ..trajectories.trajectory import UncertainTrajectory
 from .codec import (
     PdfSpec,
-    build_mapped_shell,
     decode_pdf,
     decode_record,
     encode_pdf,
@@ -194,12 +197,9 @@ class MappedSnapshot:
 
     The columns file is opened with :func:`numpy.memmap`, so slicing an
     object's ``(ts, xs, ys)`` touches only that object's pages — a store
-    larger than RAM restores fine and pages in on demand.  Trajectory
-    shells are materialized per object on first access (the samples tuple
-    is the one unavoidable Python-object cost) and the pack layer borrows
-    the mmap column views directly through :meth:`columns_for`, the
-    seeding hook :meth:`~repro.trajectories.mod.MovingObjectsDatabase
-    .share_columns_with` links.
+    larger than RAM restores fine and pages in on demand.  Each restored
+    trajectory owns its object's column views; its samples tuple is built
+    on first read.
     """
 
     def __init__(self, path: PathLike, *, verify: bool = True) -> None:
@@ -253,10 +253,6 @@ class MappedSnapshot:
             starts[slot] = offset
             offset += length
         self._starts = starts
-        self._shells: Dict[object, UncertainTrajectory] = {}
-        self._columns: Dict[
-            object, Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
         self._slot_by_id: Dict[object, int] = {
             object_id: slot for slot, object_id in enumerate(self._ids)
         }
@@ -268,66 +264,33 @@ class MappedSnapshot:
 
     def columns(self, object_id: object) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only mmap ``(ts, xs, ys)`` views of one object's samples."""
-        cached = self._columns.get(object_id)
-        if cached is None:
-            slot = self._slot_by_id[object_id]
-            start = self._starts[slot]
-            stop = start + self._lengths[slot]
-            cached = (
-                self._ts[start:stop],
-                self._xs[start:stop],
-                self._ys[start:stop],
-            )
-            self._columns[object_id] = cached
-        return cached
+        slot = self._slot_by_id[object_id]
+        start = self._starts[slot]
+        stop = start + self._lengths[slot]
+        return (self._ts[start:stop], self._xs[start:stop], self._ys[start:stop])
 
     def trajectory(self, object_id: object) -> UncertainTrajectory:
-        """The object's trajectory shell, built once and memoized.
+        """A trajectory over the object's mapped columns.
 
-        Built through the lazy trusted-shell fast path: the samples were
-        validated when first stored and are checksum-guarded on disk, so
-        the constructor's time-ordering pass is skipped, and the sample
-        tuples themselves materialize only when ``.samples`` is first
-        read — a restore touches no column pages it does not need.
+        The samples were validated when first stored and are
+        checksum-guarded on disk, so no ordering pass runs, and the sample
+        tuple is built only when ``.samples`` is first read — a restore
+        touches no column pages it does not need.
         """
-        shell = self._shells.get(object_id)
-        if shell is None:
-            slot = self._slot_by_id[object_id]
-            radius = self._radii[slot]
-            shell = build_mapped_shell(
-                object_id,
-                self.columns(object_id),
-                radius,
-                decode_pdf(self._pdfs[slot], radius),
-            )
-            self._shells[object_id] = shell
-        return shell
-
-    def columns_for(
-        self, trajectory: UncertainTrajectory
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The mmap columns of one of *our* shells, else ``None``.
-
-        The identity check (same contract as
-        :meth:`~repro.trajectories.columnar.ColumnarStore.columns_for`)
-        lets a restored MOD's :class:`ColumnarStore` seed per-object
-        columns straight from the snapshot pages instead of re-reading
-        sample tuples.
-        """
-        if self._shells.get(trajectory.object_id) is trajectory:
-            return self.columns(trajectory.object_id)
-        return None
+        slot = self._slot_by_id[object_id]
+        radius = self._radii[slot]
+        return UncertainTrajectory.from_columns(
+            object_id, self.columns(object_id), radius, decode_pdf(self._pdfs[slot], radius)
+        )
 
     def build_mod(self) -> MovingObjectsDatabase:
-        """A MOD at exactly the snapshotted state, columns seeded from mmap."""
-        mod = MovingObjectsDatabase.restore_state(
+        """A MOD at exactly the snapshotted state, over the mapped columns."""
+        return MovingObjectsDatabase.restore_state(
             (self.trajectory(object_id) for object_id in self._ids),
             self.revision,
             self._object_revisions,
             self._changelog,
         )
-        mod.share_columns_with(self)
-        return mod
 
 
 def load_snapshot(path: PathLike, *, verify: bool = True) -> MappedSnapshot:

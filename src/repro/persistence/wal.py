@@ -19,7 +19,7 @@ A WAL file is a 12-byte header followed by frames, append-only::
 
 The payload dict carries the encoded record (revision, kind, object id,
 divergence time) plus, for ``add``/``replace`` mutations, the encoded
-trajectory — or, for a ``replace`` that only appends samples to the
+trajectory — or, for a ``replace`` made by ``extended()`` from the
 trajectory this log last wrote, an *extension* carrying just the new
 samples (:mod:`repro.persistence.codec`).  Frames are strictly
 revision-ordered within one file.
@@ -50,7 +50,6 @@ import threading
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import is_
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -273,7 +272,8 @@ class WriteAheadLog:
     by a :class:`~repro.persistence.store.PersistentStore`.
 
     Appends remember each object's last logged trajectory (a reopened log
-    none), so a ``replace`` that appends samples to it is an extension frame.
+    none), so a ``replace`` made by ``extended()`` from it is an extension
+    frame.
 
     Args:
         path: the log file (created, with header, when missing).
@@ -425,9 +425,9 @@ class WriteAheadLog:
                 if trajectory is not None:
                     self._written[record.object_id] = trajectory
                 extends = (
-                    record.kind == "replace" and base is not None and trajectory is not None
-                    and len(trajectory.samples) >= len(base.samples)
-                    and all(map(is_, base.samples, trajectory.samples))
+                    record.kind == "replace"
+                    and trajectory is not None
+                    and trajectory.extends(base)
                 )
                 extensions += extends
                 frames.append(_encode_frame(record, trajectory, base if extends else None))

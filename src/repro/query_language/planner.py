@@ -224,10 +224,6 @@ class QueryPlan:
         """Total statements across every group."""
         return len(self.statements)
 
-    def __getitem__(self, position: int) -> PlannedStatement:
-        """Statement ``position``, in submission order."""
-        return self.statements[position]
-
     def explain(self) -> str:
         """The plan's four stages as indented text.
 

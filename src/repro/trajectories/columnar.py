@@ -1,11 +1,13 @@
 """Columnar (structure-of-arrays) storage for a :class:`MovingObjectsDatabase`.
 
 Every hot query path — corridor filtering, segment-box generation, band
-bracketing — ultimately reads ``(x, y, t)`` sample columns.  Iterating
-Python-level :class:`~repro.trajectories.trajectory.TrajectorySample`
-tuples object by object dominates those paths long before the NumPy math
-does, so :class:`ColumnarStore` packs the whole database once into
-contiguous arrays:
+bracketing — ultimately reads ``(x, y, t)`` sample columns.  Each
+trajectory owns its ``(ts, xs, ys)`` float64 columns
+(:attr:`~repro.trajectories.trajectory.Trajectory.columns`: derived once
+from its samples, an extension's as its base's plus its tail's, or the
+mapped views of a snapshot it was restored from), and
+:class:`ColumnarStore` concatenates them into one pack for the whole
+database:
 
 * ``ts`` / ``xs`` / ``ys`` — every sample of every trajectory, concatenated
   in MOD insertion order;
@@ -14,19 +16,11 @@ contiguous arrays:
 
 The store stays in sync with the MOD through the existing
 :class:`~repro.trajectories.mod.ChangeRecord` changelog: a ``sync()`` after
-streaming updates re-extracts only the *changed* objects' samples (the
-Python-level cost; an extension that keeps its source's sample objects
-reads its new tail only) and re-concatenates the pack lazily with one
-C-level pass; untouched objects keep their per-object column arrays.  Per-object
-column arrays are immutable once built, which makes three things safe and
-cheap:
-
-* ``columns(object_id)`` hands out zero-copy references;
-* a *seeded* store (a MOD restored from a snapshot) borrows the snapshot's
-  mapped per-object arrays by trajectory identity instead of re-reading
-  sample tuples;
-* a pack that was handed to NumPy kernels stays valid even while the store
-  syncs past it.
+streaming updates adopts only the *changed* objects' trajectories and
+re-concatenates the pack lazily with one C-level pass; untouched objects
+keep their column arrays.  Column arrays are immutable once built, so
+``columns(object_id)`` hands out zero-copy references and a pack that was
+handed to NumPy kernels stays valid even while the store syncs past it.
 
 On top of the pack, :func:`segment_boxes_bulk` derives every trajectory's
 (uncertainty-expanded, optionally subdivided) segment bounding boxes in one
@@ -38,7 +32,6 @@ loads.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import is_
 from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,46 +79,20 @@ class ColumnarPack(NamedTuple):
         )
 
 
-def _extract_columns(
-    trajectory: Trajectory, first: int = 0
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fresh ``(ts, xs, ys)`` column arrays from a trajectory's samples
-    (from sample ``first`` on)."""
-    samples = trajectory.samples[first:]
-    ts = np.array([sample.t for sample in samples])
-    xs = np.array([sample.x for sample in samples])
-    ys = np.array([sample.y for sample in samples])
-    return ts, xs, ys
-
-
 class ColumnarStore:
     """Packed column arrays for one MOD, patched via its changelog.
 
     Args:
         mod: the :class:`~repro.trajectories.mod.MovingObjectsDatabase` to
             mirror.
-        seed: an optional column provider whose per-object column arrays
-            are borrowed (zero-copy) whenever this store needs columns of a
-            trajectory *object* the provider handed out — a restored MOD
-            holds its snapshot's trajectory shells, so seeding from the
-            :class:`~repro.persistence.snapshot.MappedSnapshot` skips the
-            per-sample Python extraction entirely.  Any object with a
-            ``columns_for(trajectory) -> Optional[(ts, xs, ys)]`` method
-            qualifies.
     """
 
-    def __init__(
-        self,
-        mod,
-        seed=None,
-    ) -> None:
+    def __init__(self, mod) -> None:
         self._mod = mod
-        self._seed = seed
         self._revision: Optional[int] = None
         #: Insertion-ordered object ids (dict used as an ordered set).
         self._order: Dict[object, None] = {}
-        self._columns: Dict[object, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        #: The trajectory object each column set was extracted from, so
+        #: The trajectory each object's columns are read from, so
         #: staleness is an identity check, never a value comparison.
         self._sources: Dict[object, Trajectory] = {}
         self._radii: Dict[object, float] = {}
@@ -147,10 +114,10 @@ class ColumnarStore:
         """Bring the pack up to date with the MOD; True when anything changed.
 
         The MOD's changelog identifies exactly which objects changed, so
-        only their sample tuples are re-read; when the changelog no longer
+        only their trajectories are adopted; when the changelog no longer
         reaches back (store too far behind, foreign revision) the store
-        resynchronizes from scratch — which still reuses every per-object
-        array whose source trajectory is identical.
+        resynchronizes from scratch, adopting every stored trajectory (an
+        unchanged one is found by identity and costs nothing).
         """
         mod = self._mod
         # Read first: a change landing after the changelog read is then
@@ -199,23 +166,6 @@ class ColumnarStore:
         previous = self._sources.get(object_id)
         if previous is trajectory:
             return
-        columns = None
-        if self._seed is not None:
-            columns = self._seed.columns_for(trajectory)
-        if columns is None:
-            kept = 0 if previous is None else len(previous.samples)
-            # An extension keeps its source's sample objects (the WAL's rule
-            # for extension frames): only the tail is read.
-            if kept and len(trajectory.samples) >= kept and all(
-                map(is_, previous.samples, trajectory.samples)
-            ):
-                columns = self._columns[object_id]
-                if len(trajectory.samples) > kept:
-                    tail = _extract_columns(trajectory, kept)
-                    columns = tuple(np.concatenate(pair) for pair in zip(columns, tail))
-            else:
-                columns = _extract_columns(trajectory)
-        self._columns[object_id] = columns
         self._sources[object_id] = trajectory
         self._radii[object_id] = (
             trajectory.radius if isinstance(trajectory, UncertainTrajectory) else 0.0
@@ -226,7 +176,6 @@ class ColumnarStore:
         if object_id in self._order:
             del self._order[object_id]
             self._invalidate_pack()
-        self._columns.pop(object_id, None)
         self._sources.pop(object_id, None)
         self._radii.pop(object_id, None)
 
@@ -254,19 +203,14 @@ class ColumnarStore:
             }
         return self._slots[object_id]
 
-    def columns_for(
-        self, trajectory: Trajectory
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """This store's columns for an *identical* trajectory object, else None.
+    def holds(self, trajectory: Trajectory) -> bool:
+        """True when the pack was read from this very trajectory object.
 
-        The identity check makes borrowed columns safe even when this store
-        is stale: columns are tied to the trajectory object they were
-        extracted from, never to the id alone.
+        An identity check, so a stale trajectory of a stored id is not held:
+        packed columns are tied to the trajectory they came from, never to
+        the id alone.
         """
-        object_id = trajectory.object_id
-        if self._sources.get(object_id) is trajectory:
-            return self._columns[object_id]
-        return None
+        return self._sources.get(trajectory.object_id) is trajectory
 
     def columns(
         self, object_id: object
@@ -277,7 +221,7 @@ class ColumnarStore:
             KeyError: when the object id is not stored.
         """
         self.sync()
-        return self._columns[object_id]
+        return self._sources[object_id].columns
 
     def radius_of(self, object_id: object) -> float:
         """Uncertainty radius of one object."""
@@ -296,7 +240,7 @@ class ColumnarStore:
         self.sync()
         if self._pack is None:
             ids = tuple(self._order)
-            column_sets = [self._columns[object_id] for object_id in ids]
+            column_sets = [self._sources[object_id].columns for object_id in ids]
             lengths = np.array(
                 [columns[0].size for columns in column_sets], dtype=np.int64
             )
@@ -326,12 +270,13 @@ class ColumnarStore:
         kernel in one pass; the boxes starting at or after them are kept.
         """
         self.sync()
-        ids = [object_id for object_id in changed if object_id in self._columns]
+        ids = [object_id for object_id in changed if object_id in self._sources]
+        columns = [self._sources[i].columns for i in ids]
         cut = np.array([-np.inf if changed[i] is None else changed[i] for i in ids])
         cut -= _TIME_TOLERANCE
-        owner = np.repeat(np.arange(len(ids)), [self._columns[i][0].size for i in ids])
+        owner = np.repeat(np.arange(len(ids)), [own[0].size for own in columns])
         ts, xs, ys = (
-            np.concatenate([np.zeros(0), *(self._columns[i][k] for i in ids)]) for k in range(3)
+            np.concatenate([np.zeros(0), *(own[k] for own in columns)]) for k in range(3)
         )
         # Legs of positive duration ending at or after their object's cut.
         legs = owner[:-1] == owner[1:]

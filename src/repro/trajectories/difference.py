@@ -18,7 +18,6 @@ import numpy as np
 
 from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola, HyperbolaPiece
-from .columnar import _extract_columns
 from .trajectory import Trajectory
 
 from ..core.tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
@@ -170,8 +169,9 @@ def difference_function_packs(
 
     Args:
         store: a :class:`~repro.trajectories.columnar.ColumnarStore` (or any
-            object with ``pack()``, ``slot_of`` and ``columns_for``); when
-            ``None`` every candidate takes the scalar builder.
+            object with ``pack()``, ``slot_of`` and ``holds``); when
+            ``None`` every candidate takes the scalar builder.  A query the
+            store does not hold is read from its own columns.
     """
     groups = [
         (
@@ -252,18 +252,18 @@ def _build_from_columns(
     for group, (candidates, query) in enumerate(groups):
         if query.covers_interval(t_lo, t_hi):
             for position, candidate in enumerate(candidates):
-                if store.columns_for(candidate) is not None:
+                if store.holds(candidate):
                     positions.append(offset + position)
                     row_group.append(group)
                     slots.append(store.slot_of(candidate.object_id))
         offset += len(candidates)
-        if store.columns_for(query) is not None:
+        if store.holds(query):
             query_first.append(int(pack.starts[store.slot_of(query.object_id)]))
         else:
-            extracted.append(_extract_columns(query))
+            extracted.append(query.columns)
             query_first.append(taken)
             taken += extracted[-1][0].size
-        query_last.append(query_first[-1] + len(query.samples) - 1)
+        query_last.append(query_first[-1] + len(query) - 1)
         query_marks.append(np.array(query.breakpoints_in(t_lo, t_hi), dtype=float))
     if not positions:
         return None

@@ -13,7 +13,7 @@ import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -79,6 +79,7 @@ def _divergence_time(
     uncertainty radius or pdf support makes the change global (``None``),
     as does a changed start time.  Supports are compared exactly: only a
     global change moves :meth:`MovingObjectsDatabase.default_band_width`.
+    An extension of ``old`` diverges at its end without a sample read.
     """
     if (
         type(old.pdf) is not type(new.pdf)
@@ -86,11 +87,10 @@ def _divergence_time(
         or old.pdf.support_radius != new.pdf.support_radius
     ):
         return None
-    # Feeds reuse the stored sample objects: an identical prefix needs no values.
+    if new.extends(old):
+        return old.end_time
     shared = 0
-    if all(map(is_, old.samples, new.samples)):
-        shared = min(len(old.samples), len(new.samples))
-    for first, second in zip(old.samples[shared:], new.samples[shared:]):
+    for first, second in zip(old.samples, new.samples):
         if (
             abs(first.t - second.t) > 1e-12
             or abs(first.x - second.x) > 1e-12
@@ -118,8 +118,8 @@ class MovingObjectsDatabase:
       staleness by revision and resynchronize incrementally via
       :meth:`changes_since`;
     * **columnar views** — :meth:`columnar` maintains a packed
-      structure-of-arrays mirror the bulk NumPy kernels run over, seeded
-      zero-copy from a restored snapshot's mapped columns;
+      structure-of-arrays mirror the bulk NumPy kernels run over, read from
+      the columns each stored trajectory owns;
     * **one index per store** — :meth:`index`, shared by every engine over
       the store and patched from the changelog once per revision;
     * **query support** — :meth:`distance_pack`,
@@ -143,8 +143,6 @@ class MovingObjectsDatabase:
         #: that can move a support) logs a later revision.
         self._largest_supports: Tuple[int, list] = (-1, [])
         self._supports_moved = 0
-        #: A ``columns_for`` column provider (a restored snapshot), or None.
-        self._columnar_parent = None
         if trajectories is not None:
             for trajectory in trajectories:
                 self.add(trajectory)
@@ -513,28 +511,15 @@ class MovingObjectsDatabase:
         The returned :class:`~repro.trajectories.columnar.ColumnarStore` is
         cached on the MOD and re-synchronized (incrementally, via the
         changelog) on every call, so callers always see the current
-        revision.  A store linked with :meth:`share_columns_with` seeds its
-        packing from that provider's per-object columns instead of
-        re-reading sample tuples.
+        revision.
         """
         from .columnar import ColumnarStore
 
         if self._columnar is None:
-            self._columnar = ColumnarStore(self, seed=self._columnar_parent)
+            self._columnar = ColumnarStore(self)
         else:
             self._columnar.sync()
         return self._columnar
-
-    def share_columns_with(self, parent) -> None:
-        """Seed this store's columnar packing from a parent column source.
-
-        ``parent`` exposes ``columns_for(trajectory)``: the
-        :class:`~repro.persistence.snapshot.MappedSnapshot` a store was
-        restored from, whose trajectory shells this store holds.  Linking
-        them lets :meth:`columnar` reuse the snapshot's mapped column views
-        by trajectory identity — zero per-sample Python work, zero copies.
-        """
-        self._columnar_parent = parent
 
     # ------------------------------------------------------------------
     # Index support.

@@ -4,14 +4,26 @@ A trajectory is a function ``Time → R²`` represented as a sequence of
 ``(x, y, t)`` samples with linear interpolation in between (Eq. 1).  An
 *uncertain* trajectory augments it with the uncertainty radius ``r`` and the
 location pdf inside the uncertainty disk.
+
+A trajectory holds its samples in one of two forms and derives the other
+once, on first read: built from samples, its ``(ts, xs, ys)`` float64
+:attr:`Trajectory.columns` are computed lazily; restored over columns (a
+snapshot's mapped views, :meth:`UncertainTrajectory.from_columns`), its
+:attr:`Trajectory.samples` tuple is.  :meth:`Trajectory.extended` records
+its base without keeping it alive, so :meth:`Trajectory.extends` is the one
+O(1) extension rule, and an extension's columns are its base's plus its
+tail's.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..geometry.disk import Disk
 from ..geometry.point import Point2D, Vector2D
@@ -40,6 +52,9 @@ class TrajectorySample:
 
 SampleLike = Union[TrajectorySample, Tuple[float, float, float]]
 
+#: ``(ts, xs, ys)``: one float64 array per sample field, in sample order.
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def _ordered(
     samples: Iterable[SampleLike], previous: Optional[TrajectorySample] = None
@@ -67,24 +82,91 @@ def _ordered(
     return normalized
 
 
+def _sample_columns(samples: Sequence[TrajectorySample]) -> Columns:
+    return (
+        np.array([sample.t for sample in samples], dtype=float),
+        np.array([sample.x for sample in samples], dtype=float),
+        np.array([sample.y for sample in samples], dtype=float),
+    )
+
+
 class Trajectory:
     """A crisp (uncertainty-free) trajectory: a time-monotone 2D polyline."""
 
-    __slots__ = ("object_id", "samples")
+    __slots__ = ("object_id", "_samples", "_columns", "_base", "__weakref__")
 
     def __init__(self, object_id: object, samples: Sequence[SampleLike]):
         if len(samples) < 2:
             raise ValueError("a trajectory needs at least two samples")
+        self._init(object_id, tuple(_ordered(samples)), None, None)
+
+    def _init(
+        self,
+        object_id: object,
+        samples: Optional[Tuple[TrajectorySample, ...]],
+        columns: Optional[Columns],
+        base: Optional["weakref.ref[Trajectory]"],
+    ) -> None:
         self.object_id = object_id
-        self.samples: Tuple[TrajectorySample, ...] = tuple(_ordered(samples))
+        self._samples = samples
+        self._columns = columns
+        #: The trajectory this one was ``extended()`` from, held weakly.
+        self._base = base
+
+    @property
+    def samples(self) -> Tuple[TrajectorySample, ...]:
+        """The ``(x, y, t)`` samples (built from the columns on first read)."""
+        samples = self._samples
+        if samples is None:
+            ts, xs, ys = self._columns  # type: ignore[misc]
+            samples = tuple(map(TrajectorySample, xs.tolist(), ys.tolist(), ts.tolist()))
+            self._samples = samples
+        return samples
+
+    @property
+    def columns(self) -> Columns:
+        """The ``(ts, xs, ys)`` float64 sample columns, derived once on first
+        read; the arrays are shared, never written."""
+        columns = self._columns
+        samples = self._samples
+        if columns is None:
+            columns = self._columns = _sample_columns(samples)  # type: ignore[arg-type]
+        elif samples is not None and columns[0].size < len(samples):
+            # An extension holds its base's columns until its tail is read.
+            tail = _sample_columns(samples[columns[0].size :])
+            columns = self._columns = tuple(  # type: ignore[assignment]
+                np.concatenate(pair) for pair in zip(columns, tail)
+            )
+        return columns
 
     def extended(self, samples: Iterable[SampleLike]) -> "Trajectory":
         """The constructor over ``self.samples + samples``, validating only the
-        new samples and sharing this trajectory's sample objects."""
-        extension = Trajectory.__new__(Trajectory)
-        extension.object_id = self.object_id
-        extension.samples = self.samples + tuple(_ordered(samples, self.samples[-1]))
+        new samples and sharing this trajectory's sample objects.
+
+        The extension records this trajectory as its base without keeping
+        it alive (see :meth:`extends`), and takes over whatever columns of
+        it exist: its own are those plus its tail's, however many
+        extensions later they are first read.
+        """
+        extension = type(self).__new__(type(self))
+        head = self.samples
+        extension._init(
+            self.object_id,
+            head + tuple(_ordered(samples, head[-1])),
+            self._columns,
+            weakref.ref(self),
+        )
         return extension
+
+    def extends(self, other: "Trajectory") -> bool:
+        """True when this trajectory was made by ``other.extended(...)``.
+
+        O(1): the base recorded by :meth:`extended` is compared by identity,
+        no sample is.  A trajectory built any other way, even with equal
+        samples, extends nothing.
+        """
+        base = self._base
+        return base is not None and other is not None and base() is other
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
@@ -93,17 +175,20 @@ class Trajectory:
         )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        samples = self._samples
+        return len(self._columns[0]) if samples is None else len(samples)  # type: ignore[index]
 
     @property
     def start_time(self) -> float:
         """Time of the first sample."""
-        return self.samples[0].t
+        samples = self._samples
+        return float(self._columns[0][0]) if samples is None else samples[0].t  # type: ignore[index]
 
     @property
     def end_time(self) -> float:
         """Time of the last sample."""
-        return self.samples[-1].t
+        samples = self._samples
+        return float(self._columns[0][-1]) if samples is None else samples[-1].t  # type: ignore[index]
 
     @property
     def duration(self) -> float:
@@ -257,6 +342,25 @@ class UncertainTrajectory(Trajectory):
         super().__init__(object_id, samples)
         self._set_uncertainty(radius, pdf)
 
+    @classmethod
+    def from_columns(
+        cls,
+        object_id: object,
+        columns: Columns,
+        radius: float,
+        pdf: Optional[RadialPDF] = None,
+    ) -> "UncertainTrajectory":
+        """A trajectory over ``(ts, xs, ys)`` columns, taken as they are.
+
+        The columns are trusted (a snapshot's checksummed, once validated
+        samples): no ordering pass runs and no sample is read until
+        :attr:`samples` is, so a restore touches no page it does not need.
+        """
+        trajectory = cls.__new__(cls)
+        trajectory._init(object_id, None, columns, None)
+        trajectory._set_uncertainty(radius, pdf)
+        return trajectory
+
     def _set_uncertainty(self, radius: float, pdf: Optional[RadialPDF]) -> None:
         if radius <= 0.0:
             raise ValueError(f"uncertainty radius must be positive, got {radius}")
@@ -280,11 +384,9 @@ class UncertainTrajectory(Trajectory):
         checks; without a ``radius`` the radius and (unless given) pdf stay."""
         if radius is None:
             radius, pdf = self.radius, self.pdf if pdf is None else pdf
-        extension = UncertainTrajectory.__new__(UncertainTrajectory)
-        extension.object_id = self.object_id
-        extension.samples = self.samples + tuple(_ordered(samples, self.samples[-1]))
+        extension = super().extended(samples)
         extension._set_uncertainty(radius, pdf)
-        return extension
+        return extension  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -131,50 +131,37 @@ class TestWarmGroupsStayOnTheLoop:
         mod, query_ids = fleet
         lo, hi = mod.common_time_span()
         mid = (lo + hi) / 2
-        events = []
+        resumed = []
 
         async def serve():
             async with QueryService(mod) as service:
-                # Two warm windows: one drained batch, two groups.
+                # Two warm windows, submitted together: one drained batch,
+                # two groups, each evaluated under its own root span.
                 await service.submit_all(
                     requests_for(query_ids, lo, hi) + requests_for(query_ids, lo, mid)
                 )
-                evaluate = service._evaluate_group
-                serve_batch = service._serve_batch
-                batches = []
+                with capture() as recorder:
 
-                def spy_evaluate(statements):
-                    events.append(("evaluate", statements[0].t_end))
-                    return evaluate(statements)
+                    async def submit(statement):
+                        response = await service.submit(statement)
+                        groups = [r for r in recorder.spans() if r.name == "service.group"]
+                        resumed.append((statement.t_end, len(groups), response.batch_size))
 
-                async def spy_serve_batch(batch):
-                    batches.append(len(batch))
-                    await serve_batch(batch)
+                    await asyncio.gather(
+                        submit(PlannedStatement(query_ids[0], lo, hi, variant="always")),
+                        submit(
+                            PlannedStatement(
+                                query_ids[1], lo, mid, variant="fraction", fraction=0.4
+                            )
+                        ),
+                    )
+                return service.metrics_snapshot()["repro_service_inline_batches_total"]
 
-                service._evaluate_group = spy_evaluate
-                service._serve_batch = spy_serve_batch
-
-                async def submit(statement):
-                    await service.submit(statement)
-                    events.append(("resumed", statement.t_end))
-
-                await asyncio.gather(
-                    submit(PlannedStatement(query_ids[0], lo, hi, variant="always")),
-                    submit(
-                        PlannedStatement(
-                            query_ids[1], lo, mid, variant="fraction", fraction=0.4
-                        )
-                    ),
-                )
-                return batches
-
-        assert run(serve()) == [2]
-        assert events == [
-            ("evaluate", hi),
-            ("resumed", hi),
-            ("evaluate", mid),
-            ("resumed", mid),
-        ]
+        inline = run(serve())
+        # Each submitter resumes with only its own group (and those before
+        # it) evaluated: the second group has not run yet.
+        assert resumed == [(hi, 1, 1), (mid, 2, 1)]
+        assert inline["value"] == 2  # both groups were answered on the loop
 
 
 class TestTheWarmCheck:

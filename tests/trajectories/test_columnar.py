@@ -1,4 +1,9 @@
-"""Tests for the columnar store: packing, changelog sync, seeding, bulk boxes."""
+"""Tests for the columnar store: packing, changelog sync, restored columns, bulk boxes.
+
+The oracles here read ``.samples`` and rebuild every trajectory from them,
+so no comparison reads the columns the store under test caches on the
+trajectories.
+"""
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ import repro.trajectories.mod as mod_module
 from repro.index.boxes import segment_boxes
 from repro.persistence import Snapshotter, load_snapshot
 from repro.reference.corridor import TrajectoryArrays
-from repro.trajectories.columnar import ColumnarStore, segment_boxes_bulk
+from repro.trajectories.columnar import ColumnarPack, ColumnarStore, segment_boxes_bulk
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
 
@@ -26,6 +31,27 @@ def mod():
             make_trajectory("b", [(5.0, 5.0, 0.0), (5.0, -5.0, 10.0)], radius=0.5),
             make_trajectory("c", [(1.0, 2.0, 0.0), (3.0, 4.0, 5.0), (9.0, 9.0, 10.0)]),
         ]
+    )
+
+
+def pack_from_samples(mod):
+    """The pack of ``mod`` read straight from every trajectory's ``.samples``."""
+    trajectories = list(mod)
+    lengths = np.array([len(t.samples) for t in trajectories], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+
+    def column(field):
+        return np.array([getattr(s, field) for t in trajectories for s in t.samples], dtype=float)
+
+    radii = np.array([t.radius for t in trajectories], dtype=float)
+    ids = tuple(t.object_id for t in trajectories)
+    return ColumnarPack(ids, starts, lengths, column("t"), column("x"), column("y"), radii)
+
+
+def rebuilt_from_samples(mod):
+    """A MOD of new trajectories over ``mod``'s samples: no column is shared."""
+    return MovingObjectsDatabase(
+        UncertainTrajectory(t.object_id, list(t.samples), t.radius, t.pdf) for t in mod
     )
 
 
@@ -131,9 +157,7 @@ class TestChangelogSync:
             )
         assert mod.changes_since(store.revision) is None
         store.sync()
-        assert_packs_equal(
-            store.pack(), ColumnarStore(MovingObjectsDatabase(list(mod))).pack()
-        )
+        assert_packs_equal(store.pack(), pack_from_samples(mod))
 
     def test_foreign_revision_resyncs(self, mod):
         store = mod.columnar()
@@ -143,40 +167,41 @@ class TestChangelogSync:
 
 
 class TestSeededViews:
-    """A store restored from a snapshot borrows the snapshot's mapped columns."""
+    """A store restored from a snapshot packs the snapshot's mapped columns."""
 
     @staticmethod
     def restored(mod, tmp_path):
         snapshot = load_snapshot(Snapshotter(tmp_path).write(mod).path)
         return snapshot, snapshot.build_mod()
 
-    def test_snapshot_columns_are_borrowed_by_identity(self, mod, tmp_path):
+    def test_restored_columns_share_memory_with_the_snapshot_file(self, mod, tmp_path):
         snapshot, restored = self.restored(mod, tmp_path)
         store = restored.columnar()
-        for object_id in ("a", "c"):
-            for left, right in zip(store.columns(object_id), snapshot.columns(object_id)):
-                assert left is right
+        for object_id in mod.object_ids:
+            for column, field in zip(store.columns(object_id), "txy"):
+                assert np.shares_memory(column, snapshot._raw)
+                assert column.tolist() == [getattr(s, field) for s in mod.get(object_id).samples]
 
-    def test_replaced_trajectory_is_re_extracted(self, mod, tmp_path):
+    def test_a_replacement_gets_its_own_columns(self, mod, tmp_path):
         snapshot, restored = self.restored(mod, tmp_path)
         store = restored.columnar()
-        mapped = snapshot.columns("a")
-        assert store.columns("a")[0] is mapped[0]
-        # The replacement is not one of the snapshot's shells, so its
-        # columns are read from its samples, never paired with stale views.
+        assert np.shares_memory(store.columns("a")[0], snapshot._raw)
         restored.replace_trajectory(
             make_trajectory("a", [(0.0, 0.0, 0.0), (0.0, 1.0, 10.0)])
         )
         ts, xs, ys = restored.columnar().columns("a")
-        assert ts is not mapped[0]
+        assert not any(np.shares_memory(column, snapshot._raw) for column in (ts, xs, ys))
         assert np.array_equal(ys, [0.0, 1.0])
-        assert restored.columnar().columns("b")[0] is snapshot.columns("b")[0]
+        assert np.shares_memory(restored.columnar().columns("b")[0], snapshot._raw)
 
-    def test_unseeded_restored_store_still_correct(self, mod, tmp_path):
-        _, restored = self.restored(mod, tmp_path)
-        restored._columnar_parent = None
+    def test_an_extension_of_a_restored_trajectory_gets_its_own_columns(self, mod, tmp_path):
+        snapshot, restored = self.restored(mod, tmp_path)
         store = restored.columnar()
-        assert np.array_equal(store.columns("b")[0], [0.0, 10.0])
+        restored.replace_trajectory(restored.get("c").extended([(9.5, 9.5, 12.0)]))
+        ts, xs, ys = store.columns("c")
+        assert not any(np.shares_memory(column, snapshot._raw) for column in (ts, xs, ys))
+        assert ts.tolist() == [0.0, 5.0, 10.0, 12.0]
+        assert_packs_equal(store.pack(), pack_from_samples(restored))
 
 
 class TestSegmentBoxesBulk:
@@ -286,9 +311,7 @@ def test_patched_store_equals_from_scratch_pack(operations):
         # Sync mid-sequence on every step: each patch must be exact, not
         # just the final state.
         store.sync()
-        assert_packs_equal(
-            store.pack(), ColumnarStore(MovingObjectsDatabase(list(mod))).pack()
-        )
+        assert_packs_equal(store.pack(), pack_from_samples(mod))
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +356,12 @@ def test_extended_store_equals_a_fresh_store(steps):
             mod.add(trajectory)
         changed = mod.divergences_since(revision)
         store.sync()
-        fresh = ColumnarStore(MovingObjectsDatabase(list(mod)))
-        assert_packs_equal(store.pack(), fresh.pack())
+        fresh = ColumnarStore(rebuilt_from_samples(mod))
+        assert_packs_equal(store.pack(), pack_from_samples(mod))
         for object_id in mod.object_ids:
-            for mine, theirs in zip(store.columns(object_id), fresh.columns(object_id)):
+            samples = mod.get(object_id).samples
+            for mine, field in zip(store.columns(object_id), "txy"):
+                theirs = np.array([getattr(s, field) for s in samples], dtype=float)
                 assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
         mine, theirs = store.boxes_since(changed, 2.0), fresh.boxes_since(changed, 2.0)
         assert mine.ids == theirs.ids
@@ -345,23 +370,26 @@ def test_extended_store_equals_a_fresh_store(steps):
 
 
 def test_an_extension_batch_reads_only_the_tails(monkeypatch):
-    import repro.trajectories.columnar as columnar
+    import repro.trajectories.trajectory as trajectory_module
 
     mod = MovingObjectsDatabase(
         make_trajectory(f"obj-{index}", [(0.0, index, 0.0), (1.0, index, 10.0)]) for index in range(4)
     )
     store = mod.columnar()
+    store.pack()
     reads = []
-    original = columnar._extract_columns
+    original = trajectory_module._sample_columns
     monkeypatch.setattr(
-        columnar,
-        "_extract_columns",
-        lambda trajectory, first=0: reads.append(first) or original(trajectory, first),
+        trajectory_module,
+        "_sample_columns",
+        lambda samples: reads.append(list(samples)) or original(samples),
     )
-    mod.upsert_many(
-        mod.get(object_id).extended([(2.0, 1.0, 11.0), (3.0, 1.0, 12.0)])
-        for object_id in mod.object_ids
-    )
+    # Two batches before one sync: the first batch's trajectories are gone
+    # by then, and each object still reads only its two tails.
+    tails = [[(2.0, 1.0, 11.0), (3.0, 1.0, 12.0)], [(4.0, 1.0, 13.0)]]
+    for tail in tails:
+        mod.upsert_many(mod.get(object_id).extended(tail) for object_id in mod.object_ids)
     store.sync()
-    assert reads == [2, 2, 2, 2]
-    assert_packs_equal(store.pack(), ColumnarStore(MovingObjectsDatabase(list(mod))).pack())
+    store.pack()
+    assert [[(s.x, s.y, s.t) for s in read] for read in reads] == [tails[0] + tails[1]] * 4
+    assert_packs_equal(store.pack(), pack_from_samples(mod))
