@@ -7,7 +7,11 @@ implementations they replaced, per database size:
   query batch vs the per-query
   :func:`repro.reference.corridor.conservative_corridor_radius` loop (fresh
   ``TrajectoryArrays``, i.e. the pre-columnar filtering path every engine
-  construction used to pay, including its per-sample extraction);
+  construction used to pay, including its per-sample extraction).  The bulk
+  time is the median of ``CORRIDOR_REPEATS`` calls, and
+  ``corridor_bulk_per_calibration`` divides it by the median of a fixed
+  calibration kernel timed between them: the gated ratio does not move with
+  the speed of the box, as an absolute time does;
 * ``index`` — ``mod.build_index("rtree")``, the path production runs: packed
   columns → :func:`repro.trajectories.columnar.segment_boxes_bulk` arrays →
   array-packed :class:`repro.index.rtree.STRRTree`, with no entry objects in
@@ -67,6 +71,7 @@ regression gate pins the corridor speedup at that size.
 from __future__ import annotations
 
 import argparse
+import statistics
 import time
 from typing import Dict, List, Tuple
 
@@ -98,6 +103,27 @@ from common import default_output_path, write_record
 
 BENCH_NAME = "columnar"
 
+#: Bulk corridor calls timed per size; the median is reported.
+CORRIDOR_REPEATS = 7
+
+_CALIBRATION_VECTOR = np.arange(100_000, dtype=float)
+
+
+def calibration_kernel() -> None:
+    """A fixed ~2 ms of interpreter and NumPy work, the mix the program runs
+    (the recipe of ``benchmarks/e2e/run.py``'s kernel, which it quotes its
+    times against)."""
+    total = 0
+    for i in range(30_000):
+        total += i * i % 7
+    np.sqrt(_CALIBRATION_VECTOR * _CALIBRATION_VECTOR + 1.0).sum()
+
+
+def _timed(function, *args, **kwargs) -> float:
+    started = time.perf_counter()
+    function(*args, **kwargs)
+    return time.perf_counter() - started
+
 
 def build_mod(num_objects: int, seed: int = 7) -> MovingObjectsDatabase:
     config = RandomWaypointConfig(num_objects=num_objects, seed=seed)
@@ -123,15 +149,21 @@ def bench_corridor(
     )
     scalar_seconds = time.perf_counter() - started
 
-    started = time.perf_counter()
     bulk = corridor_probe_bulk(mod, query_ids, lo, hi, widths, store=store)
-    bulk_seconds = time.perf_counter() - started
-
     if not np.array_equal(scalar, bulk):
         raise AssertionError("corridor bulk kernel diverged from the scalar path")
+    # Each bulk call sits between two calibration kernels, so a box slower
+    # for the whole run slows both sides of the ratio.
+    bulk_times, calibration_times = [], []
+    for _ in range(CORRIDOR_REPEATS):
+        calibration_times.append(_timed(calibration_kernel))
+        bulk_times.append(_timed(corridor_probe_bulk, mod, query_ids, lo, hi, widths, store=store))
+    calibration_times.append(_timed(calibration_kernel))
+    bulk_seconds = statistics.median(bulk_times)
     return {
         "corridor_scalar_ms": scalar_seconds * 1000.0,
         "corridor_bulk_ms": bulk_seconds * 1000.0,
+        "corridor_bulk_per_calibration": bulk_seconds / statistics.median(calibration_times),
         "corridor_speedup": scalar_seconds / bulk_seconds,
     }
 

@@ -102,8 +102,8 @@ def read_ipac_tree(context: "QueryContext", max_levels: Optional[int]) -> IPACTr
             for _, function, start, end in clipped
         ])
         parents = []
-        for (parent, function, start, end), (spans,) in zip(clipped, inside):
-            if spans:
+        for (parent, function, start, end), band in zip(clipped, inside):
+            if band.starts.size:
                 child = IPACNode(function.object_id, start, end, level=level)
                 parent.children.append(child)
                 parents.append(child)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,17 +146,33 @@ def band_intervals_batch(
     compares the two with ``==``, which is what proves the bounds sound.
 
     ``functions`` may be a :class:`FunctionPack`; it is read as columns.
-    The one-context case of :func:`band_intervals_many`.
+    The one-context case of :func:`band_intervals_many`, as lists.
 
     Returns:
         One interval list per function, aligned with the input order.
     """
-    return band_intervals_many([(functions, envelope, band_width, t_lo, t_hi)])[0]
+    return band_intervals_many([(functions, envelope, band_width, t_lo, t_hi)])[0].lists()
+
+
+class BandColumns(NamedTuple):
+    """One pass's band intervals as columns: candidate ``i``'s disjoint,
+    time-ordered intervals are ``starts[offsets[i]:offsets[i + 1]]`` to
+    ``ends[...]``."""
+
+    offsets: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def lists(self) -> List[List[Tuple[float, float]]]:
+        """Each candidate's ``(start, end)`` list, endpoints Python floats."""
+        spans = list(zip(self.starts.tolist(), self.ends.tolist()))
+        offsets = self.offsets.tolist()
+        return [spans[start:stop] for start, stop in zip(offsets, offsets[1:])]
 
 
 def band_intervals_many(
     passes: Sequence[Tuple[Sequence[DistanceFunction], Envelope, float, float, float]],
-) -> List[List[List[Tuple[float, float]]]]:
+) -> List[BandColumns]:
     """:func:`band_intervals_batch` of many contexts in one refinement pass.
 
     Each ``(functions, envelope, band_width, t_lo, t_hi)`` pass cuts its
@@ -165,34 +181,39 @@ def band_intervals_many(
     one midpoint test and one sub-interval test, with the band width as a
     per-row column.  Bisection groups are (pass, candidate), so each
     candidate keeps its own step budget and every result is exactly the
-    one pass's alone.
+    one pass's alone.  The in-band rows and sub-intervals of every pass are
+    then merged by one sort and one run detection.
 
     Returns:
-        One :func:`band_intervals_batch` result per pass, in order.
+        One :class:`BandColumns` per pass, in order.
     """
     for _, _, band_width, t_lo, t_hi in passes:
         if band_width < 0:
             raise ValueError("band width must be non-negative")
         if t_hi < t_lo:
             raise ValueError(f"empty window [{t_lo}, {t_hi}]")
-    results: List[List[List[Tuple[float, float]]]] = []
-    # Per pass with rows: (its result's index, lo, hi, group, in_band,
-    # undecided rows, candidates); ``parts`` holds its undecided rows.
-    decided = []
-    parts = []
+    # Every source of intervals as (owner, start, end) columns, the owner
+    # a (pass, candidate) group; ``parts`` holds the undecided rows.
+    owners, starts, ends = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
+    parts, bases = [], []
     groups = 0
     for functions, envelope, band_width, t_lo, t_hi in passes:
-        results.append([])
-        if t_hi == t_lo:
-            for function in functions:
-                gap = envelope.value(t_lo) + band_width - function.value(t_lo)
-                results[-1].append([(t_lo, t_hi)] if gap >= -_TIME_TOLERANCE else [])
+        bases.append(groups)
+        count = len(functions)
+        groups += count
+        if not count:
             continue
-        if not len(functions):
+        if t_hi == t_lo:
+            values = np.array([function.value(t_lo) for function in functions])
+            inside = np.flatnonzero(envelope.value(t_lo) + band_width - values >= -_TIME_TOLERANCE)
+            owners.append(inside + bases[-1])
+            starts.append(np.full(inside.size, t_lo, dtype=float))
+            ends.append(np.full(inside.size, t_hi, dtype=float))
             continue
         lo, hi, env_coeffs, fun_coeffs, group = _band_rows_vector(
             functions, envelope, t_lo, t_hi
         )
+        group += bases[-1]
         # A row whose candidate stays under ``envelope + band``, or over it,
         # has a gap of one strict sign at every sample the grid would take:
         # no zero, no bracket, and a midpoint of that sign.  The sums mirror
@@ -203,57 +224,47 @@ def band_intervals_many(
         in_band = env_low + band_width > fun_high
         undecided = np.nonzero(~in_band & ~(env_high + band_width < fun_low))[0]
         _count(lo.size, lo.size - undecided.size, undecided.size, 0)
-        decided.append((len(results) - 1, lo, hi, group, in_band, undecided, len(functions)))
+        owners.append(group[in_band])
+        starts.append(lo[in_band])
+        ends.append(hi[in_band])
         parts.append((
             lo[undecided], hi[undecided], env_coeffs[undecided], fun_coeffs[undecided],
-            group[undecided] + groups, np.full(undecided.size, float(band_width)),
+            group[undecided], np.full(undecided.size, float(band_width)),
         ))
-        groups += len(functions)
-    if not decided:
-        return results
-    lo, hi, env_coeffs, fun_coeffs, group, width = (np.concatenate(part) for part in zip(*parts))
-    crossings: Dict[int, List[float]] = {}
-    in_band = np.zeros(lo.size, dtype=bool)
-    if lo.size:
-        times = _row_sample_grid(lo, hi, env_coeffs, fun_coeffs)
-        values = _gap_grid(times, env_coeffs, fun_coeffs, width[:, None])
-        roots_by_row = _refine_bracketed_roots(
-            times, values, env_coeffs, fun_coeffs, width, lo, hi, group, groups
+    if parts:
+        lo, hi, env_coeffs, fun_coeffs, group, width = (np.concatenate(part) for part in zip(*parts))
+        if lo.size:
+            times = _row_sample_grid(lo, hi, env_coeffs, fun_coeffs)
+            values = _gap_grid(times, env_coeffs, fun_coeffs, width[:, None])
+            rows, roots = _refine_bracketed_roots(
+                times, values, env_coeffs, fun_coeffs, width, lo, hi, group, groups
+            )
+            # Rows with no crossing are classified by one midpoint test ...
+            in_band = _gap_at((lo + hi) / 2.0, env_coeffs, fun_coeffs, width[:, None]) >= 0.0
+            in_band[rows] = False
+            owners.append(group[in_band])
+            starts.append(lo[in_band])
+            ends.append(hi[in_band])
+            # ... and the sub-intervals between a row's crossings by another.
+            sub_row, sub_start, sub_end = _sub_intervals(rows, roots, lo, hi)
+            sub_gaps = _gap_at(
+                (sub_start + sub_end) / 2.0, env_coeffs[sub_row], fun_coeffs[sub_row],
+                width[sub_row][:, None],
+            )
+            inside = (sub_end - sub_start > _TIME_TOLERANCE) & (sub_gaps >= 0.0)
+            owners.append(group[sub_row[inside]])
+            starts.append(sub_start[inside])
+            ends.append(sub_end[inside])
+    offsets, run_start, run_end = _merged_runs(owners, starts, ends, groups)
+    bases.append(groups)
+    return [
+        BandColumns(
+            offsets[base:stop + 1] - offsets[base],
+            run_start[offsets[base]:offsets[stop]],
+            run_end[offsets[base]:offsets[stop]],
         )
-        # Rows with no crossing are classified by one midpoint test.
-        in_band = _gap_at((lo + hi) / 2.0, env_coeffs, fun_coeffs, width[:, None]) >= 0.0
-        crossings = {row: roots for row, roots in roots_by_row.items() if roots}
-        in_band[list(crossings)] = False
-    merged: List[List[Tuple[float, float]]] = []
-    taken = 0
-    for index, own_lo, own_hi, own_group, own_in_band, undecided, count in decided:
-        own_in_band[undecided] = in_band[taken:taken + undecided.size]
-        taken += undecided.size
-        results[index] = _merged_runs(own_lo, own_hi, own_group, own_in_band, count)
-        merged.extend(results[index])
-    if crossings:
-        # Sub-intervals between a row's crossings, by one batched midpoint test.
-        sub_row, sub_start, sub_end = zip(*(
-            (row, start, end)
-            for row, roots in crossings.items()
-            for start, end in zip([lo[row]] + roots, roots + [hi[row]])
-        ))
-        sub_row, start_arr, end_arr = np.array(sub_row), np.array(sub_start), np.array(sub_end)
-        sub_gaps = _gap_at(
-            (start_arr + end_arr) / 2.0, env_coeffs[sub_row], fun_coeffs[sub_row],
-            width[sub_row][:, None],
-        )
-        inside = (end_arr - start_arr > _TIME_TOLERANCE) & (sub_gaps >= 0.0)
-        owners = group[sub_row[inside]].tolist()
-        for index, owner in zip(np.nonzero(inside)[0].tolist(), owners):
-            # Index the Python lists, not the arrays: refined roots are
-            # Python floats and row bounds are np.float64, and the per-row
-            # classifier emits each mark with its original type.
-            merged[owner].append((sub_start[index], sub_end[index]))
-        # Merging runs first changes nothing: rows are disjoint, in time order.
-        for owner in set(owners):
-            merged[owner][:] = _merge_intervals(merged[owner])
-    return results
+        for base, stop in zip(bases, bases[1:])
+    ]
 
 
 def is_within_band_sometime(
@@ -534,21 +545,38 @@ def _value_bounds(
 
 
 def _merged_runs(
-    lo: np.ndarray, hi: np.ndarray, group: np.ndarray, in_band: np.ndarray, count: int
-) -> List[List[Tuple[float, float]]]:
-    """Each of ``count`` candidates' ``in_band`` rows, merged by run detection
-    under ``_merge_intervals``' rule (rows are disjoint and in time order)."""
-    kept = np.nonzero(in_band)[0]
-    kept_lo, kept_hi, kept_group = lo[kept], hi[kept], group[kept]
-    joined = (kept_group[1:] == kept_group[:-1]) & (kept_lo[1:] <= kept_hi[:-1] + 1e-7)
-    opens, closes = np.ones((2, kept.size), dtype=bool)
-    opens[1:] = closes[:-1] = ~joined
-    run_group = kept_group[opens]
-    order = np.argsort(run_group, kind="stable")
-    # Iterating the arrays yields np.float64 bounds, as the row loop emits.
-    runs = list(zip(kept_lo[opens][order], kept_hi[closes][order]))
-    stops = np.cumsum(np.bincount(run_group, minlength=count)).tolist()
-    return [runs[start:stop] for start, stop in zip([0] + stops, stops)]
+    owners: List[np.ndarray], starts: List[np.ndarray], ends: List[np.ndarray], count: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, starts, ends)`` of ``count`` owners' intervals, merged.
+
+    The pieces are disjoint and none is empty, so one sort by (owner,
+    start) puts each owner's in time order, and an interval joins the run
+    before it when it starts within ``1e-7`` of that run's end (the last
+    end, as the ends ascend): the reference's ``_merge_intervals`` rule.
+    """
+    owner, start, end = (np.concatenate(column) for column in (owners, starts, ends))
+    order = np.lexsort((start, owner))
+    owner, start, end = owner[order], start[order], end[order]
+    opens, closes = np.ones((2, owner.size), dtype=bool)
+    opens[1:] = closes[:-1] = (owner[1:] != owner[:-1]) | (start[1:] > end[:-1] + 1e-7)
+    offsets = np.searchsorted(owner[opens], np.arange(count + 1))
+    return offsets, start[opens], end[closes]
+
+
+def _sub_intervals(
+    rows: np.ndarray, roots: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, start, end)`` of the pieces each row's sorted ``roots`` cut
+    it into: ``lo`` to the first root, root to root, the last root to ``hi``."""
+    crossing, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    heads = first + np.arange(crossing.size)
+    # Root ``j`` of the ``g``-th crossing row ends piece ``j + g`` and starts the next.
+    shifted = np.arange(roots.size) + np.repeat(np.arange(crossing.size), counts)
+    sub_start = np.empty(roots.size + crossing.size)
+    sub_end = np.empty_like(sub_start)
+    sub_start[heads], sub_start[shifted + 1] = lo[crossing], roots
+    sub_end[shifted], sub_end[heads + counts] = roots, hi[crossing]
+    return np.repeat(crossing, counts + 1), sub_start, sub_end
 
 
 def _row_sample_grid(
@@ -610,12 +638,50 @@ def _refine_bracketed_roots(
     values: np.ndarray,
     env_coeffs: np.ndarray,
     fun_coeffs: np.ndarray,
-    band_width: float,
+    band_width: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     group_of_row: np.ndarray,
     group_count: int,
-) -> dict:
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's roots strictly inside it, sorted and deduplicated.
+
+    The roots are :func:`_bisect_brackets`'; a root within
+    ``TIME_TOLERANCE`` of the last one kept in its row is dropped.  A root
+    that far from its predecessor is kept, and one that close to a kept
+    predecessor is dropped, so only a chain of three or more close roots
+    needs the rule applied in order.
+
+    Returns:
+        ``(rows, roots)`` columns, sorted by row and then root.
+    """
+    rows, roots = _bisect_brackets(
+        times, values, env_coeffs, fun_coeffs, band_width, group_of_row, group_count
+    )
+    inside = (lo[rows] < roots) & (roots < hi[rows])
+    rows, roots = rows[inside], roots[inside]
+    order = np.lexsort((roots, rows))
+    rows, roots = rows[order], roots[order]
+    close = np.zeros(rows.size, dtype=bool)
+    close[1:] = (rows[1:] == rows[:-1]) & (roots[1:] - roots[:-1] <= _TIME_TOLERANCE)
+    keep = ~close
+    for index in (np.flatnonzero(close[1:] & close[:-1]) + 1).tolist():
+        kept = index - 1
+        while not keep[kept]:
+            kept -= 1
+        keep[index] = roots[index] - roots[kept] > _TIME_TOLERANCE
+    return rows[keep], roots[keep]
+
+
+def _bisect_brackets(
+    times: np.ndarray,
+    values: np.ndarray,
+    env_coeffs: np.ndarray,
+    fun_coeffs: np.ndarray,
+    band_width,
+    group_of_row: np.ndarray,
+    group_count: int,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized bisection of every bracketed sign change of the gap grid.
 
     The rows belong to several candidates (``group_of_row``) refined in
@@ -628,78 +694,49 @@ def _refine_bracketed_roots(
     ``band_width`` is one width, or one per row.
 
     Returns:
-        ``{row_index: sorted deduplicated roots strictly inside the row}``.
+        ``(rows, roots)``: the sample times where the gap is exactly zero,
+        then the refined brackets, unsorted and possibly outside their row.
     """
     left = values[:, :-1]
-    right = values[:, 1:]
-    bracketed = left * right < 0.0
-    exact = left == 0.0
-
-    roots_by_row: dict = {}
-
-    def _record(row_index: int, root: float) -> None:
-        if not lo[row_index] < root < hi[row_index]:
-            return
-        row_roots = roots_by_row.setdefault(row_index, [])
-        row_roots.append(root)
-
-    exact_rows, exact_cols = np.nonzero(exact)
-    for row_index, col in zip(exact_rows.tolist(), exact_cols.tolist()):
-        _record(row_index, float(times[row_index, col]))
-
-    rows_idx, cols = np.nonzero(bracketed)
-    if rows_idx.size:
-        t_a = times[rows_idx, cols]
-        t_b = times[rows_idx, cols + 1]
-        g_a = values[rows_idx, cols]
-        widths = t_b - t_a
-        groups = group_of_row[rows_idx]
-        widest = np.zeros(group_count)
-        np.maximum.at(widest, groups, widths)
-        per_group_steps = np.minimum(
-            _BISECTION_STEPS,
-            np.maximum(
-                1,
-                np.ceil(np.log2(np.maximum(widest, 1e-12) / 1e-13)).astype(
-                    np.int64
-                ),
-            ),
-        )
-        steps_per_bracket = per_group_steps[groups]
-        # The brackets' coefficient columns, gathered once for every step:
-        # row 0 the envelope's, row 1 the candidate's, so one pass of
-        # ``_quadratic_sqrt``'s expression evaluates both curves.
-        a, b, c = np.stack([env_coeffs[rows_idx], fun_coeffs[rows_idx]]).transpose(2, 0, 1)
-        a, b, c = (np.ascontiguousarray(column) for column in (a, b, c))
-        band = np.broadcast_to(band_width, lo.shape)[rows_idx]
-        fewest = int(steps_per_bracket.min())
-        for iteration in range(int(steps_per_bracket.max())):
-            t_mid = 0.5 * (t_a + t_b)
-            env_mid, fun_mid = np.sqrt(np.maximum((a * t_mid + b) * t_mid + c, 0.0))
-            g_mid = env_mid + band - fun_mid
-            go_left = g_a * g_mid <= 0.0
-            if iteration < fewest:
-                move_right = ~go_left
-            else:
-                # A bracket freezes once its candidate's budget is spent.
-                active = steps_per_bracket > iteration
-                go_left &= active
-                move_right = active ^ go_left
-            np.putmask(t_b, go_left, t_mid)
-            np.putmask(t_a, move_right, t_mid)
-            np.putmask(g_a, move_right, g_mid)
-        refined = 0.5 * (t_a + t_b)
-        for row_index, root in zip(rows_idx.tolist(), refined.tolist()):
-            _record(row_index, float(root))
-
-    for row_index, row_roots in roots_by_row.items():
-        row_roots.sort()
-        deduplicated: List[float] = []
-        for root in row_roots:
-            if not deduplicated or root - deduplicated[-1] > _TIME_TOLERANCE:
-                deduplicated.append(root)
-        roots_by_row[row_index] = deduplicated
-    return roots_by_row
+    exact_rows, exact_cols = np.nonzero(left == 0.0)
+    rows_idx, cols = np.nonzero(left * values[:, 1:] < 0.0)
+    t_a = times[rows_idx, cols]
+    t_b = times[rows_idx, cols + 1]
+    g_a = values[rows_idx, cols]
+    groups = group_of_row[rows_idx]
+    widest = np.zeros(group_count)
+    np.maximum.at(widest, groups, t_b - t_a)
+    per_group_steps = np.minimum(
+        _BISECTION_STEPS,
+        np.maximum(1, np.ceil(np.log2(np.maximum(widest, 1e-12) / 1e-13)).astype(np.int64)),
+    )
+    steps_per_bracket = per_group_steps[groups]
+    # The brackets' coefficient columns, gathered once for every step:
+    # row 0 the envelope's, row 1 the candidate's, so one pass of
+    # ``_quadratic_sqrt``'s expression evaluates both curves.
+    a, b, c = np.stack([env_coeffs[rows_idx], fun_coeffs[rows_idx]]).transpose(2, 0, 1)
+    a, b, c = (np.ascontiguousarray(column) for column in (a, b, c))
+    band = np.broadcast_to(band_width, group_of_row.shape)[rows_idx]
+    fewest = int(steps_per_bracket.min(initial=_BISECTION_STEPS))
+    for iteration in range(int(steps_per_bracket.max(initial=0))):
+        t_mid = 0.5 * (t_a + t_b)
+        env_mid, fun_mid = np.sqrt(np.maximum((a * t_mid + b) * t_mid + c, 0.0))
+        g_mid = env_mid + band - fun_mid
+        go_left = g_a * g_mid <= 0.0
+        if iteration < fewest:
+            move_right = ~go_left
+        else:
+            # A bracket freezes once its candidate's budget is spent.
+            active = steps_per_bracket > iteration
+            go_left &= active
+            move_right = active ^ go_left
+        np.putmask(t_b, go_left, t_mid)
+        np.putmask(t_a, move_right, t_mid)
+        np.putmask(g_a, move_right, g_mid)
+    return (
+        np.concatenate([exact_rows, rows_idx]),
+        np.concatenate([times[exact_rows, exact_cols], 0.5 * (t_a + t_b)]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -724,18 +761,3 @@ def _elementary_boundaries(
     boundaries[0] = t_lo
     boundaries[-1] = t_hi
     return boundaries
-
-
-def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Merge touching/overlapping intervals into a canonical disjoint list."""
-    if not intervals:
-        return []
-    ordered = sorted(intervals)
-    merged = [ordered[0]]
-    for start, end in ordered[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end + 1e-7:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return merged

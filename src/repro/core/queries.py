@@ -17,6 +17,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.divide_conquer import lower_envelope
 from ..geometry.envelope.hyperbola import DistanceFunction
@@ -24,7 +26,7 @@ from ..geometry.envelope.klevel import LevelEnvelopes, k_level_envelopes
 from ..geometry.envelope.pieces import Envelope
 from .answer import IPACTree
 from .ipacnn import read_ipac_tree
-from .pruning import PruningStatistics, band_intervals_batch
+from .pruning import BandColumns, PruningStatistics, band_intervals_batch, band_intervals_many
 from .tolerances import FULL_WINDOW_SLACK
 
 #: The variants of the UQ3x (and UQ4x) answers, in paper order.
@@ -33,23 +35,29 @@ VARIANTS = ("sometime", "always", "fraction")
 
 class CandidateFunctions(Mapping):
     """Read-only ``object id -> DistanceFunction`` view of a context's pack:
-    iteration, ``len`` and ``in`` read its ids, a lookup makes one function."""
+    iteration and ``len`` read its ids, a lookup makes one function, and
+    the id -> row map both ``in`` and lookups use is built by the first."""
 
     def __init__(self, pack: FunctionPack):
         self.pack = pack
-        self._rows = {object_id: row for row, object_id in enumerate(pack.ids)}
+        self._rows: Optional[Dict[object, int]] = None
+
+    def _row_map(self) -> Dict[object, int]:
+        if self._rows is None:
+            self._rows = {object_id: row for row, object_id in enumerate(self.pack.ids)}
+        return self._rows
 
     def __getitem__(self, object_id: object) -> DistanceFunction:
-        return self.pack.function(self._rows[object_id])
+        return self.pack.function(self._row_map()[object_id])
 
     def __iter__(self) -> Iterator[object]:
-        return iter(self._rows)
+        return iter(self.pack.ids)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.pack.ids)
 
     def __contains__(self, object_id: object) -> bool:
-        return object_id in self._rows
+        return object_id in self._row_map()
 
 
 @dataclass
@@ -78,9 +86,10 @@ class QueryContext:
     _levels: Optional[LevelEnvelopes] = None
     _levels_depth: int = 0
     _tree: Optional[IPACTree] = None
-    _survivor_rows: Optional[List[int]] = None
-    _intervals: Optional[Dict[object, List[Tuple[float, float]]]] = None
-    _intervals_complete: bool = False
+    # Set by the band pass: the survivors' pack rows, and ``_spans`` then
+    # holds exactly their intervals (before it, those of candidates asked for).
+    _survivor_rows: Optional[np.ndarray] = None
+    _spans: Dict[object, Tuple[Tuple[float, float], ...]] = field(default_factory=dict)
     _answers: Dict[Tuple[str, float], Dict[object, Tuple]] = field(default_factory=dict)
     # Read off the level stack, so a deeper stack starts both over.
     _rank_answers: Dict[Tuple[int, str, float], List[object]] = field(default_factory=dict)
@@ -112,8 +121,7 @@ class QueryContext:
         if band_width < 0:
             raise ValueError("band width must be non-negative")
         pack = FunctionPack.of(functions)
-        by_id = CandidateFunctions(pack)
-        if len(by_id) != len(pack):
+        if len(set(pack.ids)) != len(pack):
             raise ValueError("distance functions must have unique object ids")
         envelope = lower_envelope(pack, t_start, t_end)
         return QueryContext(
@@ -121,7 +129,7 @@ class QueryContext:
             t_start=t_start,
             t_end=t_end,
             band_width=band_width,
-            functions=by_id,
+            functions=CandidateFunctions(pack),
             envelope=envelope,
         )
 
@@ -172,83 +180,79 @@ class QueryContext:
         Raises:
             KeyError: for the query's own id or an unknown id.
         """
+        self._check_candidate(object_id)
+        return self.functions[object_id]
+
+    def _check_candidate(self, object_id: object) -> None:
         if object_id == self.query_id:
             raise KeyError("the query trajectory is not a candidate of its own query")
         if object_id not in self.functions:
             raise KeyError(f"unknown candidate {object_id!r}")
-        return self.functions[object_id]
 
-    def _interval_map(self) -> Dict[object, List[Tuple[float, float]]]:
-        """Every candidate's inside-band intervals, batched and memoized.
+    def _surviving_rows(self) -> np.ndarray:
+        """Pack rows of the candidates that survive the 4r-band pruning.
 
-        One :func:`band_intervals_batch` pass serves band pruning, the
-        UQ1x predicates, and the per-member interval extraction of the
-        UQ3x answer shapes — bit-identical to, and instead of, one scalar
-        :func:`repro.core.pruning.band_intervals` call per candidate.
+        One :func:`band_intervals_many` pass, unless the engine's pass over
+        a batch's contexts handed its columns over, serves band pruning, the
+        UQ1x predicates and the UQ3x answer shapes.
         """
-        if not self._intervals_complete:
-            self.adopt_intervals(band_intervals_batch(
-                self.pack,
-                self.envelope,
-                self.band_width,
-                self.t_start,
-                self.t_end,
-            ))
-        assert self._intervals is not None
-        return self._intervals
+        if self._survivor_rows is None:
+            self.adopt_band(band_intervals_many([
+                (self.pack, self.envelope, self.band_width, self.t_start, self.t_end)
+            ])[0])
+        assert self._survivor_rows is not None
+        return self._survivor_rows
 
-    def adopt_intervals(self, intervals: Sequence[List[Tuple[float, float]]]) -> None:
-        """Take every candidate's band intervals, in pack order, from a pass
-        run elsewhere (the engine's one pass over a batch's contexts)."""
-        self._intervals = dict(zip(self.pack.ids, intervals))
-        self._intervals_complete = True
+    def adopt_band(self, band: BandColumns) -> None:
+        """Keep the survivors of a band pass over the pack, in pack order,
+        and their intervals, one tuple each that every answer shares."""
+        offsets = band.offsets
+        rows = np.flatnonzero(offsets[1:] > offsets[:-1])
+        spans = list(zip(band.starts.tolist(), band.ends.tolist()))
+        self._spans = {
+            self.pack.ids[row]: tuple(spans[start:stop])
+            for row, start, stop in zip(
+                rows.tolist(), offsets[rows].tolist(), offsets[rows + 1].tolist()
+            )
+        }
+        self._survivor_rows = rows
 
-    def _intervals_of(self, object_id: object) -> List[Tuple[float, float]]:
-        """Cached inside-band intervals of one (validated) candidate.
+    def _intervals_of(self, object_id: object) -> Tuple[Tuple[float, float], ...]:
+        """Inside-band intervals of one candidate: ``()`` when it does not
+        survive.
 
         A one-off Category-1 predicate on a fresh context computes (and
-        caches) just that candidate's intervals; the whole-collection map
-        is only built when a UQ3x/pruning flow asks for it.
+        caches) just that candidate's intervals; the band pass over every
+        candidate runs when a UQ3x/pruning flow asks for it.
         """
-        function = self.function_of(object_id)
-        if self._intervals_complete:
-            return self._intervals[object_id]
-        if self._intervals is None:
-            self._intervals = {}
-        if object_id not in self._intervals:
-            self._intervals[object_id] = band_intervals_batch(
-                [function],
+        self._check_candidate(object_id)
+        if self._survivor_rows is None and object_id not in self._spans:
+            self._spans[object_id] = tuple(band_intervals_batch(
+                [self.functions[object_id]],
                 self.envelope,
                 self.band_width,
                 self.t_start,
                 self.t_end,
-            )[0]
-        return self._intervals[object_id]
-
-    def _surviving_rows(self) -> List[int]:
-        """Pack rows of the candidates that survive the 4r-band pruning."""
-        if self._survivor_rows is None:
-            intervals = self._interval_map()
-            self._survivor_rows = [
-                row for row, object_id in enumerate(self.pack.ids) if intervals[object_id]
-            ]
-        return self._survivor_rows
+            )[0])
+        return self._spans.get(object_id, ())
 
     def survivors(self) -> List[DistanceFunction]:
         """Candidates that survive the 4r-band pruning (made once each)."""
-        return [self.pack.function(row) for row in self._surviving_rows()]
+        return [self.pack.function(row) for row in self._surviving_rows().tolist()]
 
     def survivor_intervals(self) -> Dict[object, Tuple[Tuple[float, float], ...]]:
         """Each survivor's non-zero-probability intervals, in survivor order."""
-        intervals = self._interval_map()
-        return {object_id: tuple(intervals[object_id]) for object_id in self.uq31_all_sometime()}
+        return dict(self._survivor_spans())
+
+    def _survivor_spans(self) -> Dict[object, Tuple[Tuple[float, float], ...]]:
+        self._surviving_rows()
+        return self._spans
 
     def _covered_durations(self) -> Dict[object, float]:
         """Each survivor's total inside-band time, in survivor order."""
-        intervals = self._interval_map()
         return {
-            object_id: sum(end - start for start, end in intervals[object_id])
-            for object_id in self.uq31_all_sometime()
+            object_id: sum(end - start for start, end in spans)
+            for object_id, spans in self._survivor_spans().items()
         }
 
     def answer(self, variant: str, fraction: float = 0.0) -> Dict[object, Tuple]:
@@ -266,8 +270,7 @@ class QueryContext:
                 else self.uq32_all_always() if variant == "always"
                 else self.uq33_all_at_least(fraction)
             )
-            intervals = self._interval_map()
-            answer = {member: tuple(intervals[member]) for member in members}
+            answer = {member: self._spans[member] for member in members}
             self._answers[variant, fraction] = answer
         return answer
 
@@ -293,9 +296,9 @@ class QueryContext:
         if max_level < 1:
             raise ValueError("levels are 1-based")
         if self._levels is None or self._levels_depth < max_level:
-            rows = self._surviving_rows() or range(len(self.pack))
+            rows = self._surviving_rows()
             self._levels = k_level_envelopes(
-                self.pack.take(rows),
+                self.pack.take(rows if rows.size else range(len(self.pack))),
                 self.t_start,
                 self.t_end,
                 max_levels=max_level,
@@ -375,10 +378,7 @@ class QueryContext:
         """Total time the object owns one of the level-1..k envelopes."""
         if k < 1:
             raise ValueError("rank k must be at least 1")
-        if object_id == self.query_id:
-            raise KeyError("the query trajectory is not a candidate of its own query")
-        if object_id not in self.functions:
-            raise KeyError(f"unknown candidate {object_id!r}")
+        self._check_candidate(object_id)
         levels = self.level_envelopes(k)
         durations = self._rank_durations.get(k)
         if durations is None:
@@ -391,7 +391,7 @@ class QueryContext:
 
     def uq31_all_sometime(self) -> List[object]:
         """UQ31: every trajectory with non-zero NN probability at some time."""
-        return [self.pack.ids[row] for row in self._surviving_rows()]
+        return list(self._survivor_spans())
 
     def uq32_all_always(self) -> List[object]:
         """UQ32: every trajectory with non-zero NN probability throughout the window."""

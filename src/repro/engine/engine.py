@@ -343,7 +343,7 @@ class QueryEngine:
             if query_id in relevant:
                 self._cache.discard(key)
                 continue
-            if any(object_id in context.functions for object_id in relevant):
+            if not relevant.isdisjoint(context.pack.ids):
                 self._cache.discard(key)
                 continue
             present = [
@@ -601,7 +601,7 @@ class QueryEngine:
         corridor radii from the window's samples, one difference pass over
         every (query, candidate) row, the front per context under its
         ``engine.kernel`` span, then one band refinement over every
-        context's undecided rows, whose interval maps seed the contexts.  A
+        context's undecided rows, whose band columns seed the contexts.  A
         member's ``prepare_seconds`` is its own stages plus an equal share
         of the batch passes.
         """
@@ -648,12 +648,12 @@ class QueryEngine:
             if fallbacks:
                 self._m_difference_fallbacks.inc(fallbacks)
         with trace_span("engine.band", contexts=count):
-            intervals = band_intervals_many([
+            bands = band_intervals_many([
                 (context.pack, context.envelope, context.band_width, t_start, t_end)
                 for context in contexts
             ])
-        for context, maps in zip(contexts, intervals):
-            context.adopt_intervals(maps)
+        for context, band in zip(contexts, bands):
+            context.adopt_band(band)
         # The corridor and band passes, shared equally; the sums add up.
         shared = (time.perf_counter() - started - sum(own)) / count
         return [

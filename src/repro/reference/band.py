@@ -12,6 +12,9 @@
   bit-identical to this one while sampling only the rows its closed-form
   bounds leave undecided; this module imports none of that bounds code, so
   the ``==`` of the differential suite is the proof that the bounds hold.
+  It deduplicates each row's roots one at a time and merges each
+  candidate's intervals with ``_merge_intervals``, the rules the production
+  pass applies as array operations.
 * :func:`minimum_band_gap` — a sampled diagnostic nothing serves.
 """
 
@@ -25,11 +28,10 @@ from scipy.optimize import brentq
 from ..core.pruning import (
     _SAMPLES_PER_INTERVAL,
     _band_rows,
+    _bisect_brackets,
     _elementary_boundaries,
     _gap_at,
     _gap_grid,
-    _merge_intervals,
-    _refine_bracketed_roots,
     _row_sample_grid,
 )
 from ..core.tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
@@ -64,17 +66,19 @@ def band_intervals_batch(
         all_rows.extend(rows)
     if not all_rows:
         return [[] for _ in functions]
-    lo = np.array([row[0] for row in all_rows])
-    hi = np.array([row[1] for row in all_rows])
+    lo_column = np.array([row[0] for row in all_rows])
+    hi_column = np.array([row[1] for row in all_rows])
+    # Python floats, as the production columns emit them.
+    lo, hi = lo_column.tolist(), hi_column.tolist()
     env_coeffs = np.array([[row[2].a, row[2].b, row[2].c] for row in all_rows])
     fun_coeffs = np.array([[row[3].a, row[3].b, row[3].c] for row in all_rows])
-    group_of_row = np.empty(lo.size, dtype=np.int64)
+    group_of_row = np.empty(len(lo), dtype=np.int64)
     for group, (start, end) in enumerate(row_slices):
         group_of_row[start:end] = group
     # Every row is sampled; crossing-free ones are classified at the midpoint.
-    times = _row_sample_grid(lo, hi, env_coeffs, fun_coeffs)
+    times = _row_sample_grid(lo_column, hi_column, env_coeffs, fun_coeffs)
     values = _gap_grid(times, env_coeffs, fun_coeffs, band_width)
-    midpoint_gaps = _gap_at((lo + hi) / 2.0, env_coeffs, fun_coeffs, band_width)
+    midpoint_gaps = _gap_at((lo_column + hi_column) / 2.0, env_coeffs, fun_coeffs, band_width)
     roots_by_row = _refine_bracketed_roots(
         times, values, env_coeffs, fun_coeffs, band_width, lo, hi,
         group_of_row, len(row_slices),
@@ -110,9 +114,39 @@ def band_intervals_many(passes) -> List[List[List[Tuple[float, float]]]]:
     return [band_intervals_batch(*arguments) for arguments in passes]
 
 
+def _refine_bracketed_roots(
+    times: np.ndarray,
+    values: np.ndarray,
+    env_coeffs: np.ndarray,
+    fun_coeffs: np.ndarray,
+    band_width: float,
+    lo: List[float],
+    hi: List[float],
+    group_of_row: np.ndarray,
+    group_count: int,
+) -> dict:
+    """``{row: sorted roots strictly inside it}``, one root at a time: a root
+    within ``TIME_TOLERANCE`` of the last one kept in its row is dropped."""
+    rows, roots = _bisect_brackets(
+        times, values, env_coeffs, fun_coeffs, band_width, group_of_row, group_count
+    )
+    roots_by_row: dict = {}
+    for row_index, root in zip(rows.tolist(), roots.tolist()):
+        if lo[row_index] < root < hi[row_index]:
+            roots_by_row.setdefault(row_index, []).append(root)
+    for row_index, row_roots in roots_by_row.items():
+        row_roots.sort()
+        deduplicated: List[float] = []
+        for root in row_roots:
+            if not deduplicated or root - deduplicated[-1] > _TIME_TOLERANCE:
+                deduplicated.append(root)
+        roots_by_row[row_index] = deduplicated
+    return roots_by_row
+
+
 def _classify_rows(
-    lo: np.ndarray,
-    hi: np.ndarray,
+    lo: List[float],
+    hi: List[float],
     env_coeffs: np.ndarray,
     fun_coeffs: np.ndarray,
     band_width: float,
@@ -121,7 +155,7 @@ def _classify_rows(
 ) -> List[Tuple[float, float]]:
     """Assemble one candidate's inside-band intervals from refined roots."""
     inside_intervals: List[Tuple[float, float]] = []
-    for row_index in range(lo.size):
+    for row_index in range(len(lo)):
         crossings = roots_by_row.get(row_index)
         if not crossings:
             if midpoint_gaps[row_index] >= 0.0:
@@ -267,3 +301,18 @@ def _sample_times(
                 times.append(vertex)
     times.sort()
     return times
+
+
+def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Merge touching/overlapping intervals into a canonical disjoint list."""
+    if not intervals:
+        return []
+    ordered = sorted(intervals)
+    merged = [ordered[0]]
+    for start, end in ordered[1:]:
+        last_start, last_end = merged[-1]
+        if start <= last_end + 1e-7:
+            merged[-1] = (last_start, max(last_end, end))
+        else:
+            merged.append((start, end))
+    return merged

@@ -168,6 +168,18 @@ class Trajectory:
         base = self._base
         return base is not None and other is not None and base() is other
 
+    def __getstate__(self):
+        """The slots but the base record, which a weak reference holds: a
+        copy keeps the samples and columns, and extends nothing."""
+        slots = {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in getattr(cls, "__slots__", ())
+            if name != "__weakref__" and hasattr(self, name)
+        }
+        slots["_base"] = None
+        return None, slots
+
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
             f"Trajectory(id={self.object_id!r}, samples={len(self.samples)}, "

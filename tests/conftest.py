@@ -20,7 +20,7 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
-from repro.core import heterogeneous, pruning, queries
+from repro.core import heterogeneous, ipacnn, pruning, queries
 from repro.engine import engine as engine_module
 from repro.geometry.envelope import divide_conquer, klevel
 from repro.geometry.envelope.bulk import FunctionPack
@@ -47,7 +47,9 @@ def reference_kernels(monkeypatch):
     Inside the block the four production entry points are their
     references, in every module that holds a name for them: the batched
     band builder is :func:`repro.reference.band.band_intervals_batch` (and
-    the many-context pass one such call per context), the envelope and
+    the many-context pass one such call per context, its lists packed into
+    the production pass's :class:`~repro.core.pruning.BandColumns`), the
+    envelope and
     k-level builders are the plain recursion and cascade of
     :mod:`repro.reference.envelope`, and
     ``MovingObjectsDatabase.distance_functions`` (and ``distance_pack`` and
@@ -69,6 +71,18 @@ def reference_kernels(monkeypatch):
             for query_id, chosen in zip(query_ids, candidate_ids or [None] * len(query_ids))
         ]
 
+    def reference_band_columns(passes):
+        """The reference's interval lists, as the production pass's columns."""
+        bands = []
+        for lists in reference_band.band_intervals_many(passes):
+            spans = [span for intervals in lists for span in intervals]
+            bands.append(pruning.BandColumns(
+                np.cumsum([0] + [len(intervals) for intervals in lists]),
+                np.array([start for start, _ in spans], dtype=float),
+                np.array([end for _, end in spans], dtype=float),
+            ))
+        return bands
+
     @contextmanager
     def swapped():
         with monkeypatch.context() as patch:
@@ -76,10 +90,8 @@ def reference_kernels(monkeypatch):
                 patch.setattr(
                     module, "band_intervals_batch", reference_band.band_intervals_batch
                 )
-            for module in (pruning, engine_module):
-                patch.setattr(
-                    module, "band_intervals_many", reference_band.band_intervals_many
-                )
+            for module in (pruning, queries, ipacnn, engine_module):
+                patch.setattr(module, "band_intervals_many", reference_band_columns)
             patch.setattr(MovingObjectsDatabase, "distance_packs", scalar_packs)
             for module in (klevel, queries):
                 patch.setattr(

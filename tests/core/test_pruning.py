@@ -13,7 +13,7 @@ from repro.core.pruning import (
 )
 from repro.geometry.envelope.divide_conquer import lower_envelope
 from repro.reference.band import minimum_band_gap
-from repro.utils.validation import intervals_are_disjoint, total_interval_length
+from ..helpers.validation import intervals_are_disjoint, total_interval_length
 
 from ..conftest import make_linear_function, random_functions
 

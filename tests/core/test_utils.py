@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry.envelope.divide_conquer import lower_envelope
-from repro.utils.validation import (
+from ..helpers.validation import (
     envelope_matches_pointwise_minimum,
     envelopes_equal_pointwise,
     intervals_are_disjoint,

@@ -9,7 +9,7 @@ from repro.geometry.envelope.hyperbola import DistanceFunction
 from repro.geometry.envelope.merge import merge_envelopes
 from repro.reference.naive import naive_lower_envelope
 from repro.geometry.envelope.pieces import Envelope, EnvelopePiece
-from repro.utils.validation import (
+from ..helpers.validation import (
     envelope_matches_pointwise_minimum,
     envelopes_equal_pointwise,
 )

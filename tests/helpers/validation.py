@@ -1,4 +1,4 @@
-"""Validation helpers shared by tests and the experiment harness."""
+"""Validation helpers shared by the test modules."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..geometry.envelope.hyperbola import DistanceFunction
-from ..geometry.envelope.pieces import Envelope
+from repro.geometry.envelope.hyperbola import DistanceFunction
+from repro.geometry.envelope.pieces import Envelope
 
 
 def envelope_matches_pointwise_minimum(

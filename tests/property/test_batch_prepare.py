@@ -6,11 +6,12 @@ the window's samples, one difference pass over every (query, candidate)
 row, the front per context, and one band refinement over every context's
 undecided rows.  Every context it returns must equal, with ``==``, the
 context ``QueryContext.from_mod`` builds for that query alone over the same
-candidates: pack columns, envelope pieces, interval maps (element types
-included) and the UQ31/32/33 answers — on batches with duplicate ids,
-explicit and default band widths, members already cached, windows without
-an interior sample, candidates on the scalar row and difference builders,
-and windows the kinetic front refuses.  The corridor radii must equal the
+candidates: pack columns, envelope pieces, survivors and their intervals
+(element types included), UQ11 of every candidate and the UQ31/32/33
+answers — on batches with duplicate ids, explicit and default band widths,
+members already cached, windows without an interior sample, candidates on
+the scalar row and difference builders, and windows the kinetic front
+refuses.  The corridor radii must equal the
 per-query reference kernel on windows that start before, at and after
 samples, with objects that have no sample in the window.
 """
@@ -54,10 +55,13 @@ def assert_same_context(batched: QueryContext, alone: QueryContext) -> None:
     assert [(p.object_id, p.t_start, p.t_end) for p in batched.envelope.pieces] == [
         (p.object_id, p.t_start, p.t_end) for p in alone.envelope.pieces
     ]
-    mine, theirs = batched._interval_map(), alone._interval_map()
+    assert batched._surviving_rows().tolist() == alone._surviving_rows().tolist()
+    mine, theirs = batched.survivor_intervals(), alone.survivor_intervals()
     assert list(mine) == list(theirs)
     for object_id, intervals in theirs.items():
         assert typed(mine[object_id]) == typed(intervals)
+    for object_id in alone.pack.ids:
+        assert batched.uq11_sometime(object_id) == alone.uq11_sometime(object_id)
     assert batched.uq31_all_sometime() == alone.uq31_all_sometime()
     assert batched.uq32_all_always() == alone.uq32_all_always()
     for fraction in (0.25, 0.75):

@@ -36,6 +36,7 @@ from hypothesis import given, strategies as st
 from repro.core import pruning
 from repro.core.pruning import band_intervals, band_intervals_batch
 from repro.core.queries import QueryContext
+from repro.core.tolerances import TIME_TOLERANCE
 from repro.geometry.envelope import divide_conquer
 from repro.geometry.envelope.bulk import (
     front_report,
@@ -511,6 +512,118 @@ class TestBandKernel:
         )
         assert vectorized == scalar
         assert not calls, "batched band kernel fell back to _band_rows"
+
+
+class TestBandArrayTail:
+    """The array tail of the band pass (root deduplication, sub-intervals,
+    run merging) on the cases the reference settles one root, one row or
+    one interval at a time; several passes share one call, as the engine
+    runs them."""
+
+    @staticmethod
+    def assert_many_identical(passes):
+        produced = [band.lists() for band in pruning.band_intervals_many(passes)]
+        expected = reference.band_intervals_many(passes)
+        assert produced == expected
+        for ours, theirs in zip(produced, expected):
+            assert [[tuple(map(type, span)) for span in spans] for spans in ours] == [
+                [tuple(map(type, span)) for span in spans] for spans in theirs
+            ]
+        return produced
+
+    @staticmethod
+    def chained_roots(monkeypatch):
+        """Per call, the most roots one row had within ``TIME_TOLERANCE`` of
+        their predecessor in a row, in a row (a chain of ``n`` close roots
+        counts ``n - 1``)."""
+        longest = []
+        original = pruning._bisect_brackets
+
+        def spy(*args):
+            rows, roots = original(*args)
+            best = run = 0
+            pairs = sorted(zip(rows.tolist(), roots.tolist()))
+            for (row, root), (before_row, before) in zip(pairs[1:], pairs):
+                run = run + 1 if row == before_row and root - before <= TIME_TOLERANCE else 0
+                best = max(best, run)
+            longest.append(best)
+            return rows, roots
+
+        monkeypatch.setattr(pruning, "_bisect_brackets", spy)
+        return longest
+
+    def test_roots_chained_closer_than_the_tolerance(self, monkeypatch):
+        # A twin of the envelope owner with no band has a gap of exactly
+        # zero at every sample: on windows a few tolerances long every
+        # interior sample is a root within the tolerance of the next.
+        longest = self.chained_roots(monkeypatch)
+        passes = []
+        for length in (2.5e-9, 5e-9, 1.2e-8):
+            twins = [
+                DistanceFunction.single_segment(name, 1.0, 2.0, 0.5, -0.25, 0.0, 1.0)
+                for name in ("owner", "twin")
+            ]
+            envelope = lower_envelope(twins, 0.0, length)
+            passes.append((twins, envelope, 0.0, 0.0, length))
+        self.assert_many_identical(passes)
+        assert longest and longest[0] >= 2
+
+    def test_a_crossing_row_whose_pieces_are_all_slivers(self):
+        # A steep candidate crosses ``envelope + band`` halfway through a
+        # window 1.5 tolerances long: both pieces of the row are slivers.
+        length = 1.5 * TIME_TOLERANCE
+        owner = DistanceFunction.single_segment("owner", 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        steep = DistanceFunction.single_segment("steep", 1.2, 0.0, 0.6 / length, 0.0, 0.0, 1.0)
+        envelope = lower_envelope([owner, steep], 0.0, length)
+        bands = self.assert_many_identical([
+            ([owner, steep], envelope, 0.5, 0.0, length),
+            ([steep], envelope, 0.5, 0.0, length),
+        ])
+        assert bands[0][1] == [] and bands[0][0]
+
+    def test_runs_that_join_within_the_merge_gap(self):
+        # A fast pass dips the envelope under ``3 - 1.5`` for about 5e-8:
+        # the constant candidate leaves the band for less than the 1e-7
+        # merge gap, so its pieces on either side are one interval.
+        speed, closest = 4.5e7, 5e-7
+        dip = DistanceFunction.single_segment("dip", -speed * closest, 1.0, speed, 0.0, 0.0, 1.0)
+        steady = DistanceFunction.single_segment("steady", 3.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        passes = []
+        for t_hi in (1e-6, 2e-6):
+            envelope = lower_envelope([dip, steady], 0.0, t_hi)
+            passes.append(([dip, steady], envelope, 1.5, 0.0, t_hi))
+        produced = self.assert_many_identical(passes)
+        for band in produced:
+            assert len(band[1]) == 1
+
+    def test_an_owner_with_crossings_and_no_inside_row(self):
+        # One row for the whole window; the passer is inside the band only
+        # between its two crossings.
+        owner = _motion("owner", 1.0, 0.0, 0.0, 0.0)
+        passer = _motion("passer", -6.0, 1.2, 1.2, 0.0)
+        envelope = lower_envelope([owner, passer], T_LO, T_HI)
+        produced = self.assert_many_identical([
+            ([owner, passer], envelope, 0.5, T_LO, T_HI),
+            ([passer], envelope, 0.5, 2.0, 8.0),
+        ])
+        for band in produced:
+            assert len(band[-1]) == 1 and band[-1][0][0] > T_LO
+
+    def test_passes_with_no_undecided_row(self, monkeypatch):
+        # The owner is inside and the far candidate outside by the bounds
+        # alone; alone, such a pass samples nothing.
+        owner = _motion("owner", 1.0, 0.0, 0.0, 0.0)
+        far = _motion("far", 40.0, 0.0, 0.0, 0.0)
+        passer = _motion("passer", -6.0, 1.2, 1.2, 0.0)
+        envelope = lower_envelope([owner, far], T_LO, T_HI)
+        decided = ([owner, far], envelope, 0.5, T_LO, T_HI)
+        calls = self.chained_roots(monkeypatch)
+        self.assert_many_identical([decided])
+        assert calls == []
+        crossing = lower_envelope([owner, passer], T_LO, T_HI)
+        self.assert_many_identical([
+            decided, ([owner, passer], crossing, 0.5, T_LO, T_HI), decided, ([], envelope, 0.5, T_LO, T_HI),
+        ])
 
 
 # ---------------------------------------------------------------------------

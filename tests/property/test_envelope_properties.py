@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry.envelope.divide_conquer import lower_envelope
 from repro.geometry.envelope.hyperbola import DistanceFunction
 from repro.reference.naive import naive_lower_envelope
-from repro.utils.validation import envelopes_equal_pointwise
+from ..helpers.validation import envelopes_equal_pointwise
 
 T_LO, T_HI = 0.0, 10.0
 

@@ -6,7 +6,7 @@ from repro.core.pruning import band_intervals, prune_by_band, time_within_band
 from repro.core.queries import QueryContext
 from repro.geometry.envelope.divide_conquer import lower_envelope
 from repro.geometry.envelope.hyperbola import DistanceFunction
-from repro.utils.validation import intervals_are_disjoint
+from ..helpers.validation import intervals_are_disjoint
 
 T_LO, T_HI = 0.0, 10.0
 

@@ -9,7 +9,9 @@ the samples tuples a restored store builds.
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.engine import QueryEngine
 from repro.persistence import PersistentStore, Snapshotter, load_snapshot
 from repro.streaming.ingest import LocationFeed
 from repro.trajectories.mod import MovingObjectsDatabase
-from repro.trajectories.trajectory import UncertainTrajectory
+from repro.trajectories.trajectory import Trajectory, UncertainTrajectory
 from repro.workloads.scenarios import multi_query_fleet
 
 IDS = ("obj-0", "obj-1", "obj-2")
@@ -177,3 +179,33 @@ def test_common_time_span_of_a_restored_store_builds_no_samples(tmp_path):
     assert restored.common_time_span() == mod.common_time_span()
     assert [len(trajectory) for trajectory in restored] == [len(trajectory) for trajectory in mod]
     assert samples_built(restored) == []
+
+
+def test_an_extension_pickles_without_its_base_record():
+    base = start("obj-0")
+    extension = base.extended([(2.0, 2.0, 20.0)])
+    extension.columns  # derived, so the copy must carry them
+    clone = pickle.loads(pickle.dumps(extension))
+    assert type(clone) is type(extension)
+    assert clone.object_id == extension.object_id
+    assert clone.samples == extension.samples
+    assert clone.radius == extension.radius and type(clone.pdf) is type(extension.pdf)
+    assert clone.pdf.support_radius == extension.pdf.support_radius
+    assert clone._columns is not None
+    for mine, theirs in zip(clone.columns, extension.columns):
+        assert np.array_equal(mine, theirs)
+    assert extension.extends(base) and not clone.extends(base)
+    # An extension whose columns were never read pickles too.
+    assert pickle.loads(pickle.dumps(base.extended([(3.0, 3.0, 30.0)]))).samples[-1].t == 30.0
+
+
+def test_a_plain_trajectory_pickles_and_copies_with_every_slot():
+    # The state is gathered slot by slot, not from ``object.__getstate__``,
+    # which Python 3.10 lacks.
+    base = start("obj-0")
+    for clone in (pickle.loads(pickle.dumps(base)), copy.deepcopy(base), copy.copy(base)):
+        assert type(clone) is type(base)
+        assert clone.samples == base.samples and clone.radius == base.radius
+        assert not clone.extends(base)
+    plain = Trajectory("plain", base.samples)
+    assert pickle.loads(pickle.dumps(plain)).samples == plain.samples
