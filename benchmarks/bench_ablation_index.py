@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.index.grid import GridIndex
-from repro.index.rtree import STRRTree
+from repro.experiments.grid import GridIndex
+from repro.index.table import SegmentBoxTable
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 
 
@@ -29,10 +29,10 @@ def test_ablation_grid_bulk_load(benchmark, index_workload):
     assert len(index) == len(candidates)
 
 
-def test_ablation_rtree_bulk_load(benchmark, index_workload):
-    """STR bulk-loading the R-tree over 500 objects."""
+def test_ablation_table_bulk_load(benchmark, index_workload):
+    """Loading the segment box table over 500 objects."""
     _, candidates = index_workload
-    index = benchmark(STRRTree.from_trajectories, candidates)
+    index = benchmark(SegmentBoxTable.from_trajectories, candidates)
     assert len(index) == len(candidates)
 
 
@@ -45,10 +45,10 @@ def test_ablation_grid_corridor_probe(benchmark, index_workload):
     benchmark.extra_info["candidates_retained"] = len(found)
 
 
-def test_ablation_rtree_corridor_probe(benchmark, index_workload):
-    """Corridor probe (5 miles around the query) against the R-tree."""
+def test_ablation_table_corridor_probe(benchmark, index_workload):
+    """Corridor scan (5 miles around the query) of the segment box table."""
     query, candidates = index_workload
-    index = STRRTree.from_trajectories(candidates)
+    index = SegmentBoxTable.from_trajectories(candidates)
     found = benchmark(index.query_corridor, query, 5.0, 0.0, 60.0)
     assert len(found) <= len(candidates)
     benchmark.extra_info["candidates_retained"] = len(found)

@@ -7,17 +7,23 @@ implementations they replaced, per database size:
   query batch vs the per-query
   :func:`repro.reference.corridor.conservative_corridor_radius` loop (fresh
   ``TrajectoryArrays``, i.e. the pre-columnar filtering path every engine
-  construction used to pay, including its per-sample extraction).  The bulk
-  time is the median of ``CORRIDOR_REPEATS`` calls, and
-  ``corridor_bulk_per_calibration`` divides it by the median of a fixed
-  calibration kernel timed between them: the gated ratio does not move with
-  the speed of the box, as an absolute time does;
+  construction used to pay, including its per-sample extraction).  Both
+  sides are the median of ``REPEATS`` calls, and
+  ``corridor_bulk_per_calibration`` divides the bulk one by the median of a
+  fixed calibration kernel timed between them: the gated ratio does not
+  move with the speed of the box, as an absolute time does;
+* ``filter`` — the store's batch filter,
+  ``mod.candidates_within_corridor``, over the same batch in an 8-minute
+  window: one scan of the segment box table for all of it.  It is checked
+  equal to the per-query ``filter_candidates`` lists, then gated as
+  ``filter_batch_per_calibration``, so a return to one probe per query
+  fails;
 * ``index`` — ``mod.build_index("rtree")``, the path production runs: packed
   columns → :func:`repro.trajectories.columnar.segment_boxes_bulk` arrays →
-  array-packed :class:`repro.index.rtree.STRRTree`, with no entry objects in
-  between.  It has no slower twin left to race, so it is gated as an absolute
-  time; its entries are first checked against the per-trajectory
-  :func:`repro.index.boxes.segment_boxes` loop;
+  :class:`repro.index.table.SegmentBoxTable`, with no entry objects in
+  between.  It has no slower twin left to race, so it is gated as
+  ``index_build_per_calibration``; its entries are first checked against
+  the per-trajectory :func:`repro.index.boxes.segment_boxes` loop;
 * ``band`` — :func:`repro.core.pruning.band_intervals_batch` (rows from the
   packed piece columns, most of them decided by closed-form bounds) vs
   :func:`repro.reference.band.band_intervals_batch` (the per-candidate row
@@ -86,7 +92,7 @@ from repro.core.pruning import (
 from repro.core.queries import QueryContext
 from repro.engine import QueryEngine
 from repro.engine.answers import answer_of
-from repro.engine.filtering import corridor_probe_bulk
+from repro.engine.filtering import corridor_probe_bulk, filter_candidates
 from repro.geometry.envelope.bulk import front_envelopes, front_report, front_tally
 from repro.geometry.envelope.divide_conquer import le_alg, lower_envelope
 from repro.geometry.envelope.klevel import k_level_envelopes
@@ -103,8 +109,8 @@ from common import default_output_path, write_record
 
 BENCH_NAME = "columnar"
 
-#: Bulk corridor calls timed per size; the median is reported.
-CORRIDOR_REPEATS = 7
+#: Calls timed per gated measurement; the median is reported.
+REPEATS = 7
 
 _CALIBRATION_VECTOR = np.arange(100_000, dtype=float)
 
@@ -125,6 +131,20 @@ def _timed(function, *args, **kwargs) -> float:
     return time.perf_counter() - started
 
 
+def _per_calibration(function, *args, **kwargs) -> Tuple[float, float]:
+    """``(seconds, ratio)``: the median of ``REPEATS`` calls, and that median
+    over the median of the calibration kernels timed between them.  Each
+    call sits between two kernels, so a box slower for the whole run slows
+    both sides of the ratio."""
+    times, calibration = [], []
+    for _ in range(REPEATS):
+        calibration.append(_timed(calibration_kernel))
+        times.append(_timed(function, *args, **kwargs))
+    calibration.append(_timed(calibration_kernel))
+    seconds = statistics.median(times)
+    return seconds, seconds / statistics.median(calibration)
+
+
 def build_mod(num_objects: int, seed: int = 7) -> MovingObjectsDatabase:
     config = RandomWaypointConfig(num_objects=num_objects, seed=seed)
     return MovingObjectsDatabase(generate_trajectories(config))
@@ -139,37 +159,54 @@ def bench_corridor(
     widths = [mod.default_band_width(query_id) for query_id in query_ids]
     store = mod.columnar()
 
-    started = time.perf_counter()
-    scalar_arrays = TrajectoryArrays()
-    scalar = np.array(
-        [
-            conservative_corridor_radius(mod, query_id, lo, hi, width, scalar_arrays)
+    def scalar_radii():
+        arrays = TrajectoryArrays()
+        return np.array([
+            conservative_corridor_radius(mod, query_id, lo, hi, width, arrays)
             for query_id, width in zip(query_ids, widths)
-        ]
-    )
-    scalar_seconds = time.perf_counter() - started
+        ])
 
     bulk = corridor_probe_bulk(mod, query_ids, lo, hi, widths, store=store)
-    if not np.array_equal(scalar, bulk):
+    if not np.array_equal(scalar_radii(), bulk):
         raise AssertionError("corridor bulk kernel diverged from the scalar path")
-    # Each bulk call sits between two calibration kernels, so a box slower
-    # for the whole run slows both sides of the ratio.
-    bulk_times, calibration_times = [], []
-    for _ in range(CORRIDOR_REPEATS):
-        calibration_times.append(_timed(calibration_kernel))
-        bulk_times.append(_timed(corridor_probe_bulk, mod, query_ids, lo, hi, widths, store=store))
-    calibration_times.append(_timed(calibration_kernel))
-    bulk_seconds = statistics.median(bulk_times)
-    return {
+    scalar_seconds = statistics.median(_timed(scalar_radii) for _ in range(REPEATS))
+    bulk_seconds, bulk_ratio = _per_calibration(
+        corridor_probe_bulk, mod, query_ids, lo, hi, widths, store=store
+    )
+    numbers = {
         "corridor_scalar_ms": scalar_seconds * 1000.0,
         "corridor_bulk_ms": bulk_seconds * 1000.0,
-        "corridor_bulk_per_calibration": bulk_seconds / statistics.median(calibration_times),
+        "corridor_bulk_per_calibration": bulk_ratio,
         "corridor_speedup": scalar_seconds / bulk_seconds,
+    }
+    numbers.update(bench_filter(mod, query_ids, widths))
+    return numbers
+
+
+def bench_filter(mod, query_ids, widths, lo=20.0, hi=28.0) -> Dict[str, float]:
+    """The batch filter over the corridor batch in an 8-minute window (the
+    served windows' width), equal to its per-query lists."""
+    index = mod.index()
+    radii = corridor_probe_bulk(mod, query_ids, lo, hi, widths).tolist()
+    batch = mod.candidates_within_corridor(query_ids, radii, lo, hi, index)
+    singles = [
+        filter_candidates(mod, index, query_id, lo, hi, width, corridor=radius)[0]
+        for query_id, width, radius in zip(query_ids, widths, radii)
+    ]
+    if batch != singles:
+        raise AssertionError("the batch filter diverged from its one-member calls")
+    seconds, ratio = _per_calibration(
+        mod.candidates_within_corridor, query_ids, radii, lo, hi, index
+    )
+    return {
+        "filter_batch_ms": seconds * 1000.0,
+        "filter_batch_per_calibration": ratio,
+        "filter_candidates_mean": float(np.mean([len(ids) for ids in batch])),
     }
 
 
 def bench_index_build(mod: MovingObjectsDatabase) -> Dict[str, float]:
-    tree = mod.build_index("rtree")
+    table = mod.build_index("rtree")
     x_min, y_min, x_max, y_max = mod.columnar().pack().spatial_bounds()
     max_extent = max(x_max - x_min, y_max - y_min) / 32.0 or None  # "auto"
     scalar: List = []
@@ -183,18 +220,13 @@ def bench_index_build(mod: MovingObjectsDatabase) -> Dict[str, float]:
             for e in entries
         )
 
-    packed = [entry for leaf in tree.leaf_entries() for entry in leaf]
-    if as_rows(packed) != as_rows(scalar):
-        raise AssertionError("packed R-tree entries diverged from the scalar loop")
-
-    seconds = []
-    for _ in range(5):
-        started = time.perf_counter()
-        mod.build_index("rtree")
-        seconds.append(time.perf_counter() - started)
+    if as_rows(table.entries()) != as_rows(scalar):
+        raise AssertionError("the box table's entries diverged from the scalar loop")
+    seconds, ratio = _per_calibration(mod.build_index, "rtree")
     return {
-        "index_build_ms": float(np.median(seconds)) * 1000.0,
-        "index_entries": float(len(tree)),
+        "index_build_ms": seconds * 1000.0,
+        "index_build_per_calibration": ratio,
+        "index_entries": float(len(table)),
     }
 
 
@@ -510,6 +542,8 @@ def run_bench(
             f"corridor {numbers['corridor_scalar_ms']:7.1f} -> "
             f"{numbers['corridor_bulk_ms']:6.1f} ms "
             f"({numbers['corridor_speedup']:4.2f}x) | "
+            f"filter {numbers['filter_batch_ms']:6.2f} ms "
+            f"({numbers['filter_candidates_mean']:.0f} candidates/query) | "
             f"index build {numbers['index_build_ms']:6.1f} ms "
             f"({numbers['index_entries']:.0f} entries) | "
             f"band {numbers['band_scalar_ms']:7.1f} -> "

@@ -1,7 +1,7 @@
 """Batched multi-query serving on top of the paper's query machinery.
 
 The :class:`QueryEngine` shrinks each query's candidate set with a provably
-safe corridor probe of the store's R-tree, prepares whole batches of
+safe corridor scan of the store's box table, prepares whole batches of
 :class:`~repro.core.queries.QueryContext` objects in one staged pass, and
 memoizes them in an LRU cache — the seam the service, the planner, the
 monitor and the sharded engine all serve through.

@@ -5,12 +5,12 @@
 amortizes the costs a production deployment pays once per *database* rather
 than once per *query*:
 
-* the spatio-temporal index is the store's own STR R-tree
+* the spatio-temporal index is the store's own segment box table
   (:meth:`~repro.trajectories.mod.MovingObjectsDatabase.index`), shared by
   every query and every engine the store serves;
 * each query's candidate set is shrunk by a provably safe corridor probe
-  (:mod:`repro.engine.filtering`) before the O(N log N) difference-function
-  and envelope construction runs;
+  (:mod:`repro.engine.filtering`), one table scan per batch, before the
+  O(N log N) difference-function and envelope construction runs;
 * a batch of query ids is prepared in stages, every stage but the kinetic
   front one pass over the whole batch: corridor radii, difference
   functions, and the 4r-band refinement;
@@ -126,7 +126,7 @@ class QueryEngine:
 
     Args:
         mod: the moving objects database to serve queries against; every
-            query's candidates are filtered through its R-tree
+            query's candidates are filtered through its box table
             (:meth:`~repro.trajectories.mod.MovingObjectsDatabase.index`).
         registry: the :class:`~repro.obs.MetricsRegistry` engine metrics
             land in (``repro_engine_*``); a private registry when ``None``,
@@ -200,7 +200,7 @@ class QueryEngine:
 
     @property
     def index(self):
-        """The store's R-tree every query's candidates are filtered through."""
+        """The store's box table every query's candidates are filtered through."""
         return self._index
 
     def cache_info(self) -> CacheInfo:
@@ -598,7 +598,8 @@ class QueryEngine:
         """Cold contexts of distinct ``(query, width)`` pairs, in stages.
 
         Every stage but the kinetic front is one pass over all of them:
-        corridor radii from the window's samples, one difference pass over
+        corridor radii from the window's samples, one scan of the store's
+        box table for every corridor, one difference pass over
         every (query, candidate) row, the front per context under its
         ``engine.kernel`` span, then one band refinement over every
         context's undecided rows, whose band columns seed the contexts.  A
@@ -607,8 +608,8 @@ class QueryEngine:
         """
         count = len(query_ids)
         own = [0.0] * count
-        candidates: List[Optional[List[object]]] = [None] * count
-        corridors: List[Optional[float]] = [None] * count
+        candidates: Sequence[Optional[List[object]]] = [None] * count
+        corridors: Sequence[Optional[float]] = [None] * count
         started = time.perf_counter()
         # A zero-length window cannot be sliced into probe segments (and the
         # preparation it gates is trivial anyway), so it skips the filter.
@@ -616,15 +617,13 @@ class QueryEngine:
             with trace_span("engine.corridor_bulk", queries=count):
                 radii = corridor_probe_bulk(self.mod, query_ids, t_start, t_end, widths)
             self._m_corridor.observe(time.perf_counter() - started)
-            for position, query_id in enumerate(query_ids):
-                filter_started = time.perf_counter()
-                with trace_span("engine.filter", query=query_id):
-                    candidates[position], corridors[position] = filter_candidates(
-                        self.mod, self._index, query_id, t_start, t_end,
-                        widths[position], corridor=float(radii[position]),
-                    )
-                own[position] = time.perf_counter() - filter_started
-                self._m_corridor.observe(own[position])
+            filter_started = time.perf_counter()
+            corridors = radii.tolist()
+            with trace_span("engine.filter", queries=count):
+                candidates = self.mod.candidates_within_corridor(
+                    query_ids, corridors, t_start, t_end, self._index
+                )
+            self._m_corridor.observe(time.perf_counter() - filter_started)
         with trace_span("engine.difference", queries=count):
             difference_started = time.perf_counter()
             packs = self.mod.distance_packs(query_ids, t_start, t_end, candidates)

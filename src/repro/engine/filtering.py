@@ -196,11 +196,6 @@ def trajectory_within_corridor(
     return False
 
 
-def all_other_ids(mod: MovingObjectsDatabase, query_id: object) -> List[object]:
-    """Every stored id except the query's, in the deterministic filter order."""
-    return sorted((oid for oid in mod.object_ids if oid != query_id), key=str)
-
-
 def filter_candidates(
     mod: MovingObjectsDatabase,
     index,
@@ -212,22 +207,21 @@ def filter_candidates(
 ) -> Tuple[List[object], float]:
     """Index-filtered candidate ids for one query, with the probe radius used.
 
+    The one-member case of
+    :meth:`~repro.trajectories.mod.MovingObjectsDatabase.candidates_within_corridor`.
     The probe radius comes from the columnar bulk kernel
-    (:func:`corridor_probe_bulk`) unless the caller already computed it —
-    the batched engine precomputes a whole batch's radii in one pass and
-    passes each one down here.
+    (:func:`corridor_probe_bulk`) unless the caller already computed it.
 
     Returns:
-        ``(candidate_ids, corridor_radius)``; ids are string-sorted for
-        deterministic batch runs and never include the query itself.  When no
-        safe finite radius exists (no candidate covers the whole window), the
-        filter degrades to "keep everything" with an infinite radius.
+        ``(candidate_ids, corridor_radius)``; ids are in the store's filter
+        order (by ``str``, ties in store insertion order) and never include
+        the query itself.  When no safe finite radius
+        exists (no candidate covers the whole window), the filter degrades
+        to "keep everything" with an infinite radius.
     """
     if corridor is None:
         corridor = float(
             corridor_probe_bulk(mod, [query_id], t_lo, t_hi, [band_width])[0]
         )
-    if not np.isfinite(corridor):
-        return all_other_ids(mod, query_id), corridor
-    candidates = mod.candidates_within_corridor(query_id, corridor, t_lo, t_hi, index)
+    (candidates,) = mod.candidates_within_corridor([query_id], [corridor], t_lo, t_hi, index)
     return candidates, corridor

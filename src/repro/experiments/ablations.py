@@ -22,12 +22,12 @@ from typing import List
 import numpy as np
 
 from ..core.ranking import validate_theorem1
-from ..index.grid import GridIndex
-from ..index.rtree import STRRTree
+from ..index.table import SegmentBoxTable
 from ..reference.envelope import le_alg
 from ..trajectories.difference import difference_distance_functions
 from ..trajectories.mod import MovingObjectsDatabase
 from ..workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
+from .grid import GridIndex
 from .report import format_table
 
 
@@ -207,8 +207,8 @@ def run_index_ablation(
         candidates = trajectories[1:]
 
         grid = GridIndex.covering(candidates, cells=32)
-        rtree = STRRTree.from_trajectories(candidates)
-        for kind, index in (("grid", grid), ("rtree", rtree)):
+        table = SegmentBoxTable.from_trajectories(candidates)
+        for kind, index in (("grid", grid), ("table", table)):
             survivors = index.query_corridor(
                 query, corridor_miles, query.start_time, query.end_time
             )

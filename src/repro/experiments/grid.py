@@ -3,9 +3,9 @@
 A simple, predictable spatial index: the region of interest is divided into
 ``cells × cells`` equal squares and every (expanded) segment box is
 registered in all cells it overlaps.  Probing with a box returns the object
-ids whose entries overlap it.  The grid is the low-tech counterpart of the
-store's R-tree: the reference its box probes are tested against, and the
-other side of the index ablation.  No serving path probes it.
+ids whose entries overlap it.  The grid is the other side of the index
+ablation (A3) from the store's segment box table, and a second reference
+the table's box probes are tested against.  No serving path probes it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..trajectories.trajectory import Trajectory
-from .boxes import Box3D, IndexEntry, segment_boxes
+from ..index.boxes import Box3D, IndexEntry, segment_boxes
 
 
 class GridIndex:

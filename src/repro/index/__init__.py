@@ -1,14 +1,12 @@
-"""Spatio-temporal index substrates: segment boxes, uniform grid, STR R-tree."""
+"""Spatio-temporal index substrates: segment boxes and the segment box table."""
 
 from .boxes import Box3D, IndexEntry, segment_boxes, trajectory_box
-from .grid import GridIndex
-from .rtree import STRRTree
+from .table import SegmentBoxTable
 
 __all__ = [
     "Box3D",
-    "GridIndex",
     "IndexEntry",
-    "STRRTree",
+    "SegmentBoxTable",
     "segment_boxes",
     "trajectory_box",
 ]

@@ -9,6 +9,7 @@ query trajectory, and (optionally) index-assisted candidate filtering.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 import time
 from bisect import bisect_right
@@ -134,7 +135,7 @@ class MovingObjectsDatabase:
         self._object_revisions: Dict[object, int] = {}
         self._changelog: List[ChangeRecord] = []
         self._listeners: List[ChangeListener] = []
-        #: ``(index, revision)``: the store's R-tree and the revision it is synced to.
+        #: ``(index, revision)``: the store's box table and the revision it is synced to.
         self._index: Tuple[object, Optional[int]] = (None, None)
         self._index_lock = threading.Lock()
         self._columnar = None
@@ -551,35 +552,30 @@ class MovingObjectsDatabase:
             raise ValueError("the database holds no candidate trajectories")
         return 2.0 * (others[0] + query_support)
 
-    def build_index(
-        self,
-        kind: str = "rtree",
-        leaf_capacity: int = 16,
-        max_box_extent: float | str | None = "auto",
-    ):
-        """Bulk-load an STR R-tree over every stored trajectory.
+    def build_index(self, kind: str = "rtree", max_box_extent: float | str | None = "auto"):
+        """Load a segment box table over every stored trajectory.
 
-        An empty store loads an empty tree.
+        An empty store loads an empty table.
 
         Args:
-            kind: ``"rtree"``, the only index kind.
-            leaf_capacity: R-tree leaf/fan-out capacity.
+            kind: ``"rtree"``, the one index kind's historical name, which
+                callers still pass.
             max_box_extent: per-axis cap on one entry's unexpanded box so
                 long segments are indexed as several tight slices;
                 ``"auto"`` picks 1/32 of the populated region's larger side,
                 ``None`` keeps one box per segment.
 
         Returns:
-            An :class:`~repro.index.rtree.STRRTree` answering
-            ``query_box``/``query_corridor`` probes.
+            A :class:`~repro.index.table.SegmentBoxTable` answering
+            ``probe``/``query_box``/``query_corridor`` scans.
         """
-        from ..index.rtree import STRRTree
+        from ..index.table import SegmentBoxTable
         from .columnar import segment_boxes_bulk
 
         if kind != "rtree":
             raise ValueError(f"unknown index kind {kind!r} (expected 'rtree')")
         if not self._trajectories:
-            return STRRTree([], leaf_capacity=leaf_capacity)
+            return SegmentBoxTable([])
         pack = self.columnar().pack()
         if max_box_extent == "auto":
             x_min, y_min, x_max, y_max = pack.spatial_bounds()
@@ -587,26 +583,25 @@ class MovingObjectsDatabase:
             max_box_extent = span / 32.0 if span > 0 else None
         # One vectorized pass over the packed columns replaces the
         # per-segment Python loop; the boxes are byte-identical, and the
-        # tree packs the arrays as they are.
-        return STRRTree(
+        # table takes the arrays as they are.
+        return SegmentBoxTable(
             segment_boxes_bulk(pack, max_extent=max_box_extent),
-            leaf_capacity=leaf_capacity,
             max_box_extent=max_box_extent,
         )
 
     def index(self):
-        """The store's own R-tree, synced to the current revision."""
+        """The store's own segment box table, synced to the current revision."""
         return self.sync_index()[0]
 
     def sync_index(self) -> Tuple[object, str, float]:
-        """``(index, action, seconds)``: the store's R-tree, synced.
+        """``(index, action, seconds)``: the store's box table, synced.
 
         The first call loads it (``"bulk"``); later ones patch it in place
         from :meth:`divergences_since` once per revision, whatever the change
-        set's size (``"patch"``/``"repack"``), or find it ``"current"``.  A
-        changelog that no longer reaches back, or a tree with no live entry
-        (whose box subdivision was picked for no data), reloads it.
-        Per-store lock.
+        set's size (``"patch"``, or ``"compact"`` when the patch compacted
+        the table), or find it ``"current"``.  A changelog that no longer
+        reaches back, or a table with no live entry (whose box subdivision
+        was picked for no data), reloads it.  Per-store lock.
         """
         with self._index_lock:
             started = time.perf_counter()
@@ -619,30 +614,55 @@ class MovingObjectsDatabase:
                 index = self.build_index()
                 action = "bulk"
             else:
-                repacks = index.repacks
+                compactions = index.compactions
                 index.patch(changed, self.columnar())
-                action = "repack" if index.repacks > repacks else "patch"
+                action = "compact" if index.compactions > compactions else "patch"
             self._index = (index, revision)
         return index, action, time.perf_counter() - started
 
+    def _in_filter_order(self, ids: Iterable[object]) -> List[object]:
+        """Stored ``ids`` in the candidate filter's total order.
+
+        By ``str``; distinct ids that share one ``str`` (``7`` and ``"7"``)
+        in store insertion order, so the order never depends on a set's
+        iteration order or the process's hash seed.
+        """
+        present = [object_id for object_id in ids if object_id in self._trajectories]
+        present.sort(key=str)
+        if len(set(map(str, present))) < len(present):
+            position = {object_id: k for k, object_id in enumerate(self._trajectories)}
+            present.sort(key=lambda object_id: (str(object_id), position[object_id]))
+        return present
+
     def candidates_within_corridor(
         self,
-        query_id: object,
-        corridor: float,
+        query_ids: Sequence[object],
+        corridors: Sequence[float],
         t_lo: float,
         t_hi: float,
         index,
-    ) -> List[object]:
-        """Candidate ids whose indexed boxes come within ``corridor`` of the query.
+    ) -> List[List[object]]:
+        """Per query, the ids whose indexed boxes come within its corridor.
 
-        A thin wrapper over ``index.query_corridor`` that excludes the query
-        itself and returns a deterministic (string-sorted) order so batched
-        runs are reproducible.
+        One :meth:`~repro.index.table.SegmentBoxTable.probe` scan for every
+        query with a finite corridor; an infinite one keeps every other
+        stored id.  Each list excludes its query and is in one total order:
+        by ``str``, and ids that share a ``str`` in store insertion order, so
+        batched runs are reproducible.
         """
-        query = self.get(query_id)
-        found = index.query_corridor(query, corridor, t_lo, t_hi)
-        found.discard(query_id)
-        return sorted((object_id for object_id in found if object_id in self), key=str)
+        finite = [k for k, corridor in enumerate(corridors) if math.isfinite(corridor)]
+        scanned = index.probe([
+            index.corridor_probes(self.get(query_ids[k]), corridors[k], t_lo, t_hi)
+            for k in finite
+        ])
+        hits: List[Iterable[object]] = [self._trajectories] * len(query_ids)
+        for k, ids in zip(finite, scanned):
+            hits[k] = ids
+        found = [self._in_filter_order(ids) for ids in hits]
+        for query_id, ids in zip(query_ids, found):
+            if query_id in ids:
+                ids.remove(query_id)
+        return found
 
     # ------------------------------------------------------------------
     # Query support.

@@ -128,7 +128,7 @@ class TestOnePlanShape:
 
 class TestOneCandidateFilter:
     def test_small_store_filters_through_the_store_rtree(self):
-        # Three objects and under 64 segments: every store takes the R-tree.
+        # Three objects and under 64 segments: every store takes the box table.
         mod = MovingObjectsDatabase(
             [
                 straight_trajectory("q", (0.0, 0.0), (30.0, 0.0)),

@@ -190,7 +190,7 @@ class TestPlannerInvariance:
                 f"SELECT T FROM MOD WHERE EXISTS TIME IN [{t_start}, {t_end}] "
                 f"AND RANK_NN(T, '{query_id}', TIME) <= {rank}"
             )
-        # Tiny stores filter through the store's R-tree too, so this runs
+        # Tiny stores filter through the store's box table too, so this runs
         # the corridor filter against the unfiltered oracle.
         executor = QueryExecutor(mod)
         _assert_equal_to_oracle(executor, mod, texts)

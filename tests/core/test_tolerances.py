@@ -52,7 +52,7 @@ def test_corridor_kernel_compares_times_with_the_shared_tolerance():
 
 
 def test_index_maintenance_compares_times_with_the_shared_tolerance():
-    # The R-tree's patch decides which boxes a divergence time retires; no
+    # The box table's patch decides which boxes a divergence time retires; no
     # index module may use its own bare tolerance for it.
     for path in sorted((SRC / "index").glob("*.py")):
         code = "\n".join(
@@ -62,7 +62,7 @@ def test_index_maintenance_compares_times_with_the_shared_tolerance():
             f"index/{path.name} must compare times with "
             "repro.core.tolerances.TIME_TOLERANCE, not a bare 1e-9"
         )
-    assert "TIME_TOLERANCE" in (SRC / "index" / "rtree.py").read_text()
+    assert "TIME_TOLERANCE" in (SRC / "index" / "table.py").read_text()
 
 
 def test_the_coverage_slack_is_defined_once():

@@ -239,7 +239,7 @@ def rewrite(mod, object_ids):
 
 
 class TestRTreePathNeverMaterializesEntries:
-    """The R-tree is loaded from the box arrays, never from ``.entries()``.
+    """The box table is loaded from the box arrays, never from ``.entries()``.
 
     Turning ~47k columnar rows back into ``IndexEntry`` objects used to cost
     more than packing them; a path that quietly went back to it would erase
@@ -315,12 +315,12 @@ class TestRefreshObservability:
         assert span.attrs["index"] == "patch"
         assert span.attrs["entries"] == len(engine.index)
 
-        rewrite(mod, ids[:30])  # more boxes than the overflow block holds
-        assert self.refresh_span(engine, query_ids[0], window).attrs["index"] == "repack"
+        rewrite(mod, ids[:30])  # more boxes than the spare block holds
+        assert self.refresh_span(engine, query_ids[0], window).attrs["index"] == "compact"
 
         rewrite(mod, ids[:36])  # most of the store: still one patch
         span = self.refresh_span(engine, query_ids[0], window)
-        assert span.attrs["index"] == "repack"
+        assert span.attrs["index"] == "compact"
         assert span.attrs["entries"] == len(engine.index) == len(
             mod.build_index("rtree", max_box_extent=extent)
         )

@@ -189,7 +189,7 @@ class TestBatchStatistics:
             assert 0 < prepared.candidate_count <= prepared.total_candidates
 
     def test_rejects_unknown_index_kind_string(self, tiny_mod):
-        # The store's R-tree is the one index kind; the engine takes none.
+        # The store's box table is the one index kind; the engine takes none.
         with pytest.raises(ValueError, match="unknown index kind"):
             tiny_mod.build_index("r-tree")
         with pytest.raises(TypeError, match="index"):

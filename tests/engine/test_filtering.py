@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,6 +92,42 @@ class TestConservativeCorridorRadius:
         candidates, corridor = filter_candidates(mod, index, "q", 0.0, 60.0, 2.0)
         assert corridor == float("inf")
         assert set(candidates) == {"late", "early"}
+
+
+#: A store holding ``7`` and ``"7"``: two ids with one ``str``.
+_SHARED_STR_STORE = """
+from repro.engine import QueryEngine
+from repro.trajectories.mod import MovingObjectsDatabase
+from repro.trajectories.trajectory import UncertainTrajectory
+
+mod = MovingObjectsDatabase([
+    UncertainTrajectory("q", [(0.0, 0.0, 0.0), (10.0, 0.0, 10.0)], 0.5),
+    UncertainTrajectory(7, [(0.0, 1.0, 0.0), (10.0, 1.0, 10.0)], 0.5),
+    UncertainTrajectory("7", [(0.0, -1.0, 0.0), (10.0, -1.0, 10.0)], 0.5),
+    UncertainTrajectory("v0", [(0.0, 2.0, 0.0), (10.0, 2.0, 10.0)], 0.5),
+])
+engine = QueryEngine(mod)
+print(engine.candidate_ids("q", 1.0, 9.0), engine.prepare("q", 1.0, 9.0).context.pack.ids)
+"""
+
+
+def test_candidate_order_does_not_depend_on_the_hash_seed():
+    # Ids sharing a ``str`` are ordered by store insertion, not set order.
+    inherited = os.environ.get("PYTHONPATH")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = set()
+    for seed in range(1, 7):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(seed),
+            PYTHONPATH=f"{src}{os.pathsep}{inherited}" if inherited else src,
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _SHARED_STR_STORE],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        outputs.add(result.stdout.strip())
+    assert outputs == {"[7, '7', 'v0'] [7, '7', 'v0']"}
 
 
 class TestTrajectoryArrays:

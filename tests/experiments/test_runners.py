@@ -136,8 +136,8 @@ class TestAblations:
 
     def test_index_ablation_shape(self):
         rows = run_index_ablation(object_counts=[50], corridor_miles=5.0)
-        assert len(rows) == 2  # grid and rtree
-        grid_row, rtree_row = rows
-        assert grid_row.candidates_after_filter == rtree_row.candidates_after_filter
+        assert len(rows) == 2  # grid and table
+        grid_row, table_row = rows
+        assert grid_row.candidates_after_filter == table_row.candidates_after_filter
         assert 0.0 <= grid_row.filter_ratio <= 1.0
         assert "index" in index_ablation_table(rows)

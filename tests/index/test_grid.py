@@ -3,7 +3,7 @@
 import pytest
 
 from repro.index.boxes import Box3D, segment_boxes
-from repro.index.grid import GridIndex
+from repro.experiments.grid import GridIndex
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 
 from ..conftest import straight_trajectory

@@ -1,8 +1,8 @@
-"""Incremental maintenance of the R-tree (``patch``) vs bulk rebuilds.
+"""Incremental maintenance of the box table (``patch``) vs fresh loads.
 
-The store applies every change to its tree with one ``patch`` per revision:
+The store applies every change to its table with one ``patch`` per revision:
 the changed ids' divergence times, and the column store to read their
-current boxes from.  Each test mutates a store, patches a tree from the
+current boxes from.  Each test mutates a store, patches a table from the
 store's changelog, and compares it with a fresh ``mod.build_index("rtree")``.
 """
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.index.boxes import Box3D, segment_boxes
-from repro.index.rtree import STRRTree
+from repro.index.table import SegmentBoxTable
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
@@ -44,10 +44,8 @@ def sync(tree, mod, revision):
     return mod.revision
 
 
-def fresh(mod, leaf_capacity=8, max_box_extent=EXTENT):
-    return mod.build_index(
-        "rtree", leaf_capacity=leaf_capacity, max_box_extent=max_box_extent
-    )
+def fresh(mod, max_box_extent=EXTENT):
+    return mod.build_index("rtree", max_box_extent=max_box_extent)
 
 
 class TestPatchInsert:
@@ -62,7 +60,7 @@ class TestPatchInsert:
 
     def test_patched_tree_answers_like_bulk_tree(self, trajectories):
         mod = MovingObjectsDatabase()
-        tree = STRRTree([], leaf_capacity=8, max_box_extent=EXTENT)
+        tree = SegmentBoxTable([], max_box_extent=EXTENT)
         revision = mod.revision
         for trajectory in trajectories:
             mod.add(trajectory)
@@ -74,12 +72,11 @@ class TestPatchInsert:
         ):
             assert expected == actual
 
-    def test_one_by_one_patches_repack_into_a_multi_level_tree(self):
-        # Boxes land in the overflow block; each time it outgrows its share
-        # the tree repacks, so single additions still end up under packed
-        # levels.
+    def test_one_by_one_patches_compact_the_appended_rows(self):
+        # Boxes land in the spare block; each time it is full the table
+        # compacts, so single additions keep a bounded spare share.
         mod = MovingObjectsDatabase()
-        tree = STRRTree([], leaf_capacity=2)
+        tree = SegmentBoxTable([])
         revision = mod.revision
         for index in range(20):
             mod.add(
@@ -89,8 +86,7 @@ class TestPatchInsert:
             )
             revision = sync(tree, mod, revision)
         assert len(tree) == 20
-        assert tree.repacks > 0
-        assert tree.height >= 3
+        assert tree.compactions > 0
         assert tree.query_box(Box3D(0, 0, 0, 30, 30, 1)) == set(range(20))
 
 
@@ -121,18 +117,17 @@ class TestPatchRemove:
 
     def test_removing_every_object_empties_the_tree(self, trajectories):
         mod = MovingObjectsDatabase(trajectories[:5])
-        tree = fresh(mod, leaf_capacity=4, max_box_extent=None)
+        tree = fresh(mod, max_box_extent=None)
         revision = mod.revision
         for trajectory in trajectories[:5]:
             mod.remove(trajectory.object_id)
         sync(tree, mod, revision)
         assert len(tree) == len(fresh(mod)) == 0
-        assert tree.height == 0
         assert tree.query_box(Box3D(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9)) == set()
 
     def test_patching_an_unknown_object_is_a_noop(self, trajectories):
         mod = MovingObjectsDatabase(trajectories[:5])
-        tree = fresh(mod, leaf_capacity=4, max_box_extent=None)
+        tree = fresh(mod, max_box_extent=None)
         size = len(tree)
         tree.patch({"ghost": None}, mod.columnar())
         assert len(tree) == size
@@ -150,7 +145,7 @@ class TestDivergenceBoundedMaintenance:
             trajectory.radius,
         )
 
-    def test_rtree_partial_patch_matches_bulk_rebuild(self, trajectories):
+    def test_partial_patch_matches_a_fresh_load(self, trajectories):
         mod = MovingObjectsDatabase(trajectories)
         tree = fresh(mod)
         revision = mod.revision
@@ -159,14 +154,16 @@ class TestDivergenceBoundedMaintenance:
         mod.replace_trajectory(extended)
         assert mod.divergences_since(revision) == {target.object_id: target.end_time}
         sync(tree, mod, revision)
-        # A pure extension retires no historical box: the overflow block
-        # (listed last) holds exactly the new leg's boxes.
-        overflow = tree.leaf_entries()[-1]
+        # A pure extension retires no historical box: the appended rows
+        # (listed last) are exactly the new leg's boxes.
         added = len(segment_boxes(extended, max_extent=EXTENT)) - len(
             segment_boxes(target, max_extent=EXTENT)
         )
-        assert added >= 1 and len(overflow) == added
-        assert all(entry.box.t_min >= target.end_time for entry in overflow)
+        assert added >= 1 and len(tree) == len(fresh(MovingObjectsDatabase(trajectories))) + added
+        assert tree.compactions == 0
+        appended = tree.entries()[-added:]
+        assert {entry.object_id for entry in appended} == {target.object_id}
+        assert all(entry.box.t_min >= target.end_time for entry in appended)
         bulk = fresh(mod)
         assert len(tree) == len(bulk)
         for expected, actual in zip(

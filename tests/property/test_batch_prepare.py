@@ -104,6 +104,22 @@ def test_every_batch_context_equals_its_query_alone(case):
             )
 
 
+@given(case=batches())
+def test_a_batch_equals_its_members_prepared_one_by_one(case):
+    # One filter scan for the batch, one per member: the same candidates,
+    # in the same order, and the same answers.
+    mod, members, (t_lo, t_hi), band_width, _ = case
+    batch = QueryEngine(mod).prepare_batch(members, t_lo, t_hi, band_width=band_width)
+    for prepared in batch:
+        alone = QueryEngine(mod).prepare(prepared.query_id, t_lo, t_hi, band_width=band_width)
+        assert prepared.context.pack.ids == alone.context.pack.ids
+        assert prepared.corridor_radius == alone.corridor_radius
+        for variant, fraction in (("sometime", 0.0), ("always", 0.0), ("fraction", 0.5)):
+            assert answer_of(prepared.context, variant, fraction) == answer_of(
+                alone.context, variant, fraction
+            )
+
+
 # ----------------------------------------------------------------------
 # Corridor radii against the per-query reference.
 # ----------------------------------------------------------------------

@@ -115,6 +115,8 @@ class TestOneEngine:
             mod.sync_index("rtree", 16, 32)
         with pytest.raises(TypeError, match="cells"):
             mod.build_index("rtree", cells=8)
+        with pytest.raises(TypeError, match="leaf_capacity"):
+            mod.build_index("rtree", leaf_capacity=16)
         with pytest.raises(ValueError, match="unknown index kind"):
             mod.build_index("grid")
 

@@ -211,7 +211,7 @@ def test_a_one_vehicle_batch_appends_exactly_its_new_boxes():
         monitor.ingest(object_id, reports)
     monitor.apply()
     tree = mod.index()
-    entries, repacks = len(tree), tree.repacks
+    entries, compactions = len(tree), tree.compactions
     reporter = mod.object_ids[5]
     old = mod.get(reporter)
     monitor.ingest(reporter, world.batches[1][reporter])
@@ -222,7 +222,7 @@ def test_a_one_vehicle_batch_appends_exactly_its_new_boxes():
         if entry.box.t_min >= old.end_time - TIME_TOLERANCE
     ]
     assert new_boxes
-    assert mod.index() is tree and tree.repacks == repacks
+    assert mod.index() is tree and tree.compactions == compactions
     assert len(tree) == entries + len(new_boxes)
 
 
@@ -253,7 +253,7 @@ def test_concurrent_engines_patch_the_shared_index_once_per_revision():
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
             patched = [action for action in actions if action != "current"]
-            assert len(actions) == 8 and patched in (["patch"], ["repack"])
+            assert len(actions) == 8 and patched in (["patch"], ["compact"])
             copy = MovingObjectsDatabase(list(mod))
             assert len(mod.index()) == len(copy.build_index("rtree", max_box_extent=extent))
     finally:

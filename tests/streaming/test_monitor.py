@@ -101,9 +101,9 @@ class TestCorrectnessOracle:
 
     def test_full_fleet_batch_then_one_vehicle_batch(self):
         # A full-fleet batch is one patch of the store's index, which
-        # repacks itself once the new boxes outgrow its overflow block; the
-        # next batch changes one vehicle and is patched onto the same tree
-        # (tombstones + overflow rows).  Both refreshes must leave the
+        # compacts itself once the new boxes outgrow its spare block; the
+        # next batch changes one vehicle and is patched onto the same table
+        # (tombstones + appended rows).  Both refreshes must leave the
         # standing answers equal to a from-scratch evaluation.
         world = streaming_fleet(
             num_vehicles=40, num_queries=3, horizon_minutes=20.0, num_batches=3, seed=5
@@ -120,7 +120,7 @@ class TestCorrectnessOracle:
         for object_id, reports in world.batches[0].items():
             monitor.ingest(object_id, reports)
         assert len(monitor.apply().changed_ids) == 40
-        assert monitor.engine.index is tree and tree.repacks == 1  # patched, repacked
+        assert monitor.engine.index is tree and tree.compactions == 1  # patched, compacted
         assert len(tree) > entries
         assert_matches_oracle(monitor, replay_deltas(events, initial=initial))
         for reporter in (world.query_ids[0], world.mod.object_ids[-1]):

@@ -157,22 +157,23 @@ class TestDefaultBandWidth:
 
 
 class TestStoreIndex:
-    def test_empty_store_loads_an_empty_rtree_and_reloads_once_filled(self, mod):
-        from repro.index.rtree import STRRTree
+    def test_empty_store_loads_an_empty_table_and_reloads_once_filled(self, mod):
+        from repro.index.table import SegmentBoxTable
 
         empty = MovingObjectsDatabase()
-        tree, action, _ = empty.sync_index()
-        assert isinstance(tree, STRRTree) and len(tree) == 0
+        table, action, _ = empty.sync_index()
+        assert isinstance(table, SegmentBoxTable) and len(table) == 0
         assert action == "bulk"
-        assert empty.sync_index()[:2] == (tree, "current")
+        assert empty.sync_index()[:2] == (table, "current")
         empty.add_all(list(mod))
         filled, action, _ = empty.sync_index()
-        # A tree with no live entry is reloaded, not patched.
+        # A table with no live entry is reloaded, not patched.
         assert action == "bulk"
-        assert filled is empty.index() is not tree
+        assert filled is empty.index() is not table
         fresh = empty.build_index()
         assert len(filled) == len(fresh)
-        for query_id in empty.object_ids:
-            assert empty.candidates_within_corridor(query_id, 5.0, 0.0, 60.0, filled) == (
-                empty.candidates_within_corridor(query_id, 5.0, 0.0, 60.0, fresh)
-            )
+        query_ids = empty.object_ids
+        corridors = [5.0] * len(query_ids)
+        assert empty.candidates_within_corridor(query_ids, corridors, 0.0, 60.0, filled) == (
+            empty.candidates_within_corridor(query_ids, corridors, 0.0, 60.0, fresh)
+        )
