@@ -18,6 +18,10 @@ implementations they replaced, per database size:
   equal to the per-query ``filter_candidates`` lists, then gated as
   ``filter_batch_per_calibration``, so a return to one probe per query
   fails;
+* ``pack`` — a cold ``ColumnarStore(mod).pack()``: the store adopts every
+  trajectory's columns and concatenates them.  Gated as
+  ``pack_per_calibration``, the median of ``REPEATS`` cold packs over the
+  calibration kernel;
 * ``index`` — ``mod.build_index("rtree")``, the path production runs: packed
   columns → :func:`repro.trajectories.columnar.segment_boxes_bulk` arrays →
   :class:`repro.index.table.SegmentBoxTable`, with no entry objects in
@@ -100,6 +104,7 @@ from repro.index.boxes import segment_boxes
 from repro.reference import band as reference
 from repro.reference import envelope as plain
 from repro.reference.corridor import TrajectoryArrays, conservative_corridor_radius
+from repro.trajectories.columnar import ColumnarStore
 from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
@@ -203,6 +208,11 @@ def bench_filter(mod, query_ids, widths, lo=20.0, hi=28.0) -> Dict[str, float]:
         "filter_batch_per_calibration": ratio,
         "filter_candidates_mean": float(np.mean([len(ids) for ids in batch])),
     }
+
+
+def bench_pack(mod: MovingObjectsDatabase) -> Dict[str, float]:
+    seconds, ratio = _per_calibration(lambda: ColumnarStore(mod).pack())
+    return {"pack_ms": seconds * 1000.0, "pack_per_calibration": ratio}
 
 
 def bench_index_build(mod: MovingObjectsDatabase) -> Dict[str, float]:
@@ -523,10 +533,7 @@ def run_bench(
     assert_backend_identity()
     for num_objects in sizes:
         mod = build_mod(num_objects)
-        started = time.perf_counter()
-        mod.columnar().pack()
-        pack_seconds = time.perf_counter() - started
-        numbers = {"pack_ms": pack_seconds * 1000.0}
+        numbers = bench_pack(mod)
         numbers.update(bench_corridor(mod, queries))
         numbers.update(bench_index_build(mod))
         numbers.update(bench_band(mod))

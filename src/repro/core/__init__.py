@@ -2,7 +2,6 @@
 
 from .answer import IPACNode, IPACTree, ProbabilityDescriptor
 from .descriptors import annotate_tree, compute_descriptor
-from .heterogeneous import HeterogeneousQueryContext
 from .ipacnn import build_ipac_tree
 from .reverse import (
     ReverseNNResult,
@@ -14,7 +13,6 @@ from .pruning import (
     PruningStatistics,
     band_intervals,
     band_intervals_batch,
-    is_within_band_always,
     is_within_band_sometime,
     prune_by_band,
     time_within_band,
@@ -24,6 +22,7 @@ from .ranking import (
     RankingComparison,
     expected_distances_at,
     monte_carlo_ranking,
+    nn_probability_matrix,
     nn_probability_snapshot,
     ranking_by_expected_distance,
     ranking_by_nn_probability,
@@ -36,7 +35,6 @@ from .thresholds import (
 )
 
 __all__ = [
-    "HeterogeneousQueryContext",
     "IPACNode",
     "ReverseNNResult",
     "all_pairs_nn_matrix",
@@ -55,9 +53,9 @@ __all__ = [
     "compute_descriptor",
     "continuous_threshold_nn_query",
     "expected_distances_at",
-    "is_within_band_always",
     "is_within_band_sometime",
     "monte_carlo_ranking",
+    "nn_probability_matrix",
     "nn_probability_snapshot",
     "probability_timeline",
     "prune_by_band",

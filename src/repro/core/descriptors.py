@@ -12,13 +12,14 @@ stores min/max/mean plus the samples themselves.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import islice
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..trajectories.mod import MovingObjectsDatabase
 from .answer import IPACNode, IPACTree, ProbabilityDescriptor
-from .ranking import nn_probability_snapshot
+from .ranking import nn_probability_matrix, probability_columns
 
 
 def compute_descriptor(
@@ -40,28 +41,7 @@ def compute_descriptor(
     Returns:
         A :class:`ProbabilityDescriptor` with min/max/mean and the samples.
     """
-    if samples < 1:
-        raise ValueError("need at least one probability sample")
-    if node.duration <= 0:
-        times = np.array([node.t_start])
-    else:
-        # Sample strictly inside the interval: probabilities exactly at the
-        # critical times are ties between adjacent nodes.
-        offsets = (np.arange(samples) + 0.5) / samples
-        times = node.t_start + offsets * node.duration
-
-    probabilities = []
-    for t in times:
-        snapshot = nn_probability_snapshot(mod, query_id, float(t), grid_size=grid_size)
-        probabilities.append(snapshot.get(node.object_id, 0.0))
-    values = np.array(probabilities)
-    return ProbabilityDescriptor(
-        minimum=float(values.min()),
-        maximum=float(values.max()),
-        mean=float(values.mean()),
-        sample_times=tuple(float(t) for t in times),
-        sample_probabilities=tuple(float(p) for p in values),
-    )
+    return _describe([node], mod, query_id, samples, grid_size)[0]
 
 
 def annotate_tree(
@@ -75,17 +55,56 @@ def annotate_tree(
 
     Descriptor computation is orders of magnitude more expensive than tree
     construction (each sample is a full Eq. 5 evaluation), so annotation is
-    opt-in and bounded.
+    opt-in and bounded.  Every node's samples share one evaluation.
 
     Returns:
         The number of nodes annotated.
     """
-    annotated = 0
-    for node in tree.walk():
-        if max_nodes is not None and annotated >= max_nodes:
-            break
-        node.descriptor = compute_descriptor(
-            node, mod, tree.query_id, samples=samples, grid_size=grid_size
+    nodes = list(islice(tree.walk(), None if max_nodes is None else max(0, max_nodes)))
+    for node, descriptor in zip(
+        nodes, _describe(nodes, mod, tree.query_id, samples, grid_size)
+    ):
+        node.descriptor = descriptor
+    return len(nodes)
+
+
+def _describe(
+    nodes: Sequence[IPACNode],
+    mod: MovingObjectsDatabase,
+    query_id: object,
+    samples: int,
+    grid_size: int,
+) -> List[ProbabilityDescriptor]:
+    """Descriptors of ``nodes`` from one evaluation over all their sample times."""
+    if not nodes:
+        return []
+    if samples < 1:
+        raise ValueError("need at least one probability sample")
+    # Sample strictly inside each interval: probabilities exactly at the
+    # critical times are ties between adjacent nodes.
+    offsets = (np.arange(samples) + 0.5) / samples
+    node_times = [
+        np.array([node.t_start])
+        if node.duration <= 0
+        else node.t_start + offsets * node.duration
+        for node in nodes
+    ]
+    ids, matrix = nn_probability_matrix(
+        mod, query_id, np.concatenate(node_times), grid_size=grid_size
+    )
+    series = probability_columns(ids, matrix, [node.object_id for node in nodes])
+    descriptors = []
+    first = 0
+    for node, times in zip(nodes, node_times):
+        values = np.array(series[node.object_id][first:first + len(times)])
+        first += len(times)
+        descriptors.append(
+            ProbabilityDescriptor(
+                minimum=float(values.min()),
+                maximum=float(values.max()),
+                mean=float(values.mean()),
+                sample_times=tuple(float(t) for t in times),
+                sample_probabilities=tuple(float(p) for p in values),
+            )
         )
-        annotated += 1
-    return annotated
+    return descriptors

@@ -39,7 +39,7 @@ from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola
 from ..geometry.envelope.pieces import Envelope
 
-from .tolerances import FULL_WINDOW_SLACK, TIME_TOLERANCE as _TIME_TOLERANCE
+from .tolerances import TIME_TOLERANCE as _TIME_TOLERANCE
 
 #: Two boundaries closer than this make the scalar tolerance-deduplication
 #: observable; the vectorized row builder refuses and the reference row
@@ -276,19 +276,6 @@ def is_within_band_sometime(
 ) -> bool:
     """True when the function enters the band at some time in the window (UQ11 core)."""
     return bool(band_intervals(function, envelope, band_width, t_lo, t_hi))
-
-
-def is_within_band_always(
-    function: DistanceFunction,
-    envelope: Envelope,
-    band_width: float,
-    t_lo: float,
-    t_hi: float,
-) -> bool:
-    """True when the function stays inside the band throughout the window (UQ12 core)."""
-    intervals = band_intervals(function, envelope, band_width, t_lo, t_hi)
-    covered = sum(end - start for start, end in intervals)
-    return covered >= (t_hi - t_lo) - FULL_WINDOW_SLACK
 
 
 def time_within_band(

@@ -11,7 +11,8 @@ checked empirically (ablation A1 of DESIGN.md):
 
 * :func:`ranking_by_expected_distance` — the cheap side (sort by distance);
 * :func:`ranking_by_nn_probability` — the expensive side (numeric Eq. 5 on
-  the convolved pdfs);
+  the convolved pdfs, read off :func:`nn_probability_matrix`, the one
+  evaluator of Eq. 5 over a store);
 * :func:`monte_carlo_ranking` — a sampling-based referee;
 * :func:`validate_theorem1` — compare the top-k prefixes of the rankings.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +86,72 @@ def ranking_by_expected_distance(
     ]
 
 
+def nn_probability_matrix(
+    mod: MovingObjectsDatabase,
+    query_id: object,
+    times: Sequence[float],
+    grid_size: int = 256,
+    query_is_crisp: bool = False,
+) -> Tuple[List[object], np.ndarray]:
+    """Exclusive NN probability (Eq. 5) of every candidate at every time.
+
+    The one evaluator of the probability half: every entry point below and
+    in :mod:`~repro.core.thresholds` and :mod:`~repro.core.descriptors`
+    reads it.  The query's uncertainty is folded into every candidate via
+    the convolution transformation of Section 3.1: each candidate's
+    effective pdf is the pdf of ``V_i − V_q`` (built once per pdf pair) and
+    the reference point becomes crisp.
+
+    Returns:
+        The candidate ids in store order, and an array of shape
+        ``(len(times), len(ids))`` whose row ``k`` holds the probabilities
+        at ``times[k]``.
+    """
+    query = mod.get(query_id)
+    query_pdf = CrispPDF() if query_is_crisp else query.pdf
+    candidates = [trajectory for trajectory in mod if trajectory.object_id != query_id]
+    ids = [trajectory.object_id for trajectory in candidates]
+    pdfs = [_cached_difference_pdf(trajectory.pdf, query_pdf) for trajectory in candidates]
+    matrix = np.empty((len(times), len(ids)))
+    for row, t in enumerate(times):
+        distances = expected_distances_at(mod, query_id, float(t))
+        results = nn_probabilities(
+            [
+                WithinDistanceProfile(object_id, distances[object_id], pdf)
+                for object_id, pdf in zip(ids, pdfs)
+            ],
+            grid_size=grid_size,
+        )
+        matrix[row] = [results[object_id].exclusive for object_id in ids]
+    return ids, matrix
+
+
+def probability_columns(
+    ids: Sequence[object], matrix: np.ndarray, wanted: Sequence[object]
+) -> Dict[object, List[float]]:
+    """Each wanted id's probabilities over the times of :func:`nn_probability_matrix`;
+    zeros for an id that is not a candidate."""
+    column = {object_id: k for k, object_id in enumerate(ids)}
+    return {
+        object_id: (
+            matrix[:, column[object_id]].tolist()
+            if object_id in column
+            else [0.0] * len(matrix)
+        )
+        for object_id in wanted
+    }
+
+
+def _by_descending_probability(probabilities: Dict[object, float]) -> List[object]:
+    """Ids by decreasing probability, ties by ``str`` of the id."""
+    return [
+        object_id
+        for object_id, _ in sorted(
+            probabilities.items(), key=lambda item: (-item[1], str(item[0]))
+        )
+    ]
+
+
 def ranking_by_nn_probability(
     mod: MovingObjectsDatabase,
     query_id: object,
@@ -92,36 +159,10 @@ def ranking_by_nn_probability(
     grid_size: int = 256,
     query_is_crisp: bool = False,
 ) -> List[object]:
-    """Ranking by numerically-evaluated NN probability (Eq. 5) at time ``t``.
-
-    The query's uncertainty is folded into every candidate via the
-    convolution transformation of Section 3.1: each candidate's effective pdf
-    is the pdf of ``V_i − V_q`` and the reference point becomes crisp.
-    """
-    query = mod.get(query_id)
-    query_pdf = CrispPDF() if query_is_crisp else query.pdf
-    distances = expected_distances_at(mod, query_id, t)
-
-    profiles = []
-    for trajectory in mod:
-        if trajectory.object_id == query_id:
-            continue
-        effective_pdf = _cached_difference_pdf(trajectory.pdf, query_pdf)
-        profiles.append(
-            WithinDistanceProfile(
-                trajectory.object_id,
-                distances[trajectory.object_id],
-                effective_pdf,
-            )
-        )
-    probabilities = nn_probabilities(profiles, grid_size=grid_size)
-    return [
-        object_id
-        for object_id, _ in sorted(
-            ((oid, result.exclusive) for oid, result in probabilities.items()),
-            key=lambda item: (-item[1], str(item[0])),
-        )
-    ]
+    """Ranking by numerically-evaluated NN probability (Eq. 5) at time ``t``."""
+    return _by_descending_probability(
+        nn_probability_snapshot(mod, query_id, t, grid_size, query_is_crisp)
+    )
 
 
 def nn_probability_snapshot(
@@ -132,21 +173,8 @@ def nn_probability_snapshot(
     query_is_crisp: bool = False,
 ) -> Dict[object, float]:
     """Exclusive NN probability of every candidate at time ``t``."""
-    query = mod.get(query_id)
-    query_pdf = CrispPDF() if query_is_crisp else query.pdf
-    distances = expected_distances_at(mod, query_id, t)
-    profiles = []
-    for trajectory in mod:
-        if trajectory.object_id == query_id:
-            continue
-        effective_pdf = _cached_difference_pdf(trajectory.pdf, query_pdf)
-        profiles.append(
-            WithinDistanceProfile(
-                trajectory.object_id, distances[trajectory.object_id], effective_pdf
-            )
-        )
-    results = nn_probabilities(profiles, grid_size=grid_size)
-    return {object_id: result.exclusive for object_id, result in results.items()}
+    ids, matrix = nn_probability_matrix(mod, query_id, [t], grid_size, query_is_crisp)
+    return dict(zip(ids, matrix[0].tolist()))
 
 
 def monte_carlo_ranking(
@@ -169,21 +197,17 @@ def monte_carlo_ranking(
         object_ids.append(trajectory.object_id)
         centers.append((position.x, position.y))
         pdfs.append(trajectory.pdf)
-    probabilities = monte_carlo_nn_probabilities(
-        object_ids,
-        np.array(centers),
-        pdfs,
-        np.array((query_position.x, query_position.y)),
-        query.pdf,
-        samples=samples,
-        rng=rng,
-    )
-    return [
-        object_id
-        for object_id, _ in sorted(
-            probabilities.items(), key=lambda item: (-item[1], str(item[0]))
+    return _by_descending_probability(
+        monte_carlo_nn_probabilities(
+            object_ids,
+            np.array(centers),
+            pdfs,
+            np.array((query_position.x, query_position.y)),
+            query.pdf,
+            samples=samples,
+            rng=rng,
         )
-    ]
+    )
 
 
 def validate_theorem1(
@@ -214,9 +238,7 @@ def validate_theorem1(
     meaningful = sum(1 for value in snapshot.values() if value > probability_floor)
     top_k = max(1, min(top_k, meaningful))
     by_distance = tuple(ranking_by_expected_distance(mod, query_id, t)[:top_k])
-    by_probability = tuple(
-        ranking_by_nn_probability(mod, query_id, t, grid_size=grid_size)[:top_k]
-    )
+    by_probability = tuple(_by_descending_probability(snapshot)[:top_k])
     agreement = 0
     for first, second in zip(by_distance, by_probability):
         if first != second:

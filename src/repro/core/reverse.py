@@ -12,8 +12,10 @@ place:
   can ``b`` be the nearest neighbor of ``a`` at some time in the window?
 
 Both are quadratic in the number of objects (they run N ordinary queries),
-which is the natural cost of the problem; the per-query work still benefits
-from the envelope construction and the 4r pruning.
+which is the natural cost of the problem.  The N queries run as one
+plan (:func:`~repro.query_language.planner.plan_statements`) on one
+:class:`~repro.engine.QueryEngine`, so they share the store's index filter,
+one batched preparation and the 4r pruning.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..engine import QueryEngine
+from ..query_language.planner import PlannedStatement, plan_statements
 from ..trajectories.mod import MovingObjectsDatabase
 from .queries import QueryContext
 
@@ -64,19 +68,16 @@ def reverse_nn_query(
     if candidate_ids is None:
         candidate_ids = [oid for oid in mod.object_ids if oid != query_id]
 
+    centers = [oid for oid in candidate_ids if oid != query_id]
     results: List[ReverseNNResult] = []
-    for candidate_id in candidate_ids:
-        if candidate_id == query_id:
-            continue
-        context = QueryContext.from_mod(mod, candidate_id, t_start, t_end, band_width)
-        if query_id not in context.functions:
-            continue
-        sometime = context.uq11_sometime(query_id)
-        if not sometime:
+    for center_id, context in zip(
+        centers, _planned_contexts(mod, centers, t_start, t_end, band_width)
+    ):
+        if query_id not in context.functions or not context.uq11_sometime(query_id):
             continue
         results.append(
             ReverseNNResult(
-                candidate_id,
+                center_id,
                 True,
                 context.uq12_always(query_id),
                 context.uq13_fraction(query_id),
@@ -97,16 +98,18 @@ def all_pairs_nn_matrix(
     Returns:
         Mapping ``a -> [b, ...]`` meaning *b has non-zero probability of being
         the nearest neighbor of a* at some time during the window.  The lists
-        reuse UQ31 per center object.
+        reuse UQ31 per center object, in store order.
     """
-    matrix: Dict[object, List[object]] = {}
-    for center_id in mod.object_ids:
-        if len(mod) < 2:
-            matrix[center_id] = []
-            continue
-        context = QueryContext.from_mod(mod, center_id, t_start, t_end, band_width)
-        matrix[center_id] = context.uq31_all_sometime()
-    return matrix
+    centers = list(mod.object_ids)
+    if len(centers) < 2:
+        return {center_id: [] for center_id in centers}
+    position = {object_id: k for k, object_id in enumerate(centers)}
+    return {
+        center_id: sorted(context.uq31_all_sometime(), key=position.__getitem__)
+        for center_id, context in zip(
+            centers, _planned_contexts(mod, centers, t_start, t_end, band_width)
+        )
+    }
 
 
 def mutual_nn_pairs(
@@ -133,3 +136,17 @@ def mutual_nn_pairs(
                 seen.add(key)
                 pairs.append((a, b))
     return pairs
+
+
+def _planned_contexts(
+    mod: MovingObjectsDatabase,
+    center_ids: Sequence[object],
+    t_start: float,
+    t_end: float,
+    band_width: Optional[float],
+) -> Tuple[QueryContext, ...]:
+    """The query context centred on each id: one plan on one engine."""
+    statements = [
+        PlannedStatement(center_id, t_start, t_end, band_width) for center_id in center_ids
+    ]
+    return plan_statements(statements).execute(QueryEngine(mod)).contexts

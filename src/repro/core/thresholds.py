@@ -18,7 +18,7 @@ import numpy as np
 
 from ..trajectories.mod import MovingObjectsDatabase
 from .queries import QueryContext
-from .ranking import nn_probability_snapshot
+from .ranking import nn_probability_matrix, probability_columns
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,13 +71,8 @@ def continuous_threshold_nn_query(
     offsets = (np.arange(time_samples) + 0.5) / time_samples
     times = context.t_start + offsets * max(context.duration, 0.0)
 
-    per_object: Dict[object, List[float]] = {object_id: [] for object_id in survivors}
-    for t in times:
-        snapshot = nn_probability_snapshot(
-            mod, context.query_id, float(t), grid_size=grid_size
-        )
-        for object_id in survivors:
-            per_object[object_id].append(snapshot.get(object_id, 0.0))
+    ids, matrix = nn_probability_matrix(mod, context.query_id, times, grid_size=grid_size)
+    per_object = probability_columns(ids, matrix, survivors)
 
     results = []
     for object_id, probabilities in per_object.items():
@@ -108,11 +103,5 @@ def probability_timeline(
     if time_samples < 2:
         raise ValueError("need at least two time samples")
     times = np.linspace(context.t_start, context.t_end, time_samples)
-    series: Dict[object, List[float]] = {object_id: [] for object_id in object_ids}
-    for t in times:
-        snapshot = nn_probability_snapshot(
-            mod, context.query_id, float(t), grid_size=grid_size
-        )
-        for object_id in object_ids:
-            series[object_id].append(snapshot.get(object_id, 0.0))
-    return series
+    ids, matrix = nn_probability_matrix(mod, context.query_id, times, grid_size=grid_size)
+    return probability_columns(ids, matrix, object_ids)

@@ -45,10 +45,6 @@ class Hyperbola:
         """Distance at time ``t``."""
         return math.sqrt(self.value_squared(t))
 
-    def values(self, times: Sequence[float]) -> List[float]:
-        """Vector-style evaluation over an iterable of times."""
-        return [self.value(t) for t in times]
-
     @property
     def vertex_time(self) -> Optional[float]:
         """Time at which the underlying parabola attains its minimum.
@@ -125,18 +121,6 @@ class Hyperbola:
                 if not inside or abs(root - inside[-1]) > tolerance:
                     inside.append(root)
         return inside
-
-    def shifted(self, offset: float) -> "Hyperbola":
-        """Return a hyperbola whose *squared* value is offset is NOT well defined.
-
-        Raises:
-            NotImplementedError: vertical translation of ``d(t)`` by a constant
-            is not another hyperbola of this family; the pruning code works
-            with the band test directly instead.
-        """
-        raise NotImplementedError(
-            "vertical translation of a hyperbola is not representable in this family"
-        )
 
     @staticmethod
     def from_relative_motion(

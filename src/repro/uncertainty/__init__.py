@@ -2,7 +2,6 @@
 
 from .cone import ConePDF
 from .convolution import (
-    convolution_centroid_offset,
     convolve_radial_pdfs,
     difference_pdf,
     uniform_difference_pdf,
@@ -13,18 +12,14 @@ from .nn_probability import (
     monte_carlo_nn_probabilities,
     nn_probabilities,
     probability_mass_deficit,
-    rank_by_nn_probability,
 )
 from .pdf import CrispPDF, RadialPDF, TabulatedRadialPDF
 from .uniform import UniformDiskPDF
 from .within_distance import (
     WithinDistanceProfile,
-    crisp_profile,
     effective_pruning_radius,
     integration_bounds,
     prune_candidates,
-    uniform_within_distance_density,
-    uniform_within_distance_probability,
     within_distance_matrix,
     within_distance_probability_uncertain_pair,
 )
@@ -38,9 +33,7 @@ __all__ = [
     "TruncatedGaussianPDF",
     "UniformDiskPDF",
     "WithinDistanceProfile",
-    "convolution_centroid_offset",
     "convolve_radial_pdfs",
-    "crisp_profile",
     "difference_pdf",
     "effective_pruning_radius",
     "integration_bounds",
@@ -48,10 +41,7 @@ __all__ = [
     "nn_probabilities",
     "probability_mass_deficit",
     "prune_candidates",
-    "rank_by_nn_probability",
     "uniform_difference_pdf",
-    "uniform_within_distance_density",
-    "uniform_within_distance_probability",
     "within_distance_matrix",
     "within_distance_probability_uncertain_pair",
 ]

@@ -138,17 +138,3 @@ def difference_pdf(
         return uniform_difference_pdf(object_pdf.radius, samples=max(samples, 256))
     return convolve_radial_pdfs(object_pdf, query_pdf, samples=samples)
 
-
-def convolution_centroid_offset(
-    first_center: Point2D, second_center: Point2D
-) -> Point2D:
-    """Centroid of the convolution of pdfs centered at the given points.
-
-    Property 1 of the paper: the centroid (expected value) of the convolution
-    is the sum of the centroids.  For the *difference* variable
-    ``V_i − V_q`` the relevant centroid is ``C_i − C_q``, which is what the
-    distance-function construction of Section 3.2 uses.
-    """
-    return Point2D(
-        first_center.x + second_center.x, first_center.y + second_center.y
-    )

@@ -19,7 +19,7 @@ paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .within_distance import (
     WithinDistanceProfile,
     integration_bounds,
     prune_candidates,
+    within_distance_matrix,
 )
 
 
@@ -87,13 +88,11 @@ def nn_probabilities(
         return results
 
     radii = np.linspace(lower, upper, grid_size)
-    cumulative = np.empty((len(survivors), grid_size))
     densities = np.empty((len(survivors), grid_size))
     for row, profile in enumerate(survivors):
-        cumulative[row] = [profile.probability(float(r)) for r in radii]
         densities[row] = [profile.density(float(r)) for r in radii]
 
-    complements = np.clip(1.0 - cumulative, 0.0, 1.0)
+    complements = np.clip(1.0 - within_distance_matrix(survivors, radii), 0.0, 1.0)
 
     for row, profile in enumerate(survivors):
         others = np.ones(grid_size)
@@ -125,21 +124,6 @@ def nn_probabilities(
             profile.object_id, exclusive, joint
         )
     return results
-
-
-def rank_by_nn_probability(
-    profiles: Sequence[WithinDistanceProfile],
-    grid_size: int = 512,
-) -> List[object]:
-    """Object ids sorted by decreasing NN probability (ties by object id)."""
-    probabilities = nn_probabilities(profiles, grid_size=grid_size)
-    return [
-        object_id
-        for object_id, _ in sorted(
-            ((oid, res.exclusive) for oid, res in probabilities.items()),
-            key=lambda pair: (-pair[1], str(pair[0])),
-        )
-    ]
 
 
 def monte_carlo_nn_probabilities(

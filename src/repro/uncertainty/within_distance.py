@@ -9,14 +9,12 @@ probabilities of Eq. (5)/(6).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .pdf import CrispPDF, RadialPDF
-from .uniform import UniformDiskPDF
+from .pdf import RadialPDF
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,23 +48,6 @@ class WithinDistanceProfile:
     def density(self, within: float) -> float:
         """``pdf^WD`` — derivative of :meth:`probability` with respect to ``within``."""
         return self.pdf.within_distance_density(self.distance, within)
-
-
-def uniform_within_distance_probability(distance: float, radius: float, within: float) -> float:
-    """Closed-form Eq. (4) for a uniform uncertainty disk.
-
-    Args:
-        distance: distance between the (crisp) query point and the expected
-            location of the object (``d_iQ``).
-        radius: uncertainty radius ``r``.
-        within: the within-distance threshold ``R_d``.
-    """
-    return UniformDiskPDF(radius).within_distance_probability(distance, within)
-
-
-def uniform_within_distance_density(distance: float, radius: float, within: float) -> float:
-    """Closed-form derivative of Eq. (4) with respect to ``R_d``."""
-    return UniformDiskPDF(radius).within_distance_density(distance, within)
 
 
 def prune_candidates(
@@ -120,13 +101,6 @@ def within_distance_matrix(
     for row, profile in enumerate(profiles):
         matrix[row] = [profile.probability(float(r)) for r in radii]
     return matrix
-
-
-def crisp_profile(object_id: object, distance: float) -> WithinDistanceProfile:
-    """Profile for an object whose location is exactly known."""
-    if distance < 0.0:
-        raise ValueError("distance must be non-negative")
-    return WithinDistanceProfile(object_id, distance, CrispPDF())
 
 
 def within_distance_probability_uncertain_pair(

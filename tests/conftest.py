@@ -20,7 +20,7 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
-from repro.core import heterogeneous, ipacnn, pruning, queries
+from repro.core import ipacnn, pruning, queries
 from repro.engine import engine as engine_module
 from repro.geometry.envelope import divide_conquer, klevel
 from repro.geometry.envelope.bulk import FunctionPack
@@ -97,7 +97,7 @@ def reference_kernels(monkeypatch):
                 patch.setattr(
                     module, "k_level_envelopes", reference_envelope.exclusion_cascade
                 )
-            for module in (divide_conquer, queries, heterogeneous):
+            for module in (divide_conquer, queries):
                 patch.setattr(module, "lower_envelope", reference_envelope.le_alg)
             patch.setattr(
                 MovingObjectsDatabase, "distance_functions", scalar_distance_functions

@@ -61,4 +61,7 @@ class TestAnnotateTree:
         tree = QueryContext.from_mod(mod, "q", 0.0, 60.0).ipac_tree(max_levels=2)
         annotated = annotate_tree(tree, mod, samples=2, grid_size=64)
         assert annotated == tree.size()
-        assert all(node.descriptor is not None for node in tree.walk())
+        # One evaluation serves every node: each node's slice of it is the
+        # descriptor the node gets alone.
+        for node in tree.walk():
+            assert node.descriptor == compute_descriptor(node, mod, "q", samples=2, grid_size=64)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.pruning import (
     band_intervals,
-    is_within_band_always,
     is_within_band_sometime,
     prune_by_band,
     time_within_band,
@@ -106,9 +105,9 @@ class TestPredicates:
         functions, envelope = scenario
         near, dipping, far = functions
         assert is_within_band_sometime(near, envelope, 2.0, 0.0, 10.0)
-        assert is_within_band_always(near, envelope, 2.0, 0.0, 10.0)
+        assert time_within_band(near, envelope, 2.0, 0.0, 10.0) == pytest.approx(10.0)
         assert is_within_band_sometime(dipping, envelope, 2.0, 0.0, 10.0)
-        assert not is_within_band_always(dipping, envelope, 2.0, 0.0, 10.0)
+        assert time_within_band(dipping, envelope, 2.0, 0.0, 10.0) < 10.0 - 1e-6
         assert not is_within_band_sometime(far, envelope, 2.0, 0.0, 10.0)
 
     def test_time_within_band_bounds(self, scenario):

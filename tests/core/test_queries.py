@@ -1,11 +1,15 @@
 """Tests for the Category 1–4 query variants on the QueryContext."""
 
+import numpy as np
 import pytest
 
 from repro.core.queries import QueryContext
 from repro.reference.naive import naive_uq11_sometime, naive_uq13_fraction
+from repro.trajectories.mod import MovingObjectsDatabase
+from repro.uncertainty.nn_probability import monte_carlo_nn_probabilities
+from repro.uncertainty.within_distance import effective_pruning_radius
 
-from ..conftest import make_linear_function, random_functions
+from ..conftest import make_linear_function, random_functions, straight_trajectory
 
 BAND = 2.0
 
@@ -229,3 +233,110 @@ class TestNaiveBaselines:
     def test_naive_unknown_target_raises(self, crossing_functions):
         with pytest.raises(KeyError):
             naive_uq11_sometime(crossing_functions, "missing", 0.0, 10.0, BAND)
+
+
+class TestMixedRadii:
+    """The store's default band serves candidates of different radii.
+
+    A wide envelope owner (r = 5, 10 away) leaves room for a narrow object
+    11 away to be nearer in many draws: the farthest a competitor can be is
+    bounded by the owner's reach, not by the smallest reach in the store,
+    so a band of ``reach_i + min_j reach_j`` would prune it.
+    """
+
+    @pytest.fixture
+    def mod(self):
+        return MovingObjectsDatabase(
+            [
+                straight_trajectory("q", (0.0, 0.0), (30.0, 0.0), radius=0.01),
+                straight_trajectory("owner", (0.0, 10.0), (30.0, 10.0), radius=5.0),
+                straight_trajectory("near", (0.0, -11.0), (30.0, -11.0), radius=0.1),
+                straight_trajectory("far", (0.0, -12.0), (30.0, -12.0), radius=0.1),
+            ]
+        )
+
+    def test_uq31_keeps_every_monte_carlo_winner(self, mod):
+        answer = set(QueryContext.from_mod(mod, "q", 0.0, 60.0).uq31_all_sometime())
+        winners = _monte_carlo_winners(mod, "q", 30.0)
+        assert "near" in winners
+        assert winners <= answer
+
+    def test_default_band_covers_the_widest_pdf_pair(self, mod):
+        query_pdf = mod.get("q").pdf
+        widest = max(
+            effective_pruning_radius(trajectory.pdf, query_pdf)
+            for trajectory in mod
+            if trajectory.object_id != "q"
+        )
+        assert mod.default_band_width("q") == pytest.approx(2.0 * (5.0 + 0.01))
+        assert mod.default_band_width("q") == pytest.approx(widest)
+        assert QueryContext.from_mod(mod, "q", 0.0, 60.0).band_width == pytest.approx(widest)
+
+    def test_equal_radii_reduce_to_4r(self):
+        mod = MovingObjectsDatabase(
+            [
+                straight_trajectory("q", (0.0, 0.0), (30.0, 0.0)),
+                straight_trajectory("a", (0.0, 1.0), (30.0, 1.0)),
+                straight_trajectory("b", (0.0, -3.5), (30.0, -3.5)),
+            ]
+        )
+        assert mod.default_band_width("q") == pytest.approx(4 * 0.5)
+
+    def test_a_wide_radius_rescues_a_borderline_candidate(self):
+        # With everyone at r = 0.25 the candidate 3.5 away is pruned: its
+        # nearest possible position, 3.0 away, cannot beat the leader's
+        # farthest, 1.5.  A large radius lets its disk reach inside the
+        # leader's ring, and the default band widens with it.
+        def world(loose_radius):
+            return MovingObjectsDatabase(
+                [
+                    straight_trajectory("q", (0.0, 0.0), (30.0, 0.0), radius=0.25),
+                    straight_trajectory("tight", (0.0, 1.0), (30.0, 1.0), radius=0.25),
+                    straight_trajectory(
+                        "loose", (0.0, -3.5), (30.0, -3.5), radius=loose_radius
+                    ),
+                    straight_trajectory("distant", (0.0, 8.0), (30.0, 8.0), radius=0.25),
+                ]
+            )
+
+        narrow = QueryContext.from_mod(world(0.25), "q", 0.0, 60.0)
+        assert not narrow.uq11_sometime("loose")
+        wide = QueryContext.from_mod(world(2.25), "q", 0.0, 60.0)
+        assert wide.uq11_sometime("loose")
+        assert wide.uq12_always("loose")
+        assert "distant" not in wide.uq31_all_sometime()
+
+    def test_category3_variants_nest(self, mod):
+        context = QueryContext.from_mod(mod, "q", 0.0, 60.0)
+        sometime = set(context.uq31_all_sometime())
+        always = set(context.uq32_all_always())
+        half = set(context.uq33_all_at_least(0.5))
+        assert always <= half <= sometime
+        stats = context.pruning_statistics()
+        assert stats.total_candidates == 3
+        assert stats.surviving_candidates == len(sometime)
+        with pytest.raises(ValueError):
+            context.uq33_all_at_least(1.5)
+
+    def test_an_object_beyond_the_band_is_pruned_and_never_wins(self, mod):
+        # 25 away, the remote object is 15 beyond the owner: wider than the
+        # 10.02 band and than the owner's farthest possible distance.
+        mod.add(straight_trajectory("remote", (0.0, -25.0), (30.0, -25.0), radius=0.1))
+        assert "remote" not in QueryContext.from_mod(mod, "q", 0.0, 60.0).uq31_all_sometime()
+        assert "remote" not in _monte_carlo_winners(mod, "q", 30.0)
+
+
+def _monte_carlo_winners(mod, query_id, t):
+    """Ids that win at least one of 20k seeded draws at time ``t``."""
+    query = mod.get(query_id)
+    others = [trajectory for trajectory in mod if trajectory.object_id != query_id]
+    won = monte_carlo_nn_probabilities(
+        [trajectory.object_id for trajectory in others],
+        np.array([trajectory.position_at(t).as_tuple() for trajectory in others]),
+        [trajectory.pdf for trajectory in others],
+        np.array(query.position_at(t).as_tuple()),
+        query.pdf,
+        samples=20_000,
+        rng=np.random.default_rng(48),
+    )
+    return {object_id for object_id, share in won.items() if share > 0.0}

@@ -2,13 +2,17 @@
 
 import gc
 
+import numpy as np
 import pytest
 
+from repro.core import ranking
 from repro.core.ranking import (
     _cached_difference_pdf,
     expected_distances_at,
     monte_carlo_ranking,
+    nn_probability_matrix,
     nn_probability_snapshot,
+    probability_columns,
     ranking_by_expected_distance,
     ranking_by_nn_probability,
     validate_theorem1,
@@ -66,6 +70,65 @@ class TestProbabilityRanking:
         assert ranking[0] == "first"
 
 
+class TestProbabilityMatrix:
+    """The one evaluator of Eq. 5 over a store."""
+
+    def test_ids_follow_store_order_and_rows_follow_times(self, clustered_mod):
+        ids, matrix = nn_probability_matrix(clustered_mod, "q", [0.0, 30.0, 60.0], grid_size=128)
+        assert ids == ["first", "second", "third"]
+        assert matrix.shape == (3, 3)
+
+    def test_each_row_equals_its_single_time_snapshot(self, clustered_mod):
+        times = [0.0, 17.5, 60.0]
+        ids, matrix = nn_probability_matrix(clustered_mod, "q", times, grid_size=128)
+        for row, t in zip(matrix, times):
+            assert dict(zip(ids, row.tolist())) == nn_probability_snapshot(
+                clustered_mod, "q", t, grid_size=128
+            )
+
+    def test_rows_are_sub_probability_vectors(self, clustered_mod):
+        _, matrix = nn_probability_matrix(clustered_mod, "q", [0.0, 30.0, 60.0], grid_size=128)
+        assert (matrix >= 0.0).all() and (matrix <= 1.0).all()
+        assert (matrix.sum(axis=1) <= 1.0 + 1e-6).all()
+        assert (matrix[:, 0] > matrix[:, 1]).all()
+
+    def test_no_times_gives_an_empty_matrix(self, clustered_mod):
+        ids, matrix = nn_probability_matrix(clustered_mod, "q", [], grid_size=128)
+        assert ids == ["first", "second", "third"]
+        assert matrix.shape == (0, 3)
+
+    def test_a_lone_query_has_no_candidates(self):
+        mod = MovingObjectsDatabase([straight_trajectory("q", (0.0, 0.0), (30.0, 0.0))])
+        ids, matrix = nn_probability_matrix(mod, "q", [0.0, 30.0], grid_size=128)
+        assert ids == []
+        assert matrix.shape == (2, 0)
+
+    def test_unknown_query_raises(self, clustered_mod):
+        with pytest.raises(KeyError):
+            nn_probability_matrix(clustered_mod, "missing", [30.0], grid_size=128)
+
+    def test_a_crisp_query_concentrates_probability_on_the_nearest(self, clustered_mod):
+        # Folding the query's disk into every candidate widens their pdfs, so
+        # a crisp query leaves the nearest candidate with more of the mass.
+        _, uncertain = nn_probability_matrix(clustered_mod, "q", [30.0], grid_size=128)
+        _, crisp = nn_probability_matrix(
+            clustered_mod, "q", [30.0], grid_size=128, query_is_crisp=True
+        )
+        assert crisp[0, 0] > uncertain[0, 0]
+        assert crisp[0, 2] < uncertain[0, 2]
+
+
+class TestProbabilityColumns:
+    def test_columns_read_the_matrix(self):
+        matrix = np.array([[0.6, 0.3], [0.5, 0.4]])
+        columns = probability_columns(["a", "b"], matrix, ["b", "a"])
+        assert columns == {"b": [0.3, 0.4], "a": [0.6, 0.5]}
+
+    def test_a_non_candidate_reads_zeros(self):
+        matrix = np.array([[0.6, 0.3], [0.5, 0.4], [0.2, 0.1]])
+        assert probability_columns(["a", "b"], matrix, ["q"]) == {"q": [0.0, 0.0, 0.0]}
+
+
 class TestTheorem1Validation:
     def test_validation_agrees_on_clustered_scenario(self, clustered_mod):
         comparison = validate_theorem1(clustered_mod, "q", 30.0, top_k=3, grid_size=256)
@@ -77,6 +140,18 @@ class TestTheorem1Validation:
         # the comparison must clamp rather than fail on noise.
         comparison = validate_theorem1(clustered_mod, "q", 30.0, top_k=10, grid_size=256)
         assert comparison.agrees
+
+    def test_one_evaluation_per_instant(self, clustered_mod, monkeypatch):
+        calls = []
+        evaluate = ranking.nn_probabilities
+
+        def counting(profiles, **options):
+            calls.append(len(profiles))
+            return evaluate(profiles, **options)
+
+        monkeypatch.setattr(ranking, "nn_probabilities", counting)
+        assert validate_theorem1(clustered_mod, "q", 30.0, top_k=3, grid_size=128).agrees
+        assert calls == [3]
 
     def test_monte_carlo_referee_agrees_on_top1(self, clustered_mod, rng):
         sampled = monte_carlo_ranking(clustered_mod, "q", 30.0, samples=8000, rng=rng)

@@ -77,10 +77,6 @@ class TestHyperbola:
             inside_only = a.intersection_times(b, boundary, 10.0)
             assert boundary not in inside_only
 
-    def test_shifted_not_supported(self):
-        with pytest.raises(NotImplementedError):
-            Hyperbola(1.0, 0.0, 1.0).shifted(2.0)
-
 
 class TestHyperbolaPiece:
     def test_reversed_interval_rejected(self):

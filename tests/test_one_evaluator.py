@@ -8,7 +8,9 @@ and run a plan; none of them prepares contexts or extracts answers itself.
 This check keeps it that way: outside ``repro/engine/`` and the planner, no
 module may call ``.prepare_batch(`` or ``.prepare(``, and ``answer_of(`` is
 called only by the planner and the from-scratch oracle
-``streaming.reference_answer``.
+``streaming.reference_answer``.  A cold, unindexed ``from_mod(`` context is
+built only by the two from-scratch oracles, ``streaming.reference_answer``
+and the planner's ``execute_query_naive``.
 
 A statement's identity and its grouping rule live on
 :class:`~repro.query_language.planner.PlannedStatement` alone: no module
@@ -26,6 +28,10 @@ PLANNER = Path("query_language") / "planner.py"
 PREPARE_METHODS = {"prepare_batch", "prepare"}
 #: ``(module, enclosing function)`` pairs allowed to call ``answer_of``.
 ANSWER_OF_ORACLES = {(Path("streaming") / "monitor.py", "reference_answer")}
+#: ``(module, enclosing function)`` pairs allowed to call ``from_mod``.
+FROM_MOD_ORACLES = ANSWER_OF_ORACLES | {
+    (Path("query_language") / "executor.py", "execute_query_naive")
+}
 #: Names of a statement's identity and grouping rule (compared lower-cased).
 IDENTITY_NAMES = {"group_key", "fingerprint"}
 
@@ -45,13 +51,16 @@ def _offenders(package: Path = PACKAGE):
     offenders = []
     for path in sorted(package.rglob("*.py")):
         relative = path.relative_to(package)
-        if relative.parts[0] == "engine" or relative == PLANNER:
-            continue
+        planned = relative.parts[0] == "engine" or relative == PLANNER
         for name, method, owner, line in _calls(ast.parse(path.read_text())):
+            if planned and name != "from_mod":
+                continue
             if method and name in PREPARE_METHODS:
                 offenders.append(f"{relative}:{line} calls .{name}(")
             elif name == "answer_of" and (relative, owner) not in ANSWER_OF_ORACLES:
                 offenders.append(f"{relative}:{line} calls answer_of(")
+            elif name == "from_mod" and (relative, owner) not in FROM_MOD_ORACLES:
+                offenders.append(f"{relative}:{line} calls from_mod(")
     return offenders
 
 
@@ -86,7 +95,7 @@ def test_only_the_plan_prepares_and_extracts_answers():
     offenders = _offenders()
     assert not offenders, (
         "build PlannedStatements and run plan_statements(...).execute(engine) "
-        f"instead of preparing or extracting answers by hand: {offenders}"
+        f"instead of preparing, building contexts or extracting answers by hand: {offenders}"
     )
 
 
@@ -100,16 +109,25 @@ def test_the_guard_sees_the_calls_it_forbids(tmp_path):
         "    batch = engine.prepare_batch(ids, 0.0, 1.0)\n"
         "    one = engine.prepare(ids[0], 0.0, 1.0)\n"
         "    return [answer_of(p.context, 'sometime') for p in batch], one\n"
+        "def cold(mod, ids):\n"
+        "    return [QueryContext.from_mod(mod, i, 0.0, 1.0) for i in ids]\n"
     )
     (fake / "streaming").mkdir()
     (fake / "streaming" / "monitor.py").write_text(
-        "def reference_answer(context):\n"
-        "    return answer_of(context, 'sometime')\n"
+        "def reference_answer(mod, i):\n"
+        "    return answer_of(QueryContext.from_mod(mod, i, 0.0, 1.0), 'sometime')\n"
+    )
+    (fake / "engine").mkdir()
+    (fake / "engine" / "engine.py").write_text(
+        "def build(mod, i):\n"
+        "    return QueryContext.from_mod(mod, i, 0.0, 1.0)\n"
     )
     assert _offenders(fake) == [
+        "engine/engine.py:2 calls from_mod(",
         "service/loop.py:2 calls .prepare_batch(",
         "service/loop.py:3 calls .prepare(",
         "service/loop.py:4 calls answer_of(",
+        "service/loop.py:6 calls from_mod(",
     ]
 
 

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geometry.point import Point2D
 from repro.uncertainty.cone import ConePDF
 from repro.uncertainty.convolution import (
-    convolution_centroid_offset,
     convolve_radial_pdfs,
     difference_pdf,
     uniform_difference_pdf,
@@ -98,8 +96,3 @@ class TestDifferencePDF:
         )
         assert result.support_radius == pytest.approx(2.0)
         assert result.total_mass() == pytest.approx(1.0, abs=5e-2)
-
-    def test_centroid_offset_property(self):
-        # Property 1: the centroid of the convolution is the sum of centroids.
-        centroid = convolution_centroid_offset(Point2D(1.0, 2.0), Point2D(-3.0, 0.5))
-        assert centroid.as_tuple() == (-2.0, 2.5)

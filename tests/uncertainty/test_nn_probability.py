@@ -7,7 +7,6 @@ from repro.uncertainty.nn_probability import (
     monte_carlo_nn_probabilities,
     nn_probabilities,
     probability_mass_deficit,
-    rank_by_nn_probability,
 )
 from repro.uncertainty.pdf import CrispPDF
 from repro.uncertainty.uniform import UniformDiskPDF
@@ -82,14 +81,13 @@ class TestNNProbabilities:
 
 class TestRanking:
     def test_rank_matches_distance_order(self):
-        ranking = rank_by_nn_probability(make_profiles([4.0, 2.0, 3.0]))
-        assert ranking[0] == "obj-1"
-        assert ranking[1] == "obj-2"
-        assert ranking[2] == "obj-0"
+        results = nn_probabilities(make_profiles([4.0, 2.0, 3.0]))
+        assert results["obj-1"].exclusive > results["obj-2"].exclusive
+        assert results["obj-2"].exclusive > results["obj-0"].exclusive
 
     def test_rank_is_stable_for_ties(self):
-        ranking = rank_by_nn_probability(make_profiles([10.0, 10.0]))
-        assert set(ranking) == {"obj-0", "obj-1"}
+        results = nn_probabilities(make_profiles([10.0, 10.0]))
+        assert results["obj-0"].exclusive == results["obj-1"].exclusive
 
 
 class TestMonteCarlo:

@@ -6,12 +6,9 @@ from repro.uncertainty.pdf import CrispPDF
 from repro.uncertainty.uniform import UniformDiskPDF
 from repro.uncertainty.within_distance import (
     WithinDistanceProfile,
-    crisp_profile,
     effective_pruning_radius,
     integration_bounds,
     prune_candidates,
-    uniform_within_distance_density,
-    uniform_within_distance_probability,
     within_distance_matrix,
     within_distance_probability_uncertain_pair,
 )
@@ -34,14 +31,10 @@ class TestWithinDistanceProfile:
         assert profile.density(3.0) > 0.0
 
     def test_crisp_profile(self):
-        profile = crisp_profile("q", 2.0)
+        profile = WithinDistanceProfile("q", 2.0, CrispPDF())
         assert profile.r_min == profile.r_max == 2.0
         assert profile.probability(1.9) == 0.0
         assert profile.probability(2.1) == 1.0
-
-    def test_crisp_profile_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            crisp_profile("q", -1.0)
 
 
 class TestPruning:
@@ -83,15 +76,6 @@ class TestPruning:
 
 
 class TestHelpers:
-    def test_uniform_wrappers_match_pdf_methods(self):
-        pdf = UniformDiskPDF(1.5)
-        assert uniform_within_distance_probability(3.0, 1.5, 2.5) == pytest.approx(
-            pdf.within_distance_probability(3.0, 2.5)
-        )
-        assert uniform_within_distance_density(3.0, 1.5, 2.5) == pytest.approx(
-            pdf.within_distance_density(3.0, 2.5)
-        )
-
     def test_within_distance_matrix_shape_and_monotonicity(self):
         import numpy as np
 
