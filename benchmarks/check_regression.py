@@ -21,6 +21,11 @@ values recorded from smoke runs — the gate catches order-of-magnitude
 regressions (an accidentally disabled cache, a quadratic path), not CI
 machine jitter.
 
+A gate may record ``"spread": [low, high]``, the range its metric read over
+repeated quick runs of an unchanged tree.  When the limit lies inside that
+range the gate passes or fails by chance on such a box, so its row says
+"not discriminating"; whether it passes is decided as before.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py --quick
@@ -44,7 +49,9 @@ DEFAULT_TOLERANCE = 0.30
 def check_bench(baseline: dict, results_dir: str, tolerance: float) -> list:
     """Evaluate one baseline file; returns a list of row tuples.
 
-    Each row is ``(bench, metric, baseline, measured, limit, ok, note)``.
+    Each row is ``(bench, metric, baseline, measured, limit, ok, note)``;
+    ``note`` ends in "not discriminating" when the limit lies inside the
+    gate's recorded spread.
     """
     bench = baseline["bench"]
     rows = []
@@ -77,7 +84,11 @@ def check_bench(baseline: dict, results_dir: str, tolerance: float) -> list:
             rows.append((bench, metric, base, value, None, False,
                          f"unknown direction {direction!r}"))
             continue
-        rows.append((bench, metric, base, value, limit, ok, direction))
+        note = direction
+        spread = gate.get("spread")
+        if spread is not None and spread[0] <= limit <= spread[1]:
+            note += f", not discriminating: spread {spread[0]:.2f}-{spread[1]:.2f}"
+        rows.append((bench, metric, base, value, limit, ok, note))
     return rows
 
 
@@ -113,7 +124,9 @@ def main() -> int:
         for bench, metric, base, value, limit, ok, note in check_bench(
             baseline, args.results_dir, args.tolerance
         ):
-            status = "ok" if ok else f"FAIL ({note})"
+            status = "ok" if ok else "FAIL"
+            if not ok or "not discriminating" in note:
+                status += f" ({note})"
             fmt = lambda x: "-" if x is None else f"{x:.2f}"
             print(
                 f"{bench:<14}{metric:<34}{fmt(base):>10}{fmt(value):>10}"

@@ -35,6 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..geometry.envelope import quadratic
 from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola
 from ..geometry.envelope.pieces import Envelope
@@ -510,25 +511,18 @@ def _band_rows_vector(
 def _value_bounds(
     lo: np.ndarray, hi: np.ndarray, coeffs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Bounds on every value ``_quadratic_sqrt`` computes inside each row.
+    """Bounds on every value ``quadratic.distance`` computes inside each row.
 
-    A quadratic's extrema over an interval are at its ends and its (clamped)
-    vertex; loosening the squared extrema by ``_BOUND_SLACK`` of the terms'
+    ``quadratic.extrema`` gives the squared extrema over the row (its ends
+    and the vertex inside); loosening them by ``_BOUND_SLACK`` of the terms'
     magnitude covers the rounding of any evaluation in the row, and the
-    clipped square root is monotone, so ``low <= value <= high`` holds for
+    floored square root is monotone, so ``low <= value <= high`` holds for
     the floats the sample grid computes, not just for the exact curve.
     """
     a, b, c = coeffs.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.where(a != 0.0, -b / (2.0 * a), lo)
-    at = np.stack([lo, hi, np.clip(vertex, lo, hi)])
-    squared = (a * at + b) * at + c
-    reach = np.maximum(np.abs(lo), np.abs(hi))
-    slack = _BOUND_SLACK * ((np.abs(a) * reach + np.abs(b)) * reach + np.abs(c))
-    return (
-        np.sqrt(np.maximum(squared.min(axis=0) - slack, 0.0)),
-        np.sqrt(np.maximum(squared.max(axis=0) + slack, 0.0)),
-    )
+    low, high = quadratic.extrema(a, b, c, lo, hi)
+    slack = _BOUND_SLACK * quadratic.magnitude(a, b, c, np.maximum(np.abs(lo), np.abs(hi)))
+    return np.sqrt(quadratic.floored(low - slack)), np.sqrt(quadratic.floored(high + slack))
 
 
 def _merged_runs(
@@ -576,23 +570,11 @@ def _row_sample_grid(
     """Per-row sorted sample times: an even grid plus the two curve vertices."""
     fractions = np.linspace(0.0, 1.0, samples)
     grid = lo[:, None] + (hi - lo)[:, None] * fractions[None, :]
-    columns = [grid]
-    for coeffs in (env_coeffs, fun_coeffs):
-        a, b = coeffs[:, 0], coeffs[:, 1]
-        non_degenerate = np.abs(a) > 1e-12
-        denominator = np.where(non_degenerate, 2.0 * a, 1.0)
-        vertex = np.where(non_degenerate, -b / denominator, lo)
-        vertex = np.where((vertex > lo) & (vertex < hi), vertex, lo)
-        columns.append(vertex[:, None])
-    return np.sort(np.concatenate(columns, axis=1), axis=1)
-
-
-def _quadratic_sqrt(times: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``sqrt(max(0, a t² + b t + c))`` with per-row coefficients broadcast."""
-    a = coeffs[:, 0:1]
-    b = coeffs[:, 1:2]
-    c = coeffs[:, 2:3]
-    return np.sqrt(np.maximum((a * times + b) * times + c, 0.0))
+    vertices = [
+        quadratic.interior_vertex(coeffs[:, 0], coeffs[:, 1], lo, hi)[:, None]
+        for coeffs in (env_coeffs, fun_coeffs)
+    ]
+    return np.sort(np.concatenate([grid, *vertices], axis=1), axis=1)
 
 
 def _gap_grid(
@@ -604,9 +586,9 @@ def _gap_grid(
     """Gap values ``envelope + band − function`` over a (rows × samples) grid;
     ``band_width`` is one width or a (rows × 1) column of them."""
     return (
-        _quadratic_sqrt(times, env_coeffs)
+        quadratic.distance(*env_coeffs.T[:, :, None], times)
         + band_width
-        - _quadratic_sqrt(times, fun_coeffs)
+        - quadratic.distance(*fun_coeffs.T[:, :, None], times)
     )
 
 
@@ -699,15 +681,15 @@ def _bisect_brackets(
     )
     steps_per_bracket = per_group_steps[groups]
     # The brackets' coefficient columns, gathered once for every step:
-    # row 0 the envelope's, row 1 the candidate's, so one pass of
-    # ``_quadratic_sqrt``'s expression evaluates both curves.
+    # row 0 the envelope's, row 1 the candidate's, so one
+    # ``quadratic.distance`` evaluates both curves.
     a, b, c = np.stack([env_coeffs[rows_idx], fun_coeffs[rows_idx]]).transpose(2, 0, 1)
     a, b, c = (np.ascontiguousarray(column) for column in (a, b, c))
     band = np.broadcast_to(band_width, group_of_row.shape)[rows_idx]
     fewest = int(steps_per_bracket.min(initial=_BISECTION_STEPS))
     for iteration in range(int(steps_per_bracket.max(initial=0))):
         t_mid = 0.5 * (t_a + t_b)
-        env_mid, fun_mid = np.sqrt(np.maximum((a * t_mid + b) * t_mid + c, 0.0))
+        env_mid, fun_mid = quadratic.distance(a, b, c, t_mid)
         g_mid = env_mid + band - fun_mid
         go_left = g_a * g_mid <= 0.0
         if iteration < fewest:

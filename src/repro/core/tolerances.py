@@ -21,6 +21,12 @@ TIME_TOLERANCE = 1e-9
 #: for hyperbola intersections (the linear/constant degenerate cases).
 COEFF_EPSILON = 1e-12
 
+#: A piecewise distance function jumps at a breakpoint where its two pieces'
+#: squared values there differ by more than this share of their terms'
+#: magnitude: far above the rounding of one evaluation (a few ulps of it),
+#: far below a real jump.  A relative threshold, not a time tolerance.
+RELATIVE_JUMP = 1e-9
+
 #: Absolute slack when testing whole-window coverage (UQ12/UQ22/UQ32) and
 #: fraction thresholds (UQ13/UQ23/UQ33): interval extraction leaves gaps of
 #: this order at merged boundaries.

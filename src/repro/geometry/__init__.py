@@ -1,19 +1,9 @@
 """Geometric primitives: points, disks, circle operations, segments, envelopes."""
 
-from .circle_ops import (
-    annulus_area,
-    chord_angles,
-    circle_circle_intersection_points,
-    circle_intersection_area,
-    disk_intersection_area,
-)
+from .circle_ops import circle_intersection_area
 from .disk import Disk
 from .point import ORIGIN, Point2D, Vector2D, ZERO_VECTOR
-from .segment import (
-    SpaceTimeSegment,
-    euclidean_speed,
-    segments_distance_squared_coefficients,
-)
+from .segment import SpaceTimeSegment, euclidean_speed
 
 __all__ = [
     "ORIGIN",
@@ -22,11 +12,6 @@ __all__ = [
     "Point2D",
     "SpaceTimeSegment",
     "Vector2D",
-    "annulus_area",
-    "chord_angles",
-    "circle_circle_intersection_points",
     "circle_intersection_area",
-    "disk_intersection_area",
     "euclidean_speed",
-    "segments_distance_squared_coefficients",
 ]

@@ -4,16 +4,13 @@ The within-distance probability of Eq. (3)/(4) in the paper integrates a
 location pdf over the intersection of two disks (the uncertainty disk of the
 object and the query's within-distance disk).  For uniform pdfs the integral
 is proportional to the *lens area* of the intersection; this module provides
-that area and the related intersection primitives in a numerically careful
-form.
+that area in a numerically careful form.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
-from .disk import Disk
 from .point import Point2D
 
 
@@ -58,75 +55,3 @@ def circle_intersection_area(
     area_a = ra2 * (alpha - math.sin(2.0 * alpha) / 2.0)
     area_b = rb2 * (beta - math.sin(2.0 * beta) / 2.0)
     return area_a + area_b
-
-
-def disk_intersection_area(disk_a: Disk, disk_b: Disk) -> float:
-    """Area of the intersection of two :class:`~repro.geometry.disk.Disk` objects."""
-    return circle_intersection_area(
-        disk_a.center, disk_a.radius, disk_b.center, disk_b.radius
-    )
-
-
-def circle_circle_intersection_points(
-    center_a: Point2D, radius_a: float, center_b: Point2D, radius_b: float
-) -> List[Point2D]:
-    """Intersection points of two circles (0, 1 or 2 points).
-
-    Tangency is reported as a single point.  Coincident circles raise
-    ``ValueError`` because the intersection is not a finite point set.
-    """
-    distance = center_a.distance_to(center_b)
-    if distance < 1e-15 and abs(radius_a - radius_b) < 1e-15:
-        raise ValueError("coincident circles intersect in infinitely many points")
-    if distance > radius_a + radius_b or distance < abs(radius_a - radius_b):
-        return []
-
-    # Distance from center_a to the radical line along the center line.
-    a = (radius_a * radius_a - radius_b * radius_b + distance * distance) / (
-        2.0 * distance
-    )
-    h_squared = radius_a * radius_a - a * a
-    h = math.sqrt(max(0.0, h_squared))
-    ux = (center_b.x - center_a.x) / distance
-    uy = (center_b.y - center_a.y) / distance
-    mid_x = center_a.x + a * ux
-    mid_y = center_a.y + a * uy
-    if h < 1e-12:
-        return [Point2D(mid_x, mid_y)]
-    return [
-        Point2D(mid_x + h * -uy, mid_y + h * ux),
-        Point2D(mid_x - h * -uy, mid_y - h * ux),
-    ]
-
-
-def chord_angles(distance: float, radius_a: float, radius_b: float) -> Tuple[float, float]:
-    """Half-angles subtended by the intersection chord seen from each center.
-
-    Returns ``(alpha, beta)`` where ``alpha`` is the half-angle at the first
-    circle's center and ``beta`` at the second.  Used by the closed-form
-    uniform within-distance probability (Eq. 4 of the paper).
-
-    Raises:
-        ValueError: when the circles do not properly intersect.
-    """
-    if distance >= radius_a + radius_b or distance <= abs(radius_a - radius_b):
-        raise ValueError("circles must properly intersect to define chord angles")
-    d2 = distance * distance
-    cos_alpha = (d2 + radius_a * radius_a - radius_b * radius_b) / (
-        2.0 * distance * radius_a
-    )
-    cos_beta = (d2 + radius_b * radius_b - radius_a * radius_a) / (
-        2.0 * distance * radius_b
-    )
-    alpha = math.acos(min(1.0, max(-1.0, cos_alpha)))
-    beta = math.acos(min(1.0, max(-1.0, cos_beta)))
-    return alpha, beta
-
-
-def annulus_area(inner_radius: float, outer_radius: float) -> float:
-    """Area of the annulus (ring) between ``inner_radius`` and ``outer_radius``."""
-    if inner_radius < 0 or outer_radius < 0:
-        raise ValueError("radii must be non-negative")
-    if outer_radius < inner_radius:
-        raise ValueError("outer radius must be at least the inner radius")
-    return math.pi * (outer_radius * outer_radius - inner_radius * inner_radius)

@@ -13,7 +13,7 @@ over the window's *contenders* only: a closed-form bound on every function's
 values, slot by slot, cuts those that stay too far above level k+1 to own a
 level or meet an owner anywhere the walk looks.  The crossings of every
 contender piece with the other contenders are solved in one closed-form NumPy
-pass (the exact floating-point expressions of ``Hyperbola.intersection_times``)
+pass (``quadratic.roots``, the floats of the scalar ``quadratic.crossing_times``)
 and the next event is the earliest an owner reads, so a window costs one pass
 over the pieces plus the pairs of its few contenders, not O(n) per function
 that ever owns a level.  Two functions exchange ranks only where they are
@@ -46,7 +46,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.tolerances import COEFF_EPSILON, TIME_TOLERANCE
+from ...core.tolerances import RELATIVE_JUMP, TIME_TOLERANCE
+from . import quadratic
 from .hyperbola import DistanceFunction, Hyperbola, HyperbolaPiece
 from .pieces import Envelope, EnvelopePiece
 
@@ -242,8 +243,8 @@ class FunctionPack(abc.Sequence):
         """Every function's value at ``t`` (same floats as ``.value(t)``)."""
         if piece is None:
             piece = self.piece_index_at(t)
-        quad = (self.a[piece] * t + self.b[piece]) * t + self.c[piece]
-        return np.sqrt(np.where(quad > 0.0, quad, 0.0))
+        squared = quadratic.value(self.a[piece], self.b[piece], self.c[piece], t)
+        return np.sqrt(quadratic.clamped(squared))
 
     def differ(self, one: np.ndarray, two: np.ndarray) -> np.ndarray:
         """Whether pieces ``one`` and ``two`` are different curves."""
@@ -300,38 +301,20 @@ class FunctionPack(abc.Sequence):
         where a curve jumps instead it has to look at the values again.
         """
         at = self.starts[self.followers]
-
-        def squared(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: np.ndarray):
-            return (a * t + b) * t + c
-
-        sides = [
+        after, before = (
             (self.a[piece], self.b[piece], self.c[piece])
             for piece in (self.followers, self.followers - 1)
-        ]
-        gap = squared(*sides[0], at) - squared(*sides[1], at)
-        scale = sum(squared(*map(np.abs, side), np.abs(at)) for side in sides)
+        )
+        gap = quadratic.value(*after, at) - quadratic.value(*before, at)
+        scale = quadratic.magnitude(*after, at) + quadratic.magnitude(*before, at)
         jumps = np.zeros(len(self.starts), dtype=bool)
-        jumps[self.followers] = np.abs(gap) > 1e-9 * scale
+        jumps[self.followers] = np.abs(gap) > RELATIVE_JUMP * scale
         return jumps
 
     def jump_times(self, t_lo: float, t_hi: float) -> List[float]:
         """Interior breakpoints at which some function is discontinuous."""
         at = self.starts
         return np.unique(at[self.jumping() & (at > t_lo) & (at < t_hi)]).tolist()
-
-
-def _extrema(a, b, c, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest of ``a t² + b t + c`` over ``[lo, hi]`` in closed
-    form (the ends, and the vertex inside); ``(inf, -inf)`` where ``lo > hi``."""
-    ends = [(a * t + b) * t + c for t in (lo, hi)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = -b / (2.0 * a)
-        middle = np.where((lo < vertex) & (vertex < hi), (a * vertex + b) * vertex + c, ends[0])
-    empty = lo > hi
-    return (
-        np.where(empty, np.inf, np.minimum(np.minimum(*ends), middle)),
-        np.where(empty, -np.inf, np.maximum(np.maximum(*ends), middle)),
-    )
 
 
 def slot_bounds(
@@ -353,14 +336,14 @@ def slot_bounds(
         piece = np.nonzero(serving)[0]
         first = np.searchsorted(pack.owner[piece], np.arange(len(pack)))
     edges = np.linspace(t_lo, t_hi, slots + 1)
-    low, high = _extrema(
+    low, high = quadratic.extrema(
         pack.a[piece, None], pack.b[piece, None], pack.c[piece, None],
         np.maximum(lo[piece, None], edges[:-1] - _NEAR),
         np.minimum(hi[piece, None], edges[1:] + _NEAR),
     )
     return (
-        np.sqrt(np.maximum(np.minimum.reduceat(low, first), 0.0)),
-        np.sqrt(np.maximum(np.maximum.reduceat(high, first), 0.0)),
+        np.sqrt(quadratic.floored(np.minimum.reduceat(low, first))),
+        np.sqrt(quadratic.floored(np.maximum.reduceat(high, first))),
     )
 
 
@@ -399,64 +382,47 @@ def _contenders(
     return rows, floor - reach / 2.0
 
 
-def _solve_all(
-    pack: FunctionPack, pieces: np.ndarray, t_lo: float, t_hi: float
-) -> Dict[int, Tuple[List[float], List[int], List[Tuple[float, float]]]]:
-    """Per piece of ``pieces``: its crossing roots with every other function,
-    ascending, the partner piece of each, and the spans a guard fired in.
+def _crossings(pack: FunctionPack, p, q: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach):
+    """Solve ``(a_p - a_q) t² + (b_p - b_q) t + (c_p - c_q) = 0`` for each
+    pair of an owner piece ``p`` and a partner piece ``q`` (broadcast), keep
+    the roots inside the overlap ``[lo, hi]`` as ``quadratic.crossing_times``
+    does (symmetric in the two curves), and fire the guards.
 
-    One pass over every pair of a piece ``p`` and a piece ``q`` of another
-    function overlapping it inside the window, solving ``(a_p - a_q) t² +
-    (b_p - b_q) t + (c_p - c_q) = 0`` with the float expressions and
-    open-interval tolerance filter of ``Hyperbola.intersection_times``
-    (symmetric in the two curves).  Guards look only at roots and vertices
-    within ``_NEAR`` of the overlap.
+    Guards look only at roots and vertices within ``_NEAR`` of the overlap
+    and measure rounding by the owner piece's magnitude; ``reach`` is the
+    largest ``|t|`` of the owner's part of the window.
+
+    Returns:
+        ``(roots, keep, fired, vertex, graze, flat)``: both roots of each
+        pair, smaller first (NaN where none), and the roots kept; the roots
+        a guard fired at; each pair's extremum of the squared difference and
+        whether the pair touches there without crossing; whether the pair is
+        near-identical over its whole overlap.
     """
-    p_lo = np.maximum(t_lo, pack.starts[pieces])
-    p_hi = np.minimum(t_hi, pack.ends[pieces])
-    index, q = np.nonzero(
-        (pack.owner != pack.owner[pieces, None])
-        & (pack.starts < p_hi[:, None])
-        & (pack.ends > p_lo[:, None])
-    )
-    p = pieces[index]
-    lo, hi = np.maximum(p_lo[index], pack.starts[q]), np.minimum(p_hi[index], pack.ends[q])
-    da, db, dc = pack.a[p] - pack.a[q], pack.b[p] - pack.b[q], pack.c[p] - pack.c[q]
-    scale = np.abs(pack.a[p]), np.abs(pack.b[p]), np.abs(pack.c[p])
+    a, b, c = pack.a[p], pack.b[p], pack.c[p]
+    da, db, dc = a - pack.a[q], b - pack.b[q], c - pack.c[q]
 
     def magnitude(at):
-        # The scale of the rounding error of the squared value at ``at``: the
-        # sum of its terms, which dwarfs the value itself where they cancel.
-        at = np.abs(at)
-        return (scale[0] * at + scale[1]) * at + scale[2] + 1e-300
+        return quadratic.magnitude(a, b, c, at) + 1e-300
 
     # No time a guard looks at has a larger magnitude than this, so most
     # pairs are cleared by one comparison.
-    ceiling = magnitude(np.maximum(np.abs(p_lo[index]), np.abs(p_hi[index])) + _NEAR)
-    linear = np.abs(da) < COEFF_EPSILON
-    sloped = linear & (np.abs(db) >= COEFF_EPSILON)
+    ceiling = magnitude(reach + _NEAR)
+    roots, disc, linear, sloped = quadratic.roots(da, db, dc)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        disc = db * db - 4.0 * da * dc
-        solvable = ~linear & (disc >= 0.0)
-        sqrt_disc = np.sqrt(np.where(solvable, disc, 0.0))
-        # Both roots of every pair, smaller first; NaN where there is none.
-        r_minus, r_plus = (-db - sqrt_disc) / (2.0 * da), (-db + sqrt_disc) / (2.0 * da)
-        roots = np.stack([np.minimum(r_minus, r_plus), np.maximum(r_minus, r_plus)])
-        roots[:, ~solvable] = np.nan
-        roots[0, sloped] = -dc[sloped] / db[sloped]
         keep = (lo + TIME_TOLERANCE < roots) & (roots < hi - TIME_TOLERANCE)
         # Guards: a root hugging an end of its overlap, a (near-)double
         # root, a shallow crossing, and a contact without a crossing.
-        reach = (roots >= lo - _NEAR) & (roots <= hi + _NEAR)
+        near = (roots >= lo - _NEAR) & (roots <= hi + _NEAR)
         fired = ((roots >= lo) & (roots <= lo + _TANGENT_GUARD)) | (
             (roots >= hi - _TANGENT_GUARD) & (roots <= hi)
         )
-        fired[0] |= reach[0] & (roots[1] - roots[0] <= _TANGENT_GUARD)
+        fired[0] |= near[0] & (roots[1] - roots[0] <= _TANGENT_GUARD)
         slope = np.abs(2.0 * da * roots + db)
-        shallow = reach & (slope <= ceiling * _SHALLOW_GUARD)
+        shallow = near & (slope <= ceiling * _SHALLOW_GUARD)
         if shallow.any():
             fired |= shallow & (slope <= magnitude(roots) * _SHALLOW_GUARD)
-        vertex = -db / (2.0 * da)
+        vertex = quadratic.vertex(da, db)
         depth = np.abs(disc) / (4.0 * np.abs(da))
         graze = ~linear & (disc < 0.0) & (depth <= ceiling * _GRAZE_GUARD)
         if graze.any():
@@ -469,6 +435,29 @@ def _solve_all(
         span = np.maximum(np.abs(lo), np.abs(hi))
         residual = np.abs(da) * span * span + np.abs(db) * span + np.abs(dc)
         flat &= residual <= magnitude((lo + hi) / 2.0) * 1e-10
+    return roots, keep, fired, vertex, graze, flat
+
+
+def _solve_all(
+    pack: FunctionPack, pieces: np.ndarray, t_lo: float, t_hi: float
+) -> Dict[int, Tuple[List[float], List[int], List[Tuple[float, float]]]]:
+    """Per piece of ``pieces``: its crossing roots with every other function,
+    ascending, the partner piece of each, and the spans a guard fired in.
+
+    One :func:`_crossings` pass over every pair of a piece ``p`` and a piece
+    ``q`` of another function overlapping it inside the window.
+    """
+    p_lo = np.maximum(t_lo, pack.starts[pieces])
+    p_hi = np.minimum(t_hi, pack.ends[pieces])
+    index, q = np.nonzero(
+        (pack.owner != pack.owner[pieces, None])
+        & (pack.starts < p_hi[:, None])
+        & (pack.ends > p_lo[:, None])
+    )
+    lo, hi = np.maximum(p_lo[index], pack.starts[q]), np.minimum(p_hi[index], pack.ends[q])
+    roots, keep, fired, vertex, graze, flat = _crossings(
+        pack, pieces[index], q, lo, hi, np.maximum(np.abs(p_lo[index]), np.abs(p_hi[index]))
+    )
     # Roots by piece, then by time, stably where times tie: equal roots from
     # two partners fire the guard on crossings near an event, so their order
     # never shows, but it stays one order whatever else is solved.
@@ -664,7 +653,7 @@ def _walk(
             owners[rank], pieces[rank] = other, partner
     # Every owner's highest value on each slot its step, widened, meets.
     edges, piece = np.linspace(t_lo, t_hi, _SLOTS + 1), np.array(held)[:, :, None]
-    _, high = _extrema(
+    _, high = quadratic.extrema(
         pack.a[piece], pack.b[piece], pack.c[piece],
         np.maximum(np.array(bounds[:-1])[:, None, None], edges[:-1]) - _NEAR,
         np.minimum(np.array(bounds[1:])[:, None, None], edges[1:]) + _NEAR,

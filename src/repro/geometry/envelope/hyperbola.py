@@ -6,8 +6,8 @@ root of a quadratic in time — a branch of a hyperbola.  All continuous query
 processing reduces to manipulating arrangements of such curves, so this
 module provides:
 
-* :class:`Hyperbola` — the curve itself with evaluation, minimum, and
-  pairwise intersection;
+* :class:`Hyperbola` — the curve itself, evaluated through
+  :mod:`~repro.geometry.envelope.quadratic`, which owns its coefficients;
 * :class:`DistanceFunction` — a *piecewise* hyperbola attached to an object
   id, covering trajectories that consist of several segments inside the query
   window.
@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ...core.tolerances import COEFF_EPSILON as _EPSILON
+from ...core.tolerances import TIME_TOLERANCE
+from . import quadratic
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,14 +37,9 @@ class Hyperbola:
     b: float
     c: float
 
-    def value_squared(self, t: float) -> float:
-        """Squared distance at time ``t`` (clamped at zero)."""
-        value = (self.a * t + self.b) * t + self.c
-        return value if value > 0.0 else 0.0
-
     def value(self, t: float) -> float:
-        """Distance at time ``t``."""
-        return math.sqrt(self.value_squared(t))
+        """Distance at time ``t``, its square clamped at zero."""
+        return math.sqrt(quadratic.clamped(quadratic.value(self.a, self.b, self.c, t)))
 
     @property
     def vertex_time(self) -> Optional[float]:
@@ -52,75 +48,7 @@ class Hyperbola:
         ``None`` for a degenerate (constant-relative-velocity-zero) curve,
         whose distance is constant in time.
         """
-        if abs(self.a) < _EPSILON:
-            return None
-        return -self.b / (2.0 * self.a)
-
-    def minimum_on(self, t_lo: float, t_hi: float) -> Tuple[float, float]:
-        """Minimum value and its time over ``[t_lo, t_hi]``.
-
-        Returns:
-            ``(t_min, d_min)``.
-        """
-        if t_hi < t_lo:
-            raise ValueError(f"empty interval [{t_lo}, {t_hi}]")
-        candidates = [t_lo, t_hi]
-        vertex = self.vertex_time
-        if vertex is not None and t_lo < vertex < t_hi:
-            candidates.append(vertex)
-        best_t = min(candidates, key=self.value_squared)
-        return best_t, self.value(best_t)
-
-    def maximum_on(self, t_lo: float, t_hi: float) -> Tuple[float, float]:
-        """Maximum value and its time over ``[t_lo, t_hi]``.
-
-        Because the quadratic opens upward (``a >= 0`` for genuine distance
-        functions) the maximum is attained at an endpoint; for robustness the
-        vertex is also considered when ``a < 0``.
-        """
-        if t_hi < t_lo:
-            raise ValueError(f"empty interval [{t_lo}, {t_hi}]")
-        candidates = [t_lo, t_hi]
-        vertex = self.vertex_time
-        if vertex is not None and t_lo < vertex < t_hi:
-            candidates.append(vertex)
-        best_t = max(candidates, key=self.value_squared)
-        return best_t, self.value(best_t)
-
-    def intersection_times(
-        self, other: "Hyperbola", t_lo: float, t_hi: float, tolerance: float = 1e-9
-    ) -> List[float]:
-        """Times in ``(t_lo, t_hi)`` at which the two curves cross.
-
-        Since both curves are square roots of quadratics, equality of the
-        distances is equivalent to equality of the squared distances, i.e. a
-        quadratic equation — two hyperbolic distance functions intersect in
-        at most two points (the Davenport–Schinzel argument of Section 3.2).
-
-        Interval endpoints are excluded (they are already critical points of
-        the sweep); duplicate roots are collapsed.
-        """
-        da = self.a - other.a
-        db = self.b - other.b
-        dc = self.c - other.c
-        roots: List[float] = []
-        if abs(da) < _EPSILON:
-            if abs(db) < _EPSILON:
-                return []
-            roots = [-dc / db]
-        else:
-            discriminant = db * db - 4.0 * da * dc
-            if discriminant < 0.0:
-                return []
-            sqrt_disc = math.sqrt(discriminant)
-            roots = [(-db - sqrt_disc) / (2.0 * da), (-db + sqrt_disc) / (2.0 * da)]
-
-        inside: List[float] = []
-        for root in sorted(roots):
-            if t_lo + tolerance < root < t_hi - tolerance:
-                if not inside or abs(root - inside[-1]) > tolerance:
-                    inside.append(root)
-        return inside
+        return None if quadratic.is_linear(self.a) else quadratic.vertex(self.a, self.b)
 
     @staticmethod
     def from_relative_motion(
@@ -130,19 +58,10 @@ class Hyperbola:
         rel_vy: float,
         t_ref: float,
     ) -> "Hyperbola":
-        """Build the distance-to-origin hyperbola of a relative motion.
-
-        The relative (difference) object is at ``(rel_x, rel_y)`` at time
-        ``t_ref`` and moves with constant velocity ``(rel_vx, rel_vy)``; the
-        returned curve gives its distance from the origin as a function of
-        *absolute* time, matching the ``TR_iq`` construction of Section 3.2.
-        """
-        a = rel_vx * rel_vx + rel_vy * rel_vy
-        b_local = 2.0 * (rel_x * rel_vx + rel_y * rel_vy)
-        c_local = rel_x * rel_x + rel_y * rel_y
-        b = b_local - 2.0 * a * t_ref
-        c = c_local - b_local * t_ref + a * t_ref * t_ref
-        return Hyperbola(a, b, c)
+        """The distance from the origin of a relative (difference) object at
+        ``(rel_x, rel_y)`` at time ``t_ref`` moving with constant velocity
+        ``(rel_vx, rel_vy)``: the curve of ``quadratic.from_relative_motion``."""
+        return Hyperbola(*quadratic.from_relative_motion(rel_x, rel_y, rel_vx, rel_vy, t_ref))
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,7 +78,7 @@ class HyperbolaPiece:
                 f"piece end time {self.t_end} precedes start time {self.t_start}"
             )
 
-    def contains(self, t: float, tolerance: float = 1e-9) -> bool:
+    def contains(self, t: float, tolerance: float = TIME_TOLERANCE) -> bool:
         """True when ``t`` falls inside the piece's interval."""
         return self.t_start - tolerance <= t <= self.t_end + tolerance
 
@@ -169,9 +88,9 @@ class DistanceFunction:
 
     For a trajectory that consists of ``m`` segments inside the query window,
     the distance to the query trajectory is a sequence of ``m`` (or fewer)
-    hyperbola pieces.  The envelope algorithms only need three operations:
-    evaluation, piecewise minimum, and pairwise intersection times — all of
-    which reduce to the single-piece primitives above.
+    hyperbola pieces.  The envelope algorithms only need evaluation and
+    pairwise intersection times, both of which reduce to the single-piece
+    primitives of :mod:`~repro.geometry.envelope.quadratic`.
     """
 
     __slots__ = ("object_id", "pieces", "t_start", "t_end")
@@ -181,7 +100,7 @@ class DistanceFunction:
             raise ValueError("a distance function needs at least one piece")
         ordered = sorted(pieces, key=lambda piece: piece.t_start)
         for previous, current in zip(ordered, ordered[1:]):
-            if current.t_start < previous.t_end - 1e-9:
+            if current.t_start < previous.t_end - TIME_TOLERANCE:
                 raise ValueError("distance function pieces overlap in time")
         self.object_id = object_id
         self.pieces: Tuple[HyperbolaPiece, ...] = tuple(ordered)
@@ -200,7 +119,7 @@ class DistanceFunction:
         Raises:
             ValueError: if ``t`` lies outside the function's span.
         """
-        if t < self.t_start - 1e-9 or t > self.t_end + 1e-9:
+        if t < self.t_start - TIME_TOLERANCE or t > self.t_end + TIME_TOLERANCE:
             raise ValueError(
                 f"time {t} outside distance function span "
                 f"[{self.t_start}, {self.t_end}]"
@@ -218,48 +137,6 @@ class DistanceFunction:
     def value(self, t: float) -> float:
         """Distance at time ``t``."""
         return self.piece_at(t).curve.value(t)
-
-    def value_squared(self, t: float) -> float:
-        """Squared distance at time ``t``."""
-        return self.piece_at(t).curve.value_squared(t)
-
-    def minimum_on(self, t_lo: float, t_hi: float) -> Tuple[float, float]:
-        """Minimum value and its time over ``[t_lo, t_hi]`` across all pieces."""
-        if t_hi < t_lo:
-            raise ValueError(f"empty interval [{t_lo}, {t_hi}]")
-        best: Optional[Tuple[float, float]] = None
-        for piece in self.pieces:
-            lo = max(t_lo, piece.t_start)
-            hi = min(t_hi, piece.t_end)
-            if hi < lo:
-                continue
-            t_min, d_min = piece.curve.minimum_on(lo, hi)
-            if best is None or d_min < best[1]:
-                best = (t_min, d_min)
-        if best is None:
-            raise ValueError(
-                f"interval [{t_lo}, {t_hi}] does not overlap the distance function"
-            )
-        return best
-
-    def maximum_on(self, t_lo: float, t_hi: float) -> Tuple[float, float]:
-        """Maximum value and its time over ``[t_lo, t_hi]`` across all pieces."""
-        if t_hi < t_lo:
-            raise ValueError(f"empty interval [{t_lo}, {t_hi}]")
-        best: Optional[Tuple[float, float]] = None
-        for piece in self.pieces:
-            lo = max(t_lo, piece.t_start)
-            hi = min(t_hi, piece.t_end)
-            if hi < lo:
-                continue
-            t_max, d_max = piece.curve.maximum_on(lo, hi)
-            if best is None or d_max > best[1]:
-                best = (t_max, d_max)
-        if best is None:
-            raise ValueError(
-                f"interval [{t_lo}, {t_hi}] does not overlap the distance function"
-            )
-        return best
 
     def intersection_times(
         self, other: "DistanceFunction", t_lo: float, t_hi: float
@@ -279,13 +156,11 @@ class DistanceFunction:
                 hi = min(t_hi, piece.t_end, other_piece.t_end)
                 if hi <= lo:
                     continue
-                crossings.extend(
-                    piece.curve.intersection_times(other_piece.curve, lo, hi)
-                )
+                crossings.extend(quadratic.crossing_times(piece.curve, other_piece.curve, lo, hi))
         crossings.sort()
         deduplicated: List[float] = []
         for t in crossings:
-            if not deduplicated or abs(t - deduplicated[-1]) > 1e-9:
+            if not deduplicated or abs(t - deduplicated[-1]) > TIME_TOLERANCE:
                 deduplicated.append(t)
         return deduplicated
 

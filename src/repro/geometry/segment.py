@@ -111,17 +111,6 @@ class SpaceTimeSegment:
             max(self.start.y, self.end.y),
         )
 
-    def expanded_spatial_bounds(
-        self, margin: float
-    ) -> Tuple[float, float, float, float]:
-        """Spatial bounding box expanded by ``margin`` on every side.
-
-        Used to index *uncertain* trajectories, whose possible locations
-        extend ``r`` beyond the expected polyline.
-        """
-        xmin, ymin, xmax, ymax = self.spatial_bounds()
-        return (xmin - margin, ymin - margin, xmax + margin, ymax + margin)
-
     def min_distance_to_point(self, point: Point2D) -> float:
         """Minimum distance from a static ``point`` to the segment's spatial track."""
         px = self.end.x - self.start.x
@@ -146,60 +135,11 @@ class SpaceTimeSegment:
             return None
         return (lo, hi)
 
-    def reversed(self) -> "SpaceTimeSegment":
-        """Return a segment traversing the same track backwards in space.
-
-        The time span is preserved; only the spatial endpoints swap.  Useful
-        for synthetic workloads (bounce-back at region boundaries).
-        """
-        return SpaceTimeSegment(self.end, self.start, self.t_start, self.t_end)
-
     def __str__(self) -> str:  # pragma: no cover - debugging convenience
         return (
             f"SpaceTimeSegment(({self.start.x:.2f},{self.start.y:.2f})@{self.t_start:.2f}"
             f" -> ({self.end.x:.2f},{self.end.y:.2f})@{self.t_end:.2f})"
         )
-
-
-def segments_distance_squared_coefficients(
-    seg_i: SpaceTimeSegment, seg_q: SpaceTimeSegment
-) -> Tuple[float, float, float]:
-    """Quadratic coefficients of the squared inter-segment distance.
-
-    For two constant-velocity segments the squared distance between the
-    expected locations is a quadratic ``A t² + B t + C`` in absolute time
-    (Section 3.2 of the paper).  The coefficients are returned for the common
-    time window of the two segments; it is the caller's responsibility to
-    only evaluate the polynomial inside that window.
-
-    Raises:
-        ValueError: when the two segments share no time window.
-    """
-    overlap = seg_i.time_overlap(seg_q)
-    if overlap is None:
-        raise ValueError("segments do not overlap in time")
-    t_ref = overlap[0]
-
-    pos_i = seg_i.position_at(t_ref)
-    pos_q = seg_q.position_at(t_ref)
-    vel_i = seg_i.velocity
-    vel_q = seg_q.velocity
-
-    # Relative position / velocity of i with respect to q at t_ref.
-    rel_x = pos_i.x - pos_q.x
-    rel_y = pos_i.y - pos_q.y
-    rel_vx = vel_i.dx - vel_q.dx
-    rel_vy = vel_i.dy - vel_q.dy
-
-    # d²(t) = |rel + rel_v (t - t_ref)|² expanded in absolute time t.
-    a = rel_vx * rel_vx + rel_vy * rel_vy
-    b_local = 2.0 * (rel_x * rel_vx + rel_y * rel_vy)
-    c_local = rel_x * rel_x + rel_y * rel_y
-    # Shift from local time (t - t_ref) to absolute time t.
-    a_abs = a
-    b_abs = b_local - 2.0 * a * t_ref
-    c_abs = c_local - b_local * t_ref + a * t_ref * t_ref
-    return (a_abs, b_abs, c_abs)
 
 
 def euclidean_speed(

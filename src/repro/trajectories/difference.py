@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..geometry.envelope import quadratic
 from ..geometry.envelope.bulk import FunctionPack
 from ..geometry.envelope.hyperbola import DistanceFunction, Hyperbola, HyperbolaPiece
 from .trajectory import Trajectory
@@ -356,16 +357,7 @@ def _build_from_columns(
         sides.append(_position_and_velocity(*columns, ref_legs, refs, mid_legs))
     (x_i, y_i, vx_i, vy_i), (x_q, y_q, vx_q, vy_q) = sides
 
-    rel_x = x_i - x_q
-    rel_y = y_i - y_q
-    rel_vx = vx_i - vx_q
-    rel_vy = vy_i - vy_q
-    # Elementwise replica of ``Hyperbola.from_relative_motion``.
-    a = rel_vx * rel_vx + rel_vy * rel_vy
-    b_local = 2.0 * (rel_x * rel_vx + rel_y * rel_vy)
-    c_local = rel_x * rel_x + rel_y * rel_y
-    b = b_local - 2.0 * a * refs
-    c = c_local - b_local * refs + a * refs * refs
+    a, b, c = quadratic.from_relative_motion(x_i - x_q, y_i - y_q, vx_i - vx_q, vy_i - vy_q, refs)
 
     built, keep = np.flatnonzero(ok), ok[piece_rows]
     pieces = (column[keep] for column in (refs, ends, a, b, c))

@@ -67,7 +67,7 @@ def convolve_radial_pdfs(
     inner_radii = np.linspace(0.0, first.support_radius, samples)
     angles = np.linspace(0.0, 2.0 * math.pi, angular_samples, endpoint=False)
 
-    inner_density = np.array([first.density(float(r)) for r in inner_radii])
+    inner_density = first.densities(inner_radii)
     cos_angles = np.cos(angles)
 
     profile = np.zeros_like(output_radii)
@@ -81,19 +81,12 @@ def convolve_radial_pdfs(
                 - 2.0 * s * inner_radii[:, None] * cos_angles[None, :],
             )
         )
-        second_values = _evaluate_profile(second, distances)
+        second_values = second.densities(distances.ravel()).reshape(distances.shape)
         angular_integral = second_values.mean(axis=1) * 2.0 * math.pi
         integrand = inner_density * inner_radii * angular_integral
         profile[index] = np.trapezoid(integrand, inner_radii)
 
     return TabulatedRadialPDF(output_radii, profile)
-
-
-def _evaluate_profile(pdf: RadialPDF, distances: np.ndarray) -> np.ndarray:
-    """Evaluate a radial pdf on an array of distances."""
-    flat = distances.ravel()
-    values = np.array([pdf.density(float(d)) for d in flat])
-    return values.reshape(distances.shape)
 
 
 def uniform_difference_pdf(radius: float, samples: int = 512) -> RadialPDF:

@@ -41,6 +41,14 @@ class RadialPDF(abc.ABC):
     def density(self, rho: float) -> float:
         """Planar density value at distance ``rho`` from the center."""
 
+    def densities(self, radii: np.ndarray) -> np.ndarray:
+        """:meth:`density` at every radius of ``radii``.
+
+        One scalar call per radius: a closed form evaluated by ``math`` may
+        differ from its NumPy form in the last ulp.
+        """
+        return np.array([self.density(float(s)) for s in radii])
+
     # ------------------------------------------------------------------
     # Derived quantities with numeric defaults.
     # ------------------------------------------------------------------
@@ -56,7 +64,7 @@ class RadialPDF(abc.ABC):
         if upper <= 0.0:
             return 0.0
         radii = np.linspace(0.0, upper, 513)
-        values = np.array([self.density(float(s)) for s in radii]) * 2.0 * math.pi * radii
+        values = self.densities(radii) * 2.0 * math.pi * radii
         return float(min(1.0, np.trapezoid(values, radii)))
 
     def within_distance_probability(self, d: float, Rd: float) -> float:
@@ -79,8 +87,7 @@ class RadialPDF(abc.ABC):
 
         radii = np.linspace(0.0, support, 1025)
         coverage = _angular_coverage(radii, d, Rd)
-        densities = np.array([self.density(float(s)) for s in radii])
-        integrand = densities * radii * coverage
+        integrand = self.densities(radii) * radii * coverage
         return float(min(1.0, max(0.0, np.trapezoid(integrand, radii))))
 
     def within_distance_density(self, d: float, Rd: float, step: Optional[float] = None) -> float:
@@ -123,7 +130,7 @@ class RadialPDF(abc.ABC):
     def total_mass(self) -> float:
         """Numeric check that the pdf integrates to one (used by tests)."""
         radii = np.linspace(0.0, self.support_radius, 4097)
-        values = np.array([self.density(float(s)) for s in radii]) * 2.0 * math.pi * radii
+        values = self.densities(radii) * 2.0 * math.pi * radii
         return float(np.trapezoid(values, radii))
 
     def is_rotationally_symmetric(self) -> bool:
@@ -228,6 +235,14 @@ class TabulatedRadialPDF(RadialPDF):
         if rho > self.support_radius:
             return 0.0
         return float(np.interp(rho, self._radii, self._densities))
+
+    def densities(self, radii: np.ndarray) -> np.ndarray:
+        """One ``np.interp`` over ``radii``: the floats of :meth:`density`."""
+        radii = np.asarray(radii, dtype=float)
+        if np.any(radii < 0.0):
+            raise ValueError("radial distance must be non-negative")
+        values = np.interp(radii, self._radii, self._densities)
+        return np.where(radii > self.support_radius, 0.0, values)
 
     @property
     def grid(self) -> np.ndarray:

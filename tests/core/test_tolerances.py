@@ -37,6 +37,7 @@ def test_values_are_the_documented_ones():
     assert tolerances.TIME_TOLERANCE == 1e-9
     assert tolerances.COEFF_EPSILON == 1e-12
     assert tolerances.FULL_WINDOW_SLACK == 1e-6
+    assert tolerances.RELATIVE_JUMP == 1e-9
 
 
 def test_corridor_kernel_compares_times_with_the_shared_tolerance():
@@ -63,6 +64,20 @@ def test_index_maintenance_compares_times_with_the_shared_tolerance():
             "repro.core.tolerances.TIME_TOLERANCE, not a bare 1e-9"
         )
     assert "TIME_TOLERANCE" in (SRC / "index" / "table.py").read_text()
+
+
+def test_envelope_modules_compare_times_with_the_shared_tolerance():
+    # The scalar envelope algorithms and the kinetic front must agree on
+    # which critical times coincide; a bare 1e-9 in one of them could drift.
+    for path in sorted((SRC / "geometry" / "envelope").glob("*.py")):
+        code = "\n".join(
+            line.split("#", 1)[0] for line in path.read_text().splitlines()
+        )
+        assert not _BARE_TIME_TOLERANCE.search(code), (
+            f"geometry/envelope/{path.name} must compare times with "
+            "repro.core.tolerances.TIME_TOLERANCE, not a bare 1e-9"
+        )
+    assert "TIME_TOLERANCE" in (SRC / "geometry" / "envelope" / "hyperbola.py").read_text()
 
 
 def test_the_coverage_slack_is_defined_once():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 
 from repro.core.queries import QueryContext
 from repro.engine.filtering import filter_candidates
+from repro.geometry.envelope.bulk import FunctionPack
+from repro.geometry.envelope.quadratic import extrema
 from repro.reference.corridor import (
     TrajectoryArrays,
     conservative_corridor_radius,
@@ -61,7 +64,11 @@ class TestConservativeCorridorRadius:
             # Every band survivor's expected polyline must dip inside the
             # corridor at some time: its distance function minimum is below
             # the corridor radius by construction of the bound.
-            closest = function.minimum_on(lo, hi)[1]
+            pack = FunctionPack([function])
+            low, _ = extrema(
+                pack.a, pack.b, pack.c, np.maximum(pack.starts, lo), np.minimum(pack.ends, hi)
+            )
+            closest = math.sqrt(max(float(low.min()), 0.0))
             assert closest <= corridor + 1e-9
 
     def test_radius_shrinks_with_a_close_companion(self, tiny_mod):

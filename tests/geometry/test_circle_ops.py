@@ -1,17 +1,10 @@
-"""Tests for circle-circle geometry (lens areas, intersection points)."""
+"""Tests for circle-circle geometry (lens areas)."""
 
 import math
 
 import pytest
 
-from repro.geometry.circle_ops import (
-    annulus_area,
-    chord_angles,
-    circle_circle_intersection_points,
-    circle_intersection_area,
-    disk_intersection_area,
-)
-from repro.geometry.disk import Disk
+from repro.geometry.circle_ops import circle_intersection_area
 from repro.geometry.point import Point2D
 
 
@@ -57,64 +50,3 @@ class TestCircleIntersectionArea:
             for d in distances
         ]
         assert all(a >= b - 1e-12 for a, b in zip(areas, areas[1:]))
-
-    def test_disk_wrapper_matches(self):
-        a = Disk(Point2D(0, 0), 1.0)
-        b = Disk(Point2D(1, 0), 1.5)
-        assert disk_intersection_area(a, b) == pytest.approx(
-            circle_intersection_area(a.center, a.radius, b.center, b.radius)
-        )
-
-
-class TestCircleIntersectionPoints:
-    def test_two_intersections(self):
-        points = circle_circle_intersection_points(
-            Point2D(0, 0), 1.0, Point2D(1, 0), 1.0
-        )
-        assert len(points) == 2
-        for point in points:
-            assert point.distance_to(Point2D(0, 0)) == pytest.approx(1.0)
-            assert point.distance_to(Point2D(1, 0)) == pytest.approx(1.0)
-
-    def test_tangent_circles_single_point(self):
-        points = circle_circle_intersection_points(
-            Point2D(0, 0), 1.0, Point2D(2, 0), 1.0
-        )
-        assert len(points) == 1
-        assert points[0].is_close(Point2D(1.0, 0.0), tolerance=1e-9)
-
-    def test_disjoint_circles_no_points(self):
-        assert (
-            circle_circle_intersection_points(Point2D(0, 0), 1.0, Point2D(5, 0), 1.0)
-            == []
-        )
-
-    def test_contained_circles_no_points(self):
-        assert (
-            circle_circle_intersection_points(Point2D(0, 0), 3.0, Point2D(0.5, 0), 1.0)
-            == []
-        )
-
-    def test_coincident_circles_raise(self):
-        with pytest.raises(ValueError):
-            circle_circle_intersection_points(Point2D(0, 0), 1.0, Point2D(0, 0), 1.0)
-
-
-class TestChordAnglesAndAnnulus:
-    def test_chord_angles_symmetric_configuration(self):
-        alpha, beta = chord_angles(1.0, 1.0, 1.0)
-        assert alpha == pytest.approx(beta)
-        assert alpha == pytest.approx(math.acos(0.5))
-
-    def test_chord_angles_require_proper_intersection(self):
-        with pytest.raises(ValueError):
-            chord_angles(5.0, 1.0, 1.0)
-
-    def test_annulus_area(self):
-        assert annulus_area(1.0, 2.0) == pytest.approx(3.0 * math.pi)
-
-    def test_annulus_area_validation(self):
-        with pytest.raises(ValueError):
-            annulus_area(2.0, 1.0)
-        with pytest.raises(ValueError):
-            annulus_area(-1.0, 1.0)

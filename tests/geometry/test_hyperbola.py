@@ -10,6 +10,7 @@ from repro.geometry.envelope.hyperbola import (
     Hyperbola,
     HyperbolaPiece,
 )
+from repro.geometry.envelope.quadratic import crossing_times
 
 
 class TestHyperbola:
@@ -20,9 +21,9 @@ class TestHyperbola:
             expected = math.hypot(3.0 + t, 4.0)
             assert curve.value(t) == pytest.approx(expected, rel=1e-12)
 
-    def test_value_squared_clamps_negative_noise(self):
+    def test_value_clamps_negative_noise(self):
         curve = Hyperbola(1.0, 0.0, -1e-18)
-        assert curve.value_squared(0.0) == 0.0
+        assert curve.value(0.0) == 0.0
 
     def test_vertex_time_of_approaching_object(self):
         # Starts at (−5, 2) with velocity (1, 0): closest approach at t = 5.
@@ -33,32 +34,10 @@ class TestHyperbola:
         curve = Hyperbola.from_relative_motion(3.0, 4.0, 0.0, 0.0, 0.0)
         assert curve.vertex_time is None
 
-    def test_minimum_inside_interval(self):
-        curve = Hyperbola.from_relative_motion(-5.0, 2.0, 1.0, 0.0, 0.0)
-        t_min, d_min = curve.minimum_on(0.0, 10.0)
-        assert t_min == pytest.approx(5.0)
-        assert d_min == pytest.approx(2.0)
-
-    def test_minimum_at_interval_boundary(self):
-        curve = Hyperbola.from_relative_motion(-5.0, 2.0, 1.0, 0.0, 0.0)
-        t_min, d_min = curve.minimum_on(0.0, 3.0)
-        assert t_min == pytest.approx(3.0)
-        assert d_min == pytest.approx(math.hypot(2.0, 2.0))
-
-    def test_maximum_on_interval(self):
-        curve = Hyperbola.from_relative_motion(-5.0, 2.0, 1.0, 0.0, 0.0)
-        t_max, d_max = curve.maximum_on(0.0, 10.0)
-        assert t_max in (0.0, 10.0)
-        assert d_max == pytest.approx(math.hypot(5.0, 2.0))
-
-    def test_minimum_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            Hyperbola(1.0, 0.0, 0.0).minimum_on(5.0, 4.0)
-
     def test_intersections_with_two_crossings(self):
         moving_away = Hyperbola.from_relative_motion(1.0, 0.0, 1.0, 0.0, 0.0)
         moving_closer = Hyperbola.from_relative_motion(9.0, 0.0, -1.0, 0.0, 0.0)
-        crossings = moving_away.intersection_times(moving_closer, 0.0, 10.0)
+        crossings = crossing_times(moving_away, moving_closer, 0.0, 10.0)
         assert len(crossings) >= 1
         for t in crossings:
             assert moving_away.value(t) == pytest.approx(moving_closer.value(t), rel=1e-9)
@@ -66,15 +45,15 @@ class TestHyperbola:
     def test_parallel_functions_never_cross(self):
         a = Hyperbola.from_relative_motion(1.0, 0.0, 0.0, 0.0, 0.0)
         b = Hyperbola.from_relative_motion(2.0, 0.0, 0.0, 0.0, 0.0)
-        assert a.intersection_times(b, 0.0, 10.0) == []
+        assert crossing_times(a, b, 0.0, 10.0) == []
 
     def test_intersections_exclude_window_boundaries(self):
         a = Hyperbola.from_relative_motion(1.0, 0.0, 1.0, 0.0, 0.0)
         b = Hyperbola.from_relative_motion(9.0, 0.0, -1.0, 0.0, 0.0)
-        all_crossings = a.intersection_times(b, 0.0, 10.0)
+        all_crossings = crossing_times(a, b, 0.0, 10.0)
         if all_crossings:
             boundary = all_crossings[0]
-            inside_only = a.intersection_times(b, boundary, 10.0)
+            inside_only = crossing_times(a, b, boundary, 10.0)
             assert boundary not in inside_only
 
 
@@ -124,17 +103,6 @@ class TestDistanceFunction:
         function = self.make_two_piece()
         with pytest.raises(ValueError):
             function.value(11.0)
-
-    def test_minimum_across_pieces(self):
-        function = self.make_two_piece()
-        t_min, d_min = function.minimum_on(0.0, 10.0)
-        assert d_min == pytest.approx(0.0, abs=1e-9)
-        assert t_min == pytest.approx(5.0)
-
-    def test_maximum_across_pieces(self):
-        function = self.make_two_piece()
-        _, d_max = function.maximum_on(0.0, 10.0)
-        assert d_max == pytest.approx(5.0)
 
     def test_breakpoints(self):
         function = self.make_two_piece()

@@ -1,14 +1,9 @@
-"""Tests for space-time segments and the squared-distance coefficients."""
+"""Tests for space-time segments."""
 
-import numpy as np
 import pytest
 
 from repro.geometry.point import Point2D
-from repro.geometry.segment import (
-    SpaceTimeSegment,
-    euclidean_speed,
-    segments_distance_squared_coefficients,
-)
+from repro.geometry.segment import SpaceTimeSegment, euclidean_speed
 
 
 @pytest.fixture
@@ -73,15 +68,6 @@ class TestClippingAndBounds:
         segment = SpaceTimeSegment(Point2D(3, -1), Point2D(-2, 4), 0.0, 1.0)
         assert segment.spatial_bounds() == (-2, -1, 3, 4)
 
-    def test_expanded_spatial_bounds(self, east_segment):
-        assert east_segment.expanded_spatial_bounds(0.5) == (-0.5, -0.5, 10.5, 0.5)
-
-    def test_reversed_swaps_endpoints_keeps_times(self, east_segment):
-        reversed_segment = east_segment.reversed()
-        assert reversed_segment.start == east_segment.end
-        assert reversed_segment.end == east_segment.start
-        assert reversed_segment.t_start == east_segment.t_start
-
 
 class TestDistances:
     def test_min_distance_to_point_on_track(self, east_segment):
@@ -107,28 +93,6 @@ class TestDistances:
 
 
 class TestDistanceCoefficients:
-    def test_coefficients_match_sampled_distances(self, east_segment):
-        other = SpaceTimeSegment(Point2D(10.0, 5.0), Point2D(0.0, 5.0), 0.0, 10.0)
-        a, b, c = segments_distance_squared_coefficients(other, east_segment)
-        for t in np.linspace(0.0, 10.0, 21):
-            expected = other.position_at(t).squared_distance_to(
-                east_segment.position_at(t)
-            )
-            assert a * t * t + b * t + c == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-    def test_coefficients_with_offset_reference_time(self):
-        first = SpaceTimeSegment(Point2D(0, 0), Point2D(5, 5), 2.0, 7.0)
-        second = SpaceTimeSegment(Point2D(1, -1), Point2D(1, 9), 2.0, 7.0)
-        a, b, c = segments_distance_squared_coefficients(first, second)
-        for t in np.linspace(2.0, 7.0, 11):
-            expected = first.position_at(t).squared_distance_to(second.position_at(t))
-            assert a * t * t + b * t + c == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-    def test_disjoint_segments_raise(self, east_segment):
-        other = SpaceTimeSegment(Point2D(0, 0), Point2D(1, 1), 20.0, 30.0)
-        with pytest.raises(ValueError):
-            segments_distance_squared_coefficients(east_segment, other)
-
     def test_euclidean_speed(self):
         assert euclidean_speed(0.0, 0.0, 3.0, 4.0, 5.0) == pytest.approx(1.0)
 

@@ -60,6 +60,15 @@ class TestTabulatedRadialPDF:
         with pytest.raises(ValueError):
             self.make_triangle().density(-0.1)
 
+    def test_densities_are_the_scalar_densities(self):
+        # One interpolation over the array, the support clamp included,
+        # gives the floats of one scalar call per radius.
+        pdf = self.make_triangle()
+        radii = np.concatenate([np.linspace(0.0, 2.5, 997), [2.0, np.nextafter(2.0, 3.0)]])
+        assert pdf.densities(radii).tolist() == [pdf.density(float(r)) for r in radii]
+        with pytest.raises(ValueError):
+            pdf.densities(np.array([0.5, -0.1]))
+
     def test_grid_is_a_copy(self):
         pdf = self.make_triangle()
         grid = pdf.grid
