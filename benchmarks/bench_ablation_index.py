@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.grid import GridIndex
-from repro.index.table import SegmentBoxTable
+from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 
 
@@ -29,10 +29,15 @@ def test_ablation_grid_bulk_load(benchmark, index_workload):
     assert len(index) == len(candidates)
 
 
+def table_of(candidates):
+    """The segment box table A3 reports: one box per segment."""
+    return MovingObjectsDatabase(candidates).build_index(max_box_extent=None)
+
+
 def test_ablation_table_bulk_load(benchmark, index_workload):
     """Loading the segment box table over 500 objects."""
     _, candidates = index_workload
-    index = benchmark(SegmentBoxTable.from_trajectories, candidates)
+    index = benchmark(table_of, candidates)
     assert len(index) == len(candidates)
 
 
@@ -48,7 +53,9 @@ def test_ablation_grid_corridor_probe(benchmark, index_workload):
 def test_ablation_table_corridor_probe(benchmark, index_workload):
     """Corridor scan (5 miles around the query) of the segment box table."""
     query, candidates = index_workload
-    index = SegmentBoxTable.from_trajectories(candidates)
-    found = benchmark(index.query_corridor, query, 5.0, 0.0, 60.0)
+    index = table_of(candidates)
+    (found,) = benchmark(
+        lambda: index.probe([index.corridor_probes(query, 5.0, 0.0, 60.0)])
+    )
     assert len(found) <= len(candidates)
     benchmark.extra_info["candidates_retained"] = len(found)

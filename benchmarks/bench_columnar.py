@@ -26,8 +26,9 @@ implementations they replaced, per database size:
   columns → :func:`repro.trajectories.columnar.segment_boxes_bulk` arrays →
   :class:`repro.index.table.SegmentBoxTable`, with no entry objects in
   between.  It has no slower twin left to race, so it is gated as
-  ``index_build_per_calibration``; its entries are first checked against
-  the per-trajectory :func:`repro.index.boxes.segment_boxes` loop;
+  ``index_build_per_calibration``; the table's live rows are first checked
+  against the per-trajectory :func:`repro.reference.boxes.segment_boxes`
+  loop;
 * ``band`` — :func:`repro.core.pruning.band_intervals_batch` (rows from the
   packed piece columns, most of them decided by closed-form bounds) vs
   :func:`repro.reference.band.band_intervals_batch` (the per-candidate row
@@ -100,9 +101,9 @@ from repro.engine.filtering import corridor_probe_bulk, filter_candidates
 from repro.geometry.envelope.bulk import front_envelopes, front_report, front_tally
 from repro.geometry.envelope.divide_conquer import le_alg, lower_envelope
 from repro.geometry.envelope.klevel import k_level_envelopes
-from repro.index.boxes import segment_boxes
 from repro.reference import band as reference
 from repro.reference import envelope as plain
+from repro.reference.boxes import segment_boxes
 from repro.reference.corridor import TrajectoryArrays, conservative_corridor_radius
 from repro.trajectories.columnar import ColumnarStore
 from repro.trajectories.difference import difference_distance_functions
@@ -162,7 +163,6 @@ def bench_corridor(
     stride = max(1, len(mod) // num_queries)
     query_ids = mod.object_ids[::stride][:num_queries]
     widths = [mod.default_band_width(query_id) for query_id in query_ids]
-    store = mod.columnar()
 
     def scalar_radii():
         arrays = TrajectoryArrays()
@@ -171,12 +171,12 @@ def bench_corridor(
             for query_id, width in zip(query_ids, widths)
         ])
 
-    bulk = corridor_probe_bulk(mod, query_ids, lo, hi, widths, store=store)
+    bulk = corridor_probe_bulk(mod, query_ids, lo, hi, widths)
     if not np.array_equal(scalar_radii(), bulk):
         raise AssertionError("corridor bulk kernel diverged from the scalar path")
     scalar_seconds = statistics.median(_timed(scalar_radii) for _ in range(REPEATS))
     bulk_seconds, bulk_ratio = _per_calibration(
-        corridor_probe_bulk, mod, query_ids, lo, hi, widths, store=store
+        corridor_probe_bulk, mod, query_ids, lo, hi, widths
     )
     numbers = {
         "corridor_scalar_ms": scalar_seconds * 1000.0,
@@ -219,19 +219,21 @@ def bench_index_build(mod: MovingObjectsDatabase) -> Dict[str, float]:
     table = mod.build_index("rtree")
     x_min, y_min, x_max, y_max = mod.columnar().pack().spatial_bounds()
     max_extent = max(x_max - x_min, y_max - y_min) / 32.0 or None  # "auto"
-    scalar: List = []
-    for trajectory in mod:
-        scalar.extend(segment_boxes(trajectory, max_extent=max_extent))
-
-    def as_rows(entries):
-        return sorted(
-            (str(e.object_id), e.box.x_min, e.box.y_min, e.box.t_min,
-             e.box.x_max, e.box.y_max, e.box.t_max)
-            for e in entries
-        )
-
-    if as_rows(table.entries()) != as_rows(scalar):
-        raise AssertionError("the box table's entries diverged from the scalar loop")
+    scalar = sorted(
+        (str(e.object_id), e.box.x_min, e.box.y_min, e.box.t_min,
+         e.box.x_max, e.box.y_max, e.box.t_max)
+        for trajectory in mod
+        for e in segment_boxes(trajectory, max_extent=max_extent)
+    )
+    live = table.boxes()
+    rows = sorted(zip(
+        [str(live.ids[slot]) for slot in live.owner_slots.tolist()],
+        *(column.tolist() for column in (
+            live.x_min, live.y_min, live.t_min, live.x_max, live.y_max, live.t_max
+        )),
+    ))
+    if rows != scalar:
+        raise AssertionError("the box table's live rows diverged from the scalar loop")
     seconds, ratio = _per_calibration(mod.build_index, "rtree")
     return {
         "index_build_ms": seconds * 1000.0,

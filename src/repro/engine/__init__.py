@@ -10,11 +10,7 @@ monitor and the sharded engine all serve through.
 from .answers import VARIANTS, Answer, answer_of
 from .cache import CacheInfo, ContextCache, context_key
 from .engine import BatchResult, PreparedQuery, QueryEngine
-from .filtering import (
-    corridor_probe_bulk,
-    filter_candidates,
-    trajectory_within_corridor,
-)
+from .filtering import corridor_probe_bulk, filter_candidates
 
 __all__ = [
     "Answer",
@@ -28,5 +24,4 @@ __all__ = [
     "corridor_probe_bulk",
     "context_key",
     "filter_candidates",
-    "trajectory_within_corridor",
 ]

@@ -36,11 +36,7 @@ from ..obs.tracing import trace_span
 from ..trajectories.mod import MovingObjectsDatabase
 from .answers import Answer, answer_of, band_span
 from .cache import CacheInfo, ContextCache, context_key
-from .filtering import (
-    corridor_probe_bulk,
-    filter_candidates,
-    trajectory_within_corridor,
-)
+from .filtering import corridor_probe_bulk, filter_candidates
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,10 +274,11 @@ class QueryEngine:
         themselves.  The index is the store's own: the first engine to ask
         after a change patches it in place for every engine over the store
         (:meth:`~repro.trajectories.mod.MovingObjectsDatabase.sync_index`).
-        Of the cached contexts, only those a changed object can actually
-        affect are invalidated (the query itself changed, a changed object
-        was among the context's candidates, or a changed object's boxes now
-        come within the context's provably-safe corridor); everything else
+        The index is synced first, because invalidation scans it: of the
+        cached contexts, only those a changed object can actually affect are
+        invalidated (the query itself changed, a changed object was among
+        the context's candidates, or the table's rows of a changed object
+        now meet the context's provably-safe corridor); everything else
         keeps serving from cache.  When the changelog cannot identify the
         changes, the caches start over.  Returns the revision synced to.
         """
@@ -296,11 +293,11 @@ class QueryEngine:
             kind="incremental" if changed is not None else "full",
             changed=len(changed) if changed is not None else len(self.mod),
         ) as span:
+            span.set("index", self._sync_index())
             if changed is None:
                 self._cache = ContextCache()
             else:
                 self._invalidate_affected(changed)
-            span.set("index", self._sync_index())
             span.set("entries", len(self._index))
         self._m_refreshes.inc()
         self._mod_revision = revision
@@ -320,12 +317,16 @@ class QueryEngine:
         corridor filtering is exact (dropped candidates can neither enter the
         band nor shape the envelope), so a context stays valid unless a
         change that diverges inside its window hit its query, one of its
-        candidates, or an object that can now come within its corridor.
-        Changes diverging at or after a context's window end — the common
-        case of an update stream *extending* trajectories beyond standing
-        windows — leave the context untouched, in O(1) when none is global.
+        candidates, or an object the filter of a fresh build would now keep.
+        That filter is the synced box table's: one ``probe`` over the
+        corridor probes of every context left to test.  Changes diverging
+        at or after a context's window end — the common case of an update
+        stream *extending* trajectories beyond standing windows — leave the
+        context untouched, in O(1) when none is global.
         """
         earliest = -np.inf if None in changed.values() else min(changed.values(), default=np.inf)
+        tested: List[Tuple[Tuple, List[object]]] = []
+        probes = []
         for key, context in self._cache.items():
             query_id = key[0]
             if query_id not in self.mod:
@@ -340,16 +341,16 @@ class QueryEngine:
             }
             if not relevant:
                 continue
-            if query_id in relevant:
+            if query_id in relevant or not relevant.isdisjoint(context.pack.ids):
                 self._cache.discard(key)
                 continue
-            if not relevant.isdisjoint(context.pack.ids):
-                self._cache.discard(key)
-                continue
-            present = [
-                object_id for object_id in relevant if object_id in self.mod
-            ]
+            present = [object_id for object_id in relevant if object_id in self.mod]
             if not present:
+                continue
+            # A zero-length window is not filtered: a fresh build keeps
+            # every stored object, the changed ones included.
+            if context.t_end <= context.t_start:
+                self._cache.discard(key)
                 continue
             corridor = float(
                 corridor_probe_bulk(
@@ -363,17 +364,14 @@ class QueryEngine:
             if not np.isfinite(corridor):
                 self._cache.discard(key)
                 continue
-            query = self.mod.get(query_id)
-            if any(
-                trajectory_within_corridor(
-                    self.mod.get(object_id),
-                    query,
-                    corridor,
-                    context.t_start,
-                    context.t_end,
+            tested.append((key, present))
+            probes.append(
+                self._index.corridor_probes(
+                    self.mod.get(query_id), corridor, context.t_start, context.t_end
                 )
-                for object_id in present
-            ):
+            )
+        for (key, present), found in zip(tested, self._index.probe(probes)):
+            if not set(found).isdisjoint(present):
                 self._cache.discard(key)
 
     # ------------------------------------------------------------------

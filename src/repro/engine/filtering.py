@@ -28,7 +28,6 @@ import numpy as np
 
 from ..core.tolerances import TIME_TOLERANCE
 from ..trajectories.mod import MovingObjectsDatabase
-from ..trajectories.trajectory import Trajectory
 
 
 #: Fixed times evaluated per (times × samples) intermediate in the bulk
@@ -42,7 +41,6 @@ def corridor_probe_bulk(
     t_lo: float,
     t_hi: float,
     band_widths: Sequence[float],
-    store=None,
 ) -> np.ndarray:
     """Provably-safe corridor radii for many queries in one vectorized pass.
 
@@ -67,17 +65,13 @@ def corridor_probe_bulk(
         t_lo: shared window start.
         t_hi: shared window end (not before ``t_lo``).
         band_widths: per-query band widths, aligned with ``query_ids``.
-        store: an optional pre-synced
-            :class:`~repro.trajectories.columnar.ColumnarStore`; defaults
-            to ``mod.columnar()``.
     """
     if len(band_widths) != len(query_ids):
         raise ValueError("band_widths must align with query_ids")
     if t_hi < t_lo:
         raise ValueError(f"empty window [{t_lo}, {t_hi}]")
-    if store is None:
-        store = mod.columnar()
-    ids, starts, lengths, all_t, all_x, all_y = store.flat()
+    store = mod.columnar()
+    ids, starts, lengths, all_t, all_x, all_y, _ = store.pack()
     radii = np.empty(len(query_ids))
     if not ids:
         radii.fill(np.inf)
@@ -156,44 +150,6 @@ def corridor_probe_bulk(
             position
         ]
     return radii
-
-
-def trajectory_within_corridor(
-    candidate: Trajectory,
-    query: Trajectory,
-    corridor: float,
-    t_lo: float,
-    t_hi: float,
-) -> bool:
-    """Conservative corridor-intersection test between two trajectories.
-
-    True when any of the candidate's (uncertainty-expanded) segment boxes
-    overlapping the window intersects the query's corridor — the same probe
-    an index ``query_corridor`` performs, evaluated pairwise.  Used by the
-    streaming layer to decide whether a changed object can affect a standing
-    query without rebuilding anything.
-    """
-    from ..index.boxes import segment_boxes
-
-    if corridor < 0:
-        raise ValueError("corridor distance must be non-negative")
-    lo = max(t_lo, query.start_time)
-    hi = min(t_hi, query.end_time)
-    if hi < lo or candidate.end_time < t_lo or candidate.start_time > t_hi:
-        return False
-    candidate_boxes = [
-        entry.box
-        for entry in segment_boxes(candidate)
-        if entry.box.t_max >= t_lo and entry.box.t_min <= t_hi
-    ]
-    if not candidate_boxes:
-        return False
-    clipped = query.clipped(lo, hi)
-    for entry in segment_boxes(clipped, spatial_margin=0.0):
-        probe = entry.box.expanded(corridor)
-        if any(probe.intersects(box) for box in candidate_boxes):
-            return True
-    return False
 
 
 def filter_candidates(

@@ -22,7 +22,6 @@ from typing import List
 import numpy as np
 
 from ..core.ranking import validate_theorem1
-from ..index.table import SegmentBoxTable
 from ..reference.envelope import le_alg
 from ..trajectories.difference import difference_distance_functions
 from ..trajectories.mod import MovingObjectsDatabase
@@ -206,12 +205,13 @@ def run_index_ablation(
         query = trajectories[0]
         candidates = trajectories[1:]
 
-        grid = GridIndex.covering(candidates, cells=32)
-        table = SegmentBoxTable.from_trajectories(candidates)
-        for kind, index in (("grid", grid), ("table", table)):
-            survivors = index.query_corridor(
-                query, corridor_miles, query.start_time, query.end_time
-            )
+        window = (query.start_time, query.end_time)
+        grid = GridIndex.covering(candidates, cells=32).query_corridor(
+            query, corridor_miles, *window
+        )
+        table = MovingObjectsDatabase(candidates).build_index(max_box_extent=None)
+        (scanned,) = table.probe([table.corridor_probes(query, corridor_miles, *window)])
+        for kind, survivors in (("grid", grid), ("table", scanned)):
             rows.append(
                 IndexAblationRow(num_objects, kind, corridor_miles, len(survivors))
             )

@@ -14,8 +14,8 @@ import math
 from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
+from ..reference.boxes import Box3D, IndexEntry, segment_boxes
 from ..trajectories.trajectory import Trajectory
-from ..index.boxes import Box3D, IndexEntry, segment_boxes
 
 
 class GridIndex:

@@ -5,7 +5,9 @@ the corridor of the query (Section 3.2); this module is the filter that
 finds them.  It holds the segment boxes of a trajectory set (expanded by the
 uncertainty radius) as flat NumPy columns — ``lo``/``hi`` corners as (3, n)
 coordinate rows, an owner slot and a live flag per row — and answers
-box-intersection probes by scanning them.
+box-intersection probes by scanning them.  Its rows and its corridor probes
+come from one leg kernel (:mod:`repro.trajectories.columnar`), pinned to
+the scalar loop of :func:`repro.reference.boxes.segment_boxes`.
 
 The corridor of a query is wide next to the fleet's spread, so a tree
 descent still tests thousands of rows and keeps a large share of the
@@ -24,14 +26,13 @@ depends on the live entry set alone, never on how the rows are arranged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.tolerances import TIME_TOLERANCE
-from ..trajectories.columnar import SegmentBoxArrays
+from ..trajectories.columnar import SegmentBoxArrays, _leg_boxes
 from ..trajectories.trajectory import Trajectory
-from .boxes import Box3D, IndexEntry, segment_boxes
 
 #: Spare rows per live row a load leaves for appends, and dead rows per live
 #: row tolerated before the table compacts itself.
@@ -44,10 +45,10 @@ _PAIR_BUDGET = 1 << 21
 Probes = Tuple[np.ndarray, np.ndarray]
 
 
-def _corners(boxes: SegmentBoxArrays, margin: float = 0.0) -> Probes:
-    """``(lo, hi)`` corner arrays of shape (3, n), grown spatially by ``margin``."""
-    lo = np.stack((boxes.x_min - margin, boxes.y_min - margin, boxes.t_min))
-    hi = np.stack((boxes.x_max + margin, boxes.y_max + margin, boxes.t_max))
+def _corners(boxes: SegmentBoxArrays) -> Probes:
+    """``(lo, hi)`` corner arrays of shape (3, n)."""
+    lo = np.stack((boxes.x_min, boxes.y_min, boxes.t_min))
+    hi = np.stack((boxes.x_max, boxes.y_max, boxes.t_max))
     return lo, hi
 
 
@@ -62,25 +63,21 @@ class SegmentBoxTable:
     """Segment boxes as flat columns, with tombstones and an appended block.
 
     Args:
-        entries: the boxes to load — the columnar
+        boxes: the boxes to load, as the columnar
             :class:`~repro.trajectories.columnar.SegmentBoxArrays` of a bulk
-            build, or a sequence of :class:`IndexEntry`.
-        max_box_extent: the segment subdivision the entries were built with;
+            build.
+        max_box_extent: the segment subdivision the boxes were built with;
             reused for patches and query-side probes.
     """
 
-    def __init__(
-        self,
-        entries: Union[Sequence[IndexEntry], SegmentBoxArrays],
-        max_box_extent: Optional[float] = None,
-    ):
+    def __init__(self, boxes: SegmentBoxArrays, max_box_extent: Optional[float] = None):
         self._max_box_extent = max_box_extent
         self._ids: List[object] = []
         self._slot_of: Dict[object, int] = {}
         #: Times the table compacted its live rows because its appended or
         #: dead rows outgrew their share.
         self.compactions = 0
-        self._load(*self._columns(entries))
+        self._load(*self._columns(boxes))
 
     def __len__(self) -> int:
         return self._size
@@ -89,12 +86,8 @@ class SegmentBoxTable:
     # Construction.
     # ------------------------------------------------------------------
 
-    def _columns(
-        self, boxes: Union[Sequence[IndexEntry], SegmentBoxArrays]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _columns(self, boxes: SegmentBoxArrays) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(lo, hi, owner)`` rows of some boxes, owners as slots of this table."""
-        if not isinstance(boxes, SegmentBoxArrays):
-            boxes = SegmentBoxArrays.from_entries(boxes)
         for object_id in boxes.ids:
             if object_id not in self._slot_of:
                 self._slot_of[object_id] = len(self._ids)
@@ -161,16 +154,12 @@ class SegmentBoxTable:
         self._size += len(owner)
         self._count = end
 
-    def entries(self) -> List[IndexEntry]:
-        """The live entries in row order: the loaded rows, then the appended ones."""
+    def boxes(self) -> SegmentBoxArrays:
+        """The live rows in row order: the loaded rows, then the appended ones."""
         rows = np.flatnonzero(self._alive[: self._count])
-        return [
-            IndexEntry(Box3D(*box), self._ids[slot])
-            for box, slot in zip(
-                np.concatenate((self._lo[:, rows], self._hi[:, rows])).T.tolist(),
-                self._owner[rows].tolist(),
-            )
-        ]
+        return SegmentBoxArrays(
+            tuple(self._ids), self._owner[rows], *self._lo[:, rows], *self._hi[:, rows]
+        )
 
     # ------------------------------------------------------------------
     # Queries.
@@ -224,59 +213,32 @@ class SegmentBoxTable:
     ) -> Probes:
         """The boxes of a trajectory's corridor of width ``distance`` in a window.
 
-        The clipped trajectory's segment boxes, grown by ``distance``.  Their
-        granularity scales with the corridor width: slicing finer than the
-        expansion radius only multiplies near-identical probes.
+        The clipped trajectory's segment boxes, grown by ``distance``: the
+        legs of positive duration go through the kernel the table's own rows
+        come from.  Their granularity scales with the corridor width:
+        slicing finer than the expansion radius only multiplies
+        near-identical probes.
+
+        Raises:
+            ValueError: when ``distance`` is negative, or the window holds
+                no leg of positive duration (as ``Trajectory.segments()``).
         """
         if distance < 0:
             raise ValueError("corridor distance must be non-negative")
         clipped = trajectory.clipped(
             max(t_lo, trajectory.start_time), min(t_hi, trajectory.end_time)
         )
+        ts, xs, ys = clipped.columns
+        legs = np.flatnonzero(np.diff(ts) > TIME_TOLERANCE)
+        if not legs.size:
+            raise ValueError("trajectory has no segment with positive duration")
         probe_extent = (
             None
             if self._max_box_extent is None
             else max(self._max_box_extent, distance)
         )
-        probes = SegmentBoxArrays.from_entries(
-            segment_boxes(clipped, spatial_margin=0.0, max_extent=probe_extent)
+        probes = _leg_boxes(
+            (trajectory.object_id,), ts, xs, ys, legs,
+            np.zeros(legs.size, dtype=np.int64), np.array([float(distance)]), probe_extent,
         )
-        return _corners(probes, margin=distance)
-
-    def query_box(self, box: Box3D) -> Set[object]:
-        """Object ids whose indexed boxes intersect the probe box."""
-        (found,) = self.probe([(
-            np.array([[box.x_min], [box.y_min], [box.t_min]]),
-            np.array([[box.x_max], [box.y_max], [box.t_max]]),
-        )])
-        return set(found)
-
-    def query_corridor(
-        self,
-        trajectory: Trajectory,
-        distance: float,
-        t_lo: float,
-        t_hi: float,
-    ) -> Set[object]:
-        """Objects possibly within ``distance`` of a trajectory during a window."""
-        (found,) = self.probe([self.corridor_probes(trajectory, distance, t_lo, t_hi)])
-        return set(found) - {trajectory.object_id}
-
-    @staticmethod
-    def from_trajectories(
-        trajectories: Iterable[Trajectory],
-        spatial_margin: float | None = None,
-        max_box_extent: float | None = None,
-    ) -> "SegmentBoxTable":
-        """Load a table from the segment boxes of several trajectories.
-
-        ``max_box_extent`` subdivides long segments into several tighter
-        entries (see :func:`repro.index.boxes.segment_boxes`); corridor
-        probes then use the same subdivision on the query side.
-        """
-        entries: List[IndexEntry] = []
-        for trajectory in trajectories:
-            entries.extend(
-                segment_boxes(trajectory, spatial_margin, max_extent=max_box_extent)
-            )
-        return SegmentBoxTable(entries, max_box_extent=max_box_extent)
+        return _corners(probes)

@@ -57,6 +57,7 @@ from .codec import (
     encode_record,
     plain_load,
 )
+from .wal import _fsync_directory
 
 _log = get_logger("persistence.snapshot")
 
@@ -100,14 +101,6 @@ def _crc32_of(path: Path) -> int:
             if not chunk:
                 return crc
             crc = zlib.crc32(chunk, crc)
-
-
-def _fsync_directory(directory: Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _write_file(path: Path, data: bytes) -> None:

@@ -9,6 +9,9 @@ enforces that, and that the serving packages load no scipy:
 * :mod:`~repro.reference.band` — the Brent's-method band extractor, and the
   per-candidate row loop :func:`repro.core.pruning.band_intervals_batch` is
   bit-identical to;
+* :mod:`~repro.reference.boxes` — the scalar per-segment box loop (and
+  its ``Box3D``/``IndexEntry`` objects) the columnar leg kernel behind the
+  segment box table's rows and corridor probes is pinned to;
 * :mod:`~repro.reference.corridor` — the per-query scalar corridor radius
   behind :func:`repro.engine.filtering.corridor_probe_bulk`;
 * :mod:`~repro.reference.envelope` — the paper's plain ``LE_Alg``

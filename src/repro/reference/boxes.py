@@ -1,15 +1,18 @@
-"""Axis-aligned boxes in (x, y, t) space and helpers to derive them from trajectories.
+"""The scalar segment-box loop: the oracle of the columnar box kernel.
 
-The indexes store one box per trajectory segment, expanded spatially by the
-uncertainty radius so that a box miss really does imply the object cannot be
-anywhere near the probed region.
+The store's segment box table is loaded, patched and probed with boxes from
+one vectorized kernel (:func:`repro.trajectories.columnar.segment_boxes_bulk`
+and the leg kernel under it).  This module states what those boxes are one
+segment at a time, as :class:`Box3D` objects, so the kernel's rows can be
+compared with it ``==``; the A3 grid (:mod:`repro.experiments.grid`) is
+built from it as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..trajectories.trajectory import Trajectory, UncertainTrajectory
 
@@ -29,24 +32,6 @@ class Box3D:
         if self.x_max < self.x_min or self.y_max < self.y_min or self.t_max < self.t_min:
             raise ValueError(f"malformed box: {self}")
 
-    @property
-    def volume(self) -> float:
-        """Product of the three extents."""
-        return (
-            (self.x_max - self.x_min)
-            * (self.y_max - self.y_min)
-            * (self.t_max - self.t_min)
-        )
-
-    @property
-    def center(self) -> Tuple[float, float, float]:
-        """Center of the box."""
-        return (
-            (self.x_min + self.x_max) / 2.0,
-            (self.y_min + self.y_max) / 2.0,
-            (self.t_min + self.t_max) / 2.0,
-        )
-
     def intersects(self, other: "Box3D") -> bool:
         """True when the two boxes overlap (closed-interval semantics)."""
         return (
@@ -56,28 +41,6 @@ class Box3D:
             and other.y_min <= self.y_max
             and self.t_min <= other.t_max
             and other.t_min <= self.t_max
-        )
-
-    def contains(self, other: "Box3D") -> bool:
-        """True when ``other`` lies entirely inside this box."""
-        return (
-            self.x_min <= other.x_min
-            and other.x_max <= self.x_max
-            and self.y_min <= other.y_min
-            and other.y_max <= self.y_max
-            and self.t_min <= other.t_min
-            and other.t_max <= self.t_max
-        )
-
-    def union(self, other: "Box3D") -> "Box3D":
-        """Smallest box containing both."""
-        return Box3D(
-            min(self.x_min, other.x_min),
-            min(self.y_min, other.y_min),
-            min(self.t_min, other.t_min),
-            max(self.x_max, other.x_max),
-            max(self.y_max, other.y_max),
-            max(self.t_max, other.t_max),
         )
 
     def expanded(self, spatial_margin: float, temporal_margin: float = 0.0) -> "Box3D":
@@ -110,11 +73,11 @@ def segment_boxes(
     """Index entries covering a trajectory, one or more per segment.
 
     A long diagonal segment has a bounding box whose area vastly exceeds the
-    swept corridor (the classic R-tree dead-space problem), which ruins the
-    selectivity of corridor probes.  Passing ``max_extent`` subdivides each
-    segment into equal time slices until every slice's unexpanded spatial
-    extent is at most ``max_extent`` per axis, trading a few more entries for
-    near-tight coverage of the polyline in *both* space and time.
+    swept corridor, which ruins the selectivity of corridor probes.  Passing
+    ``max_extent`` subdivides each segment into equal time slices until
+    every slice's unexpanded spatial extent is at most ``max_extent`` per
+    axis, trading a few more entries for near-tight coverage of the
+    polyline in *both* space and time.
 
     Args:
         trajectory: the trajectory to index.
@@ -123,6 +86,10 @@ def segment_boxes(
             and zero for a crisp one.
         max_extent: maximum per-axis spatial extent of one entry's unexpanded
             box; ``None`` keeps one box per segment.
+
+    Raises:
+        ValueError: when the trajectory has no segment with positive
+            duration, or ``max_extent <= 0``.
     """
     if spatial_margin is None:
         spatial_margin = (
@@ -162,14 +129,3 @@ def segment_boxes(
                 )
             )
     return entries
-
-
-def trajectory_box(
-    trajectory: Trajectory, spatial_margin: float | None = None
-) -> Box3D:
-    """A single bounding box covering the whole trajectory."""
-    entries = segment_boxes(trajectory, spatial_margin)
-    box = entries[0].box
-    for entry in entries[1:]:
-        box = box.union(entry.box)
-    return box

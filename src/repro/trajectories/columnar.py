@@ -24,22 +24,20 @@ handed to NumPy kernels stays valid even while the store syncs past it.
 
 On top of the pack, :func:`segment_boxes_bulk` derives every trajectory's
 (uncertainty-expanded, optionally subdivided) segment bounding boxes in one
-vectorized pass, bit-identical to the scalar
-:func:`repro.index.boxes.segment_boxes` loop it replaces on index bulk
-loads.
+vectorized pass.  Its leg kernel makes every segment box the serving tree
+uses: the box table's loads and patches (:meth:`ColumnarStore.boxes_since`)
+and its corridor probes.  The boxes are pinned bit-identical to the scalar
+loop of :func:`repro.reference.boxes.segment_boxes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .trajectory import _TIME_TOLERANCE, Trajectory, UncertainTrajectory
-
-if TYPE_CHECKING:  # pragma: no cover - import-cycle-safe type-only import
-    from ..index.boxes import IndexEntry
 
 
 class ColumnarPack(NamedTuple):
@@ -57,10 +55,6 @@ class ColumnarPack(NamedTuple):
     xs: np.ndarray
     ys: np.ndarray
     radii: np.ndarray
-
-    def slot_of(self, object_id: object) -> int:
-        """Pack slot of an object id (linear scan; prefer the store's map)."""
-        return self.ids.index(object_id)
 
     @property
     def sample_count(self) -> int:
@@ -97,7 +91,6 @@ class ColumnarStore:
         self._sources: Dict[object, Trajectory] = {}
         self._radii: Dict[object, float] = {}
         self._pack: Optional[ColumnarPack] = None
-        self._flat: Optional[tuple] = None
         self._slots: Optional[Dict[object, int]] = None
         self.sync()
 
@@ -155,7 +148,6 @@ class ColumnarStore:
 
     def _invalidate_pack(self) -> None:
         self._pack = None
-        self._flat = None
         self._slots = None
 
     def _adopt(self, trajectory: Trajectory) -> None:
@@ -185,11 +177,6 @@ class ColumnarStore:
 
     def __len__(self) -> int:
         return len(self._order)
-
-    @property
-    def ids(self) -> Tuple[object, ...]:
-        """Packed object ids in MOD insertion order."""
-        return self.pack().ids
 
     def slot_of(self, object_id: object) -> int:
         """Pack slot of an object id.
@@ -222,18 +209,6 @@ class ColumnarStore:
         """
         self.sync()
         return self._sources[object_id].columns
-
-    def radius_of(self, object_id: object) -> float:
-        """Uncertainty radius of one object."""
-        self.sync()
-        return self._radii[object_id]
-
-    def positions(
-        self, object_id: object, times: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Expected (x, y) positions of one object at several times."""
-        ts, xs, ys = self.columns(object_id)
-        return np.interp(times, ts, xs), np.interp(times, ts, ys)
 
     def pack(self) -> ColumnarPack:
         """The current packed snapshot (synced, lazily re-concatenated)."""
@@ -288,28 +263,6 @@ class ColumnarStore:
             boxes.ids, *(getattr(boxes, field.name)[fresh] for field in fields(boxes)[1:])
         )
 
-    def flat(self) -> tuple:
-        """The pack as the flat tuple the corridor kernels consume.
-
-        Returns:
-            ``(ids, starts, lengths, times, xs, ys)`` — the layout of the
-            per-sample :meth:`repro.reference.corridor.TrajectoryArrays.flat`
-            it is pinned against.  The
-            tuple is cached per pack, so repeated calls return identical
-            objects until the next mutation.
-        """
-        pack = self.pack()
-        if self._flat is None:
-            self._flat = (
-                list(pack.ids),
-                pack.starts,
-                pack.lengths,
-                pack.ts,
-                pack.xs,
-                pack.ys,
-            )
-        return self._flat
-
 
 # ----------------------------------------------------------------------
 # Bulk segment boxes.
@@ -320,9 +273,9 @@ class ColumnarStore:
 class SegmentBoxArrays:
     """Structure-of-arrays form of every segment box of a pack.
 
-    One row per index entry, in the exact order the scalar
-    ``for trajectory: for segment: for slice`` loop produces, so bulk loads
-    build byte-identical indexes.
+    One row per box, in the exact order the scalar
+    ``for trajectory: for segment: for slice`` loop of
+    :func:`repro.reference.boxes.segment_boxes` produces them.
     """
 
     ids: Tuple[object, ...]
@@ -337,45 +290,6 @@ class SegmentBoxArrays:
     def __len__(self) -> int:
         return int(self.owner_slots.size)
 
-    @classmethod
-    def from_entries(cls, entries: Sequence["IndexEntry"]) -> "SegmentBoxArrays":
-        """Pack materialized entries into columns (the inverse of :meth:`entries`).
-
-        ``ids`` lists the owners in order of first appearance.
-        """
-        slot_of: Dict[object, int] = {}
-        owner_slots = np.array(
-            [slot_of.setdefault(entry.object_id, len(slot_of)) for entry in entries],
-            dtype=np.int64,
-        )
-        columns = np.array(
-            [
-                (box.x_min, box.y_min, box.t_min, box.x_max, box.y_max, box.t_max)
-                for box in (entry.box for entry in entries)
-            ],
-            dtype=float,
-        ).reshape(-1, 6)
-        return cls(tuple(slot_of), owner_slots, *columns.T)
-
-    def entries(self) -> List["IndexEntry"]:
-        """Materialized :class:`IndexEntry` list, in the scalar loop's shape."""
-        # Imported here: ``repro.index`` itself imports the trajectory
-        # package, so a module-level import would be circular.
-        from ..index.boxes import Box3D, IndexEntry
-
-        return [
-            IndexEntry(Box3D(xl, yl, tl, xh, yh, th), self.ids[slot])
-            for xl, yl, tl, xh, yh, th, slot in zip(
-                self.x_min.tolist(),
-                self.y_min.tolist(),
-                self.t_min.tolist(),
-                self.x_max.tolist(),
-                self.y_max.tolist(),
-                self.t_max.tolist(),
-                self.owner_slots.tolist(),
-            )
-        ]
-
 
 def segment_boxes_bulk(
     pack: ColumnarPack,
@@ -384,8 +298,8 @@ def segment_boxes_bulk(
 ) -> SegmentBoxArrays:
     """Every trajectory's segment boxes in one vectorized pass.
 
-    Bit-identical to running :func:`repro.index.boxes.segment_boxes` over
-    each packed trajectory in order: zero-duration legs are skipped, long
+    Bit-identical to running :func:`repro.reference.boxes.segment_boxes`
+    over each packed trajectory in order: zero-duration legs are skipped, long
     segments are subdivided into ``ceil(span / max_extent)`` equal time
     slices, and each slice's box is expanded by the spatial margin (the
     per-object uncertainty radius by default).

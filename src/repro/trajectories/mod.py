@@ -566,24 +566,21 @@ class MovingObjectsDatabase:
                 ``None`` keeps one box per segment.
 
         Returns:
-            A :class:`~repro.index.table.SegmentBoxTable` answering
-            ``probe``/``query_box``/``query_corridor`` scans.
+            A :class:`~repro.index.table.SegmentBoxTable`: the boxes of one
+            :func:`~repro.trajectories.columnar.segment_boxes_bulk` pass over
+            the packed columns, answering batched
+            :meth:`~repro.index.table.SegmentBoxTable.probe` scans.
         """
         from ..index.table import SegmentBoxTable
         from .columnar import segment_boxes_bulk
 
         if kind != "rtree":
             raise ValueError(f"unknown index kind {kind!r} (expected 'rtree')")
-        if not self._trajectories:
-            return SegmentBoxTable([])
         pack = self.columnar().pack()
         if max_box_extent == "auto":
-            x_min, y_min, x_max, y_max = pack.spatial_bounds()
+            x_min, y_min, x_max, y_max = pack.spatial_bounds() if pack.ids else (0.0,) * 4
             span = max(x_max - x_min, y_max - y_min)
             max_box_extent = span / 32.0 if span > 0 else None
-        # One vectorized pass over the packed columns replaces the
-        # per-segment Python loop; the boxes are byte-identical, and the
-        # table takes the arrays as they are.
         return SegmentBoxTable(
             segment_boxes_bulk(pack, max_extent=max_box_extent),
             max_box_extent=max_box_extent,

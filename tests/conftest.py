@@ -27,6 +27,7 @@ from repro.geometry.envelope.bulk import FunctionPack
 from repro.geometry.envelope.hyperbola import DistanceFunction
 from repro.reference import band as reference_band
 from repro.reference import envelope as reference_envelope
+from repro.reference.boxes import Box3D, IndexEntry
 from repro.trajectories.difference import difference_distance_functions
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
@@ -169,6 +170,37 @@ def straight_trajectory(
         radius,
         UniformDiskPDF(radius),
     )
+
+
+def box_entries(boxes) -> list[IndexEntry]:
+    """Columnar ``SegmentBoxArrays`` rows as the reference loop's entries."""
+    return [
+        IndexEntry(Box3D(*box), boxes.ids[slot])
+        for *box, slot in zip(
+            boxes.x_min.tolist(),
+            boxes.y_min.tolist(),
+            boxes.t_min.tolist(),
+            boxes.x_max.tolist(),
+            boxes.y_max.tolist(),
+            boxes.t_max.tolist(),
+            boxes.owner_slots.tolist(),
+        )
+    ]
+
+
+def probe_box(table, box: Box3D) -> set:
+    """Ids owning a live table row that meets one box."""
+    (found,) = table.probe([(
+        np.array([[box.x_min], [box.y_min], [box.t_min]]),
+        np.array([[box.x_max], [box.y_max], [box.t_max]]),
+    )])
+    return set(found)
+
+
+def probe_corridor(table, trajectory, distance: float, t_lo: float, t_hi: float) -> set:
+    """Ids other than the trajectory's whose table rows meet its corridor."""
+    (found,) = table.probe([table.corridor_probes(trajectory, distance, t_lo, t_hi)])
+    return set(found) - {trajectory.object_id}
 
 
 @pytest.fixture

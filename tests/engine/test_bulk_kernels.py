@@ -16,12 +16,14 @@ from repro.core.pruning import band_intervals, band_intervals_batch
 from repro.core.queries import QueryContext
 from repro.engine import QueryEngine
 from repro.engine.filtering import corridor_probe_bulk, filter_candidates
-from repro.index.boxes import segment_boxes
+from repro.reference.boxes import IndexEntry, segment_boxes
 from repro.reference.corridor import TrajectoryArrays, conservative_corridor_radius
 from repro.streaming import ContinuousMonitor, reference_answer
 from repro.trajectories.columnar import segment_boxes_bulk
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.workloads.scenarios import multi_query_fleet, sharded_fleet, streaming_fleet
+
+from ..conftest import box_entries
 
 
 def scalar_corridors(mod, query_ids, t_lo, t_hi, widths):
@@ -105,9 +107,7 @@ class TestSegmentBoxesBulkOnWorkloads:
     @pytest.mark.parametrize("max_extent", [None, 2.0])
     def test_matches_scalar_on_fleet(self, fleet, max_extent):
         mod, _ = fleet
-        bulk = segment_boxes_bulk(
-            mod.columnar().pack(), max_extent=max_extent
-        ).entries()
+        bulk = box_entries(segment_boxes_bulk(mod.columnar().pack(), max_extent=max_extent))
         scalar = scalar_entries(mod, max_extent=max_extent)
         assert len(bulk) == len(scalar)
         for left, right in zip(bulk, scalar):
@@ -128,7 +128,7 @@ class TestSegmentBoxesBulkOnWorkloads:
             for object_id, reports in batch.items():
                 monitor.ingest(object_id, reports)
             monitor.apply()
-            bulk = segment_boxes_bulk(mod.columnar().pack()).entries()
+            bulk = box_entries(segment_boxes_bulk(mod.columnar().pack()))
             scalar = scalar_entries(mod)
             assert [entry.box for entry in bulk] == [entry.box for entry in scalar]
 
@@ -239,23 +239,21 @@ def rewrite(mod, object_ids):
 
 
 class TestRTreePathNeverMaterializesEntries:
-    """The box table is loaded from the box arrays, never from ``.entries()``.
+    """The box table is loaded, patched and probed from box arrays alone.
 
-    Turning ~47k columnar rows back into ``IndexEntry`` objects used to cost
-    more than packing them; a path that quietly went back to it would erase
-    the array-packed tree's build time.
+    Turning ~47k columnar rows into ``IndexEntry`` objects used to cost
+    more than packing them; a path that quietly went back to per-box
+    objects would erase the array-packed table's build time.
     """
 
     @pytest.fixture
     def spy(self, monkeypatch):
-        from repro.trajectories.columnar import SegmentBoxArrays
-
         calls = []
-        original = SegmentBoxArrays.entries
+        original = IndexEntry.__init__
         monkeypatch.setattr(
-            SegmentBoxArrays,
-            "entries",
-            lambda self: calls.append(len(self)) or original(self),
+            IndexEntry,
+            "__init__",
+            lambda self, *args: calls.append(args) or original(self, *args),
         )
         return calls
 
@@ -263,7 +261,7 @@ class TestRTreePathNeverMaterializesEntries:
         mod, _ = multi_query_fleet(num_vehicles=40, num_queries=6)
         assert len(mod.build_index("rtree")) > 0
         assert not spy
-        segment_boxes_bulk(mod.columnar().pack()).entries()
+        box_entries(segment_boxes_bulk(mod.columnar().pack()))
         assert spy, "the spy must see a materialization"
 
     def test_engine_refresh_patch_and_bulk(self, spy):

@@ -4,8 +4,12 @@ import pytest
 
 from repro.core.queries import QueryContext
 from repro.engine import QueryEngine
+from repro.reference.boxes import segment_boxes
+from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
 from repro.workloads.scenarios import multi_query_fleet
+
+from ..conftest import straight_trajectory
 
 
 @pytest.fixture
@@ -130,6 +134,50 @@ class TestAffectingChangesInvalidate:
         mod.remove(query_ids[0])
         engine.refresh()
         assert engine.cache_info().size == 0
+
+
+class TestInvalidationScansTheStoreTable:
+    """A changed non-candidate drops a context only when the store's table,
+    the filter a fresh build scans, puts it in the context's corridor."""
+
+    def test_a_leg_box_that_only_unsliced_meets_the_corridor_keeps_the_context(self):
+        # ``q`` drives east along y = 0 beside ``a``; ``d`` drives south
+        # across q's path near its end, but reaches y = 0 at minute 30,
+        # when q is 45 miles away.  Its one-leg box spans the whole window
+        # and meets q's corridor; its sliced table rows do not.
+        mod = MovingObjectsDatabase([
+            straight_trajectory("q", (0.0, 0.0), (100.0, 0.0)),
+            straight_trajectory("a", (0.0, 2.0), (100.0, 2.0)),
+            straight_trajectory("d", (95.0, 40.0), (95.0, -40.0)),
+        ])
+        engine = QueryEngine(mod)
+        prepared = engine.prepare("q", 0.0, 60.0)
+        assert list(prepared.context.functions) == ["a"]
+        mod.replace_trajectory(straight_trajectory("d", (96.0, 40.0), (96.0, -40.0)))
+        corridor = segment_boxes(mod.get("q"), spatial_margin=0.0)[0].box.expanded(
+            prepared.corridor_radius
+        )
+        assert segment_boxes(mod.get("d"))[0].box.intersects(corridor)
+        assert QueryEngine(mod).candidate_ids("q", 0.0, 60.0) == ["a"]
+
+        again = engine.prepare_batch(["q"], 0.0, 60.0)
+        assert again.prepared[0].from_cache
+        assert engine_answers(again) == fresh_answers(mod, ["q"], 0.0, 60.0)
+
+    def test_an_insert_beside_a_zero_length_window_drops_its_context(self):
+        # A zero-length window is not filtered, so a fresh build keeps the
+        # new object: the context is dropped, and refreshing does not raise.
+        mod = MovingObjectsDatabase([
+            straight_trajectory("q", (0.0, 0.0), (100.0, 0.0)),
+            straight_trajectory("a", (0.0, 2.0), (100.0, 2.0)),
+        ])
+        engine = QueryEngine(mod)
+        engine.prepare("q", 30.0, 30.0)
+        mod.add(straight_trajectory("b", (0.0, 1.0), (100.0, 1.0)))
+        engine.refresh()
+        assert engine.cache_info().size == 0
+        prepared = engine.prepare("q", 30.0, 30.0)
+        assert sorted(prepared.context.functions) == ["a", "b"]
 
 
 class TestAnswersAlwaysMatchFreshEngine:

@@ -3,13 +3,15 @@
 Three contracts pin :class:`repro.index.table.SegmentBoxTable`:
 
 * a scan's answer is a function of the live entry set alone, so every
-  member of a ``probe`` batch — and ``query_box``/``query_corridor``, its
-  one-member cases — equals a brute-force scan of the entry arrays the
-  table was loaded from;
+  member of a ``probe`` batch — one box or a corridor's probe boxes, which
+  are the reference loop's boxes of the clipped trajectory grown by the
+  corridor width — equals a brute-force scan of the entry arrays the table
+  was loaded from;
 * after any sequence of store changes patched into the table (tombstones,
   appended rows, compactions), the store's batch filter
   ``candidates_within_corridor`` gives every query of a batch exactly the
-  list a brute force over ``segment_boxes`` of the final store gives it,
+  list a brute force over the reference ``segment_boxes`` of the final
+  store gives it,
   in the filter order — duplicate ids, infinite radii and windows at the
   fleet's edges included;
 * the patched table holds the entries, and gives the answers, of a table
@@ -25,15 +27,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from repro.experiments.grid import GridIndex
-from repro.index.boxes import Box3D, IndexEntry, segment_boxes
 from repro.index.table import _SLACK_SHARE, SegmentBoxTable
+from repro.reference.boxes import Box3D, segment_boxes
 from repro.trajectories.columnar import SegmentBoxArrays, segment_boxes_bulk
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 from repro.workloads.scenarios import multi_query_fleet
 
-from ..conftest import straight_trajectory
+from ..conftest import box_entries, probe_box, probe_corridor, straight_trajectory
 from ..property.test_envelope_differential import (
     coordinate,
     fleets,
@@ -123,7 +125,7 @@ def live_entries(table):
     return sorted(
         (str(entry.object_id), entry.box.x_min, entry.box.y_min, entry.box.t_min,
          entry.box.x_max, entry.box.y_max, entry.box.t_max)
-        for entry in table.entries()
+        for entry in box_entries(table.boxes())
     )
 
 
@@ -151,7 +153,7 @@ class TestProbesEqualBruteForce:
         table = mod.build_index("rtree", max_box_extent=extent)
         boxes = segment_boxes_bulk(mod.columnar().pack(), max_extent=extent)
         for probe in probes:
-            assert table.query_box(probe) == scan(boxes, [probe])
+            assert probe_box(table, probe) == scan(boxes, [probe])
 
     @given(mod=any_fleet, extent=extents, distance=distances,
            window=st.tuples(times, times), query=st.integers(min_value=0, max_value=2))
@@ -164,7 +166,7 @@ class TestProbesEqualBruteForce:
         boxes = segment_boxes_bulk(mod.columnar().pack(), max_extent=extent)
         expected = scan(boxes, corridor_probes(trajectory, distance, t_lo, t_hi, extent))
         expected.discard(trajectory.object_id)
-        assert table.query_corridor(trajectory, distance, t_lo, t_hi) == expected
+        assert probe_corridor(table, trajectory, distance, t_lo, t_hi) == expected
 
     def test_a_member_without_probe_boxes_owns_nothing(self):
         # ``logical_or.reduceat`` answers an empty run with a neighbouring
@@ -181,18 +183,17 @@ class TestProbesEqualBruteForce:
         assert table.probe([none]) == [[]]
         assert table.probe([]) == []
 
-    def test_arrays_and_entry_objects_load_the_same_table(self):
+    def test_a_load_holds_the_arrays_rows(self):
         mod, _ = multi_query_fleet(num_vehicles=30, num_queries=2)
         boxes = segment_boxes_bulk(mod.columnar().pack(), max_extent=9.0)
-        from_arrays = SegmentBoxTable(boxes, max_box_extent=9.0)
-        from_objects = SegmentBoxTable(boxes.entries(), max_box_extent=9.0)
-        assert from_arrays.entries() == from_objects.entries() == boxes.entries()
+        table = SegmentBoxTable(boxes, max_box_extent=9.0)
+        assert box_entries(table.boxes()) == box_entries(boxes)
 
     def test_random_waypoint_boxes_against_the_entry_loop_and_the_grid(self):
         trajectories = generate_trajectories(
             RandomWaypointConfig(num_objects=80, segments_per_trajectory=2, seed=9)
         )
-        table = SegmentBoxTable.from_trajectories(trajectories)
+        table = MovingObjectsDatabase(trajectories).build_index(max_box_extent=None)
         assert len(table) == 80 * 2
         grid = GridIndex.covering(trajectories, cells=20)
         probes = [
@@ -206,21 +207,53 @@ class TestProbesEqualBruteForce:
                 for trajectory in trajectories
                 if any(entry.box.intersects(probe) for entry in segment_boxes(trajectory))
             }
-            assert table.query_box(probe) == expected == grid.query_box(probe)
+            assert probe_box(table, probe) == expected == grid.query_box(probe)
 
     def test_corridor_query(self):
         query = straight_trajectory("q", (0.0, 0.0), (30.0, 0.0))
         near = straight_trajectory("near", (0.0, 2.0), (30.0, 2.0))
         far = straight_trajectory("far", (0.0, 30.0), (30.0, 30.0))
-        table = SegmentBoxTable.from_trajectories([query, near, far])
-        assert table.query_corridor(query, 5.0, 0.0, 60.0) == {"near"}
+        table = MovingObjectsDatabase([query, near, far]).build_index(max_box_extent=None)
+        assert probe_corridor(table, query, 5.0, 0.0, 60.0) == {"near"}
         with pytest.raises(ValueError):
-            table.query_corridor(query, -0.5, 0.0, 60.0)
+            table.corridor_probes(query, -0.5, 0.0, 60.0)
 
     def test_empty_table(self):
-        table = SegmentBoxTable([])
-        assert len(table) == 0 and table.entries() == []
-        assert table.query_box(Box3D(0, 0, 0, 1, 1, 1)) == set()
+        table = MovingObjectsDatabase().build_index()
+        assert len(table) == 0 and box_entries(table.boxes()) == []
+        assert probe_box(table, Box3D(0, 0, 0, 1, 1, 1)) == set()
+
+
+# ---------------------------------------------------------------------------
+# Corridor probes are the reference loop's boxes, grown by the corridor.
+# ---------------------------------------------------------------------------
+
+
+class TestCorridorProbes:
+    # Three legs of positive duration around a repeated timestamp (a jump
+    # at t = 10), and a long diagonal leg that slices.
+    query = UncertainTrajectory(
+        "q", [(0, 0, 0.0), (30, 12, 10.0), (31, 13, 10.0), (5, 40, 20.0), (9, 41, 30.0)], 0.5
+    )
+
+    @pytest.mark.parametrize("extent", [None, 2.0, 9.0])
+    @pytest.mark.parametrize("distance", [0.0, 1.5, 4.0])
+    @pytest.mark.parametrize("window", [(0.0, 30.0), (3.3, 24.1), (10.0, 17.5), (-5.0, 40.0)])
+    def test_equal_the_reference_boxes_grown_by_the_corridor(self, extent, distance, window):
+        other = straight_trajectory("o", (0.0, 5.0), (40.0, 5.0), -5.0, 40.0)
+        table = MovingObjectsDatabase([self.query, other]).build_index(max_box_extent=extent)
+        lo, hi = table.corridor_probes(self.query, distance, *window)
+        expected = corridor_probes(self.query, distance, *window, extent)
+        assert lo.shape[1] == len(expected)
+        expected_lo, expected_hi = as_arrays(expected)
+        assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
+
+    def test_a_window_without_a_positive_leg_raises_as_the_reference_does(self):
+        table = MovingObjectsDatabase([self.query]).build_index(max_box_extent=None)
+        with pytest.raises(ValueError, match="positive duration"):
+            corridor_probes(self.query, 1.0, 10.0, 10.0, None)
+        with pytest.raises(ValueError, match="positive duration"):
+            table.corridor_probes(self.query, 1.0, 10.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +335,11 @@ def assert_equals_bulk_load(table, mod, extent):
     assert len(table) == len(bulk)
     assert live_entries(table) == live_entries(bulk)
     whole = Box3D(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9)
-    assert table.query_box(whole) == bulk.query_box(whole) == set(mod.object_ids)
+    assert probe_box(table, whole) == probe_box(bulk, whole) == set(mod.object_ids)
     for trajectory in mod:
         for distance in (0.0, 2.0, 15.0):
             args = (trajectory, distance, trajectory.start_time, trajectory.end_time)
-            assert table.query_corridor(*args) == bulk.query_corridor(*args)
+            assert probe_corridor(table, *args) == probe_corridor(bulk, *args)
 
 
 @st.composite
@@ -402,7 +435,7 @@ class TestMutationsEqualBulkLoad:
         mod.replace_trajectory(moved(target, 3.0))
         sync(table, mod, revision)
         added = len(segment_boxes(target, max_extent=9.0))
-        appended = table.entries()[-added:]
+        appended = box_entries(table.boxes())[-added:]
         assert {entry.object_id for entry in appended} == {target.object_id}
         assert table.compactions == 0, "a one-object patch must not compact"
         assert_equals_bulk_load(table, mod, 9.0)
@@ -443,32 +476,36 @@ class TestMutationsEqualBulkLoad:
         table = mod.build_index("rtree", max_box_extent=None)
         table.patch({"a": 5.0 + 5e-10}, mod.columnar())
         assert len(table) == 10 and table.compactions == 0
-        assert [(e.object_id, e.box.t_min) for e in table.entries()[-1:]] == [("a", 5.0)]
+        assert [(e.object_id, e.box.t_min) for e in box_entries(table.boxes())[-1:]] == [
+            ("a", 5.0)
+        ]
         table.patch({"a": 5.0 + 5e-9}, mod.columnar())
         assert len(table) == 10
-        assert [(e.object_id, e.box.t_min) for e in table.entries()[-1:]] == [("a", 5.0)]
+        assert [(e.object_id, e.box.t_min) for e in box_entries(table.boxes())[-1:]] == [
+            ("a", 5.0)
+        ]
         assert_equals_bulk_load(table, mod, None)
 
     def test_new_ids_and_emptying(self):
         mod = MovingObjectsDatabase()
-        table = SegmentBoxTable([])
+        table = mod.build_index()
         a = UncertainTrajectory("a", [(0, 0, 0.0), (4, 0, 4.0), (4, 4, 8.0)], 0.5)
         b = UncertainTrajectory("b", [(9, 9, 0.0), (5, 9, 8.0)], 0.5)
         revision = mod.revision
         mod.add_all([a, b])
         revision = sync(table, mod, revision)
         assert len(table) == 3
-        assert table.query_corridor(a, 20.0, 0.0, 8.0) == {"b"}
+        assert probe_corridor(table, a, 20.0, 0.0, 8.0) == {"b"}
         mod.remove("a")
         revision = sync(table, mod, revision)
         assert len(table) == 1
         mod.remove("b")
         revision = sync(table, mod, revision)
-        assert len(table) == 0 and table.entries() == []
-        assert table.query_box(Box3D(-50, -50, -50, 50, 50, 50)) == set()
+        assert len(table) == 0 and box_entries(table.boxes()) == []
+        assert probe_box(table, Box3D(-50, -50, -50, 50, 50, 50)) == set()
         mod.add(UncertainTrajectory("c", [(0, 0, 0.0), (1, 1, 1.0)], 0.1))
         sync(table, mod, revision)
-        assert table.query_box(Box3D(0.5, 0.5, 0.5, 2, 2, 2)) == {"c"}
+        assert probe_box(table, Box3D(0.5, 0.5, 0.5, 2, 2, 2)) == {"c"}
 
 
 def test_loaded_arrays_are_not_aliased_to_the_callers():
@@ -497,8 +534,3 @@ def test_taking_the_probes_in_several_passes_changes_no_answer(monkeypatch, per_
     monkeypatch.setattr(module, "_PAIR_BUDGET", per_pass * len(table))
     assert table.probe(members) == expected
     assert [table.probe([member])[0] for member in members] == expected
-
-
-def test_entry_objects_round_trip():
-    entries = [IndexEntry(Box3D(0, 0, i, 2, 2, i + 1), i) for i in range(23)]
-    assert SegmentBoxTable(entries).entries() == entries

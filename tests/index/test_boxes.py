@@ -1,8 +1,8 @@
-"""Tests for (x, y, t) boxes and their derivation from trajectories."""
+"""The reference (x, y, t) boxes and the scalar segment-box loop."""
 
 import pytest
 
-from repro.index.boxes import Box3D, IndexEntry, segment_boxes, trajectory_box
+from repro.reference.boxes import Box3D, IndexEntry, segment_boxes
 from repro.trajectories.trajectory import Trajectory
 
 from ..conftest import straight_trajectory
@@ -12,11 +12,6 @@ class TestBox3D:
     def test_malformed_box_rejected(self):
         with pytest.raises(ValueError):
             Box3D(1.0, 0.0, 0.0, 0.0, 1.0, 1.0)
-
-    def test_volume_and_center(self):
-        box = Box3D(0.0, 0.0, 0.0, 2.0, 3.0, 4.0)
-        assert box.volume == pytest.approx(24.0)
-        assert box.center == (1.0, 1.5, 2.0)
 
     def test_intersects(self):
         a = Box3D(0, 0, 0, 2, 2, 2)
@@ -29,18 +24,6 @@ class TestBox3D:
         a = Box3D(0, 0, 0, 1, 1, 1)
         b = Box3D(1, 0, 0, 2, 1, 1)
         assert a.intersects(b)
-
-    def test_contains(self):
-        outer = Box3D(0, 0, 0, 10, 10, 10)
-        inner = Box3D(1, 1, 1, 2, 2, 2)
-        assert outer.contains(inner)
-        assert not inner.contains(outer)
-
-    def test_union(self):
-        a = Box3D(0, 0, 0, 1, 1, 1)
-        b = Box3D(2, -1, 0.5, 3, 0, 4)
-        union = a.union(b)
-        assert union == Box3D(0, -1, 0, 3, 1, 4)
 
     def test_expanded(self):
         box = Box3D(0, 0, 0, 1, 1, 1).expanded(0.5, 0.25)
@@ -68,8 +51,3 @@ class TestSegmentBoxes:
         trajectory = straight_trajectory("a", (0.0, 0.0), (10.0, 0.0), radius=0.5)
         entries = segment_boxes(trajectory, spatial_margin=2.0)
         assert entries[0].box.x_min == pytest.approx(-2.0)
-
-    def test_trajectory_box_covers_all_segments(self):
-        trajectory = Trajectory("a", [(0, 0, 0.0), (5, 0, 5.0), (5, 5, 10.0)])
-        box = trajectory_box(trajectory, spatial_margin=0.0)
-        assert box.contains(Box3D(0, 0, 0, 5, 5, 10))

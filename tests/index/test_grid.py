@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.index.boxes import Box3D, segment_boxes
 from repro.experiments.grid import GridIndex
+from repro.reference.boxes import Box3D, segment_boxes
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 
 from ..conftest import straight_trajectory

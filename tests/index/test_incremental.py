@@ -9,13 +9,12 @@ store's changelog, and compares it with a fresh ``mod.build_index("rtree")``.
 import numpy as np
 import pytest
 
-from repro.index.boxes import Box3D, segment_boxes
-from repro.index.table import SegmentBoxTable
+from repro.reference.boxes import Box3D, segment_boxes
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
 from repro.workloads.random_waypoint import RandomWaypointConfig, generate_trajectories
 
-from ..conftest import straight_trajectory
+from ..conftest import box_entries, probe_box, probe_corridor, straight_trajectory
 
 EXTENT = 15.0
 
@@ -33,7 +32,7 @@ def probe_grid(index, trajectories, seed=0, probes=60):
         query = trajectories[int(rng.integers(len(trajectories)))]
         distance = float(rng.uniform(0.1, 20.0))
         results.append(
-            index.query_corridor(query, distance, query.start_time, query.end_time)
+            probe_corridor(index, query, distance, query.start_time, query.end_time)
         )
     return results
 
@@ -56,11 +55,11 @@ class TestPatchInsert:
         mod.add(straight_trajectory("x", (0.0, 0.0), (1.0, 1.0), 0.0, 1.0, 0.1))
         sync(tree, mod, revision)
         assert len(tree) == 1
-        assert tree.query_box(Box3D(0.5, 0.5, 0.5, 2, 2, 2)) == {"x"}
+        assert probe_box(tree, Box3D(0.5, 0.5, 0.5, 2, 2, 2)) == {"x"}
 
     def test_patched_tree_answers_like_bulk_tree(self, trajectories):
         mod = MovingObjectsDatabase()
-        tree = SegmentBoxTable([], max_box_extent=EXTENT)
+        tree = fresh(mod)
         revision = mod.revision
         for trajectory in trajectories:
             mod.add(trajectory)
@@ -76,7 +75,7 @@ class TestPatchInsert:
         # Boxes land in the spare block; each time it is full the table
         # compacts, so single additions keep a bounded spare share.
         mod = MovingObjectsDatabase()
-        tree = SegmentBoxTable([])
+        tree = fresh(mod, max_box_extent=None)
         revision = mod.revision
         for index in range(20):
             mod.add(
@@ -87,7 +86,7 @@ class TestPatchInsert:
             revision = sync(tree, mod, revision)
         assert len(tree) == 20
         assert tree.compactions > 0
-        assert tree.query_box(Box3D(0, 0, 0, 30, 30, 1)) == set(range(20))
+        assert probe_box(tree, Box3D(0, 0, 0, 30, 30, 1)) == set(range(20))
 
 
 class TestPatchRemove:
@@ -123,7 +122,7 @@ class TestPatchRemove:
             mod.remove(trajectory.object_id)
         sync(tree, mod, revision)
         assert len(tree) == len(fresh(mod)) == 0
-        assert tree.query_box(Box3D(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9)) == set()
+        assert probe_box(tree, Box3D(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9)) == set()
 
     def test_patching_an_unknown_object_is_a_noop(self, trajectories):
         mod = MovingObjectsDatabase(trajectories[:5])
@@ -161,7 +160,7 @@ class TestDivergenceBoundedMaintenance:
         )
         assert added >= 1 and len(tree) == len(fresh(MovingObjectsDatabase(trajectories))) + added
         assert tree.compactions == 0
-        appended = tree.entries()[-added:]
+        appended = box_entries(tree.boxes())[-added:]
         assert {entry.object_id for entry in appended} == {target.object_id}
         assert all(entry.box.t_min >= target.end_time for entry in appended)
         bulk = fresh(mod)

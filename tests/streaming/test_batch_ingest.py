@@ -24,15 +24,17 @@ from hypothesis import given, strategies as st
 
 from repro.core.tolerances import TIME_TOLERANCE
 from repro.engine import QueryEngine
-from repro.index.boxes import Box3D, segment_boxes
 from repro.obs.metrics import MetricsRegistry
 from repro.persistence import PersistentStore, restore
 from repro.query_language import PlannedStatement
+from repro.reference.boxes import Box3D, segment_boxes
 from repro.service import QueryService
 from repro.streaming import ContinuousMonitor, reference_answer
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import TrajectorySample, UncertainTrajectory
 from repro.workloads.scenarios import streaming_fleet
+
+from ..conftest import probe_box, probe_corridor
 
 KINDS = ("extend", "replace_tail", "replace_all", "add", "remove")
 
@@ -80,8 +82,8 @@ def index_answers(index, mod, probes):
     """What an index answers: box probes, plus a corridor around every object."""
     lo, hi = mod.common_time_span()
     return (
-        [index.query_box(box) for box in probes],
-        [index.query_corridor(trajectory, 1.5, lo, hi) for trajectory in mod],
+        [probe_box(index, box) for box in probes],
+        [probe_corridor(index, trajectory, 1.5, lo, hi) for trajectory in mod],
     )
 
 

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.trajectories.mod as mod_module
-from repro.index.boxes import segment_boxes
 from repro.persistence import Snapshotter, load_snapshot
+from repro.reference.boxes import segment_boxes
 from repro.reference.corridor import TrajectoryArrays
 from repro.trajectories.columnar import ColumnarPack, ColumnarStore, segment_boxes_bulk
 from repro.trajectories.mod import MovingObjectsDatabase
 from repro.trajectories.trajectory import UncertainTrajectory
+
+from ..conftest import box_entries
 
 
 def make_trajectory(object_id, points, radius=0.5):
@@ -83,19 +85,19 @@ class TestPacking:
             )
             assert pack.radii[slot] == trajectory.radius
 
-    def test_flat_matches_scalar_flattening(self, mod):
+    def test_pack_matches_scalar_flattening(self, mod):
         scalar = TrajectoryArrays().flat(mod)
-        columnar = mod.columnar().flat()
-        assert columnar[0] == scalar[0]
-        for left, right in zip(columnar[1:], scalar[1:]):
+        columnar = mod.columnar().pack()
+        assert list(columnar.ids) == scalar[0]
+        for left, right in zip(columnar[1:6], scalar[1:]):
             assert np.array_equal(left, right)
 
-    def test_flat_cached_until_mutation(self, mod):
+    def test_pack_cached_until_mutation(self, mod):
         store = mod.columnar()
-        first = store.flat()
-        assert store.flat() is first
+        first = store.pack()
+        assert store.pack() is first
         mod.remove("b")
-        assert mod.columnar().flat() is not first
+        assert mod.columnar().pack() is not first
 
     def test_store_is_cached_on_the_mod(self, mod):
         assert mod.columnar() is mod.columnar()
@@ -105,15 +107,8 @@ class TestPacking:
         assert store.slot_of("b") == 1
         ts, xs, ys = store.columns("c")
         assert ts.tolist() == [0.0, 5.0, 10.0]
-        assert store.radius_of("b") == 0.5
         with pytest.raises(KeyError):
             store.columns("nope")
-
-    def test_positions_interpolate(self, mod):
-        store = mod.columnar()
-        xs, ys = store.positions("a", np.array([0.0, 5.0, 10.0]))
-        assert xs.tolist() == [0.0, 5.0, 10.0]
-        assert ys.tolist() == [0.0, 0.0, 0.0]
 
     def test_empty_store_packs_empty_arrays(self):
         store = MovingObjectsDatabase().columnar()
@@ -143,7 +138,7 @@ class TestChangelogSync:
         mod.add(make_trajectory("d", [(0.0, 0.0, 0.0), (1.0, 1.0, 10.0)]))
         mod.upsert(make_trajectory("b", [(5.0, 5.0, 0.0), (6.0, 6.0, 10.0)]))
         store.sync()
-        assert list(store.ids) == mod.object_ids
+        assert list(store.pack().ids) == mod.object_ids
 
     def test_changelog_overflow_falls_back_to_full_resync(self, mod, monkeypatch):
         monkeypatch.setattr(mod_module, "_CHANGELOG_CAPACITY", 2)
@@ -208,7 +203,7 @@ class TestSegmentBoxesBulk:
     @pytest.mark.parametrize("max_extent", [None, 0.8, 3.0])
     def test_bulk_boxes_match_scalar_loop(self, mod, max_extent):
         pack = mod.columnar().pack()
-        bulk = segment_boxes_bulk(pack, max_extent=max_extent).entries()
+        bulk = box_entries(segment_boxes_bulk(pack, max_extent=max_extent))
         scalar = []
         for trajectory in mod:
             scalar.extend(segment_boxes(trajectory, max_extent=max_extent))
@@ -219,7 +214,7 @@ class TestSegmentBoxesBulk:
 
     def test_explicit_margin_matches_scalar(self, mod):
         pack = mod.columnar().pack()
-        bulk = segment_boxes_bulk(pack, spatial_margin=1.25).entries()
+        bulk = box_entries(segment_boxes_bulk(pack, spatial_margin=1.25))
         scalar = []
         for trajectory in mod:
             scalar.extend(segment_boxes(trajectory, spatial_margin=1.25))
@@ -234,7 +229,7 @@ class TestSegmentBoxesBulk:
             ]
         )
         pack = mod.columnar().pack()
-        bulk = segment_boxes_bulk(pack).entries()
+        bulk = box_entries(segment_boxes_bulk(pack))
         scalar = segment_boxes(mod.get("dup"))
         assert [entry.box for entry in bulk] == [entry.box for entry in scalar]
 
